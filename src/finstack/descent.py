@@ -13,6 +13,8 @@ indexed category whose comparison functors are all fully faithful, a stack
 one whose comparison functors are all equivalences.
 """
 
+from itertools import product as iproduct
+
 from . import caps as _caps
 from .fincat import Check, FinCat, Functor, InternalError
 from .indexed import IndexedCat, IndexedFun
@@ -105,79 +107,52 @@ def validate_datum(D: IndexedCat, R: Sieve, a: DescentDatum) -> list:
 
 
 def enumerate_data(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT):
-    """All descent data over R, by backtracking over member objects and then
-    coherence isos, pruning with normalization and the cocycle."""
+    """All descent data over R: each choice of member objects in turn, then
+    coherence isos by backtracking, pruning with normalization and the
+    cocycle.  One caps budget covers all member choices."""
     base = D.base
     members = R.members()
     pairs = coh_pairs(D, R)
-    pair_index = {p: i for i, p in enumerate(pairs)}
+    at = {p: i for i, p in enumerate(pairs)}
 
-    # Cocycle triples, each tagged with the position after which all of its
-    # three coherence keys are assigned.
-    triples = []
+    # Cocycle triples with the positions of their three coherence keys,
+    # filed under the last of them to be assigned.
+    closing = {}
     for f in members:
         for g in base.into(base.dom(f)):
             fg = base.compose(f, g)
             for h in base.into(base.dom(g)):
                 gh = base.compose(g, h)
-                keys = [(f, gh), (fg, h), (f, g)]
-                triples.append((f, g, h, fg, gh, max(pair_index[k] for k in keys)))
-    by_pos = {}
-    for t in triples:
-        by_pos.setdefault(t[5], []).append(t)
+                keys = (at[(f, gh)], at[(fg, h)], at[(f, g)])
+                closing.setdefault(max(keys), []).append((f, g, h, *keys))
+
+    def cands(i, coh):
+        f, g = pairs[i]
+        y = base.dom(g)
+        fib = D.fib[y]
+        src = D.res[g].ob(obj[f])
+        dst = obj[base.compose(f, g)]
+        if base.is_id(g):
+            m = fib.inverse(D.unit(y, obj[f]))
+            return [m] if m is not None and fib.mor[m] == (src, dst) else []
+        return [m for m in fib.hom(src, dst) if fib.is_iso(m)]
+
+    def fits(i, coh):
+        for f, g, h, fgh, fg_h, f_g in closing.get(i, ()):
+            fib = D.fib[base.dom(h)]
+            lhs = fib.compose(coh[fgh], D.gamma(g, h, obj[f]))
+            rhs = fib.compose(coh[fg_h], D.res[h].mo(coh[f_g]))
+            if lhs != rhs:
+                return False
+        return True
 
     out = []
-    budget = [caps.max_descent]
-
-    def close(obj):
-        coh = {}
-
-        def go(i):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise _caps.CapExceeded("descent enumeration budget exhausted")
-            if i == len(pairs):
-                out.append(DescentDatum(obj, coh))
-                return
-            (f, g) = pairs[i]
-            y = base.dom(g)
-            fib = D.fib[y]
-            src = D.res[g].ob(obj[f])
-            dst = obj[base.compose(f, g)]
-            if base.is_id(g):
-                cands = [fib.inverse(D.unit(y, obj[f]))]
-                if cands[0] is None or fib.mor[cands[0]] != (src, dst):
-                    return
-            else:
-                cands = [m for m in fib.hom(src, dst) if fib.is_iso(m)]
-            for m in cands:
-                coh[pairs[i]] = m
-                ok = True
-                for (tf, tg, th, tfg, tgh, _) in by_pos.get(i, ()):
-                    fibh = D.fib[base.dom(th)]
-                    lhs = fibh.compose(coh[(tf, tgh)], D.gamma(tg, th, obj[tf]))
-                    rhs = fibh.compose(coh[(tfg, th)], D.res[th].mo(coh[(tf, tg)]))
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if ok:
-                    go(i + 1)
-            coh.pop(pairs[i], None)
-
-        go(0)
-
-    def assign(j, obj):
-        if j == len(members):
-            close(dict(obj))
-            return
-        f = members[j]
-        for U in D.fib[base.dom(f)].objects:
-            obj[f] = U
-            assign(j + 1, obj)
-        obj.pop(members[j], None)
-
-    assign(0, {})
-    _caps.check(len(out), caps.max_descent, "descent data count")
+    budget = _caps.Budget(caps)
+    for combo in iproduct(*(D.fib[base.dom(f)].objects for f in members)):
+        obj = dict(zip(members, combo))
+        for coh in _caps.search(len(pairs), cands, fits, budget):
+            out.append(DescentDatum(obj, zip(pairs, coh)))
+    _caps.check(len(out), caps, "max_descent", "descent data count")
     return out
 
 
@@ -186,43 +161,30 @@ def desc_hom(D: IndexedCat, R: Sieve, a: DescentDatum, b: DescentDatum,
     """All descent morphisms a -> b, as dicts member -> fibre morphism."""
     base = D.base
     members = R.members()
-    order = {f: i for i, f in enumerate(members)}
-    pairs = coh_pairs(D, R)
-    # Constraint (f, g) can fire once comp[f] and comp[f∘g] are both known.
-    ready = {}
-    for (f, g) in pairs:
+    at = {f: i for i, f in enumerate(members)}
+    # Constraint (f, g) closes once comp[f] and comp[f∘g] are both known.
+    closing = {}
+    for (f, g) in coh_pairs(D, R):
         fg = base.compose(f, g)
-        ready.setdefault(max(order[f], order[fg]), []).append((f, g, fg))
+        closing.setdefault(max(at[f], at[fg]), []).append((f, g, at[f], at[fg]))
 
-    out = []
-    budget = [caps.max_descent]
-    comp = {}
-
-    def go(j):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise _caps.CapExceeded("descent hom enumeration budget exhausted")
-        if j == len(members):
-            out.append(dict(comp))
-            return
+    def cands(j, comp):
         f = members[j]
-        fib = D.fib[base.dom(f)]
-        for m in fib.hom(a.obj[f], b.obj[f]):
-            comp[f] = m
-            ok = True
-            for (cf, cg, cfg) in ready.get(j, ()):
-                fibg = D.fib[base.dom(cg)]
-                lhs = fibg.compose(b.coh[(cf, cg)], D.res[cg].mo(comp[cf]))
-                rhs = fibg.compose(comp[cfg], a.coh[(cf, cg)])
-                if lhs != rhs:
-                    ok = False
-                    break
-            if ok:
-                go(j + 1)
-        comp.pop(f, None)
+        return D.fib[base.dom(f)].hom(a.obj[f], b.obj[f])
 
-    go(0)
-    return out
+    def fits(j, comp):
+        for f, g, jf, jfg in closing.get(j, ()):
+            fib = D.fib[base.dom(g)]
+            lhs = fib.compose(b.coh[(f, g)], D.res[g].mo(comp[jf]))
+            rhs = fib.compose(comp[jfg], a.coh[(f, g)])
+            if lhs != rhs:
+                return False
+        return True
+
+    return [
+        dict(zip(members, comp))
+        for comp in _caps.search(len(members), cands, fits, _caps.Budget(caps))
+    ]
 
 
 def mor_id(a: DescentDatum, b: DescentDatum, comp):
@@ -240,13 +202,10 @@ def desc_cat(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT) -> FinCa
     data = enumerate_data(D, R, caps)
     members = R.members()
     mor = {}
-    homs = {}
     for a in data:
         for b in data:
             for comp in desc_hom(D, R, a, b, caps):
-                mid = mor_id(a, b, comp)
-                mor[mid] = (a, b)
-                homs.setdefault((a, b), []).append(mid)
+                mor[mor_id(a, b, comp)] = (a, b)
     ident = {}
     for a in data:
         comp = {f: D.fib[base.dom(f)].ident[a.obj[f]] for f in members}
@@ -254,25 +213,16 @@ def desc_cat(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT) -> FinCa
         if mid not in mor:
             raise InternalError("identity descent morphism not enumerated")
         ident[a] = mid
-    table = {}
-    for (a, b), ms1 in homs.items():
-        for (b2, c), ms2 in homs.items():
-            if b2 != b:
-                continue
-            for m1 in ms1:
-                c1 = mor_components(m1)
-                for m2 in ms2:
-                    c2 = mor_components(m2)
-                    comp = {
-                        f: D.fib[base.dom(f)].compose(c2[f], c1[f])
-                        for f in members
-                    }
-                    mid = mor_id(a, c, comp)
-                    if mid not in mor:
-                        raise InternalError("descent morphisms do not compose")
-                    table[(m2, m1)] = mid
-    name = f"Desc({fmt(R.target)})"
-    return FinCat(tuple(data), mor, ident, table, name=name)
+    parts = {mid: mor_components(mid) for mid in mor}
+
+    def compose(m2, m1):
+        c2, c1 = parts[m2], parts[m1]
+        comp = {f: D.fib[base.dom(f)].compose(c2[f], c1[f]) for f in members}
+        return mor_id(m1[0], m2[1], comp)
+
+    return FinCat.from_homs(
+        tuple(data), mor, ident, compose, name=f"Desc({fmt(R.target)})"
+    )
 
 
 def comparison_datum(D: IndexedCat, R: Sieve, V) -> DescentDatum:

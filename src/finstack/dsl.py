@@ -44,6 +44,7 @@ from .fincat import (
     compose_functors,
     identity_functor,
     poset_cat,
+    require,
     validate_fincat,
 )
 from .indexed import (
@@ -720,23 +721,13 @@ class _Elab:
             r = normal((g,))
             alias[g] = ("id", dom[g]) if not r else rep_name[r]
 
-        table = {}
-        for n2, w2 in words.items():
-            for n1, w1 in words.items():
-                d2 = mor[n2]
-                d1 = mor[n1]
-                if d2[0] != d1[1]:
-                    continue
-                w = w2 + w1
-                if not w:
-                    table[(n2, n1)] = ("id", d1[0])
-                else:
-                    r = normal(w)
-                    table[(n2, n1)] = ("id", d1[0]) if not r else rep_name[r]
-        c = FinCat(tuple(objects), mor, ident, table, name=block.name)
-        errs = validate_fincat(c, self.caps)
-        if errs:
-            raise InternalError(f"closure produced a non-category: {errs[0]}")
+        def compose(n2, n1):
+            w = words[n2] + words[n1]
+            r = normal(w) if w else ()
+            return rep_name[r] if r else ("id", mor[n1][0])
+
+        c = FinCat.from_homs(tuple(objects), mor, ident, compose, name=block.name)
+        require(validate_fincat(c, self.caps), "closure produced a non-category")
         return c, words, alias
 
     def do_category(self, block):
@@ -1520,6 +1511,17 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
         return bad("digest mismatch: the document was altered after it was "
                    "emitted", "regenerate it instead of editing by hand")
     env = Elaborated()
+
+    def findings(kind, name, refs, validate):
+        # A validator would index the broken tables of a flawed referent.
+        flawed = {n for _, n, _ in env.findings}
+        bad_refs = [r for r in refs if r in flawed]
+        if bad_refs:
+            msgs = [f"not validated: {bad_refs[0]!r} breaks its laws"]
+        else:
+            msgs = validate()[:3]
+        env.findings.extend((kind, name, msg) for msg in msgs)
+
     try:
         for b in doc["blocks"]:
             kind, name = b["kind"], b["name"]
@@ -1527,8 +1529,7 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
                 return bad(f"duplicate block name {name!r}")
             if kind == "category":
                 c = _cat_unjson(b)
-                for msg in validate_fincat(c, caps)[:3]:
-                    env.findings.append((kind, name, msg))
+                findings(kind, name, (), lambda: validate_fincat(c, caps))
                 env.cats[name] = c
             elif kind == "topology":
                 base = env.cats.get(b["base"])
@@ -1536,16 +1537,15 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
                     return bad(f"topology {name!r} references unknown "
                                f"category {b['base']!r}")
                 j = _top_unjson(b, base)
-                for msg in validate_topology(j, caps)[:3]:
-                    env.findings.append((kind, name, msg))
+                findings(kind, name, (b["base"],),
+                         lambda: validate_topology(j, caps))
                 env.topologies[name] = j
             elif kind == "functor":
                 src, dst = env.cats.get(b["src"]), env.cats.get(b["dst"])
                 if src is None or dst is None:
                     return bad(f"functor {name!r} references unknown categories")
                 f = _fun_unjson(b, src, dst, name=name)
-                for msg in f.validate()[:3]:
-                    env.findings.append((kind, name, msg))
+                findings(kind, name, (b["src"], b["dst"]), f.validate)
                 env.functors[name] = f
             elif kind == "presheaf":
                 base = env.cats.get(b["base"])
@@ -1553,8 +1553,7 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
                     return bad(f"presheaf {name!r} references unknown "
                                f"category {b['base']!r}")
                 p = _psh_unjson(b, base)
-                for msg in validate_presheaf(p)[:3]:
-                    env.findings.append((kind, name, msg))
+                findings(kind, name, (b["base"],), lambda: validate_presheaf(p))
                 env.presheaves[name] = p
             elif kind == "indexed":
                 base = env.cats.get(b["base"])
@@ -1562,8 +1561,8 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
                     return bad(f"indexed {name!r} references unknown "
                                f"category {b['base']!r}")
                 dd = _idx_unjson(b, base)
-                for msg in validate_indexed(dd, caps)[:3]:
-                    env.findings.append((kind, name, msg))
+                findings(kind, name, (b["base"],),
+                         lambda: validate_indexed(dd, caps))
                 env.indexed[name] = dd
             elif kind == "fibration":
                 src, dst = env.indexed.get(b["src"]), env.indexed.get(b["dst"])
@@ -1576,8 +1575,8 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
                     comp[xo] = _fun_unjson(fj, src.fib[xo], dst.fib[xo])
                 cell = {_dec(y): _unkv(rows) for y, rows in b["cell"]}
                 p = IndexedFun(src, dst, comp, cell, name=b.get("name", name))
-                for msg in validate_indexed_fun(p)[:3]:
-                    env.findings.append((kind, name, msg))
+                findings(kind, name, (b["src"], b["dst"]),
+                         lambda: validate_indexed_fun(p))
                 env.indexedfuns[name] = p
             else:
                 return bad(f"unknown block kind {kind!r}")

@@ -33,6 +33,8 @@ from .fincat import (
     FinCat,
     Functor,
     InternalError,
+    is_cartesian_over,
+    require,
     validate_fincat,
 )
 from .groth import GrothCat, fibre_inclusion, canonical_cleavage, giraud_topology, grothendieck
@@ -55,29 +57,6 @@ from .util import fmt, stable_sorted
 
 # ---------------------------------------------------------------------------
 # cartesian structure of a single functor
-
-
-def is_cartesian_over(F: Functor, m) -> bool:
-    """Universal-property test: m is F-cartesian when every h into cod(m)
-    whose projection factors through F(m) factors uniquely through m over
-    the given base factorization."""
-    E0, B0 = F.src, F.dst
-    A1, A2 = E0.mor[m]
-    u = F.mo(m)
-    for Z in E0.objects:
-        for h in E0.hom(Z, A2):
-            fh = F.mo(h)
-            for w in B0.hom(F.ob(Z), F.ob(A1)):
-                if B0.compose(u, w) != fh:
-                    continue
-                ts = [
-                    t
-                    for t in E0.hom(Z, A1)
-                    if F.mo(t) == w and E0.compose(m, t) == h
-                ]
-                if len(ts) != 1:
-                    return False
-    return True
 
 
 def cartesian_lift(F: Functor, u, A):
@@ -186,26 +165,23 @@ def essential_fibre_cat(
         for alpha in B0.hom(U, F.ob(A)):
             if B0.is_iso(alpha):
                 objects.append((A, alpha))
-    _caps.check(len(objects), caps.max_descent, "essential fibre size")
+    _caps.check(len(objects), caps, "max_descent", "essential fibre size")
     mor = {}
     for (A, alpha) in objects:
         for (B, beta) in objects:
             for w in E0.hom(A, B):
                 if B0.compose(F.mo(w), alpha) == beta:
                     mor[(alpha, beta, w)] = ((A, alpha), (B, beta))
-    _caps.check(len(mor), caps.max_descent, "essential fibre size")
+    _caps.check(len(mor), caps, "max_descent", "essential fibre size")
     ident = {(A, alpha): (alpha, alpha, E0.ident[A]) for (A, alpha) in objects}
-    table = {}
-    for m2, (d2, _) in mor.items():
-        for m1, (_, c1) in mor.items():
-            if c1 == d2:
-                table[(m2, m1)] = (m1[0], m2[1], E0.compose(m2[2], m1[2]))
-    cat = FinCat(
-        tuple(objects), mor, ident, table, name=name or f"ess({fmt(U)})"
+    cat = FinCat.from_homs(
+        tuple(objects),
+        mor,
+        ident,
+        lambda m2, m1: (m1[0], m2[1], E0.compose(m2[2], m1[2])),
+        name=name or f"ess({fmt(U)})",
     )
-    errs = validate_fincat(cat, caps)
-    if errs:
-        raise InternalError(f"essential fibre malformed: {errs[0]}")
+    require(validate_fincat(cat, caps), "essential fibre malformed")
     return cat
 
 
@@ -251,9 +227,7 @@ def _ess_restriction(fib: IndexedFibration, G: GrothCat, m, src: FinCat, dst: Fi
         t = _cart_factor(fe, pY, lb, fe.compose(re.mo(w), la), fd.ident[V])
         mmap[(alpha, beta, w)] = (fd.ident[V], fd.ident[V], t)
     F = Functor(src, dst, omap, mmap, name=f"ess({fmt(m)})")
-    errs = F.validate()
-    if errs:
-        raise InternalError(f"essential reindexing along {fmt(m)}: {errs[0]}")
+    require(F.validate(), "essential reindexing along {}", m)
     return F, lifts
 
 
@@ -315,9 +289,7 @@ def R_D(
     R = IndexedCat(
         total, fibc, res, compositor, unitor, name=f"R({p.name or '?'})"
     )
-    errs = validate_indexed(R)
-    if errs:
-        raise InternalError(f"essential-fibre reindexing incoherent: {errs[0]}")
+    require(validate_indexed(R), "essential-fibre reindexing incoherent")
     return R
 
 
@@ -379,9 +351,7 @@ def L_D(A: IndexedCat, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT) -> LResult
             bp = fa.compose(pc, A.res[l1].mo(b))
             mmap[(m, b, x2)] = (rd.mo(m), bp, A.res[l2].ob(x2))
         F = Functor(GX.total, GY.total, omap, mmap, name=f"L({fmt(y)})")
-        errs = F.validate()
-        if errs:
-            raise InternalError(f"slice reindexing along {fmt(y)}: {errs[0]}")
+        require(F.validate(), "slice reindexing along {}", y)
         res[y] = F
 
     compositor = {}
@@ -411,9 +381,7 @@ def L_D(A: IndexedCat, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT) -> LResult
         unitor[X] = un
 
     EL = IndexedCat(C, fib, res, compositor, unitor, name=f"L({A.name or '?'})")
-    errs = validate_indexed(EL)
-    if errs:
-        raise InternalError(f"flattened slices incoherent: {errs[0]}")
+    require(validate_indexed(EL), "flattened slices incoherent")
 
     pL = strict_indexed_fun(
         EL, DD, {X: per_x[X][1].proj for X in C.objects}, name=f"pL({A.name or '?'})"
@@ -441,9 +409,7 @@ def groth_map(Fm: IndexedFun, GA: GrothCat, GB: GrothCat) -> Functor:
             Fm.comp[U2].ob(x2),
         )
     F = Functor(GA.total, GB.total, omap, mmap, name=f"G({Fm.name or '?'})")
-    errs = F.validate()
-    if errs:
-        raise InternalError(f"flattened functor malformed: {errs[0]}")
+    require(F.validate(), "flattened functor malformed")
     return F
 
 
@@ -475,9 +441,7 @@ def unit_eta(
             f: (fd.ident[U], fd.ident[U], iU.mo(f)) for f in A.fib[(X, U)].mor
         }
         F = Functor(A.fib[(X, U)], R.fib[(X, U)], omap, mmap, name=f"eta({fmt(X)},{fmt(U)})")
-        errs = F.validate()
-        if errs:
-            raise InternalError(f"unit component at {fmt((X, U))}: {errs[0]}")
+        require(F.validate(), "unit component at {}", (X, U))
         comps[(X, U)] = F
     cells = {}
     for m, ((Y, V), (X, U2)) in G.total.mor.items():
@@ -496,9 +460,7 @@ def unit_eta(
             cm[x] = (fdY.ident[V], fdY.ident[V], t)
         cells[m] = cm
     eta = IndexedFun(A, R, comps, cells, name="eta")
-    errs = validate_indexed_fun(eta)
-    if errs:
-        raise InternalError(f"unit not pseudonatural: {errs[0]}")
+    require(validate_indexed_fun(eta), "unit not pseudonatural")
     return eta
 
 
@@ -539,9 +501,7 @@ def counit_eps(
                 fe.inverse(EE.unit(X, A2)), fe.compose(lam, b[2])
             )
         F = Functor(GX.total, fe, omap, mmap, name=f"eps({fmt(X)})")
-        errs = F.validate()
-        if errs:
-            raise InternalError(f"counit component at {fmt(X)}: {errs[0]}")
+        require(F.validate(), "counit component at {}", X)
         comps[X] = F
     cells = {}
     for y, (Y, X) in C.mor.items():
@@ -554,9 +514,7 @@ def counit_eps(
             cm[(U, oA)] = fib.cleavages[Y][(x, re.ob(A))]
         cells[y] = cm
     eps = IndexedFun(LR.fib.p.D, EE, comps, cells, name="eps")
-    errs = validate_indexed_fun(eps)
-    if errs:
-        raise InternalError(f"counit not pseudonatural: {errs[0]}")
+    require(validate_indexed_fun(eps), "counit not pseudonatural")
     square = IndexedNat(
         compose_indexed_funs(p, eps),
         LR.fib.p,
@@ -568,9 +526,7 @@ def counit_eps(
             for X in C.objects
         },
     )
-    errs = validate_indexed_nat(square)
-    if errs:
-        raise InternalError(f"counit projection square broken: {errs[0]}")
+    require(validate_indexed_nat(square), "counit projection square broken")
     return eps
 
 
@@ -645,9 +601,7 @@ def r_d_mor(
                 FX.mo(w),
             )
         F = Functor(R1.fib[(X, U)], R2.fib[(X, U)], omap, mmap)
-        errs = F.validate()
-        if errs:
-            raise InternalError(f"induced component at {fmt((X, U))}: {errs[0]}")
+        require(F.validate(), "induced component at {}", (X, U))
         comps[(X, U)] = F
     cells = {}
     for m, ((Y, V), (X, U2)) in G.total.mor.items():
@@ -677,9 +631,7 @@ def r_d_mor(
             )
         cells[m] = cm
     out = IndexedFun(R1, R2, comps, cells, name=f"R({fm.F.name or '?'})")
-    errs = validate_indexed_fun(out)
-    if errs:
-        raise InternalError(f"induced essential-fibre functor: {errs[0]}")
+    require(validate_indexed_fun(out), "induced essential-fibre functor")
     return out
 
 
@@ -710,9 +662,7 @@ def l_d_mor(H: IndexedFun, LA: LResult, LR: LResult) -> IndexedFun:
     out = IndexedFun(
         LA.fib.p.D, LR.fib.p.D, comps, cells, name=f"L({H.name or '?'})"
     )
-    errs = validate_indexed_fun(out)
-    if errs:
-        raise InternalError(f"induced slice functor: {errs[0]}")
+    require(validate_indexed_fun(out), "induced slice functor")
     return out
 
 
@@ -763,9 +713,7 @@ def flat(
             for X in DD.base.objects
         },
     )
-    errs = validate_indexed_nat(phi)
-    if errs:
-        raise InternalError(f"transpose comparison square broken: {errs[0]}")
+    require(validate_indexed_nat(phi), "transpose comparison square broken")
     return FibMor(LA.fib, fib, F, phi)
 
 
@@ -814,7 +762,7 @@ def _iso_comma_fibration(
             for xi in fdp.hom(uX.ob(V), sX.ob(B))
             if fdp.is_iso(xi)
         ]
-        _caps.check(len(objs), caps.max_descent, "iso-comma size")
+        _caps.check(len(objs), caps, "max_descent", "iso-comma size")
         mor = {}
         for o1 in objs:
             V, B, xi = o1
@@ -825,25 +773,21 @@ def _iso_comma_fibration(
                     for b in fe.hom(B, B2):
                         if fdp.compose(sX.mo(b), xi) == fdp.compose(xi2, uv):
                             mor[(o1, o2, v, b)] = (o1, o2)
-        _caps.check(len(mor), caps.max_descent, "iso-comma size")
+        _caps.check(len(mor), caps, "max_descent", "iso-comma size")
         ident = {
             (V, B, xi): ((V, B, xi), (V, B, xi), fd.ident[V], fe.ident[B])
             for (V, B, xi) in objs
         }
-        table = {}
-        for m2, (d2, c2) in mor.items():
-            for m1, (d1, c1) in mor.items():
-                if c1 == d2:
-                    table[(m2, m1)] = (
-                        d1,
-                        c2,
-                        fd.compose(m2[2], m1[2]),
-                        fe.compose(m2[3], m1[3]),
-                    )
-        cat = FinCat(tuple(objs), mor, ident, table, name=f"comma({fmt(X)})")
-        errs = validate_fincat(cat, caps)
-        if errs:
-            raise InternalError(f"iso-comma fibre at {fmt(X)}: {errs[0]}")
+        cat = FinCat.from_homs(
+            tuple(objs),
+            mor,
+            ident,
+            lambda m2, m1: (
+                m1[0], m2[1], fd.compose(m2[2], m1[2]), fe.compose(m2[3], m1[3])
+            ),
+            name=f"comma({fmt(X)})",
+        )
+        require(validate_fincat(cat, caps), "iso-comma fibre at {}", X)
         fib[X] = cat
 
     res = {}
@@ -861,9 +805,7 @@ def _iso_comma_fibration(
         for (o1, o2, v, b) in fib[X].mor:
             mmap[(o1, o2, v, b)] = (omap[o1], omap[o2], rd.mo(v), re.mo(b))
         F = Functor(fib[X], fib[Y], omap, mmap)
-        errs = F.validate()
-        if errs:
-            raise InternalError(f"iso-comma reindexing along {fmt(y)}: {errs[0]}")
+        require(F.validate(), "iso-comma reindexing along {}", y)
         res[y] = F
     compositor = {}
     for (y2, y1), y21 in C.table.items():
@@ -886,9 +828,7 @@ def _iso_comma_fibration(
             un[o] = (o, res[C.ident[X]].ob(o), DD.unit(X, V), EEpp.unit(X, B))
         unitor[X] = un
     H = IndexedCat(C, fib, res, compositor, unitor, name="comma")
-    errs = validate_indexed(H)
-    if errs:
-        raise InternalError(f"iso-comma incoherent: {errs[0]}")
+    require(validate_indexed(H), "iso-comma incoherent")
     q = strict_indexed_fun(
         H,
         DD,

@@ -7,6 +7,8 @@ Object and morphism ids are arbitrary hashable values; builders in this
 package use strings for hand-written input and nested tuples for constructed
 artifacts.
 
+Every constructed category is built by `FinCat.from_homs`, which fills the
+table from a composition rule over the composable pairs of its morphisms.
 All predicates (`is_fully_faithful`, `is_essentially_surjective`,
 `is_equivalence`) run by exhaustive search and return a `Check` carrying a
 human-readable reason and a witness, never a bare bool.
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import caps as _caps
+from .caps import Budget, search
 from .util import ckey, fmt, stable_sorted
 
 
@@ -45,6 +48,26 @@ class FinCat:
         self._hom = None
         self._into = None
         self._inv = {}
+
+    @classmethod
+    def from_homs(cls, objects, mor, ident, compose, name=""):
+        """The category whose table holds `compose(g, f)` for every
+        composable pair, walking each f and each g out of cod(f) in `mor`
+        order.  A composite that is not in `mor` is a construction bug."""
+        by_dom = {}
+        for m, (d, _) in mor.items():
+            by_dom.setdefault(d, []).append(m)
+        table = {}
+        for f, (_, c) in mor.items():
+            for g in by_dom.get(c, ()):
+                h = compose(g, f)
+                if h not in mor:
+                    raise InternalError(
+                        f"composite of {fmt(g)} after {fmt(f)} is not a "
+                        f"morphism of {name or 'category'}"
+                    )
+                table[(g, f)] = h
+        return cls(objects, mor, ident, table, name=name)
 
     def __repr__(self):
         label = self.name or "FinCat"
@@ -166,7 +189,7 @@ def validate_fincat(c: FinCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
 
     for x in c.objects:
         for y in c.objects:
-            _caps.check(len(c.hom(x, y)), caps.max_homset, f"hom({fmt(x)},{fmt(y)})")
+            _caps.check(len(c.hom(x, y)), caps, "max_homset", f"hom({fmt(x)},{fmt(y)})")
 
     mids = set(c.mor)
     for (g, f), h in c.table.items():
@@ -212,11 +235,12 @@ def validate_fincat(c: FinCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
     return errs
 
 
-def require_valid(c: FinCat, label: str = "") -> FinCat:
-    errs = validate_fincat(c)
+def require(errs, label, *ids):
+    """Raise InternalError on the first of a validator's complaints about a
+    built structure.  `label` is a format string over the `fmt` of `ids`,
+    formatted only on failure."""
     if errs:
-        raise InternalError(f"{label or c.name or 'category'}: " + "; ".join(errs[:3]))
-    return c
+        raise InternalError(f"{label.format(*map(fmt, ids))}: {errs[0]}")
 
 
 class Functor:
@@ -292,6 +316,29 @@ def compose_functors(g: Functor, f: Functor) -> Functor:
     )
 
 
+def is_cartesian_over(F: Functor, m) -> bool:
+    """Universal-property test: m is F-cartesian when every h into cod(m)
+    whose projection factors through F(m) factors uniquely through m over
+    the given base factorization."""
+    E0, B0 = F.src, F.dst
+    A1, A2 = E0.mor[m]
+    u = F.mo(m)
+    for Z in E0.objects:
+        for h in E0.hom(Z, A2):
+            fh = F.mo(h)
+            for w in B0.hom(F.ob(Z), F.ob(A1)):
+                if B0.compose(u, w) != fh:
+                    continue
+                ts = [
+                    t
+                    for t in E0.hom(Z, A1)
+                    if F.mo(t) == w and E0.compose(m, t) == h
+                ]
+                if len(ts) != 1:
+                    return False
+    return True
+
+
 class NatTrans:
     """Natural transformation F => G given by a component per source object."""
 
@@ -302,9 +349,6 @@ class NatTrans:
         self.G = G
         self.comp = dict(comp)
         self.name = name
-
-    def at(self, x):
-        return self.comp[x]
 
     def validate(self) -> list:
         errs = []
@@ -342,10 +386,15 @@ class NatIso(NatTrans):
         return errs
 
 
-def all_nat_trans(F: Functor, G: Functor, iso_only: bool = False):
-    """Yield every natural transformation F => G (components chosen exhaustively)."""
-    dst = F.dst
-    objects = list(F.src.objects)
+def all_nat_trans(F: Functor, G: Functor, iso_only: bool = False,
+                  caps: _caps.Caps = _caps.DEFAULT):
+    """Yield every natural transformation F => G, choosing components in
+    object order and checking each naturality square once both of its
+    endpoints are chosen."""
+    if F.src is not G.src and F.src != G.src:
+        return
+    src, dst = F.src, F.dst
+    objects = list(src.objects)
     pools = []
     for x in objects:
         pool = list(dst.hom(F.omap[x], G.omap[x]))
@@ -354,10 +403,19 @@ def all_nat_trans(F: Functor, G: Functor, iso_only: bool = False):
         if not pool:
             return
         pools.append(pool)
-    for combo in iproduct(*pools):
-        t = NatTrans(F, G, dict(zip(objects, combo)))
-        if not t.validate():
-            yield t
+    at = {x: i for i, x in enumerate(objects)}
+    closing = {}
+    for m, (d, c) in src.mor.items():
+        closing.setdefault(max(at[d], at[c]), []).append((m, at[d], at[c]))
+
+    def fits(i, a):
+        return all(
+            dst.compose(a[c], F.mmap[m]) == dst.compose(G.mmap[m], a[d])
+            for m, d, c in closing.get(i, ())
+        )
+
+    for a in search(len(objects), lambda i, a: pools[i], fits, Budget(caps)):
+        yield NatTrans(F, G, dict(zip(objects, a)))
 
 
 def find_natiso(F: Functor, G: Functor):
@@ -368,47 +426,37 @@ def find_natiso(F: Functor, G: Functor):
 
 
 def all_functors(src: FinCat, dst: FinCat, caps: _caps.Caps = _caps.DEFAULT):
-    """Yield every functor src -> dst, by backtracking with incremental
-    composition checks.  Only reasonable for desk-scale categories; guarded
-    by the caps budget."""
+    """Yield every functor src -> dst: each object map in turn, then the
+    non-identity morphisms by backtracking, checking each table entry once
+    its three morphisms are mapped.  Only reasonable for desk-scale
+    categories; one caps budget covers all object maps."""
     objs = list(stable_sorted(src.objects))
     non_id = [m for m in stable_sorted(src.mor) if not src.is_id(m)]
-    budget = [caps.max_descent]
-
-    def mor_search(omap):
-        mmap = {src.ident[x]: dst.ident[omap[x]] for x in objs}
-        assigned = set(mmap)
-
-        def consistent(m):
-            for (g, f), h in src.table.items():
-                if g in assigned and f in assigned and h in assigned:
-                    if m not in (g, f, h):
-                        continue
-                    if dst.table[(mmap[g], mmap[f])] != mmap[h]:
-                        return False
-            return True
-
-        def go(i):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise _caps.CapExceeded("functor enumeration budget exhausted")
-            if i == len(non_id):
-                yield Functor(src, dst, dict(omap), dict(mmap))
-                return
-            m = non_id[i]
-            d, c = src.mor[m]
-            for n in dst.hom(omap[d], omap[c]):
-                mmap[m] = n
-                assigned.add(m)
-                if consistent(m):
-                    yield from go(i + 1)
-                assigned.discard(m)
-                del mmap[m]
-
-        yield from go(0)
+    at = {m: i for i, m in enumerate(non_id)}
+    closing = {}
+    for (g, f), h in src.table.items():
+        i = max(at.get(g, -1), at.get(f, -1), at.get(h, -1))
+        if i >= 0:
+            closing.setdefault(i, []).append((g, f, h))
+    budget = Budget(caps)
 
     for combo in iproduct(*(list(stable_sorted(dst.objects)) for _ in objs)):
-        yield from mor_search(dict(zip(objs, combo)))
+        omap = dict(zip(objs, combo))
+        mmap = {src.ident[x]: dst.ident[omap[x]] for x in objs}
+
+        def cands(i, a):
+            d, c = src.mor[non_id[i]]
+            return dst.hom(omap[d], omap[c])
+
+        def fits(i, a):
+            mmap[non_id[i]] = a[i]  # entries past i are stale, never read
+            return all(
+                dst.table[(mmap[g], mmap[f])] == mmap[h]
+                for g, f, h in closing.get(i, ())
+            )
+
+        for a in search(len(non_id), cands, fits, budget):
+            yield Functor(src, dst, dict(omap), dict(mmap))
 
 
 def is_fully_faithful(F: Functor) -> Check:
@@ -479,14 +527,13 @@ def product_cat(cats) -> Product:
     ident = {
         x: tuple(c.ident[xi] for c, xi in zip(cats, x)) for x in objects
     }
-    table = {}
-    for g in mor:
-        for f in mor:
-            if all(c.cod(fi) == c.dom(gi) for c, gi, fi in zip(cats, g, f)):
-                table[(g, f)] = tuple(
-                    c.table[(gi, fi)] for c, gi, fi in zip(cats, g, f)
-                )
-    prod = FinCat(objects, mor, ident, table, name="×".join(c.name or "?" for c in cats))
+    prod = FinCat.from_homs(
+        objects,
+        mor,
+        ident,
+        lambda g, f: tuple(c.table[(gi, fi)] for c, gi, fi in zip(cats, g, f)),
+        name="×".join(c.name or "?" for c in cats),
+    )
     projections = [
         Functor(
             prod,
@@ -532,12 +579,9 @@ def poset_cat(objects, leq, name="") -> FinCat:
                     changed = True
     mor = {("le", a, b): (a, b) for (a, b) in rel}
     ident = {x: ("le", x, x) for x in objects}
-    table = {}
-    for (a, b) in rel:
-        for (b2, c) in rel:
-            if b2 == b:
-                table[(("le", b, c), ("le", a, b))] = ("le", a, c)
-    return FinCat(objects, mor, ident, table, name=name)
+    return FinCat.from_homs(
+        objects, mor, ident, lambda g, f: ("le", f[1], g[2]), name=name
+    )
 
 
 def iso_classes(c: FinCat) -> list:

@@ -24,7 +24,15 @@ from dataclasses import dataclass
 
 from . import caps as _caps
 from .descent import is_stack
-from .fincat import Check, FinCat, Functor, InternalError, validate_fincat
+from .fincat import (
+    Check,
+    FinCat,
+    Functor,
+    InternalError,
+    is_cartesian_over,
+    require,
+    validate_fincat,
+)
 from .indexed import IndexedCat, precompose_indexed
 from .site import SiteError, Topology, saturate, slice_cat, slice_site
 from .util import fmt, stable_sorted
@@ -35,10 +43,6 @@ class GrothCat:
     total: FinCat
     proj: Functor
     source: IndexedCat
-
-
-# The transferred topology is an ordinary Topology on the total category.
-GirTopology = Topology
 
 
 def grothendieck(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT, name="") -> GrothCat:
@@ -59,7 +63,7 @@ def grothendieck(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT, name="") -> Gr
             for U1 in fib.objects:
                 for a in fib.hom(U1, tgt):
                     mor[(y, a, U2)] = ((Xd, U1), (Xc, U2))
-        _caps.check(len(mor), caps.max_descent, "total category size")
+        _caps.check(len(mor), caps, "max_descent", "total category size")
 
     ident = {
         (X, U): (base.ident[X], D.unit(X, U), U)
@@ -67,27 +71,16 @@ def grothendieck(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT, name="") -> Gr
         for U in D.fib[X].objects
     }
 
-    by_dom = {}
-    for m, (d, _) in mor.items():
-        by_dom.setdefault(d, []).append(m)
-    table = {}
-    for m1, (d1, c1) in mor.items():
-        y1, a1, _ = m1
-        fib1 = D.fib[d1[0]]
-        for m2 in by_dom.get(c1, ()):
-            y2, a2, U3 = m2
-            a = fib1.compose(
-                D.gamma(y2, y1, U3), fib1.compose(D.res[y1].mo(a2), a1)
-            )
-            h = (base.compose(y2, y1), a, U3)
-            if h not in mor:
-                raise InternalError("composite escapes the total category")
-            table[(m2, m1)] = h
+    def compose(m2, m1):
+        (y1, a1, _), (y2, a2, U3) = m1, m2
+        fib1 = D.fib[base.dom(y1)]
+        a = fib1.compose(D.gamma(y2, y1, U3), fib1.compose(D.res[y1].mo(a2), a1))
+        return (base.compose(y2, y1), a, U3)
 
-    total = FinCat(objects, mor, ident, table, name=name or f"groth({D.name or '?'})")
-    errs = validate_fincat(total, caps)
-    if errs:
-        raise InternalError(f"total category invalid: {errs[0]}")
+    total = FinCat.from_homs(
+        objects, mor, ident, compose, name=name or f"groth({D.name or '?'})"
+    )
+    require(validate_fincat(total, caps), "total category invalid")
     proj = Functor(
         total,
         base,
@@ -95,9 +88,7 @@ def grothendieck(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT, name="") -> Gr
         {m: m[0] for m in mor},
         name="proj",
     )
-    errs = proj.validate()
-    if errs:
-        raise InternalError(f"projection invalid: {errs[0]}")
+    require(proj.validate(), "projection invalid")
     return GrothCat(total, proj, D)
 
 
@@ -110,31 +101,8 @@ def fibre_inclusion(G: GrothCat, X) -> Functor:
     for m, (_, W) in fx.mor.items():
         mmap[m] = (D.base.ident[X], fx.compose(D.unit(X, W), m), W)
     F = Functor(fx, G.total, omap, mmap, name=f"incl({fmt(X)})")
-    errs = F.validate()
-    if errs:
-        raise InternalError(f"fibre inclusion at {fmt(X)}: {errs[0]}")
+    require(F.validate(), "fibre inclusion at {}", X)
     return F
-
-
-def _cartesian_universal(G: GrothCat, m) -> bool:
-    """Universal property by brute force: every compatible morphism factors
-    uniquely through m over the prescribed base factorization."""
-    total, proj, base = G.total, G.proj, G.source.base
-    E1, E2 = total.mor[m]
-    y0 = proj.mo(m)
-    for E0 in total.objects:
-        for h in total.hom(E0, E2):
-            for w in base.hom(proj.ob(E0), proj.ob(E1)):
-                if base.compose(y0, w) != proj.mo(h):
-                    continue
-                lifts = [
-                    t
-                    for t in total.hom(E0, E1)
-                    if proj.mo(t) == w and total.compose(m, t) == h
-                ]
-                if len(lifts) != 1:
-                    return False
-    return True
 
 
 def is_cartesian(G: GrothCat, m) -> bool:
@@ -146,7 +114,7 @@ def is_cartesian(G: GrothCat, m) -> bool:
     y, a, _ = m
     d = G.total.dom(m)
     quick = G.source.fib[d[0]].is_iso(a)
-    univ = _cartesian_universal(G, m)
+    univ = is_cartesian_over(G.proj, m)
     if quick != univ:
         raise InternalError(
             f"cartesian characterizations disagree on {fmt(m)}: "
@@ -278,9 +246,7 @@ def fiber_transport(G: GrothCat, A_alpha, cl: Cleavage) -> Functor:
         )
         mmap[(f, h)] = (h, comp, Vf)
     F = Functor(sl, total, omap, mmap, name=f"transport({fmt(X)})")
-    errs = F.validate()
-    if errs:
-        raise InternalError(f"fiber transport not a functor: {errs[0]}")
+    require(F.validate(), "fiber transport not a functor")
     return F
 
 

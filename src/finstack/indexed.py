@@ -30,6 +30,7 @@ from .fincat import (
     FinCat,
     Functor,
     InternalError,
+    all_functors,
     all_nat_trans,
     compose_functors,
     discrete_cat,
@@ -54,12 +55,6 @@ class IndexedCat:
 
     def __repr__(self):
         return f"<IndexedCat {self.name or '?'} over {self.base!r}>"
-
-    def fiber(self, X) -> FinCat:
-        return self.fib[X]
-
-    def r(self, y) -> Functor:
-        return self.res[y]
 
     def gamma(self, g, f, V):
         """Component D(f)(D(g)(V)) -> D(g∘f)(V)."""
@@ -197,13 +192,6 @@ def validate_indexed(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
     return errs
 
 
-def apply_path(D: IndexedCat, V, path):
-    """Object image of V under D(path[-1])∘...∘D(path[0])."""
-    for y in path:
-        V = D.res[y].ob(V)
-    return V
-
-
 def path_composite(base: FinCat, X, path):
     """Composite in the base of a left-to-right composable path out of X."""
     if not path:
@@ -255,9 +243,6 @@ class IndexedFun:
 
     def __repr__(self):
         return f"<IndexedFun {self.name or '?'}>"
-
-    def at(self, X) -> Functor:
-        return self.comp[X]
 
 
 def validate_indexed_fun(F: IndexedFun) -> list:
@@ -435,52 +420,32 @@ def find_indexed_natiso(F: IndexedFun, G: IndexedFun, caps: _caps.Caps = _caps.D
     D, E = F.D, F.E
     base = D.base
     objs = stable_sorted(base.objects)
-    cand = {}
+    cand = []
     for X in objs:
-        cand[X] = [t.comp for t in all_nat_trans(F.comp[X], G.comp[X], iso_only=True)]
-        if not cand[X]:
+        isos = all_nat_trans(F.comp[X], G.comp[X], iso_only=True, caps=caps)
+        cand.append([t.comp for t in isos])
+        if not cand[-1]:
             return None
+    at = {X: i for i, X in enumerate(objs)}
+    closing = {}
+    for y, (Y, X) in base.mor.items():
+        closing.setdefault(max(at[Y], at[X]), []).append((y, at[Y], at[X]))
 
-    edges = {}  # X -> base morphisms whose endpoints are both <= X in order
-    seen = set()
-    for i, X in enumerate(objs):
-        seen.add(X)
-        edges[X] = [
-            y
-            for y, (Yd, Yc) in base.mor.items()
-            if (Yd == X or Yc == X) and Yd in seen and Yc in seen
-        ]
-
-    budget = [caps.max_descent]
-    assigned = {}
-
-    def coherent(y):
+    def coherent(y, tY, tX):
         Y, X = base.mor[y]
         fy = E.fib[Y]
-        for V in D.fib[X].objects:
-            lhs = fy.compose(G.cell[y][V], assigned[Y][D.res[y].ob(V)])
-            rhs = fy.compose(E.res[y].mo(assigned[X][V]), F.cell[y][V])
-            if lhs != rhs:
-                return False
-        return True
+        return all(
+            fy.compose(G.cell[y][V], tY[D.res[y].ob(V)])
+            == fy.compose(E.res[y].mo(tX[V]), F.cell[y][V])
+            for V in D.fib[X].objects
+        )
 
-    def go(i):
-        if i == len(objs):
-            return True
-        X = objs[i]
-        for c in cand[X]:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise _caps.CapExceeded("indexed iso search budget exhausted")
-            assigned[X] = c
-            if all(coherent(y) for y in edges[X]) and go(i + 1):
-                return True
-            del assigned[X]
-        return False
+    def fits(i, a):
+        return all(coherent(y, a[jY], a[jX]) for y, jY, jX in closing.get(i, ()))
 
-    if go(0):
-        return IndexedNat(F, G, dict(assigned))
-    return None
+    found = _caps.search(len(objs), lambda i, a: cand[i], fits, _caps.Budget(caps))
+    a = next(found, None)
+    return None if a is None else IndexedNat(F, G, dict(zip(objs, a)))
 
 
 def all_indexed_funs(D: IndexedCat, E: IndexedCat, caps: _caps.Caps = _caps.DEFAULT):
@@ -488,66 +453,63 @@ def all_indexed_funs(D: IndexedCat, E: IndexedCat, caps: _caps.Caps = _caps.DEFA
 
     A cell along y is exactly a natural iso comp_Y ∘ D(y) => E(y) ∘ comp_X,
     so per-morphism candidates come from nat-trans enumeration, then the two
-    coherence axioms prune the combinations.  Strictly desk-scale; used for
-    bounded uniqueness checks."""
-    from .fincat import all_functors
-
+    coherence axioms prune the combinations: unit coherence as soon as an
+    identity cell is placed, composition coherence once a pair and its
+    composite all have cells.  Strictly desk-scale; used for bounded
+    uniqueness checks.  One caps budget covers all component choices."""
     base = D.base
     objs = stable_sorted(base.objects)
     mors = stable_sorted(base.mor)
-    budget = [caps.max_descent]
+    at = {y: i for i, y in enumerate(mors)}
+    closing = {}
+    for (g, f), h in base.table.items():
+        closing.setdefault(max(at[g], at[f], at[h]), []).append((g, f, h))
 
-    def cells_ok(comp, cell, y):
-        # unit coherence as soon as an identity cell is placed
-        Y, X = base.mor[y]
-        if base.is_id(y):
-            fy = E.fib[X]
-            for V in D.fib[X].objects:
-                lhs = fy.compose(cell[y][V], comp[X].mo(D.unit(X, V)))
-                if lhs != E.unit(X, comp[X].ob(V)):
-                    return False
-        # composition coherence for every fully assigned pair
-        for (g, f), h in base.table.items():
-            if g not in cell or f not in cell or h not in cell:
-                continue
-            if y not in (g, f, h):
-                continue
-            Xc = base.cod(g)
-            Z = base.dom(f)
-            fz = E.fib[Z]
-            for V in D.fib[Xc].objects:
-                one = fz.compose(cell[h][V], comp[Z].mo(D.gamma(g, f, V)))
-                two = fz.compose(
-                    E.gamma(g, f, comp[Xc].ob(V)),
-                    fz.compose(
-                        E.res[f].mo(cell[g][V]), cell[f][D.res[g].ob(V)]
-                    ),
-                )
-                if one != two:
-                    return False
-        return True
-
-    def cell_search(comp, i, cell):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise _caps.CapExceeded("indexed functor enumeration budget exhausted")
-        if i == len(mors):
-            yield IndexedFun(D, E, dict(comp), {y: dict(c) for y, c in cell.items()})
-            return
+    def cands(i, cell):
         y = mors[i]
         Y, X = base.mor[y]
         left = compose_functors(comp[Y], D.res[y])
         right = compose_functors(E.res[y], comp[X])
-        for t in all_nat_trans(left, right, iso_only=True):
-            cell[y] = t.comp
-            if cells_ok(comp, cell, y):
-                yield from cell_search(comp, i + 1, cell)
-            del cell[y]
+        return (t.comp for t in all_nat_trans(left, right, iso_only=True, caps=caps))
 
+    def unit_ok(X, c):
+        fx = E.fib[X]
+        return all(
+            fx.compose(c[V], comp[X].mo(D.unit(X, V))) == E.unit(X, comp[X].ob(V))
+            for V in D.fib[X].objects
+        )
+
+    def composite_ok(g, f, cg, cf, ch):
+        Xc = base.cod(g)
+        Z = base.dom(f)
+        fz = E.fib[Z]
+        for V in D.fib[Xc].objects:
+            one = fz.compose(ch[V], comp[Z].mo(D.gamma(g, f, V)))
+            two = fz.compose(
+                E.gamma(g, f, comp[Xc].ob(V)),
+                fz.compose(E.res[f].mo(cg[V]), cf[D.res[g].ob(V)]),
+            )
+            if one != two:
+                return False
+        return True
+
+    def fits(i, cell):
+        y = mors[i]
+        if base.is_id(y) and not unit_ok(base.dom(y), cell[i]):
+            return False
+        return all(
+            composite_ok(g, f, cell[at[g]], cell[at[f]], cell[at[h]])
+            for g, f, h in closing.get(i, ())
+        )
+
+    budget = _caps.Budget(caps)
     pools = [list(all_functors(D.fib[X], E.fib[X], caps)) for X in objs]
     for combo in iproduct(*pools):
         comp = dict(zip(objs, combo))
-        yield from cell_search(comp, 0, {})
+        for cell in _caps.search(len(mors), cands, fits, budget):
+            yield IndexedFun(
+                D, E, dict(comp), {y: dict(c) for y, c in zip(mors, cell)}
+            )
 
 
 def is_indexed_equivalence(F: IndexedFun) -> Check:

@@ -96,7 +96,7 @@ def intersect_sieves(a: Sieve, b: Sieve) -> Sieve:
 def sieves_on(c: FinCat, x, caps: _caps.Caps = _caps.DEFAULT):
     """All sieves on x, as raw frozensets, in a stable order."""
     arrows = list(c.into(x))
-    _caps.check(2 ** len(arrows), caps.max_sieves_per_object, f"sieve universe on {fmt(x)}")
+    _caps.check(2 ** len(arrows), caps, "max_sieves_per_object", f"sieve universe on {fmt(x)}")
     out = []
     for bits in range(2 ** len(arrows)):
         mors = frozenset(a for i, a in enumerate(arrows) if bits >> i & 1)
@@ -211,7 +211,7 @@ def saturate(c: FinCat, coverage, caps: _caps.Caps = _caps.DEFAULT) -> Topology:
     changed = True
     while changed:
         rounds += 1
-        _caps.check(rounds, caps.max_closure, "saturation rounds")
+        _caps.check(rounds, caps, "max_closure", "saturation rounds")
         changed = False
         for x in c.objects:
             for mors in list(covers[x]):
@@ -268,12 +268,13 @@ def slice_cat(c: FinCat, x):
         for h in c.into(c.dom(f)):
             mor[(f, h)] = (c.compose(f, h), f)
     ident = {f: (f, c.ident[c.dom(f)]) for f in objects}
-    table = {}
-    for (f, h) in mor:
-        for (g, k) in mor:
-            if g == c.compose(f, h):
-                table[((f, h), (g, k))] = (f, c.compose(h, k))
-    sl = FinCat(objects, mor, ident, table, name=f"{c.name or 'C'}/{fmt(x)}")
+    sl = FinCat.from_homs(
+        objects,
+        mor,
+        ident,
+        lambda g, f: (g[0], c.compose(g[1], f[1])),
+        name=f"{c.name or 'C'}/{fmt(x)}",
+    )
     proj = Functor(
         sl,
         c,
@@ -300,8 +301,3 @@ def slice_site(J: Topology, x, caps: _caps.Caps = _caps.DEFAULT):
         covers[f] = frozenset(good)
     JX = Topology(sl, covers)
     return sl, JX, proj
-
-
-def covering_sieves_from(J: Topology, x):
-    """Stable list of covers of x as Sieve values (maximal sieve included)."""
-    return J.covers_of(x)

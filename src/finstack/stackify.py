@@ -28,7 +28,7 @@ from .descent import (
     push_mor,
     restrict_datum,
 )
-from .fincat import Check, Functor, InternalError
+from .fincat import Check, Functor, InternalError, require
 from .indexed import (
     IndexedCat,
     IndexedFun,
@@ -285,9 +285,7 @@ def reflect_through_unit(phi: IndexedFun, F_is_stack, J: Topology,
             cx[V] = fx.compose(w1.comp[X][V], w2.comp[X][u1])
         comp[X] = cx
     witness = IndexedNat(total, phi, comp)
-    bad = validate_indexed_nat(witness)
-    if bad:
-        raise InternalError(f"reflection witness invalid: {bad[0]}")
+    require(validate_indexed_nat(witness), "reflection witness invalid")
     return Reflection(psi, witness, sres)
 
 
@@ -301,40 +299,23 @@ def matching_families(P: Presheaf, R: Sieve, caps: _caps.Caps = _caps.DEFAULT):
     canonical ("mf", ((f, s_f), ...)) tuples in stable order."""
     base = P.base
     members = R.members()
-    order = {f: i for i, f in enumerate(members)}
-    constraints = {}
+    at = {f: i for i, f in enumerate(members)}
+    closing = {}
     for f in members:
         for g in base.into(base.dom(f)):
             fg = base.compose(f, g)
-            constraints.setdefault(max(order[f], order[fg]), []).append((f, g, fg))
+            closing.setdefault(max(at[f], at[fg]), []).append((g, at[f], at[fg]))
 
-    out = []
-    budget = [caps.max_descent]
-    fam = {}
+    def fits(i, fam):
+        return all(P.act[g][fam[jf]] == fam[jfg] for g, jf, jfg in closing.get(i, ()))
 
-    def go(i):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise _caps.CapExceeded("matching family enumeration budget exhausted")
-        if i == len(members):
-            out.append(tuple(fam[f] for f in members))
-            return
-        f = members[i]
-        for s in P.els[base.dom(f)]:
-            fam[f] = s
-            ok = True
-            for (cf, cg, cfg) in constraints.get(i, ()):
-                if P.act[cg][fam[cf]] != fam[cfg]:
-                    ok = False
-                    break
-            if ok:
-                go(i + 1)
-        fam.pop(members[i], None)
-
-    go(0)
-    return [
-        ("mf", tuple(zip(members, vals))) for vals in sorted(out)
-    ]
+    out = _caps.search(
+        len(members),
+        lambda i, fam: P.els[base.dom(members[i])],
+        fits,
+        _caps.Budget(caps),
+    )
+    return [("mf", tuple(zip(members, vals))) for vals in sorted(map(tuple, out))]
 
 
 def _family_value(el, f):
@@ -476,7 +457,5 @@ def discrete_stackify_witness(P: Presheaf, J: Topology,
         for X in base.objects
     }
     intertwine = IndexedNat(left, oracle_unit, wit)
-    bad = validate_indexed_nat(intertwine)
-    if bad:
-        raise InternalError(f"oracle units not intertwined: {bad[0]}")
+    require(validate_indexed_nat(intertwine), "oracle units not intertwined")
     return W, intertwine, sres, sheaf, unit

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, reports, interchange flows."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -243,12 +244,40 @@ def test_cap_exceeded_exits_3(capsys):
     assert "exceeds cap" in err
 
 
+def test_search_cap_names_its_flag(capsys):
+    code, _, err = run(capsys, "check", PATCHES, "--stack", "--max-descent", "3")
+    assert code == 3
+    assert "search budget of 3 nodes exhausted; raise --max-descent" in err
+
+
 def test_closure_cap_exits_3(capsys, tmp_path):
     f = tmp_path / "free.site"
     f.write_text("category N { objects: a; morphisms: n: a -> a; }\n")
     code, _, err = run(capsys, "validate", str(f), "--max-closure", "50")
     assert code == 3
     assert "max-closure" in err
+
+
+def test_interchange_with_broken_category_is_law_breaking_input(capsys, tmp_path):
+    # One composite dropped from P, digest recomputed: the blocks over P
+    # must be reported, not validated against the broken table.
+    doc = json.loads((DATA / "patches.golden.json").read_text())
+    cat = next(b for b in doc["blocks"] if b["name"] == "P")
+    del cat["table"][0]
+    body = {"format": doc["format"], "blocks": doc["blocks"]}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    doc["digest"] = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    f = tmp_path / "broken.json"
+    f.write_text(json.dumps(doc))
+
+    code, rep, _ = run_json(capsys, "validate", str(f))
+    assert code == 1
+    kinds = [(x["kind"], x["name"]) for x in rep["results"]["findings"]]
+    assert kinds == [("category", "P"), ("topology", "J"), ("presheaf", "S")]
+    assert "'P' breaks its laws" in rep["results"]["findings"][1]["witness"]
+    code, _, err = run(capsys, "check", str(f), "--stack")
+    assert code == 2
+    assert "missing composite" in err
 
 
 # ---------------------------------------------------------------------------
