@@ -10,6 +10,8 @@ raises it.
 
 from dataclasses import dataclass
 
+from .util import fmt
+
 
 class CapExceeded(RuntimeError):
     """An enumeration grew past its configured cap."""
@@ -26,11 +28,13 @@ class Caps:
 DEFAULT = Caps()
 
 
-def check(n: int, caps: Caps, field: str, what: str) -> None:
-    """Raise CapExceeded when n passes the `field` cap of `caps`."""
+def check(n: int, caps: Caps, field: str, what: str, *ids) -> None:
+    """Raise CapExceeded when n passes the `field` cap of `caps`.  `what` is
+    a format string over the `fmt` of `ids`, formatted only when it trips."""
     cap = getattr(caps, field)
     if n > cap:
         flag = "--" + field.replace("_", "-")
+        what = what.format(*map(fmt, ids))
         raise CapExceeded(f"{what}: {n} exceeds cap {cap}; raise {flag}")
 
 

@@ -23,27 +23,47 @@ from .util import ckey, fmt, stable_sorted
 
 
 class DescentDatum:
-    __slots__ = ("obj", "coh", "_key", "_hash")
+    """Member objects `obj` and coherence isos `coh` of one descent datum.
+
+    Equality and hash ignore insertion order.  The sorted form `_key` and the
+    canonical key `_ckey()` are computed on first use and then kept."""
+
+    __slots__ = ("obj", "coh", "_hash", "_sorted", "_ck")
 
     def __init__(self, obj, coh):
         self.obj = dict(obj)
         self.coh = dict(coh)
-        self._key = (
-            tuple((f, self.obj[f]) for f in stable_sorted(self.obj)),
-            tuple((p, self.coh[p]) for p in stable_sorted(self.coh)),
+        self._hash = hash(
+            (frozenset(self.obj.items()), frozenset(self.coh.items()))
         )
-        self._hash = hash(self._key)
+        self._sorted = self._ck = None
 
     def __eq__(self, other):
         if not isinstance(other, DescentDatum):
             return NotImplemented
-        return self._key == other._key
+        return (
+            self._hash == other._hash
+            and self.obj == other.obj
+            and self.coh == other.coh
+        )
 
     def __hash__(self):
         return self._hash
 
+    @property
+    def _key(self):
+        """(obj pairs, coh pairs), each in `ckey` order of its keys."""
+        if self._sorted is None:
+            self._sorted = (
+                tuple((f, self.obj[f]) for f in stable_sorted(self.obj)),
+                tuple((p, self.coh[p]) for p in stable_sorted(self.coh)),
+            )
+        return self._sorted
+
     def _ckey(self):
-        return ckey(self._key)
+        if self._ck is None:
+            self._ck = ckey(self._key)
+        return self._ck
 
     def __repr__(self):
         parts = ", ".join(f"{fmt(f)}↦{fmt(o)}" for f, o in self._key[0][:4])
@@ -188,7 +208,9 @@ def desc_hom(D: IndexedCat, R: Sieve, a: DescentDatum, b: DescentDatum,
 
 
 def mor_id(a: DescentDatum, b: DescentDatum, comp):
-    return (a, b, tuple((f, comp[f]) for f in stable_sorted(comp)))
+    """Id of the descent morphism a -> b with components `comp`, whose keys
+    are the members of `a`, listed in `a`'s member order."""
+    return (a, b, tuple((f, comp[f]) for f, _ in a._key[0]))
 
 
 def mor_components(mid):
@@ -297,15 +319,14 @@ def push_mor(F: IndexedFun, comp):
 def _comparison_ff_at(D, J, X, R, caps) -> Check:
     base = D.base
     fx = D.fib[X]
+    members = R.members()
     for V in fx.objects:
         a = comparison_datum(D, R, V)
         for W in fx.objects:
             b = comparison_datum(D, R, W)
             image = {}
             for m in fx.hom(V, W):
-                comp = tuple(
-                    (f, D.res[f].mo(m)) for f in stable_sorted(R.mors)
-                )
+                comp = tuple((f, D.res[f].mo(m)) for f in members)
                 if comp in image:
                     return Check(
                         False,
@@ -315,7 +336,7 @@ def _comparison_ff_at(D, J, X, R, caps) -> Check:
                     )
                 image[comp] = m
             for dm in desc_hom(D, R, a, b, caps):
-                key = tuple((f, dm[f]) for f in stable_sorted(R.mors))
+                key = tuple((f, dm[f]) for f in members)
                 if key not in image:
                     return Check(
                         False,

@@ -37,7 +37,9 @@ class Check:
 
 
 class FinCat:
-    __slots__ = ("name", "objects", "mor", "ident", "table", "_hom", "_into", "_inv")
+    __slots__ = (
+        "name", "objects", "mor", "ident", "table", "_hom", "_into", "_rank", "_inv"
+    )
 
     def __init__(self, objects, mor, ident, table, name=""):
         self.name = name
@@ -47,6 +49,7 @@ class FinCat:
         self.table = dict(table)
         self._hom = None
         self._into = None
+        self._rank = None
         self._inv = {}
 
     @classmethod
@@ -119,12 +122,20 @@ class FinCat:
     def _build_hom(self):
         h = {}
         into = {x: [] for x in self.objects}
-        for m in stable_sorted(self.mor):
+        ms = stable_sorted(self.mor)
+        for m in ms:
             d, c = self.mor[m]
             h.setdefault((d, c), []).append(m)
             into[c].append(m)
         self._hom = {k: tuple(v) for k, v in h.items()}
         self._into = {x: tuple(v) for x, v in into.items()}
+        self._rank = {m: i for i, m in enumerate(ms)}
+
+    def ordered(self, ms):
+        """The given morphisms of this category, in stable order."""
+        if self._rank is None:
+            self._build_hom()
+        return sorted(ms, key=self._rank.__getitem__)
 
     def hom(self, x, y):
         if self._hom is None:
@@ -189,7 +200,7 @@ def validate_fincat(c: FinCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
 
     for x in c.objects:
         for y in c.objects:
-            _caps.check(len(c.hom(x, y)), caps, "max_homset", f"hom({fmt(x)},{fmt(y)})")
+            _caps.check(len(c.hom(x, y)), caps, "max_homset", "hom({},{})", x, y)
 
     mids = set(c.mor)
     for (g, f), h in c.table.items():
@@ -577,7 +588,7 @@ def poset_cat(objects, leq, name="") -> FinCat:
                 if b2 == b and (a, c) not in rel:
                     rel.add((a, c))
                     changed = True
-    mor = {("le", a, b): (a, b) for (a, b) in rel}
+    mor = {("le", a, b): (a, b) for a in objects for b in objects if (a, b) in rel}
     ident = {x: ("le", x, x) for x in objects}
     return FinCat.from_homs(
         objects, mor, ident, lambda g, f: ("le", f[1], g[2]), name=name

@@ -32,7 +32,7 @@ class Sieve:
         return m in self.mors
 
     def members(self):
-        return stable_sorted(self.mors)
+        return self.base.ordered(self.mors)
 
     def is_maximal(self):
         return self.mors == frozenset(self.base.into(self.target))
@@ -96,7 +96,8 @@ def intersect_sieves(a: Sieve, b: Sieve) -> Sieve:
 def sieves_on(c: FinCat, x, caps: _caps.Caps = _caps.DEFAULT):
     """All sieves on x, as raw frozensets, in a stable order."""
     arrows = list(c.into(x))
-    _caps.check(2 ** len(arrows), caps, "max_sieves_per_object", f"sieve universe on {fmt(x)}")
+    _caps.check(2 ** len(arrows), caps, "max_sieves_per_object",
+                "sieve universe on {}", x)
     out = []
     for bits in range(2 ** len(arrows)):
         mors = frozenset(a for i, a in enumerate(arrows) if bits >> i & 1)

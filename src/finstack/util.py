@@ -4,6 +4,11 @@
 objects and morphisms (strings, ints, nested tuples, frozensets).  Sorting by
 it makes enumeration order, serialization, and error messages reproducible
 across runs.
+
+Keys of nested ids are costly, so they are computed as seldom as possible:
+a constructed id with a `_ckey` method (a descent datum) computes its key
+once and keeps it, and a `FinCat` sorts its morphisms by `ckey` once and
+ranks them (`FinCat.ordered`) for every later ordering.
 """
 
 

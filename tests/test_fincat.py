@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import finstack
 from finstack import (
     Caps,
     CapExceeded,
@@ -94,6 +100,30 @@ def test_poset_cat_closure():
     c = poset_cat("abc", [("a", "b"), ("b", "c")])
     assert validate_fincat(c) == []
     assert ("le", "a", "c") in c.mor
+
+
+_MOR_ORDER = """
+import sys
+from pathlib import Path
+from finstack import embed_discrete, grothendieck, load_input, poset_cat
+c = poset_cat("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+env, _ = load_input(Path(sys.argv[1]).read_text(encoding="utf-8"))
+G = grothendieck(embed_discrete(env.presheaves["S"]))
+print(repr([list(c.mor), list(G.total.mor)]))
+"""
+
+
+def test_mor_order_ignores_hash_seed():
+    site = Path(__file__).parent / "data" / "patches.site"
+    src = str(Path(finstack.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", _MOR_ORDER, str(site)],
+                             env=env, capture_output=True, text=True,
+                             timeout=60, check=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_hom_cap_enforced():

@@ -52,6 +52,9 @@ def test_from_homs_matches_hand_table():
     again = FinCat.from_homs(c.objects, c.mor, c.ident,
                              lambda g, f: c.table[(g, f)], name="again")
     assert again == c and validate_fincat(again) == []
+    with pytest.raises(CapExceeded) as e:
+        validate_fincat(again, Caps(max_homset=0))
+    assert str(e.value) == "hom(x,x): 1 exceeds cap 0; raise --max-homset"
 
 
 def test_from_homs_rejects_escaping_composite():

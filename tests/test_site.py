@@ -148,8 +148,11 @@ def test_maximal_sieve():
 
 def test_sieve_cap():
     c = corpus.span_cat()
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as e:
         sieves_on(c, "X", Caps(max_sieves_per_object=4))
+    assert str(e.value) == (
+        "sieve universe on X: 8 exceeds cap 4; raise --max-sieves-per-object"
+    )
 
 
 def test_slice_site_patches():
