@@ -38,7 +38,7 @@ from .indexed import (
     identity_indexed_fun,
     is_indexed_equivalence,
 )
-from .site import Sieve, SiteError, minimal_cover
+from .site import SiteError, minimal_cover
 from .stackify import reflect_through_unit, sheafify_with_unit, stackify
 from .util import fmt, stable_sorted
 
@@ -122,8 +122,7 @@ def cmd_saturate(env, args, caps):
     name, J = _pick_topology(env, args)
     covers = {}
     for x in J.base.objects:
-        fams = stable_sorted(J.covers.get(x, ()))
-        covers[fmt(x)] = [sorted(fmt(m) for m in s) for s in fams]
+        covers[fmt(x)] = [sorted(fmt(m) for m in s.mors) for s in J.covers_of(x)]
     return {"coverage": str(name), "covers": covers}, True
 
 
@@ -132,12 +131,12 @@ def cmd_desc(env, args, caps):
     jname, J = _pick_topology(env, args)
     x = _find_object(D.base, args.at)
     if args.family is not None:
-        fams = stable_sorted(J.covers.get(x, ()))
+        fams = J.covers_of(x)
         if not 0 <= args.family < len(fams):
             raise InputProblem(
                 f"--family {args.family} out of range; {fmt(x)} has "
                 f"{len(fams)} covers")
-        R = Sieve(x, fams[args.family], J.base)
+        R = fams[args.family]
     else:
         R = minimal_cover(J, x)
     dc = desc_cat(D, R, caps)

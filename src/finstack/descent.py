@@ -84,10 +84,14 @@ def coh_pairs(D: IndexedCat, R: Sieve):
 def validate_datum(D: IndexedCat, R: Sieve, a: DescentDatum) -> list:
     base = D.base
     errs = []
+    fib_obs = {}
     for f in R.mors:
         if f not in a.obj:
             return [f"no object assigned at {fmt(f)}"]
-        if a.obj[f] not in set(D.fib[base.dom(f)].objects):
+        y = base.dom(f)
+        if y not in fib_obs:
+            fib_obs[y] = set(D.fib[y].objects)
+        if a.obj[f] not in fib_obs[y]:
             return [f"object at {fmt(f)} not in its fibre"]
     for (f, g) in coh_pairs(D, R):
         y = base.dom(g)

@@ -137,6 +137,15 @@ class FinCat:
             self._build_hom()
         return sorted(ms, key=self._rank.__getitem__)
 
+    def set_key(self, ms):
+        """Sort key for a set of this category's morphisms.  `ckey` is
+        injective on them and ranks follow its order, so this key orders
+        sets of morphisms exactly as `ckey` does."""
+        if self._rank is None:
+            self._build_hom()
+        rank = self._rank
+        return tuple(sorted(rank[m] for m in ms))
+
     def hom(self, x, y):
         if self._hom is None:
             self._build_hom()
@@ -287,10 +296,11 @@ class Functor:
 
     def validate(self) -> list:
         errs = []
+        dst_obs = set(self.dst.objects)
         for x in self.src.objects:
             if x not in self.omap:
                 errs.append(f"no image for object {fmt(x)}")
-            elif self.omap[x] not in set(self.dst.objects):
+            elif self.omap[x] not in dst_obs:
                 errs.append(f"object image of {fmt(x)} not in target")
         for m, (d, c) in self.src.mor.items():
             if m not in self.mmap:

@@ -643,6 +643,7 @@ def validate_presheaf(P: Presheaf) -> list:
     for X in base.objects:
         if X not in P.els:
             return [f"no elements over {fmt(X)}"]
+    elsets = {X: set(els) for X, els in P.els.items()}
     for y, (Y, X) in base.mor.items():
         a = P.act.get(y)
         if a is None:
@@ -650,7 +651,7 @@ def validate_presheaf(P: Presheaf) -> list:
         for e in P.els[X]:
             if e not in a:
                 errs.append(f"action of {fmt(y)} undefined on {fmt(e)}")
-            elif a[e] not in set(P.els[Y]):
+            elif a[e] not in elsets[Y]:
                 errs.append(f"action of {fmt(y)} leaves the presheaf on {fmt(e)}")
     if errs:
         return errs
@@ -682,12 +683,13 @@ def embed_discrete(P: Presheaf, name="") -> IndexedCat:
 def validate_presheaf_mor(P: Presheaf, Q: Presheaf, t) -> list:
     """t : X -> (els[X] -> els'[X]) natural in X."""
     errs = []
+    q_els = {X: set(els) for X, els in Q.els.items()}
     for X in P.base.objects:
         tx = t.get(X)
         if tx is None:
             return [f"no component at {fmt(X)}"]
         for e in P.els[X]:
-            if e not in tx or tx[e] not in set(Q.els[X]):
+            if e not in tx or tx[e] not in q_els[X]:
                 errs.append(f"component at {fmt(X)} malformed on {fmt(e)}")
     if errs:
         return errs

@@ -6,16 +6,25 @@ stability under pullback, and transitivity; `saturate` produces the smallest
 such assignment containing a user-supplied coverage, by fixpoint over the
 enumerated sieve universe.
 
-Sieve universes are exponential in the in-degree of an object, so every
-function that enumerates them takes a `Caps` and fails loudly instead of
-grinding.
+The sieve universe on X is enumerated as unions of principal sieves: every
+sieve is the union of the principal sieves <f> = {f∘g} of its members, and
+every such union is a sieve, so the work is proportional to the number of
+sieves rather than to the 2^(in-degree) subsets of the arrows into X.  A
+universe can still be exponential in the in-degree, so every function that
+enumerates one takes a `Caps`: `--max-sieves-per-object` bounds
+2^(in-degree), checked before anything is enumerated.
+
+`saturate` and `validate_topology` keep, for the length of one call, a memo
+of the pullbacks h*(S) they have computed, with one frozenset per distinct
+sieve.  Sets of sieves are ordered by `FinCat.set_key`, which orders them as
+`ckey` does.
 """
 
 from dataclasses import dataclass, field
 
 from . import caps as _caps
 from .fincat import FinCat, Functor, InternalError
-from .util import fmt, stable_sorted
+from .util import fmt
 
 
 class SiteError(Exception):
@@ -83,8 +92,26 @@ def pullback_sieve(s: Sieve, h) -> Sieve:
     c = s.base
     if c.cod(h) != s.target:
         raise SiteError(f"{fmt(h)} does not end at {fmt(s.target)}")
-    y = c.dom(h)
-    return Sieve(y, frozenset(g for g in c.into(y) if c.compose(h, g) in s.mors), c)
+    return Sieve(c.dom(h), _pullback(c, s.mors, h), c)
+
+
+def _pullback(c: FinCat, mors, h) -> frozenset:
+    return frozenset(g for g in c.into(c.dom(h)) if c.compose(h, g) in mors)
+
+
+def _pullback_memo(c: FinCat):
+    """`pb(mors, h)`, the raw h*(mors), computed once per (mors, h) and kept
+    as one frozenset object per distinct sieve.  Meant to live for one call."""
+    memo, canon = {}, {}
+
+    def pb(mors, h):
+        p = memo.get((mors, h))
+        if p is None:
+            p = _pullback(c, mors, h)
+            p = memo[(mors, h)] = canon.setdefault(p, p)
+        return p
+
+    return pb
 
 
 def intersect_sieves(a: Sieve, b: Sieve) -> Sieve:
@@ -94,24 +121,18 @@ def intersect_sieves(a: Sieve, b: Sieve) -> Sieve:
 
 
 def sieves_on(c: FinCat, x, caps: _caps.Caps = _caps.DEFAULT):
-    """All sieves on x, as raw frozensets, in a stable order."""
-    arrows = list(c.into(x))
+    """All sieves on x, as raw frozensets, in a stable order.
+
+    Built as the unions of principal sieves of arrows into x, starting from
+    the empty sieve; the set never holds more than the final universe."""
+    arrows = c.into(x)
     _caps.check(2 ** len(arrows), caps, "max_sieves_per_object",
                 "sieve universe on {}", x)
-    out = []
-    for bits in range(2 ** len(arrows)):
-        mors = frozenset(a for i, a in enumerate(arrows) if bits >> i & 1)
-        if _closed(c, mors):
-            out.append(mors)
-    return stable_sorted(out)
-
-
-def _closed(c: FinCat, mors) -> bool:
-    for f in mors:
-        for g in c.into(c.dom(f)):
-            if c.compose(f, g) not in mors:
-                return False
-    return True
+    out = {frozenset()}
+    for f in arrows:
+        principal = frozenset(c.compose(f, g) for g in c.into(c.dom(f)))
+        out |= {s | principal for s in out}
+    return sorted(out, key=c.set_key)
 
 
 @dataclass
@@ -123,8 +144,11 @@ class Topology:
         return s.mors in self.covers.get(s.target, frozenset())
 
     def covers_of(self, x):
+        """The covers of x in stable order.  Every member must be a morphism
+        of `base`, which `validate_topology` guarantees."""
         return tuple(
-            Sieve(x, mors, self.base) for mors in stable_sorted(self.covers.get(x, ()))
+            Sieve(x, mors, self.base)
+            for mors in sorted(self.covers.get(x, ()), key=self.base.set_key)
         )
 
     def __eq__(self, other):
@@ -159,11 +183,11 @@ def validate_topology(J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> list:
         if frozenset(c.into(x)) not in J.covers[x]:
             errs.append(f"maximal sieve on {fmt(x)} is not covering")
 
+    pb = _pullback_memo(c)
     for x in c.objects:
         for mors in J.covers[x]:
-            s = Sieve(x, mors, c)
             for h in c.into(x):
-                if pullback_sieve(s, h).mors not in J.covers[c.dom(h)]:
+                if pb(mors, h) not in J.covers[c.dom(h)]:
                     errs.append(
                         f"stability fails: pullback of a cover on {fmt(x)} "
                         f"along {fmt(h)} is not covering"
@@ -175,11 +199,8 @@ def validate_topology(J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> list:
         for cand in universe:
             if cand in J.covers[x]:
                 continue
-            s = Sieve(x, cand, c)
             for mors in J.covers[x]:
-                if all(
-                    pullback_sieve(s, f).mors in J.covers[c.dom(f)] for f in mors
-                ):
+                if all(pb(cand, f) in J.covers[c.dom(f)] for f in mors):
                     errs.append(
                         f"transitivity fails: a sieve on {fmt(x)} is locally "
                         f"covering but missing"
@@ -208,6 +229,7 @@ def saturate(c: FinCat, coverage, caps: _caps.Caps = _caps.DEFAULT) -> Topology:
             covers[x].add(generate_sieve(c, x, fam).mors)
 
     universe = {x: sieves_on(c, x, caps) for x in c.objects}
+    pb = _pullback_memo(c)
     rounds = 0
     changed = True
     while changed:
@@ -216,9 +238,8 @@ def saturate(c: FinCat, coverage, caps: _caps.Caps = _caps.DEFAULT) -> Topology:
         changed = False
         for x in c.objects:
             for mors in list(covers[x]):
-                s = Sieve(x, mors, c)
                 for h in c.into(x):
-                    p = pullback_sieve(s, h).mors
+                    p = pb(mors, h)
                     if p not in covers[c.dom(h)]:
                         covers[c.dom(h)].add(p)
                         changed = True
@@ -226,12 +247,8 @@ def saturate(c: FinCat, coverage, caps: _caps.Caps = _caps.DEFAULT) -> Topology:
             for cand in universe[x]:
                 if cand in covers[x]:
                     continue
-                s = Sieve(x, cand, c)
                 for mors in covers[x]:
-                    if all(
-                        pullback_sieve(s, f).mors in covers[c.dom(f)]
-                        for f in mors
-                    ):
+                    if all(pb(cand, f) in covers[c.dom(f)] for f in mors):
                         covers[x].add(cand)
                         changed = True
                         break

@@ -346,8 +346,9 @@ def plus_presheaf(P: Presheaf, J: Topology, caps: _caps.Caps = _caps.DEFAULT):
         for X in base.objects
     }
     for X in base.objects:
+        els_x = set(els[X])
         for e in P.els[X]:
-            if unit[X][e] not in set(els[X]):
+            if unit[X][e] not in els_x:
                 raise InternalError("unit of the set-level plus escapes the image")
     return Pp, unit
 
@@ -435,9 +436,10 @@ def discrete_stackify_witness(P: Presheaf, J: Topology,
     comp = {}
     for X in base.objects:
         omap = {}
+        sheaf_x = set(sheaf.els[X])
         for a in sres.stack.fib[X].objects:
             omap[a] = _translate_datum(a, 2)
-            if omap[a] not in set(sheaf.els[X]):
+            if omap[a] not in sheaf_x:
                 raise InternalError(
                     "nested descent datum translates outside the oracle sheaf"
                 )

@@ -1,13 +1,15 @@
-"""Seeded fuzzing of the interchange loader: structurally mutated golden
+"""Seeded fuzzing of both input paths.  Structurally mutated golden
 documents, each with its digest recomputed so that the mutation reaches the
 decoder and the validators, must get exit code 0, 1, 2 or 3 from `validate`
 and `check --stack`: a verdict, bad input or a cap, never an internal error
-or a traceback."""
+or a traceback.  Text-mutated `.site` documents must do the same under
+`validate` and `saturate`, which enumerates sieve universes."""
 
 import copy
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 from finstack.cli import main
@@ -18,6 +20,10 @@ GOLDENS = ("patches", "span", "twisted", "factor")
 PICKS = {"factor": (["--indexed", "D"], ["--indexed", "T"])}
 SEED = 20251018
 DOCUMENTS = 300
+SITES = sorted(DATA.glob("*.site"))
+TEXT_SEED = 20251019
+TEXT_DOCUMENTS = 300
+TOKEN = re.compile(r"\s+|[A-Za-z_][\w']*|<=|->|\S")
 
 
 def _slots(node, out):
@@ -92,6 +98,79 @@ def test_mutated_interchange_keeps_exit_contract(tmp_path, capsys):
             ["check", str(path), "--stack", *pick] for pick in PICKS.get(name, ([],))
         ]
         for argv in runs:
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3) and "Traceback" not in err, (i, argv, text)
+
+
+def _blocks(toks):
+    """(header words, index of the `{`, names inside) for each block of a
+    token list."""
+    out, head = [], 0
+    for k, t in enumerate(toks):
+        if t == "{":
+            words = [w for w in toks[head:k] if not w.isspace()] or [""]
+            close = next((j for j in range(k, len(toks)) if toks[j] == "}"), len(toks))
+            names = [w for w in toks[k:close] if w[0].isalpha() or w[0] == "_"]
+            out.append((words, k, names or ["x"]))
+        elif t == "}":
+            head = k + 1
+    return out
+
+
+def _mutate_text(rng, text):
+    """One text edit: delete or duplicate a line, swap two tokens, or insert
+    an arrow or a cover made of a block's own names.  An arrow goes at the
+    top of a poset or category block; a cover at the top of a coverage
+    block, or in a new coverage block on a poset or category."""
+    lines = text.splitlines()
+    toks = TOKEN.findall(text)
+    solid = [k for k, t in enumerate(toks) if not t.isspace()]
+    op = rng.randrange(5)
+    if op == 0 and lines:
+        del lines[rng.randrange(len(lines))]
+    elif op == 1 and lines:
+        k = rng.randrange(len(lines))
+        lines.insert(k, lines[k])
+    elif op == 2 and solid:
+        i, j = rng.choice(solid), rng.choice(solid)
+        toks[i], toks[j] = toks[j], toks[i]
+        return "".join(toks)
+    else:
+        blocks = _blocks(toks)
+        cats = [b for b in blocks if b[0][0] in ("poset", "category")]
+        covs = [b for b in blocks if b[0][0] == "coverage"]
+        if not cats:
+            return text + "poset Q { a <= b; }\n"
+        words, k, names = rng.choice(cats if op == 3 or not covs else covs)
+        a, b = rng.choice(names), rng.choice(names)
+        cover = rng.choice([f" {b}: [{a} <= {b}];", f" {b}: [{a}];"])
+        if op == 3:
+            edit = (f" {a} <= {b};" if words[0] == "poset"
+                    else f" morphisms: {a}{b}: {a} -> {b};")
+        elif not covs:
+            return text + f"coverage K on {words[-1]} {{{cover} }}\n"
+        else:
+            edit = cover
+        toks.insert(k + 1, edit)
+        return "".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_site_text_keeps_exit_contract(tmp_path, capsys):
+    rng = random.Random(TEXT_SEED)
+    sources = [p.read_text(encoding="utf-8") for p in SITES]
+    assert len(sources) == 7
+    path = tmp_path / "mutant.site"
+    for i in range(TEXT_DOCUMENTS):
+        text = sources[i % len(sources)]
+        for _ in range(rng.randint(1, 3)):
+            text = _mutate_text(rng, text)
+        path.write_text(text, encoding="utf-8")
+        # A deleted relation can leave a free endomorphism, whose closure
+        # runs to the default cap only after tens of seconds.
+        for cmd in ("validate", "saturate"):
+            argv = [cmd, str(path), "--max-closure", "200"]
             code = main(argv)
             err = capsys.readouterr().err
             assert code in (0, 1, 2, 3) and "Traceback" not in err, (i, argv, text)

@@ -1,0 +1,288 @@
+"""The site layer against the formulas it used before sieve universes were
+built from principal sieves and pullbacks were memoised: the sieve universe
+as the closed subsets among all 2^n subsets of the arrows into an object,
+sorted by `ckey`; saturation and validation as round-robin fixpoints that
+call `pullback_sieve` for every (sieve, morphism) on every round; covers
+ordered by `stable_sorted`.
+
+Runs on the corpus categories (the non-posets included), seeded random
+posets and their slices, the `gen` site corpora and small open lattices."""
+
+import json
+import random
+
+import pytest
+
+from finstack import (
+    CapExceeded,
+    Caps,
+    FinCat,
+    Sieve,
+    Topology,
+    poset_cat,
+    pullback_sieve,
+    saturate,
+    sieves_on,
+    terminal_cat,
+    validate_topology,
+)
+from finstack.cli import main
+from finstack.site import slice_cat
+from finstack.util import fmt, stable_sorted
+
+import corpus
+import gen
+from test_fuzz import DATA, _document
+
+
+def ref_sieves_on(c, x):
+    arrows = list(c.into(x))
+    out = []
+    for bits in range(2 ** len(arrows)):
+        mors = frozenset(a for i, a in enumerate(arrows) if bits >> i & 1)
+        if all(c.compose(f, g) in mors for f in mors for g in c.into(c.dom(f))):
+            out.append(mors)
+    return stable_sorted(out)
+
+
+def ref_saturate(c, coverage):
+    covers = {x: {frozenset(c.into(x))} for x in c.objects}
+    for x, fams in coverage.items():
+        for fam in fams:
+            covers[x].add(frozenset(
+                c.compose(f, g) for f in fam for g in c.into(c.dom(f))))
+    universe = {x: ref_sieves_on(c, x) for x in c.objects}
+    changed = True
+    while changed:
+        changed = False
+        for x in c.objects:
+            for mors in list(covers[x]):
+                s = Sieve(x, mors, c)
+                for h in c.into(x):
+                    p = pullback_sieve(s, h).mors
+                    if p not in covers[c.dom(h)]:
+                        covers[c.dom(h)].add(p)
+                        changed = True
+        for x in c.objects:
+            for cand in universe[x]:
+                if cand in covers[x]:
+                    continue
+                s = Sieve(x, cand, c)
+                for mors in covers[x]:
+                    if all(pullback_sieve(s, f).mors in covers[c.dom(f)]
+                           for f in mors):
+                        covers[x].add(cand)
+                        changed = True
+                        break
+    return Topology(c, {x: frozenset(v) for x, v in covers.items()})
+
+
+def ref_validate_topology(J):
+    """The axiom checks after the typing checks, which are unchanged."""
+    c = J.base
+    errs = []
+    for x in c.objects:
+        if frozenset(c.into(x)) not in J.covers[x]:
+            errs.append(f"maximal sieve on {fmt(x)} is not covering")
+    for x in c.objects:
+        for mors in J.covers[x]:
+            s = Sieve(x, mors, c)
+            for h in c.into(x):
+                if pullback_sieve(s, h).mors not in J.covers[c.dom(h)]:
+                    errs.append(
+                        f"stability fails: pullback of a cover on {fmt(x)} "
+                        f"along {fmt(h)} is not covering"
+                    )
+                    break
+    for x in c.objects:
+        for cand in ref_sieves_on(c, x):
+            if cand in J.covers[x]:
+                continue
+            s = Sieve(x, cand, c)
+            if any(all(pullback_sieve(s, f).mors in J.covers[c.dom(f)]
+                       for f in mors) for mors in J.covers[x]):
+                errs.append(
+                    f"transitivity fails: a sieve on {fmt(x)} is locally "
+                    f"covering but missing"
+                )
+                break
+    return errs
+
+
+def open_lattice(rng, points=4, most=10):
+    """The opens of a random T0 space on `points` points (the up-sets of a
+    random order), ordered by inclusion, with at most `most` opens, and a
+    coverage by genuine open covers."""
+    while True:
+        below = {p: {p} for p in range(points)}
+        for q in range(points):
+            for p in range(q):
+                if rng.random() < 0.4:
+                    below[q] |= below[p]
+        opens = []
+        for bits in range(2 ** points):
+            u = frozenset(p for p in range(points) if bits >> p & 1)
+            if all(below[q] <= u for q in u):
+                opens.append(u)
+        if len(opens) <= most:
+            break
+    name = {u: "U" + "".join(map(str, sorted(u))) for u in opens}
+    c = poset_cat([name[u] for u in opens],
+                  [(name[u], name[v]) for u in opens for v in opens if u < v],
+                  name="opens")
+    coverage = {}
+    for v in opens:
+        # one proper sub-open around each point, where every point has one
+        around = [[u for u in opens if u < v and p in u] for p in sorted(v)]
+        if v and all(around):
+            fam = {rng.choice(us) for us in around}
+            coverage[name[v]] = [[("le", name[u], name[v]) for u in fam]]
+    return c, coverage
+
+
+def corpus_cats():
+    return [
+        terminal_cat(),
+        corpus.arrow_cat(),
+        corpus.span_cat(),
+        corpus.patches_cat(),
+        corpus.multicover_site()[0],
+        corpus.walking_iso_cat(),
+        corpus.z2_cat(),
+        corpus.parallel_pair_cat(),
+    ]
+
+
+def with_slices(cats):
+    out = []
+    for c in cats:
+        out.append(c)
+        out.extend(slice_cat(c, x)[0] for x in c.objects)
+    return out
+
+
+def test_sieves_on_matches_subset_filter():
+    rng = random.Random(4)
+    cats = corpus_cats() + [gen.rand_poset(rng) for _ in range(30)]
+    cats += [open_lattice(rng, points=5, most=14)[0] for _ in range(4)]
+    pairs = 0
+    for c in with_slices(cats):
+        for x in c.objects:
+            assert sieves_on(c, x) == ref_sieves_on(c, x), (c.name, x)
+            pairs += 1
+    assert pairs > 250
+
+
+@pytest.fixture(scope="module")
+def sites():
+    """(category, coverage, topology) for every `saturate` call the `gen`
+    site corpora make, and for a few open lattices."""
+    calls = []
+
+    def recording(c, coverage, caps=Caps()):
+        J = saturate(c, coverage, caps)
+        calls.append((c, coverage, J))
+        return J
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(gen, "saturate", recording)
+    try:
+        rng = random.Random(17)
+        for _ in range(40):
+            gen.rand_site(rng)
+        for _ in range(10):
+            gen.multi_cover_site(rng)
+    finally:
+        mp.undo()
+    rng = random.Random(23)
+    for _ in range(4):
+        c, coverage = open_lattice(rng)
+        calls.append((c, coverage, saturate(c, coverage)))
+    return calls
+
+
+def test_saturate_matches_round_robin(sites):
+    assert len(sites) >= 54
+    for c, coverage, J in sites:
+        assert J == ref_saturate(c, coverage), (c.name, coverage)
+
+
+def test_covers_of_matches_stable_sorted(sites):
+    for c, _, J in sites:
+        for x in c.objects:
+            assert [s.mors for s in J.covers_of(x)] == stable_sorted(J.covers[x])
+
+
+def _mutants(rng, J):
+    """J with a non-maximal cover dropped, a non-covering sieve added, or a
+    maximal sieve removed, at a random object."""
+    c = J.base
+    x = rng.choice(c.objects)
+    top = frozenset(c.into(x))
+    others = [s for s in stable_sorted(J.covers[x]) if s != top]
+    missing = [s for s in ref_sieves_on(c, x) if s not in J.covers[x]]
+    out = [J.covers[x] - {top}]
+    if others:
+        out.append(J.covers[x] - {rng.choice(others)})
+    if missing:
+        out.append(J.covers[x] | {rng.choice(missing)})
+    return [Topology(c, {**J.covers, x: v}) for v in out]
+
+
+def test_validate_topology_matches_reference(sites):
+    rng = random.Random(29)
+    failing = 0
+    for _, _, J in sites:
+        assert validate_topology(J) == [] == ref_validate_topology(J)
+        for M in _mutants(rng, J):
+            errs = validate_topology(M)
+            assert errs == ref_validate_topology(M)
+            failing += bool(errs)
+    assert failing > 100
+
+
+def test_sieve_cap_trips_before_enumeration():
+    """Seventeen arrows into the top pass the default cap of 2^16 sieves;
+    the cap trips before a single composite is looked up."""
+
+    class NoCompose(FinCat):
+        __slots__ = ()
+
+        def compose(self, g, f):
+            raise AssertionError("sieve universe enumerated past its cap")
+
+    c = poset_cat(["T"] + [f"a{i}" for i in range(16)],
+                  [(f"a{i}", "T") for i in range(16)])
+    guarded = NoCompose(c.objects, c.mor, c.ident, c.table)
+    with pytest.raises(CapExceeded) as e:
+        sieves_on(guarded, "T")
+    assert str(e.value) == (
+        "sieve universe on T: 131072 exceeds cap 65536; "
+        "raise --max-sieves-per-object"
+    )
+
+
+def test_cli_saturate_on_wide_site_exits_3(tmp_path, capsys):
+    text = "poset P {\n" + "".join(f"  a{i} <= T;\n" for i in range(16)) + "}\n"
+    text += "coverage J on P { T: [a0 <= T, a1 <= T]; }\n"
+    path = tmp_path / "wide.site"
+    path.write_text(text, encoding="utf-8")
+    assert main(["saturate", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "sieve universe on T" in err and "--max-sieves-per-object" in err
+
+
+def test_unvalidated_topology_never_reaches_ordering(tmp_path, capsys):
+    """A topology whose cover names an unknown morphism is a finding, so the
+    commands that order covers stop with exit 2 before ordering them."""
+    doc = json.loads((DATA / "patches.golden.json").read_text(encoding="utf-8"))
+    blocks = doc["blocks"]
+    top = next(b for b in blocks if b["kind"] == "topology")
+    top["covers"][0][1][0].append("nowhere")
+    path = tmp_path / "hostile.json"
+    path.write_text(_document(doc, blocks), encoding="utf-8")
+    x = top["covers"][0][0]
+    for argv in (["saturate", str(path)],
+                 ["desc", str(path), "--at", x, "--family", "0"]):
+        assert main(argv) == 2, argv
+        assert "Traceback" not in capsys.readouterr().err
