@@ -13,6 +13,7 @@ indexed category whose comparison functors are all fully faithful, a stack
 one whose comparison functors are all equivalences.
 """
 
+import weakref
 from itertools import product as iproduct
 
 from . import caps as _caps
@@ -22,33 +23,37 @@ from .site import Sieve, Topology
 from .util import ckey, fmt, stable_sorted
 
 
+# Hash-consing table: (obj items, coh items) -> the one live datum with them.
+# Weak, so an entry lives only while something else holds its datum.
+_interned = weakref.WeakValueDictionary()
+
+
 class DescentDatum:
     """Member objects `obj` and coherence isos `coh` of one descent datum.
 
-    Equality and hash ignore insertion order.  The sorted form `_key` and the
-    canonical key `_ckey()` are computed on first use and then kept."""
+    Data are hash-consed: constructing a datum equal to a live one (same
+    items, in any insertion order) returns that object, so equality is
+    identity and ids nesting data hash and compare without calling back into
+    Python.  The sorted form `_key` and the canonical key `_ckey()` are
+    computed on first use and kept, so once per distinct datum.  `obj` and
+    `coh` must not be mutated."""
 
-    __slots__ = ("obj", "coh", "_hash", "_sorted", "_ck")
+    __slots__ = ("obj", "coh", "_sorted", "_ck", "__weakref__")
 
-    def __init__(self, obj, coh):
-        self.obj = dict(obj)
-        self.coh = dict(coh)
-        self._hash = hash(
-            (frozenset(self.obj.items()), frozenset(self.coh.items()))
-        )
-        self._sorted = self._ck = None
+    def __new__(cls, obj, coh):
+        obj, coh = dict(obj), dict(coh)
+        key = (frozenset(obj.items()), frozenset(coh.items()))
+        self = _interned.get(key)
+        if self is None:
+            self = super().__new__(cls)
+            self.obj, self.coh = obj, coh
+            self._sorted = self._ck = None
+            _interned[key] = self
+        return self
 
-    def __eq__(self, other):
-        if not isinstance(other, DescentDatum):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.obj == other.obj
-            and self.coh == other.coh
-        )
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        # Copies and unpickled data are interned like any other.
+        return (DescentDatum, (self.obj, self.coh))
 
     @property
     def _key(self):

@@ -1310,8 +1310,7 @@ def _dec(v):
         if "fs" in v:
             return frozenset(_dec(x) for x in v["fs"])
         if "dd" in v:
-            obj, coh = _dec(v["dd"][0]), _dec(v["dd"][1])
-            return DescentDatum(dict(obj), dict(coh))
+            return DescentDatum(_dec(v["dd"][0]), _dec(v["dd"][1]))
     raise ValueError(f"malformed interchange value: {v!r}")
 
 

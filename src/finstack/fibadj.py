@@ -289,7 +289,7 @@ def R_D(
     R = IndexedCat(
         total, fibc, res, compositor, unitor, name=f"R({p.name or '?'})"
     )
-    require(validate_indexed(R), "essential-fibre reindexing incoherent")
+    require(validate_indexed(R, caps), "essential-fibre reindexing incoherent")
     return R
 
 
@@ -381,7 +381,7 @@ def L_D(A: IndexedCat, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT) -> LResult
         unitor[X] = un
 
     EL = IndexedCat(C, fib, res, compositor, unitor, name=f"L({A.name or '?'})")
-    require(validate_indexed(EL), "flattened slices incoherent")
+    require(validate_indexed(EL, caps), "flattened slices incoherent")
 
     pL = strict_indexed_fun(
         EL, DD, {X: per_x[X][1].proj for X in C.objects}, name=f"pL({A.name or '?'})"
@@ -828,7 +828,7 @@ def _iso_comma_fibration(
             un[o] = (o, res[C.ident[X]].ob(o), DD.unit(X, V), EEpp.unit(X, B))
         unitor[X] = un
     H = IndexedCat(C, fib, res, compositor, unitor, name="comma")
-    require(validate_indexed(H), "iso-comma incoherent")
+    require(validate_indexed(H, caps), "iso-comma incoherent")
     q = strict_indexed_fun(
         H,
         DD,

@@ -8,7 +8,12 @@ across runs.
 Keys of nested ids are costly, so they are computed as seldom as possible:
 a constructed id with a `_ckey` method (a descent datum) computes its key
 once and keeps it, and a `FinCat` sorts its morphisms by `ckey` once and
-ranks them (`FinCat.ordered`) for every later ordering.
+ranks them (`FinCat.ordered`) for every later ordering.  Descent data are
+hash-consed (one object per distinct datum, so equality is identity), so
+that key is computed once per distinct datum, not once per copy.  Their
+hash is the object's identity, which varies between processes: no output
+may follow the iteration order of a set or dict keyed by data; sort by
+`ckey` instead.
 """
 
 

@@ -12,7 +12,7 @@ import random
 import pytest
 
 import corpus
-import gen
+import sitegen
 from finstack import (
     Caps,
     Presheaf,
@@ -76,8 +76,8 @@ def random_corpus():
     rng = random.Random(7)
     out = []
     for _ in range(200):
-        c, J = gen.rand_site(rng, CAPS)
-        out.append((c, J, gen.rand_indexed(rng, c, CAPS)))
+        c, J = sitegen.rand_site(rng, CAPS)
+        out.append((c, J, sitegen.rand_indexed(rng, c, CAPS)))
     return out
 
 
@@ -91,7 +91,7 @@ def stack_cache():
 def fibration_corpus():
     """50 seeded indexed fibrations with their topologies."""
     rng = random.Random(11)
-    return [gen.rand_fibration(rng, CAPS) for _ in range(50)]
+    return [sitegen.rand_fibration(rng, CAPS) for _ in range(50)]
 
 
 def test_criterion_01_topology_validity():
@@ -142,7 +142,7 @@ def _reflection_cases():
          "q": {"b1": "b1"}, "r": {"c1": "c1"}}, Jp))
     sh, un = sheafify_with_unit(torn, Jp, CAPS)
     cases.append((embed_mor(torn, sh, un), Jp))
-    pt = gen.singleton_presheaf(cp)
+    pt = sitegen.singleton_presheaf(cp)
     cases.append(_psh_map_case(
         doubled, pt,
         {x: {e: "*" for e in doubled.els[x]} for x in cp.objects}, Jp))
@@ -173,7 +173,7 @@ def _reflection_cases():
     cm, Jm = corpus.multicover_site()
     c2 = corpus.const_presheaf(cm, ("e1", "e2"))
     cases.append(_psh_map_case(
-        c2, gen.singleton_presheaf(cm),
+        c2, sitegen.singleton_presheaf(cm),
         {x: {e: "*" for e in c2.els[x]} for x in cm.objects}, Jm))
 
     ct, Jt = corpus.terminal_site()
@@ -185,7 +185,7 @@ def _reflection_cases():
     cases.append(_psh_map_case(two, three, {"*": {"a": "v", "b": "v"}}, Jt))
 
     cases.append(_psh_map_case(
-        torn, gen.singleton_presheaf(cp),
+        torn, sitegen.singleton_presheaf(cp),
         {x: {e: "*" for e in torn.els[x]} for x in cp.objects}, Jp))
     cases.append((corpus.groupoid_fibration(corpus.patches_cat()), Jp))
     return cases
@@ -229,7 +229,7 @@ def test_criterion_05_discrete_oracle_equivalence():
     n = 0
     for i in range(50):
         c, J = CORPUS_SITES[i % 4]()
-        P = gen.rand_presheaf(rng, c)
+        P = sitegen.rand_presheaf(rng, c)
         W, intertwine, sres, sheaf, unit = discrete_stackify_witness(
             P, J, CAPS)
         chk = is_indexed_equivalence(W)
@@ -263,11 +263,11 @@ def test_criterion_06_pseudocolimit_collapse():
     poset, and that the shipped plus fibre is Desc at exactly that sieve.
     """
     rng = random.Random(23)
-    sites = [gen.multi_cover_site(rng, CAPS) for _ in range(20)]
+    sites = [sitegen.multi_cover_site(rng, CAPS) for _ in range(20)]
     cm, Jm = corpus.multicover_site()
     sites.append((cm, Jm, "X"))
     for i, (c, J, x) in enumerate(sites):
-        D = gen.rand_indexed(rng, c, CAPS)
+        D = sitegen.rand_indexed(rng, c, CAPS)
         mc = minimal_cover(J, x)
         covers = [Sieve(x, s, c) for s in stable_sorted(J.covers[x])]
         assert sum(len(s.mors) != len(list(c.into(x)))
@@ -302,13 +302,13 @@ def test_criterion_06_pseudocolimit_collapse():
 def test_criterion_07_lemma_3_1_conformance():
     rng = random.Random(13)
     for i in range(50):
-        c, J = gen.rand_site(rng, CAPS)
-        D = gen.rand_indexed(rng, c, CAPS)
+        c, J = sitegen.rand_site(rng, CAPS)
+        D = sitegen.rand_indexed(rng, c, CAPS)
         G = grothendieck(D, CAPS)
         if rng.random() < 0.5:
-            E = const_indexed(G.total, gen.rand_small_cat(rng))
+            E = const_indexed(G.total, sitegen.rand_small_cat(rng))
         else:
-            E = embed_discrete(gen.rand_presheaf(rng, G.total, max_el=2))
+            E = embed_discrete(sitegen.rand_presheaf(rng, G.total, max_el=2))
         rep = check_lemma_3_1(E, G, J, CAPS)
         assert rep.agree, (i, rep.total_side.reason, rep.fiber_side.reason)
     print("criterion 7 PASS: total and fiberwise descent agree on "

@@ -8,6 +8,7 @@ from finstack import (
     CapExceeded,
     Caps,
     FibMor,
+    FinCat,
     Functor,
     IndexedNat,
     L_D,
@@ -425,3 +426,34 @@ def test_descent_budget_guards_group_like_bases():
     fib = as_fibration(identity_indexed_fun(twisted_z2_indexed()))
     with pytest.raises(CapExceeded):
         check_thm_4_2_ii(fib, trivial_topology(fib), caps=Caps(max_descent=200))
+
+
+def _wide_projection(n):
+    """The projection K → 1 over the one-object base, where K has objects a,
+    b and n parallel arrows a → b."""
+    mor = {("id", "a"): ("a", "a"), ("id", "b"): ("b", "b")}
+    mor.update({("e", i): ("a", "b") for i in range(n)})
+    ident = {"a": ("id", "a"), "b": ("id", "b")}
+    k = FinCat.from_homs(("a", "b"), mor, ident,
+                         lambda g, f: f if g[0] == "id" else g, name="K")
+    one = terminal_cat()
+    bang = Functor(k, one, {x: "*" for x in k.objects},
+                   {m: ("id", "*") for m in k.mor}, name="!")
+    return strict_indexed_fun(const_indexed(one, k), const_indexed(one, one),
+                              {"*": bang})
+
+
+def test_built_structures_are_validated_under_the_callers_caps():
+    p = _wide_projection(65)
+    caps = Caps(max_homset=100)
+    fib = as_fibration(p, caps)
+    g = grothendieck(p.E, caps)
+    with pytest.raises(CapExceeded, match="max-homset"):
+        R_D(fib, g)
+    (fe,) = R_D(fib, g, caps).fib.values()
+    assert max(len(fe.hom(x, y)) for x in fe.objects for y in fe.objects) == 65
+    l = L_D(const_indexed(g.total, p.D.fib["*"]), g, caps)
+    assert is_indexed_fibration(l.fib.p, caps).ok
+    j = saturate(p.E.base, {})
+    c = check_thm_4_2_ii(fib, j, g, caps)
+    assert c.ok, c.reason

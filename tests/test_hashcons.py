@@ -1,0 +1,102 @@
+"""Hash-consed descent data: one object per distinct datum, whichever path
+built it, held in a weak table, and no output that depends on the
+address-based hashes this gives."""
+
+import copy
+import gc
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import finstack
+from finstack import (
+    comparison_datum,
+    embed_discrete,
+    enumerate_data,
+    identity_indexed_fun,
+    pullback_sieve,
+    push_datum,
+    restrict_datum,
+    stackify,
+)
+from finstack import descent
+from finstack.dsl import _dec, _enc
+
+import corpus
+
+DATA = Path(__file__).parent / "data"
+
+# name -> (site, indexed category over it)
+CASES = {
+    "patches-nonsheaf": (corpus.patches_site,
+                         lambda: embed_discrete(corpus.patches_nonsheaf())),
+    "multicover": (corpus.multicover_site,
+                   lambda: embed_discrete(corpus.patches_nonseparated())),
+    "arrow-iso": (corpus.arrow_site,
+                  lambda: corpus.const_walking_iso(corpus.arrow_cat())),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_construction_path_returns_the_one_datum(case):
+    site, indexed = CASES[case]
+    (c, J), D = site(), indexed()
+    idD = identity_indexed_fun(D)
+    for X in c.objects:
+        for R in J.covers_of(X):
+            data = enumerate_data(D, R)
+            assert len({id(a) for a in data}) == len(data)
+            assert all(a is b for a, b in zip(data, enumerate_data(D, R)))
+            for V in D.fib[X].objects:
+                v = comparison_datum(D, R, V)
+                assert any(v is a for a in data)
+            for a in data:
+                assert _dec(_enc(a)) is a
+                assert push_datum(idD, R, a) is a
+                assert restrict_datum(D, a, c.ident[X], R) is a
+                for y in c.into(X):
+                    S = pullback_sieve(R, y)
+                    pulled = enumerate_data(D, S)
+                    assert any(restrict_datum(D, a, y, S) is b for b in pulled)
+
+
+def test_nested_data_are_shared_across_stages():
+    (c, J), D = corpus.patches_site(), embed_discrete(corpus.patches_nonsheaf())
+    s = stackify(D, J)
+    for X in c.objects:
+        for a in s.twice.output.fib[X].objects:
+            assert _dec(_enc(a)) is a
+            for b in a.obj.values():
+                assert _dec(_enc(b)) is b
+            assert copy.deepcopy(a) is a
+            assert pickle.loads(pickle.dumps(a)) is a
+
+
+def test_intern_table_is_weak():
+    (_, J), D = corpus.patches_site(), embed_discrete(corpus.patches_nonsheaf())
+    gc.collect()
+    before = len(descent._interned)
+    s = stackify(D, J)
+    assert len(descent._interned) > before
+    del s
+    gc.collect()
+    assert len(descent._interned) == before
+
+
+@pytest.mark.parametrize("cmd", ["stackify", "giraud"])
+def test_emitted_bytes_ignore_hash_seed(cmd, tmp_path):
+    """Identity hashes differ between processes; emitted documents must not."""
+    src = str(Path(finstack.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"{cmd}-{seed}.json"
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-m", "finstack.cli", cmd,
+                        str(DATA / "patches.site"), "--emit", str(out)],
+                       env=env, capture_output=True, timeout=60, check=True)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

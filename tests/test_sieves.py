@@ -6,7 +6,7 @@ call `pullback_sieve` for every (sieve, morphism) on every round; covers
 ordered by `stable_sorted`.
 
 Runs on the corpus categories (the non-posets included), seeded random
-posets and their slices, the `gen` site corpora and small open lattices."""
+posets and their slices, the `sitegen` site corpora and small open lattices."""
 
 import json
 import random
@@ -31,7 +31,7 @@ from finstack.site import slice_cat
 from finstack.util import fmt, stable_sorted
 
 import corpus
-import gen
+import sitegen
 from test_fuzz import DATA, _document
 
 
@@ -163,7 +163,7 @@ def with_slices(cats):
 
 def test_sieves_on_matches_subset_filter():
     rng = random.Random(4)
-    cats = corpus_cats() + [gen.rand_poset(rng) for _ in range(30)]
+    cats = corpus_cats() + [sitegen.rand_poset(rng) for _ in range(30)]
     cats += [open_lattice(rng, points=5, most=14)[0] for _ in range(4)]
     pairs = 0
     for c in with_slices(cats):
@@ -175,7 +175,7 @@ def test_sieves_on_matches_subset_filter():
 
 @pytest.fixture(scope="module")
 def sites():
-    """(category, coverage, topology) for every `saturate` call the `gen`
+    """(category, coverage, topology) for every `saturate` call the `sitegen`
     site corpora make, and for a few open lattices."""
     calls = []
 
@@ -185,13 +185,13 @@ def sites():
         return J
 
     mp = pytest.MonkeyPatch()
-    mp.setattr(gen, "saturate", recording)
+    mp.setattr(sitegen, "saturate", recording)
     try:
         rng = random.Random(17)
         for _ in range(40):
-            gen.rand_site(rng)
+            sitegen.rand_site(rng)
         for _ in range(10):
-            gen.multi_cover_site(rng)
+            sitegen.multi_cover_site(rng)
     finally:
         mp.undo()
     rng = random.Random(23)
