@@ -28,14 +28,18 @@ class Caps:
 DEFAULT = Caps()
 
 
+def flag(field: str) -> str:
+    """The CLI flag that sets the `field` cap."""
+    return "--" + field.replace("_", "-")
+
+
 def check(n: int, caps: Caps, field: str, what: str, *ids) -> None:
     """Raise CapExceeded when n passes the `field` cap of `caps`.  `what` is
     a format string over the `fmt` of `ids`, formatted only when it trips."""
     cap = getattr(caps, field)
     if n > cap:
-        flag = "--" + field.replace("_", "-")
         what = what.format(*map(fmt, ids))
-        raise CapExceeded(f"{what}: {n} exceeds cap {cap}; raise {flag}")
+        raise CapExceeded(f"{what}: {n} exceeds cap {cap}; raise {flag(field)}")
 
 
 class Budget:

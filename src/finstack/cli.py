@@ -13,7 +13,9 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 
+from . import caps as _caps
 from .caps import CapExceeded, Caps
 from .descent import desc_cat, is_prestack, is_stack
 from .dsl import digest_text, load_input, serialize_blocks
@@ -103,6 +105,14 @@ def _find_object(base, label):
     raise InputProblem(f"no object {label!r} in the base category")
 
 
+def _emit(args, results, blocks):
+    """With --emit, write `blocks` as interchange JSON and note the path."""
+    if args.emit:
+        with open(args.emit, "w", encoding="utf-8") as fh:
+            fh.write(serialize_blocks(blocks))
+        results["emitted"] = args.emit
+
+
 # ---------------------------------------------------------------------------
 # command handlers: (env, args, caps) -> (results dict, ok)
 
@@ -181,15 +191,11 @@ def cmd_stackify(env, args, caps):
             for X in s.stack.base.objects
         },
     }
-    if args.emit:
-        blocks = [
-            ("category", _base_name(env, D.base), D.base),
-            ("topology", str(jname), J),
-            ("indexed", f"{dname}.st", s.stack),
-        ]
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(serialize_blocks(blocks))
-        results["emitted"] = args.emit
+    _emit(args, results, [
+        ("category", _base_name(env, D.base), D.base),
+        ("topology", str(jname), J),
+        ("indexed", f"{dname}.st", s.stack),
+    ])
     return results, True
 
 
@@ -207,15 +213,11 @@ def cmd_sheafify(env, args, caps):
             for X in P.base.objects
         },
     }
-    if args.emit:
-        blocks = [
-            ("category", _base_name(env, P.base), P.base),
-            ("topology", str(jname), J),
-            ("presheaf", f"{pname}.sh", sheaf),
-        ]
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(serialize_blocks(blocks))
-        results["emitted"] = args.emit
+    _emit(args, results, [
+        ("category", _base_name(env, P.base), P.base),
+        ("topology", str(jname), J),
+        ("presheaf", f"{pname}.sh", sheaf),
+    ])
     return results, True
 
 
@@ -228,11 +230,7 @@ def cmd_groth(env, args, caps):
         "morphisms": len(G.total.mor),
         "object-list": sorted(fmt(o) for o in G.total.objects),
     }
-    if args.emit:
-        blocks = [("category", f"{dname}.tot", G.total)]
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(serialize_blocks(blocks))
-        results["emitted"] = args.emit
+    _emit(args, results, [("category", f"{dname}.tot", G.total)])
     return results, True
 
 
@@ -246,14 +244,10 @@ def cmd_giraud(env, args, caps):
         "coverage": str(jname),
         "covers": {fmt(x): len(JD.covers[x]) for x in G.total.objects},
     }
-    if args.emit:
-        blocks = [
-            ("category", f"{dname}.tot", G.total),
-            ("topology", f"{jname}.gir", JD),
-        ]
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(serialize_blocks(blocks))
-        results["emitted"] = args.emit
+    _emit(args, results, [
+        ("category", f"{dname}.tot", G.total),
+        ("topology", f"{jname}.gir", JD),
+    ])
     return results, True
 
 
@@ -351,17 +345,17 @@ def cmd_factorize(env, args, caps):
 # ---------------------------------------------------------------------------
 # argument parsing, report assembly
 
+# One flag per Caps field (`caps.flag` names it), in field order.
+_CAPS = [cap.name for cap in fields(Caps)]
+
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="site description (.site DSL or interchange JSON)")
     common.add_argument("--json", action="store_true",
                         help="emit the full report as JSON")
-    common.add_argument("--max-homset", type=int, default=Caps.max_homset)
-    common.add_argument("--max-sieves-per-object", type=int,
-                        default=Caps.max_sieves_per_object)
-    common.add_argument("--max-descent", type=int, default=Caps.max_descent)
-    common.add_argument("--max-closure", type=int, default=Caps.max_closure)
+    for cap in _CAPS:
+        common.add_argument(_caps.flag(cap), type=int, default=getattr(Caps, cap))
 
     p = argparse.ArgumentParser(
         prog="finstack",
@@ -428,8 +422,7 @@ def _build_parser():
     return p
 
 
-_ARG_SKIP = {"func", "command", "file", "json", "max_homset",
-             "max_sieves_per_object", "max_descent", "max_closure"}
+_ARG_SKIP = {"func", "command", "file", "json", *_CAPS}
 
 
 def _assemble(args, digest, results, ok, t0):
@@ -442,12 +435,7 @@ def _assemble(args, digest, results, ok, t0):
         "command": args.command,
         "args": echo,
         "inputs": [{"path": args.file, "digest": digest}],
-        "caps": {
-            "max-homset": args.max_homset,
-            "max-sieves-per-object": args.max_sieves_per_object,
-            "max-descent": args.max_descent,
-            "max-closure": args.max_closure,
-        },
+        "caps": {_caps.flag(cap).lstrip("-"): getattr(args, cap) for cap in _CAPS},
         "results": results,
         "ok": ok,
         "timing-ms": int((time.monotonic() - t0) * 1000),
@@ -486,12 +474,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     t0 = time.monotonic()
-    caps = Caps(
-        max_homset=args.max_homset,
-        max_sieves_per_object=args.max_sieves_per_object,
-        max_descent=args.max_descent,
-        max_closure=args.max_closure,
-    )
+    caps = Caps(**{cap: getattr(args, cap) for cap in _CAPS})
     out = sys.stdout
     try:
         try:

@@ -11,6 +11,12 @@ compatible with the coherences.
 `comparison` is the canonical functor D(X) -> Desc(R, D).  A prestack is an
 indexed category whose comparison functors are all fully faithful, a stack
 one whose comparison functors are all equivalences.
+
+`glue` is the one search for an object whose comparison datum is
+isomorphic to a given datum.  `is_stack` asks it of every datum, in fibre
+order; the factorization through the stackification unit (`stackify`) asks
+it of every pushed datum, in stable order.  Callers compute the comparison
+data once per object and cover and hand them in.
 """
 
 import weakref
@@ -259,7 +265,6 @@ def desc_cat(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT) -> FinCa
 def comparison_datum(D: IndexedCat, R: Sieve, V) -> DescentDatum:
     """Image of V ∈ D(X) under the comparison: restrict along every member,
     with coherence given by the compositors."""
-    base = D.base
     obj = {f: D.res[f].ob(V) for f in R.mors}
     coh = {}
     for (f, g) in coh_pairs(D, R):
@@ -271,7 +276,6 @@ def comparison(D: IndexedCat, R: Sieve, desc: FinCat,
                caps: _caps.Caps = _caps.DEFAULT) -> Functor:
     """Canonical functor D(X) -> Desc(R, D) into an already-built descent
     category."""
-    base = D.base
     X = R.target
     fx = D.fib[X]
     omap = {V: comparison_datum(D, R, V) for V in fx.objects}
@@ -325,14 +329,25 @@ def push_mor(F: IndexedFun, comp):
     return {f: F.comp[base.dom(f)].mo(m) for f, m in comp.items()}
 
 
-def _comparison_ff_at(D, J, X, R, caps) -> Check:
+def glue(D: IndexedCat, R: Sieve, cmp, a: DescentDatum,
+         caps: _caps.Caps = _caps.DEFAULT):
+    """The first (V, dm) among the (V, comparison datum of V) pairs `cmp`,
+    in the caller's order, with dm an invertible descent morphism from V's
+    comparison datum to `a`; None when `a` glues to none of them."""
     base = D.base
+    for V, cv in cmp:
+        for dm in desc_hom(D, R, cv, a, caps):
+            if all(D.fib[base.dom(f)].is_iso(m) for f, m in dm.items()):
+                return V, dm
+    return None
+
+
+def _comparison_ff_at(D, X, R, caps) -> Check:
     fx = D.fib[X]
     members = R.members()
+    cmp = {V: comparison_datum(D, R, V) for V in fx.objects}
     for V in fx.objects:
-        a = comparison_datum(D, R, V)
         for W in fx.objects:
-            b = comparison_datum(D, R, W)
             image = {}
             for m in fx.hom(V, W):
                 comp = tuple((f, D.res[f].mo(m)) for f in members)
@@ -344,7 +359,7 @@ def _comparison_ff_at(D, J, X, R, caps) -> Check:
                         witness=(X, R, image[comp], m),
                     )
                 image[comp] = m
-            for dm in desc_hom(D, R, a, b, caps):
+            for dm in desc_hom(D, R, cmp[V], cmp[W], caps):
                 key = tuple((f, dm[f]) for f in members)
                 if key not in image:
                     return Check(
@@ -360,18 +375,10 @@ def is_prestack(D: IndexedCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) ->
     """Comparison fully faithful for every covering sieve."""
     for X in stable_sorted(D.base.objects):
         for R in J.covers_of(X):
-            c = _comparison_ff_at(D, J, X, R, caps)
+            c = _comparison_ff_at(D, X, R, caps)
             if not c:
                 return c
     return Check(True, "prestack")
-
-
-def _iso_matching(D, R, a, b, caps) -> bool:
-    base = D.base
-    for dm in desc_hom(D, R, a, b, caps):
-        if all(D.fib[base.dom(f)].is_iso(m) for f, m in dm.items()):
-            return True
-    return False
 
 
 def is_stack(D: IndexedCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> Check:
@@ -383,13 +390,9 @@ def is_stack(D: IndexedCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> Ch
     for X in stable_sorted(D.base.objects):
         fx = D.fib[X]
         for R in J.covers_of(X):
+            cmp = [(V, comparison_datum(D, R, V)) for V in fx.objects]
             for a in enumerate_data(D, R, caps):
-                hit = False
-                for V in fx.objects:
-                    if _iso_matching(D, R, comparison_datum(D, R, V), a, caps):
-                        hit = True
-                        break
-                if not hit:
+                if glue(D, R, cmp, a, caps) is None:
                     return Check(
                         False,
                         f"a descent datum over {fmt(X)} does not glue",

@@ -482,6 +482,19 @@ class Elaborated:
     aliases: dict = field(default_factory=dict)  # cat name -> {gen name: mor id}
     findings: list = field(default_factory=list)  # (kind, name, message)
 
+    def add_findings(self, kind, name, refs, validate):
+        """Record up to three of `validate()`'s findings against block
+        `name`.  When one of its referents `refs` already has findings,
+        record one naming that referent instead: a validator would index
+        the referent's broken tables."""
+        flawed = {n for _, n, _ in self.findings}
+        bad_refs = [r for r in refs if r in flawed]
+        if bad_refs:
+            msgs = [f"not validated: {bad_refs[0]!r} breaks its laws"]
+        else:
+            msgs = validate()[:3]
+        self.findings.extend((kind, name, msg) for msg in msgs)
+
     def kinds_of(self, kind):
         return {
             "category": self.cats,
@@ -919,9 +932,7 @@ class _Elab:
                 return
             mmap[m] = v
         f = Functor(src, dst, omap, mmap, name=block.name)
-        errs = f.validate()
-        for msg in errs[:3]:
-            self.env.findings.append(("functor", block.name, msg))
+        self.env.add_findings("functor", block.name, block.refs, f.validate)
         self.declare(block, "functor", f)
 
     def do_presheaf(self, block):
@@ -987,8 +998,8 @@ class _Elab:
                 return
             act[m] = dict(mp)
         p = Presheaf(cat, els, act, name=block.name)
-        for msg in validate_presheaf(p)[:3]:
-            self.env.findings.append(("presheaf", block.name, msg))
+        self.env.add_findings("presheaf", block.name, block.refs,
+                              lambda: validate_presheaf(p))
         self.declare(block, "presheaf", p)
 
     def do_indexed(self, block):
@@ -1073,8 +1084,8 @@ class _Elab:
             except InternalError as ex:
                 self.env.findings.append(("indexed", block.name, str(ex)))
                 return
-            for msg in validate_indexed(d, self.caps)[:3]:
-                self.env.findings.append(("indexed", block.name, msg))
+            self.env.add_findings("indexed", block.name, block.refs,
+                                  lambda: validate_indexed(d, self.caps))
             self.declare(block, "indexed", d)
             return
 
@@ -1153,8 +1164,8 @@ class _Elab:
                      "restrictions do not compose on the nose there")
             return
         d = IndexedCat(cat, fib, res, compositor, unitor, name=block.name)
-        for msg in validate_indexed(d, self.caps)[:3]:
-            self.env.findings.append(("indexed", block.name, msg))
+        self.env.add_findings("indexed", block.name, block.refs,
+                              lambda: validate_indexed(d, self.caps))
         self.declare(block, "indexed", d)
 
     def do_fibration(self, block):
@@ -1229,8 +1240,8 @@ class _Elab:
                     return
             cell[y] = cy
         p = IndexedFun(src, dst, comp, cell, name=block.name)
-        for msg in validate_indexed_fun(p)[:3]:
-            self.env.findings.append(("fibration", block.name, msg))
+        self.env.add_findings("fibration", block.name, block.refs,
+                              lambda: validate_indexed_fun(p))
         self.declare(block, "fibration", p)
 
     def run(self, doc):
@@ -1511,16 +1522,6 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
                    "emitted", "regenerate it instead of editing by hand")
     env = Elaborated()
 
-    def findings(kind, name, refs, validate):
-        # A validator would index the broken tables of a flawed referent.
-        flawed = {n for _, n, _ in env.findings}
-        bad_refs = [r for r in refs if r in flawed]
-        if bad_refs:
-            msgs = [f"not validated: {bad_refs[0]!r} breaks its laws"]
-        else:
-            msgs = validate()[:3]
-        env.findings.extend((kind, name, msg) for msg in msgs)
-
     try:
         for b in doc["blocks"]:
             kind, name = b["kind"], b["name"]
@@ -1528,7 +1529,7 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
                 return bad(f"duplicate block name {name!r}")
             if kind == "category":
                 c = _cat_unjson(b)
-                findings(kind, name, (), lambda: validate_fincat(c, caps))
+                env.add_findings(kind, name, (), lambda: validate_fincat(c, caps))
                 env.cats[name] = c
             elif kind == "topology":
                 base = env.cats.get(b["base"])
@@ -1536,15 +1537,15 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
                     return bad(f"topology {name!r} references unknown "
                                f"category {b['base']!r}")
                 j = _top_unjson(b, base)
-                findings(kind, name, (b["base"],),
-                         lambda: validate_topology(j, caps))
+                env.add_findings(kind, name, (b["base"],),
+                                 lambda: validate_topology(j, caps))
                 env.topologies[name] = j
             elif kind == "functor":
                 src, dst = env.cats.get(b["src"]), env.cats.get(b["dst"])
                 if src is None or dst is None:
                     return bad(f"functor {name!r} references unknown categories")
                 f = _fun_unjson(b, src, dst, name=name)
-                findings(kind, name, (b["src"], b["dst"]), f.validate)
+                env.add_findings(kind, name, (b["src"], b["dst"]), f.validate)
                 env.functors[name] = f
             elif kind == "presheaf":
                 base = env.cats.get(b["base"])
@@ -1552,7 +1553,8 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
                     return bad(f"presheaf {name!r} references unknown "
                                f"category {b['base']!r}")
                 p = _psh_unjson(b, base)
-                findings(kind, name, (b["base"],), lambda: validate_presheaf(p))
+                env.add_findings(kind, name, (b["base"],),
+                                 lambda: validate_presheaf(p))
                 env.presheaves[name] = p
             elif kind == "indexed":
                 base = env.cats.get(b["base"])
@@ -1560,8 +1562,8 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
                     return bad(f"indexed {name!r} references unknown "
                                f"category {b['base']!r}")
                 dd = _idx_unjson(b, base)
-                findings(kind, name, (b["base"],),
-                         lambda: validate_indexed(dd, caps))
+                env.add_findings(kind, name, (b["base"],),
+                                 lambda: validate_indexed(dd, caps))
                 env.indexed[name] = dd
             elif kind == "fibration":
                 src, dst = env.indexed.get(b["src"]), env.indexed.get(b["dst"])
@@ -1574,8 +1576,8 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
                     comp[xo] = _fun_unjson(fj, src.fib[xo], dst.fib[xo])
                 cell = {_dec(y): _unkv(rows) for y, rows in b["cell"]}
                 p = IndexedFun(src, dst, comp, cell, name=b.get("name", name))
-                findings(kind, name, (b["src"], b["dst"]),
-                         lambda: validate_indexed_fun(p))
+                env.add_findings(kind, name, (b["src"], b["dst"]),
+                                 lambda: validate_indexed_fun(p))
                 env.indexedfuns[name] = p
             else:
                 return bad(f"unknown block kind {kind!r}")

@@ -7,10 +7,12 @@ The two directions:
   - `R_D` turns an indexed fibration p : E -> D (componentwise cloven
     fibrations, restrictions preserving cartesian arrows) into an indexed
     category over the total category of D.  Its fibre at (X, U) is the
-    essential fibre of p at U: pairs (A, alpha) with alpha : U -> p_X(A)
-    invertible, with triangle-compatible morphisms.  Reindexing picks a
-    cartesian lift through the cleavage; compositors and unitors fall out of
-    the uniqueness part of the lifting property.
+    essential fibre of p at U (`groth.essential_fibre_cat`): pairs
+    (A, alpha) with alpha : U -> p_X(A) invertible, with triangle-compatible
+    morphisms.  Reindexing picks a cartesian lift through the cleavage
+    (`_lift`, which the counit and the induced functors use too);
+    compositors and unitors fall out of the uniqueness part of the lifting
+    property, as the unique factorizations of `fincat.factorizations`.
   - `L_D` turns an indexed category A over the total category into an
     indexed fibration: the fibre over X is the flattening of A restricted to
     the vertical slice at X, with the evident projection.
@@ -19,9 +21,14 @@ The two directions:
 equivalences on valid input; `sharp` and `flat` transpose morphisms across
 the two directions and are mutually quasi-inverse up to invertible
 transformation.  `check_thm_4_2_i` and `check_thm_4_2_ii` run the two
-localization conformance checks: local-to-global lifting survives the plus
-construction, and the localized fibration satisfies descent over the
-transferred topology.
+localization conformance checks on the fibration localized by `_localize`:
+local-to-global lifting survives the plus construction, and the localized
+fibration satisfies descent over the transferred topology.
+
+Each builder validates its result once, as a whole, with `validate_indexed`
+or `validate_indexed_fun`.  A part is validated on its own only when the
+builder reads it before that: the essential-fibre reindexing functors and
+the iso-comma restrictions.
 """
 
 from dataclasses import dataclass, field
@@ -33,11 +40,18 @@ from .fincat import (
     FinCat,
     Functor,
     InternalError,
+    factorizations,
     is_cartesian_over,
     require,
-    validate_fincat,
 )
-from .groth import GrothCat, fibre_inclusion, canonical_cleavage, giraud_topology, grothendieck
+from .groth import (
+    GrothCat,
+    canonical_cleavage,
+    essential_fibre_cat,
+    fibre_inclusion,
+    giraud_topology,
+    grothendieck,
+)
 from .indexed import (
     IndexedCat,
     IndexedFun,
@@ -128,12 +142,14 @@ def is_indexed_fibration(p: IndexedFun, caps: _caps.Caps = _caps.DEFAULT) -> Che
                 False, f"component at {fmt(X)}: {c.reason}", witness=(X, c.witness)
             )
         cleav[X] = c.witness
+    cart = {
+        X: {m for m in EE.fib[X].mor if is_cartesian_over(p.comp[X], m)}
+        for X in EE.base.objects
+    }
     for y, (Y, X) in EE.base.mor.items():
         ry = EE.res[y]
         for m in EE.fib[X].mor:
-            if is_cartesian_over(p.comp[X], m) and not is_cartesian_over(
-                p.comp[Y], ry.mo(m)
-            ):
+            if m in cart[X] and ry.mo(m) not in cart[Y]:
                 return Check(
                     False,
                     f"restriction along {fmt(y)} does not preserve the "
@@ -151,53 +167,28 @@ def as_fibration(p: IndexedFun, caps: _caps.Caps = _caps.DEFAULT) -> IndexedFibr
 
 
 # ---------------------------------------------------------------------------
-# essential fibres
+# essential fibres and their reindexing
 
 
-def essential_fibre_cat(
-    F: Functor, U, caps: _caps.Caps = _caps.DEFAULT, name=""
-) -> FinCat:
-    """Objects (A, alpha) with alpha : U -> F(A) invertible; a morphism
-    (alpha, beta, w) is w : A -> B with F(w)∘alpha == beta."""
-    E0, B0 = F.src, F.dst
-    objects = []
-    for A in stable_sorted(E0.objects):
-        for alpha in B0.hom(U, F.ob(A)):
-            if B0.is_iso(alpha):
-                objects.append((A, alpha))
-    _caps.check(len(objects), caps, "max_descent", "essential fibre size")
-    mor = {}
-    for (A, alpha) in objects:
-        for (B, beta) in objects:
-            for w in E0.hom(A, B):
-                if B0.compose(F.mo(w), alpha) == beta:
-                    mor[(alpha, beta, w)] = ((A, alpha), (B, beta))
-    _caps.check(len(mor), caps, "max_descent", "essential fibre size")
-    ident = {(A, alpha): (alpha, alpha, E0.ident[A]) for (A, alpha) in objects}
-    cat = FinCat.from_homs(
-        tuple(objects),
-        mor,
-        ident,
-        lambda m2, m1: (m1[0], m2[1], E0.compose(m2[2], m1[2])),
-        name=name or f"ess({fmt(U)})",
-    )
-    require(validate_fincat(cat, caps), "essential fibre malformed")
-    return cat
-
-
-def _cart_factor(fe: FinCat, pX: Functor, cart, h, w):
+def _cart_factor(pX: Functor, cart, h, w):
     """The unique t with pX(t) == w and cart∘t == h."""
-    cands = [
-        t
-        for t in fe.hom(fe.dom(h), fe.dom(cart))
-        if pX.mo(t) == w and fe.compose(cart, t) == h
-    ]
+    cands = factorizations(pX, cart, h, w)
     if len(cands) != 1:
         raise InternalError(
             f"cartesian factorization through {fmt(cart)} over {fmt(w)} "
             f"has {len(cands)} solutions"
         )
     return cands[0]
+
+
+def _lift(fib: IndexedFibration, y, A, x):
+    """The cleavage's cartesian lift, at the restriction of A along y, of
+    inverse(p.cell[y][A]) ∘ x."""
+    p = fib.p
+    Y = p.E.base.dom(y)
+    fd = p.E.fib[Y]
+    u = fd.compose(fd.inverse(p.cell[y][A]), x)
+    return fib.cleavages[Y][(u, p.D.res[y].ob(A))]
 
 
 def _ess_restriction(fib: IndexedFibration, G: GrothCat, m, src: FinCat, dst: FinCat):
@@ -215,16 +206,13 @@ def _ess_restriction(fib: IndexedFibration, G: GrothCat, m, src: FinCat, dst: Fi
     pY = p.comp[Y]
     omap, lifts = {}, {}
     for (A, alpha) in src.objects:
-        x = fd.compose(
-            fd.inverse(p.cell[y][A]), fd.compose(rd.mo(alpha), a)
-        )
-        lam = fib.cleavages[Y][(x, re.ob(A))]
+        lam = _lift(fib, y, A, fd.compose(rd.mo(alpha), a))
         lifts[(A, alpha)] = lam
         omap[(A, alpha)] = (fe.dom(lam), fd.ident[V])
     mmap = {}
     for (alpha, beta, w), ((A, _), (B, _)) in src.mor.items():
         la, lb = lifts[(A, alpha)], lifts[(B, beta)]
-        t = _cart_factor(fe, pY, lb, fe.compose(re.mo(w), la), fd.ident[V])
+        t = _cart_factor(pY, lb, fe.compose(re.mo(w), la), fd.ident[V])
         mmap[(alpha, beta, w)] = (fd.ident[V], fd.ident[V], t)
     F = Functor(src, dst, omap, mmap, name=f"ess({fmt(m)})")
     require(F.validate(), "essential reindexing along {}", m)
@@ -262,7 +250,6 @@ def R_D(
         (X3, U3) = total.mor[m2][1]
         y1, y2 = m1[0], m2[0]
         fe1, fd1 = EE.fib[Y1], DD.fib[Y1]
-        pY1 = p.comp[Y1]
         comp = {}
         for obj in fibc[(X3, U3)].objects:
             A = obj[0]
@@ -271,18 +258,18 @@ def R_D(
                 EE.gamma(y2, y1, A),
                 fe1.compose(EE.res[y1].mo(lifts[m2][obj]), lifts[m1][ob2]),
             )
-            t = _cart_factor(fe1, pY1, lifts[h][obj], c, fd1.ident[V1])
+            t = _cart_factor(p.comp[Y1], lifts[h][obj], c, fd1.ident[V1])
             comp[obj] = (fd1.ident[V1], fd1.ident[V1], t)
         compositor[(m2, m1)] = comp
     unitor = {}
     for (X, U) in total.objects:
         idm = total.ident[(X, U)]
-        fe, fd = EE.fib[X], DD.fib[X]
+        fd = DD.fib[X]
         un = {}
         for obj in fibc[(X, U)].objects:
             A, alpha = obj
             t = _cart_factor(
-                fe, p.comp[X], lifts[idm][obj], EE.unit(X, A), fd.inverse(alpha)
+                p.comp[X], lifts[idm][obj], EE.unit(X, A), fd.inverse(alpha)
             )
             un[obj] = (alpha, fd.ident[U], t)
         unitor[(X, U)] = un
@@ -350,9 +337,7 @@ def L_D(A: IndexedCat, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT) -> LResult
             fa = A.fib[(Y, rd.ob(U1))]
             bp = fa.compose(pc, A.res[l1].mo(b))
             mmap[(m, b, x2)] = (rd.mo(m), bp, A.res[l2].ob(x2))
-        F = Functor(GX.total, GY.total, omap, mmap, name=f"L({fmt(y)})")
-        require(F.validate(), "slice reindexing along {}", y)
-        res[y] = F
+        res[y] = Functor(GX.total, GY.total, omap, mmap, name=f"L({fmt(y)})")
 
     compositor = {}
     for (y2, y1), y21 in C.table.items():
@@ -440,9 +425,9 @@ def unit_eta(
         mmap = {
             f: (fd.ident[U], fd.ident[U], iU.mo(f)) for f in A.fib[(X, U)].mor
         }
-        F = Functor(A.fib[(X, U)], R.fib[(X, U)], omap, mmap, name=f"eta({fmt(X)},{fmt(U)})")
-        require(F.validate(), "unit component at {}", (X, U))
-        comps[(X, U)] = F
+        comps[(X, U)] = Functor(
+            A.fib[(X, U)], R.fib[(X, U)], omap, mmap, name=f"eta({fmt(X)},{fmt(U)})"
+        )
     cells = {}
     for m, ((Y, V), (X, U2)) in G.total.mor.items():
         y, a, _ = m
@@ -486,33 +471,23 @@ def counit_eps(
         _, GX, _ = LR.per_x[X]
         fe, fd = EE.fib[X], DD.fib[X]
         idX = C.ident[X]
-        reI = EE.res[idX]
         omap = {(U, oA): oA[0] for (U, oA) in GX.total.objects}
         mmap = {}
         for (m, b, obj2), _ends in GX.total.mor.items():
             A2, alpha2 = obj2
             am = fd.compose(DD.unit(X, fd.cod(m)), m)
-            x = fd.compose(
-                fd.inverse(p.cell[idX][A2]),
-                fd.compose(DD.res[idX].mo(alpha2), am),
-            )
-            lam = fib.cleavages[X][(x, reI.ob(A2))]
+            lam = _lift(fib, idX, A2, fd.compose(DD.res[idX].mo(alpha2), am))
             mmap[(m, b, obj2)] = fe.compose(
                 fe.inverse(EE.unit(X, A2)), fe.compose(lam, b[2])
             )
-        F = Functor(GX.total, fe, omap, mmap, name=f"eps({fmt(X)})")
-        require(F.validate(), "counit component at {}", X)
-        comps[X] = F
+        comps[X] = Functor(GX.total, fe, omap, mmap, name=f"eps({fmt(X)})")
     cells = {}
     for y, (Y, X) in C.mor.items():
-        fdY = DD.fib[Y]
-        re, rd = EE.res[y], DD.res[y]
-        cm = {}
-        for (U, oA) in LR.per_x[X][1].total.objects:
-            A, alpha = oA
-            x = fdY.compose(fdY.inverse(p.cell[y][A]), rd.mo(alpha))
-            cm[(U, oA)] = fib.cleavages[Y][(x, re.ob(A))]
-        cells[y] = cm
+        rd = DD.res[y]
+        cells[y] = {
+            (U, (A, alpha)): _lift(fib, y, A, rd.mo(alpha))
+            for (U, (A, alpha)) in LR.per_x[X][1].total.objects
+        }
     eps = IndexedFun(LR.fib.p.D, EE, comps, cells, name="eps")
     require(validate_indexed_fun(eps), "counit not pseudonatural")
     square = IndexedNat(
@@ -600,9 +575,7 @@ def r_d_mor(
                 omap[(B2, beta)][1],
                 FX.mo(w),
             )
-        F = Functor(R1.fib[(X, U)], R2.fib[(X, U)], omap, mmap)
-        require(F.validate(), "induced component at {}", (X, U))
-        comps[(X, U)] = F
+        comps[(X, U)] = Functor(R1.fib[(X, U)], R2.fib[(X, U)], omap, mmap)
     cells = {}
     for m, ((Y, V), (X, U2)) in G.total.mor.items():
         y, a, _ = m
@@ -611,19 +584,12 @@ def r_d_mor(
         rd = DD.res[y]
         cm = {}
         for (B, alpha) in R1.fib[(X, U2)].objects:
-            x1 = fdY.compose(
-                fdY.inverse(p1.p.cell[y][B]), fdY.compose(rd.mo(alpha), a)
-            )
-            l1 = p1.cleavages[Y][(x1, E1.res[y].ob(B))]
+            l1 = _lift(p1, y, B, fdY.compose(rd.mo(alpha), a))
             B1p = E1.fib[Y].dom(l1)
-            FXB = fm.F.comp[X].ob(B)
-            alpha2 = comps[(X, U2)].ob((B, alpha))[1]
-            x2 = fdY.compose(
-                fdY.inverse(p2.p.cell[y][FXB]), fdY.compose(rd.mo(alpha2), a)
-            )
-            l2 = p2.cleavages[Y][(x2, E2.res[y].ob(FXB))]
+            FXB, alpha2 = comps[(X, U2)].ob((B, alpha))
+            l2 = _lift(p2, y, FXB, fdY.compose(rd.mo(alpha2), a))
             c = feY.compose(fm.F.cell[y][B], fm.F.comp[Y].mo(l1))
-            t = _cart_factor(feY, p2.p.comp[Y], l2, c, fm.phi.comp[Y][B1p])
+            t = _cart_factor(p2.p.comp[Y], l2, c, fm.phi.comp[Y][B1p])
             cm[(B, alpha)] = (
                 fdY.compose(fdY.inverse(fm.phi.comp[Y][B1p]), fdY.ident[V]),
                 fdY.ident[V],
@@ -721,19 +687,25 @@ def flat(
 # localization conformance checks
 
 
+def _localize(fib: IndexedFibration, J, caps):
+    """Stackify both sides of the fibration and induce p⁺ and p⁺⁺ between
+    the plus stages.  Returns (stackification of the target, p⁺, p⁺⁺)."""
+    p = fib.p
+    se = stackify(p.D, J, caps)
+    sd = stackify(p.E, J, caps)
+    p1 = plus_fun(p, se.once, sd.once)
+    return sd, p1, plus_fun(p1, se.twice, sd.twice)
+
+
 def check_thm_4_2_i(
     fib: IndexedFibration, J, caps: _caps.Caps = _caps.DEFAULT
 ) -> Check:
     """The induced functor on plus (and double plus) outputs must still be an
     indexed fibration."""
-    p = fib.p
-    se = stackify(p.D, J, caps)
-    sd = stackify(p.E, J, caps)
-    p1 = plus_fun(p, se.once, sd.once)
+    _, p1, p2 = _localize(fib, J, caps)
     c1 = is_indexed_fibration(p1, caps)
     if not c1:
         return Check(False, f"after plus: {c1.reason}", witness=(c1, None))
-    p2 = plus_fun(p1, se.twice, sd.twice)
     c2 = is_indexed_fibration(p2, caps)
     if not c2:
         return Check(False, f"after double plus: {c2.reason}", witness=(c1, c2))
@@ -787,7 +759,6 @@ def _iso_comma_fibration(
             ),
             name=f"comma({fmt(X)})",
         )
-        require(validate_fincat(cat, caps), "iso-comma fibre at {}", X)
         fib[X] = cat
 
     res = {}
@@ -855,13 +826,9 @@ def check_thm_4_2_ii(
     """Localize the fibration, pull it back along the localization unit, and
     test descent of its essential-fibre indexed category over the
     transferred topology."""
-    p = fib.p
     if G is None:
-        G = grothendieck(p.E, caps)
-    se = stackify(p.D, J, caps)
-    sd = stackify(p.E, J, caps)
-    p1 = plus_fun(p, se.once, sd.once)
-    sp = plus_fun(p1, se.twice, sd.twice)
+        G = grothendieck(fib.p.E, caps)
+    sd, _, sp = _localize(fib, J, caps)
     q = _iso_comma_fibration(sp, sd.unit, caps)
     cq = is_indexed_fibration(q, caps)
     if not cq:

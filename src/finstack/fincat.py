@@ -19,7 +19,7 @@ from itertools import product as iproduct
 
 from . import caps as _caps
 from .caps import Budget, search
-from .util import ckey, fmt, stable_sorted
+from .util import fmt, stable_sorted
 
 
 class InternalError(AssertionError):
@@ -93,9 +93,6 @@ class FinCat:
 
     def cod(self, m):
         return self.mor[m][1]
-
-    def id_of(self, x):
-        return self.ident[x]
 
     def is_id(self, m):
         d, c = self.mor[m]
@@ -337,6 +334,17 @@ def compose_functors(g: Functor, f: Functor) -> Functor:
     )
 
 
+def factorizations(F: Functor, m, h, w) -> list:
+    """Every t : dom(h) -> dom(m) with F(t) == w and m∘t == h, in stable
+    order."""
+    E0 = F.src
+    return [
+        t
+        for t in E0.hom(E0.dom(h), E0.dom(m))
+        if F.mo(t) == w and E0.compose(m, t) == h
+    ]
+
+
 def is_cartesian_over(F: Functor, m) -> bool:
     """Universal-property test: m is F-cartesian when every h into cod(m)
     whose projection factors through F(m) factors uniquely through m over
@@ -348,14 +356,7 @@ def is_cartesian_over(F: Functor, m) -> bool:
         for h in E0.hom(Z, A2):
             fh = F.mo(h)
             for w in B0.hom(F.ob(Z), F.ob(A1)):
-                if B0.compose(u, w) != fh:
-                    continue
-                ts = [
-                    t
-                    for t in E0.hom(Z, A1)
-                    if F.mo(t) == w and E0.compose(m, t) == h
-                ]
-                if len(ts) != 1:
+                if B0.compose(u, w) == fh and len(factorizations(F, m, h, w)) != 1:
                     return False
     return True
 

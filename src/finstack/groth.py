@@ -10,6 +10,12 @@ cartesian morphisms are exactly those whose fibre component is invertible
 (`is_cartesian` cross-checks that claim against the universal property by
 exhaustive factorization search).
 
+`essential_fibre_cat` is the one essential fibre: for a functor F and an
+object U of its target, the pairs (A, alpha) with alpha : U -> F(A)
+invertible, and the morphisms of F's source that commute with them.
+`essential_fibre` and `essential_fibre_classes` read it for the projection
+of a total category; `fibadj.R_D` builds its fibres with it.
+
 `giraud_topology` transfers a topology on the base to the total category: a
 sieve covers (X, U) when it absorbs the cartesian lifts of some covering
 sieve of X.  Concretely the lift families are generated into sieves and then
@@ -30,6 +36,7 @@ from .fincat import (
     Functor,
     InternalError,
     is_cartesian_over,
+    iso_classes,
     require,
     validate_fincat,
 )
@@ -179,39 +186,46 @@ def giraud_topology(G: GrothCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) 
     return saturate(G.total, coverage, caps)
 
 
+def essential_fibre_cat(
+    F: Functor, U, caps: _caps.Caps = _caps.DEFAULT, name=""
+) -> FinCat:
+    """Objects (A, alpha) with alpha : U -> F(A) invertible, in stable order;
+    a morphism (alpha, beta, w) is w : A -> B with F(w)∘alpha == beta."""
+    E0, B0 = F.src, F.dst
+    objects = []
+    for A in stable_sorted(E0.objects):
+        for alpha in B0.hom(U, F.ob(A)):
+            if B0.is_iso(alpha):
+                objects.append((A, alpha))
+    _caps.check(len(objects), caps, "max_descent", "essential fibre size")
+    mor = {}
+    for (A, alpha) in objects:
+        for (B, beta) in objects:
+            for w in E0.hom(A, B):
+                if B0.compose(F.mo(w), alpha) == beta:
+                    mor[(alpha, beta, w)] = ((A, alpha), (B, beta))
+    _caps.check(len(mor), caps, "max_descent", "essential fibre size")
+    ident = {(A, alpha): (alpha, alpha, E0.ident[A]) for (A, alpha) in objects}
+    cat = FinCat.from_homs(
+        tuple(objects),
+        mor,
+        ident,
+        lambda m2, m1: (m1[0], m2[1], E0.compose(m2[2], m1[2])),
+        name=name or f"ess({fmt(U)})",
+    )
+    require(validate_fincat(cat, caps), "essential fibre malformed")
+    return cat
+
+
 def essential_fibre(G: GrothCat, X):
     """All (A, alpha) with A a total object and alpha : X -> proj(A)
     invertible in the base, in stable order."""
-    base = G.source.base
-    out = []
-    for A in stable_sorted(G.total.objects):
-        for alpha in base.hom(X, G.proj.ob(A)):
-            if base.is_iso(alpha):
-                out.append((A, alpha))
-    return out
-
-
-def _ess_iso(G: GrothCat, one, two) -> bool:
-    # (A, alpha) ~ (B, beta) when an invertible m : A -> B has proj(m)∘alpha = beta.
-    (A, alpha), (B, beta) = one, two
-    total, base = G.total, G.source.base
-    for m in total.hom(A, B):
-        if total.is_iso(m) and base.compose(G.proj.mo(m), alpha) == beta:
-            return True
-    return False
+    return list(essential_fibre_cat(G.proj, X).objects)
 
 
 def essential_fibre_classes(G: GrothCat, X):
     """Partition of the essential fibre at X into isomorphism classes."""
-    classes = []
-    for item in essential_fibre(G, X):
-        for cls in classes:
-            if _ess_iso(G, cls[0], item):
-                cls.append(item)
-                break
-        else:
-            classes.append([item])
-    return classes
+    return iso_classes(essential_fibre_cat(G.proj, X))
 
 
 def fiber_transport(G: GrothCat, A_alpha, cl: Cleavage) -> Functor:
@@ -290,10 +304,11 @@ def check_lemma_3_1(
     instances = []
     for X in stable_sorted(base.objects):
         sl, JX, _ = slice_site(J, X, caps)
+        ess = essential_fibre_cat(G.proj, X, caps)
         if per_iso_class:
-            reps = [cls[0] for cls in essential_fibre_classes(G, X)]
+            reps = [cls[0] for cls in iso_classes(ess)]
         else:
-            reps = essential_fibre(G, X)
+            reps = ess.objects
         for (A, alpha) in reps:
             F = fiber_transport(G, (A, alpha), cl)
             c = is_stack(precompose_indexed(E, F), JX, caps)

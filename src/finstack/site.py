@@ -23,7 +23,7 @@ sieve.  Sets of sieves are ordered by `FinCat.set_key`, which orders them as
 from dataclasses import dataclass, field
 
 from . import caps as _caps
-from .fincat import FinCat, Functor, InternalError
+from .fincat import FinCat, Functor
 from .util import fmt
 
 

@@ -21,7 +21,7 @@ from .descent import (
     comparison,
     comparison_datum,
     desc_cat,
-    desc_hom,
+    glue,
     mor_components,
     mor_id,
     push_datum,
@@ -95,8 +95,8 @@ def plus(D: IndexedCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> PlusRe
         MY = minimal[Y]
         cy = {}
         for V in D.fib[X].objects:
-            src = comparison_datum(D, MY, D.res[y].ob(V))
-            dst = restrict_datum(D, comparison_datum(D, minimal[X], V), y, MY)
+            src = ucomp[Y].ob(D.res[y].ob(V))
+            dst = res[y].ob(ucomp[X].ob(V))
             comps = {g: D.gamma(y, g, V) for g in MY.mors}
             mid = mor_id(src, dst, comps)
             if mid not in fib[Y].mor:
@@ -141,22 +141,6 @@ def plus_fun(F: IndexedFun, plus_src: PlusResult, plus_dst: PlusResult) -> Index
     return strict_indexed_fun(D, E, comp, name=f"{F.name}⁺")
 
 
-def _glue(F: IndexedCat, M: Sieve, b: DescentDatum, caps) -> tuple:
-    """Find (V, iso) with an invertible descent morphism comparison(V) -> b.
-    Deterministic: first fibre object in stable order that matches."""
-    X = M.target
-    base = F.base
-    for V in stable_sorted(F.fib[X].objects):
-        cv = comparison_datum(F, M, V)
-        for dm in desc_hom(F, M, cv, b, caps):
-            if all(F.fib[base.dom(f)].is_iso(m) for f, m in dm.items()):
-                return V, dm
-    raise InternalError(
-        f"descent datum over {fmt(X)} does not glue in a category that "
-        f"claimed to be a stack"
-    )
-
-
 def _unique_preimage(F: IndexedCat, M: Sieve, V, W, delta):
     """The unique m : V -> W in F(X) whose comparison components equal delta;
     exists and is unique because the comparison is fully faithful."""
@@ -191,10 +175,16 @@ def _factor_once(phi: IndexedFun, pres: PlusResult, caps) -> tuple:
     for X in base.objects:
         M = pres.minimal[X]
         fx = F.fib[X]
+        cmp = [(V, comparison_datum(F, M, V)) for V in stable_sorted(fx.objects)]
         omap = {}
         for a in Dp.fib[X].objects:
-            b = push_datum(phi, M, a)
-            V, dm = _glue(F, M, b, caps)
+            hit = glue(F, M, cmp, push_datum(phi, M, a), caps)
+            if hit is None:
+                raise InternalError(
+                    f"descent datum over {fmt(X)} does not glue in a category "
+                    f"that claimed to be a stack"
+                )
+            V, dm = hit
             omap[a] = V
             glue_obj[(X, a)] = V
             glue_iso[(X, a)] = dm
@@ -262,16 +252,14 @@ class Reflection:
 
 
 def reflect_through_unit(phi: IndexedFun, F_is_stack, J: Topology,
-                         caps: _caps.Caps = _caps.DEFAULT,
-                         sres: StackifyResult = None) -> Reflection:
+                         caps: _caps.Caps = _caps.DEFAULT) -> Reflection:
     """Factor phi : D -> F through the stackification unit, F a stack.
 
     Returns psi : s_J(D) -> F together with the invertible modification
     psi ∘ unit => phi."""
     if not F_is_stack:
         raise ValueError("reflection requires the target to be a stack")
-    if sres is None:
-        sres = stackify(phi.D, J, caps)
+    sres = stackify(phi.D, J, caps)
     psi1, w1 = _factor_once(phi, sres.once, caps)
     psi, w2 = _factor_once(psi1, sres.twice, caps)
 

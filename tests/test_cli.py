@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from finstack import InternalError
+from finstack import InternalError, elaborate, load_interchange, parse, serialize_env
 from finstack.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -278,6 +278,37 @@ def test_interchange_with_broken_category_is_law_breaking_input(capsys, tmp_path
     code, _, err = run(capsys, "check", str(f), "--stack")
     assert code == 2
     assert "missing composite" in err
+
+
+# A fibration over an indexed category whose compositor is malformed: its
+# validator would compose with the broken cell and fail inside the tool.
+FLAWED_REFERENT = """\
+category Z2 { objects: s0; morphisms: s: s0 -> s0; compose: s . s = id(s0); }
+category F { objects: a, b; morphisms: u: a -> b; }
+functor IdF : F -> F { obj a = a; obj b = b; mor u = u; }
+indexed D over Z2 { fiber s0 = F; restrict s = IdF; restrict id(s0) = IdF; compositor (s, s) at a = u; }
+fibration Q : D -> D { component s0 = IdF; }
+"""
+
+
+def test_site_text_with_flawed_referent_is_law_breaking_input(capsys, tmp_path):
+    f = tmp_path / "flawed.site"
+    f.write_text(FLAWED_REFERENT)
+    code, rep, _ = run_json(capsys, "validate", str(f))
+    assert code == 1
+    assert rep["results"]["findings"] == [
+        {"kind": "indexed", "name": "D", "witness": "compositor (s,s) malformed at a"},
+        {"kind": "fibration", "name": "Q",
+         "witness": "not validated: 'D' breaks its laws"},
+    ]
+    code, _, err = run(capsys, "check", str(f), "--stack")
+    assert code == 2
+
+    env, diags = elaborate(parse(FLAWED_REFERENT)[0])
+    assert diags == []
+    loaded, diags = load_interchange(serialize_env(env))
+    assert diags == []
+    assert loaded.findings == env.findings
 
 
 # ---------------------------------------------------------------------------
