@@ -284,7 +284,7 @@ def cmd_fiber_adjunction(env, args, caps):
         p = identity_indexed_fun(D)
     jname, J = _pick_topology(env, args)
     try:
-        fib = as_fibration(p, caps)
+        fib = as_fibration(p)
     except ValueError as e:
         raise InputProblem(str(e)) from None
 

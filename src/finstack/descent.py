@@ -272,8 +272,7 @@ def comparison_datum(D: IndexedCat, R: Sieve, V) -> DescentDatum:
     return DescentDatum(obj, coh)
 
 
-def comparison(D: IndexedCat, R: Sieve, desc: FinCat,
-               caps: _caps.Caps = _caps.DEFAULT) -> Functor:
+def comparison(D: IndexedCat, R: Sieve, desc: FinCat) -> Functor:
     """Canonical functor D(X) -> Desc(R, D) into an already-built descent
     category."""
     X = R.target
@@ -342,10 +341,11 @@ def glue(D: IndexedCat, R: Sieve, cmp, a: DescentDatum,
     return None
 
 
-def _comparison_ff_at(D, X, R, caps) -> Check:
+def _comparison_ff_at(D, X, R, cmp, caps) -> Check:
+    """Full faithfulness of the comparison over R, given the comparison
+    datum `cmp[V]` of every V in D(X)."""
     fx = D.fib[X]
     members = R.members()
-    cmp = {V: comparison_datum(D, R, V) for V in fx.objects}
     for V in fx.objects:
         for W in fx.objects:
             image = {}
@@ -372,13 +372,17 @@ def _comparison_ff_at(D, X, R, caps) -> Check:
 
 
 def is_prestack(D: IndexedCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> Check:
-    """Comparison fully faithful for every covering sieve."""
+    """Comparison fully faithful for every covering sieve.  A positive
+    check's witness lists (X, R, {V: comparison datum}) cover by cover."""
+    covers = []
     for X in stable_sorted(D.base.objects):
         for R in J.covers_of(X):
-            c = _comparison_ff_at(D, X, R, caps)
+            cmp = {V: comparison_datum(D, R, V) for V in D.fib[X].objects}
+            c = _comparison_ff_at(D, X, R, cmp, caps)
             if not c:
                 return c
-    return Check(True, "prestack")
+            covers.append((X, R, cmp))
+    return Check(True, "prestack", witness=covers)
 
 
 def is_stack(D: IndexedCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> Check:
@@ -387,15 +391,12 @@ def is_stack(D: IndexedCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> Ch
     pre = is_prestack(D, J, caps)
     if not pre:
         return pre
-    for X in stable_sorted(D.base.objects):
-        fx = D.fib[X]
-        for R in J.covers_of(X):
-            cmp = [(V, comparison_datum(D, R, V)) for V in fx.objects]
-            for a in enumerate_data(D, R, caps):
-                if glue(D, R, cmp, a, caps) is None:
-                    return Check(
-                        False,
-                        f"a descent datum over {fmt(X)} does not glue",
-                        witness=(X, R, a),
-                    )
+    for X, R, cmp in pre.witness:
+        for a in enumerate_data(D, R, caps):
+            if glue(D, R, cmp.items(), a, caps) is None:
+                return Check(
+                    False,
+                    f"a descent datum over {fmt(X)} does not glue",
+                    witness=(X, R, a),
+                )
     return Check(True, "stack")

@@ -20,10 +20,14 @@ builds validated core values, and `serialize_blocks`/`load_interchange`
 convert elaborated values to and from a canonical JSON form with a sha256
 digest over the canonical bytes.
 
-Category blocks list generating morphisms; composites are closed over the
-stated relations, so the composite of two generators need not be declared
-unless a relation names it.  The closure is bounded by the max_closure cap
-and fails loudly when the quotient will not close within it.
+Category blocks list generating morphisms; the composites are closed over
+the stated relations by coset enumeration, so the composite of two
+generators need not be declared unless a relation names it, and every
+stated relation holds in the result.  Each morphism is named by its least
+generator word, shortest first and then by generator names.  The
+enumeration is bounded by the max_closure cap, which counts every
+morphism enumerated, including ones later found equal, and fails loudly
+when the quotient will not close within it.
 
 Morphisms are referenced uniformly: a generator name, a dotted composite
 `g . f` (meaning g after f), a poset pair `a <= b`, or `id(x)`.
@@ -571,11 +575,14 @@ class _Elab:
         """Quotient of composable generator words by the stated relations.
 
         Words are tuples in composition order: (g, f) stands for g after f.
-        Rules rewrite a contiguous slice to the right side; every irreducible
-        form reachable from a word is identified with it, so non-confluent
-        relation sets still produce a well-defined quotient."""
+        Coset enumeration (Todd-Coxeter) over the Cayley graph: one node per
+        morphism, starting with the identities, and an edge g from w to
+        g . w.  Nodes are processed in creation order; at each live node
+        every relation is traced on both sides and the two ends are merged,
+        then all of the node's edges are defined.  Merging two nodes merges
+        their edges too, so the finished graph is the quotient category.
+        Each morphism is named by its least word under (len(w), w)."""
         cap = self.caps.max_closure
-        steps = [50 * cap + 1000]
         dom = {g: d for g, (d, _) in gens.items()}
         cod = {g: c for g, (_, c) in gens.items()}
 
@@ -585,7 +592,7 @@ class _Elab:
         def wcod(w, obj=None):
             return cod[w[0]] if w else obj
 
-        rules = []
+        rels_at = {x: [] for x in objects}
         for (lhs, rhs), (line, col) in rels:
             if rhs[0] == "le":
                 self.err(line, col, "relations in category blocks use "
@@ -622,123 +629,81 @@ class _Elab:
             if not ok:
                 self.err(line, col, "relation sides have different endpoints")
                 return None
-            rules.append((lhs, rw))
+            rels_at[wdom(lhs)].append((lhs, rw))
 
-        parent = {}
+        gens_at = {x: [g for g in gens if dom[g] == x] for x in objects}
+        node_cod, out, parent = [], [], []
 
-        def find(w):
-            r = w
-            while parent.get(r, r) != r:
-                r = parent[r]
-            while parent.get(w, w) != w:
-                parent[w], w = r, parent[w]
-            return r
+        def new(x):
+            if len(parent) >= cap:
+                raise CapExceeded("composition closure exceeded --max-closure "
+                                  f"({cap}); the category may be infinite")
+            node_cod.append(x)
+            out.append({})
+            parent.append(len(parent))
+            return parent[-1]
 
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return False
-            lo, hi = sorted((ra, rb), key=lambda w: (len(w), w))
-            parent[hi] = lo
-            return True
+        def find(n):
+            while parent[n] != n:
+                parent[n] = n = parent[parent[n]]
+            return n
 
-        red_memo = {}
+        def trace(n, w):
+            for g in reversed(w):
+                n = find(n)
+                if g not in out[n]:
+                    out[n][g] = new(cod[g])
+                n = out[n][g]
+            return find(n)
 
-        def irreducibles(w):
-            if w in red_memo:
-                return red_memo[w]
-            steps[0] -= 1
-            if steps[0] <= 0:
-                raise CapExceeded("composition closure budget exhausted; "
-                                  "raise --max-closure")
-            nexts = []
-            for lhs, rw in rules:
-                k = len(lhs)
-                for i in range(len(w) - k + 1):
-                    if w[i:i + k] == lhs:
-                        nexts.append(w[:i] + rw + w[i + k:])
-            if not nexts:
-                out = frozenset([w])
-            else:
-                acc = set()
-                for n in nexts:
-                    acc |= irreducibles(n)
-                out = frozenset(acc)
-            red_memo[w] = out
-            return out
+        def merge(a, b):
+            todo = [(a, b)]
+            while todo:
+                a, b = sorted(map(find, todo.pop()))
+                if a != b:
+                    parent[b] = a
+                    for g, t in out[b].items():
+                        if g in out[a]:
+                            todo.append((out[a][g], t))
+                        else:
+                            out[a][g] = t
 
-        def normal(w):
-            irr = irreducibles(w)
-            for a in irr:
-                for b in irr:
-                    union(a, b)
-            return find(min(irr, key=lambda v: (len(v), v)))
+        ids = {x: new(x) for x in objects}
+        n = 0
+        while n < len(parent):
+            for lhs, rw in rels_at[node_cod[n]]:
+                if parent[n] != n:
+                    break
+                merge(trace(n, lhs), trace(n, rw))
+            if parent[n] == n:
+                for g in gens_at[node_cod[n]]:
+                    trace(n, (g,))
+            n += 1
 
-        classes = {(): True}
-        for g in gens:
-            classes[normal((g,))] = True
+        least = {ids[x]: () for x in objects}
+        layer = list(least)
+        while layer:
+            found = {}
+            for n in layer:
+                for g, t in out[n].items():
+                    t, w = find(t), (g,) + least[n]
+                    if t not in least and (t not in found or w < found[t]):
+                        found[t] = w
+            least.update(found)
+            layer = list(found)
 
-        pairs_budget = 50 * cap
-        changed = True
-        while changed:
-            changed = False
-            reps = [w for w in classes if find(w) == w]
-            for w2 in reps:
-                for w1 in reps:
-                    if not w1 or not w2:
-                        continue
-                    if wdom(w2) != wcod(w1):
-                        continue
-                    pairs_budget -= 1
-                    if pairs_budget <= 0:
-                        raise CapExceeded(
-                            "composition closure budget exhausted; "
-                            "raise --max-closure")
-                    r = normal(w2 + w1)
-                    if r not in classes:
-                        classes[r] = True
-                        changed = True
-                    if len(classes) > cap:
-                        raise CapExceeded(
-                            "composition closure exceeded --max-closure "
-                            f"({cap}); the category may be infinite")
-            pruned = {w: True for w in classes if find(w) == w}
-            if len(pruned) != len(classes):
-                changed = True
-            classes = pruned
+        name, mor, words = {}, {}, {}
+        for n, w in sorted(least.items(), key=lambda it: (len(it[1]), it[1])):
+            m = name[n] = ".".join(w) if w else ("id", node_cod[n])
+            mor[m] = (wdom(w, node_cod[n]), node_cod[n])
+            words[m] = w
+        alias = {g: name[find(out[ids[dom[g]]][g])] for g in gens}
+        node = {m: n for n, m in name.items()}
 
-        def mor_name(w):
-            if not w:
-                return None
-            if len(w) == 1:
-                return w[0]
-            return ".".join(w)
+        def compose(m2, m1):
+            return name[trace(node[m1], words[m2])]
 
-        mor = {}
         ident = {x: ("id", x) for x in objects}
-        words = {}
-        for x in objects:
-            mor[("id", x)] = (x, x)
-            words[("id", x)] = ()
-        rep_name = {}
-        for w in classes:
-            if not w:
-                continue
-            n = mor_name(w)
-            rep_name[w] = n
-            mor[n] = (wdom(w), wcod(w))
-            words[n] = w
-
-        alias = {}
-        for g in gens:
-            r = normal((g,))
-            alias[g] = ("id", dom[g]) if not r else rep_name[r]
-
-        def compose(n2, n1):
-            w = words[n2] + words[n1]
-            r = normal(w) if w else ()
-            return rep_name[r] if r else ("id", mor[n1][0])
-
         c = FinCat.from_homs(tuple(objects), mor, ident, compose, name=block.name)
         require(validate_fincat(c, self.caps), "closure produced a non-category")
         return c, words, alias
@@ -770,11 +735,7 @@ class _Elab:
                 rels.append((e.data, (e.line, e.col)))
         if len(self.diags) > before:
             return
-        try:
-            out = self._close_category(block, objects, gens, rels)
-        except RecursionError:
-            raise CapExceeded("composition closure rewrites nest too deeply; "
-                              "simplify the relations") from None
+        out = self._close_category(block, objects, gens, rels)
         if out is None:
             return
         c, words, alias = out
@@ -1325,9 +1286,8 @@ def _dec(v):
     raise ValueError(f"malformed interchange value: {v!r}")
 
 
-def _kv(d, order=None):
-    keys = order if order is not None else stable_sorted(d)
-    return [[_enc(k), _enc(d[k])] for k in keys]
+def _kv(d):
+    return [[_enc(k), _enc(d[k])] for k in stable_sorted(d)]
 
 def _unkv(rows):
     return {_dec(k): _dec(v) for k, v in rows}

@@ -126,7 +126,7 @@ class IndexedFibration:
         return self.p.E
 
 
-def is_indexed_fibration(p: IndexedFun, caps: _caps.Caps = _caps.DEFAULT) -> Check:
+def is_indexed_fibration(p: IndexedFun) -> Check:
     """Both invariants, exhaustively: each component is a fibration and each
     restriction of the source sends cartesian arrows to cartesian arrows.
     Witness on success: an IndexedFibration with deterministic cleavages."""
@@ -159,8 +159,8 @@ def is_indexed_fibration(p: IndexedFun, caps: _caps.Caps = _caps.DEFAULT) -> Che
     return Check(True, "indexed fibration", witness=IndexedFibration(p, cleav))
 
 
-def as_fibration(p: IndexedFun, caps: _caps.Caps = _caps.DEFAULT) -> IndexedFibration:
-    c = is_indexed_fibration(p, caps)
+def as_fibration(p: IndexedFun) -> IndexedFibration:
+    c = is_indexed_fibration(p)
     if not c:
         raise ValueError(f"not an indexed fibration: {c.reason}")
     return c.witness
@@ -637,14 +637,13 @@ def sharp(
     LA: LResult,
     G: GrothCat,
     caps: _caps.Caps = _caps.DEFAULT,
-    R_src: IndexedCat = None,
     R_dst: IndexedCat = None,
 ) -> IndexedFun:
     """Transpose a fibration morphism out of a flattened slice fibration to
     an indexed functor into the essential-fibre indexed category."""
     if fm.src is not LA.fib:
         raise ValueError("transpose source must be the given flattening")
-    R_src = R_src if R_src is not None else R_D(LA.fib, G, caps)
+    R_src = R_D(LA.fib, G, caps)
     R_dst = R_dst if R_dst is not None else R_D(fm.dst, G, caps)
     eta = unit_eta(LA.source, G, caps, L=LA, R=R_src)
     rm = r_d_mor(fm, G, caps, R_src=R_src, R_dst=R_dst)
@@ -703,10 +702,10 @@ def check_thm_4_2_i(
     """The induced functor on plus (and double plus) outputs must still be an
     indexed fibration."""
     _, p1, p2 = _localize(fib, J, caps)
-    c1 = is_indexed_fibration(p1, caps)
+    c1 = is_indexed_fibration(p1)
     if not c1:
         return Check(False, f"after plus: {c1.reason}", witness=(c1, None))
-    c2 = is_indexed_fibration(p2, caps)
+    c2 = is_indexed_fibration(p2)
     if not c2:
         return Check(False, f"after double plus: {c2.reason}", witness=(c1, c2))
     return Check(
@@ -830,7 +829,7 @@ def check_thm_4_2_ii(
         G = grothendieck(fib.p.E, caps)
     sd, _, sp = _localize(fib, J, caps)
     q = _iso_comma_fibration(sp, sd.unit, caps)
-    cq = is_indexed_fibration(q, caps)
+    cq = is_indexed_fibration(q)
     if not cq:
         return Check(
             False, f"pullback projection not a fibration: {cq.reason}", witness=cq

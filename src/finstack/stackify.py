@@ -89,7 +89,7 @@ def plus(D: IndexedCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> PlusRe
 
     out = strict_indexed(base, fib, res, name=f"{D.name or 'D'}⁺")
 
-    ucomp = {X: comparison(D, minimal[X], fib[X], caps) for X in base.objects}
+    ucomp = {X: comparison(D, minimal[X], fib[X]) for X in base.objects}
     ucell = {}
     for y, (Y, X) in base.mor.items():
         MY = minimal[Y]

@@ -317,7 +317,7 @@ def test_criterion_07_lemma_3_1_conformance():
 
 def test_criterion_08_theorem_4_1_conformance(fibration_corpus):
     for i, (p, J) in enumerate(fibration_corpus):
-        fib = as_fibration(p, CAPS)
+        fib = as_fibration(p)
         G = grothendieck(fib.p.E, CAPS)
         r = R_D(fib, G, CAPS)
         unit_c = is_indexed_equivalence(unit_eta(r, G, CAPS))
@@ -338,7 +338,7 @@ def test_criterion_08_theorem_4_1_conformance(fibration_corpus):
 
 def test_criterion_09_theorem_4_2_conformance(fibration_corpus):
     for i, (p, J) in enumerate(fibration_corpus):
-        fib = as_fibration(p, CAPS)
+        fib = as_fibration(p)
         G = grothendieck(fib.p.E, CAPS)
         t1 = check_thm_4_2_i(fib, J, CAPS)
         assert t1.ok, (i, t1.reason)

@@ -446,14 +446,14 @@ def _wide_projection(n):
 def test_built_structures_are_validated_under_the_callers_caps():
     p = _wide_projection(65)
     caps = Caps(max_homset=100)
-    fib = as_fibration(p, caps)
+    fib = as_fibration(p)
     g = grothendieck(p.E, caps)
     with pytest.raises(CapExceeded, match="max-homset"):
         R_D(fib, g)
     (fe,) = R_D(fib, g, caps).fib.values()
     assert max(len(fe.hom(x, y)) for x in fe.objects for y in fe.objects) == 65
     l = L_D(const_indexed(g.total, p.D.fib["*"]), g, caps)
-    assert is_indexed_fibration(l.fib.p, caps).ok
+    assert is_indexed_fibration(l.fib.p).ok
     j = saturate(p.E.base, {})
     c = check_thm_4_2_ii(fib, j, g, caps)
     assert c.ok, c.reason
