@@ -10,6 +10,7 @@ Exit codes: 0 the requested check passed (or the command only computes),
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -349,7 +350,12 @@ def cmd_factorize(env, args, caps):
 _CAPS = [cap.name for cap in fields(Caps)]
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and kept: `parse_args`
+    returns a fresh namespace on every call.  The `cmd_*` handlers are bound
+    at that first build, so rebinding one of those names later does not
+    reach `main`; the handlers read this module's globals when they run."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("file", help="site description (.site DSL or interchange JSON)")
     common.add_argument("--json", action="store_true",

@@ -36,6 +36,7 @@ Morphisms are referenced uniformly: a generator name, a dotted composite
 import hashlib
 import json
 import re
+import weakref
 from dataclasses import dataclass, field
 
 from . import caps as _caps
@@ -1248,6 +1249,12 @@ def _cjson(v):
     return json.dumps(v, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+# The encoding of each live datum, built at its first occurrence.  Data are
+# immutable and hash-consed, so one encoding serves every occurrence; weak, so
+# an entry lives only while its datum does.  Encodings are never mutated.
+_datum_enc = weakref.WeakKeyDictionary()
+
+
 def _enc(v):
     if isinstance(v, str):
         return v
@@ -1262,7 +1269,10 @@ def _enc(v):
     if isinstance(v, frozenset):
         return {"fs": sorted((_enc(x) for x in v), key=_cjson)}
     if isinstance(v, DescentDatum):
-        return {"dd": [_enc(v._key[0]), _enc(v._key[1])]}
+        e = _datum_enc.get(v)
+        if e is None:
+            e = _datum_enc[v] = {"dd": [_enc(v._key[0]), _enc(v._key[1])]}
+        return e
     raise InternalError(f"value of type {type(v).__name__} has no "
                         f"interchange encoding: {v!r}")
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import caps as _caps
 from .fincat import FinCat, Functor
-from .util import fmt
+from .util import fmt, stable_sorted
 
 
 class SiteError(Exception):
@@ -272,6 +272,31 @@ def minimal_cover(J: Topology, x) -> Sieve:
     if acc not in J.covers[x]:
         raise SiteError(f"topology is not saturated at {fmt(x)}")
     return Sieve(x, acc, J.base)
+
+
+def least_cover_pullbacks(J: Topology):
+    """The pullbacks h*(M_x) along every h : y -> x, where M_x is the
+    intersection of the covers of x, for every x that has covers.
+
+    Objects and arrows come in stable order; a sieve repeated on the same y
+    is kept once, and sieves containing id_y are left out.  When the sieves
+    on whose every pullback a property holds form a topology, as they do for
+    descent (see `descent`), a property that holds on all of these holds on
+    every cover of J, because every cover of x contains M_x."""
+    c = J.base
+    seen, out = set(), []
+    for x in stable_sorted(c.objects):
+        sieves = J.covers.get(x)
+        if not sieves:
+            continue
+        least = frozenset.intersection(*sieves)
+        for h in c.into(x):
+            y = c.dom(h)
+            p = _pullback(c, least, h)
+            if c.ident[y] not in p and (y, p) not in seen:
+                seen.add((y, p))
+                out.append(Sieve(y, p, c))
+    return out
 
 
 def slice_cat(c: FinCat, x):

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import finstack
 from finstack import InternalError, elaborate, load_interchange, parse, serialize_env
+from finstack import cli
 from finstack.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -404,3 +409,53 @@ def test_emitted_file_digest_verifies(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(tampered))
     assert code == 2
     assert "digest mismatch" in err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+# Flags set in one call and absent from the next, and commands that fail.
+SEQUENCE = [
+    ("check", PATCHES, "--prestack", "--max-descent", "500"),
+    ("check", PATCHES, "--stack"),
+    ("desc", PATCHES, "--at", "X", "--family", "0", "--presheaf", "S"),
+    ("desc", PATCHES, "--at", "X"),
+    ("saturate", SPAN, "--max-homset", "32"),
+    ("check", PATCHES, "--stack", "--max-descent", "3"),
+]
+
+SUBCOMMANDS = ("validate", "saturate", "desc", "check", "stackify", "sheafify",
+               "groth", "giraud", "lemma31", "fiber-adjunction", "factorize")
+
+
+def _report(text):
+    rep = json.loads(text)
+    rep.pop("timing-ms", None)
+    return rep
+
+
+def test_main_calls_in_one_process_match_separate_processes(capsys):
+    src = str(Path(finstack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in SEQUENCE:
+        code, out, _ = run(capsys, *argv, "--json")
+        proc = subprocess.run([sys.executable, "-m", "finstack.cli", *argv,
+                               "--json"], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert (code, _report(out)) == (proc.returncode, _report(proc.stdout)), argv
+
+
+def _help(parser_main, argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        parser_main(argv)
+    assert e.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_of_the_kept_parser_matches_a_fresh_one(capsys):
+    run(capsys, *SEQUENCE[0])
+    fresh = cli._build_parser.__wrapped__()
+    for argv in ([], *([sub] for sub in SUBCOMMANDS)):
+        argv = [*argv, "--help"]
+        assert _help(main, argv, capsys) == _help(fresh.parse_args, argv, capsys)

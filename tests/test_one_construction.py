@@ -1,11 +1,17 @@
 """Constructions computed in one place, against the formulas that computed
-them before they were shared: `is_stack` recomputing a comparison datum for
-every (datum, fibre object) pair, the gluing search of the factorization
-through the stackification unit, and the pairwise partition of an essential
-fibre into isomorphism classes.
+them before they were shared: `is_stack` and `is_prestack` deciding descent
+on every covering sieve, the gluing search of the factorization through the
+stackification unit, and the pairwise partition of an essential fibre into
+isomorphism classes.
 
-Runs on the corpus sites, seeded `sitegen` sites and both plus stages of
-`stackify` on them."""
+`is_stack` and `is_prestack` decide on the pullbacks of least covers and
+replay the canonical loop on a failure or a cap.  That is exact because, for
+a fixed D, the sieves on whose every pullback D satisfies descent form a
+topology; `test_descent_sieves_form_a_topology` checks this on every sieve of
+every input.
+
+Runs on the corpus sites, seeded `sitegen` sites and presheaves, and both
+plus stages of `stackify` on them."""
 
 import random
 
@@ -13,20 +19,30 @@ import pytest
 
 from finstack import (
     DEFAULT,
+    CapExceeded,
+    Caps,
     Check,
     InternalError,
+    Sieve,
+    Topology,
     comparison_datum,
     desc_hom,
     embed_discrete,
     enumerate_data,
     essential_fibre,
     essential_fibre_classes,
+    generate_sieve,
     grothendieck,
+    is_prestack,
     is_stack,
+    least_cover_pullbacks,
     minimal_cover,
+    pullback_sieve,
     restrict_datum,
     saturate,
+    sieves_on,
     stackify,
+    validate_topology,
 )
 from finstack.descent import glue
 from finstack.util import fmt, stable_sorted
@@ -76,25 +92,38 @@ def ref_iso_matching(D, R, a, b, caps):
     return False
 
 
-def ref_is_stack(D, J, caps):
+def ref_is_prestack(D, J, caps):
     for X in stable_sorted(D.base.objects):
         for R in J.covers_of(X):
             c = ref_comparison_ff_at(D, X, R, caps)
             if not c:
                 return c
+    return Check(True, "prestack")
+
+
+def ref_glues_at(D, X, R, caps):
+    for a in enumerate_data(D, R, caps):
+        if not any(
+            ref_iso_matching(D, R, comparison_datum(D, R, V), a, caps)
+            for V in D.fib[X].objects
+        ):
+            return Check(
+                False,
+                f"a descent datum over {fmt(X)} does not glue",
+                witness=(X, R, a),
+            )
+    return Check(True, "glues")
+
+
+def ref_is_stack(D, J, caps):
+    pre = ref_is_prestack(D, J, caps)
+    if not pre:
+        return pre
     for X in stable_sorted(D.base.objects):
-        fx = D.fib[X]
         for R in J.covers_of(X):
-            for a in enumerate_data(D, R, caps):
-                if not any(
-                    ref_iso_matching(D, R, comparison_datum(D, R, V), a, caps)
-                    for V in fx.objects
-                ):
-                    return Check(
-                        False,
-                        f"a descent datum over {fmt(X)} does not glue",
-                        witness=(X, R, a),
-                    )
+            c = ref_glues_at(D, X, R, caps)
+            if not c:
+                return c
     return Check(True, "stack")
 
 
@@ -171,10 +200,19 @@ def _sitegen_case(i):
     return make
 
 
+def _sitegen_presheaf_case(i):
+    def make():
+        rng = random.Random(2000 + i)
+        c, J = sitegen.rand_site(rng)
+        return c, J, embed_discrete(sitegen.rand_presheaf(rng, c))
+    return make
+
+
 CASES = {
     **{name: (lambda s=site, d=indexed: (*s(), d())) for name, (site, indexed)
        in CORPUS.items()},
     **{f"sitegen-{i}": _sitegen_case(i) for i in range(8)},
+    **{f"sitegen-presheaf-{i}": _sitegen_presheaf_case(i) for i in range(4)},
 }
 
 
@@ -196,6 +234,99 @@ def test_is_stack_matches_the_per_datum_comparison_loop(stages):
         new, ref = is_stack(D, J), ref_is_stack(D, J, DEFAULT)
         assert (new.ok, new.reason) == (ref.ok, ref.reason)
         assert new.witness == ref.witness
+
+
+def test_is_prestack_matches_the_canonical_loop(stages):
+    c, J, cats, _ = stages
+    for D in cats:
+        new, ref = is_prestack(D, J), ref_is_prestack(D, J, DEFAULT)
+        assert (new.ok, new.reason) == (ref.ok, ref.reason)
+        assert new.witness == ref.witness
+
+
+def test_decisions_match_the_canonical_loop_on_listed_principal_sieves(stages):
+    """Any listed J, topology or not: here every principal sieve covers."""
+    c, _, cats, _ = stages
+    J = Topology(c, {x: frozenset(generate_sieve(c, x, [f]).mors
+                                  for f in c.into(x))
+                     for x in c.objects})
+    for D in cats:
+        for decide, ref in ((is_prestack, ref_is_prestack),
+                            (is_stack, ref_is_stack)):
+            new, old = decide(D, J), ref(D, J, DEFAULT)
+            assert (new.ok, new.reason, new.witness) == (old.ok, old.reason,
+                                                         old.witness)
+
+
+def test_least_cover_pullbacks_are_the_nonmaximal_pullbacks_of_least_covers(stages):
+    c, J, _, _ = stages
+    want = set()
+    for x in c.objects:
+        M = minimal_cover(J, x)
+        for h in c.into(x):
+            p = pullback_sieve(M, h)
+            if not p.is_maximal():
+                want.add((p.target, p.mors))
+    got = [(R.target, R.mors) for R in least_cover_pullbacks(J)]
+    assert len(got) == len(set(got))
+    assert set(got) == want
+    assert all(J.is_cover(R) for R in least_cover_pullbacks(J))
+
+
+def _descends_on(D, R, gluing):
+    """The canonical checks at the one sieve R."""
+    X = R.target
+    if not ref_comparison_ff_at(D, X, R, DEFAULT):
+        return False
+    return not gluing or bool(ref_glues_at(D, X, R, DEFAULT))
+
+
+def test_descent_sieves_form_a_topology(stages):
+    """For fixed D, {R : D satisfies descent on every pullback of R} is a
+    topology, for full faithfulness alone and with gluing; D is a J-stack
+    (J-prestack) exactly when it holds every cover of J."""
+    c, J, cats, _ = stages
+    universe = {x: sieves_on(c, x) for x in c.objects}
+    for D in cats:
+        for gluing, decide in ((False, is_prestack), (True, is_stack)):
+            holds = {(x, s): _descends_on(D, Sieve(x, s, c), gluing)
+                     for x in c.objects for s in universe[x]}
+            family = {
+                x: frozenset(
+                    s for s in universe[x]
+                    if all(holds[(c.dom(h), pullback_sieve(Sieve(x, s, c), h).mors)]
+                           for h in c.into(x)))
+                for x in c.objects
+            }
+            assert validate_topology(Topology(c, family)) == []
+            in_family = all(s in family[x] for x in c.objects for s in J.covers[x])
+            assert decide(D, J).ok == in_family
+
+
+def _outcome(decide, D, J, caps):
+    try:
+        c = decide(D, J, caps)
+    except CapExceeded as e:
+        return ("cap", str(e))
+    return ("check", c.ok, c.reason, c.witness)
+
+
+DESCENT_CAPS = (1, 2, 3, 4, 8, 16, 48, 64, DEFAULT.max_descent)
+
+
+def test_caps_trip_as_in_the_canonical_loop(stages):
+    """The same Check or the same cap message as the canonical loop at every
+    `max_descent`, except that an input that holds may be decided where the
+    canonical loop runs out of budget on a sieve the reduced set skips."""
+    c, J, cats, _ = stages
+    for D in cats:
+        for decide, ref in ((is_prestack, ref_is_prestack),
+                            (is_stack, ref_is_stack)):
+            for n in DESCENT_CAPS:
+                caps = Caps(max_descent=n)
+                new, old = _outcome(decide, D, J, caps), _outcome(ref, D, J, caps)
+                if new != old:
+                    assert old[0] == "cap" and new[:2] == ("check", True)
 
 
 def test_glue_matches_the_stable_order_search(stages):
