@@ -143,9 +143,8 @@ class Cleavage:
 def canonical_cleavage(G: GrothCat) -> Cleavage:
     """Deterministic choice of cartesian lifts.
 
-    The identity-component lift (y, id, U) always exists for a flattened
-    indexed category and is preferred; if a caller has somehow removed it,
-    the stable-least invertible component is chosen instead.
+    The lift of y at U is the identity-component morphism (y, id, U), which
+    `grothendieck` adds for every y and U.
     """
     D = G.source
     base = D.base
@@ -155,20 +154,11 @@ def canonical_cleavage(G: GrothCat) -> Cleavage:
         fib = D.fib[Yd]
         for U in D.fib[Yc].objects:
             cand = (y, fib.ident[D.res[y].ob(U)], U)
-            if cand in total.mor:
-                lifts[(y, U)] = cand
-                continue
-            found = None
-            for m in total.into((Yc, U)):
-                my, ma, _ = m
-                if my == y and fib.is_iso(ma):
-                    found = m
-                    break
-            if found is None:
+            if cand not in total.mor:
                 raise InternalError(
                     f"no cartesian lift of {fmt(y)} at {fmt(U)}"
                 )
-            lifts[(y, U)] = found
+            lifts[(y, U)] = cand
     return Cleavage(G, lifts)
 
 

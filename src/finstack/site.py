@@ -3,8 +3,9 @@
 A sieve on X is a set of morphisms into X closed under precomposition.  A
 topology assigns each object a set of covering sieves satisfying maximality,
 stability under pullback, and transitivity; `saturate` produces the smallest
-such assignment containing a user-supplied coverage, by fixpoint over the
-enumerated sieve universe.
+such assignment containing a user-supplied coverage.  On a finite site a
+topology is fixed by the least cover of each object, so `saturate` runs its
+fixpoint over one sieve per object and then lists the sieves that contain it.
 
 The sieve universe on X is enumerated as unions of principal sieves: every
 sieve is the union of the principal sieves <f> = {f∘g} of its members, and
@@ -14,10 +15,10 @@ universe can still be exponential in the in-degree, so every function that
 enumerates one takes a `Caps`: `--max-sieves-per-object` bounds
 2^(in-degree), checked before anything is enumerated.
 
-`saturate` and `validate_topology` keep, for the length of one call, a memo
-of the pullbacks h*(S) they have computed, with one frozenset per distinct
-sieve.  Sets of sieves are ordered by `FinCat.set_key`, which orders them as
-`ckey` does.
+`validate_topology`, the independent check of the three axioms, keeps for
+the length of one call a memo of the pullbacks h*(S) it has computed, with
+one frozenset per distinct sieve.  Sets of sieves are ordered by
+`FinCat.set_key`, which orders them as `ckey` does.
 """
 
 from dataclasses import dataclass, field
@@ -216,43 +217,44 @@ def saturate(c: FinCat, coverage, caps: _caps.Caps = _caps.DEFAULT) -> Topology:
     """Smallest topology whose covers include the sieves generated by `coverage`.
 
     `coverage` maps objects to iterables of morphism families; each family is
-    closed into a sieve first.  Saturation alternates stability and
-    transitivity closure until a fixpoint, which exists because the sieve
-    universe is finite and both steps are monotone.
+    closed into a sieve first.  On a finite site covers are closed under
+    intersection and enlargement, so a topology is fixed by its least covers
+    M_x, and the covers of x are the sieves that contain M_x.  M_x starts as
+    the intersection of the generated sieves on x and shrinks to a fixpoint
+    under the two steps the axioms force: stability, M_y ⊆ h*(M_x) for every
+    h : y -> x, and local character, M_x = {f∘g : f ∈ M_x, g ∈ M_(dom f)}.
+    At the fixpoint the sieves containing M_x meet all three axioms, and
+    every topology containing the coverage has least covers inside M, so the
+    result is exact.  Each change removes an arrow, so the loop ends after
+    at most Σ|into(x)| changes.
     """
     obset = set(c.objects)
-    covers = {x: {frozenset(c.into(x))} for x in c.objects}
+    least = {x: frozenset(c.into(x)) for x in c.objects}
     for x, fams in coverage.items():
         if x not in obset:
             raise SiteError(f"coverage names unknown object {fmt(x)}")
         for fam in fams:
-            covers[x].add(generate_sieve(c, x, fam).mors)
+            least[x] &= generate_sieve(c, x, fam).mors
 
-    universe = {x: sieves_on(c, x, caps) for x in c.objects}
-    pb = _pullback_memo(c)
-    rounds = 0
     changed = True
     while changed:
-        rounds += 1
-        _caps.check(rounds, caps, "max_closure", "saturation rounds")
         changed = False
         for x in c.objects:
-            for mors in list(covers[x]):
-                for h in c.into(x):
-                    p = pb(mors, h)
-                    if p not in covers[c.dom(h)]:
-                        covers[c.dom(h)].add(p)
-                        changed = True
-        for x in c.objects:
-            for cand in universe[x]:
-                if cand in covers[x]:
-                    continue
-                for mors in covers[x]:
-                    if all(pb(cand, f) in covers[c.dom(f)] for f in mors):
-                        covers[x].add(cand)
-                        changed = True
-                        break
-    return Topology(c, {x: frozenset(v) for x, v in covers.items()})
+            for h in c.into(x):
+                y = c.dom(h)
+                p = least[y] & _pullback(c, least[x], h)
+                if p != least[y]:
+                    least[y] = p
+                    changed = True
+            local = frozenset(c.compose(f, g) for f in least[x]
+                              for g in least[c.dom(f)])
+            if local != least[x]:
+                least[x] = local
+                changed = True
+    return Topology(c, {
+        x: frozenset(s for s in sieves_on(c, x, caps) if least[x] <= s)
+        for x in c.objects
+    })
 
 
 def minimal_cover(J: Topology, x) -> Sieve:

@@ -363,6 +363,55 @@ def test_fibration_block_elaborates():
     assert phi.E is env.indexed["T"]
 
 
+# A one-object base, a non-strict indexed category whose restriction along
+# id(a) swaps the isomorphic objects u and v, so its unitor and compositor
+# cells are not identities, and a fibration out of it whose cells are given.
+SWAP = (
+    "category B { objects: a; }"
+    " category K { objects: u, v; morphisms: w: u -> v, w': v -> u;"
+    " compose: w' . w = id(u); compose: w . w' = id(v); }"
+    " functor Sw : K -> K { obj u = v; obj v = u; mor w = w'; mor w' = w; }"
+    " functor I : K -> K { obj u = u; obj v = v; mor w = w; mor w' = w'; }"
+    " indexed D over B { fiber a = K; restrict id(a) = Sw;"
+    " unitor a at u = w; unitor a at v = w';"
+    " compositor (id(a), id(a)) at u = w;"
+    " compositor (id(a), id(a)) at v = w'; }"
+    " indexed E over B { fiber a = K; strict; }"
+    " fibration phi : D -> E { component a = I;"
+    " cell id(a) at u = w'; cell id(a) at v = w; }"
+)
+
+
+def test_unitor_and_fibration_cells_elaborate():
+    env = elab(SWAP)
+    assert env.findings == []
+    D, phi = env.indexed["D"], env.indexedfuns["phi"]
+    ida = D.base.ident["a"]
+    assert D.unitor["a"] == {"u": "w", "v": "w'"}
+    assert D.compositor[(ida, ida)] == {"u": "w", "v": "w'"}
+    assert phi.cell[ida] == {"u": "w'", "v": "w"}
+    env2, diags = load_interchange(serialize_env(env))
+    assert not diags and env2.findings == env.findings
+
+
+def test_unitor_at_missing_slot_diagnostic():
+    diags = fail_elab(SWAP.replace("unitor a at v", "unitor a at x"))
+    assert "no unitor slot" in diags[0].msg
+
+
+def test_cell_along_unknown_morphism_diagnostic():
+    diags = fail_elab(SWAP.replace("cell id(a) at v", "cell s at v"))
+    assert "unknown morphism" in diags[0].msg
+
+
+def test_wrong_cell_is_a_finding():
+    env = elab(SWAP.replace("cell id(a) at u = w'", "cell id(a) at u = id(u)"))
+    assert [f[:2] for f in env.findings] == [("fibration", "phi")]
+    assert env.findings[0][2] == "cell along (id,a) malformed at u"
+    env2, diags = load_interchange(serialize_env(env))
+    assert not diags and env2.findings == env.findings
+
+
 def test_fibration_bases_must_agree():
     diags = fail_elab(
         "poset P { a <= b; } poset Q { c <= d; }"

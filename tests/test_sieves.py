@@ -198,6 +198,9 @@ def sites():
     for _ in range(4):
         c, coverage = open_lattice(rng)
         calls.append((c, coverage, saturate(c, coverage)))
+    for _ in range(4):
+        c, coverage = open_lattice(rng, points=5, most=14)
+        calls.append((c, coverage, saturate(c, coverage)))
     return calls
 
 
@@ -205,6 +208,13 @@ def test_saturate_matches_round_robin(sites):
     assert len(sites) >= 54
     for c, coverage, J in sites:
         assert J == ref_saturate(c, coverage), (c.name, coverage)
+
+
+def test_saturate_needs_no_rounds_cap(sites):
+    """The fixpoint shrinks one least cover per object, so it ends without a
+    bound on its rounds: `--max-closure` bounds only the DSL closure."""
+    for c, coverage, J in sites:
+        assert saturate(c, coverage, Caps(max_closure=1)) == J, (c.name, coverage)
 
 
 def test_covers_of_matches_stable_sorted(sites):
