@@ -488,6 +488,9 @@ def main(argv=None) -> int:
                 text = fh.read()
         except OSError as e:
             raise InputProblem(f"cannot read {args.file}: {e.strerror}")
+        except UnicodeDecodeError as e:
+            raise InputProblem(f"cannot read {args.file}: not UTF-8 text "
+                               f"(byte {e.start}: {e.reason})")
         digest = digest_text(text)
         env, diags = load_input(text, caps)
         if env is None:

@@ -7,7 +7,10 @@ subject to a cocycle identity and a normalization identity tying coh at
 identities to the unitor.  Descent morphisms are member-wise fibre morphisms
 compatible with the coherences.
 
-`desc_cat` enumerates the whole descent category by backtracking;
+`desc_cat` enumerates the whole descent category by backtracking and
+hands `FinCat` its stable order, computed from the ranks of its parts in
+the fibres, so no datum's `ckey` is computed: not for D⁺, and not for D⁺⁺,
+whose fibres are themselves descent categories ranked the same way.
 `comparison` is the canonical functor D(X) -> Desc(R, D).  A prestack is an
 indexed category whose comparison functors are all fully faithful, a stack
 one whose comparison functors are all equivalences.
@@ -270,8 +273,30 @@ def desc_cat(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT) -> FinCa
         comp = {f: D.fib[base.dom(f)].compose(c2[f], c1[f]) for f in members}
         return mor_id(m1[0], m2[1], comp)
 
+    # Stable order from the fibres' ranks.  The data share their members and
+    # coherence pairs, listed in `ckey` order, so `ckey` compares two data by
+    # the ranks of their member objects, then of their coherences; and two
+    # morphism ids (a, b, comps) by a, b, then the ranks of their components.
+    # A sieve is closed under precomposition, so every dom g is some dom f.
+    ys = {base.dom(f) for f in members}
+    ob_rank = {y: D.fib[y].object_ranks() for y in ys}
+    mor_rank = {y: D.fib[y].morphism_ranks() for y in ys}
+    obj_at = [(f, ob_rank[base.dom(f)]) for f in members]
+    coh_at = [(p, mor_rank[base.dom(p[1])]) for p in coh_pairs(D, R)]
+    rank = {
+        a: i for i, a in enumerate(sorted(data, key=lambda a: (
+            [r[a.obj[f]] for f, r in obj_at], [r[a.coh[p]] for p, r in coh_at]
+        )))
+    }
+    comp_at = [mor_rank[base.dom(f)] for f in members]
+
+    def mor_key(mid):
+        return (rank[mid[0]], rank[mid[1]],
+                [r[m] for r, (_, m) in zip(comp_at, mid[2])])
+
     return FinCat.from_homs(
-        tuple(data), mor, ident, compose, name=f"Desc({fmt(R.target)})"
+        tuple(data), mor, ident, compose, name=f"Desc({fmt(R.target)})",
+        keys=(rank.__getitem__, mor_key),
     )
 
 

@@ -1479,14 +1479,22 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
     def bad(msg, hint=""):
         return None, [Diagnostic(1, 1, msg, hint)]
 
+    # Reading, digesting and decoding all recurse on the nesting of the
+    # document, so a deep enough one exhausts the stack: that is bad input.
+    too_deep = "the document is nested too deeply"
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         return None, [Diagnostic(e.lineno, e.colno, f"not valid JSON: {e.msg}")]
+    except RecursionError:
+        return bad(f"not valid JSON: {too_deep}")
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         return bad(f"not a {FORMAT} interchange document")
     body = {"format": doc.get("format"), "blocks": doc.get("blocks")}
-    dg = "sha256:" + hashlib.sha256(_cjson(body).encode("utf-8")).hexdigest()
+    try:
+        dg = "sha256:" + hashlib.sha256(_cjson(body).encode("utf-8")).hexdigest()
+    except RecursionError:
+        return bad(too_deep)
     if doc.get("digest") != dg:
         return bad("digest mismatch: the document was altered after it was "
                    "emitted", "regenerate it instead of editing by hand")
@@ -1554,6 +1562,8 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
             env.order.append((kind, name))
     except (KeyError, TypeError, ValueError, IndexError) as e:
         return bad(f"malformed interchange block: {e}")
+    except RecursionError:
+        return bad(f"malformed interchange block: {too_deep}")
     return env, []
 
 

@@ -89,7 +89,7 @@ def is_fibration_functor(F: Functor) -> Check:
     the deterministic cleavage {(u, A): lift}."""
     E0, B0 = F.src, F.dst
     cleav = {}
-    for A in stable_sorted(E0.objects):
+    for A in E0.stable_objects():
         for u in B0.into(F.ob(A)):
             m = cartesian_lift(F, u, A)
             if m is None:

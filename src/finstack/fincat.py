@@ -9,6 +9,10 @@ artifacts.
 
 Every constructed category is built by `FinCat.from_homs`, which fills the
 table from a composition rule over the composable pairs of its morphisms.
+A category sorts its objects and its morphisms into stable (`ckey`) order
+once and ranks them.  A builder that knows that order from the ranks of
+the parts its ids are made of (`descent.desc_cat`) hands in sort keys, and
+the category never calls `ckey` on its ids.
 All predicates (`is_fully_faithful`, `is_essentially_surjective`,
 `is_equivalence`) run by exhaustive search and return a `Check` carrying a
 human-readable reason and a witness, never a bare bool.
@@ -38,7 +42,8 @@ class Check:
 
 class FinCat:
     __slots__ = (
-        "name", "objects", "mor", "ident", "table", "_hom", "_into", "_rank", "_inv"
+        "name", "objects", "mor", "ident", "table", "_hom", "_into", "_rank",
+        "_inv", "_stable", "_obrank", "_keys",
     )
 
     def __init__(self, objects, mor, ident, table, name=""):
@@ -51,12 +56,19 @@ class FinCat:
         self._into = None
         self._rank = None
         self._inv = {}
+        self._stable = None
+        self._obrank = None
+        self._keys = None
 
     @classmethod
-    def from_homs(cls, objects, mor, ident, compose, name=""):
+    def from_homs(cls, objects, mor, ident, compose, name="", keys=None):
         """The category whose table holds `compose(g, f)` for every
         composable pair, walking each f and each g out of cod(f) in `mor`
-        order.  A composite that is not in `mor` is a construction bug."""
+        order.  A composite that is not in `mor` is a construction bug.
+
+        `keys`, if given, is a pair of sort keys (objects, morphisms) that
+        order exactly as `ckey` does; stable orders are then sorted by them
+        and `ckey` is never called on the ids."""
         by_dom = {}
         for m, (d, _) in mor.items():
             by_dom.setdefault(d, []).append(m)
@@ -70,7 +82,9 @@ class FinCat:
                         f"morphism of {name or 'category'}"
                     )
                 table[(g, f)] = h
-        return cls(objects, mor, ident, table, name=name)
+        cat = cls(objects, mor, ident, table, name=name)
+        cat._keys = keys
+        return cat
 
     def __repr__(self):
         label = self.name or "FinCat"
@@ -117,9 +131,15 @@ class FinCat:
         return m
 
     def _build_hom(self):
+        """Sort the morphisms once (by the builder's key if it gave one, so
+        never by `ckey` for a built descent category) and file them, in
+        that order, by (dom, cod) and by codomain."""
         h = {}
         into = {x: [] for x in self.objects}
-        ms = stable_sorted(self.mor)
+        if self._keys is None:
+            ms = stable_sorted(self.mor)
+        else:
+            ms = sorted(self.mor, key=self._keys[1])
         for m in ms:
             d, c = self.mor[m]
             h.setdefault((d, c), []).append(m)
@@ -128,19 +148,36 @@ class FinCat:
         self._into = {x: tuple(v) for x, v in into.items()}
         self._rank = {m: i for i, m in enumerate(ms)}
 
-    def ordered(self, ms):
-        """The given morphisms of this category, in stable order."""
+    def stable_objects(self):
+        """The objects in stable order.  `objects` keeps the builder's."""
+        if self._stable is None:
+            if self._keys is None:
+                self._stable = tuple(stable_sorted(self.objects))
+            else:
+                self._stable = tuple(sorted(self.objects, key=self._keys[0]))
+        return self._stable
+
+    def object_ranks(self):
+        """Each object's position in stable order."""
+        if self._obrank is None:
+            self._obrank = {x: i for i, x in enumerate(self.stable_objects())}
+        return self._obrank
+
+    def morphism_ranks(self):
+        """Each morphism's position in stable order."""
         if self._rank is None:
             self._build_hom()
-        return sorted(ms, key=self._rank.__getitem__)
+        return self._rank
+
+    def ordered(self, ms):
+        """The given morphisms of this category, in stable order."""
+        return sorted(ms, key=self.morphism_ranks().__getitem__)
 
     def set_key(self, ms):
         """Sort key for a set of this category's morphisms.  `ckey` is
         injective on them and ranks follow its order, so this key orders
         sets of morphisms exactly as `ckey` does."""
-        if self._rank is None:
-            self._build_hom()
-        rank = self._rank
+        rank = self.morphism_ranks()
         return tuple(sorted(rank[m] for m in ms))
 
     def hom(self, x, y):
@@ -452,8 +489,8 @@ def all_functors(src: FinCat, dst: FinCat, caps: _caps.Caps = _caps.DEFAULT):
     non-identity morphisms by backtracking, checking each table entry once
     its three morphisms are mapped.  Only reasonable for desk-scale
     categories; one caps budget covers all object maps."""
-    objs = list(stable_sorted(src.objects))
-    non_id = [m for m in stable_sorted(src.mor) if not src.is_id(m)]
+    objs = src.stable_objects()
+    non_id = [m for m in src.ordered(src.mor) if not src.is_id(m)]
     at = {m: i for i, m in enumerate(non_id)}
     closing = {}
     for (g, f), h in src.table.items():
@@ -462,7 +499,7 @@ def all_functors(src: FinCat, dst: FinCat, caps: _caps.Caps = _caps.DEFAULT):
             closing.setdefault(i, []).append((g, f, h))
     budget = Budget(caps)
 
-    for combo in iproduct(*(list(stable_sorted(dst.objects)) for _ in objs)):
+    for combo in iproduct(*(dst.stable_objects() for _ in objs)):
         omap = dict(zip(objs, combo))
         mmap = {src.ident[x]: dst.ident[omap[x]] for x in objs}
 
@@ -608,7 +645,7 @@ def poset_cat(objects, leq, name="") -> FinCat:
 
 def iso_classes(c: FinCat) -> list:
     """Partition of objects into isomorphism classes (stable order)."""
-    rest = list(stable_sorted(c.objects))
+    rest = list(c.stable_objects())
     out = []
     while rest:
         x = rest.pop(0)

@@ -183,7 +183,7 @@ def essential_fibre_cat(
     a morphism (alpha, beta, w) is w : A -> B with F(w)∘alpha == beta."""
     E0, B0 = F.src, F.dst
     objects = []
-    for A in stable_sorted(E0.objects):
+    for A in E0.stable_objects():
         for alpha in B0.hom(U, F.ob(A)):
             if B0.is_iso(alpha):
                 objects.append((A, alpha))

@@ -175,7 +175,7 @@ def _factor_once(phi: IndexedFun, pres: PlusResult, caps) -> tuple:
     for X in base.objects:
         M = pres.minimal[X]
         fx = F.fib[X]
-        cmp = [(V, comparison_datum(F, M, V)) for V in stable_sorted(fx.objects)]
+        cmp = [(V, comparison_datum(F, M, V)) for V in fx.stable_objects()]
         omap = {}
         for a in Dp.fib[X].objects:
             hit = glue(F, M, cmp, push_datum(phi, M, a), caps)

@@ -6,14 +6,16 @@ it makes enumeration order, serialization, and error messages reproducible
 across runs.
 
 Keys of nested ids are costly, so they are computed as seldom as possible:
-a constructed id with a `_ckey` method (a descent datum) computes its key
-once and keeps it, and a `FinCat` sorts its morphisms by `ckey` once and
-ranks them (`FinCat.ordered`) for every later ordering.  Descent data are
-hash-consed (one object per distinct datum, so equality is identity), so
-that key is computed once per distinct datum, not once per copy.  Their
-hash is the object's identity, which varies between processes: no output
-may follow the iteration order of a set or dict keyed by data; sort by
-`ckey` instead.
+a `FinCat` sorts its objects and morphisms once and ranks them
+(`FinCat.stable_objects`, `FinCat.ordered`) for every later ordering, and a
+built descent category sorts by the ranks of its parts in its fibres, which
+order exactly as `ckey` does, so no datum's key is computed for it.  Where
+a key is computed (serialization, messages), a constructed id with a
+`_ckey` method (a descent datum) computes it once and keeps it.  Descent
+data are hash-consed (one object per distinct datum, so equality is
+identity); their hash is the object's identity, which varies between
+processes: no output may follow the iteration order of a set or dict keyed
+by data; sort in stable order instead.
 """
 
 

@@ -192,6 +192,67 @@ def test_missing_file_exits_2(capsys):
     assert "no_such_file.site" in err
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_non_utf8_input_exits_2(capsys, tmp_path, json_flag):
+    path = tmp_path / "utf16.site"
+    path.write_bytes(b"\xff\xfe\x00" + "category C".encode("utf-16-le"))
+    code, out, err = run(capsys, "validate", str(path), *json_flag)
+    assert code == 2
+    if json_flag:
+        rep = json.loads(out)
+        assert rep["error"]["code"] == 2
+        message = rep["error"]["message"]
+    else:
+        message = err
+    assert f"cannot read {path}: not UTF-8 text" in message
+    assert "Traceback" not in out + err
+
+
+def _deep_category_document(depth):
+    """A digest-valid interchange document whose one category object is a
+    list nested `depth` deep, written out by string operations because
+    `json.dumps` recurses on the nesting."""
+    body = {"format": "finstack/1", "blocks": [
+        {"identities": [], "kind": "category", "morphisms": [], "name": "C",
+         "objects": ["DEEP"], "table": []}]}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":")).replace(
+        '"DEEP"', "[" * depth + '"a"' + "]" * depth)
+    digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return text[:-1] + f',"digest":"{digest}"}}'
+
+
+DEEP_DOCUMENTS = {
+    "json": '{"format":"finstack/1","blocks":' + "[" * 200_000,
+    "block": _deep_category_document(900),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_DOCUMENTS))
+def test_deeply_nested_interchange_is_a_diagnostic(kind):
+    env, diags = load_interchange(DEEP_DOCUMENTS[kind])
+    assert env is None
+    assert "nested too deeply" in diags[0].msg
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_DOCUMENTS))
+def test_deeply_nested_interchange_exits_2(tmp_path, kind):
+    """In a fresh process, as a user runs it: the 900-deep object passes
+    `json.loads` and the digest and fails in block decoding."""
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_DOCUMENTS[kind], encoding="utf-8")
+    src = str(Path(finstack.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "finstack.cli", "validate", str(path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    want = {"json": "not valid JSON: the document is nested too deeply",
+            "block": "malformed interchange block: the document is nested "
+                     "too deeply"}[kind]
+    assert want in proc.stderr
+
+
 def test_ambiguous_block_exits_2(capsys):
     code, _, err = run(capsys, "check", FACTOR, "--stack")
     assert code == 2

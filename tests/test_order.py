@@ -1,18 +1,37 @@
 """The canonical order of constructed ids against the formulas that computed
 it before descent data cached their keys and categories ranked their
 morphisms: sort by `ckey`, with a datum keyed by its sorted item pairs.
+Descent categories take their order from the ranks of their parts, so it is
+checked against `ckey` sorts of the same ids, and a guard pins that no
+datum's key is computed while stackifying.
 
-Runs on the corpus sites and both plus stages of `stackify` on them."""
+Runs on the corpus sites, `sitegen` sites and the indexed blocks of
+`tests/data`, and both plus stages of `stackify` on them."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from finstack import DescentDatum, embed_discrete, saturate, stackify
+from finstack import (
+    DescentDatum,
+    FinCat,
+    desc_cat,
+    embed_discrete,
+    generate_sieve,
+    is_indexed_equivalence,
+    is_stack,
+    load_input,
+    saturate,
+    stackify,
+)
 from finstack.dsl import _dec, _enc
-from finstack.util import ckey
+from finstack.util import ckey, stable_sorted
 
 import corpus
+import sitegen
+
+DATA = Path(__file__).parent / "data"
 
 
 def ref_pairs(a):
@@ -52,7 +71,7 @@ def _z2_site():
 
 
 # name -> (site, indexed category over it)
-CASES = {
+CORPUS = {
     "patches-sheaf": (corpus.patches_site,
                       lambda: embed_discrete(corpus.patches_sheaf())),
     "patches-nonsheaf": (corpus.patches_site,
@@ -67,10 +86,50 @@ CASES = {
 }
 
 
+def _sitegen_case(i):
+    def make():
+        rng = random.Random(1000 + i)
+        c, J = sitegen.rand_site(rng)
+        return c, J, sitegen.rand_indexed(rng, c)
+    return make
+
+
+def _data_case(file, name):
+    """An indexed block of `tests/data`, over the file's topology on its
+    base or, when there is none, the trivial one."""
+    def make():
+        env, _ = load_input((DATA / file).read_text(encoding="utf-8"))
+        D = env.indexed[name]
+        Js = [J for J in env.topologies.values() if J.base is D.base]
+        return D.base, Js[0] if Js else saturate(D.base, {}), D
+    return make
+
+
+def _data_cases():
+    out = {}
+    for path in sorted(DATA.glob("*.site")):
+        env, _ = load_input(path.read_text(encoding="utf-8"))
+        for name in sorted(env.indexed if env is not None else ()):
+            out[f"data-{path.stem}-{name}"] = _data_case(path.name, name)
+    return out
+
+
+CASES = {
+    **{name: (lambda s=site, d=indexed: (*s(), d())) for name, (site, indexed)
+       in CORPUS.items()},
+    **{f"sitegen-{i}": _sitegen_case(i) for i in range(6)},
+    **_data_cases(),
+}
+
+
+def test_data_cases_cover_every_indexed_block():
+    assert sorted(n for n in CASES if n.startswith("data-")) == [
+        "data-factor-D", "data-factor-T", "data-twisted-TW"]
+
+
 @pytest.fixture(scope="module", params=sorted(CASES))
 def stages(request):
-    site, indexed = CASES[request.param]
-    (c, J), D = site(), indexed()
+    c, J, D = CASES[request.param]()
     s = stackify(D, J)
     return c, J, (s.once, s.twice)
 
@@ -127,3 +186,55 @@ def test_descent_morphism_ids_list_components_in_member_order(stages):
         for X in c.objects:
             for a, b, comp in p.output.fib[X].mor:
                 assert [f for f, _ in comp] == ref_sorted(a.obj)
+
+
+def _by_ckey(c):
+    """The same category without the builder's order: it sorts by `ckey`."""
+    return FinCat(c.objects, c.mor, c.ident, c.table, name=c.name)
+
+
+def _check_supplied_order(c):
+    ref = _by_ckey(c)
+    assert list(c.stable_objects()) == stable_sorted(c.objects)
+    assert c.ordered(c.mor) == stable_sorted(c.mor)
+    for x in c.objects:
+        assert c.into(x) == ref.into(x)
+        for y in c.objects:
+            assert c.hom(x, y) == ref.hom(x, y)
+        for m in c.into(x):
+            S = generate_sieve(c, x, [m])
+            assert S.members() == generate_sieve(ref, x, [m]).members()
+
+
+def test_descent_categories_order_as_ckey_sorts(stages):
+    c, J, plus_stages = stages
+    D = plus_stages[0].input
+    for X in c.objects:
+        for R in J.covers_of(X):
+            _check_supplied_order(desc_cat(D, R))
+    for p in plus_stages:
+        for X in c.objects:
+            assert p.output.fib[X]._keys is not None
+            _check_supplied_order(p.output.fib[X])
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_stackify_computes_no_datum_key(name, monkeypatch):
+    """Ordering the fibres of D⁺ and D⁺⁺ reads ranks, never a datum's key:
+    the benchmark's stackify op makes no `_ckey` call, nested or not."""
+    site, indexed = CORPUS[name]
+    (c, J), D = site(), indexed()
+    calls = []
+    key = DescentDatum._ckey
+
+    def counted(self):
+        calls.append(self)
+        return key(self)
+
+    monkeypatch.setattr(DescentDatum, "_ckey", counted)
+    s = stackify(D, J)
+    assert is_stack(s.stack, J)
+    if name != "twisted":  # stackifying its stack exhausts the default budget
+        again = stackify(s.stack, J)
+        assert is_indexed_equivalence(again.unit)
+    assert calls == []
