@@ -2,7 +2,9 @@
 
 Every exhaustive search in the library is bounded by a `Caps` value; crossing
 a bound raises `CapExceeded` instead of hanging.  The backtracking searches
-all run through `search`, whose node budget is `max_descent`.  The defaults
+all run through `search`, whose node budget is `max_descent`; a product
+of candidate pools that is filtered before a search runs on each
+survivor goes through `pruned_product`, on the same budget.  The defaults
 match the CLI flags `--max-homset`, `--max-sieves-per-object`,
 `--max-descent`, `--max-closure`, and a cap message names the flag that
 raises it.
@@ -58,6 +60,15 @@ class Budget:
             )
 
 
+class _Unmetered:
+    """Stands in for a `Budget` where the caller meters the nodes."""
+
+    __slots__ = ()
+
+    def spend(self):
+        pass
+
+
 def search(n, cands, fits, budget: Budget):
     """Depth-first search over assignments to positions 0..n-1, in order.
 
@@ -89,3 +100,31 @@ def search(n, cands, fits, budget: Budget):
             stack.pop()
             if a:
                 a.pop()
+
+
+def pruned_product(pools, fits, budget: Budget):
+    """The tuples of the product of `pools` that pass `fits`, in product
+    order: forward checking (Haralick & Elliott, 1980) by `search`.
+
+    `pools` are sequences; `fits(i, a)` tests the constraints that close at
+    position i, with a[i] just set, and must fail only where no completion
+    of a[:i+1] can pass.  Yields each surviving tuple as a list that is
+    reused, so callers copy what they keep.  Callers run one `search` on
+    every survivor, whose root node stands for it.  Positions entered here
+    are not metered; one node of `budget` is spent per rejected candidate
+    instead.  A rejection stands for at least one full combination, each
+    of which would have cost its `search` a root node, so on a shared
+    budget this never spends more than searching every combination of the
+    full product.  With an empty pool there is no combination and nothing
+    is spent.
+    """
+    if not all(pools):
+        return
+
+    def checked(i, a):
+        if fits(i, a):
+            return True
+        budget.spend()
+        return False
+
+    yield from search(len(pools), lambda i, a: pools[i], checked, _Unmetered())

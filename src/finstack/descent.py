@@ -7,6 +7,13 @@ subject to a cocycle identity and a normalization identity tying coh at
 identities to the unitor.  Descent morphisms are member-wise fibre morphisms
 compatible with the coherences.
 
+`enumerate_data` lists the data over R in fibre order.  It chooses the
+member objects by forward checking: a choice is dropped as soon as some
+pair (f, g) has both ends chosen and no iso D(g)(U_f) -> U_{f∘g} exists.
+Only the surviving choices are searched for coherences, so the cost
+follows the choices that pass every pairwise check, not the whole product
+of the member fibres.
+
 `desc_cat` enumerates the whole descent category by backtracking and
 hands `FinCat` its stable order, computed from the ranks of its parts in
 the fibres, so no datum's `ckey` is computed: not for D⁺, and not for D⁺⁺,
@@ -36,7 +43,6 @@ cover runs, so negative reasons, witnesses and cap messages are its own.
 
 import functools
 import weakref
-from itertools import product as iproduct
 
 from . import caps as _caps
 from .fincat import Check, FinCat, Functor, InternalError
@@ -120,7 +126,12 @@ def validate_datum(D: IndexedCat, R: Sieve, a: DescentDatum) -> list:
             fib_obs[y] = set(D.fib[y].objects)
         if a.obj[f] not in fib_obs[y]:
             return [f"object at {fmt(f)} not in its fibre"]
-    for (f, g) in coh_pairs(D, R):
+    pairs = coh_pairs(D, R)
+    for f in stable_sorted(a.obj.keys() - R.mors):
+        errs.append(f"object assigned at non-member {fmt(f)}")
+    for p in stable_sorted(a.coh.keys() - set(pairs)):
+        errs.append(f"coherence at non-pair {fmt(p)}")
+    for (f, g) in pairs:
         y = base.dom(g)
         fg = base.compose(f, g)
         fib = D.fib[y]
@@ -158,13 +169,41 @@ def validate_datum(D: IndexedCat, R: Sieve, a: DescentDatum) -> list:
 
 
 def enumerate_data(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT):
-    """All descent data over R: each choice of member objects in turn, then
-    coherence isos by backtracking, pruning with normalization and the
-    cocycle.  One caps budget covers all member choices."""
+    """All descent data over R, in fibre order.  Member objects are chosen
+    by forward checking (`caps.pruned_product`): pair (f, g) closes once
+    obj[f] and obj[f∘g] are set, and a choice is dropped there when no iso
+    D(g)(obj[f]) -> obj[f∘g] exists.  Coherence isos are then found for
+    each surviving choice by backtracking, pruning with normalization and
+    the cocycle.  One caps budget covers both phases: a node per dropped
+    choice and per coherence position entered, never more than searching
+    every choice in the full product would spend."""
     base = D.base
     members = R.members()
     pairs = coh_pairs(D, R)
     at = {p: i for i, p in enumerate(pairs)}
+    pos = {f: i for i, f in enumerate(members)}
+
+    # Member positions of each pair's two ends, filed under the later one.
+    # At an identity the unitor is an iso, so those pairs are left out.
+    ends = {}
+    for f, g in pairs:
+        if not base.is_id(g):
+            jf, jfg = pos[f], pos[base.compose(f, g)]
+            ends.setdefault(max(jf, jfg), []).append((g, jf, jfg))
+    # Whether some iso D(g)(U) -> V exists, by (g, U, V): the same ends
+    # recur under many prefixes.
+    has_iso = {}
+
+    def linked(i, a):
+        for g, jf, jfg in ends.get(i, ()):
+            key = (g, a[jf], a[jfg])
+            if key not in has_iso:
+                fib = D.fib[base.dom(g)]
+                src = D.res[g].ob(a[jf])
+                has_iso[key] = fib.iso_between(src, a[jfg]) is not None
+            if not has_iso[key]:
+                return False
+        return True
 
     # Cocycle triples with the positions of their three coherence keys,
     # filed under the last of them to be assigned.
@@ -199,8 +238,9 @@ def enumerate_data(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT):
 
     out = []
     budget = _caps.Budget(caps)
-    for combo in iproduct(*(D.fib[base.dom(f)].objects for f in members)):
-        obj = dict(zip(members, combo))
+    pools = [D.fib[base.dom(f)].objects for f in members]
+    for choice in _caps.pruned_product(pools, linked, budget):
+        obj = dict(zip(members, choice))
         for coh in _caps.search(len(pairs), cands, fits, budget):
             out.append(DescentDatum(obj, zip(pairs, coh)))
     _caps.check(len(out), caps, "max_descent", "descent data count")

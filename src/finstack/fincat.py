@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import caps as _caps
-from .caps import Budget, search
+from .caps import Budget, pruned_product, search
 from .util import fmt, stable_sorted
 
 
@@ -485,10 +485,13 @@ def find_natiso(F: Functor, G: Functor):
 
 
 def all_functors(src: FinCat, dst: FinCat, caps: _caps.Caps = _caps.DEFAULT):
-    """Yield every functor src -> dst: each object map in turn, then the
-    non-identity morphisms by backtracking, checking each table entry once
-    its three morphisms are mapped.  Only reasonable for desk-scale
-    categories; one caps budget covers all object maps."""
+    """Yield every functor src -> dst, in stable order.  Object maps are
+    chosen by forward checking (`caps.pruned_product`): a map is dropped
+    once some non-identity arrow d -> c has an empty hom(omap[d], omap[c]).
+    The non-identity morphisms are then mapped by backtracking, checking
+    each table entry once its three morphisms are mapped.  Only reasonable
+    for desk-scale categories; one caps budget covers both phases, and
+    never spends more than searching every object map would."""
     objs = src.stable_objects()
     non_id = [m for m in src.ordered(src.mor) if not src.is_id(m)]
     at = {m: i for i, m in enumerate(non_id)}
@@ -497,10 +500,20 @@ def all_functors(src: FinCat, dst: FinCat, caps: _caps.Caps = _caps.DEFAULT):
         i = max(at.get(g, -1), at.get(f, -1), at.get(h, -1))
         if i >= 0:
             closing.setdefault(i, []).append((g, f, h))
-    budget = Budget(caps)
+    # The arrows d -> c between object positions, filed under the later.
+    pos = {x: i for i, x in enumerate(objs)}
+    arrows = {}
+    for m in non_id:
+        d, c = src.mor[m]
+        arrows.setdefault(max(pos[d], pos[c]), set()).add((pos[d], pos[c]))
 
-    for combo in iproduct(*(dst.stable_objects() for _ in objs)):
-        omap = dict(zip(objs, combo))
+    def linked(i, a):
+        return all(dst.hom(a[d], a[c]) for d, c in arrows.get(i, ()))
+
+    budget = Budget(caps)
+    pools = [dst.stable_objects()] * len(objs)
+    for choice in pruned_product(pools, linked, budget):
+        omap = dict(zip(objs, choice))
         mmap = {src.ident[x]: dst.ident[omap[x]] for x in objs}
 
         def cands(i, a):

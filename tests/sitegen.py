@@ -252,3 +252,65 @@ def rand_fibration(rng, caps=Caps()):
     bang = {x: {e: "*" for e in P.els[x]} for x in c.objects}
     assert validate_presheaf_mor(P, Q, bang) == []
     return embed_mor(P, Q, bang), J
+
+
+def open_cover_site(rng, n_opens):
+    """The opens of a random finite T0 space with exactly `n_opens` opens,
+    ordered by inclusion, with one random genuine open cover of every open
+    that has a proper subcover (the empty open by the empty family).
+
+    A finite T0 space is a finite poset with the Alexandrov topology, whose
+    opens are the up-sets.  Points and order are drawn until the up-set
+    count matches.  Returns (poset category, saturated topology, opens by
+    name)."""
+    least = max(2, (n_opens - 1).bit_length())
+    while True:
+        k = rng.randint(least, least + 1)
+        density = rng.random()
+        above = {i: {j for j in range(i + 1, k) if rng.random() < density}
+                 for i in range(k)}
+        for i in reversed(range(k)):
+            for j in list(above[i]):
+                above[i] |= above[j]
+        opens = set()
+        for bits in range(2 ** k):
+            up = frozenset(i for i in range(k) if bits >> i & 1)
+            if all(above[i] <= up for i in up):
+                opens.add(up)
+        if len(opens) == n_opens:
+            break
+    opens = sorted(opens, key=lambda u: (len(u), sorted(u)))
+    names = {u: "U" + "".join(str(p) for p in sorted(u)) for u in opens}
+    c = poset_cat(tuple(names[u] for u in opens),
+                  [(names[a], names[b]) for a in opens for b in opens if a < b],
+                  name=f"O{n_opens}")
+    coverage = {}
+    for u in opens:
+        if not u:
+            coverage[names[u]] = [[]]
+            continue
+        proper = [v for v in opens if v < u and v]
+        rng.shuffle(proper)
+        fam, covered = [], set()
+        for v in proper:
+            if not v <= covered:
+                fam.append(v)
+                covered |= v
+        if covered == u:
+            coverage[names[u]] = [[("le", names[v], names[u]) for v in fam]]
+    return c, saturate(c, coverage), {names[u]: u for u in opens}
+
+
+def restriction_presheaf(rng, c, opens, count):
+    """The restrictions of `count` random 0/1-valued functions on the points:
+    coherent by construction, a sheaf or not by the draw."""
+    points = sorted(set().union(*opens.values()))
+    funcs = [{p: rng.randint(0, 1) for p in points} for _ in range(count)]
+
+    def restrict(f, u):
+        return "v" + "".join(str(f[p]) for p in sorted(opens[u]))
+
+    els = {u: tuple(sorted({restrict(f, u) for f in funcs})) for u in opens}
+    act = {m: {restrict(f, u): restrict(f, v) for f in funcs}
+           for m, (v, u) in c.mor.items()}
+    return Presheaf(c, els, act, name="F")
