@@ -1245,8 +1245,10 @@ def elaborate(doc, caps: _caps.Caps = _caps.DEFAULT):
 # interchange serialization
 
 
-def _cjson(v):
-    return json.dumps(v, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# Compact JSON with sorted keys; the same text as `json.dumps` with these
+# options, from one encoder built once.
+_cjson = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                          ensure_ascii=False).encode
 
 
 # The encoding of each live datum, built at its first occurrence.  Data are
@@ -1277,11 +1279,23 @@ def _enc(v):
                         f"interchange encoding: {v!r}")
 
 
-def _dec(v):
+# The memo key of a `{"dd": …}` subtree: its compact text, in the key order
+# it was read in; written in C, so much cheaper than decoding the subtree.
+_key_text = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False,
+                             check_circular=False).encode
+
+
+def _dec(v, memo=None):
+    """Decode one interchange value.  `memo` maps the compact text of each
+    `{"dd": …}` subtree decoded so far to its datum: one memo per document
+    decodes each distinct datum once, and holds it only while the caller
+    holds the memo."""
     if isinstance(v, str):
         return v
+    if memo is None:
+        memo = {}
     if isinstance(v, list):
-        return tuple(_dec(x) for x in v)
+        return tuple([_dec(x, memo) for x in v])
     if isinstance(v, dict):
         if "b" in v:
             return bool(v["b"])
@@ -1290,17 +1304,22 @@ def _dec(v):
         if "n" in v:
             return None
         if "fs" in v:
-            return frozenset(_dec(x) for x in v["fs"])
+            return frozenset([_dec(x, memo) for x in v["fs"]])
         if "dd" in v:
-            return DescentDatum(_dec(v["dd"][0]), _dec(v["dd"][1]))
+            dd = v["dd"]
+            key = _key_text(dd)
+            a = memo.get(key)
+            if a is None:
+                a = memo[key] = DescentDatum(_dec(dd[0], memo), _dec(dd[1], memo))
+            return a
     raise ValueError(f"malformed interchange value: {v!r}")
 
 
 def _kv(d):
     return [[_enc(k), _enc(d[k])] for k in stable_sorted(d)]
 
-def _unkv(rows):
-    return {_dec(k): _dec(v) for k, v in rows}
+def _unkv(rows, memo):
+    return {_dec(k, memo): _dec(v, memo) for k, v in rows}
 
 
 def _cat_json(c: FinCat):
@@ -1317,13 +1336,15 @@ def _cat_json(c: FinCat):
     }
 
 
-def _cat_unjson(d):
-    mor = {_dec(m): (_dec(a), _dec(b)) for m, a, b in d["morphisms"]}
+def _cat_unjson(d, memo):
+    mor = {_dec(m, memo): (_dec(a, memo), _dec(b, memo))
+           for m, a, b in d["morphisms"]}
     return FinCat(
-        tuple(_dec(x) for x in d["objects"]),
+        tuple(_dec(x, memo) for x in d["objects"]),
         mor,
-        _unkv(d["identities"]),
-        {(_dec(g), _dec(f)): _dec(h) for (g, f), h in d["table"]},
+        _unkv(d["identities"], memo),
+        {(_dec(g, memo), _dec(f, memo)): _dec(h, memo)
+         for (g, f), h in d["table"]},
         name=d.get("name", ""),
     )
 
@@ -1332,8 +1353,9 @@ def _fun_json(f: Functor):
     return {"omap": _kv(f.omap), "mmap": _kv(f.mmap)}
 
 
-def _fun_unjson(d, src, dst, name=""):
-    return Functor(src, dst, _unkv(d["omap"]), _unkv(d["mmap"]), name=name)
+def _fun_unjson(d, src, dst, memo, name=""):
+    return Functor(src, dst, _unkv(d["omap"], memo), _unkv(d["mmap"], memo),
+                   name=name)
 
 
 def _top_json(j: Topology, basename):
@@ -1347,11 +1369,11 @@ def _top_json(j: Topology, basename):
     return {"base": basename, "covers": covers}
 
 
-def _top_unjson(d, base):
+def _top_unjson(d, base, memo):
     covers = {}
     for x, fams in d["covers"]:
-        covers[_dec(x)] = frozenset(
-            frozenset(_dec(m) for m in fam) for fam in fams
+        covers[_dec(x, memo)] = frozenset(
+            frozenset(_dec(m, memo) for m in fam) for fam in fams
         )
     return Topology(base, covers)
 
@@ -1366,9 +1388,9 @@ def _psh_json(p: Presheaf, basename):
     }
 
 
-def _psh_unjson(d, base):
-    els = {_dec(x): tuple(_dec(e) for e in row) for x, row in d["els"]}
-    act = {_dec(m): _unkv(rows) for m, rows in d["act"]}
+def _psh_unjson(d, base, memo):
+    els = {_dec(x, memo): tuple(_dec(e, memo) for e in row) for x, row in d["els"]}
+    act = {_dec(m, memo): _unkv(rows, memo) for m, rows in d["act"]}
     return Presheaf(base, els, act, name=d.get("name", ""))
 
 
@@ -1386,17 +1408,17 @@ def _idx_json(dd: IndexedCat, basename):
     }
 
 
-def _idx_unjson(d, base):
-    fib = {_dec(x): _cat_unjson(cj) for x, cj in d["fib"]}
+def _idx_unjson(d, base, memo):
+    fib = {_dec(x, memo): _cat_unjson(cj, memo) for x, cj in d["fib"]}
     res = {}
     for y, fj in d["res"]:
-        ym = _dec(y)
+        ym = _dec(y, memo)
         yy, yx = base.mor[ym]
-        res[ym] = _fun_unjson(fj, fib[yx], fib[yy])
+        res[ym] = _fun_unjson(fj, fib[yx], fib[yy], memo)
     compositor = {}
     for (g, f), rows in d["compositor"]:
-        compositor[(_dec(g), _dec(f))] = _unkv(rows)
-    unitor = {_dec(x): _unkv(rows) for x, rows in d["unitor"]}
+        compositor[(_dec(g, memo), _dec(f, memo))] = _unkv(rows, memo)
+    unitor = {_dec(x, memo): _unkv(rows, memo) for x, rows in d["unitor"]}
     return IndexedCat(base, fib, res, compositor, unitor, name=d.get("name", ""))
 
 
@@ -1408,6 +1430,29 @@ def _ifun_json(p: IndexedFun, srcname, dstname):
         "comp": [[_enc(x), _fun_json(p.comp[x])] for x in stable_sorted(p.comp)],
         "cell": [[_enc(y), _kv(p.cell[y])] for y in stable_sorted(p.cell)],
     }
+
+
+# An emitted document ends with its digest member and then this tail:
+# sorted keys put "digest" between "blocks" and "format".
+_DIGEST = ',"digest":"'
+_TAIL = ',"format":' + _cjson(FORMAT) + "}"
+
+
+def _sha256(text):
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _digest_of_emitted_text(text):
+    """Check the digest of a document that ends as `serialize_blocks` ends
+    one, on its text: True when the digest it carries is the sha256 of the
+    text with that digest member cut out.  The cut text is then exactly the
+    bytes the emitter hashed, and a digest in that form holds no quote or
+    escape, so it is the one `json.loads` reads.  False for any other text."""
+    head = len(text) - len(_TAIL) - 2  # the digest's closing quote
+    if not text.endswith(_TAIL + "\n") or text[head] != '"':
+        return False
+    i = text.rfind(_DIGEST, 0, head)
+    return i >= 0 and _sha256(text[:i] + _TAIL) == text[i + len(_DIGEST):head]
 
 
 def digest_text(text: str) -> str:
@@ -1462,9 +1507,10 @@ def serialize_blocks(blocks) -> str:
                         "name": name})
         else:
             raise InternalError(f"unknown block kind {kind!r}")
-    body = {"format": FORMAT, "blocks": out}
-    dg = "sha256:" + hashlib.sha256(_cjson(body).encode("utf-8")).hexdigest()
-    return _cjson({**body, "digest": dg}) + "\n"
+    # Encoded once: the digest member goes in just before the tail, where
+    # sorted keys would put it.
+    text = _cjson({"format": FORMAT, "blocks": out})
+    return f'{text[:-len(_TAIL)]}{_DIGEST}{_sha256(text)}"{_TAIL}\n'
 
 
 def serialize_env(env: Elaborated) -> str:
@@ -1490,15 +1536,22 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
         return bad(f"not valid JSON: {too_deep}")
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         return bad(f"not a {FORMAT} interchange document")
-    body = {"format": doc.get("format"), "blocks": doc.get("blocks")}
+    # Text in emitted form is hashed as it stands; any other text, or one
+    # whose digest does not match, is encoded canonically and hashed.
     try:
-        dg = "sha256:" + hashlib.sha256(_cjson(body).encode("utf-8")).hexdigest()
+        if not _digest_of_emitted_text(text):
+            body = {"format": doc.get("format"), "blocks": doc.get("blocks")}
+            if doc.get("digest") != _sha256(_cjson(body)):
+                return bad("digest mismatch: the document was altered after "
+                           "it was emitted",
+                           "regenerate it instead of editing by hand")
     except RecursionError:
         return bad(too_deep)
-    if doc.get("digest") != dg:
-        return bad("digest mismatch: the document was altered after it was "
-                   "emitted", "regenerate it instead of editing by hand")
+    except UnicodeEncodeError:
+        return bad("not valid interchange text: a string holds an unpaired "
+                   "surrogate")
     env = Elaborated()
+    memo = {}
 
     try:
         for b in doc["blocks"]:
@@ -1506,7 +1559,7 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
             if name in {n for _, n in env.order}:
                 return bad(f"duplicate block name {name!r}")
             if kind == "category":
-                c = _cat_unjson(b)
+                c = _cat_unjson(b, memo)
                 env.add_findings(kind, name, (), lambda: validate_fincat(c, caps))
                 env.cats[name] = c
             elif kind == "topology":
@@ -1514,7 +1567,7 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
                 if base is None:
                     return bad(f"topology {name!r} references unknown "
                                f"category {b['base']!r}")
-                j = _top_unjson(b, base)
+                j = _top_unjson(b, base, memo)
                 env.add_findings(kind, name, (b["base"],),
                                  lambda: validate_topology(j, caps))
                 env.topologies[name] = j
@@ -1522,7 +1575,7 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
                 src, dst = env.cats.get(b["src"]), env.cats.get(b["dst"])
                 if src is None or dst is None:
                     return bad(f"functor {name!r} references unknown categories")
-                f = _fun_unjson(b, src, dst, name=name)
+                f = _fun_unjson(b, src, dst, memo, name=name)
                 env.add_findings(kind, name, (b["src"], b["dst"]), f.validate)
                 env.functors[name] = f
             elif kind == "presheaf":
@@ -1530,7 +1583,7 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
                 if base is None:
                     return bad(f"presheaf {name!r} references unknown "
                                f"category {b['base']!r}")
-                p = _psh_unjson(b, base)
+                p = _psh_unjson(b, base, memo)
                 env.add_findings(kind, name, (b["base"],),
                                  lambda: validate_presheaf(p))
                 env.presheaves[name] = p
@@ -1539,7 +1592,7 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
                 if base is None:
                     return bad(f"indexed {name!r} references unknown "
                                f"category {b['base']!r}")
-                dd = _idx_unjson(b, base)
+                dd = _idx_unjson(b, base, memo)
                 env.add_findings(kind, name, (b["base"],),
                                  lambda: validate_indexed(dd, caps))
                 env.indexed[name] = dd
@@ -1550,9 +1603,9 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
                                "indexed categories")
                 comp = {}
                 for x, fj in b["comp"]:
-                    xo = _dec(x)
-                    comp[xo] = _fun_unjson(fj, src.fib[xo], dst.fib[xo])
-                cell = {_dec(y): _unkv(rows) for y, rows in b["cell"]}
+                    xo = _dec(x, memo)
+                    comp[xo] = _fun_unjson(fj, src.fib[xo], dst.fib[xo], memo)
+                cell = {_dec(y, memo): _unkv(rows, memo) for y, rows in b["cell"]}
                 p = IndexedFun(src, dst, comp, cell, name=b.get("name", name))
                 env.add_findings(kind, name, (b["src"], b["dst"]),
                                  lambda: validate_indexed_fun(p))

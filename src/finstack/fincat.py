@@ -260,9 +260,15 @@ def validate_fincat(c: FinCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
     if errs:
         return errs
 
+    # Morphisms by domain, each list in `c.mor` order, so walking
+    # by_dom[cod f] meets the g composable after f in the order of a walk
+    # over every morphism.
+    by_dom = {}
+    for m, (d, _) in c.mor.items():
+        by_dom.setdefault(d, []).append(m)
     for f in c.mor:
-        for g in c.mor:
-            if c.cod(f) == c.dom(g) and (g, f) not in c.table:
+        for g in by_dom.get(c.cod(f), ()):
+            if (g, f) not in c.table:
                 errs.append(f"missing composite for {fmt(g)} after {fmt(f)}")
     if errs:
         return errs
@@ -275,9 +281,6 @@ def validate_fincat(c: FinCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
             errs.append(f"id ∘ {fmt(m)} ≠ {fmt(m)}")
 
     # Associativity over all composable triples.
-    by_dom = {}
-    for m, (d, _) in c.mor.items():
-        by_dom.setdefault(d, []).append(m)
     for f in c.mor:
         for g in by_dom.get(c.cod(f), ()):
             gf = c.table[(g, f)]

@@ -638,13 +638,19 @@ class Presheaf:
 
 
 def validate_presheaf(P: Presheaf) -> list:
+    """All presheaf-law violations, as strings.  They come in the stable
+    order of the base's objects and morphisms, so a presheaf read from the
+    DSL and the same one read from interchange JSON, whose dicts were
+    filled in different orders, report the same findings."""
     errs = []
     base = P.base
-    for X in base.objects:
+    objects = base.stable_objects()
+    for X in objects:
         if X not in P.els:
             return [f"no elements over {fmt(X)}"]
     elsets = {X: set(els) for X, els in P.els.items()}
-    for y, (Y, X) in base.mor.items():
+    for y in base.ordered(base.mor):
+        Y, X = base.mor[y]
         a = P.act.get(y)
         if a is None:
             return [f"no action for {fmt(y)}"]
@@ -655,11 +661,13 @@ def validate_presheaf(P: Presheaf) -> list:
                 errs.append(f"action of {fmt(y)} leaves the presheaf on {fmt(e)}")
     if errs:
         return errs
-    for X in base.objects:
+    for X in objects:
         for e in P.els[X]:
             if P.act[base.ident[X]][e] != e:
                 errs.append(f"identity action moves {fmt(e)} over {fmt(X)}")
-    for (g, f), h in base.table.items():
+    rank = base.morphism_ranks()
+    for g, f in sorted(base.table, key=lambda p: (rank[p[0]], rank[p[1]])):
+        h = base.table[(g, f)]
         for e in P.els[base.cod(g)]:
             if P.act[f][P.act[g][e]] != P.act[h][e]:
                 errs.append(f"action not functorial on ({fmt(g)},{fmt(f)})")

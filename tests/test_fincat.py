@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -25,8 +26,10 @@ from finstack import (
     validate_fincat,
 )
 from finstack.fincat import all_nat_trans, find_natiso
+from finstack.util import fmt
 
 import corpus
+import sitegen
 
 
 ALL_CATS = [
@@ -56,6 +59,37 @@ def test_validate_catches_missing_composite():
     c = corpus.span_cat()
     del c.table[("jp", "idp")]
     assert any("missing composite" in e for e in validate_fincat(c))
+
+
+def _missing_composites_by_pairs(c):
+    """The missing-composite check as a walk over every pair of morphisms."""
+    return [f"missing composite for {fmt(g)} after {fmt(f)}"
+            for f in c.mor for g in c.mor
+            if c.cod(f) == c.dom(g) and (g, f) not in c.table]
+
+
+def _without(c, pairs):
+    table = {k: v for k, v in c.table.items() if k not in pairs}
+    return FinCat(c.objects, c.mor, c.ident, table, name=c.name)
+
+
+def test_missing_composites_found_as_by_every_pair():
+    """validate_fincat walks the morphisms out of cod f; it reports the
+    missing composites of the walk over every pair, in the same order."""
+    rng = random.Random(20261018)
+    cats = ALL_CATS + [sitegen.rand_poset(rng) for _ in range(20)]
+    cats += [sitegen.rand_small_cat(rng) for _ in range(20)]
+    for c in cats:
+        assert validate_fincat(c) == _missing_composites_by_pairs(c) == []
+        pairs = list(c.table)
+        n = len(pairs)
+        for k in sorted({1, min(2, n), max(1, n // 2), n}):
+            broken = _without(c, set(rng.sample(pairs, k)))
+            errs = validate_fincat(broken)
+            assert errs == _missing_composites_by_pairs(broken) != [], c.name
+    span = corpus.span_cat()
+    broken = _without(span, {("jp", "idp"), (("id", "X"), "jq"), ("jq", "idq")})
+    assert validate_fincat(broken) == _missing_composites_by_pairs(broken)
 
 
 def test_validate_catches_broken_associativity():

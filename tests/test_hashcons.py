@@ -24,7 +24,8 @@ from finstack import (
     stackify,
 )
 from finstack import descent
-from finstack.dsl import _dec, _enc
+from finstack.cli import main
+from finstack.dsl import _dec, _enc, load_interchange
 
 import corpus
 
@@ -83,6 +84,24 @@ def test_intern_table_is_weak():
     s = stackify(D, J)
     assert len(descent._interned) > before
     del s
+    gc.collect()
+    assert len(descent._interned) == before
+
+
+def test_decode_memo_is_local_to_one_load(tmp_path, capsys):
+    """Loading decodes each distinct datum once, through a memo that lives
+    only as long as the call: once the loaded D++ is dropped, its data
+    leave the weak intern table."""
+    out = tmp_path / "stack.json"
+    assert main(["stackify", str(DATA / "patches.site"), "--emit", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text(encoding="utf-8")
+    gc.collect()
+    before = len(descent._interned)
+    env, diags = load_interchange(text)
+    assert not diags
+    assert len(descent._interned) > before
+    del env
     gc.collect()
     assert len(descent._interned) == before
 
