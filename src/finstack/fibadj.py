@@ -2,6 +2,14 @@
 round-trip between indexed categories over a flattened total category and
 indexed fibrations over the original base.
 
+The cartesian structure of a functor F is found once: `cartesian_arrows`
+tests every arrow of F's source against the universal property
+(`fincat.is_cartesian_over`), and the cleavage is read off that set, the
+lift of u at A being the stable-least arrow into A in it over u.
+`is_fibration_functor` and `is_indexed_fibration` both build their
+cleavages that way, and `is_indexed_fibration` checks that restrictions
+preserve cartesian arrows against the same sets.
+
 The two directions:
 
   - `R_D` turns an indexed fibration p : E -> D (componentwise cloven
@@ -15,7 +23,9 @@ The two directions:
     property, as the unique factorizations of `fincat.factorizations`.
   - `L_D` turns an indexed category A over the total category into an
     indexed fibration: the fibre over X is the flattening of A restricted to
-    the vertical slice at X, with the evident projection.
+    the vertical slice at X, with the evident projection.  Its restrictions,
+    its cleavage, `unit_eta` and `l_d_mor` all reindex along
+    `groth.canonical_lift`.
 
 `unit_eta` and `counit_eps` compare the round trips and are componentwise
 equivalences on valid input; `sharp` and `flat` transpose morphisms across
@@ -46,7 +56,7 @@ from .fincat import (
 )
 from .groth import (
     GrothCat,
-    canonical_cleavage,
+    canonical_lift,
     essential_fibre_cat,
     fibre_inclusion,
     giraud_topology,
@@ -73,33 +83,37 @@ from .util import fmt, stable_sorted
 # cartesian structure of a single functor
 
 
-def cartesian_lift(F: Functor, u, A):
-    """Stable-least cartesian m into A with F(m) == u, or None."""
-    E0, B0 = F.src, F.dst
-    if B0.cod(u) != F.ob(A):
-        raise ValueError("lift target does not project to the codomain of u")
-    for m in E0.into(A):
-        if F.mo(m) == u and is_cartesian_over(F, m):
-            return m
-    return None
+def cartesian_arrows(F: Functor) -> frozenset:
+    """The F-cartesian morphisms of F's source, by the universal property."""
+    return frozenset(m for m in F.src.mor if is_cartesian_over(F, m))
 
 
-def is_fibration_functor(F: Functor) -> Check:
-    """Every (u, A) must admit a cartesian lift; the witness on success is
-    the deterministic cleavage {(u, A): lift}."""
+def _cleave(F: Functor, cart) -> Check:
+    """The cleavage read off the cartesian arrows `cart` of F: the lift of u
+    at A is the stable-least arrow into A in `cart` over u.  The first (u, A)
+    in stable order without one is the failure witness."""
     E0, B0 = F.src, F.dst
     cleav = {}
     for A in E0.stable_objects():
+        over = {}
+        for m in E0.into(A):
+            if m in cart:
+                over.setdefault(F.mo(m), m)
         for u in B0.into(F.ob(A)):
-            m = cartesian_lift(F, u, A)
-            if m is None:
+            if u not in over:
                 return Check(
                     False,
                     f"no cartesian lift of {fmt(u)} at {fmt(A)}",
                     witness=(u, A),
                 )
-            cleav[(u, A)] = m
+            cleav[(u, A)] = over[u]
     return Check(True, "fibration", witness=cleav)
+
+
+def is_fibration_functor(F: Functor) -> Check:
+    """Every (u, A) must admit a cartesian lift; the witness on success is
+    the deterministic cleavage {(u, A): lift}."""
+    return _cleave(F, cartesian_arrows(F))
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +131,6 @@ class IndexedFibration:
     p: IndexedFun
     cleavages: dict
 
-    @property
-    def source(self) -> IndexedCat:
-        return self.p.D
-
-    @property
-    def target(self) -> IndexedCat:
-        return self.p.E
-
 
 def is_indexed_fibration(p: IndexedFun) -> Check:
     """Both invariants, exhaustively: each component is a fibration and each
@@ -134,18 +140,15 @@ def is_indexed_fibration(p: IndexedFun) -> Check:
     if bad:
         return Check(False, f"not an indexed functor: {bad[0]}")
     EE = p.D
-    cleav = {}
+    cart, cleav = {}, {}
     for X in stable_sorted(EE.base.objects):
-        c = is_fibration_functor(p.comp[X])
+        cart[X] = cartesian_arrows(p.comp[X])
+        c = _cleave(p.comp[X], cart[X])
         if not c:
             return Check(
                 False, f"component at {fmt(X)}: {c.reason}", witness=(X, c.witness)
             )
         cleav[X] = c.witness
-    cart = {
-        X: {m for m in EE.fib[X].mor if is_cartesian_over(p.comp[X], m)}
-        for X in EE.base.objects
-    }
     for y, (Y, X) in EE.base.mor.items():
         ry = EE.res[y]
         for m in EE.fib[X].mor:
@@ -297,11 +300,6 @@ class LResult:
     per_x: dict = field(repr=False)
 
 
-def _canonical_lift(DD: IndexedCat, y, U):
-    """Identity-component cartesian morphism (y, id, U) of the flattening."""
-    return (y, DD.fib[DD.base.dom(y)].ident[DD.res[y].ob(U)], U)
-
-
 def L_D(A: IndexedCat, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT) -> LResult:
     """Indexed fibration whose fibre over X flattens the vertical slice of A
     at X; restriction reindexes along the canonical cartesian lifts.
@@ -327,10 +325,10 @@ def L_D(A: IndexedCat, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT) -> LResult
         rd = DD.res[y]
         omap, mmap = {}, {}
         for (U, x) in GX.total.objects:
-            omap[(U, x)] = (rd.ob(U), A.res[_canonical_lift(DD, y, U)].ob(x))
+            omap[(U, x)] = (rd.ob(U), A.res[canonical_lift(G, y, U)].ob(x))
         for (m, b, x2), ((U1, _), (U2, _)) in GX.total.mor.items():
-            l1 = _canonical_lift(DD, y, U1)
-            l2 = _canonical_lift(DD, y, U2)
+            l1 = canonical_lift(G, y, U1)
+            l2 = canonical_lift(G, y, U2)
             pc = path_cell(
                 A, (X, U2), [inclX.mo(m), l1], [l2, inclY.mo(rd.mo(m))], x2
             )
@@ -347,9 +345,9 @@ def L_D(A: IndexedCat, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT) -> LResult
         _, _, inclY1 = per_x[Y1]
         comp = {}
         for (U, x) in GX3.total.objects:
-            l2 = _canonical_lift(DD, y2, U)
-            l1p = _canonical_lift(DD, y1, DD.res[y2].ob(U))
-            l21 = _canonical_lift(DD, y21, U)
+            l2 = canonical_lift(G, y2, U)
+            l1p = canonical_lift(G, y1, DD.res[y2].ob(U))
+            l21 = canonical_lift(G, y21, U)
             g = DD.gamma(y2, y1, U)
             bg = path_cell(A, (X3, U), [l2, l1p], [l21, inclY1.mo(g)], x)
             comp[(U, x)] = (g, bg, A.res[l21].ob(x))
@@ -359,7 +357,7 @@ def L_D(A: IndexedCat, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT) -> LResult
         _, GX, inclX = per_x[X]
         un = {}
         for (U, x) in GX.total.objects:
-            lid = _canonical_lift(DD, C.ident[X], U)
+            lid = canonical_lift(G, C.ident[X], U)
             u = DD.unit(X, U)
             bu = path_cell(A, (X, U), [], [lid, inclX.mo(u)], x)
             un[(U, x)] = (u, bu, A.res[lid].ob(x))
@@ -373,11 +371,11 @@ def L_D(A: IndexedCat, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT) -> LResult
     )
     cleav = {}
     for X in C.objects:
-        _, GX, _ = per_x[X]
-        cl = canonical_cleavage(GX)
-        fdx = DD.fib[X]
+        AX, GX, _ = per_x[X]
         cleav[X] = {
-            (u, (fdx.cod(u), x2)): lam for (u, x2), lam in cl.lifts.items()
+            (u, (U, x2)): canonical_lift(GX, u, x2)
+            for u, (_, U) in DD.fib[X].mor.items()
+            for x2 in AX.fib[U].objects
         }
     return LResult(A, G, IndexedFibration(pL, cleav), per_x)
 
@@ -433,7 +431,7 @@ def unit_eta(
         y, a, _ = m
         _, _, inclY = L.per_x[Y]
         fdY = DD.fib[Y]
-        l2 = _canonical_lift(DD, y, U2)
+        l2 = canonical_lift(G, y, U2)
         iYa = inclY.mo(a)
         cm = {}
         for x in A.fib[(X, U2)].objects:
@@ -618,7 +616,7 @@ def l_d_mor(H: IndexedFun, LA: LResult, LR: LResult) -> IndexedFun:
         rd = DD.res[y]
         cm = {}
         for (U, x) in LA.per_x[X][1].total.objects:
-            l2 = _canonical_lift(DD, y, U)
+            l2 = canonical_lift(G, y, U)
             V2 = rd.ob(U)
             tgt = H.E.res[l2].ob(H.comp[(X, U)].ob(x))
             fr = H.E.fib[(Y, V2)]

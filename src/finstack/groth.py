@@ -5,10 +5,10 @@ category: objects are pairs (X, U) with U in the fibre over X, morphisms are
 pairs of a base morphism y : X -> X' and a fibre morphism a : U -> D(y)(U'),
 and composition corrects the nesting with D's compositors.  The projection
 onto the first component is a fibration in the concrete sense used here:
-every (y, U') has a cartesian lift, chosen by `canonical_cleavage`, and the
-cartesian morphisms are exactly those whose fibre component is invertible
-(`is_cartesian` cross-checks that claim against the universal property by
-exhaustive factorization search).
+every (y, U') has a cartesian lift, and `canonical_lift` is the one place
+that writes the chosen one, (y, id, U'); the cartesian morphisms are exactly
+those whose fibre component is invertible (`is_cartesian` cross-checks that
+claim against the universal property by exhaustive factorization search).
 
 `essential_fibre_cat` is the one essential fibre: for a functor F and an
 object U of its target, the pairs (A, alpha) with alpha : U -> F(A)
@@ -20,7 +20,7 @@ of a total category; `fibadj.R_D` builds its fibres with it.
 sieve covers (X, U) when it absorbs the cartesian lifts of some covering
 sieve of X.  Concretely the lift families are generated into sieves and then
 saturated.  `fiber_transport` sends each object of the slice over X to the
-domain of its cleavage lift, and `check_lemma_3_1` tests the fiberwise stack
+domain of its chosen lift, and `check_lemma_3_1` tests the fiberwise stack
 criterion: an indexed category over the total category is a stack for the
 transferred topology exactly when all of its transported restrictions are
 stacks over the slice sites.
@@ -131,35 +131,14 @@ def is_cartesian(G: GrothCat, m) -> bool:
     return quick
 
 
-@dataclass
-class Cleavage:
-    groth: GrothCat
-    lifts: dict  # (y, U in fibre over cod y) -> cartesian morphism into (cod y, U)
-
-    def lift(self, y, U):
-        return self.lifts[(y, U)]
-
-
-def canonical_cleavage(G: GrothCat) -> Cleavage:
-    """Deterministic choice of cartesian lifts.
-
-    The lift of y at U is the identity-component morphism (y, id, U), which
-    `grothendieck` adds for every y and U.
-    """
+def canonical_lift(G: GrothCat, y, U):
+    """The chosen cartesian lift of y at U: the identity-component morphism
+    (y, id, U), which `grothendieck` adds for every y and U."""
     D = G.source
-    base = D.base
-    total = G.total
-    lifts = {}
-    for y, (Yd, Yc) in base.mor.items():
-        fib = D.fib[Yd]
-        for U in D.fib[Yc].objects:
-            cand = (y, fib.ident[D.res[y].ob(U)], U)
-            if cand not in total.mor:
-                raise InternalError(
-                    f"no cartesian lift of {fmt(y)} at {fmt(U)}"
-                )
-            lifts[(y, U)] = cand
-    return Cleavage(G, lifts)
+    m = (y, D.fib[D.base.dom(y)].ident[D.res[y].ob(U)], U)
+    if m not in G.total.mor:
+        raise InternalError(f"no cartesian lift of {fmt(y)} at {fmt(U)}")
+    return m
 
 
 def giraud_topology(G: GrothCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> Topology:
@@ -167,11 +146,10 @@ def giraud_topology(G: GrothCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) 
     covering sieves, then saturate."""
     if J.base != G.source.base:
         raise SiteError("topology does not live on the base of the total category")
-    cl = canonical_cleavage(G)
     coverage = {}
     for (X, U) in G.total.objects:
         coverage[(X, U)] = [
-            [cl.lifts[(f, U)] for f in R.members()] for R in J.covers_of(X)
+            [canonical_lift(G, f, U) for f in R.members()] for R in J.covers_of(X)
         ]
     return saturate(G.total, coverage, caps)
 
@@ -218,13 +196,13 @@ def essential_fibre_classes(G: GrothCat, X):
     return iso_classes(essential_fibre_cat(G.proj, X))
 
 
-def fiber_transport(G: GrothCat, A_alpha, cl: Cleavage) -> Functor:
-    """The slice over X into the total category, through the cleavage.
+def fiber_transport(G: GrothCat, A_alpha) -> Functor:
+    """The slice over X into the total category, through the chosen lifts.
 
-    An object g : Y -> X goes to the domain of the chosen lift of alpha∘g at
-    the fibre part of A; a slice morphism goes to the structural comparison
-    between the lift domains, which is strictly functorial because the
-    correction isos compose through the compositor identities.
+    An object g : Y -> X goes to the domain of `canonical_lift` of alpha∘g
+    at the fibre part of A; a slice morphism (f, h) goes to h with the
+    inverse compositor as its fibre component, which is strictly functorial
+    because the compositors satisfy the cocycle identity.
     """
     A, alpha = A_alpha
     D = G.source
@@ -234,21 +212,14 @@ def fiber_transport(G: GrothCat, A_alpha, cl: Cleavage) -> Functor:
     UA = A[1]
     sl, _ = slice_cat(base, X)
 
-    lift_of = {g: cl.lifts[(base.compose(alpha, g), UA)] for g in sl.objects}
-    omap = {g: total.dom(lift_of[g]) for g in sl.objects}
+    omap = {
+        g: total.dom(canonical_lift(G, base.compose(alpha, g), UA))
+        for g in sl.objects
+    }
     mmap = {}
     for (f, h) in sl.mor:
-        g = base.compose(f, h)
-        sf = lift_of[f][1]
-        sg = lift_of[g][1]
-        Vf = omap[f][1]
-        fy = D.fib[base.dom(h)]
         gamma = D.gamma(base.compose(alpha, f), h, UA)
-        comp = fy.compose(
-            D.res[h].mo(D.fib[base.dom(f)].inverse(sf)),
-            fy.compose(fy.inverse(gamma), sg),
-        )
-        mmap[(f, h)] = (h, comp, Vf)
+        mmap[(f, h)] = (h, D.fib[base.dom(h)].inverse(gamma), omap[f][1])
     F = Functor(sl, total, omap, mmap, name=f"transport({fmt(X)})")
     require(F.validate(), "fiber transport not a functor")
     return F
@@ -273,34 +244,28 @@ def check_lemma_3_1(
     G: GrothCat,
     J: Topology,
     caps: _caps.Caps = _caps.DEFAULT,
-    per_iso_class: bool = True,
 ) -> CriterionReport:
     """Test the fiberwise stack criterion on one instance.
 
     Computes both sides independently: is_stack of E over the transferred
     topology on the total category, and is_stack of every transported
     restriction E∘F over the slice site at every base object, one F per
-    essential-fibre object (per isomorphism class by default; isomorphic
-    essential-fibre objects give equivalent restrictions).
+    isomorphism class of essential-fibre objects (isomorphic objects give
+    equivalent restrictions).
     """
     if E.base != G.total:
         raise ValueError("indexed category does not live over the total category")
     JD = giraud_topology(G, J, caps)
     total_side = is_stack(E, JD, caps)
 
-    cl = canonical_cleavage(G)
     base = G.source.base
     fiber_side = Check(True, "all transported restrictions are stacks")
     instances = []
     for X in stable_sorted(base.objects):
         sl, JX, _ = slice_site(J, X, caps)
-        ess = essential_fibre_cat(G.proj, X, caps)
-        if per_iso_class:
-            reps = [cls[0] for cls in iso_classes(ess)]
-        else:
-            reps = ess.objects
-        for (A, alpha) in reps:
-            F = fiber_transport(G, (A, alpha), cl)
+        for cls in iso_classes(essential_fibre_cat(G.proj, X, caps)):
+            A, alpha = cls[0]
+            F = fiber_transport(G, (A, alpha))
             c = is_stack(precompose_indexed(E, F), JX, caps)
             instances.append((X, (A, alpha), bool(c)))
             if not c and fiber_side.ok:

@@ -49,7 +49,10 @@ class Sieve:
 
 
 def validate_sieve(s: Sieve) -> list:
-    """Violations of sieve-hood: membership typing and precomposition closure."""
+    """Violations of sieve-hood: membership typing and precomposition closure.
+
+    Members are scanned in set order, and sorted only when one is bad, so
+    the findings do not depend on the hash seed."""
     c = s.base
     errs = []
     if s.target not in set(c.objects):
@@ -60,15 +63,21 @@ def validate_sieve(s: Sieve) -> list:
         elif c.cod(m) != s.target:
             errs.append(f"member {fmt(m)} does not end at {fmt(s.target)}")
     if errs:
-        return errs
+        return sorted(errs)
     for f in s.mors:
         for g in c.into(c.dom(f)):
             if c.compose(f, g) not in s.mors:
-                errs.append(
-                    f"not closed: {fmt(f)} ∘ {fmt(g)} escapes the sieve"
-                )
-                return errs
+                return [_first_escape(c, s.mors)]
     return errs
+
+
+def _first_escape(c: FinCat, mors) -> str:
+    """The finding for the first member f, in stable order, and arrow g with
+    f∘g outside `mors`, a set of morphisms of c that is not a sieve."""
+    for f in c.ordered(mors):
+        for g in c.into(c.dom(f)):
+            if c.compose(f, g) not in mors:
+                return f"not closed: {fmt(f)} ∘ {fmt(g)} escapes the sieve"
 
 
 def maximal_sieve(c: FinCat, x) -> Sieve:
@@ -159,7 +168,10 @@ class Topology:
 
 
 def validate_topology(J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> list:
-    """Violations of the three covering-sieve axioms, as strings."""
+    """Violations of the three covering-sieve axioms, as strings.
+
+    Covers are sets, so the findings on the covers of one object are
+    sorted, which makes them independent of the hash seed."""
     c = J.base
     errs = []
     obset = set(c.objects)
@@ -173,10 +185,8 @@ def validate_topology(J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> list:
         return errs
 
     for x in c.objects:
-        for mors in J.covers[x]:
-            bad = validate_sieve(Sieve(x, mors, c))
-            if bad:
-                errs.append(f"cover on {fmt(x)} is not a sieve: {bad[0]}")
+        bad = [validate_sieve(Sieve(x, mors, c)) for mors in J.covers[x]]
+        errs += sorted(f"cover on {fmt(x)} is not a sieve: {b[0]}" for b in bad if b)
     if errs:
         return errs
 
@@ -186,14 +196,16 @@ def validate_topology(J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> list:
 
     pb = _pullback_memo(c)
     for x in c.objects:
+        unstable = []
         for mors in J.covers[x]:
             for h in c.into(x):
                 if pb(mors, h) not in J.covers[c.dom(h)]:
-                    errs.append(
+                    unstable.append(
                         f"stability fails: pullback of a cover on {fmt(x)} "
                         f"along {fmt(h)} is not covering"
                     )
                     break
+        errs += sorted(unstable)
 
     for x in c.objects:
         universe = sieves_on(c, x, caps)

@@ -16,7 +16,7 @@ from finstack import (
     all_functors,
     all_indexed_funs,
     as_fibration,
-    cartesian_lift,
+    cartesian_arrows,
     check_thm_4_2_i,
     check_thm_4_2_ii,
     compose_indexed_funs,
@@ -95,12 +95,11 @@ def test_cartesian_over_point_means_universal():
     assert not is_cartesian_over(bang2, "i")
 
 
-def test_cartesian_lift_identity_functor():
+def test_cartesian_arrows_identity_functor():
     k = walking_iso_cat()
     f = identity_functor(k)
-    assert cartesian_lift(f, "f", "y") == "f"
-    with pytest.raises(ValueError):
-        cartesian_lift(f, "f", "x")
+    assert cartesian_arrows(f) == frozenset(k.mor)
+    assert is_fibration_functor(f).witness[("f", "y")] == "f"
 
 
 def test_is_fibration_functor_witness_covers_all_keys():

@@ -3,12 +3,14 @@ import pytest
 from finstack import (
     Caps,
     CapExceeded,
-    canonical_cleavage,
+    InternalError,
+    canonical_lift,
     check_lemma_3_1,
     compose_functors,
     const_indexed,
     embed_discrete,
     essential_fibre,
+    essential_fibre_cat,
     essential_fibre_classes,
     fiber_transport,
     fibre_inclusion,
@@ -17,8 +19,11 @@ from finstack import (
     grothendieck,
     is_cartesian,
     is_equivalence,
+    is_stack,
+    precompose_indexed,
     saturate,
     slice_cat,
+    slice_site,
     terminal_cat,
     validate_topology,
 )
@@ -88,27 +93,38 @@ def test_is_cartesian_matches_component():
 def test_canonical_cleavage():
     for D in (embed_discrete(corpus.patches_sheaf()), corpus.twisted_z2_indexed()):
         G = grothendieck(D)
-        cl = canonical_cleavage(G)
-        again = canonical_cleavage(G)
-        assert cl.lifts == again.lifts
-        for (y, U), m in cl.lifts.items():
-            assert m[0] == y and m[2] == U
-            assert is_cartesian(G, m)
-            # identity-structured component
-            fib = D.fib[G.total.dom(m)[0]]
-            assert fib.is_id(m[1])
+        for y, (_, Yc) in D.base.mor.items():
+            for U in D.fib[Yc].objects:
+                m = canonical_lift(G, y, U)
+                assert m == canonical_lift(G, y, U)
+                assert m[0] == y and m[2] == U
+                assert is_cartesian(G, m)
+                # identity-structured component
+                fib = D.fib[G.total.dom(m)[0]]
+                assert fib.is_id(m[1])
+
+
+def test_canonical_lift_missing_from_total_is_internal_error():
+    D = embed_discrete(corpus.patches_sheaf())
+    G = grothendieck(D)
+    y, (_, Yc) = next(iter(D.base.mor.items()))
+    U = D.fib[Yc].objects[0]
+    del G.total.mor[canonical_lift(G, y, U)]
+    with pytest.raises(InternalError, match="no cartesian lift"):
+        canonical_lift(G, y, U)
 
 
 def test_cleavage_commutes_with_vertical_inclusion():
     for D in (embed_discrete(corpus.patches_sheaf()), corpus.twisted_z2_indexed()):
         G = grothendieck(D)
-        cl = canonical_cleavage(G)
         base = D.base
         incl = {X: fibre_inclusion(G, X) for X in base.objects}
         for y, (Y, X) in base.mor.items():
             for m, (U, W) in D.fib[X].mor.items():
-                lhs = G.total.compose(cl.lifts[(y, W)], incl[Y].mo(D.res[y].mo(m)))
-                rhs = G.total.compose(incl[X].mo(m), cl.lifts[(y, U)])
+                lhs = G.total.compose(
+                    canonical_lift(G, y, W), incl[Y].mo(D.res[y].mo(m))
+                )
+                rhs = G.total.compose(incl[X].mo(m), canonical_lift(G, y, U))
                 assert lhs == rhs
 
 
@@ -121,11 +137,10 @@ def test_giraud_of_trivial_is_trivial():
 def test_giraud_arrow_lift_generates_cover():
     c, J = corpus.arrow_site()
     G = grothendieck(embed_discrete(corpus.arrow_presheaf(2, 1)))
-    cl = canonical_cleavage(G)
     JD = giraud_topology(G, J)
     assert validate_topology(JD) == []
     for u in ("s0", "s1"):
-        S = generate_sieve(G.total, ("b", u), [cl.lifts[("i", u)]])
+        S = generate_sieve(G.total, ("b", u), [canonical_lift(G, "i", u)])
         assert JD.is_cover(S)
     # frozen: exactly the generated sieve and the maximal one cover (b, s0)
     assert len(JD.covers[("b", "s0")]) == 2
@@ -169,11 +184,10 @@ def test_fiber_transport_projects_to_dom():
     c, J = corpus.patches_site()
     D = embed_discrete(corpus.patches_sheaf())
     G = grothendieck(D)
-    cl = canonical_cleavage(G)
     for X in c.objects:
         sl, slproj = slice_cat(c, X)
         for (A, alpha) in essential_fibre(G, X):
-            F = fiber_transport(G, (A, alpha), cl)
+            F = fiber_transport(G, (A, alpha))
             assert compose_functors(G.proj, F) == slproj
             assert G.total.iso_between(F.ob(c.ident[X]), A) is not None
 
@@ -181,10 +195,9 @@ def test_fiber_transport_projects_to_dom():
 def test_fiber_transport_nonstrict():
     D = corpus.twisted_z2_indexed()
     G = grothendieck(D)
-    cl = canonical_cleavage(G)
     sl, slproj = slice_cat(D.base, "*")
     for (A, alpha) in essential_fibre(G, "*"):
-        F = fiber_transport(G, (A, alpha), cl)
+        F = fiber_transport(G, (A, alpha))
         assert compose_functors(G.proj, F) == slproj
 
 
@@ -228,11 +241,18 @@ def test_criterion_twisted_trivial_topology():
 
 
 def test_criterion_iso_class_reduction_consistent():
+    """The criterion checks one essential-fibre object per isomorphism
+    class; checking every object gives the same fiberwise side."""
     c, J = corpus.arrow_site()
     G = grothendieck(embed_discrete(corpus.arrow_presheaf(1, 1)))
     E = const_indexed(G.total, corpus.discrete_two())
-    a = check_lemma_3_1(E, G, J, per_iso_class=False)
-    b = check_lemma_3_1(E, G, J, per_iso_class=True)
-    assert a.agree and b.agree
-    assert bool(a.total_side) == bool(b.total_side)
-    assert len(a.instances) >= len(b.instances)
+    every = []
+    for X in c.objects:
+        _, JX, _ = slice_site(J, X)
+        for (A, alpha) in essential_fibre_cat(G.proj, X).objects:
+            F = fiber_transport(G, (A, alpha))
+            every.append(bool(is_stack(precompose_indexed(E, F), JX)))
+    rep = check_lemma_3_1(E, G, J)
+    assert rep.agree
+    assert all(every) == bool(rep.fiber_side) == bool(rep.total_side)
+    assert len(every) >= len(rep.instances)

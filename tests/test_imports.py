@@ -1,13 +1,21 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and binds each
+name the benchmark's tracer wraps.
 
 No linter ships with the toolchain, so this is the check: parse each module
 other than `__init__` (which imports to re-export) and list the imported
-names that no expression of the module reads."""
+names that no expression of the module reads.
+
+`perfbench/spans.py` looks up the functions it traces by name, module by
+module (`WRAPPED`); a name that a refactor drops would break only a traced
+benchmark run, which this suite does not make, so it is checked here."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "finstack"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "finstack"
 
 
 def unused_imports(path):
@@ -28,3 +36,16 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(modules) > 5
     unused = [u for p in modules for u in unused_imports(p)]
     assert unused == []
+
+
+def test_every_traced_name_is_bound_in_its_module():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert len(spans.WRAPPED) > 5
+    missing = [f"{layer}.{name}" for layer, names in spans.WRAPPED.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(
+                   f"finstack.{layer}"), name, None))]
+    assert missing == []

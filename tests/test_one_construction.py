@@ -1,8 +1,9 @@
 """Constructions computed in one place, against the formulas that computed
 them before they were shared: `is_stack` and `is_prestack` deciding descent
 on every covering sieve, the gluing search of the factorization through the
-stackification unit, and the pairwise partition of an essential fibre into
-isomorphism classes.
+stackification unit, the pairwise partition of an essential fibre into
+isomorphism classes, and the cleavages of indexed fibrations, which are
+read off one set of cartesian arrows per component.
 
 `is_stack` and `is_prestack` decide on the pullbacks of least covers and
 replay the canonical loop on a failure or a cap.  That is exact because, for
@@ -10,8 +11,8 @@ a fixed D, the sieves on whose every pullback D satisfies descent form a
 topology; `test_descent_sieves_form_a_topology` checks this on every sieve of
 every input.
 
-Runs on the corpus sites, seeded `sitegen` sites and presheaves, and both
-plus stages of `stackify` on them."""
+Runs on the corpus sites, seeded `sitegen` sites, presheaves and
+fibrations, and both plus stages of `stackify` on them."""
 
 import random
 
@@ -22,10 +23,14 @@ from finstack import (
     CapExceeded,
     Caps,
     Check,
+    Functor,
     InternalError,
+    L_D,
     Sieve,
     Topology,
+    canonical_lift,
     comparison_datum,
+    const_indexed,
     desc_hom,
     embed_discrete,
     enumerate_data,
@@ -33,6 +38,11 @@ from finstack import (
     essential_fibre_classes,
     generate_sieve,
     grothendieck,
+    identity_functor,
+    identity_indexed_fun,
+    is_cartesian,
+    is_cartesian_over,
+    is_indexed_fibration,
     is_prestack,
     is_stack,
     least_cover_pullbacks,
@@ -42,9 +52,13 @@ from finstack import (
     saturate,
     sieves_on,
     stackify,
+    strict_indexed,
+    strict_indexed_fun,
+    terminal_cat,
     validate_topology,
 )
 from finstack.descent import glue
+from finstack.fibadj import _localize
 from finstack.util import fmt, stable_sorted
 
 import corpus
@@ -166,6 +180,31 @@ def ref_essential_fibre_classes(G, X):
         else:
             classes.append([item])
     return classes
+
+
+def ref_indexed_fibration(p):
+    """The two passes that found the cartesian arrows before: per component
+    and (u, A), the stable-least arrow into A over u that passes the
+    universal property; then every arrow tested again for preservation.
+    Returns the cleavages, or the failure witness."""
+    cleav = {}
+    for X in stable_sorted(p.D.base.objects):
+        F = p.comp[X]
+        cleav[X] = {}
+        for A in stable_sorted(F.src.objects):
+            for u in F.dst.into(F.ob(A)):
+                lift = next((m for m in F.src.into(A)
+                             if F.mo(m) == u and is_cartesian_over(F, m)), None)
+                if lift is None:
+                    return (X, (u, A))
+                cleav[X][(u, A)] = lift
+    for y, (Y, X) in p.D.base.mor.items():
+        for m in p.D.fib[X].mor:
+            if is_cartesian_over(p.comp[X], m) and not is_cartesian_over(
+                p.comp[Y], p.D.res[y].mo(m)
+            ):
+                return (y, m)
+    return cleav
 
 
 # ---------------------------------------------------------------------------
@@ -377,3 +416,89 @@ def test_essential_fibres_match_the_pairwise_partition():
             assert (essential_fibre_classes(G, X)
                     == ref_essential_fibre_classes(G, X)), name
     assert fibres > 30
+
+
+def _no_lift_over_iso():
+    """Two discrete points over the walking isomorphism: x -> y has no lift."""
+    base = terminal_cat()
+    ee = const_indexed(base, corpus.discrete_two())
+    dd = const_indexed(base, corpus.walking_iso_cat())
+    f0 = Functor(ee.fib["*"], dd.fib["*"], {"0": "x", "1": "y"},
+                 {("id", "0"): "idx", ("id", "1"): "idy"}, name="embed")
+    return strict_indexed_fun(ee, dd, {"*": f0})
+
+
+def _unpreserved():
+    """Componentwise fibrations over the arrow a -> b whose restriction
+    sends the arrow of the fibre over b, cartesian over the identity, to the
+    arrow of the fibre over a, which is not cartesian over the point."""
+    base, arrow, one = corpus.arrow_cat(), corpus.arrow_cat(), terminal_cat()
+    ida = identity_functor(arrow)
+    bang = Functor(arrow, one, {o: "*" for o in arrow.objects},
+                   {m: ("id", "*") for m in arrow.mor}, name="!")
+    ee = strict_indexed(base, {"a": arrow, "b": arrow},
+                        {"ida": ida, "idb": ida, "i": ida})
+    dd = strict_indexed(base, {"a": one, "b": arrow},
+                        {"ida": identity_functor(one), "idb": ida, "i": bang})
+    return strict_indexed_fun(ee, dd, {"a": bang, "b": ida})
+
+
+def _fibrations():
+    patches = corpus.patches_cat()
+    arrow_total = grothendieck(embed_discrete(corpus.arrow_presheaf()))
+    twisted_total = grothendieck(corpus.twisted_z2_indexed())
+    out = [
+        ("twisted", identity_indexed_fun(corpus.twisted_z2_indexed())),
+        ("groupoid", corpus.groupoid_fibration(corpus.arrow_cat())),
+        ("projection-iso", corpus.projection_fibration(
+            embed_discrete(corpus.patches_sheaf()),
+            corpus.const_walking_iso(patches))),
+        ("projection-arrow", corpus.projection_fibration(
+            embed_discrete(corpus.patches_sheaf()),
+            const_indexed(patches, corpus.arrow_cat()))),
+        ("L-arrow", L_D(const_indexed(arrow_total.total, corpus.arrow_cat()),
+                        arrow_total).fib.p),
+        ("L-twisted", L_D(const_indexed(twisted_total.total,
+                                        corpus.walking_iso_cat()),
+                          twisted_total).fib.p),
+        ("no-lift", _no_lift_over_iso()),
+        ("unpreserved", _unpreserved()),
+    ]
+    for name in ("patches-sheaf", "arrow-iso"):
+        c, J, D = CASES[name]()
+        p = identity_indexed_fun(D)
+        fib = is_indexed_fibration(p).witness
+        _, p1, p2 = _localize(fib, J, DEFAULT)
+        out += [(name, p), (f"{name}-plus", p1), (f"{name}-plus-plus", p2)]
+    rng = random.Random(5)
+    for i in range(16):
+        p, _ = sitegen.rand_fibration(rng)
+        out.append((f"fibration-{i}", p))
+    return out
+
+
+def test_cleavages_are_the_stable_least_cartesian_lifts():
+    failed = 0
+    for name, p in _fibrations():
+        c = is_indexed_fibration(p)
+        ref = ref_indexed_fibration(p)
+        if c:
+            assert c.witness.cleavages == ref, name
+        else:
+            failed += 1
+            assert c.witness == ref, name
+    assert failed == 2
+
+
+def test_canonical_lifts_are_cartesian_morphisms_of_the_total_category():
+    lifts = 0
+    for name, p in _fibrations():
+        G = grothendieck(p.E)
+        D = G.source
+        for y, (Yd, Yc) in D.base.mor.items():
+            for U in D.fib[Yc].objects:
+                m = canonical_lift(G, y, U)
+                assert G.total.mor[m] == ((Yd, D.res[y].ob(U)), (Yc, U)), name
+                assert G.proj.mo(m) == y and is_cartesian(G, m), name
+                lifts += 1
+    assert lifts > 200

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import finstack
 from finstack import (
     Caps,
     CapExceeded,
@@ -123,6 +129,52 @@ def test_validate_topology_failures():
     })
     errs = validate_topology(unstable)
     assert any("stability" in e for e in errs)
+
+
+_MALFORMED = """
+from finstack import Topology, poset_cat, validate_topology
+c = poset_cat("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+top = {x: frozenset(c.into(x)) for x in c.objects}
+ad, bd, cd = ("le", "a", "d"), ("le", "b", "d"), ("le", "c", "d")
+def with_d(*extra):
+    return Topology(c, {x: frozenset({top[x], *(extra if x == "d" else ())})
+                        for x in c.objects})
+junk = with_d(frozenset({"junk1", "junk2", "junk3"}),
+              frozenset({"junk4", ("le", "a", "b")}))
+unclosed = with_d(frozenset({bd, cd}))
+unstable = with_d(frozenset({ad, bd}), frozenset({ad, cd}))
+print(repr([validate_topology(J) for J in (junk, unclosed, unstable)]))
+"""
+
+
+def test_validate_topology_findings_ignore_hash_seed():
+    """Malformed covers are sets of hashed ids; the findings must not follow
+    their iteration order, which changes with the hash seed."""
+    src = str(Path(finstack.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", _MALFORMED], env=env,
+                             capture_output=True, text=True, timeout=60,
+                             check=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    junk, unclosed, unstable = eval(outs[0])
+    assert junk == [
+        "cover on d is not a sieve: member (le,a,b) does not end at d",
+        "cover on d is not a sieve: member junk1 is not a morphism",
+    ]
+    assert unclosed == [
+        "cover on d is not a sieve: not closed: (le,b,d) ∘ (le,a,b) escapes "
+        "the sieve"
+    ]
+    assert unstable == [
+        "stability fails: pullback of a cover on d along (le,b,d) is not "
+        "covering",
+        "stability fails: pullback of a cover on d along (le,c,d) is not "
+        "covering",
+        "transitivity fails: a sieve on d is locally covering but missing",
+    ]
 
 
 def test_minimal_cover_requires_saturation():
