@@ -31,6 +31,15 @@ when the quotient will not close within it.
 
 Morphisms are referenced uniformly: a generator name, a dotted composite
 `g . f` (meaning g after f), a poset pair `a <= b`, or `id(x)`.
+
+Functor images, presheaf actions and strict restrictions need be stated
+only on generators.  Each morphism is mapped by one rule: to the stated
+entry if there is one, to the unit (identity morphism, identity map,
+identity functor) if it is an identity, and otherwise to the images of its
+generator word (for a poset, a shortest path of stated relations) folded
+in composition order, covariantly for a functor and contravariantly for an
+action or a restriction.  Images that do not compose, or a generator
+without one, are diagnostics.
 """
 
 import hashlib
@@ -522,14 +531,17 @@ class _Elab:
         self.diags.append(Diagnostic(line, col, msg, hint))
 
     def declare(self, block, kind_key, value):
+        """Bind the block's name to `value`; False, with a diagnostic, when
+        the name is taken."""
         if block.name in self.names:
             self.err(block.line, block.col,
                      f"duplicate name {block.name!r} "
                      f"(already a {self.names[block.name]})")
-            return
+            return False
         self.names[block.name] = block.kind
         self.env.kinds_of(kind_key)[block.name] = value
         self.env.order.append((kind_key, block.name))
+        return True
 
     def lookup(self, table, name, what, line, col):
         if name not in table:
@@ -740,9 +752,9 @@ class _Elab:
         if out is None:
             return
         c, words, alias = out
-        self.declare(block, "category", c)
-        self.env.gens[block.name] = words
-        self.env.aliases[block.name] = alias
+        if self.declare(block, "category", c):
+            self.env.gens[block.name] = words
+            self.env.aliases[block.name] = alias
 
     def do_poset(self, block):
         edges = []
@@ -779,9 +791,9 @@ class _Elab:
                 path.append(("le", prev[node], node))
                 node = prev[node]
             words[m] = tuple(path)
-        self.declare(block, "category", c)
-        self.env.gens[block.name] = words
-        self.env.aliases[block.name] = {}
+        if self.declare(block, "category", c):
+            self.env.gens[block.name] = words
+            self.env.aliases[block.name] = {}
 
     def do_coverage(self, block):
         catname = block.refs[0]
@@ -818,29 +830,41 @@ class _Elab:
         j = saturate(cat, coverage, self.caps)
         self.declare(block, "topology", j)
 
-    def _derive_map(self, catname, given, word, line, col, compose_pair,
-                    identity_at, what):
-        """Fold images of a word's letters, contravariantly.
-
-        `word` is in composition order (last letter applied first); the fold
-        applies the image of the last letter first, so it suits presheaf
-        actions and restrictions.  Covariant callers reverse the word.
-        Letters are generator names; `given` is keyed by resolved morphism
-        ids, so letters pass through the category's alias map."""
-        alias = self.env.aliases.get(catname, {})
-        out = None
-        for g in word:
-            img = given.get(g)
-            if img is None and g in alias:
-                img = given.get(alias[g])
-            if img is None:
-                self.err(line, col,
-                         f"{what} for {fmt(g)} in {catname!r} is required "
-                         "to derive composites")
-                return None
-            out = img if out is None else compose_pair(img, out)
-        if out is None:
-            return identity_at
+    def derive(self, block, catname, given, unit, compose, what):
+        """Map every morphism m of category `catname`: to given[m] if there
+        is one, to unit(x) if m is the identity at x, and otherwise to the
+        images of m's generator word folded in composition order,
+        `so_far = compose(so_far, image)`.  `compose` sets the variance and
+        returns None when two images do not compose.  A letter without an
+        image, or two images that do not compose, is a diagnostic at the
+        block, and the result is None."""
+        cat = self.env.cats[catname]
+        alias = self.env.aliases[catname]
+        words = self.env.gens[catname]
+        out = {}
+        for m, (x, _) in cat.mor.items():
+            if m in given:
+                out[m] = given[m]
+                continue
+            if not words[m]:
+                out[m] = unit(x)
+                continue
+            so_far = None
+            for g in words[m]:
+                img = given.get(alias.get(g, g))
+                if img is None:
+                    self.err(block.line, block.col,
+                             f"{what} for {fmt(g)} in {catname!r} is required "
+                             "to derive composites")
+                    return None
+                so_far = img if so_far is None else compose(so_far, img)
+                if so_far is None:
+                    self.err(block.line, block.col,
+                             f"{what}s along {fmt(m)} in {catname!r} do not "
+                             "compose", "consecutive generators need "
+                             "composable images")
+                    return None
+            out[m] = so_far
         return out
 
     def do_functor(self, block):
@@ -878,21 +902,12 @@ class _Elab:
                 bad = True
         if bad:
             return
-        words = self.env.gens.get(srcname, {m: (m,) for m in src.mor})
-        mmap = {}
-        for m, (a, b) in src.mor.items():
-            if m in given:
-                mmap[m] = given[m]
-                continue
-            # functor images compose covariantly, so fold the reversed word
-            w = words.get(m, (m,))[::-1]
-            v = self._derive_map(srcname, given, w,
-                                 block.line, block.col,
-                                 lambda g, f: dst.compose(g, f),
-                                 dst.ident.get(omap.get(a)), "mor image")
-            if v is None:
-                return
-            mmap[m] = v
+        mmap = self.derive(block, srcname, given,
+                           lambda x: dst.ident[omap[x]],
+                           lambda so_far, img: dst.table.get((so_far, img)),
+                           "mor image")
+        if mmap is None:
+            return
         f = Functor(src, dst, omap, mmap, name=block.name)
         self.env.add_findings("functor", block.name, block.refs, f.validate)
         self.declare(block, "functor", f)
@@ -944,21 +959,13 @@ class _Elab:
                 bad = True
         if bad:
             return
-        words = self.env.gens.get(catname, {m: (m,) for m in cat.mor})
-        acts = {m: mp for m, (mp, _, _) in given.items()}
-        act = {}
-        for m, (a, b) in cat.mor.items():
-            if m in acts:
-                act[m] = dict(acts[m])
-                continue
-            w = words.get(m, (m,))
-            mp = self._derive_map(catname, acts, w,
-                                  block.line, block.col,
-                                  lambda g, f: {e2: g[f[e2]] for e2 in f},
-                                  {e2: e2 for e2 in els[a]}, "action")
-            if mp is None:
-                return
-            act[m] = dict(mp)
+        act = self.derive(block, catname,
+                          {m: mp for m, (mp, _, _) in given.items()},
+                          lambda x: {e: e for e in els[x]},
+                          lambda so_far, img: {e: img[so_far[e]] for e in so_far},
+                          "action")
+        if act is None:
+            return
         p = Presheaf(cat, els, act, name=block.name)
         self.env.add_findings("presheaf", block.name, block.refs,
                               lambda: validate_presheaf(p))
@@ -1024,22 +1031,14 @@ class _Elab:
         if bad:
             return
 
-        res = {}
         if strict:
-            words = self.env.gens.get(catname, {m: (m,) for m in cat.mor})
-            gens_given = {m: f for m, (f, _, _) in given_res.items()}
-            for m, (a, b) in cat.mor.items():
-                if m in gens_given:
-                    res[m] = gens_given[m]
-                    continue
-                w = words.get(m, (m,))
-                f = self._derive_map(catname, gens_given, w,
-                                     block.line, block.col,
-                                     lambda g, fn: compose_functors(g, fn),
-                                     identity_functor(fib[a]), "restriction")
-                if f is None:
-                    return
-                res[m] = f
+            res = self.derive(block, catname,
+                              {m: f for m, (f, _, _) in given_res.items()},
+                              lambda x: identity_functor(fib[x]),
+                              lambda so_far, img: compose_functors(img, so_far),
+                              "restriction")
+            if res is None:
+                return
             try:
                 from .indexed import strict_indexed
                 d = strict_indexed(cat, fib, res, name=block.name)
@@ -1051,6 +1050,7 @@ class _Elab:
             self.declare(block, "indexed", d)
             return
 
+        res = {}
         for m in cat.mor:
             if m in given_res:
                 res[m] = given_res[m][0]
@@ -1168,6 +1168,11 @@ class _Elab:
                 yref, v, mref = e.data
                 y = self.resolve_mor("base", cat, yref, e.line, e.col)
                 if y is None:
+                    bad = True
+                    continue
+                if v not in src.fib[cat.cod(y)].ident:
+                    self.err(e.line, e.col,
+                             f"no fibre object {v!r} at {fmt(cat.cod(y))}")
                     bad = True
                     continue
                 cells_given[(y, v)] = (mref, e.line, e.col)

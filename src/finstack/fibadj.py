@@ -35,6 +35,12 @@ localization conformance checks on the fibration localized by `_localize`:
 local-to-global lifting survives the plus construction, and the localized
 fibration satisfies descent over the transferred topology.
 
+The caller holds the parts of the adjunction L_D ⊣ R_D, so the functions
+that need them take them and rebuild none: `R_D` and `check_thm_4_2_ii`
+take the total category G, `r_d_mor` both essential-fibre indexed
+categories, `sharp` R_D of its target and `flat` both flattenings.  Only
+`unit_eta` and `counit_eps` build their round trip when it is not passed.
+
 Each builder validates its result once, as a whole, with `validate_indexed`
 or `validate_indexed_fun`.  A part is validated on its own only when the
 builder reads it before that: the essential-fibre reindexing functors and
@@ -223,7 +229,7 @@ def _ess_restriction(fib: IndexedFibration, G: GrothCat, m, src: FinCat, dst: Fi
 
 
 def R_D(
-    fib: IndexedFibration, G: GrothCat = None, caps: _caps.Caps = _caps.DEFAULT
+    fib: IndexedFibration, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT
 ) -> IndexedCat:
     """Indexed category over the total category of the fibration's target.
 
@@ -233,9 +239,7 @@ def R_D(
     unique cartesian comparison morphisms, and the result is validated."""
     p = fib.p
     EE, DD = p.D, p.E
-    if G is None:
-        G = grothendieck(DD, caps)
-    elif G.source is not DD and G.source != DD:
+    if G.source is not DD and G.source != DD:
         raise ValueError("total category was built from a different indexed category")
     total = G.total
     fibc = {
@@ -545,35 +549,30 @@ def validate_fib_mor(fm: FibMor) -> list:
 
 
 def r_d_mor(
-    fm: FibMor,
-    G: GrothCat,
-    caps: _caps.Caps = _caps.DEFAULT,
-    R_src: IndexedCat = None,
-    R_dst: IndexedCat = None,
+    fm: FibMor, G: GrothCat, *, R_src: IndexedCat, R_dst: IndexedCat
 ) -> IndexedFun:
-    """Functor between the essential-fibre indexed categories induced by a
-    fibration morphism; cells are the unique cartesian comparisons."""
+    """Functor R_src -> R_dst between the essential-fibre indexed categories
+    of fm's ends, induced by the fibration morphism; cells are the unique
+    cartesian comparisons."""
     p1, p2 = fm.src, fm.dst
     E1, E2 = p1.p.D, p2.p.D
     DD = p1.p.E
-    R1 = R_src if R_src is not None else R_D(p1, G, caps)
-    R2 = R_dst if R_dst is not None else R_D(p2, G, caps)
     comps = {}
     for (X, U) in G.total.objects:
         fd = DD.fib[X]
         FX = fm.F.comp[X]
         phiX = fm.phi.comp[X]
         omap = {}
-        for (B, alpha) in R1.fib[(X, U)].objects:
+        for (B, alpha) in R_src.fib[(X, U)].objects:
             omap[(B, alpha)] = (FX.ob(B), fd.compose(fd.inverse(phiX[B]), alpha))
         mmap = {}
-        for (alpha, beta, w), ((B, _), (B2, _)) in R1.fib[(X, U)].mor.items():
+        for (alpha, beta, w), ((B, _), (B2, _)) in R_src.fib[(X, U)].mor.items():
             mmap[(alpha, beta, w)] = (
                 omap[(B, alpha)][1],
                 omap[(B2, beta)][1],
                 FX.mo(w),
             )
-        comps[(X, U)] = Functor(R1.fib[(X, U)], R2.fib[(X, U)], omap, mmap)
+        comps[(X, U)] = Functor(R_src.fib[(X, U)], R_dst.fib[(X, U)], omap, mmap)
     cells = {}
     for m, ((Y, V), (X, U2)) in G.total.mor.items():
         y, a, _ = m
@@ -581,7 +580,7 @@ def r_d_mor(
         feY = E2.fib[Y]
         rd = DD.res[y]
         cm = {}
-        for (B, alpha) in R1.fib[(X, U2)].objects:
+        for (B, alpha) in R_src.fib[(X, U2)].objects:
             l1 = _lift(p1, y, B, fdY.compose(rd.mo(alpha), a))
             B1p = E1.fib[Y].dom(l1)
             FXB, alpha2 = comps[(X, U2)].ob((B, alpha))
@@ -594,7 +593,7 @@ def r_d_mor(
                 t,
             )
         cells[m] = cm
-    out = IndexedFun(R1, R2, comps, cells, name=f"R({fm.F.name or '?'})")
+    out = IndexedFun(R_src, R_dst, comps, cells, name=f"R({fm.F.name or '?'})")
     require(validate_indexed_fun(out), "induced essential-fibre functor")
     return out
 
@@ -635,16 +634,17 @@ def sharp(
     LA: LResult,
     G: GrothCat,
     caps: _caps.Caps = _caps.DEFAULT,
-    R_dst: IndexedCat = None,
+    *,
+    R_dst: IndexedCat,
 ) -> IndexedFun:
     """Transpose a fibration morphism out of a flattened slice fibration to
-    an indexed functor into the essential-fibre indexed category."""
+    an indexed functor into R_dst, the essential-fibre indexed category of
+    fm's target."""
     if fm.src is not LA.fib:
         raise ValueError("transpose source must be the given flattening")
     R_src = R_D(LA.fib, G, caps)
-    R_dst = R_dst if R_dst is not None else R_D(fm.dst, G, caps)
     eta = unit_eta(LA.source, G, caps, L=LA, R=R_src)
-    rm = r_d_mor(fm, G, caps, R_src=R_src, R_dst=R_dst)
+    rm = r_d_mor(fm, G, R_src=R_src, R_dst=R_dst)
     return compose_indexed_funs(rm, eta)
 
 
@@ -653,17 +653,16 @@ def flat(
     fib: IndexedFibration,
     G: GrothCat,
     caps: _caps.Caps = _caps.DEFAULT,
-    LA: LResult = None,
-    LR: LResult = None,
+    *,
+    LA: LResult,
+    LR: LResult,
 ) -> FibMor:
-    """Transpose an indexed functor into the essential-fibre indexed
-    category to a fibration morphism out of the flattened slices."""
-    A, R = H.D, H.E
+    """Transpose an indexed functor H into the essential-fibre indexed
+    category to a fibration morphism out of the flattened slices; LA and LR
+    are the flattenings L_D(H.D) and L_D(H.E)."""
     DD = G.source
-    LA = LA if LA is not None else L_D(A, G, caps)
-    LR = LR if LR is not None else L_D(R, G, caps)
     lm = l_d_mor(H, LA, LR)
-    eps = counit_eps(fib, G, caps, R=R, LR=LR)
+    eps = counit_eps(fib, G, caps, R=H.E, LR=LR)
     F = compose_indexed_funs(eps, lm)
     phi = IndexedNat(
         compose_indexed_funs(fib.p, F),
@@ -817,14 +816,13 @@ def _iso_comma_fibration(
 def check_thm_4_2_ii(
     fib: IndexedFibration,
     J,
-    G: GrothCat = None,
+    G: GrothCat,
     caps: _caps.Caps = _caps.DEFAULT,
 ) -> Check:
     """Localize the fibration, pull it back along the localization unit, and
     test descent of its essential-fibre indexed category over the
-    transferred topology."""
-    if G is None:
-        G = grothendieck(fib.p.E, caps)
+    transferred topology; G is the total category of the fibration's
+    target."""
     sd, _, sp = _localize(fib, J, caps)
     q = _iso_comma_fibration(sp, sd.unit, caps)
     cq = is_indexed_fibration(q)

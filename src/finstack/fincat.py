@@ -121,15 +121,6 @@ class FinCat:
                 f"no composite for {fmt(g)} after {fmt(f)} in {self.name or 'category'}"
             ) from None
 
-    def compose_path(self, path):
-        """Composite of a left-to-right composable path [f1, ..., fn]: fn∘...∘f1."""
-        if not path:
-            raise ValueError("empty path has no composite without an object")
-        m = path[0]
-        for f in path[1:]:
-            m = self.compose(f, m)
-        return m
-
     def _build_hom(self):
         """Sort the morphisms once (by the builder's key if it gave one, so
         never by `ckey` for a built descent category) and file them, in
@@ -332,6 +323,10 @@ class Functor:
         return self.mmap[m]
 
     def validate(self) -> list:
+        """Functor-law violations, as strings: first the typing of the
+        images, then, if that holds, identities and composites.  Each phase
+        sorts its findings, so they do not follow the order the maps were
+        filled in."""
         errs = []
         dst_obs = set(self.dst.objects)
         for x in self.src.objects:
@@ -349,14 +344,14 @@ class Functor:
             elif self.dst.mor[n] != (self.omap.get(d), self.omap.get(c)):
                 errs.append(f"image of {fmt(m)} has wrong dom/cod")
         if errs:
-            return errs
+            return sorted(errs)
         for x in self.src.objects:
             if self.mmap[self.src.ident[x]] != self.dst.ident[self.omap[x]]:
                 errs.append(f"identity of {fmt(x)} not preserved")
         for (g, f), h in self.src.table.items():
             if self.dst.table[(self.mmap[g], self.mmap[f])] != self.mmap[h]:
                 errs.append(f"composition not preserved on ({fmt(g)},{fmt(f)})")
-        return errs
+        return sorted(errs)
 
 
 def identity_functor(c: FinCat) -> Functor:
@@ -433,20 +428,6 @@ class NatTrans:
                 errs.append(f"naturality fails at {fmt(m)}")
         return errs
 
-    def is_iso(self):
-        return all(self.F.dst.is_iso(a) for a in self.comp.values())
-
-
-class NatIso(NatTrans):
-    def validate(self) -> list:
-        errs = super().validate()
-        if errs:
-            return errs
-        for x, a in self.comp.items():
-            if not self.F.dst.is_iso(a):
-                errs.append(f"component at {fmt(x)} is not invertible")
-        return errs
-
 
 def all_nat_trans(F: Functor, G: Functor, iso_only: bool = False,
                   caps: _caps.Caps = _caps.DEFAULT):
@@ -478,13 +459,6 @@ def all_nat_trans(F: Functor, G: Functor, iso_only: bool = False,
 
     for a in search(len(objects), lambda i, a: pools[i], fits, Budget(caps)):
         yield NatTrans(F, G, dict(zip(objects, a)))
-
-
-def find_natiso(F: Functor, G: Functor):
-    """Some natural isomorphism F => G, or None."""
-    for t in all_nat_trans(F, G, iso_only=True):
-        return NatIso(F, G, t.comp)
-    return None
 
 
 def all_functors(src: FinCat, dst: FinCat, caps: _caps.Caps = _caps.DEFAULT):

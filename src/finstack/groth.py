@@ -13,8 +13,9 @@ claim against the universal property by exhaustive factorization search).
 `essential_fibre_cat` is the one essential fibre: for a functor F and an
 object U of its target, the pairs (A, alpha) with alpha : U -> F(A)
 invertible, and the morphisms of F's source that commute with them.
-`essential_fibre` and `essential_fibre_classes` read it for the projection
-of a total category; `fibadj.R_D` builds its fibres with it.
+`check_lemma_3_1` takes one object per isomorphism class of it for the
+projection of a total category (`fincat.iso_classes`), and `fibadj.R_D`
+builds its fibres with it.
 
 `giraud_topology` transfers a topology on the base to the total category: a
 sieve covers (X, U) when it absorbs the cartesian lifts of some covering
@@ -183,17 +184,6 @@ def essential_fibre_cat(
     )
     require(validate_fincat(cat, caps), "essential fibre malformed")
     return cat
-
-
-def essential_fibre(G: GrothCat, X):
-    """All (A, alpha) with A a total object and alpha : X -> proj(A)
-    invertible in the base, in stable order."""
-    return list(essential_fibre_cat(G.proj, X).objects)
-
-
-def essential_fibre_classes(G: GrothCat, X):
-    """Partition of the essential fibre at X into isomorphism classes."""
-    return iso_classes(essential_fibre_cat(G.proj, X))
 
 
 def fiber_transport(G: GrothCat, A_alpha) -> Functor:

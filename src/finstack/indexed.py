@@ -102,7 +102,11 @@ def strict_indexed(base, fib, res, name="") -> IndexedCat:
 
 
 def validate_indexed(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
-    """All pseudofunctor-axiom violations, as strings."""
+    """All pseudofunctor-axiom violations, as strings.  The checks run in
+    phases, and a phase with findings ends the validation.  Past the
+    structural checks, which stop at the first gap, each phase checks every
+    element and sorts its findings, so they do not follow the order the
+    dicts were filled in."""
     errs = []
     base = D.base
     for X in base.objects:
@@ -135,49 +139,57 @@ def validate_indexed(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
                 errs.append(f"unitor at {fmt(X)} malformed at {fmt(V)}")
             elif not fx.is_iso(m):
                 errs.append(f"unitor at {fmt(X)} not invertible at {fmt(V)}")
-        if errs:
-            return errs
+    if errs:
+        return sorted(errs)
+    for X in base.objects:
+        fx, u, rid = D.fib[X], D.unitor[X], D.res[base.ident[X]]
         for m, (V, W) in fx.mor.items():
             if fx.compose(u[W], m) != fx.compose(rid.mo(m), u[V]):
                 errs.append(f"unitor at {fmt(X)} not natural at {fmt(m)}")
+    if errs:
+        return sorted(errs)
 
     for (g, f), h in base.table.items():
         comp = D.compositor.get((g, f))
         if comp is None:
             return [f"no compositor for ({fmt(g)},{fmt(f)})"]
-        src_fib = D.fib[base.cod(g)]
         tgt_fib = D.fib[base.dom(f)]
-        for V in src_fib.objects:
+        for V in D.fib[base.cod(g)].objects:
             m = comp.get(V)
             want = (D.res[f].ob(D.res[g].ob(V)), D.res[h].ob(V))
             if m is None or m not in tgt_fib.mor or tgt_fib.mor[m] != want:
                 errs.append(f"compositor ({fmt(g)},{fmt(f)}) malformed at {fmt(V)}")
             elif not tgt_fib.is_iso(m):
                 errs.append(f"compositor ({fmt(g)},{fmt(f)}) not invertible at {fmt(V)}")
-        if errs:
-            return errs
-        for m, (V, W) in src_fib.mor.items():
+    if errs:
+        return sorted(errs)
+    for (g, f), h in base.table.items():
+        comp = D.compositor[(g, f)]
+        tgt_fib = D.fib[base.dom(f)]
+        for m, (V, W) in D.fib[base.cod(g)].mor.items():
             lhs = tgt_fib.compose(comp[W], D.res[f].mo(D.res[g].mo(m)))
             rhs = tgt_fib.compose(D.res[h].mo(m), comp[V])
             if lhs != rhs:
                 errs.append(f"compositor ({fmt(g)},{fmt(f)}) not natural at {fmt(m)}")
     if errs:
-        return errs
+        return sorted(errs)
 
-    # Associativity: for composable y∘z∘w the two ways of collapsing agree.
+    # Associativity: for composable y∘z∘w the two ways of collapsing agree;
+    # a failing triple is reported at its least fibre object by text.
     for (y, z) in base.table:
         for w in base.into(base.dom(z)):
             yz = base.table[(y, z)]
             zw = base.table[(z, w)]
             fw = D.fib[base.dom(w)]
-            for V in D.fib[base.cod(y)].objects:
-                lhs = fw.compose(D.gamma(yz, w, V), D.res[w].mo(D.gamma(y, z, V)))
-                rhs = fw.compose(D.gamma(y, zw, V), D.gamma(z, w, D.res[y].ob(V)))
-                if lhs != rhs:
-                    errs.append(
-                        f"associativity fails for ({fmt(y)},{fmt(z)},{fmt(w)}) at {fmt(V)}"
-                    )
-                    break
+            bad = [
+                fmt(V) for V in D.fib[base.cod(y)].objects
+                if fw.compose(D.gamma(yz, w, V), D.res[w].mo(D.gamma(y, z, V)))
+                != fw.compose(D.gamma(y, zw, V), D.gamma(z, w, D.res[y].ob(V)))
+            ]
+            if bad:
+                errs.append(
+                    f"associativity fails for ({fmt(y)},{fmt(z)},{fmt(w)}) at {min(bad)}"
+                )
     # Unit: composing with an identity is absorbed by the unitor.
     for y, (Y, X) in base.mor.items():
         fy = D.fib[Y]
@@ -189,7 +201,7 @@ def validate_indexed(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
             left = fy.compose(D.gamma(base.ident[X], y, V), D.res[y].mo(D.unit(X, V)))
             if left != fy.ident[ry_V]:
                 errs.append(f"left unit fails for {fmt(y)} at {fmt(V)}")
-    return errs
+    return sorted(errs)
 
 
 def path_composite(base: FinCat, X, path):
@@ -246,6 +258,9 @@ class IndexedFun:
 
 
 def validate_indexed_fun(F: IndexedFun) -> list:
+    """Pseudonaturality violations, as strings, in phases as in
+    `validate_indexed`: past the structural checks, each phase checks every
+    element and sorts its findings."""
     errs = []
     D, E = F.D, F.E
     base = D.base
@@ -276,15 +291,17 @@ def validate_indexed_fun(F: IndexedFun) -> list:
                 errs.append(f"cell along {fmt(y)} malformed at {fmt(V)}")
             elif not fy.is_iso(m):
                 errs.append(f"cell along {fmt(y)} not invertible at {fmt(V)}")
-        if errs:
-            return errs
+    if errs:
+        return sorted(errs)
+    for y, (Y, X) in base.mor.items():
+        cy, fy = F.cell[y], E.fib[Y]
         for m, (V, W) in D.fib[X].mor.items():
             lhs = fy.compose(cy[W], F.comp[Y].mo(D.res[y].mo(m)))
             rhs = fy.compose(E.res[y].mo(F.comp[X].mo(m)), cy[V])
             if lhs != rhs:
                 errs.append(f"cell along {fmt(y)} not natural at {fmt(m)}")
     if errs:
-        return errs
+        return sorted(errs)
 
     for X in base.objects:
         fy = E.fib[X]
@@ -312,7 +329,7 @@ def validate_indexed_fun(F: IndexedFun) -> list:
                 errs.append(
                     f"composition coherence fails for ({fmt(g)},{fmt(f)}) at {fmt(V)}"
                 )
-    return errs
+    return sorted(errs)
 
 
 def strict_indexed_fun(D, E, comp, name="") -> IndexedFun:
@@ -550,12 +567,10 @@ def precompose_indexed(E: IndexedCat, F: Functor, name="") -> IndexedCat:
     return IndexedCat(base, fib, res, compositor, unitor, name=name)
 
 
-def precompose_indexed_fun(H, F: Functor, DF=None, EF=None, name=""):
+def precompose_indexed_fun(H, F: Functor, DF, EF, name=""):
     """H∘F on an indexed functor: components and cells transport along the
-    strict base functor F.  Pass prebuilt precomposed endpoints to land
-    between existing IndexedCat values."""
-    DF = DF if DF is not None else precompose_indexed(H.D, F)
-    EF = EF if EF is not None else precompose_indexed(H.E, F)
+    strict base functor F, between the endpoints DF and EF, which are
+    `precompose_indexed` of H's ends along F."""
     comp = {k: H.comp[F.ob(k)] for k in F.src.objects}
     cell = {m: dict(H.cell[F.mo(m)]) for m in F.src.mor}
     return IndexedFun(DF, EF, comp, cell, name=name)

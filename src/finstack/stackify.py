@@ -8,7 +8,7 @@ terminal stage and the pseudocolimit over refinements collapses to that stage;
 least cover.  Restriction of descent data along y is then literal reindexing
 (g ↦ y∘g), which is strictly functorial, so D⁺ carries identity compositors.
 
-`sheafify_oracle` re-implements the set-level special case from scratch
+`sheafify_with_unit` re-implements the set-level special case from scratch
 (matching families, twice) so the categorical pipeline can be audited against
 it on discrete embeddings without sharing any machinery.
 """
@@ -354,10 +354,6 @@ def sheafify_with_unit(P: Presheaf, J: Topology, caps: _caps.Caps = _caps.DEFAUL
     return P2, unit
 
 
-def sheafify_oracle(P: Presheaf, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> Presheaf:
-    return sheafify_with_unit(P, J, caps)[0]
-
-
 def is_sheaf_presheaf(P: Presheaf, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> Check:
     """Sections are in bijection with matching families, for every cover."""
     base = P.base
@@ -404,7 +400,7 @@ def _translate_datum(a: DescentDatum, depth):
 def discrete_stackify_witness(P: Presheaf, J: Topology,
                               caps: _caps.Caps = _caps.DEFAULT):
     """Build the comparison between stackify∘embed_discrete and
-    embed_discrete∘sheafify_oracle.
+    embed_discrete∘sheafify_with_unit.
 
     Returns (W, intertwine, sres, sheaf, unit) where W is a strict indexed
     functor stackify(embed(P)).stack -> embed(sheafify(P)) translating nested

@@ -186,9 +186,9 @@ def test_essential_fibre_over_point_recovers_the_fibre():
 
 
 def test_r_d_identity_on_discrete_has_contractible_fibres():
-    dd = embed_discrete(patches_sheaf())
-    r = R_D(embed_fibration(patches_sheaf()))
-    g = grothendieck(dd)
+    fib = embed_fibration(patches_sheaf())
+    g = grothendieck(fib.p.E)
+    r = R_D(fib, g)
     assert set(r.fib) == set(g.total.objects)
     for v in g.total.objects:
         assert len(r.fib[v].objects) == 1
@@ -198,7 +198,7 @@ def test_r_d_identity_on_discrete_has_contractible_fibres():
 def test_r_d_identity_on_twisted_group_fibre():
     dd = twisted_z2_indexed()
     fib = as_fibration(identity_indexed_fun(dd))
-    r = R_D(fib)
+    r = R_D(fib, grothendieck(dd))
     (v,) = list(r.fib)
     fe = r.fib[v]
     assert len(fe.objects) == 2
@@ -210,7 +210,7 @@ def test_r_d_projection_fibres_are_the_second_factor():
     d = embed_discrete(patches_sheaf())
     e = const_walking_iso(patches_cat())
     fib = as_fibration(projection_fibration(d, e))
-    r = R_D(fib)
+    r = R_D(fib, grothendieck(fib.p.E))
     k = walking_iso_cat()
     for v in r.fib:
         fe = r.fib[v]
@@ -368,7 +368,7 @@ def test_sharp_refuses_foreign_flattening():
     fm = flat(identity_indexed_fun(r), fib, g, LA=la, LR=la)
     other = L_D(r, g)
     with pytest.raises(ValueError):
-        sharp(fm, other, g)
+        sharp(fm, other, g, R_dst=r)
 
 
 def test_validate_fib_mor_flags_lost_cartesian_arrows():
@@ -417,14 +417,16 @@ def test_double_plus_preserves_fibrations_group_base():
 ])
 def test_localized_fibration_is_a_stack(make):
     fib, j = make()
-    c = check_thm_4_2_ii(fib, j)
+    c = check_thm_4_2_ii(fib, j, grothendieck(fib.p.E))
     assert c.ok, c.reason
 
 
 def test_descent_budget_guards_group_like_bases():
     fib = as_fibration(identity_indexed_fun(twisted_z2_indexed()))
+    caps = Caps(max_descent=200)
+    g = grothendieck(fib.p.E, caps)
     with pytest.raises(CapExceeded):
-        check_thm_4_2_ii(fib, trivial_topology(fib), caps=Caps(max_descent=200))
+        check_thm_4_2_ii(fib, trivial_topology(fib), g, caps)
 
 
 def _wide_projection(n):

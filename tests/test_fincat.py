@@ -25,7 +25,8 @@ from finstack import (
     terminal_cat,
     validate_fincat,
 )
-from finstack.fincat import all_nat_trans, find_natiso
+from finstack.fincat import all_nat_trans
+from finstack.indexed import path_composite
 from finstack.util import fmt
 
 import corpus
@@ -124,10 +125,11 @@ def test_inverse_and_iso():
     assert c.iso_between("a", "b") is None
 
 
-def test_compose_path():
+def test_path_composite():
     c = corpus.patches_cat()
-    got = c.compose_path([corpus.le("r", "p"), corpus.le("p", "X")])
+    got = path_composite(c, "X", [corpus.le("p", "X"), corpus.le("r", "p")])
     assert got == corpus.le("r", "X")
+    assert path_composite(c, "X", []) == c.ident["X"]
 
 
 def test_poset_cat_closure():
@@ -202,12 +204,13 @@ def test_all_nat_trans_count():
     assert len(ts) == 2
 
 
-def test_find_natiso():
+def test_iso_only_nat_trans():
     w = corpus.walking_iso_cat()
     swap = Functor(w, w, {"x": "y", "y": "x"}, {"idx": "idy", "idy": "idx", "f": "g", "g": "f"})
     assert swap.validate() == []
-    iso = find_natiso(identity_functor(w), swap)
-    assert iso is not None and iso.validate() == []
+    iso = next(all_nat_trans(identity_functor(w), swap, iso_only=True))
+    assert iso.validate() == []
+    assert all(w.is_iso(a) for a in iso.comp.values())
 
 
 def test_equivalence_predicates():

@@ -9,9 +9,7 @@ from finstack import (
     compose_functors,
     const_indexed,
     embed_discrete,
-    essential_fibre,
     essential_fibre_cat,
-    essential_fibre_classes,
     fiber_transport,
     fibre_inclusion,
     generate_sieve,
@@ -20,6 +18,7 @@ from finstack import (
     is_cartesian,
     is_equivalence,
     is_stack,
+    iso_classes,
     precompose_indexed,
     saturate,
     slice_cat,
@@ -169,14 +168,14 @@ def test_giraud_validates_on_corpus():
 def test_essential_fibre():
     D = const_indexed(corpus.walking_iso_cat(), corpus.discrete_two())
     G = grothendieck(D)
-    ess = essential_fibre(G, "x")
+    ess = essential_fibre_cat(G.proj, "x").objects
     # every total object over x appears with the identity
     for A in G.total.objects:
         if A[0] == "x":
             assert (A, "idx") in ess
     # objects over y enter through the iso g : x -> y... alpha : x -> proj(A)
     assert ((("y", "0"), "f")) in ess
-    classes = essential_fibre_classes(G, "x")
+    classes = iso_classes(essential_fibre_cat(G.proj, "x"))
     assert len(classes) == 2  # one per fibre point, x- and y-copies merged
 
 
@@ -186,7 +185,7 @@ def test_fiber_transport_projects_to_dom():
     G = grothendieck(D)
     for X in c.objects:
         sl, slproj = slice_cat(c, X)
-        for (A, alpha) in essential_fibre(G, X):
+        for (A, alpha) in essential_fibre_cat(G.proj, X).objects:
             F = fiber_transport(G, (A, alpha))
             assert compose_functors(G.proj, F) == slproj
             assert G.total.iso_between(F.ob(c.ident[X]), A) is not None
@@ -196,7 +195,7 @@ def test_fiber_transport_nonstrict():
     D = corpus.twisted_z2_indexed()
     G = grothendieck(D)
     sl, slproj = slice_cat(D.base, "*")
-    for (A, alpha) in essential_fibre(G, "*"):
+    for (A, alpha) in essential_fibre_cat(G.proj, "*").objects:
         F = fiber_transport(G, (A, alpha))
         assert compose_functors(G.proj, F) == slproj
 

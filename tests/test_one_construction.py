@@ -34,8 +34,7 @@ from finstack import (
     desc_hom,
     embed_discrete,
     enumerate_data,
-    essential_fibre,
-    essential_fibre_classes,
+    essential_fibre_cat,
     generate_sieve,
     grothendieck,
     identity_functor,
@@ -45,6 +44,7 @@ from finstack import (
     is_indexed_fibration,
     is_prestack,
     is_stack,
+    iso_classes,
     least_cover_pullbacks,
     minimal_cover,
     pullback_sieve,
@@ -412,9 +412,9 @@ def test_essential_fibres_match_the_pairwise_partition():
     for name, G in _groths():
         for X in G.source.base.objects:
             fibres += 1
-            assert essential_fibre(G, X) == ref_essential_fibre(G, X), name
-            assert (essential_fibre_classes(G, X)
-                    == ref_essential_fibre_classes(G, X)), name
+            ess = essential_fibre_cat(G.proj, X)
+            assert list(ess.objects) == ref_essential_fibre(G, X), name
+            assert iso_classes(ess) == ref_essential_fibre_classes(G, X), name
     assert fibres > 30
 
 

@@ -18,7 +18,6 @@ from finstack import (
     plus_presheaf,
     reflect_through_unit,
     saturate,
-    sheafify_oracle,
     sheafify_with_unit,
     stackify,
     strict_indexed_fun,
@@ -149,12 +148,12 @@ def test_is_sheaf_presheaf():
 
 def test_sheafify_oracle_counts():
     c, J = corpus.arrow_site()
-    out = sheafify_oracle(corpus.arrow_presheaf(2, 1), J)
+    out, _ = sheafify_with_unit(corpus.arrow_presheaf(2, 1), J)
     assert validate_presheaf(out) == []
     assert len(out.els["b"]) == 1
 
     c, J = corpus.span_site()
-    out = sheafify_oracle(corpus.span_presheaf_free(2, 2, 1), J)
+    out, _ = sheafify_with_unit(corpus.span_presheaf_free(2, 2, 1), J)
     assert len(out.els["X"]) == 4
 
 
