@@ -8,6 +8,14 @@ survivor goes through `pruned_product`, on the same budget.  The defaults
 match the CLI flags `--max-homset`, `--max-sieves-per-object`,
 `--max-descent`, `--max-closure`, and a cap message names the flag that
 raises it.
+
+Both searches keep the one constraint schedule.  A check is a pair
+`(scope, c)`: `scope` is the tuple of positions it reads and `c` its
+payload.  The check is filed under `max(scope)`, the position where its
+scope closes, in the order the checks are given; each candidate set there
+is kept only if `holds(c, a)` is true for every check filed there, tested
+in that order until one fails, with `a` the assignment to positions
+0..max(scope).  A check is tested nowhere else.
 """
 
 from dataclasses import dataclass
@@ -60,40 +68,38 @@ class Budget:
             )
 
 
-class _Unmetered:
-    """Stands in for a `Budget` where the caller meters the nodes."""
-
-    __slots__ = ()
-
-    def spend(self):
-        pass
-
-
-def search(n, cands, fits, budget: Budget):
-    """Depth-first search over assignments to positions 0..n-1, in order.
-
-    `cands(i, a)` gives the candidates for position i once a[:i] is fixed;
-    `fits(i, a)` tests the constraints that close at position i, with a[i]
-    just set.  Yields each full assignment as a list that is reused, so
-    callers copy what they keep.  One node of `budget` is spent per position
-    entered, the full assignment included.
-    """
+def _walk(pools, checks, holds, enter, reject):
+    """The backtracking of `search` and `pruned_product`.  `enter()` is
+    called per position entered, the root included, and `reject()` per
+    candidate a check rejects; either may be None."""
+    closing = [[] for _ in pools]
+    for scope, c in checks:
+        closing[max(scope)].append(c)
     a = []
-    budget.spend()
-    if n == 0:
+    if enter is not None:
+        enter()
+    if not pools:
         yield a
         return
-    stack = [iter(cands(0, a))]
+    n = len(pools)
+    stack = [iter(pools[0])]
     while stack:
         i = len(a)
+        due = closing[i]
         for v in stack[-1]:
             a.append(v)
-            if fits(i, a):
-                budget.spend()
+            for c in due:
+                if not holds(c, a):
+                    if reject is not None:
+                        reject()
+                    break
+            else:
+                if enter is not None:
+                    enter()
                 if i + 1 == n:
                     yield a
                 else:
-                    stack.append(iter(cands(i + 1, a)))
+                    stack.append(iter(pools[i + 1]))
                     break
             a.pop()
         else:
@@ -102,29 +108,33 @@ def search(n, cands, fits, budget: Budget):
                 a.pop()
 
 
-def pruned_product(pools, fits, budget: Budget):
-    """The tuples of the product of `pools` that pass `fits`, in product
-    order: forward checking (Haralick & Elliott, 1980) by `search`.
+def search(pools, checks, holds, budget: Budget):
+    """Depth-first search over assignments a with a[i] drawn from
+    `pools[i]`, in pool order.
 
-    `pools` are sequences; `fits(i, a)` tests the constraints that close at
-    position i, with a[i] just set, and must fail only where no completion
-    of a[:i+1] can pass.  Yields each surviving tuple as a list that is
-    reused, so callers copy what they keep.  Callers run one `search` on
-    every survivor, whose root node stands for it.  Positions entered here
-    are not metered; one node of `budget` is spent per rejected candidate
-    instead.  A rejection stands for at least one full combination, each
-    of which would have cost its `search` a root node, so on a shared
-    budget this never spends more than searching every combination of the
-    full product.  With an empty pool there is no combination and nothing
-    is spent.
+    `checks` are `(scope, c)` pairs, each tested by `holds(c, a)` where its
+    scope closes (see the module docstring).  Yields each full assignment
+    as a list that is reused, so callers copy what they keep.  One node of
+    `budget` is spent per position entered, the full assignment included.
+    """
+    return _walk(pools, checks, holds, budget.spend, None)
+
+
+def pruned_product(pools, checks, holds, budget: Budget):
+    """The tuples of the product of `pools` that pass every check, in
+    product order: forward checking (Haralick & Elliott, 1980).
+
+    Checks are scheduled as in `search`, and a check must fail only where
+    no completion of the prefix can pass.  Yields each surviving tuple as a
+    list that is reused, so callers copy what they keep.  Callers run one
+    `search` on every survivor, whose root node stands for it.  Positions
+    entered here are not metered; one node of `budget` is spent per
+    rejected candidate instead.  A rejection stands for at least one full
+    combination, each of which would have cost its `search` a root node, so
+    on a shared budget this never spends more than searching every
+    combination of the full product.  With an empty pool there is no
+    combination and nothing is spent.
     """
     if not all(pools):
-        return
-
-    def checked(i, a):
-        if fits(i, a):
-            return True
-        budget.spend()
-        return False
-
-    yield from search(len(pools), lambda i, a: pools[i], checked, _Unmetered())
+        return iter(())
+    return _walk(pools, checks, holds, None, budget.spend)

@@ -291,12 +291,12 @@ def cmd_fiber_adjunction(env, args, caps):
 
     G = grothendieck(fib.p.E, caps)
     r = R_D(fib, G, caps)
-    eta = unit_eta(r, G, caps)
+    la = L_D(r, G, caps)
+    eta = unit_eta(r, G, caps, L=la)
     unit_c = is_indexed_equivalence(eta)
-    eps = counit_eps(fib, G, caps)
+    eps = counit_eps(fib, G, caps, R=r, LR=la)
     counit_c = is_indexed_equivalence(eps)
 
-    la = L_D(r, G, caps)
     h = identity_indexed_fun(r)
     fm = flat(h, fib, G, caps, LA=la, LR=la)
     fm_ok = validate_fib_mor(fm) == []

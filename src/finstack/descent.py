@@ -170,54 +170,49 @@ def validate_datum(D: IndexedCat, R: Sieve, a: DescentDatum) -> list:
 
 def enumerate_data(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT):
     """All descent data over R, in fibre order.  Member objects are chosen
-    by forward checking (`caps.pruned_product`): pair (f, g) closes once
-    obj[f] and obj[f∘g] are set, and a choice is dropped there when no iso
-    D(g)(obj[f]) -> obj[f∘g] exists.  Coherence isos are then found for
-    each surviving choice by backtracking, pruning with normalization and
-    the cocycle.  One caps budget covers both phases: a node per dropped
-    choice and per coherence position entered, never more than searching
-    every choice in the full product would spend."""
+    by forward checking (`caps.pruned_product`): pair (f, g) reads obj[f]
+    and obj[f∘g], and a choice is dropped when no iso D(g)(obj[f]) ->
+    obj[f∘g] exists.  Coherence isos are then found for each surviving
+    choice by `caps.search`: normalization fixes the pool at each identity
+    pair, and each cocycle triple reads its three coherences.  One caps
+    budget covers both phases: a node per dropped choice and per coherence
+    position entered, never more than searching every choice in the full
+    product would spend."""
     base = D.base
     members = R.members()
     pairs = coh_pairs(D, R)
     at = {p: i for i, p in enumerate(pairs)}
     pos = {f: i for i, f in enumerate(members)}
 
-    # Member positions of each pair's two ends, filed under the later one.
-    # At an identity the unitor is an iso, so those pairs are left out.
-    ends = {}
+    # At an identity the unitor is an iso, so those pairs link nothing.
+    links = []
     for f, g in pairs:
         if not base.is_id(g):
             jf, jfg = pos[f], pos[base.compose(f, g)]
-            ends.setdefault(max(jf, jfg), []).append((g, jf, jfg))
+            links.append(((jf, jfg), (g, jf, jfg)))
     # Whether some iso D(g)(U) -> V exists, by (g, U, V): the same ends
     # recur under many prefixes.
     has_iso = {}
 
-    def linked(i, a):
-        for g, jf, jfg in ends.get(i, ()):
-            key = (g, a[jf], a[jfg])
-            if key not in has_iso:
-                fib = D.fib[base.dom(g)]
-                src = D.res[g].ob(a[jf])
-                has_iso[key] = fib.iso_between(src, a[jfg]) is not None
-            if not has_iso[key]:
-                return False
-        return True
+    def linked(link, a):
+        g, jf, jfg = link
+        key = (g, a[jf], a[jfg])
+        if key not in has_iso:
+            fib = D.fib[base.dom(g)]
+            src = D.res[g].ob(a[jf])
+            has_iso[key] = fib.iso_between(src, a[jfg]) is not None
+        return has_iso[key]
 
-    # Cocycle triples with the positions of their three coherence keys,
-    # filed under the last of them to be assigned.
-    closing = {}
+    cocycles = []
     for f in members:
         for g in base.into(base.dom(f)):
             fg = base.compose(f, g)
             for h in base.into(base.dom(g)):
                 gh = base.compose(g, h)
                 keys = (at[(f, gh)], at[(fg, h)], at[(f, g)])
-                closing.setdefault(max(keys), []).append((f, g, h, *keys))
+                cocycles.append((keys, (f, g, h, *keys)))
 
-    def cands(i, coh):
-        f, g = pairs[i]
+    def isos(f, g):
         y = base.dom(g)
         fib = D.fib[y]
         src = D.res[g].ob(obj[f])
@@ -227,21 +222,19 @@ def enumerate_data(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT):
             return [m] if m is not None and fib.mor[m] == (src, dst) else []
         return [m for m in fib.hom(src, dst) if fib.is_iso(m)]
 
-    def fits(i, coh):
-        for f, g, h, fgh, fg_h, f_g in closing.get(i, ()):
-            fib = D.fib[base.dom(h)]
-            lhs = fib.compose(coh[fgh], D.gamma(g, h, obj[f]))
-            rhs = fib.compose(coh[fg_h], D.res[h].mo(coh[f_g]))
-            if lhs != rhs:
-                return False
-        return True
+    def cocycle(c, coh):
+        f, g, h, fgh, fg_h, f_g = c
+        fib = D.fib[base.dom(h)]
+        lhs = fib.compose(coh[fgh], D.gamma(g, h, obj[f]))
+        return lhs == fib.compose(coh[fg_h], D.res[h].mo(coh[f_g]))
 
     out = []
     budget = _caps.Budget(caps)
-    pools = [D.fib[base.dom(f)].objects for f in members]
-    for choice in _caps.pruned_product(pools, linked, budget):
+    objects = [D.fib[base.dom(f)].objects for f in members]
+    for choice in _caps.pruned_product(objects, links, linked, budget):
         obj = dict(zip(members, choice))
-        for coh in _caps.search(len(pairs), cands, fits, budget):
+        pools = [isos(f, g) for f, g in pairs]
+        for coh in _caps.search(pools, cocycles, cocycle, budget):
             out.append(DescentDatum(obj, zip(pairs, coh)))
     _caps.check(len(out), caps, "max_descent", "descent data count")
     return out
@@ -249,32 +242,27 @@ def enumerate_data(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT):
 
 def desc_hom(D: IndexedCat, R: Sieve, a: DescentDatum, b: DescentDatum,
              caps: _caps.Caps = _caps.DEFAULT):
-    """All descent morphisms a -> b, as dicts member -> fibre morphism."""
+    """All descent morphisms a -> b, as dicts member -> fibre morphism, by
+    `caps.search` over the fibre homs: the square of pair (f, g) reads the
+    components at f and f∘g."""
     base = D.base
     members = R.members()
     at = {f: i for i, f in enumerate(members)}
-    # Constraint (f, g) closes once comp[f] and comp[f∘g] are both known.
-    closing = {}
-    for (f, g) in coh_pairs(D, R):
-        fg = base.compose(f, g)
-        closing.setdefault(max(at[f], at[fg]), []).append((f, g, at[f], at[fg]))
+    squares = []
+    for f, g in coh_pairs(D, R):
+        jf, jfg = at[f], at[base.compose(f, g)]
+        squares.append(((jf, jfg), (f, g, jf, jfg)))
 
-    def cands(j, comp):
-        f = members[j]
-        return D.fib[base.dom(f)].hom(a.obj[f], b.obj[f])
+    def commutes(c, comp):
+        f, g, jf, jfg = c
+        fib = D.fib[base.dom(g)]
+        lhs = fib.compose(b.coh[(f, g)], D.res[g].mo(comp[jf]))
+        return lhs == fib.compose(comp[jfg], a.coh[(f, g)])
 
-    def fits(j, comp):
-        for f, g, jf, jfg in closing.get(j, ()):
-            fib = D.fib[base.dom(g)]
-            lhs = fib.compose(b.coh[(f, g)], D.res[g].mo(comp[jf]))
-            rhs = fib.compose(comp[jfg], a.coh[(f, g)])
-            if lhs != rhs:
-                return False
-        return True
-
+    pools = [D.fib[base.dom(f)].hom(a.obj[f], b.obj[f]) for f in members]
     return [
         dict(zip(members, comp))
-        for comp in _caps.search(len(members), cands, fits, _caps.Budget(caps))
+        for comp in _caps.search(pools, squares, commutes, _caps.Budget(caps))
     ]
 
 

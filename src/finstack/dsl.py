@@ -552,6 +552,9 @@ class _Elab:
     # -- morphism references ------------------------------------------------
 
     def resolve_mor(self, catname, cat, ref, line, col):
+        """The morphism of `cat` that `ref` names.  Generator aliases are
+        the ones recorded for `cat`'s own block; `catname` is the label
+        messages give it ("fiber x", "base" or a block name)."""
         if ref[0] == "id":
             if ref[1] not in cat.ident:
                 self.err(line, col, f"no object {ref[1]!r} in {catname!r}")
@@ -564,7 +567,7 @@ class _Elab:
                          f"no relation {ref[1]} <= {ref[2]} in {catname!r}")
                 return None
             return m
-        alias = self.env.aliases.get(catname, {})
+        alias = self.env.aliases.get(cat.name, {})
         parts = []
         for nm in ref[1]:
             m = alias.get(nm, nm if nm in cat.mor else None)

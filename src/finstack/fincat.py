@@ -432,8 +432,8 @@ class NatTrans:
 def all_nat_trans(F: Functor, G: Functor, iso_only: bool = False,
                   caps: _caps.Caps = _caps.DEFAULT):
     """Yield every natural transformation F => G, choosing components in
-    object order and checking each naturality square once both of its
-    endpoints are chosen."""
+    object order by `caps.search`: the naturality square of d -> c reads
+    the components at d and c."""
     if F.src is not G.src and F.src != G.src:
         return
     src, dst = F.src, F.dst
@@ -447,17 +447,13 @@ def all_nat_trans(F: Functor, G: Functor, iso_only: bool = False,
             return
         pools.append(pool)
     at = {x: i for i, x in enumerate(objects)}
-    closing = {}
-    for m, (d, c) in src.mor.items():
-        closing.setdefault(max(at[d], at[c]), []).append((m, at[d], at[c]))
+    squares = [((at[d], at[c]), (m, at[d], at[c])) for m, (d, c) in src.mor.items()]
 
-    def fits(i, a):
-        return all(
-            dst.compose(a[c], F.mmap[m]) == dst.compose(G.mmap[m], a[d])
-            for m, d, c in closing.get(i, ())
-        )
+    def natural(sq, a):
+        m, d, c = sq
+        return dst.compose(a[c], F.mmap[m]) == dst.compose(G.mmap[m], a[d])
 
-    for a in search(len(objects), lambda i, a: pools[i], fits, Budget(caps)):
+    for a in search(pools, squares, natural, Budget(caps)):
         yield NatTrans(F, G, dict(zip(objects, a)))
 
 
@@ -465,47 +461,43 @@ def all_functors(src: FinCat, dst: FinCat, caps: _caps.Caps = _caps.DEFAULT):
     """Yield every functor src -> dst, in stable order.  Object maps are
     chosen by forward checking (`caps.pruned_product`): a map is dropped
     once some non-identity arrow d -> c has an empty hom(omap[d], omap[c]).
-    The non-identity morphisms are then mapped by backtracking, checking
-    each table entry once its three morphisms are mapped.  Only reasonable
-    for desk-scale categories; one caps budget covers both phases, and
-    never spends more than searching every object map would."""
+    The non-identity morphisms are then mapped by `caps.search`, which
+    checks each table entry g∘f = h once its non-identity morphisms are
+    mapped.  Only reasonable for desk-scale categories; one caps budget
+    covers both phases, and never spends more than searching every object
+    map would."""
     objs = src.stable_objects()
     non_id = [m for m in src.ordered(src.mor) if not src.is_id(m)]
-    at = {m: i for i, m in enumerate(non_id)}
-    closing = {}
-    for (g, f), h in src.table.items():
-        i = max(at.get(g, -1), at.get(f, -1), at.get(h, -1))
-        if i >= 0:
-            closing.setdefault(i, []).append((g, f, h))
-    # The arrows d -> c between object positions, filed under the later.
     pos = {x: i for i, x in enumerate(objs)}
-    arrows = {}
-    for m in non_id:
-        d, c = src.mor[m]
-        arrows.setdefault(max(pos[d], pos[c]), set()).add((pos[d], pos[c]))
+    ends = [(pos[src.dom(m)], pos[src.cod(m)]) for m in non_id]
+    # A table entry reads each non-identity morphism at its position in
+    # non_id, and the identity at x as ~pos[x]: the object map fixes it.
+    at = {m: i for i, m in enumerate(non_id)}
+    at.update((src.ident[x], ~i) for x, i in pos.items())
+    entries = []
+    for (g, f), h in src.table.items():
+        keys = (at[g], at[f], at[h])
+        scope = tuple(k for k in keys if k >= 0)
+        if scope:
+            entries.append((scope, keys))
 
-    def linked(i, a):
-        return all(dst.hom(a[d], a[c]) for d, c in arrows.get(i, ()))
+    def linked(dc, a):
+        return bool(dst.hom(a[dc[0]], a[dc[1]]))
+
+    def composes(keys, a):
+        g, f, h = [a[k] if k >= 0 else ids[~k] for k in keys]
+        return dst.table[(g, f)] == h
 
     budget = Budget(caps)
-    pools = [dst.stable_objects()] * len(objs)
-    for choice in pruned_product(pools, linked, budget):
-        omap = dict(zip(objs, choice))
-        mmap = {src.ident[x]: dst.ident[omap[x]] for x in objs}
-
-        def cands(i, a):
-            d, c = src.mor[non_id[i]]
-            return dst.hom(omap[d], omap[c])
-
-        def fits(i, a):
-            mmap[non_id[i]] = a[i]  # entries past i are stale, never read
-            return all(
-                dst.table[(mmap[g], mmap[f])] == mmap[h]
-                for g, f, h in closing.get(i, ())
-            )
-
-        for a in search(len(non_id), cands, fits, budget):
-            yield Functor(src, dst, dict(omap), dict(mmap))
+    objects = [dst.stable_objects()] * len(objs)
+    arrows = [(dc, dc) for dc in dict.fromkeys(ends)]
+    for choice in pruned_product(objects, arrows, linked, budget):
+        ids = [dst.ident[y] for y in choice]
+        pools = [dst.hom(choice[d], choice[c]) for d, c in ends]
+        for a in search(pools, entries, composes, budget):
+            mmap = {src.ident[x]: ids[i] for x, i in pos.items()}
+            mmap.update(zip(non_id, a))
+            yield Functor(src, dst, dict(zip(objs, choice)), mmap)
 
 
 def is_fully_faithful(F: Functor) -> Check:

@@ -428,11 +428,11 @@ def is_indexed_iso(t: IndexedNat) -> bool:
 
 
 def find_indexed_natiso(F: IndexedFun, G: IndexedFun, caps: _caps.Caps = _caps.DEFAULT):
-    """Invertible transformation F => G, by backtracking search; None if none.
+    """Invertible transformation F => G, by `caps.search`; None if none.
 
     Per-object candidates are the natural isos between the components; the
-    search prunes with the cell-coherence condition as soon as both endpoints
-    of a base morphism are assigned.
+    cell-coherence condition along a base morphism reads the components at
+    both of its endpoints.
     """
     D, E = F.D, F.E
     base = D.base
@@ -444,12 +444,11 @@ def find_indexed_natiso(F: IndexedFun, G: IndexedFun, caps: _caps.Caps = _caps.D
         if not cand[-1]:
             return None
     at = {X: i for i, X in enumerate(objs)}
-    closing = {}
-    for y, (Y, X) in base.mor.items():
-        closing.setdefault(max(at[Y], at[X]), []).append((y, at[Y], at[X]))
+    cells = [((at[Y], at[X]), y) for y, (Y, X) in base.mor.items()]
 
-    def coherent(y, tY, tX):
+    def coherent(y, a):
         Y, X = base.mor[y]
+        tY, tX = a[at[Y]], a[at[X]]
         fy = E.fib[Y]
         return all(
             fy.compose(G.cell[y][V], tY[D.res[y].ob(V)])
@@ -457,10 +456,7 @@ def find_indexed_natiso(F: IndexedFun, G: IndexedFun, caps: _caps.Caps = _caps.D
             for V in D.fib[X].objects
         )
 
-    def fits(i, a):
-        return all(coherent(y, a[jY], a[jX]) for y, jY, jX in closing.get(i, ()))
-
-    found = _caps.search(len(objs), lambda i, a: cand[i], fits, _caps.Budget(caps))
+    found = _caps.search(cand, cells, coherent, _caps.Budget(caps))
     a = next(found, None)
     return None if a is None else IndexedNat(F, G, dict(zip(objs, a)))
 
@@ -469,25 +465,26 @@ def all_indexed_funs(D: IndexedCat, E: IndexedCat, caps: _caps.Caps = _caps.DEFA
     """Yield every indexed functor D -> E (components and cells exhausted).
 
     A cell along y is exactly a natural iso comp_Y ∘ D(y) => E(y) ∘ comp_X,
-    so per-morphism candidates come from nat-trans enumeration, then the two
-    coherence axioms prune the combinations: unit coherence as soon as an
-    identity cell is placed, composition coherence once a pair and its
+    so for each choice of components the pool at y comes from nat-trans
+    enumeration, less the identity cells that break unit coherence; then
+    `caps.search` checks composition coherence where a pair and its
     composite all have cells.  Strictly desk-scale; used for bounded
     uniqueness checks.  One caps budget covers all component choices."""
     base = D.base
     objs = stable_sorted(base.objects)
     mors = stable_sorted(base.mor)
     at = {y: i for i, y in enumerate(mors)}
-    closing = {}
+    triples = []
     for (g, f), h in base.table.items():
-        closing.setdefault(max(at[g], at[f], at[h]), []).append((g, f, h))
+        keys = (at[g], at[f], at[h])
+        triples.append((keys, (g, f, *keys)))
 
-    def cands(i, cell):
-        y = mors[i]
+    def cells(y):
         Y, X = base.mor[y]
         left = compose_functors(comp[Y], D.res[y])
         right = compose_functors(E.res[y], comp[X])
-        return (t.comp for t in all_nat_trans(left, right, iso_only=True, caps=caps))
+        pool = [t.comp for t in all_nat_trans(left, right, iso_only=True, caps=caps)]
+        return [c for c in pool if unit_ok(X, c)] if base.is_id(y) else pool
 
     def unit_ok(X, c):
         fx = E.fib[X]
@@ -496,7 +493,9 @@ def all_indexed_funs(D: IndexedCat, E: IndexedCat, caps: _caps.Caps = _caps.DEFA
             for V in D.fib[X].objects
         )
 
-    def composite_ok(g, f, cg, cf, ch):
+    def composite_ok(triple, cell):
+        g, f, jg, jf, jh = triple
+        cg, cf, ch = cell[jg], cell[jf], cell[jh]
         Xc = base.cod(g)
         Z = base.dom(f)
         fz = E.fib[Z]
@@ -510,20 +509,12 @@ def all_indexed_funs(D: IndexedCat, E: IndexedCat, caps: _caps.Caps = _caps.DEFA
                 return False
         return True
 
-    def fits(i, cell):
-        y = mors[i]
-        if base.is_id(y) and not unit_ok(base.dom(y), cell[i]):
-            return False
-        return all(
-            composite_ok(g, f, cell[at[g]], cell[at[f]], cell[at[h]])
-            for g, f, h in closing.get(i, ())
-        )
-
     budget = _caps.Budget(caps)
     pools = [list(all_functors(D.fib[X], E.fib[X], caps)) for X in objs]
     for combo in iproduct(*pools):
         comp = dict(zip(objs, combo))
-        for cell in _caps.search(len(mors), cands, fits, budget):
+        cell_pools = [cells(y) for y in mors]
+        for cell in _caps.search(cell_pools, triples, composite_ok, budget):
             yield IndexedFun(
                 D, E, dict(comp), {y: dict(c) for y, c in zip(mors, cell)}
             )

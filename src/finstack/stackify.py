@@ -284,25 +284,23 @@ def reflect_through_unit(phi: IndexedFun, F_is_stack, J: Topology,
 
 def matching_families(P: Presheaf, R: Sieve, caps: _caps.Caps = _caps.DEFAULT):
     """All compatible assignments f ↦ s_f ∈ P(dom f) over the sieve, as
-    canonical ("mf", ((f, s_f), ...)) tuples in stable order."""
+    canonical ("mf", ((f, s_f), ...)) tuples in stable order, by
+    `caps.search`: the restriction along g reads s_f and s_{f∘g}."""
     base = P.base
     members = R.members()
     at = {f: i for i, f in enumerate(members)}
-    closing = {}
+    restrictions = []
     for f in members:
         for g in base.into(base.dom(f)):
-            fg = base.compose(f, g)
-            closing.setdefault(max(at[f], at[fg]), []).append((g, at[f], at[fg]))
+            jf, jfg = at[f], at[base.compose(f, g)]
+            restrictions.append(((jf, jfg), (g, jf, jfg)))
 
-    def fits(i, fam):
-        return all(P.act[g][fam[jf]] == fam[jfg] for g, jf, jfg in closing.get(i, ()))
+    def restricts(r, fam):
+        g, jf, jfg = r
+        return P.act[g][fam[jf]] == fam[jfg]
 
-    out = _caps.search(
-        len(members),
-        lambda i, fam: P.els[base.dom(members[i])],
-        fits,
-        _caps.Budget(caps),
-    )
+    pools = [P.els[base.dom(f)] for f in members]
+    out = _caps.search(pools, restrictions, restricts, _caps.Budget(caps))
     return [("mf", tuple(zip(members, vals))) for vals in sorted(map(tuple, out))]
 
 

@@ -412,6 +412,34 @@ def test_wrong_cell_is_a_finding():
     assert not diags and env2.findings == env.findings
 
 
+# SWAP, with a fibre generator z that the relations merge into w and base
+# generators e, k that they merge into id(a).
+MERGED = (
+    SWAP.replace("category B { objects: a; }",
+                 "category B { objects: a; morphisms: e: a -> a, k: a -> a;"
+                 " compose: k . e = id(a); compose: e . k = id(a);"
+                 " compose: e . e = e; }")
+    .replace("w': v -> u;", "w': v -> u, z: u -> v;")
+    .replace("compose: w . w' = id(v); }",
+             "compose: w . w' = id(v); compose: w' . z = id(u); }")
+)
+
+
+@pytest.mark.parametrize("entry, aliased", [
+    ("unitor a at u = w;", "unitor a at u = z;"),
+    ("compositor (id(a), id(a)) at u = w;", "compositor (id(a), id(a)) at u = z;"),
+    ("cell id(a) at v = w;", "cell id(a) at v = z;"),
+    ("cell id(a) at u = w';", "cell e at u = w';"),
+], ids=["unitor", "compositor", "fibre-cell", "base-cell"])
+def test_coherence_entries_resolve_merged_generators(entry, aliased):
+    assert entry in MERGED
+    want, got = elab(MERGED), elab(MERGED.replace(entry, aliased))
+    assert got.findings == want.findings == []
+    D, E = got.indexed["D"], want.indexed["D"]
+    assert (D.unitor, D.compositor) == (E.unitor, E.compositor)
+    assert got.indexedfuns["phi"].cell == want.indexedfuns["phi"].cell
+
+
 def test_fibration_bases_must_agree():
     diags = fail_elab(
         "poset P { a <= b; } poset Q { c <= d; }"

@@ -4,7 +4,11 @@ run through them.
 `enumerate_data` and `all_functors` are checked against the loops they used
 before their outer products were forward-checked: every member-object
 choice (every object map) of the full product in turn, each searched for
-coherences (morphism maps).  Same results, same order, never more nodes."""
+coherences (morphism maps).  Same results, same order, never more nodes.
+`desc_hom`, `all_nat_trans`, `find_indexed_natiso`, `matching_families` and
+`all_indexed_funs` are checked against the schedules they filed themselves
+before the kernel kept it: same results, same order, same nodes.  Every
+reference runs on `ref_search`, a copy of the kernel of that time."""
 
 import random
 from itertools import product
@@ -12,6 +16,7 @@ from itertools import product
 import pytest
 
 import finstack.descent
+import finstack.indexed
 from finstack import (
     CapExceeded,
     Caps,
@@ -24,11 +29,13 @@ from finstack import (
     all_functors,
     all_indexed_funs,
     all_nat_trans,
+    compose_functors,
     const_indexed,
     desc_hom,
     discrete_cat,
     embed_discrete,
     enumerate_data,
+    find_indexed_natiso,
     is_sheaf_presheaf,
     is_stack,
     least_cover_pullbacks,
@@ -40,6 +47,7 @@ from finstack import (
 )
 from finstack.caps import Budget, pruned_product, search
 from finstack.descent import coh_pairs
+from finstack.util import stable_sorted
 
 import corpus
 import sitegen
@@ -48,23 +56,34 @@ import sitegen
 def test_search_order_and_pruning():
     got = [
         tuple(a)
-        for a in search(3, lambda i, a: "ab", lambda i, a: a[:2] != ["a", "b"],
-                        Budget())
+        for a in search(["ab"] * 3, [((0, 1), None)],
+                        lambda c, a: a[:2] != ["a", "b"], Budget())
     ]
     want = [t for t in product("ab", repeat=3) if t[:2] != ("a", "b")]
     assert got == want
 
 
+def test_checks_run_where_their_scope_closes_in_the_order_given():
+    calls = []
+
+    def holds(c, a):
+        calls.append((c, len(a)))
+        return True
+
+    checks = [((2, 0), "x"), ((1,), "y"), ((0, 2), "z"), ((0,), "w")]
+    list(search(["a", "b", "c"], checks, holds, Budget()))
+    assert calls == [("w", 1), ("y", 2), ("x", 3), ("z", 3)]
+
+
 def test_search_spends_one_node_per_position_entered():
     # root + 2 + 4 + 8 positions entered for three free binary choices
-    list(search(3, lambda i, a: (0, 1), lambda i, a: True, Budget(Caps(max_descent=15))))
+    list(search([(0, 1)] * 3, [], None, Budget(Caps(max_descent=15))))
     with pytest.raises(CapExceeded, match="raise --max-descent"):
-        list(search(3, lambda i, a: (0, 1), lambda i, a: True,
-                    Budget(Caps(max_descent=14))))
+        list(search([(0, 1)] * 3, [], None, Budget(Caps(max_descent=14))))
 
 
 def test_search_with_no_positions_yields_once():
-    assert [list(a) for a in search(0, None, None, Budget())] == [[]]
+    assert [list(a) for a in search([], [], None, Budget())] == [[]]
 
 
 def test_pruned_product_order_and_nodes():
@@ -72,19 +91,21 @@ def test_pruned_product_order_and_nodes():
     # none for the survivors.
     budget = Budget(Caps(max_descent=2))
     got = [tuple(a) for a in pruned_product(
-        ["ab", "ab", "ab"], lambda i, a: a[:2] != ["a", "b"], budget)]
+        ["ab", "ab", "ab"], [((0, 1), None)],
+        lambda c, a: a[:2] != ["a", "b"], budget)]
     assert got == [t for t in product("ab", repeat=3) if t[:2] != ("a", "b")]
     assert budget.left == 1
     # Rejections at the last position count too.
     with pytest.raises(CapExceeded, match="raise --max-descent"):
-        list(pruned_product(["ab", "ab"], lambda i, a: i == 0,
+        list(pruned_product(["ab", "ab"], [((1,), None)], lambda c, a: False,
                             Budget(Caps(max_descent=3))))
 
 
 def test_pruned_product_of_nothing():
     budget = Budget(Caps(max_descent=0))
-    assert [list(a) for a in pruned_product([], None, budget)] == [[]]
-    assert list(pruned_product(["ab", "", "ab"], lambda i, a: False, budget)) == []
+    assert [list(a) for a in pruned_product([], [], None, budget)] == [[]]
+    assert list(pruned_product(["ab", "", "ab"], [((0,), None)],
+                               lambda c, a: False, budget)) == []
 
 
 def test_from_homs_matches_hand_table():
@@ -182,7 +203,35 @@ def test_all_nat_trans_matches_brute_force(src, dst):
 
 
 # ---------------------------------------------------------------------------
-# forward-checked products against the full products they replace
+# The searches against the loops they replace.  The references run a copy
+# of the kernel as it was before it kept the constraint schedule: `cands(i,
+# a)` gives position i's candidates each time it is entered, and `fits(i,
+# a)` tests the checks each site filed under position i itself.
+
+
+def ref_search(n, cands, fits, budget):
+    a = []
+    budget.spend()
+    if n == 0:
+        yield a
+        return
+    stack = [iter(cands(0, a))]
+    while stack:
+        i = len(a)
+        for v in stack[-1]:
+            a.append(v)
+            if fits(i, a):
+                budget.spend()
+                if i + 1 == n:
+                    yield a
+                else:
+                    stack.append(iter(cands(i + 1, a)))
+                    break
+            a.pop()
+        else:
+            stack.pop()
+            if a:
+                a.pop()
 
 
 def ref_enumerate_data(D, R, caps=Caps()):
@@ -225,7 +274,7 @@ def ref_enumerate_data(D, R, caps=Caps()):
     budget = Budget(caps)
     for combo in product(*(D.fib[base.dom(f)].objects for f in members)):
         obj = dict(zip(members, combo))
-        for coh in search(len(pairs), cands, fits, budget):
+        for coh in ref_search(len(pairs), cands, fits, budget):
             out.append(DescentDatum(obj, zip(pairs, coh)))
     return out
 
@@ -257,8 +306,11 @@ def ref_all_functors(src, dst, caps=Caps()):
                 for g, f, h in closing.get(i, ())
             )
 
-        for a in search(len(non_id), cands, fits, budget):
+        for a in ref_search(len(non_id), cands, fits, budget):
             yield Functor(src, dst, dict(omap), dict(mmap))
+
+
+SPEND = Budget.spend
 
 
 @pytest.fixture
@@ -266,11 +318,10 @@ def spent(monkeypatch):
     """`spent(f, *args)`: the results of f as a list, and the search nodes
     spent making them."""
     count = [0]
-    spend = Budget.spend
 
     def counting(self):
         count[0] += 1
-        spend(self)
+        SPEND(self)
 
     monkeypatch.setattr(Budget, "spend", counting)
 
@@ -383,3 +434,282 @@ def test_budget_bound_open_lattices_decide(seed, n_opens, monkeypatch):
     monkeypatch.setattr(finstack.descent, "enumerate_data", ref_enumerate_data)
     with pytest.raises(CapExceeded, match="raise --max-descent"):
         is_stack(D, J)
+
+
+# ---------------------------------------------------------------------------
+# The sites that searched one product from the start, against their own
+# schedules on the kernel copy: same results, same order, same nodes.
+
+
+def ref_desc_hom(D, R, a, b, caps=Caps()):
+    base = D.base
+    members = R.members()
+    at = {f: i for i, f in enumerate(members)}
+    closing = {}
+    for (f, g) in coh_pairs(D, R):
+        fg = base.compose(f, g)
+        closing.setdefault(max(at[f], at[fg]), []).append((f, g, at[f], at[fg]))
+
+    def cands(j, comp):
+        f = members[j]
+        return D.fib[base.dom(f)].hom(a.obj[f], b.obj[f])
+
+    def fits(j, comp):
+        for f, g, jf, jfg in closing.get(j, ()):
+            fib = D.fib[base.dom(g)]
+            lhs = fib.compose(b.coh[(f, g)], D.res[g].mo(comp[jf]))
+            rhs = fib.compose(comp[jfg], a.coh[(f, g)])
+            if lhs != rhs:
+                return False
+        return True
+
+    return [
+        dict(zip(members, comp))
+        for comp in ref_search(len(members), cands, fits, Budget(caps))
+    ]
+
+
+def ref_all_nat_trans(F, G, iso_only=False, caps=Caps()):
+    if F.src is not G.src and F.src != G.src:
+        return
+    src, dst = F.src, F.dst
+    objects = list(src.objects)
+    pools = []
+    for x in objects:
+        pool = list(dst.hom(F.omap[x], G.omap[x]))
+        if iso_only:
+            pool = [a for a in pool if dst.is_iso(a)]
+        if not pool:
+            return
+        pools.append(pool)
+    at = {x: i for i, x in enumerate(objects)}
+    closing = {}
+    for m, (d, c) in src.mor.items():
+        closing.setdefault(max(at[d], at[c]), []).append((m, at[d], at[c]))
+
+    def fits(i, a):
+        return all(
+            dst.compose(a[c], F.mmap[m]) == dst.compose(G.mmap[m], a[d])
+            for m, d, c in closing.get(i, ())
+        )
+
+    for a in ref_search(len(objects), lambda i, a: pools[i], fits, Budget(caps)):
+        yield NatTrans(F, G, dict(zip(objects, a)))
+
+
+def ref_find_indexed_natiso(F, G, caps=Caps()):
+    """The components of the transformation found, or None."""
+    D, E = F.D, F.E
+    base = D.base
+    objs = stable_sorted(base.objects)
+    cand = []
+    for X in objs:
+        isos = ref_all_nat_trans(F.comp[X], G.comp[X], iso_only=True, caps=caps)
+        cand.append([t.comp for t in isos])
+        if not cand[-1]:
+            return None
+    at = {X: i for i, X in enumerate(objs)}
+    closing = {}
+    for y, (Y, X) in base.mor.items():
+        closing.setdefault(max(at[Y], at[X]), []).append((y, at[Y], at[X]))
+
+    def coherent(y, tY, tX):
+        Y, X = base.mor[y]
+        fy = E.fib[Y]
+        return all(
+            fy.compose(G.cell[y][V], tY[D.res[y].ob(V)])
+            == fy.compose(E.res[y].mo(tX[V]), F.cell[y][V])
+            for V in D.fib[X].objects
+        )
+
+    def fits(i, a):
+        return all(coherent(y, a[jY], a[jX]) for y, jY, jX in closing.get(i, ()))
+
+    found = ref_search(len(objs), lambda i, a: cand[i], fits, Budget(caps))
+    a = next(found, None)
+    return None if a is None else dict(zip(objs, a))
+
+
+def ref_matching_families(P, R, caps=Caps()):
+    base = P.base
+    members = R.members()
+    at = {f: i for i, f in enumerate(members)}
+    closing = {}
+    for f in members:
+        for g in base.into(base.dom(f)):
+            fg = base.compose(f, g)
+            closing.setdefault(max(at[f], at[fg]), []).append((g, at[f], at[fg]))
+
+    def fits(i, fam):
+        return all(P.act[g][fam[jf]] == fam[jfg] for g, jf, jfg in closing.get(i, ()))
+
+    out = ref_search(
+        len(members),
+        lambda i, fam: P.els[base.dom(members[i])],
+        fits,
+        Budget(caps),
+    )
+    return [("mf", tuple(zip(members, vals))) for vals in sorted(map(tuple, out))]
+
+
+def ref_all_indexed_funs(D, E, nat_trans, caps=Caps()):
+    """Cells drawn from `nat_trans` anew each time a position is entered."""
+    base = D.base
+    objs = stable_sorted(base.objects)
+    mors = stable_sorted(base.mor)
+    at = {y: i for i, y in enumerate(mors)}
+    closing = {}
+    for (g, f), h in base.table.items():
+        closing.setdefault(max(at[g], at[f], at[h]), []).append((g, f, h))
+
+    def cands(i, cell):
+        y = mors[i]
+        Y, X = base.mor[y]
+        left = compose_functors(comp[Y], D.res[y])
+        right = compose_functors(E.res[y], comp[X])
+        return (t.comp for t in nat_trans(left, right, iso_only=True, caps=caps))
+
+    def unit_ok(X, c):
+        fx = E.fib[X]
+        return all(
+            fx.compose(c[V], comp[X].mo(D.unit(X, V))) == E.unit(X, comp[X].ob(V))
+            for V in D.fib[X].objects
+        )
+
+    def composite_ok(g, f, cg, cf, ch):
+        Xc = base.cod(g)
+        Z = base.dom(f)
+        fz = E.fib[Z]
+        for V in D.fib[Xc].objects:
+            one = fz.compose(ch[V], comp[Z].mo(D.gamma(g, f, V)))
+            two = fz.compose(
+                E.gamma(g, f, comp[Xc].ob(V)),
+                fz.compose(E.res[f].mo(cg[V]), cf[D.res[g].ob(V)]),
+            )
+            if one != two:
+                return False
+        return True
+
+    def fits(i, cell):
+        y = mors[i]
+        if base.is_id(y) and not unit_ok(base.dom(y), cell[i]):
+            return False
+        return all(
+            composite_ok(g, f, cell[at[g]], cell[at[f]], cell[at[h]])
+            for g, f, h in closing.get(i, ())
+        )
+
+    budget = Budget(caps)
+    pools = [list(all_functors(D.fib[X], E.fib[X], caps)) for X in objs]
+    for combo in product(*pools):
+        comp = dict(zip(objs, combo))
+        for cell in ref_search(len(mors), cands, fits, budget):
+            yield dict(comp), {y: dict(c) for y, c in zip(mors, cell)}
+
+
+def test_desc_hom_matches_its_schedule(spent):
+    compared = nonempty = 0
+    for D, R in descent_inputs():
+        data = enumerate_data(D, R)
+        for a, b in product(data, repeat=2):
+            got, nodes = spent(desc_hom, D, R, a, b)
+            want, ref_nodes = spent(ref_desc_hom, D, R, a, b)
+            assert (got, nodes) == (want, ref_nodes), (D.name, R)
+            compared += 1
+            nonempty += bool(got)
+    assert compared > 3500 and nonempty > 2000
+
+
+def test_all_nat_trans_matches_its_schedule(spent):
+    compared = nonempty = 0
+    for src, dst in product(FUNCTOR_CATS, repeat=2):
+        functors = list(all_functors(src(), dst()))[:6]
+        for F, G in product(functors, repeat=2):
+            for iso_only in (False, True):
+                got, nodes = spent(all_nat_trans, F, G, iso_only)
+                want, ref_nodes = spent(ref_all_nat_trans, F, G, iso_only)
+                assert [t.comp for t in got] == [t.comp for t in want]
+                assert nodes == ref_nodes, (F.src.name, F.dst.name)
+                compared += 1
+                nonempty += bool(got)
+    assert compared > 1800 and nonempty > 900
+
+
+def _presheaves_and_sieves():
+    """Every sieve of the corpus patches presheaves, of seeded `sitegen`
+    presheaves on random sites, and of restriction presheaves on small
+    open lattices."""
+    rng = random.Random(7)
+    c, _ = corpus.patches_site()
+    presheaves = [corpus.patches_sheaf(), corpus.patches_nonsheaf(),
+                  corpus.patches_nonseparated(), corpus.const_presheaf(c)]
+    for _ in range(40):
+        c, _ = sitegen.rand_site(rng)
+        presheaves.append(sitegen.rand_presheaf(rng, c))
+    for n in range(5, 11):
+        c, _, opens = sitegen.open_cover_site(rng, n)
+        presheaves.append(sitegen.restriction_presheaf(rng, c, opens, 3))
+    return [(P, Sieve(x, s, P.base))
+            for P in presheaves for x in P.base.objects
+            for s in sieves_on(P.base, x)]
+
+
+def test_matching_families_matches_its_schedule(spent):
+    inputs = _presheaves_and_sieves()
+    assert len(inputs) > 600
+    for P, R in inputs:
+        got, nodes = spent(matching_families, P, R)
+        want, ref_nodes = spent(ref_matching_families, P, R)
+        assert (got, nodes) == (want, ref_nodes), (P.name, R)
+
+
+def _indexed_cats():
+    """The twisted Z/2 family, seeded `sitegen` indexed categories over
+    small fibre categories, and two families over the patches site."""
+    rng = random.Random(7)
+    c, _ = corpus.patches_site()
+    out = [corpus.twisted_z2_indexed(), embed_discrete(corpus.patches_sheaf()),
+           const_indexed(c, corpus.walking_iso_cat())]
+    out += [sitegen.rand_indexed(rng, sitegen.rand_small_cat(rng)) for _ in range(10)]
+    return out
+
+
+def unmetered(f):
+    """f with its results listed at once and its search nodes not counted
+    by the `spent` fixture; caps still bind them."""
+    def run(*args, **kw):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(Budget, "spend", SPEND)
+            return iter(list(f(*args, **kw)))
+    return run
+
+
+def test_all_indexed_funs_matches_its_schedule(spent, monkeypatch):
+    """The parent drew a position's cells from `all_nat_trans` each time it
+    entered the position, and the search now draws them once per component
+    choice, so the nodes of those inner searches are left out on both
+    sides."""
+    monkeypatch.setattr(
+        finstack.indexed, "all_nat_trans", unmetered(finstack.indexed.all_nat_trans))
+    total = 0
+    for D in _indexed_cats():
+        got, nodes = spent(all_indexed_funs, D, D)
+        want, ref_nodes = spent(ref_all_indexed_funs, D, D, unmetered(ref_all_nat_trans))
+        assert [(F.comp, F.cell) for F in got] == want, D.name
+        assert nodes == ref_nodes, D.name
+        total += len(got)
+    assert total > 700
+
+
+def test_find_indexed_natiso_matches_its_schedule(spent):
+    compared = found = 0
+    for D in _indexed_cats():
+        funs = list(all_indexed_funs(D, D))[:5]
+        for F, G in product(funs, repeat=2):
+            [t], nodes = spent(lambda: [find_indexed_natiso(F, G)])
+            [want], ref_nodes = spent(lambda: [ref_find_indexed_natiso(F, G)])
+            got = None if t is None else t.comp
+            assert (got, nodes) == (want, ref_nodes), D.name
+            compared += 1
+            found += got is not None
+    assert compared > 200 and 50 < found < compared
