@@ -118,7 +118,7 @@ def validate_datum(D: IndexedCat, R: Sieve, a: DescentDatum) -> list:
     base = D.base
     errs = []
     fib_obs = {}
-    for f in R.mors:
+    for f in R.members():
         if f not in a.obj:
             return [f"no object assigned at {fmt(f)}"]
         y = base.dom(f)
@@ -145,7 +145,7 @@ def validate_datum(D: IndexedCat, R: Sieve, a: DescentDatum) -> list:
         return errs
 
     # Normalization: coh at an identity inverts the unitor.
-    for f in R.mors:
+    for f in R.members():
         y = base.dom(f)
         u = D.unit(y, a.obj[f])
         if a.coh[(f, base.ident[y])] != D.fib[y].inverse(u):

@@ -530,6 +530,14 @@ class _Elab:
     def err(self, line, col, msg, hint=""):
         self.diags.append(Diagnostic(line, col, msg, hint))
 
+    def repeats(self, seen, key, e, what):
+        """Whether `key` is already in `seen`, with a diagnostic at entry e
+        if so: a keyed entry is given once."""
+        if key in seen:
+            self.err(e.line, e.col, f"duplicate {what}")
+            return True
+        return False
+
     def declare(self, block, kind_key, value):
         """Bind the block's name to `value`; False, with a diagnostic, when
         the name is taken."""
@@ -890,11 +898,15 @@ class _Elab:
                     self.err(e.line, e.col, f"no object {b!r} in {dstname!r}")
                     bad = True
                     continue
+                if self.repeats(omap, a, e, f"image of object {a!r}"):
+                    bad = True
+                    continue
                 omap[a] = b
             else:
                 m = self.resolve_mor(srcname, src, e.data[0], e.line, e.col)
                 v = self.resolve_mor(dstname, dst, e.data[1], e.line, e.col)
-                if m is None or v is None:
+                if m is None or v is None or self.repeats(
+                        given, m, e, f"image of {fmt(m)}"):
                     bad = True
                     continue
                 given[m] = v
@@ -930,14 +942,23 @@ class _Elab:
                     self.err(e.line, e.col, f"no object {x!r} in {catname!r}")
                     bad = True
                     continue
+                if self.repeats(els, x, e, f"element set for object {x!r}"):
+                    bad = True
+                    continue
                 els[x] = tuple(vals)
             else:
                 ref, pairs = e.data
                 m = self.resolve_mor(catname, cat, ref, e.line, e.col)
-                if m is None:
+                if m is None or self.repeats(given, m, e, f"action along {fmt(m)}"):
                     bad = True
                     continue
-                given[m] = (dict(pairs), e.line, e.col)
+                mp = {}
+                for src_el, dst_el in pairs:
+                    if self.repeats(mp, src_el, e,
+                                    f"image of {src_el!r} along {fmt(m)}"):
+                        bad = True
+                    mp[src_el] = dst_el
+                given[m] = (mp, e.line, e.col)
         for x in cat.objects:
             if x not in els:
                 self.err(block.line, block.col,
@@ -993,7 +1014,7 @@ class _Elab:
                     bad = True
                     continue
                 k = self.lookup(self.env.cats, cn, "category", e.line, e.col)
-                if k is None:
+                if k is None or self.repeats(fib, x, e, f"fiber at {x!r}"):
                     bad = True
                     continue
                 fib[x] = k
@@ -1001,7 +1022,8 @@ class _Elab:
                 m = self.resolve_mor(catname, cat, e.data[0], e.line, e.col)
                 f = self.lookup(self.env.functors, e.data[1], "functor",
                                 e.line, e.col)
-                if m is None or f is None:
+                if m is None or f is None or self.repeats(
+                        given_res, m, e, f"restriction along {fmt(m)}"):
                     bad = True
                     continue
                 given_res[m] = (f, e.line, e.col)
@@ -1092,6 +1114,7 @@ class _Elab:
                 tgt = res[idm].ob(v)
                 ux[v] = fib[x].ident[v] if tgt == v else None
             unitor[x] = ux
+        given_cells = set()
         for e in comp_entries:
             gref, fref, v, mref = e.data
             g = self.resolve_mor(catname, cat, gref, e.line, e.col)
@@ -1104,6 +1127,10 @@ class _Elab:
             if v not in compositor[(g, f)]:
                 self.err(e.line, e.col, f"no fibre object {v!r} at {fmt(cat.cod(g))}")
                 return
+            if self.repeats(given_cells, (g, f, v), e,
+                            f"compositor ({fmt(g)},{fmt(f)}) at {v!r}"):
+                return
+            given_cells.add((g, f, v))
             m = self.resolve_mor(f"fiber {fmt(cat.dom(f))}", fib[cat.dom(f)],
                                  mref, e.line, e.col)
             if m is None:
@@ -1114,6 +1141,9 @@ class _Elab:
             if x not in cat.ident or v not in unitor.get(x, {}):
                 self.err(e.line, e.col, f"no unitor slot at {x!r}, {v!r}")
                 return
+            if self.repeats(given_cells, (x, v), e, f"unitor at {x!r}, {v!r}"):
+                return
+            given_cells.add((x, v))
             m = self.resolve_mor(f"fiber {x}", fib[x], mref, e.line, e.col)
             if m is None:
                 return
@@ -1157,7 +1187,7 @@ class _Elab:
                     self.err(e.line, e.col, f"no object {x!r} in the base")
                     bad = True
                     continue
-                if f is None:
+                if f is None or self.repeats(comp, x, e, f"component at {x!r}"):
                     bad = True
                     continue
                 if f.src != src.fib[x] or f.dst != dst.fib[x]:
@@ -1176,6 +1206,10 @@ class _Elab:
                 if v not in src.fib[cat.cod(y)].ident:
                     self.err(e.line, e.col,
                              f"no fibre object {v!r} at {fmt(cat.cod(y))}")
+                    bad = True
+                    continue
+                if self.repeats(cells_given, (y, v), e,
+                                f"cell along {fmt(y)} at {v!r}"):
                     bad = True
                     continue
                 cells_given[(y, v)] = (mref, e.line, e.col)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import caps as _caps
-from .caps import Budget, pruned_product, search
+from .caps import Budget, search
 from .util import fmt, stable_sorted
 
 
@@ -455,49 +455,6 @@ def all_nat_trans(F: Functor, G: Functor, iso_only: bool = False,
 
     for a in search(pools, squares, natural, Budget(caps)):
         yield NatTrans(F, G, dict(zip(objects, a)))
-
-
-def all_functors(src: FinCat, dst: FinCat, caps: _caps.Caps = _caps.DEFAULT):
-    """Yield every functor src -> dst, in stable order.  Object maps are
-    chosen by forward checking (`caps.pruned_product`): a map is dropped
-    once some non-identity arrow d -> c has an empty hom(omap[d], omap[c]).
-    The non-identity morphisms are then mapped by `caps.search`, which
-    checks each table entry g∘f = h once its non-identity morphisms are
-    mapped.  Only reasonable for desk-scale categories; one caps budget
-    covers both phases, and never spends more than searching every object
-    map would."""
-    objs = src.stable_objects()
-    non_id = [m for m in src.ordered(src.mor) if not src.is_id(m)]
-    pos = {x: i for i, x in enumerate(objs)}
-    ends = [(pos[src.dom(m)], pos[src.cod(m)]) for m in non_id]
-    # A table entry reads each non-identity morphism at its position in
-    # non_id, and the identity at x as ~pos[x]: the object map fixes it.
-    at = {m: i for i, m in enumerate(non_id)}
-    at.update((src.ident[x], ~i) for x, i in pos.items())
-    entries = []
-    for (g, f), h in src.table.items():
-        keys = (at[g], at[f], at[h])
-        scope = tuple(k for k in keys if k >= 0)
-        if scope:
-            entries.append((scope, keys))
-
-    def linked(dc, a):
-        return bool(dst.hom(a[dc[0]], a[dc[1]]))
-
-    def composes(keys, a):
-        g, f, h = [a[k] if k >= 0 else ids[~k] for k in keys]
-        return dst.table[(g, f)] == h
-
-    budget = Budget(caps)
-    objects = [dst.stable_objects()] * len(objs)
-    arrows = [(dc, dc) for dc in dict.fromkeys(ends)]
-    for choice in pruned_product(objects, arrows, linked, budget):
-        ids = [dst.ident[y] for y in choice]
-        pools = [dst.hom(choice[d], choice[c]) for d, c in ends]
-        for a in search(pools, entries, composes, budget):
-            mmap = {src.ident[x]: ids[i] for x, i in pos.items()}
-            mmap.update(zip(non_id, a))
-            yield Functor(src, dst, dict(zip(objs, choice)), mmap)
 
 
 def is_fully_faithful(F: Functor) -> Check:

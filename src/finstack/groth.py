@@ -6,9 +6,9 @@ pairs of a base morphism y : X -> X' and a fibre morphism a : U -> D(y)(U'),
 and composition corrects the nesting with D's compositors.  The projection
 onto the first component is a fibration in the concrete sense used here:
 every (y, U') has a cartesian lift, and `canonical_lift` is the one place
-that writes the chosen one, (y, id, U'); the cartesian morphisms are exactly
-those whose fibre component is invertible (`is_cartesian` cross-checks that
-claim against the universal property by exhaustive factorization search).
+that writes the chosen one, (y, id, U').  The cartesian morphisms are exactly
+those whose fibre component is invertible; `fibadj.cartesian_arrows` decides
+them by the universal property.
 
 `essential_fibre_cat` is the one essential fibre: for a functor F and an
 object U of its target, the pairs (A, alpha) with alpha : U -> F(A)
@@ -36,7 +36,6 @@ from .fincat import (
     FinCat,
     Functor,
     InternalError,
-    is_cartesian_over,
     iso_classes,
     require,
     validate_fincat,
@@ -111,25 +110,6 @@ def fibre_inclusion(G: GrothCat, X) -> Functor:
     F = Functor(fx, G.total, omap, mmap, name=f"incl({fmt(X)})")
     require(F.validate(), "fibre inclusion at {}", X)
     return F
-
-
-def is_cartesian(G: GrothCat, m) -> bool:
-    """True when the fibre component of m is invertible.
-
-    The characterization is cross-checked against the universal property;
-    disagreement would mean the construction itself is broken, so it raises.
-    """
-    y, a, _ = m
-    d = G.total.dom(m)
-    quick = G.source.fib[d[0]].is_iso(a)
-    univ = is_cartesian_over(G.proj, m)
-    if quick != univ:
-        raise InternalError(
-            f"cartesian characterizations disagree on {fmt(m)}: "
-            f"component {'iso' if quick else 'not iso'}, universal property "
-            f"{'holds' if univ else 'fails'}"
-        )
-    return quick
 
 
 def canonical_lift(G: GrothCat, y, U):

@@ -22,7 +22,7 @@ structural isomorphism in the later modules is built from it rather than by
 hand.
 """
 
-from itertools import product as iproduct
+from collections import Counter
 
 from . import caps as _caps
 from .fincat import (
@@ -30,7 +30,6 @@ from .fincat import (
     FinCat,
     Functor,
     InternalError,
-    all_functors,
     all_nat_trans,
     compose_functors,
     discrete_cat,
@@ -420,13 +419,6 @@ def validate_indexed_nat(t: IndexedNat) -> list:
     return errs
 
 
-def is_indexed_iso(t: IndexedNat) -> bool:
-    E = t.F.E
-    return all(
-        E.fib[X].is_iso(m) for X, cx in t.comp.items() for m in cx.values()
-    )
-
-
 def find_indexed_natiso(F: IndexedFun, G: IndexedFun, caps: _caps.Caps = _caps.DEFAULT):
     """Invertible transformation F => G, by `caps.search`; None if none.
 
@@ -459,65 +451,6 @@ def find_indexed_natiso(F: IndexedFun, G: IndexedFun, caps: _caps.Caps = _caps.D
     found = _caps.search(cand, cells, coherent, _caps.Budget(caps))
     a = next(found, None)
     return None if a is None else IndexedNat(F, G, dict(zip(objs, a)))
-
-
-def all_indexed_funs(D: IndexedCat, E: IndexedCat, caps: _caps.Caps = _caps.DEFAULT):
-    """Yield every indexed functor D -> E (components and cells exhausted).
-
-    A cell along y is exactly a natural iso comp_Y ∘ D(y) => E(y) ∘ comp_X,
-    so for each choice of components the pool at y comes from nat-trans
-    enumeration, less the identity cells that break unit coherence; then
-    `caps.search` checks composition coherence where a pair and its
-    composite all have cells.  Strictly desk-scale; used for bounded
-    uniqueness checks.  One caps budget covers all component choices."""
-    base = D.base
-    objs = stable_sorted(base.objects)
-    mors = stable_sorted(base.mor)
-    at = {y: i for i, y in enumerate(mors)}
-    triples = []
-    for (g, f), h in base.table.items():
-        keys = (at[g], at[f], at[h])
-        triples.append((keys, (g, f, *keys)))
-
-    def cells(y):
-        Y, X = base.mor[y]
-        left = compose_functors(comp[Y], D.res[y])
-        right = compose_functors(E.res[y], comp[X])
-        pool = [t.comp for t in all_nat_trans(left, right, iso_only=True, caps=caps)]
-        return [c for c in pool if unit_ok(X, c)] if base.is_id(y) else pool
-
-    def unit_ok(X, c):
-        fx = E.fib[X]
-        return all(
-            fx.compose(c[V], comp[X].mo(D.unit(X, V))) == E.unit(X, comp[X].ob(V))
-            for V in D.fib[X].objects
-        )
-
-    def composite_ok(triple, cell):
-        g, f, jg, jf, jh = triple
-        cg, cf, ch = cell[jg], cell[jf], cell[jh]
-        Xc = base.cod(g)
-        Z = base.dom(f)
-        fz = E.fib[Z]
-        for V in D.fib[Xc].objects:
-            one = fz.compose(ch[V], comp[Z].mo(D.gamma(g, f, V)))
-            two = fz.compose(
-                E.gamma(g, f, comp[Xc].ob(V)),
-                fz.compose(E.res[f].mo(cg[V]), cf[D.res[g].ob(V)]),
-            )
-            if one != two:
-                return False
-        return True
-
-    budget = _caps.Budget(caps)
-    pools = [list(all_functors(D.fib[X], E.fib[X], caps)) for X in objs]
-    for combo in iproduct(*pools):
-        comp = dict(zip(objs, combo))
-        cell_pools = [cells(y) for y in mors]
-        for cell in _caps.search(cell_pools, triples, composite_ok, budget):
-            yield IndexedFun(
-                D, E, dict(comp), {y: dict(c) for y, c in zip(mors, cell)}
-            )
 
 
 def is_indexed_equivalence(F: IndexedFun) -> Check:
@@ -655,6 +588,12 @@ def validate_presheaf(P: Presheaf) -> list:
         if X not in P.els:
             return [f"no elements over {fmt(X)}"]
     elsets = {X: set(els) for X, els in P.els.items()}
+    for X in objects:
+        twice = [e for e, n in Counter(P.els[X]).items() if n > 1]
+        errs += [f"duplicate element {fmt(e)} over {fmt(X)}"
+                 for e in stable_sorted(twice)]
+    if errs:
+        return errs
     for y in base.ordered(base.mor):
         Y, X = base.mor[y]
         a = P.act.get(y)

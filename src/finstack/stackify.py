@@ -1,4 +1,4 @@
-"""Plus construction, stackification, reflection, and the discrete oracle.
+"""Plus construction, stackification, reflection, and the set-level oracle.
 
 The plus construction realizes each fibre D⁺(X) as the descent category over
 the least covering sieve of X.  A finite saturated topology is closed under
@@ -10,14 +10,14 @@ least cover.  Restriction of descent data along y is then literal reindexing
 
 `sheafify_with_unit` re-implements the set-level special case from scratch
 (matching families, twice) so the categorical pipeline can be audited against
-it on discrete embeddings without sharing any machinery.
+it on discrete embeddings without sharing any machinery; the comparison
+functor between the two lives with the tests that use it.
 """
 
 from dataclasses import dataclass
 
 from . import caps as _caps
 from .descent import (
-    DescentDatum,
     comparison,
     comparison_datum,
     desc_cat,
@@ -378,68 +378,3 @@ def is_sheaf_presheaf(P: Presheaf, J: Topology, caps: _caps.Caps = _caps.DEFAULT
                         witness=(X, R, fam),
                     )
     return Check(True, "sheaf")
-
-
-# ---------------------------------------------------------------------------
-# Discrete compatibility: the categorical pipeline against the set oracle.
-
-
-def _is_discrete(cat) -> bool:
-    return all(cat.is_id(m) for m in cat.mor)
-
-
-def _translate_datum(a: DescentDatum, depth):
-    members = stable_sorted(a.obj)
-    if depth == 1:
-        return ("mf", tuple((f, a.obj[f]) for f in members))
-    return ("mf", tuple((f, _translate_datum(a.obj[f], depth - 1)) for f in members))
-
-
-def discrete_stackify_witness(P: Presheaf, J: Topology,
-                              caps: _caps.Caps = _caps.DEFAULT):
-    """Build the comparison between stackify∘embed_discrete and
-    embed_discrete∘sheafify_with_unit.
-
-    Returns (W, intertwine, sres, sheaf, unit) where W is a strict indexed
-    functor stackify(embed(P)).stack -> embed(sheafify(P)) translating nested
-    descent data to nested matching families, and `intertwine` is the
-    invertible modification W ∘ stackify-unit => embed(oracle unit)."""
-    from .indexed import embed_discrete, embed_mor
-
-    D = embed_discrete(P)
-    sres = stackify(D, J, caps)
-    sheaf, unit = sheafify_with_unit(P, J, caps)
-    E = embed_discrete(sheaf)
-    base = P.base
-
-    if not all(_is_discrete(sres.stack.fib[X]) for X in base.objects):
-        raise InternalError("double plus of a discrete embedding is not discrete")
-
-    comp = {}
-    for X in base.objects:
-        omap = {}
-        sheaf_x = set(sheaf.els[X])
-        for a in sres.stack.fib[X].objects:
-            omap[a] = _translate_datum(a, 2)
-            if omap[a] not in sheaf_x:
-                raise InternalError(
-                    "nested descent datum translates outside the oracle sheaf"
-                )
-        mmap = {
-            mid: ("id", omap[ab[0]]) for mid, ab in sres.stack.fib[X].mor.items()
-        }
-        comp[X] = Functor(sres.stack.fib[X], E.fib[X], omap, mmap, name="W")
-    W = strict_indexed_fun(sres.stack, E, comp, name="W")
-
-    oracle_unit = embed_mor(P, sheaf, unit, D, E, name="η_oracle")
-    left = compose_indexed_funs(W, sres.unit)
-    wit = {
-        X: {
-            V: E.fib[X].ident[left.comp[X].ob(V)]
-            for V in D.fib[X].objects
-        }
-        for X in base.objects
-    }
-    intertwine = IndexedNat(left, oracle_unit, wit)
-    require(validate_indexed_nat(intertwine), "oracle units not intertwined")
-    return W, intertwine, sres, sheaf, unit

@@ -1,0 +1,244 @@
+"""Test oracles: exhaustive searches and comparisons that the library does
+not need and so does not ship.
+
+`ref_search` is a copy of the bounded backtracking kernel as it was before
+`caps.search` kept the constraint schedule: `cands(i, a)` gives position
+i's candidates each time the position is entered, and `fits(i, a)` tests the
+checks the caller filed under position i itself.  The enumerators below run
+on it, so an oracle shares no search code with the library it checks:
+
+- `ref_all_functors`: every functor, each object map of the full product
+  searched for morphism maps;
+- `ref_all_nat_trans`: every natural transformation F => G;
+- `ref_all_indexed_funs`: every indexed functor D -> E, for the bounded
+  uniqueness checks.
+
+`is_indexed_iso` and `discrete_stackify_witness` compare the categorical
+pipeline with the set-level sheafification on discrete embeddings."""
+
+from itertools import product
+
+from finstack import (
+    Caps,
+    Functor,
+    IndexedFun,
+    IndexedNat,
+    InternalError,
+    NatTrans,
+    compose_functors,
+    compose_indexed_funs,
+    embed_discrete,
+    embed_mor,
+    sheafify_with_unit,
+    stackify,
+    strict_indexed_fun,
+    validate_indexed_nat,
+)
+from finstack.caps import Budget
+from finstack.util import stable_sorted
+
+
+def ref_search(n, cands, fits, budget):
+    a = []
+    budget.spend()
+    if n == 0:
+        yield a
+        return
+    stack = [iter(cands(0, a))]
+    while stack:
+        i = len(a)
+        for v in stack[-1]:
+            a.append(v)
+            if fits(i, a):
+                budget.spend()
+                if i + 1 == n:
+                    yield a
+                else:
+                    stack.append(iter(cands(i + 1, a)))
+                    break
+            a.pop()
+        else:
+            stack.pop()
+            if a:
+                a.pop()
+
+
+def ref_all_functors(src, dst, caps=Caps()):
+    """Every object map of the full product, each searched for morphism
+    maps."""
+    objs = src.stable_objects()
+    non_id = [m for m in src.ordered(src.mor) if not src.is_id(m)]
+    at = {m: i for i, m in enumerate(non_id)}
+    closing = {}
+    for (g, f), h in src.table.items():
+        i = max(at.get(g, -1), at.get(f, -1), at.get(h, -1))
+        if i >= 0:
+            closing.setdefault(i, []).append((g, f, h))
+    budget = Budget(caps)
+    for combo in product(*(dst.stable_objects() for _ in objs)):
+        omap = dict(zip(objs, combo))
+        mmap = {src.ident[x]: dst.ident[omap[x]] for x in objs}
+
+        def cands(i, a):
+            d, c = src.mor[non_id[i]]
+            return dst.hom(omap[d], omap[c])
+
+        def fits(i, a):
+            mmap[non_id[i]] = a[i]
+            return all(
+                dst.table[(mmap[g], mmap[f])] == mmap[h]
+                for g, f, h in closing.get(i, ())
+            )
+
+        for a in ref_search(len(non_id), cands, fits, budget):
+            yield Functor(src, dst, dict(omap), dict(mmap))
+
+
+def ref_all_nat_trans(F, G, iso_only=False, caps=Caps()):
+    if F.src is not G.src and F.src != G.src:
+        return
+    src, dst = F.src, F.dst
+    objects = list(src.objects)
+    pools = []
+    for x in objects:
+        pool = list(dst.hom(F.omap[x], G.omap[x]))
+        if iso_only:
+            pool = [a for a in pool if dst.is_iso(a)]
+        if not pool:
+            return
+        pools.append(pool)
+    at = {x: i for i, x in enumerate(objects)}
+    closing = {}
+    for m, (d, c) in src.mor.items():
+        closing.setdefault(max(at[d], at[c]), []).append((m, at[d], at[c]))
+
+    def fits(i, a):
+        return all(
+            dst.compose(a[c], F.mmap[m]) == dst.compose(G.mmap[m], a[d])
+            for m, d, c in closing.get(i, ())
+        )
+
+    for a in ref_search(len(objects), lambda i, a: pools[i], fits, Budget(caps)):
+        yield NatTrans(F, G, dict(zip(objects, a)))
+
+
+def ref_all_indexed_funs(D, E, caps=Caps()):
+    """Every indexed functor D -> E: every choice of components, each
+    searched for cells, a position's cells drawn anew each time it is
+    entered."""
+    base = D.base
+    objs = stable_sorted(base.objects)
+    mors = stable_sorted(base.mor)
+    at = {y: i for i, y in enumerate(mors)}
+    closing = {}
+    for (g, f), h in base.table.items():
+        closing.setdefault(max(at[g], at[f], at[h]), []).append((g, f, h))
+
+    def cands(i, cell):
+        y = mors[i]
+        Y, X = base.mor[y]
+        left = compose_functors(comp[Y], D.res[y])
+        right = compose_functors(E.res[y], comp[X])
+        return (t.comp for t in ref_all_nat_trans(left, right, iso_only=True, caps=caps))
+
+    def unit_ok(X, c):
+        fx = E.fib[X]
+        return all(
+            fx.compose(c[V], comp[X].mo(D.unit(X, V))) == E.unit(X, comp[X].ob(V))
+            for V in D.fib[X].objects
+        )
+
+    def composite_ok(g, f, cg, cf, ch):
+        Xc = base.cod(g)
+        Z = base.dom(f)
+        fz = E.fib[Z]
+        for V in D.fib[Xc].objects:
+            one = fz.compose(ch[V], comp[Z].mo(D.gamma(g, f, V)))
+            two = fz.compose(
+                E.gamma(g, f, comp[Xc].ob(V)),
+                fz.compose(E.res[f].mo(cg[V]), cf[D.res[g].ob(V)]),
+            )
+            if one != two:
+                return False
+        return True
+
+    def fits(i, cell):
+        y = mors[i]
+        if base.is_id(y) and not unit_ok(base.dom(y), cell[i]):
+            return False
+        return all(
+            composite_ok(g, f, cell[at[g]], cell[at[f]], cell[at[h]])
+            for g, f, h in closing.get(i, ())
+        )
+
+    budget = Budget(caps)
+    pools = [list(ref_all_functors(D.fib[X], E.fib[X], caps)) for X in objs]
+    for combo in product(*pools):
+        comp = dict(zip(objs, combo))
+        for cell in ref_search(len(mors), cands, fits, budget):
+            yield IndexedFun(D, E, dict(comp), {y: dict(c) for y, c in zip(mors, cell)})
+
+
+def is_indexed_iso(t):
+    E = t.F.E
+    return all(
+        E.fib[X].is_iso(m) for X, cx in t.comp.items() for m in cx.values()
+    )
+
+
+def _is_discrete(cat):
+    return all(cat.is_id(m) for m in cat.mor)
+
+
+def _translate_datum(a, depth):
+    members = stable_sorted(a.obj)
+    if depth == 1:
+        return ("mf", tuple((f, a.obj[f]) for f in members))
+    return ("mf", tuple((f, _translate_datum(a.obj[f], depth - 1)) for f in members))
+
+
+def discrete_stackify_witness(P, J, caps=Caps()):
+    """Build the comparison between stackify∘embed_discrete and
+    embed_discrete∘sheafify_with_unit.
+
+    Returns (W, intertwine, sres, sheaf, unit) where W is a strict indexed
+    functor stackify(embed(P)).stack -> embed(sheafify(P)) translating nested
+    descent data to nested matching families, and `intertwine` is the
+    invertible modification W ∘ stackify-unit => embed(oracle unit)."""
+    D = embed_discrete(P)
+    sres = stackify(D, J, caps)
+    sheaf, unit = sheafify_with_unit(P, J, caps)
+    E = embed_discrete(sheaf)
+    base = P.base
+
+    if not all(_is_discrete(sres.stack.fib[X]) for X in base.objects):
+        raise InternalError("double plus of a discrete embedding is not discrete")
+
+    comp = {}
+    for X in base.objects:
+        omap = {}
+        sheaf_x = set(sheaf.els[X])
+        for a in sres.stack.fib[X].objects:
+            omap[a] = _translate_datum(a, 2)
+            if omap[a] not in sheaf_x:
+                raise InternalError(
+                    "nested descent datum translates outside the oracle sheaf"
+                )
+        mmap = {
+            mid: ("id", omap[ab[0]]) for mid, ab in sres.stack.fib[X].mor.items()
+        }
+        comp[X] = Functor(sres.stack.fib[X], E.fib[X], omap, mmap, name="W")
+    W = strict_indexed_fun(sres.stack, E, comp, name="W")
+
+    oracle_unit = embed_mor(P, sheaf, unit, D, E, name="η_oracle")
+    left = compose_indexed_funs(W, sres.unit)
+    wit = {
+        X: {
+            V: E.fib[X].ident[left.comp[X].ob(V)]
+            for V in D.fib[X].objects
+        }
+        for X in base.objects
+    }
+    intertwine = IndexedNat(left, oracle_unit, wit)
+    assert validate_indexed_nat(intertwine) == [], "oracle units not intertwined"
+    return W, intertwine, sres, sheaf, unit

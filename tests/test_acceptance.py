@@ -13,11 +13,11 @@ import pytest
 
 import corpus
 import sitegen
+from oracles import discrete_stackify_witness, is_indexed_iso, ref_all_indexed_funs
 from finstack import (
     Caps,
     Presheaf,
     Sieve,
-    all_indexed_funs,
     check_lemma_3_1,
     check_thm_4_2_i,
     check_thm_4_2_ii,
@@ -33,7 +33,6 @@ from finstack import (
     identity_functor,
     identity_indexed_fun,
     is_indexed_equivalence,
-    is_indexed_iso,
     is_prestack,
     is_stack,
     L_D,
@@ -56,7 +55,6 @@ from finstack import (
 )
 from finstack.cli import main
 from finstack.descent import desc_cat, mor_components, mor_id, restrict_datum
-from finstack.stackify import discrete_stackify_witness
 from finstack.util import stable_sorted
 
 CAPS = Caps()
@@ -213,7 +211,7 @@ def test_criterion_04_reflection_behavior():
         if small:
             searched += 1
             found = 0
-            for psi2 in all_indexed_funs(ref.stackified.stack, phi.E, CAPS):
+            for psi2 in ref_all_indexed_funs(ref.stackified.stack, phi.E, CAPS):
                 if find_indexed_natiso(
                         compose_indexed_funs(psi2, eta), phi, CAPS):
                     found += 1

@@ -324,17 +324,21 @@ def test_closure_cap_exits_3(capsys, tmp_path):
     assert "max-closure" in err
 
 
+def _write_interchange(path, doc):
+    body = {"format": doc["format"], "blocks": doc["blocks"]}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    doc["digest"] = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(doc))
+
+
 def test_interchange_with_broken_category_is_law_breaking_input(capsys, tmp_path):
     # One composite dropped from P, digest recomputed: the blocks over P
     # must be reported, not validated against the broken table.
     doc = json.loads((DATA / "patches.golden.json").read_text())
     cat = next(b for b in doc["blocks"] if b["name"] == "P")
     del cat["table"][0]
-    body = {"format": doc["format"], "blocks": doc["blocks"]}
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    doc["digest"] = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
     f = tmp_path / "broken.json"
-    f.write_text(json.dumps(doc))
+    _write_interchange(f, doc)
 
     code, rep, _ = run_json(capsys, "validate", str(f))
     assert code == 1
@@ -344,6 +348,31 @@ def test_interchange_with_broken_category_is_law_breaking_input(capsys, tmp_path
     code, _, err = run(capsys, "check", str(f), "--stack")
     assert code == 2
     assert "missing composite" in err
+
+
+def test_presheaf_with_a_repeated_element_is_law_breaking_input(capsys, tmp_path):
+    # Its discrete embedding would have two objects with one id.
+    site = tmp_path / "twice.site"
+    site.write_text(Path(PATCHES).read_text().replace("X = {sX}", "X = {sX, sX}"))
+    doc = json.loads((DATA / "patches.golden.json").read_text())
+    S = next(b for b in doc["blocks"] if b["name"] == "S")
+    S["els"][0][1].append("sX")
+    S["els"][1][1][:] = ["sp", "sp'", "sp", "sp'"]
+    emitted = tmp_path / "twice.json"
+    _write_interchange(emitted, doc)
+    for f, want in ((site, ["duplicate element sX over X"]),
+                    (emitted, ["duplicate element sX over X",
+                               "duplicate element sp over p",
+                               "duplicate element sp' over p"])):
+        code, rep, _ = run_json(capsys, "validate", str(f))
+        assert code == 1
+        assert rep["results"]["findings"] == [
+            {"kind": "presheaf", "name": "S", "witness": w} for w in want]
+        for argv in (["check", "--stack"], ["stackify", "--presheaf", "S"],
+                     ["sheafify"]):
+            code, _, err = run(capsys, argv[0], str(f), *argv[1:])
+            assert code == 2, argv
+            assert "duplicate element sX over X" in err
 
 
 # A fibration over an indexed category whose compositor is malformed: its

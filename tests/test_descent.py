@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import finstack
 
 from finstack import (
     Caps,
@@ -180,3 +187,47 @@ def test_descent_cap():
     R = minimal_cover(J, "X")
     with pytest.raises(CapExceeded):
         enumerate_data(D, R, Caps(max_descent=1))
+
+
+_BROKEN_DATA = """
+from finstack import DescentDatum, const_indexed, embed_discrete, enumerate_data
+from finstack import minimal_cover, validate_datum
+import corpus
+
+c, J = corpus.patches_site()
+R = minimal_cover(J, "X")
+D = embed_discrete(corpus.patches_sheaf())
+a = enumerate_data(D, R)[0]
+members = R.members()
+dropped = DescentDatum({f: a.obj[f] for f in members[2:]}, a.coh)
+K = const_indexed(c, corpus.z2_cat())
+b = enumerate_data(K, R)[0]
+flipped = dict(b.coh)
+for f in members:
+    flipped[(f, c.ident[c.dom(f)])] = "s"
+print(repr([validate_datum(D, R, dropped),
+            validate_datum(K, R, DescentDatum(b.obj, flipped))]))
+"""
+
+
+def test_validate_datum_findings_ignore_hash_seed():
+    """A sieve's members are a set of hashed ids; the first missing member
+    and the normalization findings must not follow its iteration order."""
+    src = str(Path(finstack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, str(Path(__file__).parent)])}
+    outs = set()
+    for seed in ("1", "2", "3", "4", "5", "6"):
+        run = subprocess.run([sys.executable, "-c", _BROKEN_DATA],
+                             env={**env, "PYTHONHASHSEED": seed},
+                             capture_output=True, text=True, timeout=60,
+                             check=True)
+        outs.add(run.stdout)
+    assert len(outs) == 1
+    missing, normalization = eval(outs.pop())
+    assert missing == ["no object assigned at (le,p,X)"]
+    assert normalization[:3] == [
+        "normalization fails at (le,p,X)",
+        "normalization fails at (le,q,X)",
+        "normalization fails at (le,r,X)",
+    ]

@@ -440,6 +440,50 @@ def test_coherence_entries_resolve_merged_generators(entry, aliased):
     assert got.indexedfuns["phi"].cell == want.indexedfuns["phi"].cell
 
 
+PATCHES = (DATA / "patches.site").read_text()
+
+
+@pytest.mark.parametrize("text, entry, doubled, msg", [
+    (SWAP, "obj u = u;", "obj u = u;\n obj u = v;", "image of object 'u'"),
+    (SWAP, "mor w = w;", "mor w = w;\n mor w = w';", "image of w"),
+    (PATCHES, "X = {sX};", "X = {sX};\n X = {sX, t};", "element set for object 'X'"),
+    (PATCHES, "p <= X: sX -> sp;", "p <= X: sX -> sp;\n p <= X: sX -> sp';",
+     "action along (le,p,X)"),
+    (PATCHES, "p <= X: sX -> sp;", "\n p <= X: sX -> sp, sX -> sp';",
+     "image of 'sX' along (le,p,X)"),
+    (SWAP, "fiber a = K; restrict", "fiber a = K;\n fiber a = K; restrict",
+     "fiber at 'a'"),
+    (SWAP, "restrict id(a) = Sw;", "restrict id(a) = Sw;\n restrict id(a) = I;",
+     "restriction along (id,a)"),
+    (SWAP, "compositor (id(a), id(a)) at u = w;",
+     "compositor (id(a), id(a)) at u = w;\n compositor (id(a), id(a)) at u = w;",
+     "compositor ((id,a),(id,a)) at 'u'"),
+    (SWAP, "unitor a at u = w;", "unitor a at u = w;\n unitor a at u = w;",
+     "unitor at 'a', 'u'"),
+    (SWAP, "component a = I;", "component a = I;\n component a = I;",
+     "component at 'a'"),
+    (SWAP, "cell id(a) at u = w';", "cell id(a) at u = w';\n cell id(a) at u = w';",
+     "cell along (id,a) at 'u'"),
+], ids=["functor-obj", "functor-mor", "presheaf-els", "presheaf-action",
+        "presheaf-source", "fiber", "restrict", "compositor", "unitor",
+        "component", "cell"])
+def test_repeated_keyed_entry_is_a_diagnostic(text, entry, doubled, msg):
+    """A keyed entry given twice is refused where it repeats, not
+    overwritten; the repeat starts the line after the break in `doubled`."""
+    assert entry in text
+    text = text.replace(entry, doubled, 1)
+    line = text[:text.index(doubled) + doubled.index("\n")].count("\n") + 2
+    d = fail_elab(text)[0]
+    assert (d.line, d.msg) == (line, f"duplicate {msg}")
+
+
+def test_repeated_cover_entries_accumulate():
+    base = "poset P { r <= p; r <= q; p <= X; q <= X; }"
+    one = elab(base + " coverage J on P { X: [p <= X], [q <= X]; }")
+    two = elab(base + " coverage J on P { X: [p <= X]; X: [q <= X]; }")
+    assert one.topologies["J"].covers == two.topologies["J"].covers
+
+
 def test_fibration_bases_must_agree():
     diags = fail_elab(
         "poset P { a <= b; } poset Q { c <= d; }"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from finstack import (
@@ -5,6 +7,7 @@ from finstack import (
     CapExceeded,
     InternalError,
     canonical_lift,
+    cartesian_arrows,
     check_lemma_3_1,
     compose_functors,
     const_indexed,
@@ -15,7 +18,6 @@ from finstack import (
     generate_sieve,
     giraud_topology,
     grothendieck,
-    is_cartesian,
     is_equivalence,
     is_stack,
     iso_classes,
@@ -28,6 +30,7 @@ from finstack import (
 )
 
 import corpus
+import sitegen
 
 
 def test_const_terminal_total_is_base():
@@ -77,27 +80,60 @@ def test_grothendieck_cap():
         grothendieck(embed_discrete(corpus.patches_sheaf()), caps=Caps(max_descent=2))
 
 
-def test_is_cartesian_matches_component():
+def _invertible_component(G):
+    """The arrows of G's total category whose fibre component is invertible."""
+    fib = G.source.fib
+    return {m for m in G.total.mor if fib[G.total.dom(m)[0]].is_iso(m[1])}
+
+
+def _corpus_indexed():
+    """Every corpus indexed category, among them constant families of the
+    arrow category, whose vertical arrows are not all invertible."""
+    patches, arrow = corpus.patches_cat(), corpus.arrow_cat()
+    presheaves = (corpus.patches_sheaf(), corpus.patches_nonsheaf(),
+                  corpus.patches_nonseparated(), corpus.arrow_presheaf(),
+                  corpus.span_presheaf(1), corpus.span_presheaf_free(),
+                  corpus.const_presheaf(patches), corpus.hom_presheaf(patches, "X"))
+    out = [embed_discrete(P) for P in presheaves]
+    out += [corpus.twisted_z2_indexed(), corpus.const_walking_iso(patches),
+            const_indexed(arrow, corpus.arrow_cat()),
+            const_indexed(patches, corpus.arrow_cat()),
+            const_indexed(terminal_cat(), corpus.parallel_pair_cat())]
+    return out
+
+
+def test_cartesian_arrows_are_those_with_invertible_component():
+    """The claim `canonical_lift` rests on, against the universal property:
+    an arrow of a total category is cartesian over the base exactly when
+    its fibre component is invertible."""
+    rng = random.Random(13)
+    cats = _corpus_indexed()
+    for _ in range(20):
+        c, _ = sitegen.rand_site(rng)
+        cats.append(sitegen.rand_indexed(rng, c))
+    not_cartesian = 0
+    for D in cats:
+        G = grothendieck(D)
+        cart = cartesian_arrows(G.proj)
+        assert cart == _invertible_component(G), D.name
+        not_cartesian += len(G.total.mor) - len(cart)
+    assert not_cartesian > 10
     base = corpus.arrow_cat()
-    D = const_indexed(base, corpus.arrow_cat())
-    G = grothendieck(D)
+    G = grothendieck(const_indexed(base, corpus.arrow_cat()))
     vert = (base.ident["a"], "i", "b")
-    assert vert in G.total.mor
-    assert not is_cartesian(G, vert)
-    for m in G.total.mor:
-        # also exercises the universal-property cross-check on every morphism
-        assert is_cartesian(G, m) == D.fib[G.total.dom(m)[0]].is_iso(m[1])
+    assert vert in G.total.mor and vert not in cartesian_arrows(G.proj)
 
 
 def test_canonical_cleavage():
     for D in (embed_discrete(corpus.patches_sheaf()), corpus.twisted_z2_indexed()):
         G = grothendieck(D)
+        cart = cartesian_arrows(G.proj)
         for y, (_, Yc) in D.base.mor.items():
             for U in D.fib[Yc].objects:
                 m = canonical_lift(G, y, U)
                 assert m == canonical_lift(G, y, U)
                 assert m[0] == y and m[2] == U
-                assert is_cartesian(G, m)
+                assert m in cart
                 # identity-structured component
                 fib = D.fib[G.total.dom(m)[0]]
                 assert fib.is_id(m[1])

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and binds each
-name the benchmark's tracer wraps.
+"""Every module of the package uses each name it imports, binds each name
+the benchmark's tracer wraps, and exports only names that something besides
+the tests uses.
 
 No linter ships with the toolchain, so this is the check: parse each module
 other than `__init__` (which imports to re-export) and list the imported
@@ -7,7 +8,13 @@ names that no expression of the module reads.
 
 `perfbench/spans.py` looks up the functions it traces by name, module by
 module (`WRAPPED`); a name that a refactor drops would break only a traced
-benchmark run, which this suite does not make, so it is checked here."""
+benchmark run, which this suite does not make, so it is checked here.
+
+A name `finstack` re-exports must be read by the library outside its own
+definition, or by the benchmark, or be traced by it, or be one of the few
+library-level entry points kept with no caller of their own (`KEPT_API`).
+A search or cross-check that only tests call belongs with the tests
+(`tests/oracles.py`)."""
 
 import ast
 import importlib
@@ -49,3 +56,53 @@ def test_every_traced_name_is_bound_in_its_module():
                if not callable(getattr(importlib.import_module(
                    f"finstack.{layer}"), name, None))]
     assert missing == []
+
+
+KEPT_API = {"validate_datum", "maximal_sieve", "pullback_sieve", "intersect_sieves"}
+
+
+class _Reads(ast.NodeVisitor):
+    """Names read as variables or attributes, except a name read inside the
+    definition that binds it."""
+
+    def __init__(self):
+        self.inside = []
+        self.names = set()
+
+    def visit_FunctionDef(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and node.id not in self.inside:
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        if node.attr not in self.inside:
+            self.names.add(node.attr)
+        self.generic_visit(node)
+
+
+def names_read(paths):
+    reads = _Reads()
+    for path in paths:
+        reads.visit(ast.parse(path.read_text(encoding="utf-8")))
+    return reads.names
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(exported) > 100
+    read = names_read(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    read |= names_read((ROOT / "perfbench").glob("*.py"))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    traced = {name for names in spans.WRAPPED.values() for name in names}
+    assert sorted(exported - read - traced - KEPT_API) == []

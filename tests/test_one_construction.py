@@ -39,7 +39,6 @@ from finstack import (
     grothendieck,
     identity_functor,
     identity_indexed_fun,
-    is_cartesian,
     is_cartesian_over,
     is_indexed_fibration,
     is_prestack,
@@ -499,6 +498,6 @@ def test_canonical_lifts_are_cartesian_morphisms_of_the_total_category():
             for U in D.fib[Yc].objects:
                 m = canonical_lift(G, y, U)
                 assert G.total.mor[m] == ((Yd, D.res[y].ob(U)), (Yc, U)), name
-                assert G.proj.mo(m) == y and is_cartesian(G, m), name
+                assert G.proj.mo(m) == y and is_cartesian_over(G.proj, m), name
                 lifts += 1
     assert lifts > 200

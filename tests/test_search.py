@@ -1,14 +1,15 @@
 """The bounded search kernel, the category builder, and the searches that
 run through them.
 
-`enumerate_data` and `all_functors` are checked against the loops they used
-before their outer products were forward-checked: every member-object
-choice (every object map) of the full product in turn, each searched for
-coherences (morphism maps).  Same results, same order, never more nodes.
-`desc_hom`, `all_nat_trans`, `find_indexed_natiso`, `matching_families` and
-`all_indexed_funs` are checked against the schedules they filed themselves
+`enumerate_data` is checked against the loop it used before its outer
+product was forward-checked: every member-object choice of the full product
+in turn, each searched for coherences.  Same results, same order, never more
+nodes.  `desc_hom`, `all_nat_trans`, `find_indexed_natiso` and
+`matching_families` are checked against the schedules they filed themselves
 before the kernel kept it: same results, same order, same nodes.  Every
-reference runs on `ref_search`, a copy of the kernel of that time."""
+reference runs on `oracles.ref_search`, a copy of the kernel of that time,
+and the functors and indexed functors they are run on come from the
+`oracles` enumerators."""
 
 import random
 from itertools import product
@@ -16,20 +17,15 @@ from itertools import product
 import pytest
 
 import finstack.descent
-import finstack.indexed
 from finstack import (
     CapExceeded,
     Caps,
     DescentDatum,
     FinCat,
-    Functor,
     InternalError,
     NatTrans,
     Sieve,
-    all_functors,
-    all_indexed_funs,
     all_nat_trans,
-    compose_functors,
     const_indexed,
     desc_hom,
     discrete_cat,
@@ -51,6 +47,12 @@ from finstack.util import stable_sorted
 
 import corpus
 import sitegen
+from oracles import (
+    ref_all_functors,
+    ref_all_indexed_funs,
+    ref_all_nat_trans,
+    ref_search,
+)
 
 
 def test_search_order_and_pruning():
@@ -147,22 +149,10 @@ def _matching_families(caps):
     matching_families(corpus.patches_sheaf(), minimal_cover(J, "X"), caps)
 
 
-def _all_functors(caps):
-    w = corpus.walking_iso_cat()
-    list(all_functors(w, w, caps))
-
-
-def _all_indexed_funs(caps):
-    t = corpus.twisted_z2_indexed()
-    list(all_indexed_funs(t, t, caps))
-
-
 @pytest.mark.parametrize("run, least", [
     (_enumerate_data, 48),
     (_desc_hom, 4),
     (_matching_families, 7),
-    (_all_functors, 12),
-    (_all_indexed_funs, 6),
 ])
 def test_search_cap_trips_where_it_did(run, least):
     run(Caps(max_descent=least))
@@ -194,7 +184,7 @@ def _brute_nat_trans(F, G, iso_only):
 ])
 def test_all_nat_trans_matches_brute_force(src, dst):
     c, k = src(), dst()
-    functors = list(all_functors(c, k))
+    functors = list(ref_all_functors(c, k))
     assert functors
     for F, G in product(functors, repeat=2):
         for iso_only in (False, True):
@@ -203,35 +193,10 @@ def test_all_nat_trans_matches_brute_force(src, dst):
 
 
 # ---------------------------------------------------------------------------
-# The searches against the loops they replace.  The references run a copy
-# of the kernel as it was before it kept the constraint schedule: `cands(i,
-# a)` gives position i's candidates each time it is entered, and `fits(i,
-# a)` tests the checks each site filed under position i itself.
-
-
-def ref_search(n, cands, fits, budget):
-    a = []
-    budget.spend()
-    if n == 0:
-        yield a
-        return
-    stack = [iter(cands(0, a))]
-    while stack:
-        i = len(a)
-        for v in stack[-1]:
-            a.append(v)
-            if fits(i, a):
-                budget.spend()
-                if i + 1 == n:
-                    yield a
-                else:
-                    stack.append(iter(cands(i + 1, a)))
-                    break
-            a.pop()
-        else:
-            stack.pop()
-            if a:
-                a.pop()
+# The searches against the loops they replace, on the kernel copy
+# `ref_search`: `cands(i, a)` gives position i's candidates each time it is
+# entered, and `fits(i, a)` tests the checks each site filed under position
+# i itself.
 
 
 def ref_enumerate_data(D, R, caps=Caps()):
@@ -277,37 +242,6 @@ def ref_enumerate_data(D, R, caps=Caps()):
         for coh in ref_search(len(pairs), cands, fits, budget):
             out.append(DescentDatum(obj, zip(pairs, coh)))
     return out
-
-
-def ref_all_functors(src, dst, caps=Caps()):
-    """Every object map of the full product, each searched for morphism
-    maps."""
-    objs = src.stable_objects()
-    non_id = [m for m in src.ordered(src.mor) if not src.is_id(m)]
-    at = {m: i for i, m in enumerate(non_id)}
-    closing = {}
-    for (g, f), h in src.table.items():
-        i = max(at.get(g, -1), at.get(f, -1), at.get(h, -1))
-        if i >= 0:
-            closing.setdefault(i, []).append((g, f, h))
-    budget = Budget(caps)
-    for combo in product(*(dst.stable_objects() for _ in objs)):
-        omap = dict(zip(objs, combo))
-        mmap = {src.ident[x]: dst.ident[omap[x]] for x in objs}
-
-        def cands(i, a):
-            d, c = src.mor[non_id[i]]
-            return dst.hom(omap[d], omap[c])
-
-        def fits(i, a):
-            mmap[non_id[i]] = a[i]
-            return all(
-                dst.table[(mmap[g], mmap[f])] == mmap[h]
-                for g, f, h in closing.get(i, ())
-            )
-
-        for a in ref_search(len(non_id), cands, fits, budget):
-            yield Functor(src, dst, dict(omap), dict(mmap))
 
 
 SPEND = Budget.spend
@@ -388,18 +322,6 @@ FUNCTOR_CATS = (
 )
 
 
-def test_all_functors_matches_full_product(spent):
-    pruned = 0
-    for src, dst in product(FUNCTOR_CATS, repeat=2):
-        src, dst = src(), dst()
-        got, nodes = spent(all_functors, src, dst)
-        want, ref_nodes = spent(ref_all_functors, src, dst)
-        assert got == want, (src.name, dst.name)
-        assert nodes <= ref_nodes, (src.name, dst.name)
-        pruned += nodes < ref_nodes
-    assert pruned > 10
-
-
 def test_empty_fibres_and_empty_sieve(spent):
     # A member over b has an empty fibre: no data, no node.
     D = embed_discrete(corpus.arrow_presheaf(nb=0))
@@ -416,8 +338,8 @@ def test_empty_fibres_and_empty_sieve(spent):
     # No object of the target: no functor, no node; from the empty
     # category: one functor, for one node.
     none = discrete_cat((), name="empty")
-    assert spent(all_functors, corpus.arrow_cat(), none) == ([], 0)
-    got, nodes = spent(all_functors, none, corpus.arrow_cat())
+    assert spent(ref_all_functors, corpus.arrow_cat(), none) == ([], 0)
+    got, nodes = spent(ref_all_functors, none, corpus.arrow_cat())
     assert [(F.omap, F.mmap) for F in got] == [({}, {})] and nodes == 1
 
 
@@ -467,34 +389,6 @@ def ref_desc_hom(D, R, a, b, caps=Caps()):
         dict(zip(members, comp))
         for comp in ref_search(len(members), cands, fits, Budget(caps))
     ]
-
-
-def ref_all_nat_trans(F, G, iso_only=False, caps=Caps()):
-    if F.src is not G.src and F.src != G.src:
-        return
-    src, dst = F.src, F.dst
-    objects = list(src.objects)
-    pools = []
-    for x in objects:
-        pool = list(dst.hom(F.omap[x], G.omap[x]))
-        if iso_only:
-            pool = [a for a in pool if dst.is_iso(a)]
-        if not pool:
-            return
-        pools.append(pool)
-    at = {x: i for i, x in enumerate(objects)}
-    closing = {}
-    for m, (d, c) in src.mor.items():
-        closing.setdefault(max(at[d], at[c]), []).append((m, at[d], at[c]))
-
-    def fits(i, a):
-        return all(
-            dst.compose(a[c], F.mmap[m]) == dst.compose(G.mmap[m], a[d])
-            for m, d, c in closing.get(i, ())
-        )
-
-    for a in ref_search(len(objects), lambda i, a: pools[i], fits, Budget(caps)):
-        yield NatTrans(F, G, dict(zip(objects, a)))
 
 
 def ref_find_indexed_natiso(F, G, caps=Caps()):
@@ -552,61 +446,6 @@ def ref_matching_families(P, R, caps=Caps()):
     return [("mf", tuple(zip(members, vals))) for vals in sorted(map(tuple, out))]
 
 
-def ref_all_indexed_funs(D, E, nat_trans, caps=Caps()):
-    """Cells drawn from `nat_trans` anew each time a position is entered."""
-    base = D.base
-    objs = stable_sorted(base.objects)
-    mors = stable_sorted(base.mor)
-    at = {y: i for i, y in enumerate(mors)}
-    closing = {}
-    for (g, f), h in base.table.items():
-        closing.setdefault(max(at[g], at[f], at[h]), []).append((g, f, h))
-
-    def cands(i, cell):
-        y = mors[i]
-        Y, X = base.mor[y]
-        left = compose_functors(comp[Y], D.res[y])
-        right = compose_functors(E.res[y], comp[X])
-        return (t.comp for t in nat_trans(left, right, iso_only=True, caps=caps))
-
-    def unit_ok(X, c):
-        fx = E.fib[X]
-        return all(
-            fx.compose(c[V], comp[X].mo(D.unit(X, V))) == E.unit(X, comp[X].ob(V))
-            for V in D.fib[X].objects
-        )
-
-    def composite_ok(g, f, cg, cf, ch):
-        Xc = base.cod(g)
-        Z = base.dom(f)
-        fz = E.fib[Z]
-        for V in D.fib[Xc].objects:
-            one = fz.compose(ch[V], comp[Z].mo(D.gamma(g, f, V)))
-            two = fz.compose(
-                E.gamma(g, f, comp[Xc].ob(V)),
-                fz.compose(E.res[f].mo(cg[V]), cf[D.res[g].ob(V)]),
-            )
-            if one != two:
-                return False
-        return True
-
-    def fits(i, cell):
-        y = mors[i]
-        if base.is_id(y) and not unit_ok(base.dom(y), cell[i]):
-            return False
-        return all(
-            composite_ok(g, f, cell[at[g]], cell[at[f]], cell[at[h]])
-            for g, f, h in closing.get(i, ())
-        )
-
-    budget = Budget(caps)
-    pools = [list(all_functors(D.fib[X], E.fib[X], caps)) for X in objs]
-    for combo in product(*pools):
-        comp = dict(zip(objs, combo))
-        for cell in ref_search(len(mors), cands, fits, budget):
-            yield dict(comp), {y: dict(c) for y, c in zip(mors, cell)}
-
-
 def test_desc_hom_matches_its_schedule(spent):
     compared = nonempty = 0
     for D, R in descent_inputs():
@@ -623,7 +462,7 @@ def test_desc_hom_matches_its_schedule(spent):
 def test_all_nat_trans_matches_its_schedule(spent):
     compared = nonempty = 0
     for src, dst in product(FUNCTOR_CATS, repeat=2):
-        functors = list(all_functors(src(), dst()))[:6]
+        functors = list(ref_all_functors(src(), dst()))[:6]
         for F, G in product(functors, repeat=2):
             for iso_only in (False, True):
                 got, nodes = spent(all_nat_trans, F, G, iso_only)
@@ -674,37 +513,10 @@ def _indexed_cats():
     return out
 
 
-def unmetered(f):
-    """f with its results listed at once and its search nodes not counted
-    by the `spent` fixture; caps still bind them."""
-    def run(*args, **kw):
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(Budget, "spend", SPEND)
-            return iter(list(f(*args, **kw)))
-    return run
-
-
-def test_all_indexed_funs_matches_its_schedule(spent, monkeypatch):
-    """The parent drew a position's cells from `all_nat_trans` each time it
-    entered the position, and the search now draws them once per component
-    choice, so the nodes of those inner searches are left out on both
-    sides."""
-    monkeypatch.setattr(
-        finstack.indexed, "all_nat_trans", unmetered(finstack.indexed.all_nat_trans))
-    total = 0
-    for D in _indexed_cats():
-        got, nodes = spent(all_indexed_funs, D, D)
-        want, ref_nodes = spent(ref_all_indexed_funs, D, D, unmetered(ref_all_nat_trans))
-        assert [(F.comp, F.cell) for F in got] == want, D.name
-        assert nodes == ref_nodes, D.name
-        total += len(got)
-    assert total > 700
-
-
 def test_find_indexed_natiso_matches_its_schedule(spent):
     compared = found = 0
     for D in _indexed_cats():
-        funs = list(all_indexed_funs(D, D))[:5]
+        funs = list(ref_all_indexed_funs(D, D))[:5]
         for F, G in product(funs, repeat=2):
             [t], nodes = spent(lambda: [find_indexed_natiso(F, G)])
             [want], ref_nodes = spent(lambda: [ref_find_indexed_natiso(F, G)])

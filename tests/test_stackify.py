@@ -2,7 +2,6 @@ import pytest
 
 from finstack import (
     InternalError,
-    discrete_stackify_witness,
     embed_discrete,
     embed_mor,
     identity_indexed_fun,
@@ -31,6 +30,7 @@ from finstack.indexed import const_indexed
 from finstack.fincat import Functor
 
 import corpus
+from oracles import discrete_stackify_witness
 
 
 def test_plus_arrow_counts():
