@@ -14,19 +14,30 @@ Only the surviving choices are searched for coherences, so the cost
 follows the choices that pass every pairwise check, not the whole product
 of the member fibres.
 
-`desc_cat` enumerates the whole descent category by backtracking and
-hands `FinCat` its stable order, computed from the ranks of its parts in
-the fibres, so no datum's `ckey` is computed: not for D⁺, and not for D⁺⁺,
-whose fibres are themselves descent categories ranked the same way.
+The search for descent morphisms over one (D, R) is planned once (`_Plan`):
+the members in stable order with their fibres, the coherence pairs, and one
+square check per pair (f, g) carrying its fibre and D(g).  `desc_hom` asks
+a plan once.  `desc_cat` builds one and joins its data on member objects:
+the member hom-sets hom(a.obj[f], b.obj[f]) depend only on the member
+objects, so they are found once per pair of member-object tuples, and a
+pair of data with an empty one is not searched.  Every other pair is
+searched on a budget of its own, in data × data order, so skipping a pair
+can only keep a cap from tripping, never make one trip earlier.  The
+category gets its stable order from the ranks of its parts in the fibres,
+and a morphism's id lists its components in the sieve's member order,
+which every caller of `mor_id` holds, so no datum's sorted form or `ckey`
+is computed: not for D⁺, and not for D⁺⁺, whose fibres are themselves
+descent categories ranked the same way.
 `comparison` is the canonical functor D(X) -> Desc(R, D).  A prestack is an
 indexed category whose comparison functors are all fully faithful, a stack
 one whose comparison functors are all equivalences.
 
 `glue` is the one search for an object whose comparison datum is
 isomorphic to a given datum.  `is_stack` asks it of every datum, in fibre
-order; the factorization through the stackification unit (`stackify`) asks
-it of every pushed datum, in stable order.  Callers compute the comparison
-data once per object and cover and hand them in.
+order, on one plan per sieve, which its fullness check shares; the
+factorization through the stackification unit (`stackify`) asks it of
+every pushed datum, in stable order.  Callers compute the comparison data
+once per object and cover and hand them in.
 
 `is_prestack` and `is_stack` decide on G = `least_cover_pullbacks(J)`: the
 pullbacks h*(M_x) of the intersection M_x of the covers of x along every
@@ -63,8 +74,9 @@ class DescentDatum:
     items, in any insertion order) returns that object, so equality is
     identity and ids nesting data hash and compare without calling back into
     Python.  The sorted form `_key` and the canonical key `_ckey()` are
-    computed on first use and kept, so once per distinct datum.  `obj` and
-    `coh` must not be mutated."""
+    computed on first use and kept, so once per distinct datum; only
+    serialization and `repr` read them, since construction takes member
+    order from the sieve.  `obj` and `coh` must not be mutated."""
 
     __slots__ = ("obj", "coh", "_sorted", "_ck", "__weakref__")
 
@@ -240,36 +252,73 @@ def enumerate_data(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT):
     return out
 
 
+class _Plan:
+    """What the descent-morphism search over one (D, R) shares across pairs
+    of data: the members in stable order with their fibres, the coherence
+    pairs, and one square check per pair (f, g), which carries its fibre
+    D(dom g) and restriction D(g) and reads the components at f and f∘g.
+    A morphism found is the tuple of its components in member order."""
+
+    __slots__ = ("members", "fibs", "pairs", "squares")
+
+    def __init__(self, D: IndexedCat, R: Sieve):
+        base = D.base
+        self.members = R.members()
+        self.fibs = [D.fib[base.dom(f)] for f in self.members]
+        self.pairs = coh_pairs(D, R)
+        at = {f: i for i, f in enumerate(self.members)}
+        self.squares = []
+        for p in self.pairs:
+            f, g = p
+            jf, jfg = at[f], at[base.compose(f, g)]
+            check = (D.fib[base.dom(g)], D.res[g], p, jf, jfg)
+            self.squares.append(((jf, jfg), check))
+
+    def objects(self, a):
+        """The member objects of datum `a`, in member order."""
+        return tuple(a.obj[f] for f in self.members)
+
+    def pools(self, xs, ys):
+        """The member hom-sets hom(xs[i], ys[i]) between two tuples of
+        member objects."""
+        return [fib.hom(x, y) for fib, x, y in zip(self.fibs, xs, ys)]
+
+    def search(self, a, b, pools, caps):
+        """Every descent morphism a -> b with components drawn from `pools`,
+        by one `caps.search` on a budget of its own."""
+
+        def commutes(c, comp):
+            fib, res, p, jf, jfg = c
+            return (fib.compose(b.coh[p], res.mo(comp[jf]))
+                    == fib.compose(comp[jfg], a.coh[p]))
+
+        found = _caps.search(pools, self.squares, commutes, _caps.Budget(caps))
+        return [tuple(comp) for comp in found]
+
+    def homs(self, a, b, caps):
+        """`search` over the member hom-sets; [] at once, with no node
+        spent, when one of them is empty."""
+        pools = self.pools(self.objects(a), self.objects(b))
+        return self.search(a, b, pools, caps) if all(pools) else []
+
+
 def desc_hom(D: IndexedCat, R: Sieve, a: DescentDatum, b: DescentDatum,
              caps: _caps.Caps = _caps.DEFAULT):
     """All descent morphisms a -> b, as dicts member -> fibre morphism, by
     `caps.search` over the fibre homs: the square of pair (f, g) reads the
-    components at f and f∘g."""
-    base = D.base
-    members = R.members()
-    at = {f: i for i, f in enumerate(members)}
-    squares = []
-    for f, g in coh_pairs(D, R):
-        jf, jfg = at[f], at[base.compose(f, g)]
-        squares.append(((jf, jfg), (f, g, jf, jfg)))
-
-    def commutes(c, comp):
-        f, g, jf, jfg = c
-        fib = D.fib[base.dom(g)]
-        lhs = fib.compose(b.coh[(f, g)], D.res[g].mo(comp[jf]))
-        return lhs == fib.compose(comp[jfg], a.coh[(f, g)])
-
-    pools = [D.fib[base.dom(f)].hom(a.obj[f], b.obj[f]) for f in members]
-    return [
-        dict(zip(members, comp))
-        for comp in _caps.search(pools, squares, commutes, _caps.Budget(caps))
-    ]
+    components at f and f∘g.  An empty member hom-set is searched like any
+    other, so the nodes spent are the schedule's."""
+    plan = _Plan(D, R)
+    pools = plan.pools(plan.objects(a), plan.objects(b))
+    return [dict(zip(plan.members, comp))
+            for comp in plan.search(a, b, pools, caps)]
 
 
-def mor_id(a: DescentDatum, b: DescentDatum, comp):
-    """Id of the descent morphism a -> b with components `comp`, whose keys
-    are the members of `a`, listed in `a`'s member order."""
-    return (a, b, tuple((f, comp[f]) for f, _ in a._key[0]))
+def mor_id(a: DescentDatum, b: DescentDatum, comp, members):
+    """Id of the descent morphism a -> b with components `comp` (a dict
+    member -> fibre morphism), listed in `members`, the sieve's members in
+    stable order (`Sieve.members()`)."""
+    return (a, b, tuple((f, comp[f]) for f in members))
 
 
 def mor_components(mid):
@@ -278,28 +327,48 @@ def mor_components(mid):
 
 def desc_cat(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT) -> FinCat:
     """The descent category Desc(R, D), enumerated in full and validated by
-    construction: composition is member-wise in the fibres."""
+    construction: composition is member-wise in the fibres.
+
+    The pairs of data are joined on member objects: the member hom-sets of
+    (a, b) depend only on the member objects of a and b, so they are found
+    once per pair of member-object tuples, and a pair with an empty one is
+    not searched.  Every other pair is searched as `desc_hom` would, on a
+    budget of its own, in data × data order."""
     base = D.base
     data = enumerate_data(D, R, caps)
-    members = R.members()
-    mor = {}
+    plan = _Plan(D, R)
+    members, fibs = plan.members, plan.fibs
+
+    # `enumerate_data` lists the data of one member-object choice together,
+    # so walking the groups in order walks the data in order.
+    groups = {}
     for a in data:
-        for b in data:
-            for comp in desc_hom(D, R, a, b, caps):
-                mor[mor_id(a, b, comp)] = (a, b)
+        groups.setdefault(plan.objects(a), []).append(a)
+    mor = {}
+    for oa, ga in groups.items():
+        row = []
+        for ob, gb in groups.items():
+            pools = plan.pools(oa, ob)
+            if all(pools):
+                row.append((gb, pools))
+        for a in ga:
+            for gb, pools in row:
+                for b in gb:
+                    for comp in plan.search(a, b, pools, caps):
+                        mor[(a, b, tuple(zip(members, comp)))] = (a, b)
     ident = {}
     for a in data:
-        comp = {f: D.fib[base.dom(f)].ident[a.obj[f]] for f in members}
-        mid = mor_id(a, a, comp)
+        comp = {f: fib.ident[a.obj[f]] for f, fib in zip(members, fibs)}
+        mid = mor_id(a, a, comp, members)
         if mid not in mor:
             raise InternalError("identity descent morphism not enumerated")
         ident[a] = mid
-    parts = {mid: mor_components(mid) for mid in mor}
 
     def compose(m2, m1):
-        c2, c1 = parts[m2], parts[m1]
-        comp = {f: D.fib[base.dom(f)].compose(c2[f], c1[f]) for f in members}
-        return mor_id(m1[0], m2[1], comp)
+        return (m1[0], m2[1], tuple(
+            (f, fib.compose(g, h))
+            for fib, (f, g), (_, h) in zip(fibs, m2[2], m1[2])
+        ))
 
     # Stable order from the fibres' ranks.  The data share their members and
     # coherence pairs, listed in `ckey` order, so `ckey` compares two data by
@@ -310,7 +379,7 @@ def desc_cat(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT) -> FinCa
     ob_rank = {y: D.fib[y].object_ranks() for y in ys}
     mor_rank = {y: D.fib[y].morphism_ranks() for y in ys}
     obj_at = [(f, ob_rank[base.dom(f)]) for f in members]
-    coh_at = [(p, mor_rank[base.dom(p[1])]) for p in coh_pairs(D, R)]
+    coh_at = [(p, mor_rank[base.dom(p[1])]) for p in plan.pairs]
     rank = {
         a: i for i, a in enumerate(sorted(data, key=lambda a: (
             [r[a.obj[f]] for f, r in obj_at], [r[a.coh[p]] for p, r in coh_at]
@@ -344,10 +413,11 @@ def comparison(D: IndexedCat, R: Sieve, desc: FinCat) -> Functor:
     X = R.target
     fx = D.fib[X]
     omap = {V: comparison_datum(D, R, V) for V in fx.objects}
+    members = R.members()
     mmap = {}
     for m, (V, W) in fx.mor.items():
-        comp = {f: D.res[f].mo(m) for f in R.mors}
-        mid = mor_id(omap[V], omap[W], comp)
+        comp = {f: D.res[f].mo(m) for f in members}
+        mid = mor_id(omap[V], omap[W], comp, members)
         if mid not in desc.mor:
             raise InternalError("comparison image is not a descent morphism")
         mmap[m] = mid
@@ -399,22 +469,26 @@ def glue(D: IndexedCat, R: Sieve, cmp, a: DescentDatum,
     """The first (V, dm) among the (V, comparison datum of V) pairs `cmp`,
     in the caller's order, with dm an invertible descent morphism from V's
     comparison datum to `a`; None when `a` glues to none of them."""
-    base = D.base
+    return _glue(_Plan(D, R), cmp, a, caps)
+
+
+def _glue(plan, cmp, a, caps):
+    """`glue` on the plan of its (D, R)."""
     for V, cv in cmp:
-        for dm in desc_hom(D, R, cv, a, caps):
-            if all(D.fib[base.dom(f)].is_iso(m) for f, m in dm.items()):
-                return V, dm
+        for comp in plan.homs(cv, a, caps):
+            if all(fib.is_iso(m) for fib, m in zip(plan.fibs, comp)):
+                return V, dict(zip(plan.members, comp))
     return None
 
 
-def _ff_at(D, R, caps):
+def _ff_at(D, R, plan, caps):
     """(Full faithfulness of the comparison over R, as a Check; the
     comparison datum of every V in D(X), as a dict V -> datum), X the
-    target of R."""
+    target of R and `plan` that of (D, R)."""
     X = R.target
     fx = D.fib[X]
     cmp = {V: comparison_datum(D, R, V) for V in fx.objects}
-    members = R.members()
+    members = plan.members
     for V in fx.objects:
         for W in fx.objects:
             image = {}
@@ -428,23 +502,24 @@ def _ff_at(D, R, caps):
                         witness=(X, R, image[comp], m),
                     ), cmp
                 image[comp] = m
-            for dm in desc_hom(D, R, cmp[V], cmp[W], caps):
-                key = tuple((f, dm[f]) for f in members)
+            for comp in plan.homs(cmp[V], cmp[W], caps):
+                key = tuple(zip(members, comp))
                 if key not in image:
                     return Check(
                         False,
                         f"comparison not full on hom({fmt(V)},{fmt(W)}) over "
                         f"{fmt(X)}: a descent morphism has no preimage",
-                        witness=(X, R, dm),
+                        witness=(X, R, dict(key)),
                     ), cmp
     return Check(True, "comparison fully faithful"), cmp
 
 
-def _glues_at(D, R, cmp, caps) -> Check:
+def _glues_at(D, R, plan, cmp, caps) -> Check:
     """Whether every descent datum over R glues to an object of D(X), given
-    the comparison datum `cmp[V]` of every V in D(X), X the target of R."""
+    the plan of (D, R) and the comparison datum `cmp[V]` of every V in
+    D(X), X the target of R."""
     for a in enumerate_data(D, R, caps):
-        if glue(D, R, cmp.items(), a, caps) is None:
+        if _glue(plan, cmp.items(), a, caps) is None:
             return Check(
                 False,
                 f"a descent datum over {fmt(R.target)} does not glue",
@@ -465,12 +540,16 @@ def _descent(D: IndexedCat, J: Topology, caps, gluing: bool) -> Check:
     the same computation under the same caps, so its result is reused."""
 
     @functools.cache
+    def plan(R):
+        return _Plan(D, R)
+
+    @functools.cache
     def ff_at(R):
-        return _ff_at(D, R, caps)
+        return _ff_at(D, R, plan(R), caps)
 
     @functools.cache
     def glues_at(R):
-        return _glues_at(D, R, ff_at(R)[1], caps)
+        return _glues_at(D, R, plan(R), ff_at(R)[1], caps)
 
     holds = Check(True, "stack" if gluing else "prestack")
     try:

@@ -1352,16 +1352,38 @@ def _dec(v, memo=None):
             key = _key_text(dd)
             a = memo.get(key)
             if a is None:
-                a = memo[key] = DescentDatum(_dec(dd[0], memo), _dec(dd[1], memo))
+                a = memo[key] = DescentDatum(
+                    _unique(_dec(dd[0], memo), "descent datum member"),
+                    _unique(_dec(dd[1], memo), "descent datum coherence"),
+                )
             return a
     raise ValueError(f"malformed interchange value: {v!r}")
+
+
+class _Duplicate(ValueError):
+    """A key repeated in one row list of an interchange document."""
+
+
+def _unique(pairs, what, *ids):
+    """The dict of the (key, value) `pairs`, a sequence.  A repeated key is
+    an error: the later row would silently replace the earlier one.  `what`
+    names the rows, a format string over the `fmt` of `ids`."""
+    d = dict(pairs)
+    if len(d) < len(pairs):
+        seen = set()
+        for k, _ in pairs:
+            if k in seen:
+                what = what.format(*map(fmt, ids))
+                raise _Duplicate(f"duplicate {what} {fmt(k)}")
+            seen.add(k)
+    return d
 
 
 def _kv(d):
     return [[_enc(k), _enc(d[k])] for k in stable_sorted(d)]
 
-def _unkv(rows, memo):
-    return {_dec(k, memo): _dec(v, memo) for k, v in rows}
+def _unkv(rows, memo, what, *ids):
+    return _unique([(_dec(k, memo), _dec(v, memo)) for k, v in rows], what, *ids)
 
 
 def _cat_json(c: FinCat):
@@ -1379,14 +1401,14 @@ def _cat_json(c: FinCat):
 
 
 def _cat_unjson(d, memo):
-    mor = {_dec(m, memo): (_dec(a, memo), _dec(b, memo))
-           for m, a, b in d["morphisms"]}
+    mor = _unique([(_dec(m, memo), (_dec(a, memo), _dec(b, memo)))
+                   for m, a, b in d["morphisms"]], "morphism")
     return FinCat(
         tuple(_dec(x, memo) for x in d["objects"]),
         mor,
-        _unkv(d["identities"], memo),
-        {(_dec(g, memo), _dec(f, memo)): _dec(h, memo)
-         for (g, f), h in d["table"]},
+        _unkv(d["identities"], memo, "identity at"),
+        _unique([((_dec(g, memo), _dec(f, memo)), _dec(h, memo))
+                 for (g, f), h in d["table"]], "composite"),
         name=d.get("name", ""),
     )
 
@@ -1396,8 +1418,8 @@ def _fun_json(f: Functor):
 
 
 def _fun_unjson(d, src, dst, memo, name=""):
-    return Functor(src, dst, _unkv(d["omap"], memo), _unkv(d["mmap"], memo),
-                   name=name)
+    return Functor(src, dst, _unkv(d["omap"], memo, "object image of"),
+                   _unkv(d["mmap"], memo, "morphism image of"), name=name)
 
 
 def _top_json(j: Topology, basename):
@@ -1412,11 +1434,11 @@ def _top_json(j: Topology, basename):
 
 
 def _top_unjson(d, base, memo):
-    covers = {}
-    for x, fams in d["covers"]:
-        covers[_dec(x, memo)] = frozenset(
-            frozenset(_dec(m, memo) for m in fam) for fam in fams
-        )
+    covers = _unique([
+        (_dec(x, memo),
+         frozenset(frozenset(_dec(m, memo) for m in fam) for fam in fams))
+        for x, fams in d["covers"]
+    ], "covers of")
     return Topology(base, covers)
 
 
@@ -1431,9 +1453,13 @@ def _psh_json(p: Presheaf, basename):
 
 
 def _psh_unjson(d, base, memo):
-    els = {_dec(x, memo): tuple(_dec(e, memo) for e in row) for x, row in d["els"]}
-    act = {_dec(m, memo): _unkv(rows, memo) for m, rows in d["act"]}
-    return Presheaf(base, els, act, name=d.get("name", ""))
+    els = _unique([(_dec(x, memo), tuple(_dec(e, memo) for e in row))
+                   for x, row in d["els"]], "elements over")
+    act = []
+    for m, rows in d["act"]:
+        m = _dec(m, memo)
+        act.append((m, _unkv(rows, memo, "action of {} on", m)))
+    return Presheaf(base, els, _unique(act, "action of"), name=d.get("name", ""))
 
 
 def _idx_json(dd: IndexedCat, basename):
@@ -1451,17 +1477,24 @@ def _idx_json(dd: IndexedCat, basename):
 
 
 def _idx_unjson(d, base, memo):
-    fib = {_dec(x, memo): _cat_unjson(cj, memo) for x, cj in d["fib"]}
-    res = {}
+    fib = _unique([(_dec(x, memo), _cat_unjson(cj, memo)) for x, cj in d["fib"]],
+                  "fibre over")
+    res = []
     for y, fj in d["res"]:
         ym = _dec(y, memo)
         yy, yx = base.mor[ym]
-        res[ym] = _fun_unjson(fj, fib[yx], fib[yy], memo)
-    compositor = {}
+        res.append((ym, _fun_unjson(fj, fib[yx], fib[yy], memo)))
+    compositor = []
     for (g, f), rows in d["compositor"]:
-        compositor[(_dec(g, memo), _dec(f, memo))] = _unkv(rows, memo)
-    unitor = {_dec(x, memo): _unkv(rows, memo) for x, rows in d["unitor"]}
-    return IndexedCat(base, fib, res, compositor, unitor, name=d.get("name", ""))
+        gf = (_dec(g, memo), _dec(f, memo))
+        compositor.append((gf, _unkv(rows, memo, "compositor {} at", gf)))
+    unitor = []
+    for x, rows in d["unitor"]:
+        x = _dec(x, memo)
+        unitor.append((x, _unkv(rows, memo, "unitor {} at", x)))
+    return IndexedCat(base, fib, _unique(res, "restriction along"),
+                      _unique(compositor, "compositor"),
+                      _unique(unitor, "unitor"), name=d.get("name", ""))
 
 
 def _ifun_json(p: IndexedFun, srcname, dstname):
@@ -1643,18 +1676,25 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
                 if src is None or dst is None:
                     return bad(f"fibration {name!r} references unknown "
                                "indexed categories")
-                comp = {}
+                comp = []
                 for x, fj in b["comp"]:
                     xo = _dec(x, memo)
-                    comp[xo] = _fun_unjson(fj, src.fib[xo], dst.fib[xo], memo)
-                cell = {_dec(y, memo): _unkv(rows, memo) for y, rows in b["cell"]}
-                p = IndexedFun(src, dst, comp, cell, name=b.get("name", name))
+                    comp.append((xo, _fun_unjson(fj, src.fib[xo], dst.fib[xo],
+                                                 memo)))
+                cell = []
+                for y, rows in b["cell"]:
+                    y = _dec(y, memo)
+                    cell.append((y, _unkv(rows, memo, "cell {} at", y)))
+                p = IndexedFun(src, dst, _unique(comp, "component at"),
+                               _unique(cell, "cell"), name=b.get("name", name))
                 env.add_findings(kind, name, (b["src"], b["dst"]),
                                  lambda: validate_indexed_fun(p))
                 env.indexedfuns[name] = p
             else:
                 return bad(f"unknown block kind {kind!r}")
             env.order.append((kind, name))
+    except _Duplicate as e:
+        return bad(f"{e} in {kind} {name!r}")
     except (KeyError, TypeError, ValueError, IndexError) as e:
         return bad(f"malformed interchange block: {e}")
     except RecursionError:

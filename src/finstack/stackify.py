@@ -75,11 +75,12 @@ def plus(D: IndexedCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> PlusRe
                     f"of the least cover of {fmt(X)} along {fmt(y)}"
                 )
         omap = {a: restrict_datum(D, a, y, MY) for a in fib[X].objects}
+        members = MY.members()
         mmap = {}
         for mid, (a, b) in fib[X].mor.items():
             comps = mor_components(mid)
-            rcomps = {g: comps[base.compose(y, g)] for g in MY.mors}
-            rid = mor_id(omap[a], omap[b], rcomps)
+            rcomps = {g: comps[base.compose(y, g)] for g in members}
+            rid = mor_id(omap[a], omap[b], rcomps, members)
             if rid not in fib[Y].mor:
                 raise InternalError(
                     f"restricted descent morphism missing along {fmt(y)}"
@@ -92,13 +93,13 @@ def plus(D: IndexedCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> PlusRe
     ucomp = {X: comparison(D, minimal[X], fib[X]) for X in base.objects}
     ucell = {}
     for y, (Y, X) in base.mor.items():
-        MY = minimal[Y]
+        members = minimal[Y].members()
         cy = {}
         for V in D.fib[X].objects:
             src = ucomp[Y].ob(D.res[y].ob(V))
             dst = res[y].ob(ucomp[X].ob(V))
-            comps = {g: D.gamma(y, g, V) for g in MY.mors}
-            mid = mor_id(src, dst, comps)
+            comps = {g: D.gamma(y, g, V) for g in members}
+            mid = mor_id(src, dst, comps, members)
             if mid not in fib[Y].mor:
                 raise InternalError(
                     f"unit cell along {fmt(y)} is not a descent morphism"
@@ -130,10 +131,11 @@ def plus_fun(F: IndexedFun, plus_src: PlusResult, plus_dst: PlusResult) -> Index
         if plus_dst.minimal[X].mors != M.mors:
             raise InternalError("plus structures disagree on least covers")
         omap = {a: push_datum(F, M, a) for a in D.fib[X].objects}
+        members = M.members()
         mmap = {}
         for mid, (a, b) in D.fib[X].mor.items():
             pc = push_mor(F, mor_components(mid))
-            pid = mor_id(omap[a], omap[b], pc)
+            pid = mor_id(omap[a], omap[b], pc, members)
             if pid not in E.fib[X].mor:
                 raise InternalError("pushed descent morphism missing")
             mmap[mid] = pid

@@ -13,13 +13,21 @@ on it, so an oracle shares no search code with the library it checks:
 - `ref_all_indexed_funs`: every indexed functor D -> E, for the bounded
   uniqueness checks.
 
+`ref_desc_cat` is the descent category as it was built before its pairs of
+data were joined on member objects: `desc_hom` on every ordered pair, each
+morphism named by its source's sorted members (`DescentDatum._key`), and
+the category ordered by `ckey`.  `desc_cat_parts` lists what the two must
+share, and `desc_cat_outcome` runs either under given caps.
+
 `is_indexed_iso` and `discrete_stackify_witness` compare the categorical
 pipeline with the set-level sheafification on discrete embeddings."""
 
 from itertools import product
 
 from finstack import (
+    CapExceeded,
     Caps,
+    FinCat,
     Functor,
     IndexedFun,
     IndexedNat,
@@ -27,15 +35,18 @@ from finstack import (
     NatTrans,
     compose_functors,
     compose_indexed_funs,
+    desc_cat,
+    desc_hom,
     embed_discrete,
     embed_mor,
+    enumerate_data,
     sheafify_with_unit,
     stackify,
     strict_indexed_fun,
     validate_indexed_nat,
 )
 from finstack.caps import Budget
-from finstack.util import stable_sorted
+from finstack.util import fmt, stable_sorted
 
 
 def ref_search(n, cands, fits, budget):
@@ -177,6 +188,84 @@ def ref_all_indexed_funs(D, E, caps=Caps()):
         comp = dict(zip(objs, combo))
         for cell in ref_search(len(mors), cands, fits, budget):
             yield IndexedFun(D, E, dict(comp), {y: dict(c) for y, c in zip(mors, cell)})
+
+
+def ref_desc_cat(D, R, caps=Caps(), skip_empty=False):
+    """Desc(R, D) by `desc_hom` on every ordered pair of data; with
+    `skip_empty`, a pair with an empty member hom-set is not searched."""
+    base = D.base
+    data = enumerate_data(D, R, caps)
+    members = R.members()
+
+    def mor_id(a, b, comp):
+        return (a, b, tuple((f, comp[f]) for f, _ in a._key[0]))
+
+    def empty(a, b):
+        return not all(D.fib[base.dom(f)].hom(a.obj[f], b.obj[f])
+                       for f in members)
+
+    mor = {}
+    for a in data:
+        for b in data:
+            if skip_empty and empty(a, b):
+                continue
+            for comp in desc_hom(D, R, a, b, caps):
+                mor[mor_id(a, b, comp)] = (a, b)
+    ident = {
+        a: mor_id(a, a, {f: D.fib[base.dom(f)].ident[a.obj[f]] for f in members})
+        for a in data
+    }
+
+    def compose(m2, m1):
+        c2, c1 = dict(m2[2]), dict(m1[2])
+        return mor_id(m1[0], m2[1], {
+            f: D.fib[base.dom(f)].compose(c2[f], c1[f]) for f in members})
+
+    return FinCat.from_homs(tuple(data), mor, ident, compose,
+                            name=f"Desc({fmt(R.target)})")
+
+
+def desc_cat_parts(c):
+    """What a descent category built two ways must share, orders included."""
+    return (c.objects, list(c.mor.items()), list(c.ident.items()),
+            list(c.table.items()), c.stable_objects())
+
+
+def desc_cat_outcome(build, D, R, caps, **kw):
+    """(`desc_cat_parts` of `build(D, R, caps)`, None), or (None, the cap
+    message) when a cap trips."""
+    try:
+        return desc_cat_parts(build(D, R, caps, **kw)), None
+    except CapExceeded as e:
+        return None, str(e)
+
+
+# The search budgets `desc_cat` is compared at: each tripping somewhere on
+# the test inputs, and the default.
+DESC_CAT_BUDGETS = (1, 2, 3, 4, 8, 16, 48, 64, 100_000)
+
+
+def desc_cat_parity(D, R, tally):
+    """Check `desc_cat` against `ref_desc_cat` on (D, R) at every budget of
+    `DESC_CAT_BUDGETS`, counting each outcome in `tally`.  Where the
+    reference finishes, the two agree; where `desc_cat` trips a cap, the
+    reference trips the same one.  `desc_cat` may finish where the reference
+    trips only by not searching pairs with an empty member hom-set."""
+    for n in DESC_CAT_BUDGETS:
+        caps = Caps(max_descent=n)
+        got = desc_cat_outcome(desc_cat, D, R, caps)
+        want = desc_cat_outcome(ref_desc_cat, D, R, caps)
+        if want[1] is None:
+            assert got == want, (D.name, R, n)
+            kind = "both finish"
+        elif got[1] is not None:
+            assert got[1] == want[1], (D.name, R, n)
+            kind = "both trip"
+        else:
+            skipping = desc_cat_outcome(ref_desc_cat, D, R, caps, skip_empty=True)
+            assert skipping == got, (D.name, R, n)
+            kind = "only the reference trips"
+        tally[kind] = tally.get(kind, 0) + 1
 
 
 def is_indexed_iso(t):

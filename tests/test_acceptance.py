@@ -247,7 +247,7 @@ def _restriction_functor(D, descS, descR, R):
     for mid, (a, b) in descS.mor.items():
         comp = mor_components(mid)
         mmap[mid] = mor_id(
-            omap[a], omap[b], {f: comp[f] for f in R.mors})
+            omap[a], omap[b], {f: comp[f] for f in R.mors}, R.members())
     return Functor(descS, descR, omap, mmap, name="restr")
 
 

@@ -375,6 +375,96 @@ def test_presheaf_with_a_repeated_element_is_law_breaking_input(capsys, tmp_path
             assert "duplicate element sX over X" in err
 
 
+def _golden_block(name, block):
+    doc = json.loads((DATA / f"{name}.golden.json").read_text())
+    return doc, next(b for b in doc["blocks"] if b["name"] == block)
+
+
+def test_repeated_interchange_rows_are_diagnostics(capsys, tmp_path):
+    # A second row for one key used to replace the first without a word.
+    doc, S = _golden_block("patches", "S")
+    S["els"].append(["X", ["zz"]])
+    els = tmp_path / "els.json"
+    _write_interchange(els, doc)
+    doc, S = _golden_block("patches", "S")
+    S["act"].append(S["act"][0])
+    act = tmp_path / "act.json"
+    _write_interchange(act, doc)
+    for f, want in ((els, "duplicate elements over X in presheaf 'S'"),
+                    (act, "duplicate action of (le,X,X) in presheaf 'S'")):
+        for argv in (["validate"], ["check", "--stack"]):
+            code, _, err = run(capsys, argv[0], str(f), *argv[1:])
+            assert code == 2, argv
+            assert want in err
+
+
+# (golden, block, path to a row list, what its repeated first row reports)
+REPEATED_ROWS = [
+    ("factor", "P", ("morphisms",), "duplicate morphism (le,X,X) in category 'P'"),
+    ("factor", "P", ("identities",), "duplicate identity at X in category 'P'"),
+    ("factor", "P", ("table",),
+     "duplicate composite ((le,X,X),(le,X,X)) in category 'P'"),
+    ("factor", "J", ("covers",), "duplicate covers of X in topology 'J'"),
+    ("factor", "DpX", ("omap",), "duplicate object image of sX in functor 'DpX'"),
+    ("factor", "DpX", ("mmap",),
+     "duplicate morphism image of (id,sX) in functor 'DpX'"),
+    ("factor", "D", ("fib",), "duplicate fibre over X in indexed 'D'"),
+    ("factor", "D", ("fib", 1, 1, "morphisms"),
+     "duplicate morphism (id,sp) in indexed 'D'"),
+    ("factor", "D", ("res",), "duplicate restriction along (le,X,X) in indexed 'D'"),
+    ("factor", "D", ("res", 1, 1, "omap"), "duplicate object image of sX in indexed 'D'"),
+    ("factor", "D", ("compositor",),
+     "duplicate compositor ((le,X,X),(le,X,X)) in indexed 'D'"),
+    ("factor", "D", ("compositor", 0, 1),
+     "duplicate compositor ((le,X,X),(le,X,X)) at sX in indexed 'D'"),
+    ("factor", "D", ("unitor",), "duplicate unitor X in indexed 'D'"),
+    ("factor", "D", ("unitor", 1, 1), "duplicate unitor p at sp in indexed 'D'"),
+    ("factor", "phi", ("comp",), "duplicate component at X in fibration 'phi'"),
+    ("factor", "phi", ("cell",), "duplicate cell (le,X,X) in fibration 'phi'"),
+    ("factor", "phi", ("cell", 1, 1),
+     "duplicate cell (le,p,X) at sX in fibration 'phi'"),
+    ("patches", "S", ("act", 0, 1),
+     "duplicate action of (le,X,X) on sX in presheaf 'S'"),
+]
+
+
+@pytest.mark.parametrize("golden, block, path, want", REPEATED_ROWS)
+def test_every_repeated_row_is_a_diagnostic(capsys, tmp_path, golden, block,
+                                            path, want):
+    doc, rows = _golden_block(golden, block)
+    for step in path:
+        rows = rows[step]
+    rows.append(rows[0])
+    f = tmp_path / "repeated.json"
+    _write_interchange(f, doc)
+    code, _, err = run(capsys, "validate", str(f))
+    assert code == 2
+    assert want in err
+
+
+@pytest.mark.parametrize("part, what", [(0, "member"), (1, "coherence")])
+def test_repeated_descent_datum_row_is_a_diagnostic(capsys, tmp_path, part, what):
+    out = tmp_path / "stacked.json"
+    assert run(capsys, "stackify", PATCHES, "--emit", str(out))[0] == 0
+    doc = json.loads(out.read_text())
+
+    def first_datum(v):
+        if isinstance(v, dict):
+            if "dd" in v:
+                return v["dd"]
+            v = list(v.values())
+        if isinstance(v, list):
+            return next(filter(None, map(first_datum, v)), None)
+        return None
+
+    rows = first_datum(doc["blocks"])[part]
+    rows.append(rows[0])
+    _write_interchange(out, doc)
+    code, _, err = run(capsys, "validate", str(out))
+    assert code == 2
+    assert f"duplicate descent datum {what}" in err
+
+
 # A fibration over an indexed category whose compositor is malformed: its
 # validator would compose with the broken cell and fail inside the tool.
 FLAWED_REFERENT = """\

@@ -6,7 +6,10 @@ checked against `ckey` sorts of the same ids, and a guard pins that no
 datum's key is computed while stackifying.
 
 Runs on the corpus sites, `sitegen` sites and the indexed blocks of
-`tests/data`, and both plus stages of `stackify` on them."""
+`tests/data`, and both plus stages of `stackify` on them.  There the
+descent categories are also checked against `oracles.ref_desc_cat`, which
+names each morphism by its source's sorted members, and a second guard pins
+that no datum's sorted form is computed at all."""
 
 import random
 from pathlib import Path
@@ -30,6 +33,7 @@ from finstack.util import ckey, stable_sorted
 
 import corpus
 import sitegen
+from oracles import desc_cat_parity
 
 DATA = Path(__file__).parent / "data"
 
@@ -218,12 +222,22 @@ def test_descent_categories_order_as_ckey_sorts(stages):
             _check_supplied_order(p.output.fib[X])
 
 
+def _benchmark_op(name):
+    """The benchmark's stackify op on a corpus case: stackify, `is_stack`
+    of the result, stackify again and `is_indexed_equivalence`."""
+    site, indexed = CORPUS[name]
+    (c, J), D = site(), indexed()
+    s = stackify(D, J)
+    assert is_stack(s.stack, J)
+    if name != "twisted":  # stackifying its stack exhausts the default budget
+        again = stackify(s.stack, J)
+        assert is_indexed_equivalence(again.unit)
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_stackify_computes_no_datum_key(name, monkeypatch):
     """Ordering the fibres of D⁺ and D⁺⁺ reads ranks, never a datum's key:
     the benchmark's stackify op makes no `_ckey` call, nested or not."""
-    site, indexed = CORPUS[name]
-    (c, J), D = site(), indexed()
     calls = []
     key = DescentDatum._ckey
 
@@ -232,9 +246,33 @@ def test_stackify_computes_no_datum_key(name, monkeypatch):
         return key(self)
 
     monkeypatch.setattr(DescentDatum, "_ckey", counted)
-    s = stackify(D, J)
-    assert is_stack(s.stack, J)
-    if name != "twisted":  # stackifying its stack exhausts the default budget
-        again = stackify(s.stack, J)
-        assert is_indexed_equivalence(again.unit)
+    _benchmark_op(name)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_stackify_sorts_no_datum(name, monkeypatch):
+    """Morphism ids take their member order from the sieve, so the
+    benchmark's stackify op never reads `DescentDatum._key`: only
+    serialization and `repr` do."""
+    calls = []
+    key = DescentDatum._key
+
+    def counted(self):
+        calls.append(self)
+        return key.fget(self)
+
+    monkeypatch.setattr(DescentDatum, "_key", property(counted))
+    _benchmark_op(name)
+    assert calls == []
+
+
+def test_plus_stages_match_the_pairwise_loop(stages):
+    """Each fibre of D⁺ and D⁺⁺ is the category `ref_desc_cat` builds, at
+    every budget (`oracles.desc_cat_parity`)."""
+    c, J, plus_stages = stages
+    tally = {}
+    for p in plus_stages:
+        for X in c.objects:
+            desc_cat_parity(p.input, p.minimal[X], tally)
+    assert tally["both finish"] >= 2 * len(c.objects)

@@ -48,6 +48,7 @@ from finstack.util import stable_sorted
 import corpus
 import sitegen
 from oracles import (
+    desc_cat_parity,
     ref_all_functors,
     ref_all_indexed_funs,
     ref_all_nat_trans,
@@ -457,6 +458,19 @@ def test_desc_hom_matches_its_schedule(spent):
             compared += 1
             nonempty += bool(got)
     assert compared > 3500 and nonempty > 2000
+
+
+def test_desc_cat_matches_the_pairwise_loop():
+    """`desc_cat` joins its pairs of data on member objects and names
+    morphisms in member order: the same category, in the same orders, as
+    `desc_hom` on every pair with ids from sorted members, at every budget
+    (`oracles.desc_cat_parity`)."""
+    tally = {}
+    for D, R in descent_inputs():
+        desc_cat_parity(D, R, tally)
+    # 3,169 finish on both sides and 1,592 trip on both; none trips on the
+    # reference side alone.
+    assert tally["both finish"] > 3000 and tally["both trip"] > 1000
 
 
 def test_all_nat_trans_matches_its_schedule(spent):
