@@ -7,18 +7,31 @@ such assignment containing a user-supplied coverage.  On a finite site a
 topology is fixed by the least cover of each object, so `saturate` runs its
 fixpoint over one sieve per object and then lists the sieves that contain it.
 
+Inside this module a sieve on x is an int, a bitmask: bit j stands for the
+j-th arrow of `c.into(x)`, which is in stable order, so bit order is rank
+order.  For h : y -> x the gather table of h holds, for each g in
+`c.into(y)`, the bit of h∘g on x; the pullback h*(S) takes bit j from the
+bit of h∘g_j in S, and the image {h∘g : g ∈ T} is the union of the bits
+that T selects.  The numbering and the tables are built per call
+(`_Bits`) and dropped with it; nothing is cached on a `FinCat`.  Public
+functions take and return sieves as frozensets of morphism ids.
+
 The sieve universe on X is enumerated as unions of principal sieves: every
 sieve is the union of the principal sieves <f> = {f∘g} of its members, and
 every such union is a sieve, so the work is proportional to the number of
-sieves rather than to the 2^(in-degree) subsets of the arrows into X.  A
+sieves rather than to the 2^(in-degree) subsets of the arrows into X.
+Started from a sieve M instead of the empty one, the same enumeration lists
+exactly the sieves that contain M, which is how `saturate` lists covers.  A
 universe can still be exponential in the in-degree, so every function that
 enumerates one takes a `Caps`: `--max-sieves-per-object` bounds
 2^(in-degree), checked before anything is enumerated.
 
-`validate_topology`, the independent check of the three axioms, keeps for
-the length of one call a memo of the pullbacks h*(S) it has computed, with
-one frozenset per distinct sieve.  Sets of sieves are ordered by
-`FinCat.set_key`, which orders them as `ckey` does.
+`validate_topology`, the independent check of the three axioms, checks
+transitivity through the local sieve of each candidate S on x, L(S) = {f :
+f*(S) covers dom f}: S is locally covering exactly when some cover lies
+inside L(S), so each candidate costs one pullback per arrow, not one per
+(cover, member).  Sets of sieves are ordered by `FinCat.set_key`, which
+orders them as `ckey` does.
 """
 
 from dataclasses import dataclass, field
@@ -102,26 +115,10 @@ def pullback_sieve(s: Sieve, h) -> Sieve:
     c = s.base
     if c.cod(h) != s.target:
         raise SiteError(f"{fmt(h)} does not end at {fmt(s.target)}")
-    return Sieve(c.dom(h), _pullback(c, s.mors, h), c)
-
-
-def _pullback(c: FinCat, mors, h) -> frozenset:
-    return frozenset(g for g in c.into(c.dom(h)) if c.compose(h, g) in mors)
-
-
-def _pullback_memo(c: FinCat):
-    """`pb(mors, h)`, the raw h*(mors), computed once per (mors, h) and kept
-    as one frozenset object per distinct sieve.  Meant to live for one call."""
-    memo, canon = {}, {}
-
-    def pb(mors, h):
-        p = memo.get((mors, h))
-        if p is None:
-            p = _pullback(c, mors, h)
-            p = memo[(mors, h)] = canon.setdefault(p, p)
-        return p
-
-    return pb
+    bits = _Bits(c)
+    y = c.dom(h)
+    p = _pull(bits.arrows(s.target)[h][2], bits.mask(s.target, s.mors))
+    return Sieve(y, bits.members(y, p), c)
 
 
 def intersect_sieves(a: Sieve, b: Sieve) -> Sieve:
@@ -130,19 +127,101 @@ def intersect_sieves(a: Sieve, b: Sieve) -> Sieve:
     return Sieve(a.target, a.mors & b.mors, a.base)
 
 
+class _Bits:
+    """One call's bitmasks on the arrows of `c`: bit j of a mask on x is
+    `c.into(x)[j]`.  Numberings and gather tables are built on first use
+    and live as long as this object, which a caller keeps for one call."""
+
+    __slots__ = ("c", "_bits", "_arrows")
+
+    def __init__(self, c: FinCat):
+        self.c = c
+        self._bits = {}
+        self._arrows = {}
+
+    def bits(self, x) -> dict:
+        """Each arrow into x, in `into` order, with its bit on x."""
+        index = self._bits.get(x)
+        if index is None:
+            index = self._bits[x] = {
+                m: 1 << j for j, m in enumerate(self.c.into(x))}
+        return index
+
+    def arrows(self, x) -> dict:
+        """Each arrow f : y -> x, in `into` order, with (y, the bit of f,
+        the gather table of f, the principal sieve <f> = {f∘g}).  The
+        gather table holds the bit of f∘g for each g in `c.into(y)`."""
+        out = self._arrows.get(x)
+        if out is None:
+            c = self.c
+            bit = self.bits(x)
+            out = self._arrows[x] = {}
+            for f, b in bit.items():
+                y = c.dom(f)
+                t = tuple(bit[c.compose(f, g)] for g in c.into(y))
+                p = 0
+                for hb in t:
+                    p |= hb
+                out[f] = (y, b, t, p)
+        return out
+
+    def full(self, x) -> int:
+        """The maximal sieve on x."""
+        return (1 << len(self.c.into(x))) - 1
+
+    def mask(self, x, mors) -> int:
+        """The arrows into x that `mors` holds; anything else is ignored."""
+        return sum(b for m, b in self.bits(x).items() if m in mors)
+
+    def members(self, x, s: int) -> frozenset:
+        return frozenset(m for m, b in self.bits(x).items() if s & b)
+
+    def universe(self, x, caps: _caps.Caps, start: int = 0) -> set:
+        """The sieves on x that contain the sieve `start`, as masks: the
+        unions of `start` with principal sieves, adding one arrow at a
+        time; the set never holds more than the final universe."""
+        _caps.check(2 ** len(self.c.into(x)), caps, "max_sieves_per_object",
+                    "sieve universe on {}", x)
+        out = {start}
+        for _, _, _, p in self.arrows(x).values():
+            if p & ~start:
+                out |= {s | p for s in out}
+        return out
+
+
+def _pull(table, s: int) -> int:
+    """h*(s) from the gather table of h: bit j is set when s holds h∘g_j."""
+    p = 0
+    b = 1
+    for hb in table:
+        if s & hb:
+            p |= b
+        b <<= 1
+    return p
+
+
+def _push(table, s: int) -> int:
+    """{h∘g : g in s} from the gather table of h, for a mask s on dom h."""
+    p = 0
+    for hb in table:
+        if s & 1:
+            p |= hb
+        s >>= 1
+    return p
+
+
+def _bit_positions(s: int) -> tuple:
+    return tuple(j for j in range(s.bit_length()) if s >> j & 1)
+
+
 def sieves_on(c: FinCat, x, caps: _caps.Caps = _caps.DEFAULT):
     """All sieves on x, as raw frozensets, in a stable order.
 
-    Built as the unions of principal sieves of arrows into x, starting from
-    the empty sieve; the set never holds more than the final universe."""
-    arrows = c.into(x)
-    _caps.check(2 ** len(arrows), caps, "max_sieves_per_object",
-                "sieve universe on {}", x)
-    out = {frozenset()}
-    for f in arrows:
-        principal = frozenset(c.compose(f, g) for g in c.into(c.dom(f)))
-        out |= {s | principal for s in out}
-    return sorted(out, key=c.set_key)
+    Bit order is rank order, so sorting masks by their set bits orders the
+    sieves as `FinCat.set_key` does."""
+    bits = _Bits(c)
+    return [bits.members(x, s)
+            for s in sorted(bits.universe(x, caps), key=_bit_positions)]
 
 
 @dataclass
@@ -190,16 +269,18 @@ def validate_topology(J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> list:
     if errs:
         return errs
 
+    # Every cover is now a sieve of morphisms into its object, so it has a mask.
+    bits = _Bits(c)
+    cov = {x: {bits.mask(x, mors) for mors in J.covers[x]} for x in c.objects}
     for x in c.objects:
-        if frozenset(c.into(x)) not in J.covers[x]:
+        if bits.full(x) not in cov[x]:
             errs.append(f"maximal sieve on {fmt(x)} is not covering")
 
-    pb = _pullback_memo(c)
     for x in c.objects:
         unstable = []
-        for mors in J.covers[x]:
-            for h in c.into(x):
-                if pb(mors, h) not in J.covers[c.dom(h)]:
+        for s in cov[x]:
+            for h, (y, _, t, _) in bits.arrows(x).items():
+                if _pull(t, s) not in cov[y]:
                     unstable.append(
                         f"stability fails: pullback of a cover on {fmt(x)} "
                         f"along {fmt(h)} is not covering"
@@ -208,20 +289,21 @@ def validate_topology(J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> list:
         errs += sorted(unstable)
 
     for x in c.objects:
-        universe = sieves_on(c, x, caps)
+        universe = bits.universe(x, caps)
+        steps = [(b, t, cov[y]) for y, b, t, _ in bits.arrows(x).values()]
         for cand in universe:
-            if cand in J.covers[x]:
+            if cand in cov[x]:
                 continue
-            for mors in J.covers[x]:
-                if all(pb(cand, f) in J.covers[c.dom(f)] for f in mors):
-                    errs.append(
-                        f"transitivity fails: a sieve on {fmt(x)} is locally "
-                        f"covering but missing"
-                    )
-                    break
-            else:
-                continue
-            break
+            local = 0  # L(cand): the f along which cand pulls back to a cover
+            for b, t, covers in steps:
+                if _pull(t, cand) in covers:
+                    local |= b
+            if any(not r & ~local for r in cov[x]):
+                errs.append(
+                    f"transitivity fails: a sieve on {fmt(x)} is locally "
+                    f"covering but missing"
+                )
+                break
     return errs
 
 
@@ -241,30 +323,34 @@ def saturate(c: FinCat, coverage, caps: _caps.Caps = _caps.DEFAULT) -> Topology:
     at most Σ|into(x)| changes.
     """
     obset = set(c.objects)
-    least = {x: frozenset(c.into(x)) for x in c.objects}
+    bits = _Bits(c)
+    least = {x: bits.full(x) for x in c.objects}
     for x, fams in coverage.items():
         if x not in obset:
             raise SiteError(f"coverage names unknown object {fmt(x)}")
         for fam in fams:
-            least[x] &= generate_sieve(c, x, fam).mors
+            least[x] &= bits.mask(x, generate_sieve(c, x, fam).mors)
 
     changed = True
     while changed:
         changed = False
         for x in c.objects:
-            for h in c.into(x):
-                y = c.dom(h)
-                p = least[y] & _pullback(c, least[x], h)
+            arrows = bits.arrows(x).values()
+            for y, _, t, _ in arrows:
+                p = least[y] & _pull(t, least[x])
                 if p != least[y]:
                     least[y] = p
                     changed = True
-            local = frozenset(c.compose(f, g) for f in least[x]
-                              for g in least[c.dom(f)])
+            local = 0
+            for y, b, t, _ in arrows:
+                if least[x] & b:
+                    local |= _push(t, least[y])
             if local != least[x]:
                 least[x] = local
                 changed = True
     return Topology(c, {
-        x: frozenset(s for s in sieves_on(c, x, caps) if least[x] <= s)
+        x: frozenset(bits.members(x, s)
+                     for s in bits.universe(x, caps, least[x]))
         for x in c.objects
     })
 
@@ -298,18 +384,19 @@ def least_cover_pullbacks(J: Topology):
     descent (see `descent`), a property that holds on all of these holds on
     every cover of J, because every cover of x contains M_x."""
     c = J.base
+    bits = _Bits(c)
     seen, out = set(), []
     for x in stable_sorted(c.objects):
         sieves = J.covers.get(x)
         if not sieves:
             continue
-        least = frozenset.intersection(*sieves)
-        for h in c.into(x):
-            y = c.dom(h)
-            p = _pullback(c, least, h)
-            if c.ident[y] not in p and (y, p) not in seen:
+        least = bits.mask(x, frozenset.intersection(*sieves))
+        for y, b, t, _ in bits.arrows(x).values():
+            p = _pull(t, least)
+            # id_y is in h*(M_x) exactly when h is in M_x.
+            if not least & b and (y, p) not in seen:
                 seen.add((y, p))
-                out.append(Sieve(y, p, c))
+                out.append(Sieve(y, bits.members(y, p), c))
     return out
 
 

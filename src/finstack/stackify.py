@@ -67,6 +67,12 @@ def plus(D: IndexedCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> PlusRe
 
     res = {}
     for y, (Y, X) in base.mor.items():
+        if base.is_id(y):
+            # M_Y = M_X and id∘g = g: restriction returns each datum and
+            # each descent morphism it is given.
+            res[y] = Functor(fib[X], fib[X], {a: a for a in fib[X].objects},
+                             {m: m for m in fib[X].mor}, name=f"⁺({fmt(y)})")
+            continue
         MX, MY = minimal[X], minimal[Y]
         for g in MY.mors:
             if base.compose(y, g) not in MX.mors:

@@ -28,6 +28,7 @@ from finstack import (
     saturate,
     stackify,
 )
+from finstack.descent import mor_components, mor_id, restrict_datum
 from finstack.dsl import _dec, _enc
 from finstack.util import ckey, stable_sorted
 
@@ -276,3 +277,28 @@ def test_plus_stages_match_the_pairwise_loop(stages):
         for X in c.objects:
             desc_cat_parity(p.input, p.minimal[X], tally)
     assert tally["both finish"] >= 2 * len(c.objects)
+
+
+def test_plus_restricts_along_identities_as_restrict_datum_does(stages):
+    """D⁺ restricts along id_X by the identity functor on its fibre, which
+    is what `restrict_datum` and `mor_id` build there: M_X is the least
+    cover on both ends and id∘g = g, so every datum and id comes back."""
+    c, _, plus_stages = stages
+    for p in plus_stages:
+        D = p.input
+        for X in c.objects:
+            y = c.ident[X]
+            M = p.minimal[X]
+            fib = p.output.fib[X]
+            omap = {a: restrict_datum(D, a, y, M) for a in fib.objects}
+            members = M.members()
+            mmap = {}
+            for mid, (a, b) in fib.mor.items():
+                comps = mor_components(mid)
+                mmap[mid] = mor_id(omap[a], omap[b],
+                                   {g: comps[c.compose(y, g)] for g in members},
+                                   members)
+            res = p.output.res[y]
+            assert res.src is fib and res.dst is fib
+            assert res.omap == omap and res.mmap == mmap
+            assert all(res.omap[a] is omap[a] for a in fib.objects)

@@ -1,12 +1,14 @@
 """The site layer against the formulas it used before sieve universes were
-built from principal sieves and pullbacks were memoised: the sieve universe
+built from principal sieves and sieves became bitmasks: the sieve universe
 as the closed subsets among all 2^n subsets of the arrows into an object,
 sorted by `ckey`; saturation and validation as round-robin fixpoints that
-call `pullback_sieve` for every (sieve, morphism) on every round; covers
-ordered by `stable_sorted`.
+call `pullback_sieve` for every (sieve, morphism) on every round; pullbacks
+as the frozenset {g : h∘g ∈ S}; least covers as intersections of
+frozensets; covers ordered by `stable_sorted`.
 
 Runs on the corpus categories (the non-posets included), seeded random
-posets and their slices, the `sitegen` site corpora and small open lattices."""
+posets and their slices, the `sitegen` site corpora, small open lattices and
+16-open lattices, the largest the benchmark saturates."""
 
 import json
 import random
@@ -27,7 +29,7 @@ from finstack import (
     validate_topology,
 )
 from finstack.cli import main
-from finstack.site import slice_cat
+from finstack.site import _Bits, least_cover_pullbacks, minimal_cover, slice_cat
 from finstack.util import fmt, stable_sorted
 
 import corpus
@@ -107,6 +109,26 @@ def ref_validate_topology(J):
                 )
                 break
     return errs
+
+
+def ref_pullback(c, mors, h):
+    return frozenset(g for g in c.into(c.dom(h)) if c.compose(h, g) in mors)
+
+
+def ref_least_cover_pullbacks(J):
+    c = J.base
+    seen, out = set(), []
+    for x in stable_sorted(c.objects):
+        if not J.covers.get(x):
+            continue
+        least = frozenset.intersection(*J.covers[x])
+        for h in c.into(x):
+            y = c.dom(h)
+            p = ref_pullback(c, least, h)
+            if c.ident[y] not in p and (y, p) not in seen:
+                seen.add((y, p))
+                out.append((y, p))
+    return out
 
 
 def open_lattice(rng, points=4, most=10):
@@ -296,3 +318,101 @@ def test_unvalidated_topology_never_reaches_ordering(tmp_path, capsys):
                  ["desc", str(path), "--at", x, "--family", "0"]):
         assert main(argv) == 2, argv
         assert "Traceback" not in capsys.readouterr().err
+
+
+def test_least_covers_match_frozenset_intersections(sites):
+    for c, _, J in sites:
+        got = [(s.target, s.mors) for s in least_cover_pullbacks(J)]
+        assert got == ref_least_cover_pullbacks(J), c.name
+        for x in c.objects:
+            least = frozenset.intersection(*J.covers[x])
+            assert minimal_cover(J, x).mors == least
+            assert all(least <= s for s in J.covers[x])
+
+
+def test_pullback_sieve_matches_frozenset_formula(sites):
+    for c, _, J in sites:
+        for x in c.objects:
+            for s in J.covers_of(x):
+                for h in c.into(x):
+                    p = pullback_sieve(s, h)
+                    assert p.target == c.dom(h)
+                    assert p.mors == ref_pullback(c, s.mors, h)
+
+
+def test_masks_round_trip(sites):
+    """Every cover and every sieve of the universe is the set of arrows its
+    mask selects, and its mask is the one `_Bits` numbers it by."""
+    for c, _, J in sites:
+        bits = _Bits(c)
+        for x in c.objects:
+            for s in list(J.covers[x]) + sieves_on(c, x):
+                m = bits.mask(x, s)
+                assert bits.members(x, m) == s
+                assert m == sum(1 << j for j, f in enumerate(c.into(x))
+                                if f in s)
+
+
+@pytest.fixture(scope="module")
+def lattice16():
+    """A 16-open lattice, the largest size the benchmark saturates, with
+    its coverage and topology."""
+    rng = random.Random(31)
+    while True:
+        c, coverage = open_lattice(rng, points=5, most=16)
+        if len(c.objects) == 16:
+            return c, coverage, saturate(c, coverage)
+
+
+def test_sixteen_opens_match_the_references(lattice16):
+    c, coverage, J = lattice16
+    assert max(len(c.into(x)) for x in c.objects) == 16
+    assert J == ref_saturate(c, coverage)
+    assert validate_topology(J) == [] == ref_validate_topology(J)
+    failing = 0
+    for M in _mutants(random.Random(37), J)[:2]:
+        errs = validate_topology(M)
+        assert errs == ref_validate_topology(M)
+        failing += bool(errs)
+    assert failing
+    got = [(s.target, s.mors) for s in least_cover_pullbacks(J)]
+    assert got == ref_least_cover_pullbacks(J)
+
+
+def test_validate_topology_reports_hostile_covers():
+    """A cover with an unknown morphism, a member into another object or a
+    missing composite is a finding of the typing phase; no mask is made of
+    it, and nothing is raised."""
+    c, J = corpus.patches_site()
+    bad = {
+        frozenset({("le", "p", "X"), ("le", "q", "X"), ("le", "r", "X"),
+                   "nowhere"}):
+            "member nowhere is not a morphism",
+        frozenset({("le", "p", "X")}):
+            "not closed: (le,p,X) ∘ (le,r,p) escapes the sieve",
+        frozenset({("le", "p", "X"), ("le", "r", "p"), ("le", "r", "X")}):
+            "member (le,r,p) does not end at X",
+    }
+    for cover, finding in bad.items():
+        M = Topology(c, {**J.covers, "X": J.covers["X"] | {cover}})
+        assert validate_topology(M) == [f"cover on X is not a sieve: {finding}"]
+
+
+def test_validate_topology_matches_reference_without_maximal_sieves(sites):
+    """The maximal sieve dropped at both ends of an arrow: the local sieve
+    of a candidate holding that arrow must then read the covers of its
+    domain, not assume the maximal sieve covers there."""
+    rng = random.Random(41)
+    failing = 0
+    for _, _, J in sites:
+        c = J.base
+        arrows = [f for f in c.mor if c.dom(f) != c.cod(f)]
+        for f in rng.sample(arrows, min(len(arrows), 2)):
+            y, x = c.dom(f), c.cod(f)
+            M = Topology(c, {**J.covers,
+                             y: J.covers[y] - {frozenset(c.into(y))},
+                             x: J.covers[x] - {frozenset(c.into(x))}})
+            errs = validate_topology(M)
+            assert sorted(errs) == sorted(ref_validate_topology(M))
+            failing += any(e.startswith("transitivity") for e in errs)
+    assert failing > 10
