@@ -35,11 +35,23 @@ localization conformance checks on the fibration localized by `_localize`:
 local-to-global lifting survives the plus construction, and the localized
 fibration satisfies descent over the transferred topology.
 
-The caller holds the parts of the adjunction L_D ⊣ R_D, so the functions
-that need them take them and rebuild none: `R_D` and `check_thm_4_2_ii`
-take the total category G, `r_d_mor` both essential-fibre indexed
-categories, `sharp` R_D of its target and `flat` both flattenings.  Only
-`unit_eta` and `counit_eps` build their round trip when it is not passed.
+Each part of the adjunction L_D ⊣ R_D is built once per structure it is
+built from.  `R_D(fib, G, caps)`, `L_D(A, G, caps)` and
+`_localize(fib, J, caps)`, like `groth.giraud_topology(G, J, caps)`,
+keep their result on their first argument, keyed by `caps` and the
+identity of the second (`util.reused`); a repeat call returns the result
+of the first, already validated.  So `unit_eta` and `counit_eps`, when
+not passed their round trip, get the one already built, `sharp` reuses
+R_D of its source flattening, and the two Thm 4.2 checks share one
+localization.  `L_D` keeps its fibration and slices, not its `LResult`,
+which holds A: nothing kept references its owner, so reference counting
+frees a structure together with what it keeps.  The reuse is exact
+because the library never mutates a structure once built, which
+`FinCat`'s lazily built indexes assume too; a caller that mutates one
+gets stale results.  The functions that read further parts take them:
+`R_D` and `check_thm_4_2_ii` the total category G, `r_d_mor` both
+essential-fibre indexed categories, `sharp` R_D of its target and `flat`
+both flattenings.
 
 Each builder validates its result once, as a whole, with `validate_indexed`
 or `validate_indexed_fun`.  A part is validated on its own only when the
@@ -82,7 +94,7 @@ from .indexed import (
     validate_indexed_nat,
 )
 from .stackify import plus_fun, stackify
-from .util import fmt, stable_sorted
+from .util import fmt, reused, stable_sorted
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +148,7 @@ class IndexedFibration:
 
     p: IndexedFun
     cleavages: dict
+    _memo: dict = field(default=None, init=False, compare=False, repr=False)
 
 
 def is_indexed_fibration(p: IndexedFun) -> Check:
@@ -228,6 +241,7 @@ def _ess_restriction(fib: IndexedFibration, G: GrothCat, m, src: FinCat, dst: Fi
     return F, lifts
 
 
+@reused()
 def R_D(
     fib: IndexedFibration, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT
 ) -> IndexedCat:
@@ -304,6 +318,10 @@ class LResult:
     per_x: dict = field(repr=False)
 
 
+@reused(
+    keep=lambda L: (L.fib, L.per_x),
+    restore=lambda A, G, kept: LResult(A, G, *kept),
+)
 def L_D(A: IndexedCat, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT) -> LResult:
     """Indexed fibration whose fibre over X flattens the vertical slice of A
     at X; restriction reindexes along the canonical cartesian lifts.
@@ -683,7 +701,8 @@ def flat(
 # localization conformance checks
 
 
-def _localize(fib: IndexedFibration, J, caps):
+@reused()
+def _localize(fib: IndexedFibration, J, caps: _caps.Caps = _caps.DEFAULT):
     """Stackify both sides of the fibration and induce p⁺ and p⁺⁺ between
     the plus stages.  Returns (stackification of the target, p⁺, p⁺⁺)."""
     p = fib.p

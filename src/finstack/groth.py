@@ -17,17 +17,18 @@ invertible, and the morphisms of F's source that commute with them.
 projection of a total category (`fincat.iso_classes`), and `fibadj.R_D`
 builds its fibres with it.
 
-`giraud_topology` transfers a topology on the base to the total category: a
-sieve covers (X, U) when it absorbs the cartesian lifts of some covering
-sieve of X.  Concretely the lift families are generated into sieves and then
-saturated.  `fiber_transport` sends each object of the slice over X to the
-domain of its chosen lift, and `check_lemma_3_1` tests the fiberwise stack
-criterion: an indexed category over the total category is a stack for the
-transferred topology exactly when all of its transported restrictions are
-stacks over the slice sites.
+`giraud_topology` transfers a topology on the base to the total category:
+a sieve covers (X, U) when it absorbs the cartesian lifts of some covering
+sieve of X.  Concretely the lift families are generated into sieves and
+then saturated; the result is kept on G per topology and caps
+(`util.reused`).  `fiber_transport` sends each object of the slice over X
+to the domain of its chosen lift, and `check_lemma_3_1` tests the
+fiberwise stack criterion: an indexed category over the total category is
+a stack for the transferred topology exactly when all of its transported
+restrictions are stacks over the slice sites.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import caps as _caps
 from .descent import is_stack
@@ -42,7 +43,7 @@ from .fincat import (
 )
 from .indexed import IndexedCat, precompose_indexed
 from .site import SiteError, Topology, saturate, slice_cat, slice_site
-from .util import fmt, stable_sorted
+from .util import fmt, reused, stable_sorted
 
 
 @dataclass
@@ -50,6 +51,7 @@ class GrothCat:
     total: FinCat
     proj: Functor
     source: IndexedCat
+    _memo: dict = field(default=None, init=False, compare=False, repr=False)
 
 
 def grothendieck(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT, name="") -> GrothCat:
@@ -122,6 +124,7 @@ def canonical_lift(G: GrothCat, y, U):
     return m
 
 
+@reused()
 def giraud_topology(G: GrothCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> Topology:
     """Transfer J to the total category: generate from cartesian lifts of
     covering sieves, then saturate."""

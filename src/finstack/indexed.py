@@ -42,7 +42,8 @@ from .util import fmt, stable_sorted
 
 
 class IndexedCat:
-    __slots__ = ("name", "base", "fib", "res", "compositor", "unitor")
+    # `_memo` is set only once a builder keeps a result here (`util.reused`).
+    __slots__ = ("name", "base", "fib", "res", "compositor", "unitor", "_memo")
 
     def __init__(self, base, fib, res, compositor, unitor, name=""):
         self.name = name

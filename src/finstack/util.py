@@ -16,7 +16,14 @@ data are hash-consed (one object per distinct datum, so equality is
 identity); their hash is the object's identity, which varies between
 processes: no output may follow the iteration order of a set or dict keyed
 by data; sort in stable order instead.
+
+`reused` lets a builder keep its result on the structure it is built from,
+so a repeat call returns what the first one built.  That is exact only
+because the library never mutates a structure once built.
 """
+
+import functools
+import inspect
 
 
 def ckey(x):
@@ -52,3 +59,36 @@ def fmt(x) -> str:
     if isinstance(x, frozenset):
         return "{" + ",".join(sorted(fmt(v) for v in x)) + "}"
     return repr(x)
+
+
+def reused(keep=None, restore=None):
+    """Decorator for a builder `build(owner, other, caps)` whose result
+    depends only on the values of its arguments: the result is kept on
+    `owner`, in its `_memo` slot (allocated on first use), keyed by `caps`
+    and the identity of `other`, and a repeat call returns it.
+
+    The entry holds `other`, so its id is not reused while the entry lives.
+    It holds the result, or `keep(result)` when `keep` is given, and a hit
+    returns what it holds, or `restore(owner, other, kept)`.  What it holds
+    must not reference `owner`: a cycle through the owner would leave the
+    owner to the cyclic collector.  A call that raises leaves no entry."""
+
+    def wrap(build):
+        default = inspect.signature(build).parameters["caps"].default
+
+        @functools.wraps(build)
+        def reuse(owner, other, caps=default):
+            key = (caps, id(other))
+            memo = getattr(owner, "_memo", None)
+            if memo is not None and key in memo:
+                kept = memo[key][1]
+                return kept if restore is None else restore(owner, other, kept)
+            out = build(owner, other, caps)
+            if memo is None:
+                memo = owner._memo = {}
+            memo[key] = (other, out if keep is None else keep(out))
+            return out
+
+        return reuse
+
+    return wrap

@@ -365,7 +365,10 @@ def test_sharp_refuses_foreign_flattening():
     r = R_D(fib, g)
     la = L_D(r, g)
     fm = flat(identity_indexed_fun(r), fib, g, LA=la, LR=la)
-    other = L_D(r, g)
+    # L_D(r, g) again is la's own flattening; one over a second, separately
+    # built total category of the same value is not.
+    other = L_D(r, grothendieck(fib.p.E))
+    assert other.fib is not la.fib
     with pytest.raises(ValueError):
         sharp(fm, other, g, R_dst=r)
 
