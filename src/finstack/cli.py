@@ -84,9 +84,16 @@ def _pick_indexed(env, args):
     raise InputProblem("the input declares no indexed category or presheaf")
 
 
-def _pick_topology(env, args):
-    return _pick(env.topologies, getattr(args, "coverage", None),
-                 "coverage", "--coverage")
+def _pick_topology(env, args, name=None, base=None):
+    """The coverage to use; with `base`, it must be a coverage on that
+    category, the base of the block called `name`."""
+    jname, J = _pick(env.topologies, getattr(args, "coverage", None),
+                     "coverage", "--coverage")
+    if base is not None and J.base is not base and J.base != base:
+        raise InputProblem(
+            f"coverage {jname!r} is on {_base_name(env, J.base)!r}, not on "
+            f"{_base_name(env, base)!r}, the base of {name!r}")
+    return jname, J
 
 
 def _base_name(env, base):
@@ -139,7 +146,7 @@ def cmd_saturate(env, args, caps):
 
 def cmd_desc(env, args, caps):
     dname, D = _pick_indexed(env, args)
-    jname, J = _pick_topology(env, args)
+    jname, J = _pick_topology(env, args, dname, D.base)
     x = _find_object(D.base, args.at)
     if args.family is not None:
         fams = J.covers_of(x)
@@ -163,7 +170,7 @@ def cmd_desc(env, args, caps):
 
 def cmd_check(env, args, caps):
     dname, D = _pick_indexed(env, args)
-    jname, J = _pick_topology(env, args)
+    jname, J = _pick_topology(env, args, dname, D.base)
     if args.prestack:
         what, c = "prestack", is_prestack(D, J, caps)
     else:
@@ -179,7 +186,7 @@ def cmd_check(env, args, caps):
 
 def cmd_stackify(env, args, caps):
     dname, D = _pick_indexed(env, args)
-    jname, J = _pick_topology(env, args)
+    jname, J = _pick_topology(env, args, dname, D.base)
     s = stackify(D, J, caps)
     results = {
         "indexed": str(dname),
@@ -203,7 +210,7 @@ def cmd_stackify(env, args, caps):
 def cmd_sheafify(env, args, caps):
     pname, P = _pick(env.presheaves, getattr(args, "presheaf", None),
                      "presheaf", "--presheaf")
-    jname, J = _pick_topology(env, args)
+    jname, J = _pick_topology(env, args, pname, P.base)
     sheaf, unit = sheafify_with_unit(P, J, caps)
     results = {
         "presheaf": str(pname),
@@ -237,7 +244,7 @@ def cmd_groth(env, args, caps):
 
 def cmd_giraud(env, args, caps):
     dname, D = _pick_indexed(env, args)
-    jname, J = _pick_topology(env, args)
+    jname, J = _pick_topology(env, args, dname, D.base)
     G = grothendieck(D, caps)
     JD = giraud_topology(G, J, caps)
     results = {
@@ -254,7 +261,7 @@ def cmd_giraud(env, args, caps):
 
 def cmd_lemma31(env, args, caps):
     dname, D = _pick_indexed(env, args)
-    jname, J = _pick_topology(env, args)
+    jname, J = _pick_topology(env, args, dname, D.base)
     if args.fiber is not None:
         _, K = _pick(env.cats, args.fiber, "category", "--fiber")
     else:
@@ -283,7 +290,7 @@ def cmd_fiber_adjunction(env, args, caps):
     else:
         pname, D = _pick_indexed(env, args)
         p = identity_indexed_fun(D)
-    jname, J = _pick_topology(env, args)
+    jname, J = _pick_topology(env, args, pname, p.E.base)
     try:
         fib = as_fibration(p)
     except ValueError as e:
@@ -292,9 +299,9 @@ def cmd_fiber_adjunction(env, args, caps):
     G = grothendieck(fib.p.E, caps)
     r = R_D(fib, G, caps)
     la = L_D(r, G, caps)
-    eta = unit_eta(r, G, caps, L=la)
+    eta = unit_eta(r, G, caps)
     unit_c = is_indexed_equivalence(eta)
-    eps = counit_eps(fib, G, caps, R=r, LR=la)
+    eps = counit_eps(fib, G, caps)
     counit_c = is_indexed_equivalence(eps)
 
     h = identity_indexed_fun(r)
@@ -325,7 +332,7 @@ def cmd_fiber_adjunction(env, args, caps):
 def cmd_factorize(env, args, caps):
     pname, phi = _pick(env.indexedfuns, getattr(args, "phi", None),
                        "fibration", "--phi")
-    jname, J = _pick_topology(env, args)
+    jname, J = _pick_topology(env, args, pname, phi.E.base)
     st = is_stack(phi.E, J, caps)
     if not st.ok:
         raise InputProblem(f"the target of {pname!r} is not a stack: "

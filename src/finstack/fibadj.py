@@ -40,18 +40,19 @@ built from.  `R_D(fib, G, caps)`, `L_D(A, G, caps)` and
 `_localize(fib, J, caps)`, like `groth.giraud_topology(G, J, caps)`,
 keep their result on their first argument, keyed by `caps` and the
 identity of the second (`util.reused`); a repeat call returns the result
-of the first, already validated.  So `unit_eta` and `counit_eps`, when
-not passed their round trip, get the one already built, `sharp` reuses
-R_D of its source flattening, and the two Thm 4.2 checks share one
-localization.  `L_D` keeps its fibration and slices, not its `LResult`,
-which holds A: nothing kept references its owner, so reference counting
-frees a structure together with what it keeps.  The reuse is exact
-because the library never mutates a structure once built, which
+of the first, already validated.  So every other part has one source:
+`unit_eta`, `counit_eps`, `r_d_mor` and `l_d_mor` take only the structure
+they start from, G and caps, and call `R_D` and `L_D` for the round trips
+and the ends they map between, which are then the ones already built; the
+two Thm 4.2 checks share one localization.  `sharp` and `flat` still take
+the parts their callers hold (`LA`, `LR`, `R_dst`), but only to check
+them: each must be the part `L_D` or `R_D` keeps for that G and caps, or
+they raise ValueError.  `L_D` keeps its fibration and slices, not its
+`LResult`, which holds A: nothing kept references its owner, so reference
+counting frees a structure together with what it keeps.  The reuse is
+exact because the library never mutates a structure once built, which
 `FinCat`'s lazily built indexes assume too; a caller that mutates one
-gets stale results.  The functions that read further parts take them:
-`R_D` and `check_thm_4_2_ii` the total category G, `r_d_mor` both
-essential-fibre indexed categories, `sharp` R_D of its target and `flat`
-both flattenings.
+gets stale results.
 
 Each builder validates its result once, as a whole, with `validate_indexed`
 or `validate_indexed_fun`.  A part is validated on its own only when the
@@ -313,14 +314,13 @@ class LResult:
     flattening, the fibre inclusion functor into the total category)."""
 
     source: IndexedCat
-    groth: GrothCat
     fib: IndexedFibration
     per_x: dict = field(repr=False)
 
 
 @reused(
     keep=lambda L: (L.fib, L.per_x),
-    restore=lambda A, G, kept: LResult(A, G, *kept),
+    restore=lambda A, _G, kept: LResult(A, *kept),
 )
 def L_D(A: IndexedCat, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT) -> LResult:
     """Indexed fibration whose fibre over X flattens the vertical slice of A
@@ -399,7 +399,7 @@ def L_D(A: IndexedCat, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT) -> LResult
             for u, (_, U) in DD.fib[X].mor.items()
             for x2 in AX.fib[U].objects
         }
-    return LResult(A, G, IndexedFibration(pL, cleav), per_x)
+    return LResult(A, IndexedFibration(pL, cleav), per_x)
 
 
 def groth_map(Fm: IndexedFun, GA: GrothCat, GB: GrothCat) -> Functor:
@@ -423,19 +423,15 @@ def groth_map(Fm: IndexedFun, GA: GrothCat, GB: GrothCat) -> Functor:
 
 
 def unit_eta(
-    A: IndexedCat,
-    G: GrothCat,
-    caps: _caps.Caps = _caps.DEFAULT,
-    L: LResult = None,
-    R: IndexedCat = None,
+    A: IndexedCat, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT
 ) -> IndexedFun:
     """A -> R_D(L_D(A)): send x to ((U, x), identity comparison).
 
-    The returned functor's target is the computed round trip, available as
-    `.E`.  Componentwise an equivalence on valid input."""
+    The returned functor's target is the round trip, available as `.E`.
+    Componentwise an equivalence on valid input."""
     DD = G.source
-    L = L if L is not None else L_D(A, G, caps)
-    R = R if R is not None else R_D(L.fib, G, caps)
+    L = L_D(A, G, caps)
+    R = R_D(L.fib, G, caps)
     comps = {}
     for (X, U) in G.total.objects:
         _, GX, _ = L.per_x[X]
@@ -470,11 +466,7 @@ def unit_eta(
 
 
 def counit_eps(
-    fib: IndexedFibration,
-    G: GrothCat,
-    caps: _caps.Caps = _caps.DEFAULT,
-    R: IndexedCat = None,
-    LR: LResult = None,
+    fib: IndexedFibration, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT
 ) -> IndexedFun:
     """L_D(R_D(p)) -> source of p: project an essential-fibre point to its
     carrier, transporting morphisms along the recorded cartesian lifts.
@@ -484,8 +476,7 @@ def counit_eps(
     p = fib.p
     EE, DD = p.D, p.E
     C = DD.base
-    R = R if R is not None else R_D(fib, G, caps)
-    LR = LR if LR is not None else L_D(R, G, caps)
+    LR = L_D(R_D(fib, G, caps), G, caps)
     comps = {}
     for X in C.objects:
         _, GX, _ = LR.per_x[X]
@@ -567,12 +558,13 @@ def validate_fib_mor(fm: FibMor) -> list:
 
 
 def r_d_mor(
-    fm: FibMor, G: GrothCat, *, R_src: IndexedCat, R_dst: IndexedCat
+    fm: FibMor, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT
 ) -> IndexedFun:
-    """Functor R_src -> R_dst between the essential-fibre indexed categories
-    of fm's ends, induced by the fibration morphism; cells are the unique
-    cartesian comparisons."""
+    """Functor R_D(fm.src) -> R_D(fm.dst) between the essential-fibre
+    indexed categories of fm's ends, induced by the fibration morphism;
+    cells are the unique cartesian comparisons."""
     p1, p2 = fm.src, fm.dst
+    R_src, R_dst = R_D(p1, G, caps), R_D(p2, G, caps)
     E1, E2 = p1.p.D, p2.p.D
     DD = p1.p.E
     comps = {}
@@ -616,9 +608,12 @@ def r_d_mor(
     return out
 
 
-def l_d_mor(H: IndexedFun, LA: LResult, LR: LResult) -> IndexedFun:
-    """Functor between flattened vertical slices induced fibrewise by H."""
-    G = LA.groth
+def l_d_mor(
+    H: IndexedFun, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT
+) -> IndexedFun:
+    """Functor L_D(H.D) -> L_D(H.E) between flattened vertical slices
+    induced fibrewise by H."""
+    LA, LR = L_D(H.D, G, caps), L_D(H.E, G, caps)
     DD = G.source
     C = DD.base
     comps = {}
@@ -647,6 +642,12 @@ def l_d_mor(H: IndexedFun, LA: LResult, LR: LResult) -> IndexedFun:
     return out
 
 
+def _require_kept(given, kept, what):
+    if given is not kept:
+        raise ValueError(f"{what} is not the part built for this total "
+                         f"category and caps")
+
+
 def sharp(
     fm: FibMor,
     LA: LResult,
@@ -657,13 +658,14 @@ def sharp(
 ) -> IndexedFun:
     """Transpose a fibration morphism out of a flattened slice fibration to
     an indexed functor into R_dst, the essential-fibre indexed category of
-    fm's target."""
+    fm's target.  LA must be the flattening `L_D` keeps for G and caps, fm
+    must start at it, and R_dst must be the `R_D` kept for fm's target."""
     if fm.src is not LA.fib:
         raise ValueError("transpose source must be the given flattening")
-    R_src = R_D(LA.fib, G, caps)
-    eta = unit_eta(LA.source, G, caps, L=LA, R=R_src)
-    rm = r_d_mor(fm, G, R_src=R_src, R_dst=R_dst)
-    return compose_indexed_funs(rm, eta)
+    _require_kept(LA.fib, L_D(LA.source, G, caps).fib, "LA")
+    _require_kept(R_dst, R_D(fm.dst, G, caps), "R_dst")
+    eta = unit_eta(LA.source, G, caps)
+    return compose_indexed_funs(r_d_mor(fm, G, caps), eta)
 
 
 def flat(
@@ -676,12 +678,15 @@ def flat(
     LR: LResult,
 ) -> FibMor:
     """Transpose an indexed functor H into the essential-fibre indexed
-    category to a fibration morphism out of the flattened slices; LA and LR
-    are the flattenings L_D(H.D) and L_D(H.E)."""
+    category to a fibration morphism out of the flattened slices.  H.E must
+    be the `R_D` kept for fib, G and caps, and LA and LR the flattenings
+    `L_D` keeps for H.D and H.E."""
+    _require_kept(H.E, R_D(fib, G, caps), "H.E")
+    _require_kept(LA.fib, L_D(H.D, G, caps).fib, "LA")
+    _require_kept(LR.fib, L_D(H.E, G, caps).fib, "LR")
     DD = G.source
-    lm = l_d_mor(H, LA, LR)
-    eps = counit_eps(fib, G, caps, R=H.E, LR=LR)
-    F = compose_indexed_funs(eps, lm)
+    lm = l_d_mor(H, G, caps)
+    F = compose_indexed_funs(counit_eps(fib, G, caps), lm)
     phi = IndexedNat(
         compose_indexed_funs(fib.p, F),
         LA.fib.p,

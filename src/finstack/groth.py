@@ -235,7 +235,7 @@ def check_lemma_3_1(
     fiber_side = Check(True, "all transported restrictions are stacks")
     instances = []
     for X in stable_sorted(base.objects):
-        sl, JX, _ = slice_site(J, X, caps)
+        sl, JX, _ = slice_site(J, X)
         for cls in iso_classes(essential_fibre_cat(G.proj, X, caps)):
             A, alpha = cls[0]
             F = fiber_transport(G, (A, alpha))

@@ -507,9 +507,8 @@ def product_indexed(D: IndexedCat, E: IndexedCat, name=""):
     base = D.base
     if E.base != base:
         raise InternalError("product factors live over different bases")
-    fib = {}
-    for X in base.objects:
-        fib[X] = product_cat([D.fib[X], E.fib[X]]).cat
+    prods = {X: product_cat([D.fib[X], E.fib[X]]) for X in base.objects}
+    fib = {X: prods[X].cat for X in base.objects}
     res = {}
     for y, (Y, X) in base.mor.items():
         res[y] = Functor(
@@ -530,33 +529,12 @@ def product_indexed(D: IndexedCat, E: IndexedCat, name=""):
         for X in base.objects
     }
     P = IndexedCat(base, fib, res, compositor, unitor, name=name or "prod")
-    pr1 = strict_indexed_fun(
-        P,
-        D,
-        {
-            X: Functor(
-                fib[X],
-                D.fib[X],
-                {o: o[0] for o in fib[X].objects},
-                {m: m[0] for m in fib[X].mor},
-            )
-            for X in base.objects
-        },
-        name="pr1",
-    )
-    pr2 = strict_indexed_fun(
-        P,
-        E,
-        {
-            X: Functor(
-                fib[X],
-                E.fib[X],
-                {o: o[1] for o in fib[X].objects},
-                {m: m[1] for m in fib[X].mor},
-            )
-            for X in base.objects
-        },
-        name="pr2",
+    pr1, pr2 = (
+        strict_indexed_fun(
+            P, F, {X: prods[X].projections[i] for X in base.objects},
+            name=f"pr{i + 1}",
+        )
+        for i, F in enumerate((D, E))
     )
     return P, pr1, pr2
 
@@ -654,14 +632,11 @@ def validate_presheaf_mor(P: Presheaf, Q: Presheaf, t) -> list:
     return errs
 
 
-def embed_mor(P: Presheaf, Q: Presheaf, t, DP=None, DQ=None, name="") -> IndexedFun:
+def embed_mor(P: Presheaf, Q: Presheaf, t, name="") -> IndexedFun:
     """Discrete embedding of a presheaf morphism; strict by naturality.
 
-    Pass prebuilt embeddings to make the result land between existing
-    IndexedCat values instead of fresh structurally-equal copies.
-    """
-    DP = DP if DP is not None else embed_discrete(P)
-    DQ = DQ if DQ is not None else embed_discrete(Q)
+    Its ends, read as `.D` and `.E`, are fresh embeddings of P and Q."""
+    DP, DQ = embed_discrete(P), embed_discrete(Q)
     comp = {}
     for X in P.base.objects:
         comp[X] = Functor(

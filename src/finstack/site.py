@@ -429,19 +429,15 @@ def slice_cat(c: FinCat, x):
     return sl, proj
 
 
-def slice_site(J: Topology, x, caps: _caps.Caps = _caps.DEFAULT):
+def slice_site(J: Topology, x):
     """(C/x, induced topology, projection): a slice sieve covers f exactly
-    when its image under the projection covers dom f downstairs."""
+    when its image under the projection covers dom f downstairs.  The
+    arrows into f are the (f, h) with h into dom f, so the covers of f are
+    read off those of dom f."""
     c = J.base
     sl, proj = slice_cat(c, x)
-    covers = {}
-    for f in sl.objects:
-        y = c.dom(f)
-        good = set()
-        for cand in sieves_on(sl, f, caps):
-            image = frozenset(h for (_, h) in cand)
-            if image in J.covers[y]:
-                good.add(cand)
-        covers[f] = frozenset(good)
-    JX = Topology(sl, covers)
-    return sl, JX, proj
+    covers = {
+        f: frozenset(frozenset((f, h) for h in R) for R in J.covers[c.dom(f)])
+        for f in sl.objects
+    }
+    return sl, Topology(sl, covers), proj

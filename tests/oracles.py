@@ -294,10 +294,10 @@ def discrete_stackify_witness(P, J, caps=Caps()):
     functor stackify(embed(P)).stack -> embed(sheafify(P)) translating nested
     descent data to nested matching families, and `intertwine` is the
     invertible modification W ∘ stackify-unit => embed(oracle unit)."""
-    D = embed_discrete(P)
-    sres = stackify(D, J, caps)
     sheaf, unit = sheafify_with_unit(P, J, caps)
-    E = embed_discrete(sheaf)
+    oracle_unit = embed_mor(P, sheaf, unit, name="η_oracle")
+    D, E = oracle_unit.D, oracle_unit.E
+    sres = stackify(D, J, caps)
     base = P.base
 
     if not all(_is_discrete(sres.stack.fib[X]) for X in base.objects):
@@ -319,7 +319,6 @@ def discrete_stackify_witness(P, J, caps=Caps()):
         comp[X] = Functor(sres.stack.fib[X], E.fib[X], omap, mmap, name="W")
     W = strict_indexed_fun(sres.stack, E, comp, name="W")
 
-    oracle_unit = embed_mor(P, sheaf, unit, D, E, name="η_oracle")
     left = compose_indexed_funs(W, sres.unit)
     wit = {
         X: {

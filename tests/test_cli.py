@@ -290,6 +290,43 @@ def test_factorize_into_non_stack_exits_2(capsys, tmp_path):
     assert "is not a stack" in err
 
 
+# A coverage on C, a presheaf over the poset P with the same object names.
+FOREIGN_COVERAGE = (
+    "poset P { r <= p; r <= q; p <= X; q <= X; } "
+    "category C { objects: r, p, q, X; "
+    "morphisms: a: r -> p, b: r -> q, c: p -> X, d: q -> X; } "
+    "coverage J on C { X: [c, d]; } "
+    "presheaf S over P { X = {sX}; p = {sp}; q = {sq}; r = {sr}; "
+    "p <= X: sX -> sp; q <= X: sX -> sq; r <= p: sp -> sr; r <= q: sq -> sr; }\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--stack"], ["check", "--prestack"], ["desc", "--at", "X"],
+    ["stackify"], ["sheafify"], ["giraud"], ["lemma31"], ["fiber-adjunction"],
+])
+def test_coverage_on_another_base_exits_2(capsys, tmp_path, argv):
+    f = tmp_path / "foreign.site"
+    f.write_text(FOREIGN_COVERAGE)
+    code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: coverage 'J' is on 'C', not on 'P', the base of 'S'"]
+
+
+def test_factorize_with_a_coverage_on_another_base_exits_2(capsys, tmp_path):
+    f = tmp_path / "foreign.site"
+    f.write_text((DATA / "factor.site").read_text() + (
+        "category C { objects: r, p, q, X; "
+        "morphisms: a: r -> p, b: r -> q, c: p -> X, d: q -> X; }\n"
+        "coverage K on C { X: [c, d]; }\n"))
+    code, _, err = run(capsys, "factorize", str(f), "--phi", "phi",
+                       "--coverage", "K")
+    assert code == 2
+    assert err.splitlines() == [
+        "error: coverage 'K' is on 'C', not on 'P', the base of 'phi'"]
+
+
 def test_json_error_report(capsys):
     code, out, _ = run(capsys, "validate", str(DATA / "bad_syntax.site"),
                        "--json")

@@ -161,14 +161,13 @@ def test_restrict_datum():
 
 def test_push_datum():
     P = corpus.patches_sheaf()
-    DP = embed_discrete(P)
     ident = {X: {e: e for e in P.els[X]} for X in P.base.objects}
-    F = embed_mor(P, P, ident, DP, DP)
+    F = embed_mor(P, P, ident)
     c, J = corpus.patches_site()
     R = minimal_cover(J, "X")
-    a = comparison_datum(DP, R, "x1")
+    a = comparison_datum(F.D, R, "x1")
     b = push_datum(F, R, a)
-    assert validate_datum(DP, R, b) == []
+    assert validate_datum(F.E, R, b) == []
     assert b == a
 
 

@@ -353,7 +353,7 @@ def test_flat_of_unit_is_an_equivalence():
     a = const_indexed(g.total, terminal_cat())
     la = L_D(a, g)
     rla = R_D(la.fib, g)
-    eta = unit_eta(a, g, L=la, R=rla)
+    eta = unit_eta(a, g)
     fm = flat(eta, la.fib, g, LA=la, LR=L_D(rla, g))
     assert validate_fib_mor(fm) == []
     assert is_indexed_equivalence(fm.F).ok

@@ -166,7 +166,6 @@ def test_indexed_nat_search():
 def test_indexed_nat_search_fails_between_sizes():
     P = corpus.patches_sheaf()
     Q = corpus.patches_nonsheaf()
-    DP, DQ = embed_discrete(P), embed_discrete(Q)
     # the natural collapse: a2 must follow x2 down to a1
     t = {
         "X": {"x1": "x1", "x2": "x1"},
@@ -175,7 +174,7 @@ def test_indexed_nat_search_fails_between_sizes():
         "r": {"c1": "c1"},
     }
     assert validate_presheaf_mor(P, Q, t) == []
-    F = embed_mor(P, Q, t, DP, DQ)
+    F = embed_mor(P, Q, t)
     assert validate_indexed_fun(F) == []
     # collapsing distinct discrete objects is never full
     eq = is_indexed_equivalence(F)

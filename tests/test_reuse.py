@@ -1,7 +1,10 @@
 """R_D, L_D, the localization and the Giraud topology keep their result on
 the structure they are built from (`util.reused`).  A reused result must
 be exactly what a fresh build makes, a call under other caps must not see
-it, and nothing kept may outlive the structures it was built from."""
+it, and nothing kept may outlive the structures it was built from.  The
+other parts of the adjunction read R_D and L_D, so they too must equal
+fresh builds, and the transposes must refuse a part that is not the kept
+one."""
 
 import dataclasses
 import gc
@@ -31,6 +34,8 @@ from finstack import (
     grothendieck,
     identity_indexed_fun,
     is_indexed_equivalence,
+    l_d_mor,
+    r_d_mor,
     saturate,
     sharp,
     terminal_cat,
@@ -126,7 +131,7 @@ def test_reused_results_equal_fresh_builds(name):
     assert giraud_topology(G, J) is JD
     assert R_D(fib, G) is r
     again = L_D(r, G)
-    assert again.source is r and again.groth is G
+    assert again.source is r
     assert again.fib is la.fib and again.per_x is la.per_x
     assert R_D(la.fib, G) is rl
     assert _localize(fib, J) is loc
@@ -150,6 +155,68 @@ def test_reused_results_equal_fresh_builds(name):
     for check, before in zip(checks, reused):
         forget(fib, G)
         assert same(check(), before)
+
+
+def _adjunction_parts(fib, G):
+    """Every part of the adjunction that reads R_D and L_D, built as the
+    fibred-corpus benchmark op builds them."""
+    r = R_D(fib, G)
+    la = L_D(r, G)
+    h = identity_indexed_fun(r)
+    fm = flat(h, fib, G, LA=la, LR=la)
+    return {
+        "unit_eta": unit_eta(r, G),
+        "counit_eps": counit_eps(fib, G),
+        "r_d_mor": r_d_mor(fm, G),
+        "l_d_mor": l_d_mor(h, G),
+        "sharp": sharp(fm, la, G, R_dst=r),
+        "flat": fm,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_adjunction_parts_equal_fresh_builds(name):
+    fib, _ = CORPUS[name]()
+    G = grothendieck(fib.p.E)
+    kept = _adjunction_parts(fib, G)
+    # R_D of fib is the root every other part is read from.
+    forget(fib, G)
+    fresh = _adjunction_parts(fib, G)
+    for part in kept:
+        assert fresh[part] is not kept[part]
+        assert same(fresh[part], kept[part]), part
+
+
+@pytest.mark.parametrize("foreign", ["caps", "groth"])
+def test_transposes_refuse_foreign_parts(foreign):
+    fib = as_fibration(groupoid_fibration(arrow_cat()))
+    G = grothendieck(fib.p.E)
+    r = R_D(fib, G)
+    la = L_D(r, G)
+    h = identity_indexed_fun(r)
+    fm = flat(h, fib, G, LA=la, LR=la)
+    # The same parts, built under other caps or over a second total category
+    # of the same value.
+    if foreign == "caps":
+        G2, caps2 = G, Caps(max_descent=DEFAULT.max_descent + 1)
+    else:
+        G2, caps2 = grothendieck(fib.p.E), DEFAULT
+    r2 = R_D(fib, G2, caps2)
+    la2 = L_D(r2, G2, caps2)
+    h2 = identity_indexed_fun(r2)
+    fm2 = flat(h2, fib, G2, caps2, LA=la2, LR=la2)
+    assert r2 is not r and la2.fib is not la.fib
+
+    with pytest.raises(ValueError, match="^LA "):
+        flat(h, fib, G, LA=L_D(r, G2, caps2), LR=la)
+    with pytest.raises(ValueError, match="^LR "):
+        flat(h, fib, G, LA=la, LR=L_D(r, G2, caps2))
+    with pytest.raises(ValueError, match="^H.E "):
+        flat(h2, fib, G, LA=L_D(r2, G), LR=L_D(r2, G))
+    with pytest.raises(ValueError, match="^LA "):
+        sharp(fm2, la2, G, R_dst=r)
+    with pytest.raises(ValueError, match="^R_dst "):
+        sharp(fm, la, G, R_dst=r2)
 
 
 def _small_cases():

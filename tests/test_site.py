@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,12 +20,14 @@ from finstack import (
     pullback_sieve,
     saturate,
     sieves_on,
+    slice_cat,
     slice_site,
     validate_sieve,
     validate_topology,
 )
 
 import corpus
+import sitegen
 from corpus import le
 
 
@@ -222,6 +225,36 @@ def test_slice_site_patches():
         (idX, h) for h in [le("p", "X"), le("q", "X"), le("r", "X")]
     )
     assert members in JX.covers[idX]
+
+
+def ref_slice_site(J, x):
+    """The induced topology by its definition: enumerate every sieve on each
+    slice object f and keep those whose projection covers dom f."""
+    c = J.base
+    sl, proj = slice_cat(c, x)
+    covers = {
+        f: frozenset(s for s in sieves_on(sl, f)
+                     if frozenset(h for _, h in s) in J.covers[c.dom(f)])
+        for f in sl.objects
+    }
+    return sl, Topology(sl, covers), proj
+
+
+def test_slice_site_matches_the_enumerated_reference():
+    rng = random.Random(31)
+    sites = [corpus.terminal_site(), corpus.arrow_site(), corpus.span_site(),
+             corpus.patches_site(), corpus.multicover_site()]
+    sites += [sitegen.rand_site(rng) for _ in range(300)]
+    slices = 0
+    for c, J in sites:
+        for x in c.objects:
+            sl, JX, proj = slice_site(J, x)
+            rsl, RX, rproj = ref_slice_site(J, x)
+            assert sl == rsl and proj == rproj
+            assert list(JX.covers) == list(RX.covers)
+            assert JX.covers == RX.covers
+            slices += 1
+    assert slices > 800
 
 
 def test_slice_site_arrow():

@@ -197,11 +197,9 @@ def test_discrete_oracle_compatibility(build, P):
 def test_plus_fun():
     c, J = corpus.patches_site()
     P = corpus.patches_sheaf()
-    D = embed_discrete(P)
     ident = {X: {e: e for e in P.els[X]} for X in c.objects}
-    F = embed_mor(P, P, ident, D, D)
-    pres = plus(D, J)
-    Fp = plus_fun(F, pres, pres)
+    F = embed_mor(P, P, ident)
+    Fp = plus_fun(F, plus(F.D, J), plus(F.E, J))
     assert validate_indexed_fun(Fp) == []
     assert is_indexed_equivalence(Fp)
 
@@ -220,15 +218,14 @@ def test_reflect_identity_on_stack():
 def test_reflect_nonsheaf_into_sheaf():
     c, J = corpus.patches_site()
     P, Q = corpus.patches_nonsheaf(), corpus.patches_sheaf()
-    DP, DQ = embed_discrete(P), embed_discrete(Q)
     t = {
         "X": {"x1": "x1"},
         "p": {"a1": "a1", "a2": "a2"},
         "q": {"b1": "b1"},
         "r": {"c1": "c1"},
     }
-    phi = embed_mor(P, Q, t, DP, DQ)
-    ok = is_stack(DQ, J)
+    phi = embed_mor(P, Q, t)
+    ok = is_stack(phi.E, J)
     r = reflect_through_unit(phi, ok, J)
     assert validate_indexed_fun(r.psi) == []
     assert validate_indexed_nat(r.witness) == []
