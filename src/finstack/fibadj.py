@@ -36,23 +36,35 @@ local-to-global lifting survives the plus construction, and the localized
 fibration satisfies descent over the transferred topology.
 
 Each part of the adjunction L_D ⊣ R_D is built once per structure it is
-built from.  `R_D(fib, G, caps)`, `L_D(A, G, caps)` and
-`_localize(fib, J, caps)`, like `groth.giraud_topology(G, J, caps)`,
-keep their result on their first argument, keyed by `caps` and the
-identity of the second (`util.reused`); a repeat call returns the result
-of the first, already validated.  So every other part has one source:
-`unit_eta`, `counit_eps`, `r_d_mor` and `l_d_mor` take only the structure
-they start from, G and caps, and call `R_D` and `L_D` for the round trips
-and the ends they map between, which are then the ones already built; the
-two Thm 4.2 checks share one localization.  `sharp` and `flat` still take
-the parts their callers hold (`LA`, `LR`, `R_dst`), but only to check
-them: each must be the part `L_D` or `R_D` keeps for that G and caps, or
-they raise ValueError.  `L_D` keeps its fibration and slices, not its
-`LResult`, which holds A: nothing kept references its owner, so reference
-counting frees a structure together with what it keeps.  The reuse is
-exact because the library never mutates a structure once built, which
-`FinCat`'s lazily built indexes assume too; a caller that mutates one
-gets stale results.
+built from.  These keep their result on their first argument, keyed by
+the builder, `caps` and the identity of the second (`util.reused`), like
+`groth.giraud_topology(G, J, caps)`:
+
+  - `R_D(fib, G, caps)` keeps its indexed category;
+  - `L_D(A, G, caps)` keeps its fibration and slices, not its `LResult`,
+    which holds A;
+  - `unit_eta(A, G, caps)` keeps its target, components and cells, not the
+    `IndexedFun`, which holds A;
+  - `counit_eps(fib, G, caps)` keeps its indexed functor;
+  - `_localize(fib, J, caps)` keeps its stackification and p⁺, p⁺⁺.
+
+A repeat call returns the result of the first, already validated.  So
+every other part has one source: `unit_eta`, `counit_eps`, `r_d_mor` and
+`l_d_mor` take only the structure they start from, G and caps, and call
+`R_D` and `L_D` for the round trips and the ends they map between, which
+are then the ones already built; `sharp` and `flat` read the kept unit and
+counit, and the two Thm 4.2 checks share one localization.  `sharp` and
+`flat` still take the parts their callers hold (`LA`, `LR`, `R_dst`), but
+only to check them: each must be the part `L_D` or `R_D` keeps for that G
+and caps, or they raise ValueError.  Nothing kept references its owner, so
+reference counting frees a structure together with what it keeps.  The
+reuse is exact because the library never mutates a structure once built,
+which `FinCat`'s lazily built indexes assume too; a caller that mutates
+one gets stale results.
+
+Every category built here orders itself from the ranks of its parts: the
+essential fibres and the totals of the flattened slices through their
+builders in `groth`, the iso-comma fibres by `_comma_keys`.
 
 Each builder validates its result once, as a whole, with `validate_indexed`
 or `validate_indexed_fun`.  A part is validated on its own only when the
@@ -95,7 +107,7 @@ from .indexed import (
     validate_indexed_nat,
 )
 from .stackify import plus_fun, stackify
-from .util import fmt, reused, stable_sorted
+from .util import fmt, reused
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +173,7 @@ def is_indexed_fibration(p: IndexedFun) -> Check:
         return Check(False, f"not an indexed functor: {bad[0]}")
     EE = p.D
     cart, cleav = {}, {}
-    for X in stable_sorted(EE.base.objects):
+    for X in EE.base.stable_objects():
         cart[X] = cartesian_arrows(p.comp[X])
         c = _cleave(p.comp[X], cart[X])
         if not c:
@@ -422,6 +434,10 @@ def groth_map(Fm: IndexedFun, GA: GrothCat, GB: GrothCat) -> Functor:
 # unit and counit of the round trip
 
 
+@reused(
+    keep=lambda eta: (eta.E, eta.comp, eta.cell),
+    restore=lambda A, _G, kept: IndexedFun(A, *kept, name="eta"),
+)
 def unit_eta(
     A: IndexedCat, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT
 ) -> IndexedFun:
@@ -465,6 +481,7 @@ def unit_eta(
     return eta
 
 
+@reused()
 def counit_eps(
     fib: IndexedFibration, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT
 ) -> IndexedFun:
@@ -734,6 +751,16 @@ def check_thm_4_2_i(
     )
 
 
+def _comma_keys(fd: FinCat, fe: FinCat, fdp: FinCat, objs):
+    """Sort keys for an iso-comma fibre that order as `ckey` does: an object
+    (V, B, xi) by the ranks of V, B and xi in fd, fe and fdp, a morphism
+    (o1, o2, v, b) by the keys of o1 and o2, then the ranks of v and b."""
+    vr, br, xr = fd.object_ranks(), fe.object_ranks(), fdp.morphism_ranks()
+    key = {o: (vr[o[0]], br[o[1]], xr[o[2]]) for o in objs}
+    vm, bm = fd.morphism_ranks(), fe.morphism_ranks()
+    return key.__getitem__, lambda m: (key[m[0]], key[m[1]], vm[m[2]], bm[m[3]])
+
+
 def _iso_comma_fibration(
     sp: IndexedFun, unit: IndexedFun, caps: _caps.Caps = _caps.DEFAULT
 ) -> IndexedFun:
@@ -778,6 +805,7 @@ def _iso_comma_fibration(
                 m1[0], m2[1], fd.compose(m2[2], m1[2]), fe.compose(m2[3], m1[3])
             ),
             name=f"comma({fmt(X)})",
+            keys=_comma_keys(fd, fe, fdp, objs),
         )
         fib[X] = cat
 

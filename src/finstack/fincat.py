@@ -10,9 +10,15 @@ artifacts.
 Every constructed category is built by `FinCat.from_homs`, which fills the
 table from a composition rule over the composable pairs of its morphisms.
 A category sorts its objects and its morphisms into stable (`ckey`) order
-once and ranks them.  A builder that knows that order from the ranks of
-the parts its ids are made of (`descent.desc_cat`) hands in sort keys, and
-the category never calls `ckey` on its ids.
+once and ranks them.  Every category the library builds from other
+categories orders itself from its parts: its builder knows that order
+from the ranks of the parts its ids are made of and hands in sort keys
+(`descent.desc_cat`, `groth.grothendieck`, `groth.essential_fibre_cat`,
+the iso-comma of `fibadj`, `site.slice_cat`), and the category never
+calls `ckey` on its ids.  `poset_cat` keys a morphism by the `ckey`s of
+its ends.  So `ckey` sorts only input categories (`product_cat` builds
+only those: keys from its factors' ranks would keep every factor alive as
+long as the product) and output (serialization, messages, witnesses).
 All predicates (`is_fully_faithful`, `is_essentially_surjective`,
 `is_equivalence`) run by exhaustive search and return a `Check` carrying a
 human-readable reason and a witness, never a bare bool.
@@ -23,7 +29,7 @@ from itertools import product as iproduct
 
 from . import caps as _caps
 from .caps import Budget, search
-from .util import fmt, stable_sorted
+from .util import ckey, fmt, stable_sorted
 
 
 class InternalError(AssertionError):
@@ -123,8 +129,8 @@ class FinCat:
 
     def _build_hom(self):
         """Sort the morphisms once (by the builder's key if it gave one, so
-        never by `ckey` for a built descent category) and file them, in
-        that order, by (dom, cod) and by codomain."""
+        never by `ckey` for a built category) and file them, in that order,
+        by (dom, cod) and by codomain."""
         h = {}
         into = {x: [] for x in self.objects}
         if self._keys is None:
@@ -558,6 +564,10 @@ def discrete_cat(objects, name="") -> FinCat:
     return FinCat(objects, mor, ident, table, name=name)
 
 
+# A poset's objects are input ids; ("le", a, b) orders as (a, b) does.
+_POSET_KEYS = (ckey, lambda m: (ckey(m[1]), ckey(m[2])))
+
+
 def poset_cat(objects, leq, name="") -> FinCat:
     """Category of a preorder: morphism ("le", a, b) whenever a <= b.
 
@@ -578,7 +588,8 @@ def poset_cat(objects, leq, name="") -> FinCat:
     mor = {("le", a, b): (a, b) for a in objects for b in objects if (a, b) in rel}
     ident = {x: ("le", x, x) for x in objects}
     return FinCat.from_homs(
-        objects, mor, ident, lambda g, f: ("le", f[1], g[2]), name=name
+        objects, mor, ident, lambda g, f: ("le", f[1], g[2]), name=name,
+        keys=_POSET_KEYS,
     )
 
 

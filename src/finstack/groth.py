@@ -43,7 +43,7 @@ from .fincat import (
 )
 from .indexed import IndexedCat, precompose_indexed
 from .site import SiteError, Topology, saturate, slice_cat, slice_site
-from .util import fmt, reused, stable_sorted
+from .util import fmt, reused
 
 
 @dataclass
@@ -86,8 +86,22 @@ def grothendieck(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT, name="") -> Gr
         a = fib1.compose(D.gamma(y2, y1, U3), fib1.compose(D.res[y1].mo(a2), a1))
         return (base.compose(y2, y1), a, U3)
 
+    # Stable order from the ranks of the parts: base ranks, then fibre ranks.
+    b_ob, b_mor = base.object_ranks(), base.morphism_ranks()
+    f_ob = {X: D.fib[X].object_ranks() for X in base.objects}
+    f_mor = {X: D.fib[X].morphism_ranks() for X in base.objects}
+
+    def ob_key(o):
+        return (b_ob[o[0]], f_ob[o[0]][o[1]])
+
+    def mor_key(m):
+        y, a, U2 = m
+        Xd, Xc = base.mor[y]
+        return (b_mor[y], f_mor[Xd][a], f_ob[Xc][U2])
+
     total = FinCat.from_homs(
-        objects, mor, ident, compose, name=name or f"groth({D.name or '?'})"
+        objects, mor, ident, compose, name=name or f"groth({D.name or '?'})",
+        keys=(ob_key, mor_key),
     )
     require(validate_fincat(total, caps), "total category invalid")
     proj = Functor(
@@ -158,12 +172,18 @@ def essential_fibre_cat(
                     mor[(alpha, beta, w)] = ((A, alpha), (B, beta))
     _caps.check(len(mor), caps, "max_descent", "essential fibre size")
     ident = {(A, alpha): (alpha, alpha, E0.ident[A]) for (A, alpha) in objects}
+    # The objects are listed in stable order; a morphism (alpha, beta, w)
+    # orders by the ranks of its three parts.
+    rank = {o: i for i, o in enumerate(objects)}
+    b_mor, e_mor = B0.morphism_ranks(), E0.morphism_ranks()
     cat = FinCat.from_homs(
         tuple(objects),
         mor,
         ident,
         lambda m2, m1: (m1[0], m2[1], E0.compose(m2[2], m1[2])),
         name=name or f"ess({fmt(U)})",
+        keys=(rank.__getitem__,
+              lambda m: (b_mor[m[0]], b_mor[m[1]], e_mor[m[2]])),
     )
     require(validate_fincat(cat, caps), "essential fibre malformed")
     return cat
@@ -234,7 +254,7 @@ def check_lemma_3_1(
     base = G.source.base
     fiber_side = Check(True, "all transported restrictions are stacks")
     instances = []
-    for X in stable_sorted(base.objects):
+    for X in base.stable_objects():
         sl, JX, _ = slice_site(J, X)
         for cls in iso_classes(essential_fibre_cat(G.proj, X, caps)):
             A, alpha = cls[0]

@@ -264,13 +264,14 @@ def validate_indexed_fun(F: IndexedFun) -> list:
     errs = []
     D, E = F.D, F.E
     base = D.base
-    if E.base != base:
+    if E.base is not base and E.base != base:
         return ["indexed functor endpoints live over different bases"]
     for X in base.objects:
         G = F.comp.get(X)
         if G is None:
             return [f"no component at {fmt(X)}"]
-        if G.src != D.fib[X] or G.dst != E.fib[X]:
+        src, dst = D.fib[X], E.fib[X]
+        if (G.src is not src and G.src != src) or (G.dst is not dst and G.dst != dst):
             return [f"component at {fmt(X)} has wrong endpoints"]
         bad = G.validate()
         if bad:
@@ -429,7 +430,7 @@ def find_indexed_natiso(F: IndexedFun, G: IndexedFun, caps: _caps.Caps = _caps.D
     """
     D, E = F.D, F.E
     base = D.base
-    objs = stable_sorted(base.objects)
+    objs = base.stable_objects()
     cand = []
     for X in objs:
         isos = all_nat_trans(F.comp[X], G.comp[X], iso_only=True, caps=caps)
@@ -459,7 +460,7 @@ def is_indexed_equivalence(F: IndexedFun) -> Check:
     bad = validate_indexed_fun(F)
     if bad:
         return Check(False, f"not an indexed functor: {bad[0]}")
-    for X in stable_sorted(F.D.base.objects):
+    for X in F.D.base.stable_objects():
         c = is_equivalence(F.comp[X])
         if not c:
             return Check(False, f"component at {fmt(X)}: {c.reason}", witness=(X, c.witness))

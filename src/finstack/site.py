@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from . import caps as _caps
 from .fincat import FinCat, Functor
-from .util import fmt, stable_sorted
+from .util import fmt
 
 
 class SiteError(Exception):
@@ -386,7 +386,7 @@ def least_cover_pullbacks(J: Topology):
     c = J.base
     bits = _Bits(c)
     seen, out = set(), []
-    for x in stable_sorted(c.objects):
+    for x in c.stable_objects():
         sieves = J.covers.get(x)
         if not sieves:
             continue
@@ -412,12 +412,14 @@ def slice_cat(c: FinCat, x):
         for h in c.into(c.dom(f)):
             mor[(f, h)] = (c.compose(f, h), f)
     ident = {f: (f, c.ident[c.dom(f)]) for f in objects}
+    rank = c.morphism_ranks()
     sl = FinCat.from_homs(
         objects,
         mor,
         ident,
         lambda g, f: (g[0], c.compose(g[1], f[1])),
         name=f"{c.name or 'C'}/{fmt(x)}",
+        keys=(rank.__getitem__, lambda m: (rank[m[0]], rank[m[1]])),
     )
     proj = Functor(
         sl,

@@ -40,7 +40,7 @@ from .indexed import (
     validate_indexed_nat,
 )
 from .site import Sieve, Topology, minimal_cover
-from .util import fmt, stable_sorted
+from .util import fmt
 
 
 @dataclass
@@ -363,7 +363,7 @@ def sheafify_with_unit(P: Presheaf, J: Topology, caps: _caps.Caps = _caps.DEFAUL
 def is_sheaf_presheaf(P: Presheaf, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> Check:
     """Sections are in bijection with matching families, for every cover."""
     base = P.base
-    for X in stable_sorted(base.objects):
+    for X in base.stable_objects():
         for R in J.covers_of(X):
             fams = matching_families(P, R, caps)
             seen = {}

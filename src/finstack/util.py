@@ -18,8 +18,11 @@ processes: no output may follow the iteration order of a set or dict keyed
 by data; sort in stable order instead.
 
 `reused` lets a builder keep its result on the structure it is built from,
-so a repeat call returns what the first one built.  That is exact only
-because the library never mutates a structure once built.
+so a repeat call returns what the first one built.  An entry is keyed by
+`(build, caps, id(other))`: the builder, the caps and the identity of the
+second argument, so two builders kept on one owner never see each other's
+entries.  That is exact only because the library never mutates a structure
+once built.
 """
 
 import functools
@@ -64,26 +67,30 @@ def fmt(x) -> str:
 def reused(keep=None, restore=None):
     """Decorator for a builder `build(owner, other, caps)` whose result
     depends only on the values of its arguments: the result is kept on
-    `owner`, in its `_memo` slot (allocated on first use), keyed by `caps`
-    and the identity of `other`, and a repeat call returns it.
+    `owner`, in its `_memo` slot (allocated on first use), keyed by the
+    builder, `caps` and the identity of `other`, and a repeat call returns
+    it.
 
     The entry holds `other`, so its id is not reused while the entry lives.
     It holds the result, or `keep(result)` when `keep` is given, and a hit
     returns what it holds, or `restore(owner, other, kept)`.  What it holds
     must not reference `owner`: a cycle through the owner would leave the
-    owner to the cyclic collector.  A call that raises leaves no entry."""
+    owner to the cyclic collector.  A call that raises leaves no entry.
+    `build` may itself make reused calls on `owner`; their entries stay."""
 
     def wrap(build):
         default = inspect.signature(build).parameters["caps"].default
 
         @functools.wraps(build)
         def reuse(owner, other, caps=default):
-            key = (caps, id(other))
+            key = (build, caps, id(other))
             memo = getattr(owner, "_memo", None)
             if memo is not None and key in memo:
                 kept = memo[key][1]
                 return kept if restore is None else restore(owner, other, kept)
             out = build(owner, other, caps)
+            # A nested reused call may have allocated the slot meanwhile.
+            memo = getattr(owner, "_memo", None)
             if memo is None:
                 memo = owner._memo = {}
             memo[key] = (other, out if keep is None else keep(out))

@@ -1,9 +1,13 @@
 """The canonical order of constructed ids against the formulas that computed
 it before descent data cached their keys and categories ranked their
 morphisms: sort by `ckey`, with a datum keyed by its sorted item pairs.
-Descent categories take their order from the ranks of their parts, so it is
-checked against `ckey` sorts of the same ids, and a guard pins that no
-datum's key is computed while stackifying.
+Every category the library builds from other categories takes its order
+from the ranks of its parts (descent categories, essential fibres,
+iso-commas, total categories, slices; a poset keys a morphism by its
+ends), so it is checked against `ckey` sorts of the same ids, and guards
+pin that no datum's key is computed while stackifying or by the
+fibred-corpus benchmark op.  The fibred categories are built from the
+corpus fibrations of `test_reuse` and from `sitegen.rand_fibration`.
 
 Runs on the corpus sites, `sitegen` sites and the indexed blocks of
 `tests/data`, and both plus stages of `stackify` on them.  There the
@@ -19,22 +23,31 @@ import pytest
 from finstack import (
     DescentDatum,
     FinCat,
+    L_D,
+    R_D,
+    as_fibration,
     desc_cat,
     embed_discrete,
     generate_sieve,
+    grothendieck,
     is_indexed_equivalence,
     is_stack,
     load_input,
+    poset_cat,
     saturate,
     stackify,
 )
 from finstack.descent import mor_components, mor_id, restrict_datum
 from finstack.dsl import _dec, _enc
+from finstack.fibadj import _comma_keys, _iso_comma_fibration, _localize
+from finstack.groth import essential_fibre_cat
+from finstack.site import slice_cat
 from finstack.util import ckey, stable_sorted
 
 import corpus
 import sitegen
 from oracles import desc_cat_parity
+from test_reuse import CORPUS as FIBRATIONS, SLOW_4_2_II, _one_op
 
 DATA = Path(__file__).parent / "data"
 
@@ -302,3 +315,105 @@ def test_plus_restricts_along_identities_as_restrict_datum_does(stages):
             assert res.src is fib and res.dst is fib
             assert res.omap == omap and res.mmap == mmap
             assert all(res.omap[a] is omap[a] for a in fib.objects)
+
+
+def _sitegen_fibration(i):
+    def make():
+        p, J = sitegen.rand_fibration(random.Random(2000 + i))
+        return as_fibration(p), J
+    return make
+
+
+FIBRED = {**FIBRATIONS, **{f"sitegen-{i}": _sitegen_fibration(i) for i in range(8)}}
+
+
+def _built_categories(fib, J, comma):
+    """The categories the adjunction builds for one fibration, by kind:
+    the total category G and each slice of the base, the essential fibres
+    of R_D and of G's projection, each `L_D` slice total and, when
+    `comma`, the fibres of the iso-comma of Thm 4.2(ii)."""
+    c = fib.p.E.base
+    G = grothendieck(fib.p.E)
+    r = R_D(fib, G)
+    out = [("total", G.total)]
+    out += [("slice", slice_cat(c, X)[0]) for X in c.objects]
+    out += [("essential", e) for e in r.fib.values()]
+    out += [("essential", essential_fibre_cat(G.proj, X)) for X in c.objects]
+    out += [("L_D slice", GX.total) for _, GX, _ in L_D(r, G).per_x.values()]
+    if comma:
+        sd, _, sp = _localize(fib, J)
+        q = _iso_comma_fibration(sp, sd.unit)
+        out += [("iso-comma", q.D.fib[X]) for X in c.objects]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FIBRED))
+def test_built_categories_order_as_ckey_sorts(name):
+    """Thm 4.2(ii) localizes for 20 s to 2 minutes on the slow corpus
+    fibrations, so their iso-commas are left out."""
+    fib, J = FIBRED[name]()
+    built = _built_categories(fib, J, comma=name not in SLOW_4_2_II)
+    assert {kind for kind, _ in built} >= {
+        "total", "slice", "essential", "L_D slice"}
+    for kind, c in built:
+        assert c._keys is not None, kind
+        _check_supplied_order(c)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(FIBRATIONS) if n not in SLOW_4_2_II])
+def test_fibred_op_orders_every_built_category_from_its_parts(name, monkeypatch):
+    """The benchmark's fibred-corpus op computes no datum's key, though the
+    iso-comma of Thm 4.2(ii) nests D⁺⁺ data in its ids, and every category
+    it builds was handed sort keys by its builder."""
+    fib, J = FIBRATIONS[name]()
+    calls, built = [], []
+    key, from_homs = DescentDatum._ckey, FinCat.from_homs.__func__
+
+    def counted(self):
+        calls.append(self)
+        return key(self)
+
+    def recorded(cls, *args, **kwargs):
+        built.append(from_homs(cls, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(DescentDatum, "_ckey", counted)
+    monkeypatch.setattr(FinCat, "from_homs", classmethod(recorded))
+    _one_op(fib, J)
+    assert calls == []
+    assert {c.name.partition("(")[0] for c in built} >= {"groth", "ess", "L", "comma", "Desc"}
+    assert [c.name for c in built if c._keys is None] == []
+
+
+def test_comma_keys_order_as_ckey_sorts():
+    """The iso-comma's keys order candidate ids as `ckey` does, on fibres
+    with parallel arrows and nested data: no corpus comma fibre has two
+    morphisms between the same ends, so there the order of v and b in the
+    key would go untested."""
+    c, J = _z2_site()
+    fdp = stackify(corpus.twisted_z2_indexed(), J).twice.output.fib["*"]
+    fd, fe = corpus.walking_iso_cat(), corpus.parallel_pair_cat()
+    rng = random.Random(0)
+    xis = rng.sample(sorted(fdp.mor, key=fdp.morphism_ranks().__getitem__), 3)
+    objs = [(V, B, xi) for V in fd.objects for B in fe.objects for xi in xis]
+    rng.shuffle(objs)
+    ob_key, mor_key = _comma_keys(fd, fe, fdp, objs)
+    assert sorted(objs, key=ob_key) == ref_sorted(objs)
+    mids = [(o1, o2, v, b) for o1 in objs[:4] for o2 in objs[:4]
+            for v in fd.mor for b in fe.mor]
+    rng.shuffle(mids)
+    assert sorted(mids, key=mor_key) == ref_sorted(mids)
+
+
+def test_posets_order_as_ckey_sorts():
+    """Posets on ids of mixed types, listed in no particular order."""
+    rng = random.Random(7)
+    names = ["b", "a", 3, 10, ("t", 1), ("t", 0), "B", 2]
+    for _ in range(20):
+        objs = rng.sample(names, rng.randint(2, len(names)))
+        leq = [(a, b) for i, a in enumerate(objs) for b in objs[i + 1:]
+               if rng.random() < 0.4]
+        c = poset_cat(objs, leq)
+        assert c._keys is not None
+        _check_supplied_order(c)

@@ -1,10 +1,11 @@
-"""R_D, L_D, the localization and the Giraud topology keep their result on
-the structure they are built from (`util.reused`).  A reused result must
-be exactly what a fresh build makes, a call under other caps must not see
-it, and nothing kept may outlive the structures it was built from.  The
-other parts of the adjunction read R_D and L_D, so they too must equal
-fresh builds, and the transposes must refuse a part that is not the kept
-one."""
+"""R_D, L_D, the unit, the counit, the localization and the Giraud topology
+keep their result on the structure they are built from (`util.reused`).  A
+reused result must be exactly what a fresh build makes, a call under other
+caps or to another builder must not see it, a nested build's entry must
+survive the outer one, and nothing kept may outlive the structures it was
+built from.  The other parts of the adjunction read R_D and L_D, so they
+too must equal fresh builds, and the transposes must refuse a part that is
+not the kept one."""
 
 import dataclasses
 import gc
@@ -20,6 +21,7 @@ from finstack import (
     IndexedFun,
     IndexedNat,
     L_D,
+    LResult,
     R_D,
     as_fibration,
     check_lemma_3_1,
@@ -126,6 +128,8 @@ def test_reused_results_equal_fresh_builds(name):
     r = R_D(fib, G)
     la = L_D(r, G)
     rl = R_D(la.fib, G)
+    eta = unit_eta(r, G)
+    eps = counit_eps(fib, G)
     loc = _localize(fib, J)
 
     assert giraud_topology(G, J) is JD
@@ -134,15 +138,24 @@ def test_reused_results_equal_fresh_builds(name):
     assert again.source is r
     assert again.fib is la.fib and again.per_x is la.per_x
     assert R_D(la.fib, G) is rl
+    eta2 = unit_eta(r, G)
+    assert eta2 is not eta and eta2.D is r and eta2.E is eta.E is rl
+    assert list(eta2.comp) == list(eta.comp)
+    assert all(eta2.comp[X] is F for X, F in eta.comp.items())
+    assert eta2.cell == eta.cell
+    assert counit_eps(fib, G) is eps
     assert _localize(fib, J) is loc
 
     forget(fib, G, r, la.fib)
-    fresh = [giraud_topology(G, J), R_D(fib, G), L_D(r, G), _localize(fib, J)]
+    fresh = [giraud_topology(G, J), R_D(fib, G), L_D(r, G), _localize(fib, J),
+             unit_eta(r, G), counit_eps(fib, G)]
     assert fresh[0] is not JD and same(fresh[0], JD)
     assert fresh[1] is not r and same(fresh[1], r)
     assert fresh[2].fib is not la.fib and same(fresh[2], la)
     assert same(R_D(fresh[2].fib, G), rl)
     assert fresh[3] is not loc and same(fresh[3], loc)
+    assert fresh[4].E is not eta.E and same(fresh[4], eta)
+    assert fresh[5] is not eps and same(fresh[5], eps)
 
     # In the benchmark's order: 4.2(ii) reuses the localization of 4.2(i),
     # and Lemma 3.1 the Giraud topology of 4.2(ii).
@@ -228,12 +241,15 @@ def _small_cases():
     return {
         "R_D": (R_D, fib, G, tight),
         "L_D": (L_D, r, G, tight),
+        "unit_eta": (unit_eta, r, G, tight),
+        "counit_eps": (counit_eps, fib, G, tight),
         "_localize": (_localize, fib, J, tight),
         "giraud_topology": (giraud_topology, G, J, Caps(max_sieves_per_object=1)),
     }
 
 
-@pytest.mark.parametrize("name", ["R_D", "L_D", "_localize", "giraud_topology"])
+@pytest.mark.parametrize("name", ["R_D", "L_D", "unit_eta", "counit_eps",
+                                  "_localize", "giraud_topology"])
 def test_caps_are_part_of_the_key(name):
     build, owner, other, small = _small_cases()[name]
     build(owner, other)
@@ -248,6 +264,58 @@ def test_caps_are_part_of_the_key(name):
         build(owner, other, small)
     assert str(reused.value) == str(fresh.value)
     assert owner._memo is None
+
+
+@pytest.mark.parametrize("owner", ["fib", "R"])
+def test_the_key_names_the_builder(owner):
+    """R_D and counit_eps keep their results on the fibration, and L_D and
+    unit_eta on R_D's result, each pair under the same caps and total
+    category: every call gets its own builder's result, whichever of the
+    pair ran first."""
+    for order in ((0, 1), (1, 0)):
+        fib = as_fibration(groupoid_fibration(arrow_cat()))
+        G = grothendieck(fib.p.E)
+        r = R_D(fib, G)
+        forget(fib)
+        if owner == "fib":
+            builders, on = (R_D, counit_eps), fib
+        else:
+            builders, on = (L_D, unit_eta), r
+        for i in order + order:
+            builders[i](on, G)
+        assert len(on._memo) == 2
+        if owner == "fib":
+            assert isinstance(R_D(fib, G), IndexedCat)
+            eps = counit_eps(fib, G)
+            assert isinstance(eps, IndexedFun) and eps.E is fib.p.D
+        else:
+            assert isinstance(L_D(r, G), LResult)
+            eta = unit_eta(r, G)
+            assert isinstance(eta, IndexedFun) and eta.D is r
+
+
+def test_nested_entries_survive_the_outer_entry():
+    """`counit_eps` builds R_D on the owner it keeps its result on, and
+    `unit_eta` builds L_D.  The outer call finds no memo slot there, and
+    the nested entry must survive its own: the counit and the unit must be
+    built from the R_D and L_D that later calls get, and the transposes
+    refuse or fail to compose any other."""
+    fib = as_fibration(groupoid_fibration(arrow_cat()))
+    G = grothendieck(fib.p.E)
+    eps = counit_eps(fib, G)
+    assert len(fib._memo) == 2
+    assert eps.D is L_D(R_D(fib, G), G).fib.p.D
+
+    fib = as_fibration(groupoid_fibration(arrow_cat()))
+    G = grothendieck(fib.p.E)
+    r = R_D(fib, G)
+    assert getattr(r, "_memo", None) is None
+    eta = unit_eta(r, G)
+    assert len(r._memo) == 2
+    la = L_D(r, G)
+    assert eta.E is R_D(la.fib, G)
+    fm = flat(identity_indexed_fun(r), fib, G, LA=la, LR=la)
+    assert sharp(fm, la, G, R_dst=r).D is r
 
 
 def _one_op(fib, J):
