@@ -20,6 +20,14 @@ builds validated core values, and `serialize_blocks`/`load_interchange`
 convert elaborated values to and from a canonical JSON form with a sha256
 digest over the canonical bytes.
 
+The writer writes that text directly, in fragments joined once at the end.
+Each descent datum's text is built once per datum and kept while the datum
+lives; each tuple's and frozenset's once per document, in a memo keyed by
+identity and never by value, since (True, "x") == (1, "x") have different
+texts.  The bytes and the row order are those of `json.dumps` with sorted
+keys and compact separators on the document's JSON structure (`_Writer`
+says why the row order is the same).
+
 Category blocks list generating morphisms; the composites are closed over
 the stated relations by coset enumeration, so the composite of two
 generators need not be declared unless a relation names it, and every
@@ -1288,37 +1296,10 @@ def elaborate(doc, caps: _caps.Caps = _caps.DEFAULT):
 
 
 # Compact JSON with sorted keys; the same text as `json.dumps` with these
-# options, from one encoder built once.
+# options, from one encoder built once.  The reader hashes a document that is
+# not in emitted form by it, and the writer writes block names with it.
 _cjson = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                           ensure_ascii=False).encode
-
-
-# The encoding of each live datum, built at its first occurrence.  Data are
-# immutable and hash-consed, so one encoding serves every occurrence; weak, so
-# an entry lives only while its datum does.  Encodings are never mutated.
-_datum_enc = weakref.WeakKeyDictionary()
-
-
-def _enc(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, bool):
-        return {"b": v}
-    if isinstance(v, int):
-        return {"i": v}
-    if v is None:
-        return {"n": 0}
-    if isinstance(v, tuple):
-        return [_enc(x) for x in v]
-    if isinstance(v, frozenset):
-        return {"fs": sorted((_enc(x) for x in v), key=_cjson)}
-    if isinstance(v, DescentDatum):
-        e = _datum_enc.get(v)
-        if e is None:
-            e = _datum_enc[v] = {"dd": [_enc(v._key[0]), _enc(v._key[1])]}
-        return e
-    raise InternalError(f"value of type {type(v).__name__} has no "
-                        f"interchange encoding: {v!r}")
 
 
 # The memo key of a `{"dd": …}` subtree: its compact text, in the key order
@@ -1379,25 +1360,8 @@ def _unique(pairs, what, *ids):
     return d
 
 
-def _kv(d):
-    return [[_enc(k), _enc(d[k])] for k in stable_sorted(d)]
-
 def _unkv(rows, memo, what, *ids):
     return _unique([(_dec(k, memo), _dec(v, memo)) for k, v in rows], what, *ids)
-
-
-def _cat_json(c: FinCat):
-    return {
-        "name": c.name,
-        "objects": [_enc(x) for x in stable_sorted(c.objects)],
-        "morphisms": [[_enc(m), _enc(c.dom(m)), _enc(c.cod(m))]
-                      for m in stable_sorted(c.mor)],
-        "identities": _kv(c.ident),
-        "table": [[[_enc(g), _enc(f)], _enc(h)]
-                  for (g, f), h in sorted(c.table.items(),
-                                          key=lambda it: _cjson([_enc(it[0][0]),
-                                                                 _enc(it[0][1])]))],
-    }
 
 
 def _cat_unjson(d, memo):
@@ -1413,24 +1377,9 @@ def _cat_unjson(d, memo):
     )
 
 
-def _fun_json(f: Functor):
-    return {"omap": _kv(f.omap), "mmap": _kv(f.mmap)}
-
-
 def _fun_unjson(d, src, dst, memo, name=""):
     return Functor(src, dst, _unkv(d["omap"], memo, "object image of"),
                    _unkv(d["mmap"], memo, "morphism image of"), name=name)
-
-
-def _top_json(j: Topology, basename):
-    covers = []
-    for x in stable_sorted(j.covers):
-        fams = sorted(
-            (sorted((_enc(m) for m in mors), key=_cjson) for mors in j.covers[x]),
-            key=_cjson,
-        )
-        covers.append([_enc(x), fams])
-    return {"base": basename, "covers": covers}
 
 
 def _top_unjson(d, base, memo):
@@ -1442,16 +1391,6 @@ def _top_unjson(d, base, memo):
     return Topology(base, covers)
 
 
-def _psh_json(p: Presheaf, basename):
-    return {
-        "base": basename,
-        "name": p.name,
-        "els": [[_enc(x), [_enc(e) for e in p.els[x]]]
-                for x in stable_sorted(p.els)],
-        "act": [[_enc(m), _kv(p.act[m])] for m in stable_sorted(p.act)],
-    }
-
-
 def _psh_unjson(d, base, memo):
     els = _unique([(_dec(x, memo), tuple(_dec(e, memo) for e in row))
                    for x, row in d["els"]], "elements over")
@@ -1460,20 +1399,6 @@ def _psh_unjson(d, base, memo):
         m = _dec(m, memo)
         act.append((m, _unkv(rows, memo, "action of {} on", m)))
     return Presheaf(base, els, _unique(act, "action of"), name=d.get("name", ""))
-
-
-def _idx_json(dd: IndexedCat, basename):
-    return {
-        "base": basename,
-        "name": dd.name,
-        "fib": [[_enc(x), _cat_json(dd.fib[x])] for x in stable_sorted(dd.fib)],
-        "res": [[_enc(y), _fun_json(dd.res[y])] for y in stable_sorted(dd.res)],
-        "compositor": [[[_enc(g), _enc(f)], _kv(dd.compositor[(g, f)])]
-                       for (g, f) in sorted(dd.compositor,
-                                            key=lambda p: _cjson([_enc(p[0]),
-                                                                  _enc(p[1])]))],
-        "unitor": [[_enc(x), _kv(dd.unitor[x])] for x in stable_sorted(dd.unitor)],
-    }
 
 
 def _idx_unjson(d, base, memo):
@@ -1497,14 +1422,196 @@ def _idx_unjson(d, base, memo):
                       _unique(unitor, "unitor"), name=d.get("name", ""))
 
 
-def _ifun_json(p: IndexedFun, srcname, dstname):
-    return {
-        "src": srcname,
-        "dst": dstname,
-        "name": p.name,
-        "comp": [[_enc(x), _fun_json(p.comp[x])] for x in stable_sorted(p.comp)],
-        "cell": [[_enc(y), _kv(p.cell[y])] for y in stable_sorted(p.cell)],
-    }
+# The text of a string, as `_cjson` writes it.
+_str_text = json.encoder.encode_basestring
+
+# The text of each live datum, built at its first occurrence.  Data are
+# immutable and hash-consed, so one text serves every occurrence; weak, so an
+# entry lives only while its datum does.
+_datum_text = weakref.WeakKeyDictionary()
+
+
+def _text(v, memo):
+    """The interchange text of one id, as `_cjson` writes its encoding.
+
+    `memo` maps the identity of each tuple and frozenset written so far in
+    one document to (that value, its text).  It is keyed by identity and
+    never by value: (True, "x") == (1, "x"), but their texts differ.  An
+    entry holds its value, so the identity is not reused while the memo
+    lives.  A frozenset's members are in the order of their texts, which is
+    the order `_cjson` gives their encodings."""
+    if isinstance(v, str):
+        return _str_text(v)
+    if isinstance(v, (tuple, frozenset)):
+        hit = memo.get(id(v))
+        if hit is not None:
+            return hit[1]
+        texts = [_text(x, memo) for x in v]
+        if isinstance(v, tuple):
+            t = "[" + ",".join(texts) + "]"
+        else:
+            texts.sort()
+            t = '{"fs":[' + ",".join(texts) + "]}"
+        memo[id(v)] = (v, t)
+        return t
+    if isinstance(v, DescentDatum):
+        t = _datum_text.get(v)
+        if t is None:
+            obj, coh = v._key
+            t = _datum_text[v] = ('{"dd":[' + _text(obj, memo) + ","
+                                  + _text(coh, memo) + "]}")
+        return t
+    if isinstance(v, bool):
+        return '{"b":true}' if v else '{"b":false}'
+    if isinstance(v, int):
+        return '{"i":' + int.__repr__(v) + "}"
+    if v is None:
+        return '{"n":0}'
+    raise InternalError(f"value of type {type(v).__name__} has no "
+                        f"interchange encoding: {v!r}")
+
+
+class _Writer:
+    """The canonical text of one document, appended to `out` as fragments
+    that `serialize_blocks` joins once.  A fragment is often the text of an
+    id that `_text` built once and shares between its occurrences.
+
+    Members of an object are written in sorted order of their names, as
+    `_cjson` writes them.  Rows keyed by a pair of ids (composition table,
+    compositor) are sorted by the texts of the two ids, which is the order of
+    the text of the pair: texts of values are prefix-free (each ends with the
+    bracket or quote that closes what it opens), so the first difference
+    between two pair texts is the first difference between their first ids
+    or, when those agree, their second.  Other rows are in stable order of
+    their keys."""
+
+    def __init__(self):
+        self.memo = {}
+        self.out = []
+
+    def text(self, v):
+        return _text(v, self.memo)
+
+    def ids(self, vs):
+        """`[v, …]` of the ids `vs`, in the given order."""
+        w, text = self.out.append, self.text
+        sep = "["
+        for v in vs:
+            w(sep)
+            w(text(v))
+            sep = ","
+        w("[]" if sep == "[" else "]")
+
+    def rows(self, keys, write):
+        """`[[k, …], …]`: one row for each of `keys`, in the given order,
+        where `write(k)` appends what follows the key."""
+        w, text = self.out.append, self.text
+        sep = "[["
+        for k in keys:
+            w(sep)
+            w(text(k))
+            w(",")
+            write(k)
+            sep = "],["
+        w("[]" if sep == "[[" else "]]")
+
+    def kv(self, d):
+        """`[[k, d[k]], …]` in stable order of the keys."""
+        w, text = self.out.append, self.text
+        self.rows(stable_sorted(d), lambda k: w(text(d[k])))
+
+    def by_pair(self, d, write):
+        """`[[[g, f], …], …]`: one row for each (g, f) key of `d`, sorted by
+        the texts of g and f, where `write(d[(g, f)])` appends the rest."""
+        w, text = self.out.append, self.text
+        rows = sorted([(text(g), text(f), v) for (g, f), v in d.items()],
+                      key=lambda r: (r[0], r[1]))
+        sep = "[[["
+        for tg, tf, v in rows:
+            w(sep)
+            w(tg)
+            w(",")
+            w(tf)
+            w("],")
+            write(v)
+            sep = "],[["
+        w("[]" if sep == "[[[" else "]]")
+
+    def cat(self, c: FinCat, name, block=False):
+        """A category block, or a fibre of an indexed category."""
+        w, text = self.out.append, self.text
+
+        def ends(m):
+            w(text(c.dom(m)))
+            w(",")
+            w(text(c.cod(m)))
+
+        w('{"identities":')
+        self.kv(c.ident)
+        w(',"kind":"category","morphisms":' if block else ',"morphisms":')
+        self.rows(stable_sorted(c.mor), ends)
+        w(',"name":' + _cjson(name) + ',"objects":')
+        self.ids(stable_sorted(c.objects))
+        w(',"table":')
+        self.by_pair(c.table, lambda h: w(text(h)))
+        w("}")
+
+    def fun(self, f: Functor):
+        """A functor's maps: a restriction, or a component of a fibration."""
+        w = self.out.append
+        w('{"mmap":')
+        self.kv(f.mmap)
+        w(',"omap":')
+        self.kv(f.omap)
+        w("}")
+
+    def functor(self, f: Functor, name, src, dst):
+        w = self.out.append
+        w('{"dst":' + _cjson(dst) + ',"kind":"functor","mmap":')
+        self.kv(f.mmap)
+        w(',"name":' + _cjson(name) + ',"omap":')
+        self.kv(f.omap)
+        w(',"src":' + _cjson(src) + "}")
+
+    def topology(self, j: Topology, name, base):
+        def families(x):
+            fams = sorted("[" + ",".join(sorted(map(self.text, mors))) + "]"
+                          for mors in j.covers[x])
+            self.out.append("[" + ",".join(fams) + "]")
+
+        self.out.append('{"base":' + _cjson(base) + ',"covers":')
+        self.rows(stable_sorted(j.covers), families)
+        self.out.append(',"kind":"topology","name":' + _cjson(name) + "}")
+
+    def presheaf(self, p: Presheaf, name, base):
+        w = self.out.append
+        w('{"act":')
+        self.rows(stable_sorted(p.act), lambda m: self.kv(p.act[m]))
+        w(',"base":' + _cjson(base) + ',"els":')
+        self.rows(stable_sorted(p.els), lambda x: self.ids(p.els[x]))
+        w(',"kind":"presheaf","name":' + _cjson(name) + "}")
+
+    def indexed(self, dd: IndexedCat, name, base):
+        w = self.out.append
+        w('{"base":' + _cjson(base) + ',"compositor":')
+        self.by_pair(dd.compositor, self.kv)
+        w(',"fib":')
+        self.rows(stable_sorted(dd.fib),
+                  lambda x: self.cat(dd.fib[x], dd.fib[x].name))
+        w(',"kind":"indexed","name":' + _cjson(name) + ',"res":')
+        self.rows(stable_sorted(dd.res), lambda y: self.fun(dd.res[y]))
+        w(',"unitor":')
+        self.rows(stable_sorted(dd.unitor), lambda x: self.kv(dd.unitor[x]))
+        w("}")
+
+    def fibration(self, p: IndexedFun, name, src, dst):
+        w = self.out.append
+        w('{"cell":')
+        self.rows(stable_sorted(p.cell), lambda y: self.kv(p.cell[y]))
+        w(',"comp":')
+        self.rows(stable_sorted(p.comp), lambda x: self.fun(p.comp[x]))
+        w(',"dst":' + _cjson(dst) + ',"kind":"fibration","name":'
+          + _cjson(name) + ',"src":' + _cjson(src) + "}")
 
 
 # An emitted document ends with its digest member and then this tail:
@@ -1553,39 +1660,37 @@ def serialize_blocks(blocks) -> str:
                 return nm
         raise InternalError(f"{owner!r} serialized without its base category")
 
-    out = []
-    for kind, name, v in blocks:
-        # block name last so it beats any display name inside the payload
+    wr = _Writer()
+    w = wr.out.append
+    w('{"blocks":[')
+    for i, (kind, name, v) in enumerate(blocks):
+        if i:
+            w(",")
         if kind == "category":
             cats.append((name, v))
-            out.append({"kind": "category", **_cat_json(v), "name": name})
+            wr.cat(v, name, block=True)
         elif kind == "topology":
-            out.append({"kind": "topology",
-                        **_top_json(v, catname(v.base, name)), "name": name})
+            wr.topology(v, name, catname(v.base, name))
         elif kind == "functor":
-            out.append({"kind": "functor", "src": catname(v.src, name),
-                        "dst": catname(v.dst, name), **_fun_json(v),
-                        "name": name})
+            wr.functor(v, name, catname(v.src, name), catname(v.dst, name))
         elif kind == "presheaf":
-            out.append({"kind": "presheaf",
-                        **_psh_json(v, catname(v.base, name)), "name": name})
+            wr.presheaf(v, name, catname(v.base, name))
         elif kind == "indexed":
             idxnames[id(v)] = name
-            out.append({"kind": "indexed",
-                        **_idx_json(v, catname(v.base, name)), "name": name})
+            wr.indexed(v, name, catname(v.base, name))
         elif kind == "fibration":
             sn, dn = idxnames.get(id(v.D)), idxnames.get(id(v.E))
             if sn is None or dn is None:
                 raise InternalError(f"fibration {name!r} serialized without "
                                     "its endpoint indexed categories")
-            out.append({"kind": "fibration", **_ifun_json(v, sn, dn),
-                        "name": name})
+            wr.fibration(v, name, sn, dn)
         else:
             raise InternalError(f"unknown block kind {kind!r}")
-    # Encoded once: the digest member goes in just before the tail, where
+    w("]")
+    # Joined once: the digest member goes in just before the tail, where
     # sorted keys would put it.
-    text = _cjson({"format": FORMAT, "blocks": out})
-    return f'{text[:-len(_TAIL)]}{_DIGEST}{_sha256(text)}"{_TAIL}\n'
+    text = "".join(wr.out)
+    return f'{text}{_DIGEST}{_sha256(text + _TAIL)}"{_TAIL}\n'
 
 
 def serialize_env(env: Elaborated) -> str:

@@ -24,6 +24,7 @@ All predicates (`is_fully_faithful`, `is_essentially_surjective`,
 human-readable reason and a witness, never a bare bool.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -217,75 +218,96 @@ def validate_fincat(c: FinCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
 
     Hom-set sizes are checked against caps.max_homset and raise CapExceeded,
     since an oversized table would make every later search intractable.
-    """
+
+    Ids are nested tuples, whose hash is recomputed at every lookup, so each
+    object and morphism is numbered once, by its position in `c.objects` or
+    `c.mor`, and the checks run on positions.  Equal ids share a position,
+    so a check on positions finds what the same check on ids finds, in the
+    same order."""
     errs = []
-    obset = set(c.objects)
-    if len(obset) != len(c.objects):
+    obpos = {}
+    for x in c.objects:
+        obpos.setdefault(x, len(obpos))
+    if len(obpos) != len(c.objects):
         errs.append("duplicate object ids")
+    ms = list(c.mor)
+    mpos = {m: i for i, m in enumerate(ms)}
+    ends = []  # (dom, cod) positions of each morphism; None for an unknown
     for m, (d, co) in c.mor.items():
-        if d not in obset:
+        dp, cp = obpos.get(d), obpos.get(co)
+        if dp is None:
             errs.append(f"morphism {fmt(m)} has unknown dom {fmt(d)}")
-        if co not in obset:
+        if cp is None:
             errs.append(f"morphism {fmt(m)} has unknown cod {fmt(co)}")
+        ends.append((dp, cp))
+    idpos = []
     for x in c.objects:
         i = c.ident.get(x)
+        ip = None if i is None else mpos.get(i)
         if i is None:
             errs.append(f"no identity for object {fmt(x)}")
-        elif i not in c.mor:
+        elif ip is None:
             errs.append(f"identity of {fmt(x)} is not a morphism")
-        elif c.mor[i] != (x, x):
+        elif ends[ip] != (obpos[x], obpos[x]):
             errs.append(f"identity of {fmt(x)} is not an endomorphism of it")
+        idpos.append(ip)
     if errs:
         return errs
 
-    for x in c.objects:
-        for y in c.objects:
-            _caps.check(len(c.hom(x, y)), caps, "max_homset", "hom({},{})", x, y)
+    # Counted on positions; the pairs are walked, in object order, only to
+    # report the first hom-set over the cap.
+    if (len(ends) > caps.max_homset
+            and max(Counter(ends).values()) > caps.max_homset):
+        for x in c.objects:
+            for y in c.objects:
+                _caps.check(len(c.hom(x, y)), caps, "max_homset",
+                            "hom({},{})", x, y)
 
-    mids = set(c.mor)
+    table = {}  # (g, f) positions -> position of g after f
     for (g, f), h in c.table.items():
-        if g not in mids or f not in mids:
+        gp, fp = mpos.get(g), mpos.get(f)
+        if gp is None or fp is None:
             errs.append(f"table entry ({fmt(g)},{fmt(f)}) names unknown morphisms")
             continue
-        if c.cod(f) != c.dom(g):
+        if ends[fp][1] != ends[gp][0]:
             errs.append(f"table entry ({fmt(g)},{fmt(f)}) is not composable")
             continue
-        if h not in mids:
+        hp = mpos.get(h)
+        if hp is None:
             errs.append(f"composite of ({fmt(g)},{fmt(f)}) is unknown morphism {fmt(h)}")
-        elif c.mor[h] != (c.dom(f), c.cod(g)):
+        elif ends[hp] != (ends[fp][0], ends[gp][1]):
             errs.append(f"composite {fmt(h)} of ({fmt(g)},{fmt(f)}) has wrong dom/cod")
+        table[(gp, fp)] = hp
     if errs:
         return errs
 
     # Morphisms by domain, each list in `c.mor` order, so walking
     # by_dom[cod f] meets the g composable after f in the order of a walk
     # over every morphism.
-    by_dom = {}
-    for m, (d, _) in c.mor.items():
-        by_dom.setdefault(d, []).append(m)
-    for f in c.mor:
-        for g in by_dom.get(c.cod(f), ()):
-            if (g, f) not in c.table:
-                errs.append(f"missing composite for {fmt(g)} after {fmt(f)}")
+    by_dom = [[] for _ in obpos]
+    for mp, (dp, _) in enumerate(ends):
+        by_dom[dp].append(mp)
+    for fp, (_, cp) in enumerate(ends):
+        for gp in by_dom[cp]:
+            if (gp, fp) not in table:
+                errs.append(f"missing composite for {fmt(ms[gp])} after {fmt(ms[fp])}")
     if errs:
         return errs
 
-    for m in c.mor:
-        d, co = c.mor[m]
-        if c.table[(m, c.ident[d])] != m:
-            errs.append(f"{fmt(m)} ∘ id ≠ {fmt(m)}")
-        if c.table[(c.ident[co], m)] != m:
-            errs.append(f"id ∘ {fmt(m)} ≠ {fmt(m)}")
+    for mp, (dp, cp) in enumerate(ends):
+        if table[(mp, idpos[dp])] != mp:
+            errs.append(f"{fmt(ms[mp])} ∘ id ≠ {fmt(ms[mp])}")
+        if table[(idpos[cp], mp)] != mp:
+            errs.append(f"id ∘ {fmt(ms[mp])} ≠ {fmt(ms[mp])}")
 
     # Associativity over all composable triples.
-    for f in c.mor:
-        for g in by_dom.get(c.cod(f), ()):
-            gf = c.table[(g, f)]
-            for h in by_dom.get(c.cod(g), ()):
-                if c.table[(h, gf)] != c.table[(c.table[(h, g)], f)]:
-                    errs.append(
-                        f"associativity fails on ({fmt(h)},{fmt(g)},{fmt(f)})"
-                    )
+    for fp, (_, cp) in enumerate(ends):
+        for gp in by_dom[cp]:
+            gf = table[(gp, fp)]
+            for hp in by_dom[ends[gp][1]]:
+                if table[(hp, gf)] != table[(table[(hp, gp)], fp)]:
+                    errs.append(f"associativity fails on ({fmt(ms[hp])},"
+                                f"{fmt(ms[gp])},{fmt(ms[fp])})")
     return errs
 
 

@@ -20,13 +20,26 @@ the category ordered by `ckey`.  `desc_cat_parts` lists what the two must
 share, and `desc_cat_outcome` runs either under given caps.
 
 `is_indexed_iso` and `discrete_stackify_witness` compare the categorical
-pipeline with the set-level sheafification on discrete embeddings."""
+pipeline with the set-level sheafification on discrete embeddings.
 
+`ref_validate_fincat` is `validate_fincat` as it was before it numbered the
+ids: every check looks ids up by value.
+
+`ref_serialize_blocks` is the interchange writer as it was before it wrote
+text: `ref_enc` builds a JSON structure of every id (memoizing each datum's
+structure by the datum), and the C JSON encoder writes the whole document
+with sorted keys, table and compositor rows sorted by the encoded text of
+their keys."""
+
+import hashlib
+import json
+import weakref
 from itertools import product
 
 from finstack import (
     CapExceeded,
     Caps,
+    DescentDatum,
     FinCat,
     Functor,
     IndexedFun,
@@ -330,3 +343,230 @@ def discrete_stackify_witness(P, J, caps=Caps()):
     intertwine = IndexedNat(left, oracle_unit, wit)
     assert validate_indexed_nat(intertwine) == [], "oracle units not intertwined"
     return W, intertwine, sres, sheaf, unit
+
+
+# -- validate_fincat before it numbered the ids --------------------------------
+
+
+def ref_validate_fincat(c, caps=Caps()):
+    errs = []
+    obset = set(c.objects)
+    if len(obset) != len(c.objects):
+        errs.append("duplicate object ids")
+    for m, (d, co) in c.mor.items():
+        if d not in obset:
+            errs.append(f"morphism {fmt(m)} has unknown dom {fmt(d)}")
+        if co not in obset:
+            errs.append(f"morphism {fmt(m)} has unknown cod {fmt(co)}")
+    for x in c.objects:
+        i = c.ident.get(x)
+        if i is None:
+            errs.append(f"no identity for object {fmt(x)}")
+        elif i not in c.mor:
+            errs.append(f"identity of {fmt(x)} is not a morphism")
+        elif c.mor[i] != (x, x):
+            errs.append(f"identity of {fmt(x)} is not an endomorphism of it")
+    if errs:
+        return errs
+
+    for x in c.objects:
+        for y in c.objects:
+            n = len(c.hom(x, y))
+            if n > caps.max_homset:
+                raise CapExceeded(f"hom({fmt(x)},{fmt(y)}): {n} exceeds cap "
+                                  f"{caps.max_homset}; raise --max-homset")
+
+    mids = set(c.mor)
+    for (g, f), h in c.table.items():
+        if g not in mids or f not in mids:
+            errs.append(f"table entry ({fmt(g)},{fmt(f)}) names unknown morphisms")
+            continue
+        if c.cod(f) != c.dom(g):
+            errs.append(f"table entry ({fmt(g)},{fmt(f)}) is not composable")
+            continue
+        if h not in mids:
+            errs.append(f"composite of ({fmt(g)},{fmt(f)}) is unknown morphism {fmt(h)}")
+        elif c.mor[h] != (c.dom(f), c.cod(g)):
+            errs.append(f"composite {fmt(h)} of ({fmt(g)},{fmt(f)}) has wrong dom/cod")
+    if errs:
+        return errs
+
+    by_dom = {}
+    for m, (d, _) in c.mor.items():
+        by_dom.setdefault(d, []).append(m)
+    for f in c.mor:
+        for g in by_dom.get(c.cod(f), ()):
+            if (g, f) not in c.table:
+                errs.append(f"missing composite for {fmt(g)} after {fmt(f)}")
+    if errs:
+        return errs
+
+    for m in c.mor:
+        d, co = c.mor[m]
+        if c.table[(m, c.ident[d])] != m:
+            errs.append(f"{fmt(m)} ∘ id ≠ {fmt(m)}")
+        if c.table[(c.ident[co], m)] != m:
+            errs.append(f"id ∘ {fmt(m)} ≠ {fmt(m)}")
+
+    for f in c.mor:
+        for g in by_dom.get(c.cod(f), ()):
+            gf = c.table[(g, f)]
+            for h in by_dom.get(c.cod(g), ()):
+                if c.table[(h, gf)] != c.table[(c.table[(h, g)], f)]:
+                    errs.append(
+                        f"associativity fails on ({fmt(h)},{fmt(g)},{fmt(f)})"
+                    )
+    return errs
+
+
+# -- the interchange writer before it wrote text -----------------------------
+
+
+_cjson = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                          ensure_ascii=False).encode
+
+_datum_enc = weakref.WeakKeyDictionary()
+
+
+def ref_enc(v):
+    if isinstance(v, str):
+        return v
+    if isinstance(v, bool):
+        return {"b": v}
+    if isinstance(v, int):
+        return {"i": v}
+    if v is None:
+        return {"n": 0}
+    if isinstance(v, tuple):
+        return [ref_enc(x) for x in v]
+    if isinstance(v, frozenset):
+        return {"fs": sorted((ref_enc(x) for x in v), key=_cjson)}
+    if isinstance(v, DescentDatum):
+        e = _datum_enc.get(v)
+        if e is None:
+            e = _datum_enc[v] = {"dd": [ref_enc(v._key[0]), ref_enc(v._key[1])]}
+        return e
+    raise InternalError(f"value of type {type(v).__name__} has no "
+                        f"interchange encoding: {v!r}")
+
+
+def _kv(d):
+    return [[ref_enc(k), ref_enc(d[k])] for k in stable_sorted(d)]
+
+
+def _pair_key(g, f):
+    return _cjson([ref_enc(g), ref_enc(f)])
+
+
+def _cat_json(c):
+    return {
+        "name": c.name,
+        "objects": [ref_enc(x) for x in stable_sorted(c.objects)],
+        "morphisms": [[ref_enc(m), ref_enc(c.dom(m)), ref_enc(c.cod(m))]
+                      for m in stable_sorted(c.mor)],
+        "identities": _kv(c.ident),
+        "table": [[[ref_enc(g), ref_enc(f)], ref_enc(h)]
+                  for (g, f), h in sorted(c.table.items(),
+                                          key=lambda it: _pair_key(*it[0]))],
+    }
+
+
+def _fun_json(f):
+    return {"omap": _kv(f.omap), "mmap": _kv(f.mmap)}
+
+
+def _top_json(j, basename):
+    covers = []
+    for x in stable_sorted(j.covers):
+        fams = sorted(
+            (sorted((ref_enc(m) for m in mors), key=_cjson)
+             for mors in j.covers[x]),
+            key=_cjson,
+        )
+        covers.append([ref_enc(x), fams])
+    return {"base": basename, "covers": covers}
+
+
+def _psh_json(p, basename):
+    return {
+        "base": basename,
+        "name": p.name,
+        "els": [[ref_enc(x), [ref_enc(e) for e in p.els[x]]]
+                for x in stable_sorted(p.els)],
+        "act": [[ref_enc(m), _kv(p.act[m])] for m in stable_sorted(p.act)],
+    }
+
+
+def _idx_json(dd, basename):
+    return {
+        "base": basename,
+        "name": dd.name,
+        "fib": [[ref_enc(x), _cat_json(dd.fib[x])] for x in stable_sorted(dd.fib)],
+        "res": [[ref_enc(y), _fun_json(dd.res[y])] for y in stable_sorted(dd.res)],
+        "compositor": [[[ref_enc(g), ref_enc(f)], _kv(dd.compositor[(g, f)])]
+                       for (g, f) in sorted(dd.compositor,
+                                            key=lambda p: _pair_key(*p))],
+        "unitor": [[ref_enc(x), _kv(dd.unitor[x])]
+                   for x in stable_sorted(dd.unitor)],
+    }
+
+
+def _ifun_json(p, srcname, dstname):
+    return {
+        "src": srcname,
+        "dst": dstname,
+        "name": p.name,
+        "comp": [[ref_enc(x), _fun_json(p.comp[x])] for x in stable_sorted(p.comp)],
+        "cell": [[ref_enc(y), _kv(p.cell[y])] for y in stable_sorted(p.cell)],
+    }
+
+
+_TAIL = ',"format":' + _cjson("finstack/1") + "}"
+
+
+def ref_serialize_blocks(blocks):
+    """`serialize_blocks` by the structure writer: the same arguments, the
+    same text, or the same `InternalError`."""
+    cats = []
+    idxnames = {}
+
+    def catname(c, owner):
+        for nm, c2 in cats:
+            if c2 is c:
+                return nm
+        for nm, c2 in cats:
+            if c2 == c:
+                return nm
+        raise InternalError(f"{owner!r} serialized without its base category")
+
+    out = []
+    for kind, name, v in blocks:
+        if kind == "category":
+            cats.append((name, v))
+            out.append({"kind": "category", **_cat_json(v), "name": name})
+        elif kind == "topology":
+            out.append({"kind": "topology",
+                        **_top_json(v, catname(v.base, name)), "name": name})
+        elif kind == "functor":
+            out.append({"kind": "functor", "src": catname(v.src, name),
+                        "dst": catname(v.dst, name), **_fun_json(v),
+                        "name": name})
+        elif kind == "presheaf":
+            out.append({"kind": "presheaf",
+                        **_psh_json(v, catname(v.base, name)), "name": name})
+        elif kind == "indexed":
+            idxnames[id(v)] = name
+            out.append({"kind": "indexed",
+                        **_idx_json(v, catname(v.base, name)), "name": name})
+        elif kind == "fibration":
+            sn, dn = idxnames.get(id(v.D)), idxnames.get(id(v.E))
+            if sn is None or dn is None:
+                raise InternalError(f"fibration {name!r} serialized without "
+                                    "its endpoint indexed categories")
+            out.append({"kind": "fibration", **_ifun_json(v, sn, dn),
+                        "name": name})
+        else:
+            raise InternalError(f"unknown block kind {kind!r}")
+    text = _cjson({"format": "finstack/1", "blocks": out})
+    digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return f'{text[:-len(_TAIL)]},"digest":"{digest}"{_TAIL}\n'

@@ -21,7 +21,7 @@ from finstack import (
     validate_presheaf,
     validate_topology,
 )
-from finstack.dsl import _dec, _enc, digest_text
+from finstack.dsl import _dec, _text, digest_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -587,7 +587,7 @@ def test_id_codec_round_trips_every_shape():
         ("mor", datum, frozenset({1, 2})),
     ]
     for v in values:
-        assert _dec(json.loads(json.dumps(_enc(v)))) == v
+        assert _dec(json.loads(_text(v, {}))) == v
 
 
 def test_serialize_requires_base_in_block_list():

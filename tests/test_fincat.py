@@ -31,6 +31,7 @@ from finstack.util import fmt
 
 import corpus
 import sitegen
+from oracles import ref_validate_fincat
 
 
 ALL_CATS = [
@@ -91,6 +92,53 @@ def test_missing_composites_found_as_by_every_pair():
     span = corpus.span_cat()
     broken = _without(span, {("jp", "idp"), (("id", "X"), "jq"), ("jq", "idq")})
     assert validate_fincat(broken) == _missing_composites_by_pairs(broken)
+
+
+def _broken(c, rng):
+    """Copies of c, each broken in one way that `validate_fincat` reports."""
+    ms, obs = list(c.mor), list(c.objects)
+    m, x, y = rng.choice(ms), rng.choice(obs), rng.choice(obs)
+    pair = rng.choice(list(c.table))
+    other = rng.choice(ms)
+
+    def cat(objects=c.objects, mor=c.mor, ident=c.ident, table=c.table):
+        return FinCat(objects, mor, ident, table, name=c.name)
+
+    return [
+        cat(objects=(*obs, x)),
+        cat(mor={**c.mor, m: ("?", c.cod(m))}),
+        cat(mor={**c.mor, m: (c.dom(m), ("?", 1))}),
+        cat(ident={k: v for k, v in c.ident.items() if k != x}),
+        cat(ident={**c.ident, x: ("?", x)}),
+        cat(ident={**c.ident, x: m}),
+        cat(table={**c.table, (m, ("?",)): m}),
+        cat(table={**c.table, (other, m): m}),
+        cat(table={**c.table, pair: ("?", True)}),
+        cat(table={**c.table, pair: other}),
+        cat(table={k: v for k, v in c.table.items() if k != pair}),
+        cat(mor={**c.mor, ("extra", y, x): (y, x)}),
+    ]
+
+
+def test_validate_fincat_matches_the_id_keyed_reference():
+    """Numbering the ids changes no finding, no order and no cap trip."""
+    rng = random.Random(20261019)
+    cats = ALL_CATS + [sitegen.rand_poset(rng) for _ in range(15)]
+    cats += [sitegen.rand_small_cat(rng) for _ in range(15)]
+    tried = 0
+    for c in cats:
+        for broken in [c, *_broken(c, rng)]:
+            for caps in (Caps(), Caps(max_homset=1), Caps(max_homset=2)):
+                try:
+                    want = ref_validate_fincat(broken, caps)
+                except CapExceeded as e:
+                    with pytest.raises(CapExceeded) as got:
+                        validate_fincat(broken, caps)
+                    assert str(got.value) == str(e)
+                    continue
+                assert validate_fincat(broken, caps) == want, c.name
+                tried += bool(want)
+    assert tried > 500
 
 
 def test_validate_catches_broken_associativity():

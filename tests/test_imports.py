@@ -106,3 +106,25 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     spec.loader.exec_module(spans)
     traced = {name for names in spans.WRAPPED.values() for name in names}
     assert sorted(exported - read - traced - KEPT_API) == []
+
+
+def private_definitions(path):
+    """(line, name) of each private module-level function and class."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [(node.lineno, node.name) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def test_every_private_helper_is_read_outside_its_own_body():
+    """A private helper that nothing in the package reads outside its own
+    definition is dead: a replaced implementation left beside its
+    successor."""
+    modules = sorted(SRC.glob("*.py"))
+    read = names_read(modules)
+    defined = [(p.name, line, name) for p in modules
+               for line, name in private_definitions(p)]
+    assert len(defined) > 40
+    assert [f"{file}:{line} {name}" for file, line, name in defined
+            if name not in read] == []
