@@ -19,7 +19,7 @@ from dataclasses import fields
 from . import caps as _caps
 from .caps import CapExceeded, Caps
 from .descent import desc_cat, is_prestack, is_stack
-from .dsl import digest_text, load_input, serialize_blocks
+from .dsl import block_name, digest_text, load_input, serialize_blocks
 from .fibadj import (
     L_D,
     R_D,
@@ -89,7 +89,7 @@ def _pick_topology(env, args, name=None, base=None):
     category, the base of the block called `name`."""
     jname, J = _pick(env.topologies, getattr(args, "coverage", None),
                      "coverage", "--coverage")
-    if base is not None and J.base is not base and J.base != base:
+    if base is not None and J.base != base:
         raise InputProblem(
             f"coverage {jname!r} is on {_base_name(env, J.base)!r}, not on "
             f"{_base_name(env, base)!r}, the base of {name!r}")
@@ -97,13 +97,8 @@ def _pick_topology(env, args, name=None, base=None):
 
 
 def _base_name(env, base):
-    for n, c in env.cats.items():
-        if c is base:
-            return n
-    for n, c in env.cats.items():
-        if c == base:
-            return n
-    return base.name or "C"
+    name = block_name(env.cats.items(), base)
+    return (base.name or "C") if name is None else name
 
 
 def _find_object(base, label):

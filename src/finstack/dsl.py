@@ -20,6 +20,14 @@ builds validated core values, and `serialize_blocks`/`load_interchange`
 convert elaborated values to and from a canonical JSON form with a sha256
 digest over the canonical bytes.
 
+The block kinds are listed once each.  `BLOCK_KINDS` holds the seven of the
+text format: the parser and the elaborator call the method named by the
+kind.  `_INTERCHANGE` holds the six of the JSON form (a poset is written as
+a category, a coverage as a topology), each with the earlier blocks it
+refers to, its reader and its validator: the loader reads every block in
+one loop over it, and the writer calls the `_Writer` method named by the
+kind.
+
 The writer writes that text directly, in fragments joined once at the end.
 Each descent datum's text is built once per datum and kept while the datum
 lives; each tuple's and frozenset's once per document, in a memo keyed by
@@ -82,9 +90,16 @@ from .util import fmt, stable_sorted
 
 FORMAT = "finstack/1"
 
-RESERVED = {
+# The site language's block kinds, in the order the parse hint lists them.
+# `_Parser` reads a block with its method of the kind's name and `_Elab`
+# elaborates it with `do_<kind>`.
+BLOCK_KINDS = (
     "category", "poset", "coverage", "functor", "presheaf", "indexed",
-    "fibration", "objects", "morphisms", "compose", "on", "over", "fiber",
+    "fibration",
+)
+
+RESERVED = {
+    *BLOCK_KINDS, "objects", "morphisms", "compose", "on", "over", "fiber",
     "restrict", "compositor", "unitor", "strict", "component", "cell",
     "obj", "mor", "at", "id",
 }
@@ -232,23 +247,11 @@ class _Parser:
 
     def block(self):
         t = self.next()
-        if t.val == "category":
-            return self.category(t)
-        if t.val == "poset":
-            return self.poset(t)
-        if t.val == "coverage":
-            return self.coverage(t)
-        if t.val == "functor":
-            return self.functor(t)
-        if t.val == "presheaf":
-            return self.presheaf(t)
-        if t.val == "indexed":
-            return self.indexed(t)
-        if t.val == "fibration":
-            return self.fibration(t)
-        self.fail(t, f"unknown block kind {t.val!r}",
-                  "expected category, poset, coverage, functor, presheaf, "
-                  "indexed, or fibration")
+        if t.val not in BLOCK_KINDS:
+            self.fail(t, f"unknown block kind {t.val!r}",
+                      f"expected {', '.join(BLOCK_KINDS[:-1])}, or "
+                      f"{BLOCK_KINDS[-1]}")
+        return getattr(self, t.val)(t)
 
     def category(self, t):
         name = self.ident("category name").val
@@ -1259,20 +1262,7 @@ class _Elab:
     def run(self, doc):
         for block in doc.blocks:
             before = len(self.diags)
-            if block.kind == "category":
-                self.do_category(block)
-            elif block.kind == "poset":
-                self.do_poset(block)
-            elif block.kind == "coverage":
-                self.do_coverage(block)
-            elif block.kind == "functor":
-                self.do_functor(block)
-            elif block.kind == "presheaf":
-                self.do_presheaf(block)
-            elif block.kind == "indexed":
-                self.do_indexed(block)
-            elif block.kind == "fibration":
-                self.do_fibration(block)
+            getattr(self, "do_" + block.kind)(block)
             if len(self.diags) > before and len(self.diags) > 20:
                 break
         return self.env, self.diags
@@ -1377,12 +1367,13 @@ def _cat_unjson(d, memo):
     )
 
 
-def _fun_unjson(d, src, dst, memo, name=""):
+def _fun_unjson(d, memo, src, dst):
     return Functor(src, dst, _unkv(d["omap"], memo, "object image of"),
-                   _unkv(d["mmap"], memo, "morphism image of"), name=name)
+                   _unkv(d["mmap"], memo, "morphism image of"),
+                   name=d.get("name", ""))
 
 
-def _top_unjson(d, base, memo):
+def _top_unjson(d, memo, base):
     covers = _unique([
         (_dec(x, memo),
          frozenset(frozenset(_dec(m, memo) for m in fam) for fam in fams))
@@ -1391,7 +1382,7 @@ def _top_unjson(d, base, memo):
     return Topology(base, covers)
 
 
-def _psh_unjson(d, base, memo):
+def _psh_unjson(d, memo, base):
     els = _unique([(_dec(x, memo), tuple(_dec(e, memo) for e in row))
                    for x, row in d["els"]], "elements over")
     act = []
@@ -1401,14 +1392,14 @@ def _psh_unjson(d, base, memo):
     return Presheaf(base, els, _unique(act, "action of"), name=d.get("name", ""))
 
 
-def _idx_unjson(d, base, memo):
+def _idx_unjson(d, memo, base):
     fib = _unique([(_dec(x, memo), _cat_unjson(cj, memo)) for x, cj in d["fib"]],
                   "fibre over")
     res = []
     for y, fj in d["res"]:
         ym = _dec(y, memo)
         yy, yx = base.mor[ym]
-        res.append((ym, _fun_unjson(fj, fib[yx], fib[yy], memo)))
+        res.append((ym, _fun_unjson(fj, memo, fib[yx], fib[yy])))
     compositor = []
     for (g, f), rows in d["compositor"]:
         gf = (_dec(g, memo), _dec(f, memo))
@@ -1420,6 +1411,42 @@ def _idx_unjson(d, base, memo):
     return IndexedCat(base, fib, _unique(res, "restriction along"),
                       _unique(compositor, "compositor"),
                       _unique(unitor, "unitor"), name=d.get("name", ""))
+
+
+def _fib_unjson(d, memo, src, dst):
+    comp = []
+    for x, fj in d["comp"]:
+        xo = _dec(x, memo)
+        comp.append((xo, _fun_unjson(fj, memo, src.fib[xo], dst.fib[xo])))
+    cell = []
+    for y, rows in d["cell"]:
+        y = _dec(y, memo)
+        cell.append((y, _unkv(rows, memo, "cell {} at", y)))
+    return IndexedFun(src, dst, _unique(comp, "component at"),
+                      _unique(cell, "cell"), name=d.get("name", ""))
+
+
+# The interchange block kinds.  For each: the earlier blocks it refers to, as
+# (JSON member, attribute of the value, block kind); what a message calls an
+# unknown referent (followed by its name when there is one referent); the
+# reader, called with the block's JSON object, the document's datum memo and
+# the referents; and the validator, called with the value and the caps.
+# `serialize_blocks` writes a kind with its `_Writer` method of the kind's
+# name, and `Elaborated.kinds_of` files its values.
+_INTERCHANGE = {
+    "category": ((), "", _cat_unjson, validate_fincat),
+    "topology": ((("base", "base", "category"),), "category", _top_unjson,
+                 validate_topology),
+    "functor": ((("src", "src", "category"), ("dst", "dst", "category")),
+                "categories", _fun_unjson, lambda f, caps: f.validate()),
+    "presheaf": ((("base", "base", "category"),), "category", _psh_unjson,
+                 lambda p, caps: validate_presheaf(p)),
+    "indexed": ((("base", "base", "category"),), "category", _idx_unjson,
+                validate_indexed),
+    "fibration": ((("src", "D", "indexed"), ("dst", "E", "indexed")),
+                  "indexed categories", _fib_unjson,
+                  lambda p, caps: validate_indexed_fun(p)),
+}
 
 
 # The text of a string, as `_cjson` writes it.
@@ -1556,6 +1583,9 @@ class _Writer:
         self.by_pair(c.table, lambda h: w(text(h)))
         w("}")
 
+    def category(self, c: FinCat, name):
+        self.cat(c, name, block=True)
+
     def fun(self, f: Functor):
         """A functor's maps: a restriction, or a component of a fibration."""
         w = self.out.append
@@ -1642,50 +1672,44 @@ def digest_text(text: str) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
+def block_name(named, value):
+    """The name of `value` among `named`, (name, value) pairs in block
+    order: the first that is `value` itself, else the first equal to it;
+    None when there is neither."""
+    for nm, v in named:
+        if v is value:
+            return nm
+    for nm, v in named:
+        if v == value:
+            return nm
+    return None
+
+
 def serialize_blocks(blocks) -> str:
     """Canonical interchange text for (kind, name, value) triples.
 
     Values that reference other values (topology bases, fibration endpoints)
-    must have their referents in the list, earlier, so names resolve.
-    Categories resolve by identity first, then structural equality."""
-    cats = []
-    idxnames = {}
-
-    def catname(c, owner):
-        for nm, c2 in cats:
-            if c2 is c:
-                return nm
-        for nm, c2 in cats:
-            if c2 == c:
-                return nm
-        raise InternalError(f"{owner!r} serialized without its base category")
-
+    must have their referents in the list, earlier, so names resolve
+    (`block_name`)."""
+    written = []
     wr = _Writer()
     w = wr.out.append
     w('{"blocks":[')
     for i, (kind, name, v) in enumerate(blocks):
+        if kind not in _INTERCHANGE:
+            raise InternalError(f"unknown block kind {kind!r}")
+        refs = []
+        for member, attr, rkind in _INTERCHANGE[kind][0]:
+            rname = block_name([(n, x) for k, n, x in written if k == rkind],
+                               getattr(v, attr))
+            if rname is None:
+                raise InternalError(f"{kind} {name!r} serialized without "
+                                    f"its {member} {rkind} block")
+            refs.append(rname)
         if i:
             w(",")
-        if kind == "category":
-            cats.append((name, v))
-            wr.cat(v, name, block=True)
-        elif kind == "topology":
-            wr.topology(v, name, catname(v.base, name))
-        elif kind == "functor":
-            wr.functor(v, name, catname(v.src, name), catname(v.dst, name))
-        elif kind == "presheaf":
-            wr.presheaf(v, name, catname(v.base, name))
-        elif kind == "indexed":
-            idxnames[id(v)] = name
-            wr.indexed(v, name, catname(v.base, name))
-        elif kind == "fibration":
-            sn, dn = idxnames.get(id(v.D)), idxnames.get(id(v.E))
-            if sn is None or dn is None:
-                raise InternalError(f"fibration {name!r} serialized without "
-                                    "its endpoint indexed categories")
-            wr.fibration(v, name, sn, dn)
-        else:
-            raise InternalError(f"unknown block kind {kind!r}")
+        getattr(wr, kind)(v, name, *refs)
+        written.append((kind, name, v))
     w("]")
     # Joined once: the digest member goes in just before the tail, where
     # sorted keys would put it.
@@ -1732,71 +1756,24 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
                    "surrogate")
     env = Elaborated()
     memo = {}
-
     try:
         for b in doc["blocks"]:
             kind, name = b["kind"], b["name"]
             if name in {n for _, n in env.order}:
                 return bad(f"duplicate block name {name!r}")
-            if kind == "category":
-                c = _cat_unjson(b, memo)
-                env.add_findings(kind, name, (), lambda: validate_fincat(c, caps))
-                env.cats[name] = c
-            elif kind == "topology":
-                base = env.cats.get(b["base"])
-                if base is None:
-                    return bad(f"topology {name!r} references unknown "
-                               f"category {b['base']!r}")
-                j = _top_unjson(b, base, memo)
-                env.add_findings(kind, name, (b["base"],),
-                                 lambda: validate_topology(j, caps))
-                env.topologies[name] = j
-            elif kind == "functor":
-                src, dst = env.cats.get(b["src"]), env.cats.get(b["dst"])
-                if src is None or dst is None:
-                    return bad(f"functor {name!r} references unknown categories")
-                f = _fun_unjson(b, src, dst, memo, name=name)
-                env.add_findings(kind, name, (b["src"], b["dst"]), f.validate)
-                env.functors[name] = f
-            elif kind == "presheaf":
-                base = env.cats.get(b["base"])
-                if base is None:
-                    return bad(f"presheaf {name!r} references unknown "
-                               f"category {b['base']!r}")
-                p = _psh_unjson(b, base, memo)
-                env.add_findings(kind, name, (b["base"],),
-                                 lambda: validate_presheaf(p))
-                env.presheaves[name] = p
-            elif kind == "indexed":
-                base = env.cats.get(b["base"])
-                if base is None:
-                    return bad(f"indexed {name!r} references unknown "
-                               f"category {b['base']!r}")
-                dd = _idx_unjson(b, base, memo)
-                env.add_findings(kind, name, (b["base"],),
-                                 lambda: validate_indexed(dd, caps))
-                env.indexed[name] = dd
-            elif kind == "fibration":
-                src, dst = env.indexed.get(b["src"]), env.indexed.get(b["dst"])
-                if src is None or dst is None:
-                    return bad(f"fibration {name!r} references unknown "
-                               "indexed categories")
-                comp = []
-                for x, fj in b["comp"]:
-                    xo = _dec(x, memo)
-                    comp.append((xo, _fun_unjson(fj, src.fib[xo], dst.fib[xo],
-                                                 memo)))
-                cell = []
-                for y, rows in b["cell"]:
-                    y = _dec(y, memo)
-                    cell.append((y, _unkv(rows, memo, "cell {} at", y)))
-                p = IndexedFun(src, dst, _unique(comp, "component at"),
-                               _unique(cell, "cell"), name=b.get("name", name))
-                env.add_findings(kind, name, (b["src"], b["dst"]),
-                                 lambda: validate_indexed_fun(p))
-                env.indexedfuns[name] = p
-            else:
+            if not isinstance(kind, str) or kind not in _INTERCHANGE:
                 return bad(f"unknown block kind {kind!r}")
+            refs, called, read, validate = _INTERCHANGE[kind]
+            names, values = [], []
+            for member, _, rkind in refs:
+                names.append(b[member])
+                values.append(env.kinds_of(rkind).get(names[-1]))
+            if None in values:
+                tail = f" {names[0]!r}" if len(names) == 1 else ""
+                return bad(f"{kind} {name!r} references unknown {called}{tail}")
+            v = read(b, memo, *values)
+            env.add_findings(kind, name, names, lambda: validate(v, caps))
+            env.kinds_of(kind)[name] = v
             env.order.append((kind, name))
     except _Duplicate as e:
         return bad(f"{e} in {kind} {name!r}")

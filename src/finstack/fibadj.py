@@ -266,7 +266,7 @@ def R_D(
     unique cartesian comparison morphisms, and the result is validated."""
     p = fib.p
     EE, DD = p.D, p.E
-    if G.source is not DD and G.source != DD:
+    if G.source is not DD:
         raise ValueError("total category was built from a different indexed category")
     total = G.total
     fibc = {
@@ -340,7 +340,7 @@ def L_D(A: IndexedCat, G: GrothCat, caps: _caps.Caps = _caps.DEFAULT) -> LResult
 
     Compositors and unitors are canonical path cells, so the construction
     needs no choices beyond the cleavage of the flattening."""
-    if A.base is not G.total and A.base != G.total:
+    if A.base != G.total:
         raise ValueError("source is not indexed over the given total category")
     DD = G.source
     C = DD.base

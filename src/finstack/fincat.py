@@ -16,9 +16,10 @@ from the ranks of the parts its ids are made of and hands in sort keys
 (`descent.desc_cat`, `groth.grothendieck`, `groth.essential_fibre_cat`,
 the iso-comma of `fibadj`, `site.slice_cat`), and the category never
 calls `ckey` on its ids.  `poset_cat` keys a morphism by the `ckey`s of
-its ends.  So `ckey` sorts only input categories (`product_cat` builds
-only those: keys from its factors' ranks would keep every factor alive as
-long as the product) and output (serialization, messages, witnesses).
+its ends, and `discrete_cat` an identity by the `ckey` of its object.  So
+`ckey` sorts only input categories (`product_cat` builds only those: keys
+from its factors' ranks would keep every factor alive as long as the
+product) and output (serialization, messages, witnesses).
 All predicates (`is_fully_faithful`, `is_essentially_surjective`,
 `is_equivalence`) run by exhaustive search and return a `Check` carrying a
 human-readable reason and a witness, never a bare bool.
@@ -98,6 +99,8 @@ class FinCat:
         return f"<{label}: {len(self.objects)} objects, {len(self.mor)} morphisms>"
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, FinCat):
             return NotImplemented
         return (
@@ -439,7 +442,7 @@ class NatTrans:
         errs = []
         F, G = self.F, self.G
         dst = F.dst
-        if F.src is not G.src and F.src != G.src:
+        if F.src != G.src:
             return ["source functors disagree on domain"]
         for x in F.src.objects:
             a = self.comp.get(x)
@@ -462,7 +465,7 @@ def all_nat_trans(F: Functor, G: Functor, iso_only: bool = False,
     """Yield every natural transformation F => G, choosing components in
     object order by `caps.search`: the naturality square of d -> c reads
     the components at d and c."""
-    if F.src is not G.src and F.src != G.src:
+    if F.src != G.src:
         return
     src, dst = F.src, F.dst
     objects = list(src.objects)
@@ -573,17 +576,20 @@ def product_cat(cats) -> Product:
     return Product(prod, projections)
 
 
-def terminal_cat(obj="*", name="1") -> FinCat:
-    i = ("id", obj)
-    return FinCat((obj,), {i: (obj, obj)}, {obj: i}, {(i, i): i}, name=name)
+# A discrete category's objects are input ids; ("id", x) orders as x does.
+_DISCRETE_KEYS = (ckey, lambda m: ckey(m[1]))
 
 
 def discrete_cat(objects, name="") -> FinCat:
     objects = tuple(objects)
     ident = {x: ("id", x) for x in objects}
     mor = {i: (x, x) for x, i in ident.items()}
-    table = {(i, i): i for i in mor}
-    return FinCat(objects, mor, ident, table, name=name)
+    return FinCat.from_homs(objects, mor, ident, lambda g, f: g, name=name,
+                            keys=_DISCRETE_KEYS)
+
+
+def terminal_cat(obj="*", name="1") -> FinCat:
+    return discrete_cat((obj,), name)
 
 
 # A poset's objects are input ids; ("le", a, b) orders as (a, b) does.

@@ -119,9 +119,9 @@ def validate_indexed(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
         F = D.res.get(y)
         if F is None:
             return [f"no restriction along {fmt(y)}"]
-        if F.src is not D.fib[X] and F.src != D.fib[X]:
+        if F.src != D.fib[X]:
             return [f"restriction along {fmt(y)} has wrong source"]
-        if F.dst is not D.fib[Y] and F.dst != D.fib[Y]:
+        if F.dst != D.fib[Y]:
             return [f"restriction along {fmt(y)} has wrong target"]
         bad = F.validate()
         if bad:
@@ -264,14 +264,14 @@ def validate_indexed_fun(F: IndexedFun) -> list:
     errs = []
     D, E = F.D, F.E
     base = D.base
-    if E.base is not base and E.base != base:
+    if E.base != base:
         return ["indexed functor endpoints live over different bases"]
     for X in base.objects:
         G = F.comp.get(X)
         if G is None:
             return [f"no component at {fmt(X)}"]
         src, dst = D.fib[X], E.fib[X]
-        if (G.src is not src and G.src != src) or (G.dst is not dst and G.dst != dst):
+        if G.src != src or G.dst != dst:
             return [f"component at {fmt(X)} has wrong endpoints"]
         bad = G.validate()
         if bad:
@@ -359,7 +359,7 @@ def identity_indexed_fun(D: IndexedCat) -> IndexedFun:
 
 def compose_indexed_funs(G: IndexedFun, F: IndexedFun) -> IndexedFun:
     """G after F; cells paste in the usual way."""
-    if F.E is not G.D and F.E != G.D:
+    if F.E is not G.D:
         raise InternalError("indexed functors not composable")
     comp = {
         X: compose_functors(G.comp[X], F.comp[X]) for X in F.D.base.objects

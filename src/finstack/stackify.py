@@ -312,29 +312,23 @@ def matching_families(P: Presheaf, R: Sieve, caps: _caps.Caps = _caps.DEFAULT):
     return [("mf", tuple(zip(members, vals))) for vals in sorted(map(tuple, out))]
 
 
-def _family_value(el, f):
-    return dict(el[1])[f]
-
-
 def plus_presheaf(P: Presheaf, J: Topology, caps: _caps.Caps = _caps.DEFAULT):
     """One application of the set-level plus: sections over X become matching
     families on the least cover.  Returns (P⁺, unit components)."""
     base = P.base
     minimal = {X: minimal_cover(J, X) for X in base.objects}
+    members = {X: R.members() for X, R in minimal.items()}
     els = {X: tuple(matching_families(P, minimal[X], caps)) for X in base.objects}
+    values = {X: [dict(el[1]) for el in els[X]] for X in base.objects}
     act = {}
     for y, (Y, X) in base.mor.items():
-        ay = {}
-        for el in els[X]:
-            ay[el] = ("mf", tuple(
-                (g, _family_value(el, base.compose(y, g)))
-                for g in minimal[Y].members()
-            ))
-        act[y] = ay
+        along = [(g, base.compose(y, g)) for g in members[Y]]
+        act[y] = {el: ("mf", tuple((g, value[yg]) for g, yg in along))
+                  for el, value in zip(els[X], values[X])}
     Pp = Presheaf(base, els, act, name=f"{P.name}⁺" if P.name else "P⁺")
     unit = {
         X: {
-            e: ("mf", tuple((f, P.act[f][e]) for f in minimal[X].members()))
+            e: ("mf", tuple((f, P.act[f][e]) for f in members[X]))
             for e in P.els[X]
         }
         for X in base.objects

@@ -389,11 +389,28 @@ def test_fibred_op_orders_every_built_category_from_its_parts(name, monkeypatch)
     assert [c.name for c in built if c._keys is None] == []
 
 
+@pytest.mark.parametrize("name", ["const-z2-terminal", "const-z2-arrow"])
+def test_comma_fibres_have_arrows_differing_in_v_and_b(name):
+    """Some iso-comma fibre of these corpus fibrations has two morphisms
+    between the same ends that differ in both v and b, so the order tests
+    on built categories see the order of v and b in `_comma_keys`."""
+    fib, J = FIBRATIONS[name]()
+    sd, _, sp = _localize(fib, J)
+    q = _iso_comma_fibration(sp, sd.unit)
+    pairs = []
+    for X in fib.p.E.base.objects:
+        by_ends = {}
+        for o1, o2, v, b in q.D.fib[X].mor:
+            by_ends.setdefault((o1, o2), []).append((v, b))
+        pairs += [(m, n) for ms in by_ends.values() for m in ms for n in ms
+                  if m[0] != n[0] and m[1] != n[1]]
+    assert pairs
+
+
 def test_comma_keys_order_as_ckey_sorts():
     """The iso-comma's keys order candidate ids as `ckey` does, on fibres
-    with parallel arrows and nested data: no corpus comma fibre has two
-    morphisms between the same ends, so there the order of v and b in the
-    key would go untested."""
+    with parallel arrows and nested data, whose morphisms between the same
+    ends differ in v, in b or in both."""
     c, J = _z2_site()
     fdp = stackify(corpus.twisted_z2_indexed(), J).twice.output.fib["*"]
     fd, fe = corpus.walking_iso_cat(), corpus.parallel_pair_cat()

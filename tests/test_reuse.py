@@ -55,7 +55,9 @@ from corpus import (
     patches_sheaf,
     patches_site,
     projection_fibration,
+    terminal_site,
     twisted_z2_indexed,
+    z2_cat,
 )
 
 
@@ -66,6 +68,13 @@ def _embedded(psh):
 def _twisted():
     fib = as_fibration(identity_indexed_fun(twisted_z2_indexed()))
     return fib, saturate(fib.p.E.base, {})
+
+
+def _const_z2(site):
+    """The identity fibration of the constant Z2 over a site: its iso-comma
+    fibres have morphisms between the same ends that differ in both v and b."""
+    c, J = site()
+    return as_fibration(identity_indexed_fun(const_indexed(c, z2_cat()))), J
 
 
 # Every indexed fibration of the corpus, with a topology on its base.
@@ -81,6 +90,8 @@ CORPUS = {
         as_fibration(projection_fibration(
             embed_discrete(patches_sheaf()), const_walking_iso(patches_cat()))),
         patches_site()[1]),
+    "const-z2-terminal": lambda: _const_z2(terminal_site),
+    "const-z2-arrow": lambda: _const_z2(arrow_site),
 }
 # Thm 4.2(ii) takes 20 s to 2 minutes on these, and 4.2(i) 3 s on the
 # projection, so those checks are left out there; the localization that
