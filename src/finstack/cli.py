@@ -328,11 +328,10 @@ def cmd_factorize(env, args, caps):
     pname, phi = _pick(env.indexedfuns, getattr(args, "phi", None),
                        "fibration", "--phi")
     jname, J = _pick_topology(env, args, pname, phi.E.base)
-    st = is_stack(phi.E, J, caps)
-    if not st.ok:
-        raise InputProblem(f"the target of {pname!r} is not a stack: "
-                           f"{st.reason}")
-    ref = reflect_through_unit(phi, True, J, caps)
+    try:
+        ref = reflect_through_unit(phi, J, caps)
+    except ValueError as e:
+        raise InputProblem(f"the target of {pname!r} is not a stack: {e}")
     results = {
         "through": str(pname),
         "coverage": str(jname),

@@ -559,7 +559,7 @@ def _descent(D: IndexedCat, J: Topology, caps, gluing: bool) -> Check:
     except _caps.CapExceeded:
         pass
 
-    covers = [R for X in D.base.stable_objects() for R in J.covers_of(X)]
+    covers = [R for X in D.base.objects for R in J.covers_of(X)]
     for R in covers:
         c = ff_at(R)[0]
         if not c:

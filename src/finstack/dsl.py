@@ -81,6 +81,7 @@ from .indexed import (
     IndexedCat,
     IndexedFun,
     Presheaf,
+    strict_indexed,
     validate_indexed,
     validate_indexed_fun,
     validate_presheaf,
@@ -789,13 +790,17 @@ class _Elab:
                     seen_obj.append(x)
         c = poset_cat(tuple(seen_obj), edges, name=block.name)
         # decompose each relation into declared covering edges for later
-        # derivation of presheaf actions and strict restrictions
+        # derivation of presheaf actions and strict restrictions; the word
+        # table lists the relations in the declaration order of their ends
         adj = {}
         for a, b in edges:
             if a != b:
                 adj.setdefault(a, []).append(b)
         words = {}
-        for m, (a, b) in c.mor.items():
+        for m in [("le", a, b) for a in seen_obj for b in seen_obj]:
+            if m not in c.mor:
+                continue
+            _, a, b = m
             if a == b:
                 words[m] = ()
                 continue
@@ -862,17 +867,16 @@ class _Elab:
         block, and the result is None."""
         cat = self.env.cats[catname]
         alias = self.env.aliases[catname]
-        words = self.env.gens[catname]
         out = {}
-        for m, (x, _) in cat.mor.items():
+        for m, word in self.env.gens[catname].items():
             if m in given:
                 out[m] = given[m]
                 continue
-            if not words[m]:
-                out[m] = unit(x)
+            if not word:
+                out[m] = unit(cat.dom(m))
                 continue
             so_far = None
-            for g in words[m]:
+            for g in word:
                 img = given.get(alias.get(g, g))
                 if img is None:
                     self.err(block.line, block.col,
@@ -1076,7 +1080,6 @@ class _Elab:
             if res is None:
                 return
             try:
-                from .indexed import strict_indexed
                 d = strict_indexed(cat, fib, res, name=block.name)
             except InternalError as ex:
                 self.env.findings.append(("indexed", block.name, str(ex)))
@@ -1086,13 +1089,13 @@ class _Elab:
             self.declare(block, "indexed", d)
             return
 
+        words = self.env.gens[catname]
         res = {}
-        for m in cat.mor:
+        for m in words:
             if m in given_res:
                 res[m] = given_res[m][0]
-            elif m in cat.ident.values():
-                x = cat.dom(m)
-                res[m] = identity_functor(fib[x])
+            elif cat.is_id(m):
+                res[m] = identity_functor(fib[cat.dom(m)])
             else:
                 self.err(block.line, block.col,
                          f"indexed {block.name!r} has no restriction along "
@@ -1102,8 +1105,10 @@ class _Elab:
         if bad:
             return
         compositor = {}
-        for g, (gy, gx) in cat.mor.items():
-            for f, (fy, fx) in cat.mor.items():
+        for g in words:
+            gy, gx = cat.mor[g]
+            for f in words:
+                fy, fx = cat.mor[f]
                 if fx != gy:
                     continue
                 cell = {}
@@ -1232,7 +1237,8 @@ class _Elab:
         if bad:
             return
         cell = {}
-        for y, (yy, yx) in cat.mor.items():
+        for y in self.env.gens[cat.name]:
+            yy, yx = cat.mor[y]
             cy = {}
             fibt = dst.fib[yy]
             for v in src.fib[yx].objects:
@@ -1576,9 +1582,9 @@ class _Writer:
         w('{"identities":')
         self.kv(c.ident)
         w(',"kind":"category","morphisms":' if block else ',"morphisms":')
-        self.rows(stable_sorted(c.mor), ends)
+        self.rows(c.mor, ends)
         w(',"name":' + _cjson(name) + ',"objects":')
-        self.ids(stable_sorted(c.objects))
+        self.ids(c.objects)
         w(',"table":')
         self.by_pair(c.table, lambda h: w(text(h)))
         w("}")

@@ -125,7 +125,7 @@ def _cleave(F: Functor, cart) -> Check:
     in stable order without one is the failure witness."""
     E0, B0 = F.src, F.dst
     cleav = {}
-    for A in E0.stable_objects():
+    for A in E0.objects:
         over = {}
         for m in E0.into(A):
             if m in cart:
@@ -173,7 +173,7 @@ def is_indexed_fibration(p: IndexedFun) -> Check:
         return Check(False, f"not an indexed functor: {bad[0]}")
     EE = p.D
     cart, cleav = {}, {}
-    for X in EE.base.stable_objects():
+    for X in EE.base.objects:
         cart[X] = cartesian_arrows(p.comp[X])
         c = _cleave(p.comp[X], cart[X])
         if not c:

@@ -9,17 +9,16 @@ artifacts.
 
 Every constructed category is built by `FinCat.from_homs`, which fills the
 table from a composition rule over the composable pairs of its morphisms.
-A category sorts its objects and its morphisms into stable (`ckey`) order
-once and ranks them.  Every category the library builds from other
-categories orders itself from its parts: its builder knows that order
-from the ranks of the parts its ids are made of and hands in sort keys
-(`descent.desc_cat`, `groth.grothendieck`, `groth.essential_fibre_cat`,
-the iso-comma of `fibadj`, `site.slice_cat`), and the category never
-calls `ckey` on its ids.  `poset_cat` keys a morphism by the `ckey`s of
-its ends, and `discrete_cat` an identity by the `ckey` of its object.  So
-`ckey` sorts only input categories (`product_cat` builds only those: keys
-from its factors' ranks would keep every factor alive as long as the
-product) and output (serialization, messages, witnesses).
+A category stores its objects and its morphisms in stable (`ckey`) order,
+sorted once when it is built, and ranks them.  Every category the library
+builds from other categories orders itself from its parts: its builder
+knows that order from the ranks of the parts its ids are made of and hands
+in sort keys (`descent.desc_cat`, `groth.grothendieck`,
+`groth.essential_fibre_cat`, the iso-comma of `fibadj`, `site.slice_cat`,
+`product_cat`), and the category never calls `ckey` on its ids.
+`poset_cat` keys a morphism by the ranks of its ends, and `discrete_cat`
+an identity by the `ckey` of its object.  So `ckey` sorts only input
+categories and output (serialization, messages, witnesses).
 All predicates (`is_fully_faithful`, `is_essentially_surjective`,
 `is_equivalence`) run by exhaustive search and return a `Check` carrying a
 human-readable reason and a witness, never a bare bool.
@@ -31,7 +30,7 @@ from itertools import product as iproduct
 
 from . import caps as _caps
 from .caps import Budget, search
-from .util import ckey, fmt, stable_sorted
+from .util import ckey, fmt
 
 
 class InternalError(AssertionError):
@@ -51,32 +50,33 @@ class Check:
 class FinCat:
     __slots__ = (
         "name", "objects", "mor", "ident", "table", "_hom", "_into", "_rank",
-        "_inv", "_stable", "_obrank", "_keys",
+        "_inv", "_obrank",
     )
 
-    def __init__(self, objects, mor, ident, table, name=""):
+    def __init__(self, objects, mor, ident, table, name="", keys=None):
+        """`objects` and `mor` are stored in stable order.  `keys`, if given,
+        is a pair of sort keys (objects, morphisms) that order exactly as
+        `ckey` does; they sort the ids in place of `ckey` and are not
+        kept."""
+        obkey, morkey = (ckey, ckey) if keys is None else keys
+        mor = dict(mor)
         self.name = name
-        self.objects = tuple(objects)
-        self.mor = dict(mor)
+        self.objects = tuple(sorted(objects, key=obkey))
+        self.mor = {m: mor[m] for m in sorted(mor, key=morkey)}
         self.ident = dict(ident)
         self.table = dict(table)
         self._hom = None
         self._into = None
         self._rank = None
         self._inv = {}
-        self._stable = None
         self._obrank = None
-        self._keys = None
 
     @classmethod
     def from_homs(cls, objects, mor, ident, compose, name="", keys=None):
         """The category whose table holds `compose(g, f)` for every
         composable pair, walking each f and each g out of cod(f) in `mor`
         order.  A composite that is not in `mor` is a construction bug.
-
-        `keys`, if given, is a pair of sort keys (objects, morphisms) that
-        order exactly as `ckey` does; stable orders are then sorted by them
-        and `ckey` is never called on the ids."""
+        `keys` is passed to the constructor."""
         by_dom = {}
         for m, (d, _) in mor.items():
             by_dom.setdefault(d, []).append(m)
@@ -90,9 +90,7 @@ class FinCat:
                         f"morphism of {name or 'category'}"
                     )
                 table[(g, f)] = h
-        cat = cls(objects, mor, ident, table, name=name)
-        cat._keys = keys
-        return cat
+        return cls(objects, mor, ident, table, name=name, keys=keys)
 
     def __repr__(self):
         label = self.name or "FinCat"
@@ -132,36 +130,21 @@ class FinCat:
             ) from None
 
     def _build_hom(self):
-        """Sort the morphisms once (by the builder's key if it gave one, so
-        never by `ckey` for a built category) and file them, in that order,
-        by (dom, cod) and by codomain."""
+        """File the morphisms, in stable order, by (dom, cod) and by
+        codomain, and rank them."""
         h = {}
         into = {x: [] for x in self.objects}
-        if self._keys is None:
-            ms = stable_sorted(self.mor)
-        else:
-            ms = sorted(self.mor, key=self._keys[1])
-        for m in ms:
-            d, c = self.mor[m]
+        for m, (d, c) in self.mor.items():
             h.setdefault((d, c), []).append(m)
             into[c].append(m)
         self._hom = {k: tuple(v) for k, v in h.items()}
         self._into = {x: tuple(v) for x, v in into.items()}
-        self._rank = {m: i for i, m in enumerate(ms)}
-
-    def stable_objects(self):
-        """The objects in stable order.  `objects` keeps the builder's."""
-        if self._stable is None:
-            if self._keys is None:
-                self._stable = tuple(stable_sorted(self.objects))
-            else:
-                self._stable = tuple(sorted(self.objects, key=self._keys[0]))
-        return self._stable
+        self._rank = {m: i for i, m in enumerate(self.mor)}
 
     def object_ranks(self):
         """Each object's position in stable order."""
         if self._obrank is None:
-            self._obrank = {x: i for i, x in enumerate(self.stable_objects())}
+            self._obrank = {x: i for i, x in enumerate(self.objects)}
         return self._obrank
 
     def morphism_ranks(self):
@@ -438,27 +421,6 @@ class NatTrans:
         self.comp = dict(comp)
         self.name = name
 
-    def validate(self) -> list:
-        errs = []
-        F, G = self.F, self.G
-        dst = F.dst
-        if F.src != G.src:
-            return ["source functors disagree on domain"]
-        for x in F.src.objects:
-            a = self.comp.get(x)
-            if a is None:
-                errs.append(f"no component at {fmt(x)}")
-            elif a not in dst.mor or dst.mor[a] != (F.omap[x], G.omap[x]):
-                errs.append(f"component at {fmt(x)} is not F({fmt(x)}) -> G({fmt(x)})")
-        if errs:
-            return errs
-        for m, (d, c) in F.src.mor.items():
-            lhs = dst.compose(self.comp[c], F.mmap[m])
-            rhs = dst.compose(G.mmap[m], self.comp[d])
-            if lhs != rhs:
-                errs.append(f"naturality fails at {fmt(m)}")
-        return errs
-
 
 def all_nat_trans(F: Functor, G: Functor, iso_only: bool = False,
                   caps: _caps.Caps = _caps.DEFAULT):
@@ -545,8 +507,11 @@ class Product:
 
 
 def product_cat(cats) -> Product:
-    """Finite product of categories; ids are tuples of component ids."""
+    """Finite product of categories; ids are tuples of component ids, which
+    order as `ckey` does by their components' ranks."""
     cats = list(cats)
+    obranks = [c.object_ranks() for c in cats]
+    mranks = [c.morphism_ranks() for c in cats]
     objects = list(iproduct(*(c.objects for c in cats)))
     mor = {}
     for combo in iproduct(*(list(c.mor) for c in cats)):
@@ -562,6 +527,8 @@ def product_cat(cats) -> Product:
         ident,
         lambda g, f: tuple(c.table[(gi, fi)] for c, gi, fi in zip(cats, g, f)),
         name="×".join(c.name or "?" for c in cats),
+        keys=(lambda x: tuple(r[v] for r, v in zip(obranks, x)),
+              lambda m: tuple(r[v] for r, v in zip(mranks, m))),
     )
     projections = [
         Functor(
@@ -592,10 +559,6 @@ def terminal_cat(obj="*", name="1") -> FinCat:
     return discrete_cat((obj,), name)
 
 
-# A poset's objects are input ids; ("le", a, b) orders as (a, b) does.
-_POSET_KEYS = (ckey, lambda m: (ckey(m[1]), ckey(m[2])))
-
-
 def poset_cat(objects, leq, name="") -> FinCat:
     """Category of a preorder: morphism ("le", a, b) whenever a <= b.
 
@@ -615,15 +578,17 @@ def poset_cat(objects, leq, name="") -> FinCat:
                     changed = True
     mor = {("le", a, b): (a, b) for a in objects for b in objects if (a, b) in rel}
     ident = {x: ("le", x, x) for x in objects}
+    # The objects are input ids; ("le", a, b) orders as (a, b) does.
+    rank = {x: i for i, x in enumerate(sorted(objects, key=ckey))}
     return FinCat.from_homs(
         objects, mor, ident, lambda g, f: ("le", f[1], g[2]), name=name,
-        keys=_POSET_KEYS,
+        keys=(rank.__getitem__, lambda m: (rank[m[1]], rank[m[2]])),
     )
 
 
 def iso_classes(c: FinCat) -> list:
     """Partition of objects into isomorphism classes (stable order)."""
-    rest = list(c.stable_objects())
+    rest = list(c.objects)
     out = []
     while rest:
         x = rest.pop(0)

@@ -159,7 +159,7 @@ def essential_fibre_cat(
     a morphism (alpha, beta, w) is w : A -> B with F(w)∘alpha == beta."""
     E0, B0 = F.src, F.dst
     objects = []
-    for A in E0.stable_objects():
+    for A in E0.objects:
         for alpha in B0.hom(U, F.ob(A)):
             if B0.is_iso(alpha):
                 objects.append((A, alpha))
@@ -254,7 +254,7 @@ def check_lemma_3_1(
     base = G.source.base
     fiber_side = Check(True, "all transported restrictions are stacks")
     instances = []
-    for X in base.stable_objects():
+    for X in base.objects:
         sl, JX, _ = slice_site(J, X)
         for cls in iso_classes(essential_fibre_cat(G.proj, X, caps)):
             A, alpha = cls[0]

@@ -430,7 +430,7 @@ def find_indexed_natiso(F: IndexedFun, G: IndexedFun, caps: _caps.Caps = _caps.D
     """
     D, E = F.D, F.E
     base = D.base
-    objs = base.stable_objects()
+    objs = base.objects
     cand = []
     for X in objs:
         isos = all_nat_trans(F.comp[X], G.comp[X], iso_only=True, caps=caps)
@@ -460,7 +460,7 @@ def is_indexed_equivalence(F: IndexedFun) -> Check:
     bad = validate_indexed_fun(F)
     if bad:
         return Check(False, f"not an indexed functor: {bad[0]}")
-    for X in F.D.base.stable_objects():
+    for X in F.D.base.objects:
         c = is_equivalence(F.comp[X])
         if not c:
             return Check(False, f"component at {fmt(X)}: {c.reason}", witness=(X, c.witness))
@@ -563,7 +563,7 @@ def validate_presheaf(P: Presheaf) -> list:
     filled in different orders, report the same findings."""
     errs = []
     base = P.base
-    objects = base.stable_objects()
+    objects = base.objects
     for X in objects:
         if X not in P.els:
             return [f"no elements over {fmt(X)}"]
@@ -574,7 +574,7 @@ def validate_presheaf(P: Presheaf) -> list:
                  for e in stable_sorted(twice)]
     if errs:
         return errs
-    for y in base.ordered(base.mor):
+    for y in base.mor:
         Y, X = base.mor[y]
         a = P.act.get(y)
         if a is None:

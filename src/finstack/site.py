@@ -57,9 +57,6 @@ class Sieve:
     def members(self):
         return self.base.ordered(self.mors)
 
-    def is_maximal(self):
-        return self.mors == frozenset(self.base.into(self.target))
-
 
 def validate_sieve(s: Sieve) -> list:
     """Violations of sieve-hood: membership typing and precomposition closure.
@@ -229,9 +226,6 @@ class Topology:
     base: FinCat
     covers: dict  # object -> frozenset of frozensets of morphism ids
 
-    def is_cover(self, s: Sieve) -> bool:
-        return s.mors in self.covers.get(s.target, frozenset())
-
     def covers_of(self, x):
         """The covers of x in stable order.  Every member must be a morphism
         of `base`, which `validate_topology` guarantees."""
@@ -386,7 +380,7 @@ def least_cover_pullbacks(J: Topology):
     c = J.base
     bits = _Bits(c)
     seen, out = set(), []
-    for x in c.stable_objects():
+    for x in c.objects:
         sieves = J.covers.get(x)
         if not sieves:
             continue

@@ -22,6 +22,7 @@ from .descent import (
     comparison_datum,
     desc_cat,
     glue,
+    is_stack,
     mor_components,
     mor_id,
     push_datum,
@@ -183,7 +184,7 @@ def _factor_once(phi: IndexedFun, pres: PlusResult, caps) -> tuple:
     for X in base.objects:
         M = pres.minimal[X]
         fx = F.fib[X]
-        cmp = [(V, comparison_datum(F, M, V)) for V in fx.stable_objects()]
+        cmp = [(V, comparison_datum(F, M, V)) for V in fx.objects]
         omap = {}
         for a in Dp.fib[X].objects:
             hit = glue(F, M, cmp, push_datum(phi, M, a), caps)
@@ -259,14 +260,16 @@ class Reflection:
     stackified: StackifyResult
 
 
-def reflect_through_unit(phi: IndexedFun, F_is_stack, J: Topology,
+def reflect_through_unit(phi: IndexedFun, J: Topology,
                          caps: _caps.Caps = _caps.DEFAULT) -> Reflection:
     """Factor phi : D -> F through the stackification unit, F a stack.
 
     Returns psi : s_J(D) -> F together with the invertible modification
-    psi ∘ unit => phi."""
-    if not F_is_stack:
-        raise ValueError("reflection requires the target to be a stack")
+    psi ∘ unit => phi.  Raises ValueError, with `is_stack`'s reason, when
+    F is not a stack."""
+    st = is_stack(phi.E, J, caps)
+    if not st:
+        raise ValueError(st.reason)
     sres = stackify(phi.D, J, caps)
     psi1, w1 = _factor_once(phi, sres.once, caps)
     psi, w2 = _factor_once(psi1, sres.twice, caps)
@@ -357,7 +360,7 @@ def sheafify_with_unit(P: Presheaf, J: Topology, caps: _caps.Caps = _caps.DEFAUL
 def is_sheaf_presheaf(P: Presheaf, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> Check:
     """Sections are in bijection with matching families, for every cover."""
     base = P.base
-    for X in base.stable_objects():
+    for X in base.objects:
         for R in J.covers_of(X):
             fams = matching_families(P, R, caps)
             seen = {}

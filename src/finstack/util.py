@@ -6,9 +6,9 @@ it makes enumeration order, serialization, and error messages reproducible
 across runs.
 
 Keys of nested ids are costly, so they are computed as seldom as possible:
-a `FinCat` sorts its objects and morphisms once and ranks them
-(`FinCat.stable_objects`, `FinCat.ordered`) for every later ordering, and a
-built descent category sorts by the ranks of its parts in its fibres, which
+a `FinCat` stores its objects and morphisms sorted once, in this order, and
+ranks them for every later ordering (`FinCat.ordered`), and a built
+descent category sorts by the ranks of its parts in its fibres, which
 order exactly as `ckey` does, so no datum's key is computed for it.  Where
 a key is computed (serialization, messages), a constructed id with a
 `_ckey` method (a descent datum) computes it once and keeps it.  Descent

@@ -9,7 +9,8 @@ on it, so an oracle shares no search code with the library it checks:
 
 - `ref_all_functors`: every functor, each object map of the full product
   searched for morphism maps;
-- `ref_all_nat_trans`: every natural transformation F => G;
+- `ref_all_nat_trans`: every natural transformation F => G, and
+  `nat_trans_findings`, the law check it is compared with by brute force;
 - `ref_all_indexed_funs`: every indexed functor D -> E, for the bounded
   uniqueness checks.
 
@@ -90,7 +91,7 @@ def ref_search(n, cands, fits, budget):
 def ref_all_functors(src, dst, caps=Caps()):
     """Every object map of the full product, each searched for morphism
     maps."""
-    objs = src.stable_objects()
+    objs = src.objects
     non_id = [m for m in src.ordered(src.mor) if not src.is_id(m)]
     at = {m: i for i, m in enumerate(non_id)}
     closing = {}
@@ -99,7 +100,7 @@ def ref_all_functors(src, dst, caps=Caps()):
         if i >= 0:
             closing.setdefault(i, []).append((g, f, h))
     budget = Budget(caps)
-    for combo in product(*(dst.stable_objects() for _ in objs)):
+    for combo in product(*(dst.objects for _ in objs)):
         omap = dict(zip(objs, combo))
         mmap = {src.ident[x]: dst.ident[omap[x]] for x in objs}
 
@@ -116,6 +117,30 @@ def ref_all_functors(src, dst, caps=Caps()):
 
         for a in ref_search(len(non_id), cands, fits, budget):
             yield Functor(src, dst, dict(omap), dict(mmap))
+
+
+def nat_trans_findings(t):
+    """Violations of naturality for `t`, as strings: first the typing of
+    the components, then, if that holds, each naturality square."""
+    errs = []
+    F, G = t.F, t.G
+    dst = F.dst
+    if F.src != G.src:
+        return ["source functors disagree on domain"]
+    for x in F.src.objects:
+        a = t.comp.get(x)
+        if a is None:
+            errs.append(f"no component at {fmt(x)}")
+        elif a not in dst.mor or dst.mor[a] != (F.omap[x], G.omap[x]):
+            errs.append(f"component at {fmt(x)} is not F({fmt(x)}) -> G({fmt(x)})")
+    if errs:
+        return errs
+    for m, (d, c) in F.src.mor.items():
+        lhs = dst.compose(t.comp[c], F.mmap[m])
+        rhs = dst.compose(G.mmap[m], t.comp[d])
+        if lhs != rhs:
+            errs.append(f"naturality fails at {fmt(m)}")
+    return errs
 
 
 def ref_all_nat_trans(F, G, iso_only=False, caps=Caps()):
@@ -241,7 +266,7 @@ def ref_desc_cat(D, R, caps=Caps(), skip_empty=False):
 def desc_cat_parts(c):
     """What a descent category built two ways must share, orders included."""
     return (c.objects, list(c.mor.items()), list(c.ident.items()),
-            list(c.table.items()), c.stable_objects())
+            list(c.table.items()), c.objects)
 
 
 def desc_cat_outcome(build, D, R, caps, **kw):

@@ -197,7 +197,7 @@ def test_criterion_04_reflection_behavior():
         assert validate_indexed_fun(phi) == [], k
         st = is_stack(phi.E, J, CAPS)
         assert st.ok, (k, st.reason)
-        ref = reflect_through_unit(phi, True, J, CAPS)
+        ref = reflect_through_unit(phi, J, CAPS)
         assert validate_indexed_nat(ref.witness) == [], k
         assert is_indexed_iso(ref.witness), k
         eta = ref.stackified.unit

@@ -347,6 +347,25 @@ def test_cap_exceeded_exits_3(capsys):
     assert "exceeds cap" in err
 
 
+def test_cap_message_of_a_site_matches_its_interchange_form(capsys, tmp_path):
+    """Objects declared out of stable order: the DSL and the interchange
+    JSON of one site name the same first object over the cap."""
+    site = tmp_path / "late.site"
+    site.write_text("poset P { b <= a; c <= a; }\n"
+                    "coverage J on P { a: [b <= a, c <= a]; }\n")
+    doc, _ = parse(site.read_text())
+    env, _ = elaborate(doc)
+    emitted = tmp_path / "late.json"
+    emitted.write_text(serialize_env(env))
+    code, _, err = run(capsys, "saturate", str(site),
+                       "--max-sieves-per-object", "1")
+    assert code == 3
+    assert err == "error: sieve universe on a: 8 exceeds cap 1; raise " \
+                  "--max-sieves-per-object\n"
+    assert run(capsys, "saturate", str(emitted),
+               "--max-sieves-per-object", "1") == (code, "", err)
+
+
 def test_search_cap_names_its_flag(capsys):
     code, _, err = run(capsys, "check", PATCHES, "--stack", "--max-descent", "3")
     assert code == 3

@@ -319,6 +319,20 @@ def test_nonstrict_indexed_requires_all_restrictions():
     assert "no restriction along" in diags[0].msg
 
 
+def test_missing_restrictions_are_listed_in_word_order():
+    """Generators in declaration order, then composites: not the stable
+    order of the morphisms (f, f.g, g, h)."""
+    diags = fail_elab(
+        "category B { objects: a, b, c;"
+        " morphisms: f: b -> c, g: a -> b, h: a -> c; }"
+        " category K { objects: k; }"
+        " indexed D over B { fiber a = K; fiber b = K; fiber c = K; }"
+    )
+    assert [d.msg for d in diags] == [
+        f"indexed 'D' has no restriction along {m}" for m in
+        ("f", "g", "h", "f.g")]
+
+
 def test_strict_block_rejects_coherence_cells():
     diags = fail_elab(
         "category Z2 { objects: s0; morphisms: s: s0 -> s0;"

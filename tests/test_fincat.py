@@ -31,7 +31,7 @@ from finstack.util import fmt
 
 import corpus
 import sitegen
-from oracles import ref_validate_fincat
+from oracles import nat_trans_findings, ref_validate_fincat
 
 
 ALL_CATS = [
@@ -240,9 +240,9 @@ def test_compose_functors():
 def test_nat_trans_validation():
     w = corpus.walking_iso_cat()
     t = NatTrans(identity_functor(w), identity_functor(w), {"x": "idx", "y": "idy"})
-    assert t.validate() == []
+    assert nat_trans_findings(t) == []
     bad = NatTrans(identity_functor(w), identity_functor(w), {"x": "idx", "y": "f"})
-    assert bad.validate() != []
+    assert nat_trans_findings(bad) != []
 
 
 def test_all_nat_trans_count():
@@ -257,7 +257,7 @@ def test_iso_only_nat_trans():
     swap = Functor(w, w, {"x": "y", "y": "x"}, {"idx": "idy", "idy": "idx", "f": "g", "g": "f"})
     assert swap.validate() == []
     iso = next(all_nat_trans(identity_functor(w), swap, iso_only=True))
-    assert iso.validate() == []
+    assert nat_trans_findings(iso) == []
     assert all(w.is_iso(a) for a in iso.comp.values())
 
 

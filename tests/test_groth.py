@@ -176,7 +176,7 @@ def test_giraud_arrow_lift_generates_cover():
     assert validate_topology(JD) == []
     for u in ("s0", "s1"):
         S = generate_sieve(G.total, ("b", u), [canonical_lift(G, "i", u)])
-        assert JD.is_cover(S)
+        assert S.mors in JD.covers[S.target]
     # frozen: exactly the generated sieve and the maximal one cover (b, s0)
     assert len(JD.covers[("b", "s0")]) == 2
 

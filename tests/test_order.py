@@ -15,8 +15,10 @@ descent categories are also checked against `oracles.ref_desc_cat`, which
 names each morphism by its source's sorted members, and a second guard pins
 that no datum's sorted form is computed at all."""
 
+import gc
 import json
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,7 @@ from finstack import (
     is_stack,
     load_input,
     poset_cat,
+    product_cat,
     saturate,
     stackify,
 )
@@ -210,14 +213,14 @@ def test_descent_morphism_ids_list_components_in_member_order(stages):
 
 
 def _by_ckey(c):
-    """The same category without the builder's order: it sorts by `ckey`."""
+    """The same category without the builder's keys: it sorts by `ckey`."""
     return FinCat(c.objects, c.mor, c.ident, c.table, name=c.name)
 
 
 def _check_supplied_order(c):
     ref = _by_ckey(c)
-    assert list(c.stable_objects()) == stable_sorted(c.objects)
-    assert c.ordered(c.mor) == stable_sorted(c.mor)
+    assert list(c.objects) == stable_sorted(c.objects)
+    assert list(c.mor) == stable_sorted(c.mor)
     for x in c.objects:
         assert c.into(x) == ref.into(x)
         for y in c.objects:
@@ -235,7 +238,6 @@ def test_descent_categories_order_as_ckey_sorts(stages):
             _check_supplied_order(desc_cat(D, R))
     for p in plus_stages:
         for X in c.objects:
-            assert p.output.fib[X]._keys is not None
             _check_supplied_order(p.output.fib[X])
 
 
@@ -359,8 +361,20 @@ def test_built_categories_order_as_ckey_sorts(name):
     assert {kind for kind, _ in built} >= {
         "total", "slice", "essential", "L_D slice"}
     for kind, c in built:
-        assert c._keys is not None, kind
         _check_supplied_order(c)
+
+
+def _record_keys(monkeypatch):
+    """The (name, keys) of every category built from now on, until
+    `monkeypatch` is undone."""
+    built, init = [], FinCat.__init__
+
+    def recorded(self, *args, keys=None, **kwargs):
+        init(self, *args, keys=keys, **kwargs)
+        built.append((self.name, keys))
+
+    monkeypatch.setattr(FinCat, "__init__", recorded)
+    return built
 
 
 @pytest.mark.parametrize(
@@ -370,23 +384,18 @@ def test_fibred_op_orders_every_built_category_from_its_parts(name, monkeypatch)
     iso-comma of Thm 4.2(ii) nests D⁺⁺ data in its ids, and every category
     it builds was handed sort keys by its builder."""
     fib, J = FIBRATIONS[name]()
-    calls, built = [], []
-    key, from_homs = DescentDatum._ckey, FinCat.from_homs.__func__
+    calls, key = [], DescentDatum._ckey
 
     def counted(self):
         calls.append(self)
         return key(self)
 
-    def recorded(cls, *args, **kwargs):
-        built.append(from_homs(cls, *args, **kwargs))
-        return built[-1]
-
     monkeypatch.setattr(DescentDatum, "_ckey", counted)
-    monkeypatch.setattr(FinCat, "from_homs", classmethod(recorded))
+    built = _record_keys(monkeypatch)
     _one_op(fib, J)
     assert calls == []
-    assert {c.name.partition("(")[0] for c in built} >= {"groth", "ess", "L", "comma", "Desc"}
-    assert [c.name for c in built if c._keys is None] == []
+    assert {n.partition("(")[0] for n, _ in built} >= {"groth", "ess", "L", "comma", "Desc"}
+    assert [n for n, keys in built if keys is None] == []
 
 
 @pytest.mark.parametrize("name", ["const-z2-terminal", "const-z2-arrow"])
@@ -434,6 +443,24 @@ def test_posets_order_as_ckey_sorts():
         objs = rng.sample(names, rng.randint(2, len(names)))
         leq = [(a, b) for i, a in enumerate(objs) for b in objs[i + 1:]
                if rng.random() < 0.4]
-        c = poset_cat(objs, leq)
-        assert c._keys is not None
-        _check_supplied_order(c)
+        _check_supplied_order(poset_cat(objs, leq))
+
+
+class _Weak(FinCat):
+    __slots__ = ("__weakref__",)
+
+
+def test_products_order_from_their_factors_and_keep_none_alive(monkeypatch):
+    """A product is sorted by keys from its factors' ranks, which order its
+    tuple ids as `ckey` does, and the keys are not kept: a factor dropped
+    with the projections dies while the product lives."""
+    factors = [_Weak(c.objects, c.mor, c.ident, c.table, name=c.name)
+               for c in (corpus.span_cat(), corpus.walking_iso_cat())]
+    built = _record_keys(monkeypatch)
+    prod = product_cat(factors).cat
+    monkeypatch.undo()
+    assert [keys is not None for _, keys in built] == [True]
+    _check_supplied_order(prod)
+    gone = weakref.ref(factors.pop())
+    gc.collect()
+    assert gone() is None

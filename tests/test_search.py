@@ -49,6 +49,7 @@ import corpus
 import sitegen
 from oracles import (
     desc_cat_parity,
+    nat_trans_findings,
     ref_all_functors,
     ref_all_indexed_funs,
     ref_all_nat_trans,
@@ -171,7 +172,7 @@ def _brute_nat_trans(F, G, iso_only):
     out = []
     for combo in product(*pools):
         t = NatTrans(F, G, dict(zip(objects, combo)))
-        if not t.validate():
+        if not nat_trans_findings(t):
             out.append(t.comp)
     return out
 

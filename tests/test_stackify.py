@@ -209,7 +209,7 @@ def test_reflect_identity_on_stack():
     D = embed_discrete(corpus.patches_sheaf())
     ok = is_stack(D, J)
     assert ok
-    r = reflect_through_unit(identity_indexed_fun(D), ok, J)
+    r = reflect_through_unit(identity_indexed_fun(D), J)
     assert validate_indexed_fun(r.psi) == []
     assert validate_indexed_nat(r.witness) == []
     assert is_indexed_equivalence(r.psi)
@@ -225,8 +225,7 @@ def test_reflect_nonsheaf_into_sheaf():
         "r": {"c1": "c1"},
     }
     phi = embed_mor(P, Q, t)
-    ok = is_stack(phi.E, J)
-    r = reflect_through_unit(phi, ok, J)
+    r = reflect_through_unit(phi, J)
     assert validate_indexed_fun(r.psi) == []
     assert validate_indexed_nat(r.witness) == []
 
@@ -243,12 +242,13 @@ def test_reflect_into_terminal():
     phi = strict_indexed_fun(D, T, comp)
     ok = is_stack(T, J)
     assert ok
-    r = reflect_through_unit(phi, ok, J)
+    r = reflect_through_unit(phi, J)
     assert validate_indexed_fun(r.psi) == []
 
 
 def test_reflect_requires_stack_evidence():
     c, J = corpus.patches_site()
     D = embed_discrete(corpus.patches_nonsheaf())
-    with pytest.raises(ValueError):
-        reflect_through_unit(identity_indexed_fun(D), is_stack(D, J), J)
+    with pytest.raises(ValueError) as err:
+        reflect_through_unit(identity_indexed_fun(D), J)
+    assert str(err.value) == is_stack(D, J).reason
