@@ -39,20 +39,23 @@ factorization through the stackification unit (`stackify`) asks it of
 every pushed datum, in stable order.  Callers compute the comparison data
 once per object and cover and hand them in.
 
-`is_prestack` and `is_stack` decide on G = `least_cover_pullbacks(J)`: the
-pullbacks h*(M_x) of the intersection M_x of the covers of x along every
-h : y -> x, sieves containing id_y left out (they hold trivially).  This is
-exact.  For a fixed D, the sieves R such that D satisfies descent on every
-pullback of R form a Grothendieck topology, the largest for which D is a
-stack (Giraud, *Cohomologie non abélienne*, 1971, ch. II; Vistoli,
-"Grothendieck topologies, fibered categories and descent theory", 2005,
-§4.1; the same holds for full faithfulness alone).  Passing on G puts every
-M_x in that topology, and every listed cover of x contains M_x, so it is
-covered too.  On a failure or a cap on G, the canonical loop over every
-cover runs, so negative reasons, witnesses and cap messages are its own.
+`is_prestack` and `is_stack` take J to be a Grothendieck topology and
+decide on G = `least_cover_pullbacks(J)`: the pullbacks h*(M_x) of the
+intersection M_x of the covers of x along every h : y -> x, sieves
+containing id_y left out (they hold trivially).  This is exact.  For a
+fixed D, the sieves R such that D satisfies descent on every pullback of R
+form a Grothendieck topology, the largest for which D is a stack (Giraud,
+*Cohomologie non abélienne*, 1971, ch. II; Vistoli, "Grothendieck
+topologies, fibered categories and descent theory", 2005, §4.1; the same
+holds for full faithfulness alone).  Passing on G puts every M_x in that
+topology, and every cover of x contains M_x, so it is covered too.  Since J
+is a topology, every sieve of G is a cover of J, so a failure on G is a
+failing cover: the witness is the first failing sieve of G, and a cap
+message is that of the search on G that tripped.  For a J that is not a
+topology, the same decision is D's over the topology its least covers
+generate.
 """
 
-import functools
 import weakref
 
 from . import caps as _caps
@@ -530,54 +533,42 @@ def _glues_at(D, R, plan, cmp, caps) -> Check:
 
 def _descent(D: IndexedCat, J: Topology, caps, gluing: bool) -> Check:
     """Whether the comparison is fully faithful (and, with `gluing`,
-    essentially surjective) over every cover of J; if not, the first failure
-    of the canonical loop.
+    essentially surjective) over every sieve of `least_cover_pullbacks(J)`;
+    if not, the first failure.
 
-    Decided first on `least_cover_pullbacks(J)`.  On a failure or a cap there,
-    the canonical loop runs: full faithfulness on every cover, objects and
-    covers in stable order, then gluing on every cover in the same order.
-    Each check runs once per sieve: one that finished on the reduced set is
-    the same computation under the same caps, so its result is reused."""
-
-    @functools.cache
-    def plan(R):
-        return _Plan(D, R)
-
-    @functools.cache
-    def ff_at(R):
-        return _ff_at(D, R, plan(R), caps)
-
-    @functools.cache
-    def glues_at(R):
-        return _glues_at(D, R, plan(R), ff_at(R)[1], caps)
-
-    holds = Check(True, "stack" if gluing else "prestack")
-    try:
-        if all(ff_at(R)[0] and (not gluing or glues_at(R))
-               for R in least_cover_pullbacks(J)):
-            return holds
-    except _caps.CapExceeded:
-        pass
-
-    covers = [R for X in D.base.objects for R in J.covers_of(X)]
-    for R in covers:
-        c = ff_at(R)[0]
+    Full faithfulness runs on every sieve first, in that order; gluing then
+    runs on the same sieves in the same order, on each sieve's plan and
+    comparison data.  A cap on any of them propagates."""
+    done = []
+    for R in least_cover_pullbacks(J):
+        plan = _Plan(D, R)
+        c, cmp = _ff_at(D, R, plan, caps)
         if not c:
             return c
+        done.append((R, plan, cmp))
     if gluing:
-        for R in covers:
-            c = glues_at(R)
+        for R, plan, cmp in done:
+            c = _glues_at(D, R, plan, cmp, caps)
             if not c:
                 return c
-    return holds
+    return Check(True, "stack" if gluing else "prestack")
 
 
 def is_prestack(D: IndexedCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> Check:
-    """Comparison fully faithful for every covering sieve."""
+    """Comparison fully faithful for every covering sieve of J, a
+    Grothendieck topology.  For any other listed J, this decides D over the
+    topology generated by the least covers, `saturate(c, {x: [∩
+    J.covers[x]]})`.  A failure names the first sieve of
+    `least_cover_pullbacks(J)` on which it fails."""
     return _descent(D, J, caps, False)
 
 
 def is_stack(D: IndexedCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> Check:
-    """Comparison an equivalence for every covering sieve: fully faithful and
-    every descent datum isomorphic to a restriction."""
+    """Comparison an equivalence for every covering sieve of J, a
+    Grothendieck topology: fully faithful and every descent datum isomorphic
+    to a restriction.  For any other listed J, this decides D over the
+    topology generated by the least covers, `saturate(c, {x: [∩
+    J.covers[x]]})`.  A failure names the first sieve of
+    `least_cover_pullbacks(J)` on which full faithfulness fails or, if it
+    holds on all of them, the first on which gluing fails."""
     return _descent(D, J, caps, True)

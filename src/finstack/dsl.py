@@ -62,6 +62,7 @@ import hashlib
 import json
 import re
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import caps as _caps
@@ -796,28 +797,29 @@ class _Elab:
         for a, b in edges:
             if a != b:
                 adj.setdefault(a, []).append(b)
+        adj = {a: stable_sorted(bs) for a, bs in adj.items()}
         words = {}
-        for m in [("le", a, b) for a in seen_obj for b in seen_obj]:
-            if m not in c.mor:
-                continue
-            _, a, b = m
-            if a == b:
-                words[m] = ()
-                continue
+        for a in seen_obj:
+            # One breadth-first search from a, over the edges in stable
+            # order, finds the word of every relation a <= b.
             prev = {a: None}
-            queue = [a]
-            while queue and b not in prev:
-                cur = queue.pop(0)
-                for nxt in stable_sorted(adj.get(cur, ())):
+            queue = deque([a])
+            while queue:
+                cur = queue.popleft()
+                for nxt in adj.get(cur, ()):
                     if nxt not in prev:
                         prev[nxt] = cur
                         queue.append(nxt)
-            path = []
-            node = b
-            while prev[node] is not None:
-                path.append(("le", prev[node], node))
-                node = prev[node]
-            words[m] = tuple(path)
+            for b in seen_obj:
+                m = ("le", a, b)
+                if m not in c.mor:
+                    continue
+                path = []
+                node = b
+                while prev[node] is not None:
+                    path.append(("le", prev[node], node))
+                    node = prev[node]
+                words[m] = tuple(path)
         if self.declare(block, "category", c):
             self.env.gens[block.name] = words
             self.env.aliases[block.name] = {}

@@ -373,10 +373,11 @@ def least_cover_pullbacks(J: Topology):
     intersection of the covers of x, for every x that has covers.
 
     Objects and arrows come in stable order; a sieve repeated on the same y
-    is kept once, and sieves containing id_y are left out.  When the sieves
-    on whose every pullback a property holds form a topology, as they do for
-    descent (see `descent`), a property that holds on all of these holds on
-    every cover of J, because every cover of x contains M_x."""
+    is kept once, and sieves containing id_y are left out.  For a topology
+    J, each sieve returned is a cover of J.  When the sieves on whose every
+    pullback a property holds form a topology, as they do for descent (see
+    `descent`), a property that holds on all of these holds on every cover
+    of J, because every cover of x contains M_x."""
     c = J.base
     bits = _Bits(c)
     seen, out = set(), []

@@ -1,6 +1,7 @@
 """Site-description language: parsing, elaboration, interchange."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,9 @@ from finstack import (
     validate_topology,
 )
 from finstack.dsl import _dec, _text, digest_text
+from finstack.util import stable_sorted
+
+import sitegen
 
 DATA = Path(__file__).parent / "data"
 
@@ -108,6 +112,72 @@ def test_poset_sugar_gives_arrow_category():
 def test_poset_transitive_closure():
     env = elab("poset P { a <= b; b <= c; }")
     assert ("le", "a", "c") in env.cats["P"].mor
+
+
+def ref_poset_words(block, c):
+    """One breadth-first search per related pair, over the declared edges
+    sorted again at every visit: the word table as it was first built."""
+    edges = [e.data for e in block.entries]
+    seen = list(dict.fromkeys(x for edge in edges for x in edge))
+    adj = {}
+    for a, b in edges:
+        if a != b:
+            adj.setdefault(a, []).append(b)
+    words = {}
+    for a in seen:
+        for b in seen:
+            m = ("le", a, b)
+            if m not in c.mor:
+                continue
+            prev = {a: None}
+            queue = [a]
+            while queue and b not in prev:
+                cur = queue.pop(0)
+                for nxt in stable_sorted(adj.get(cur, ())):
+                    if nxt not in prev:
+                        prev[nxt] = cur
+                        queue.append(nxt)
+            path = []
+            node = b
+            while prev[node] is not None:
+                path.append(("le", prev[node], node))
+                node = prev[node]
+            words[m] = tuple(path)
+    return words
+
+
+def _open_lattice_poset(seed):
+    """A seeded open lattice as a poset block: its covering relations and a
+    few transitive ones, declared in shuffled order."""
+    rng = random.Random(seed)
+    c, _, _ = sitegen.open_cover_site(rng, rng.randint(4, 16))
+    pairs = [(a, b) for a, b in c.mor.values() if a != b]
+    covering = [(a, b) for a, b in pairs
+                if not any((a, z) in pairs and (z, b) in pairs for z in c.objects)]
+    edges = covering + [p for p in pairs if p not in covering and rng.random() < 0.2]
+    rng.shuffle(edges)
+    return "poset P { " + " ".join(f"{a} <= {b};" for a, b in edges) + " }"
+
+
+POSET_TEXTS = (
+    [path.read_text() for path in sorted(DATA.glob("*.site"))]
+    + [_open_lattice_poset(seed) for seed in range(12)]
+)
+
+
+def test_poset_words_match_the_per_pair_search():
+    posets = 0
+    for text in POSET_TEXTS:
+        doc, diags = parse(text)
+        env = None if diags else elaborate(doc)[0]
+        if env is None:
+            continue
+        for block in doc.blocks:
+            if block.kind == "poset":
+                posets += 1
+                c = env.cats[block.name]
+                assert env.gens[block.name] == ref_poset_words(block, c)
+    assert posets == 14
 
 
 def test_category_closure_names_composites():
