@@ -36,8 +36,9 @@ one whose comparison functors are all equivalences.
 isomorphic to a given datum.  `is_stack` asks it of every datum, in fibre
 order, on one plan per sieve, which its fullness check shares; the
 factorization through the stackification unit (`stackify`) asks it of
-every pushed datum, in stable order.  Callers compute the comparison data
-once per object and cover and hand them in.
+every pushed datum over an object, in stable order, on one plan per object
+and cover.  Callers compute the comparison data once per object and cover
+and hand them in.
 
 `is_prestack` and `is_stack` take J to be a Grothendieck topology and
 decide on G = `least_cover_pullbacks(J)`: the pullbacks h*(M_x) of the
@@ -127,60 +128,6 @@ def coh_pairs(D: IndexedCat, R: Sieve):
         for g in base.into(base.dom(f)):
             out.append((f, g))
     return out
-
-
-def validate_datum(D: IndexedCat, R: Sieve, a: DescentDatum) -> list:
-    base = D.base
-    errs = []
-    fib_obs = {}
-    for f in R.members():
-        if f not in a.obj:
-            return [f"no object assigned at {fmt(f)}"]
-        y = base.dom(f)
-        if y not in fib_obs:
-            fib_obs[y] = set(D.fib[y].objects)
-        if a.obj[f] not in fib_obs[y]:
-            return [f"object at {fmt(f)} not in its fibre"]
-    pairs = coh_pairs(D, R)
-    for f in stable_sorted(a.obj.keys() - R.mors):
-        errs.append(f"object assigned at non-member {fmt(f)}")
-    for p in stable_sorted(a.coh.keys() - set(pairs)):
-        errs.append(f"coherence at non-pair {fmt(p)}")
-    for (f, g) in pairs:
-        y = base.dom(g)
-        fg = base.compose(f, g)
-        fib = D.fib[y]
-        m = a.coh.get((f, g))
-        want = (D.res[g].ob(a.obj[f]), a.obj[fg])
-        if m is None or m not in fib.mor or fib.mor[m] != want:
-            errs.append(f"coherence at ({fmt(f)},{fmt(g)}) malformed")
-        elif not fib.is_iso(m):
-            errs.append(f"coherence at ({fmt(f)},{fmt(g)}) not invertible")
-    if errs:
-        return errs
-
-    # Normalization: coh at an identity inverts the unitor.
-    for f in R.members():
-        y = base.dom(f)
-        u = D.unit(y, a.obj[f])
-        if a.coh[(f, base.ident[y])] != D.fib[y].inverse(u):
-            errs.append(f"normalization fails at {fmt(f)}")
-
-    # Cocycle: restricting a coherence and composing agrees with coherence
-    # along the composite, mediated by the compositor.
-    for f in R.members():
-        for g in base.into(base.dom(f)):
-            fg = base.compose(f, g)
-            for h in base.into(base.dom(g)):
-                fib = D.fib[base.dom(h)]
-                gh = base.compose(g, h)
-                lhs = fib.compose(a.coh[(f, gh)], D.gamma(g, h, a.obj[f]))
-                rhs = fib.compose(a.coh[(fg, h)], D.res[h].mo(a.coh[(f, g)]))
-                if lhs != rhs:
-                    errs.append(
-                        f"cocycle fails at ({fmt(f)},{fmt(g)},{fmt(h)})"
-                    )
-    return errs
 
 
 def enumerate_data(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT):
@@ -467,12 +414,15 @@ def push_mor(F: IndexedFun, comp):
     return {f: F.comp[base.dom(f)].mo(m) for f, m in comp.items()}
 
 
-def glue(D: IndexedCat, R: Sieve, cmp, a: DescentDatum,
-         caps: _caps.Caps = _caps.DEFAULT):
-    """The first (V, dm) among the (V, comparison datum of V) pairs `cmp`,
-    in the caller's order, with dm an invertible descent morphism from V's
-    comparison datum to `a`; None when `a` glues to none of them."""
-    return _glue(_Plan(D, R), cmp, a, caps)
+def glue(D: IndexedCat, R: Sieve, cmp, data, caps: _caps.Caps = _caps.DEFAULT):
+    """For each descent datum `a` of `data` in turn, the first (V, dm) among
+    the (V, comparison datum of V) pairs `cmp`, in the caller's order, with
+    dm an invertible descent morphism from V's comparison datum to `a`;
+    None when `a` glues to none of them.  One plan of (D, R) serves every
+    datum."""
+    plan = _Plan(D, R)
+    for a in data:
+        yield _glue(plan, cmp, a, caps)
 
 
 def _glue(plan, cmp, a, caps):

@@ -20,9 +20,13 @@ builds validated core values, and `serialize_blocks`/`load_interchange`
 convert elaborated values to and from a canonical JSON form with a sha256
 digest over the canonical bytes.
 
-The block kinds are listed once each.  `BLOCK_KINDS` holds the seven of the
-text format: the parser and the elaborator call the method named by the
-kind.  `_INTERCHANGE` holds the six of the JSON form (a poset is written as
+The block kinds are listed once each.  `BLOCK_KINDS` is the grammar of the
+text format: for each of its seven kinds, the header after the block name
+and the entries, as shapes of tokens or as the parser method that reads an
+irregular entry.  One `_Parser.block` reads every block through it, the
+reserved words and the parse hints are derived from it, and the elaborator
+resolves the blocks a header names before it calls `do_<kind>`.
+`_INTERCHANGE` holds the six kinds of the JSON form (a poset is written as
 a category, a coverage as a topology), each with the earlier blocks it
 refers to, its reader and its validator: the loader reads every block in
 one loop over it, and the writer calls the `_Writer` method named by the
@@ -92,19 +96,66 @@ from .util import fmt, stable_sorted
 
 FORMAT = "finstack/1"
 
-# The site language's block kinds, in the order the parse hint lists them.
-# `_Parser` reads a block with its method of the kind's name and `_Elab`
-# elaborates it with `do_<kind>`.
-BLOCK_KINDS = (
-    "category", "poset", "coverage", "functor", "presheaf", "indexed",
-    "fibration",
-)
+# A morphism reference in a shape: a generator name, a dotted composite
+# `g . f`, a poset pair `a <= b` or `id(x)`.
+MOR = "morphism reference"
 
-RESERVED = {
-    *BLOCK_KINDS, "objects", "morphisms", "compose", "on", "over", "fiber",
-    "restrict", "compositor", "unitor", "strict", "component", "cell",
-    "obj", "mor", "at", "id",
+# The site language's grammar, one item per block kind, in the order the
+# parse hint lists them.  A block is `kind name header { entries }`, and
+# each kind gives its header's shape and its entries.  A shape is a tuple of
+# MOR, of phrases such as "object name" (a name that is not reserved, which
+# messages call by the phrase) and of tokens read as they stand.  A kind's
+# entries map each keyword that starts one to the shape of its rest, read
+# as Entry(keyword, the values of its MOR and name items), or to the
+# `_Parser` method that reads it.  A kind without keywords names the one
+# method that reads each of its entries.  `_Elab` elaborates a block with
+# `do_<kind>`, given the blocks its header names.
+BLOCK_KINDS = {
+    "category": ((), {
+        "objects": "objects", "morphisms": "morphisms", "compose": "compose",
+    }),
+    "poset": ((), "relation"),
+    "coverage": (("on", "category name"), "cover"),
+    "functor": ((":", "category name", "->", "category name"), {
+        "obj": ("object name", "=", "object name", ";"),
+        "mor": (MOR, "=", MOR, ";"),
+    }),
+    "presheaf": (("over", "category name"), "section"),
+    "indexed": (("over", "category name"), {
+        "fiber": ("object name", "=", "category name", ";"),
+        "restrict": (MOR, "=", "functor name", ";"),
+        "compositor": ("(", MOR, ",", MOR, ")", "at", "fibre object name",
+                       "=", MOR, ";"),
+        "unitor": ("object name", "at", "fibre object name", "=", MOR, ";"),
+        "strict": (";",),
+    }),
+    "fibration": ((":", "indexed name", "->", "indexed name"), {
+        "component": ("object name", "=", "functor name", ";"),
+        "cell": (MOR, "at", "fibre object name", "=", MOR, ";"),
+    }),
 }
+
+
+def _reserved():
+    """The words the grammar spells: kinds, keywords, the words of shapes,
+    and `id` of `id(x)`."""
+    out = {"id", *BLOCK_KINDS}
+    for header, rules in BLOCK_KINDS.values():
+        shapes = [header]
+        if isinstance(rules, dict):
+            out.update(rules)
+            shapes += [r for r in rules.values() if isinstance(r, tuple)]
+        out.update(w for shape in shapes for w in shape if w.isalpha())
+    return out
+
+
+RESERVED = _reserved()
+
+
+def _expected(words):
+    """The hint that lists `words`: "expected a or b", "expected a, b, or c"."""
+    *rest, last = words
+    return f"expected {', '.join(rest)}{',' * (len(rest) > 1)} or {last}"
 
 
 @dataclass
@@ -212,24 +263,43 @@ class _Parser:
             self.fail(t, f"{t.val!r} is a keyword and cannot be used as a {what}")
         return t
 
-    def namelist(self, closer):
-        out = []
-        if self.peek().val != closer:
-            out.append(self.ident().val)
-            while self.peek().val == ",":
-                self.next()
-                out.append(self.ident().val)
+    def commas(self, item):
+        """item(), and item() again after each comma; the list of results."""
+        out = [item()]
+        while self.peek().val == ",":
+            self.next()
+            out.append(item())
         return out
+
+    def namelist(self, closer):
+        return [] if self.peek().val == closer else self.commas(
+            lambda: self.ident().val)
+
+    def read(self, shape):
+        """Read the tokens of `shape` (see BLOCK_KINDS); the values of its
+        MOR and name items, in order."""
+        out = []
+        for item in shape:
+            if item == MOR:
+                out.append(self.morref())
+            elif " " in item:
+                out.append(self.ident(item).val)
+            else:
+                self.expect(item)
+        return tuple(out)
+
+    def entry(self, kind, shape):
+        """An entry of `kind` read by `shape`, placed at its first token."""
+        t = self.peek()
+        return Entry(kind, self.read(shape), t.line, t.col)
 
     def morref(self):
         """name | name.name... | a <= b | id(x); returns a tagged tuple."""
         t = self.peek()
         if t.val == "id" and self.peek(1).val == "(":
             self.next()
-            self.next()
-            x = self.ident("object name")
-            self.expect(")")
-            return ("id", x.val)
+            x, = self.read(("(", "object name", ")"))
+            return ("id", x)
         first = self.ident("morphism name")
         if self.peek().val == "<=":
             self.next()
@@ -250,235 +320,85 @@ class _Parser:
     def block(self):
         t = self.next()
         if t.val not in BLOCK_KINDS:
-            self.fail(t, f"unknown block kind {t.val!r}",
-                      f"expected {', '.join(BLOCK_KINDS[:-1])}, or "
-                      f"{BLOCK_KINDS[-1]}")
-        return getattr(self, t.val)(t)
-
-    def category(self, t):
-        name = self.ident("category name").val
-        self.expect("{")
-        entries = []
-        while self.peek().val != "}":
-            h = self.next()
-            if h.val == "objects":
-                self.expect(":")
-                objs = self.namelist(";")
-                self.expect(";")
-                entries.append(Entry("objects", tuple(objs), h.line, h.col))
-            elif h.val == "morphisms":
-                self.expect(":")
-                while True:
-                    m = self.ident("morphism name")
-                    self.expect(":")
-                    a = self.ident("object name")
-                    self.expect("->")
-                    b = self.ident("object name")
-                    entries.append(Entry("gen", (m.val, a.val, b.val), m.line, m.col))
-                    if self.peek().val != ",":
-                        break
-                    self.next()
-                self.expect(";")
-            elif h.val == "compose":
-                self.expect(":")
-                lhs = self.morref()
-                if lhs[0] != "path" or len(lhs[1]) < 2:
-                    self.fail(h, "compose left side must be a dotted composite",
-                              "write compose: g . f = h;")
-                self.expect("=")
-                rhs = self.morref()
-                self.expect(";")
-                entries.append(Entry("rel", (lhs[1], rhs), h.line, h.col))
-            else:
-                self.fail(h, f"unknown category entry {h.val!r}",
-                          "expected objects, morphisms, or compose")
-        self.expect("}")
-        return Block("category", name, (), entries, t.line, t.col)
-
-    def poset(self, t):
-        name = self.ident("poset name").val
-        self.expect("{")
-        entries = []
-        while self.peek().val != "}":
-            a = self.ident("object name")
-            self.expect("<=")
-            b = self.ident("object name")
-            self.expect(";")
-            entries.append(Entry("le", (a.val, b.val), a.line, a.col))
-        self.expect("}")
-        return Block("poset", name, (), entries, t.line, t.col)
-
-    def coverage(self, t):
-        if self.peek().val == "on":
-            name = "J"
+            self.fail(t, f"unknown block kind {t.val!r}", _expected(BLOCK_KINDS))
+        header, rules = BLOCK_KINDS[t.val]
+        if t.val == "coverage" and self.peek().val == "on":
+            name = "J"  # a coverage's name may be left out
         else:
-            name = self.ident("coverage name").val
-        self.expect("on")
-        cat = self.ident("category name").val
+            name = self.ident(f"{t.val} name").val
+        refs = self.read(header)
         self.expect("{")
         entries = []
         while self.peek().val != "}":
-            x = self.ident("object name")
-            self.expect(":")
-            fams = []
-            while True:
-                self.expect("[")
-                fam = []
-                if self.peek().val != "]":
-                    fam.append(self.morref())
-                    while self.peek().val == ",":
-                        self.next()
-                        fam.append(self.morref())
-                self.expect("]")
-                fams.append(tuple(fam))
-                if self.peek().val != ",":
-                    break
+            h = self.peek()
+            rule = rules if isinstance(rules, str) else rules.get(h.val)
+            if rule is None:
+                self.fail(h, f"unknown {t.val} entry {h.val!r}", _expected(rules))
+            if isinstance(rule, str):
+                entries += getattr(self, rule)()
+            else:
                 self.next()
-            self.expect(";")
-            entries.append(Entry("cover", (x.val, tuple(fams)), x.line, x.col))
+                entries.append(Entry(h.val, self.read(rule), h.line, h.col))
         self.expect("}")
-        return Block("coverage", name, (cat,), entries, t.line, t.col)
+        return Block(t.val, name, refs, entries, t.line, t.col)
 
-    def functor(self, t):
-        name = self.ident("functor name").val
+    # Readers of the entries no shape fits.  Each reads one entry, its
+    # keyword too, and returns the entries it holds, placed at their first
+    # token.
+
+    def objects(self):
+        t = self.next()
         self.expect(":")
-        src = self.ident("category name").val
-        self.expect("->")
-        dst = self.ident("category name").val
-        self.expect("{")
-        entries = []
-        while self.peek().val != "}":
-            h = self.next()
-            if h.val == "obj":
-                a = self.ident("object name")
-                self.expect("=")
-                b = self.ident("object name")
-                self.expect(";")
-                entries.append(Entry("obj", (a.val, b.val), h.line, h.col))
-            elif h.val == "mor":
-                m = self.morref()
-                self.expect("=")
-                v = self.morref()
-                self.expect(";")
-                entries.append(Entry("mor", (m, v), h.line, h.col))
-            else:
-                self.fail(h, f"unknown functor entry {h.val!r}",
-                          "expected obj or mor")
-        self.expect("}")
-        return Block("functor", name, (src, dst), entries, t.line, t.col)
+        objs = self.namelist(";")
+        self.expect(";")
+        return [Entry("objects", tuple(objs), t.line, t.col)]
 
-    def presheaf(self, t):
-        name = self.ident("presheaf name").val
-        self.expect("over")
-        cat = self.ident("category name").val
-        self.expect("{")
-        entries = []
-        while self.peek().val != "}":
-            start = self.peek()
-            ref = self.morref()
-            if ref[0] == "path" and len(ref[1]) == 1 and self.peek().val == "=":
-                self.next()
-                self.expect("{")
-                els = self.namelist("}")
-                self.expect("}")
-                self.expect(";")
-                entries.append(Entry("els", (ref[1][0], tuple(els)),
-                                     start.line, start.col))
-            else:
-                self.expect(":", "element sets use X = {..}; actions use f: s -> t")
-                maps = []
-                while True:
-                    a = self.ident("element name")
-                    self.expect("->")
-                    b = self.ident("element name")
-                    maps.append((a.val, b.val))
-                    if self.peek().val != ",":
-                        break
-                    self.next()
-                self.expect(";")
-                entries.append(Entry("act", (ref, tuple(maps)), start.line, start.col))
-        self.expect("}")
-        return Block("presheaf", name, (cat,), entries, t.line, t.col)
-
-    def indexed(self, t):
-        name = self.ident("indexed name").val
-        self.expect("over")
-        cat = self.ident("category name").val
-        self.expect("{")
-        entries = []
-        while self.peek().val != "}":
-            h = self.next()
-            if h.val == "fiber":
-                x = self.ident("object name")
-                self.expect("=")
-                c = self.ident("category name")
-                self.expect(";")
-                entries.append(Entry("fiber", (x.val, c.val), h.line, h.col))
-            elif h.val == "restrict":
-                m = self.morref()
-                self.expect("=")
-                f = self.ident("functor name")
-                self.expect(";")
-                entries.append(Entry("restrict", (m, f.val), h.line, h.col))
-            elif h.val == "compositor":
-                self.expect("(")
-                g = self.morref()
-                self.expect(",")
-                f2 = self.morref()
-                self.expect(")")
-                self.expect("at")
-                v = self.ident("fibre object name")
-                self.expect("=")
-                m = self.morref()
-                self.expect(";")
-                entries.append(Entry("compositor", (g, f2, v.val, m), h.line, h.col))
-            elif h.val == "unitor":
-                x = self.ident("object name")
-                self.expect("at")
-                v = self.ident("fibre object name")
-                self.expect("=")
-                m = self.morref()
-                self.expect(";")
-                entries.append(Entry("unitor", (x.val, v.val, m), h.line, h.col))
-            elif h.val == "strict":
-                self.expect(";")
-                entries.append(Entry("strict", (), h.line, h.col))
-            else:
-                self.fail(h, f"unknown indexed entry {h.val!r}",
-                          "expected fiber, restrict, compositor, unitor, or strict")
-        self.expect("}")
-        return Block("indexed", name, (cat,), entries, t.line, t.col)
-
-    def fibration(self, t):
-        name = self.ident("fibration name").val
+    def morphisms(self):
+        self.next()
         self.expect(":")
-        src = self.ident("indexed name").val
-        self.expect("->")
-        dst = self.ident("indexed name").val
-        self.expect("{")
-        entries = []
-        while self.peek().val != "}":
-            h = self.next()
-            if h.val == "component":
-                x = self.ident("object name")
-                self.expect("=")
-                f = self.ident("functor name")
-                self.expect(";")
-                entries.append(Entry("component", (x.val, f.val), h.line, h.col))
-            elif h.val == "cell":
-                y = self.morref()
-                self.expect("at")
-                v = self.ident("fibre object name")
-                self.expect("=")
-                m = self.morref()
-                self.expect(";")
-                entries.append(Entry("cell", (y, v.val, m), h.line, h.col))
-            else:
-                self.fail(h, f"unknown fibration entry {h.val!r}",
-                          "expected component or cell")
-        self.expect("}")
-        return Block("fibration", name, (src, dst), entries, t.line, t.col)
+        out = self.commas(lambda: self.entry(
+            "gen", ("morphism name", ":", "object name", "->", "object name")))
+        self.expect(";")
+        return out
 
+    def compose(self):
+        t = self.next()
+        self.expect(":")
+        lhs = self.morref()
+        if lhs[0] != "path" or len(lhs[1]) < 2:
+            self.fail(t, "compose left side must be a dotted composite",
+                      "write compose: g . f = h;")
+        rhs, = self.read(("=", MOR, ";"))
+        return [Entry("rel", (lhs[1], rhs), t.line, t.col)]
+
+    def relation(self):
+        return [self.entry("le", ("object name", "<=", "object name", ";"))]
+
+    def cover(self):
+        t = self.peek()
+        x, = self.read(("object name", ":"))
+        fams = self.commas(self.family)
+        self.expect(";")
+        return [Entry("cover", (x, tuple(fams)), t.line, t.col)]
+
+    def family(self):
+        self.expect("[")
+        fam = [] if self.peek().val == "]" else self.commas(self.morref)
+        self.expect("]")
+        return tuple(fam)
+
+    def section(self):
+        t = self.peek()
+        ref = self.morref()
+        if ref[0] == "path" and len(ref[1]) == 1 and self.peek().val == "=":
+            self.read(("=", "{"))
+            els = self.namelist("}")
+            self.read(("}", ";"))
+            return [Entry("els", (ref[1][0], tuple(els)), t.line, t.col)]
+        self.expect(":", "element sets use X = {..}; actions use f: s -> t")
+        maps = self.commas(lambda: self.read(("element name", "->", "element name")))
+        self.expect(";")
+        return [Entry("act", (ref, tuple(maps)), t.line, t.col)]
 
 def parse(text):
     """Parse DSL text; returns (SiteDoc or None, diagnostics)."""
@@ -824,11 +744,8 @@ class _Elab:
             self.env.gens[block.name] = words
             self.env.aliases[block.name] = {}
 
-    def do_coverage(self, block):
+    def do_coverage(self, block, cat):
         catname = block.refs[0]
-        cat = self.lookup(self.env.cats, catname, "category", block.line, block.col)
-        if cat is None:
-            return
         coverage = {}
         bad = False
         for e in block.entries:
@@ -895,12 +812,8 @@ class _Elab:
             out[m] = so_far
         return out
 
-    def do_functor(self, block):
+    def do_functor(self, block, src, dst):
         srcname, dstname = block.refs
-        src = self.lookup(self.env.cats, srcname, "category", block.line, block.col)
-        dst = self.lookup(self.env.cats, dstname, "category", block.line, block.col)
-        if src is None or dst is None:
-            return
         omap = {}
         given = {}
         bad = False
@@ -944,11 +857,8 @@ class _Elab:
         self.env.add_findings("functor", block.name, block.refs, f.validate)
         self.declare(block, "functor", f)
 
-    def do_presheaf(self, block):
+    def do_presheaf(self, block, cat):
         catname = block.refs[0]
-        cat = self.lookup(self.env.cats, catname, "category", block.line, block.col)
-        if cat is None:
-            return
         els = {}
         given = {}
         bad = False
@@ -1012,11 +922,8 @@ class _Elab:
                               lambda: validate_presheaf(p))
         self.declare(block, "presheaf", p)
 
-    def do_indexed(self, block):
+    def do_indexed(self, block, cat):
         catname = block.refs[0]
-        cat = self.lookup(self.env.cats, catname, "category", block.line, block.col)
-        if cat is None:
-            return
         fib = {}
         given_res = {}
         comp_entries = []
@@ -1181,14 +1088,8 @@ class _Elab:
                               lambda: validate_indexed(d, self.caps))
         self.declare(block, "indexed", d)
 
-    def do_fibration(self, block):
+    def do_fibration(self, block, src, dst):
         srcname, dstname = block.refs
-        src = self.lookup(self.env.indexed, srcname, "indexed category",
-                          block.line, block.col)
-        dst = self.lookup(self.env.indexed, dstname, "indexed category",
-                          block.line, block.col)
-        if src is None or dst is None:
-            return
         if src.base != dst.base:
             self.err(block.line, block.col,
                      f"{srcname!r} and {dstname!r} live over different bases")
@@ -1267,10 +1168,23 @@ class _Elab:
                               lambda: validate_indexed_fun(p))
         self.declare(block, "fibration", p)
 
+    # The blocks a header's names refer to: their kind, and what messages
+    # call them.  Every name in a header is one of these.
+    REFERENTS = {"category name": ("category", "category"),
+                 "indexed name": ("indexed", "indexed category")}
+
     def run(self, doc):
         for block in doc.blocks:
             before = len(self.diags)
-            getattr(self, "do_" + block.kind)(block)
+            header = BLOCK_KINDS[block.kind][0]
+            found = []
+            for phrase, ref in zip([w for w in header if w in self.REFERENTS],
+                                   block.refs):
+                kind, what = self.REFERENTS[phrase]
+                found.append(self.lookup(self.env.kinds_of(kind), ref, what,
+                                         block.line, block.col))
+            if all(x is not None for x in found):
+                getattr(self, "do_" + block.kind)(block, *found)
             if len(self.diags) > before and len(self.diags) > 20:
                 break
         return self.env, self.diags

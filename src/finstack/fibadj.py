@@ -563,14 +563,18 @@ def validate_fib_mor(fm: FibMor) -> list:
             if not fd.is_iso(c):
                 out.append(f"comparison not invertible at {fmt(X)}, {fmt(V)}")
     for X in DD.base.objects:
-        p1, p2 = fm.src.p.comp[X], fm.dst.p.comp[X]
+        cart = cartesian_arrows(fm.src.p.comp[X])
+        p2, FX = fm.dst.p.comp[X], fm.F.comp[X]
+        kept = {}  # each image tested once: is it p2-cartesian?
         for m in fm.src.p.D.fib[X].mor:
-            if is_cartesian_over(p1, m) and not is_cartesian_over(
-                p2, fm.F.comp[X].mo(m)
-            ):
-                out.append(
-                    f"cartesian arrow {fmt(m)} at {fmt(X)} not preserved"
-                )
+            if m in cart:
+                n = FX.mo(m)
+                if n not in kept:
+                    kept[n] = is_cartesian_over(p2, n)
+                if not kept[n]:
+                    out.append(
+                        f"cartesian arrow {fmt(m)} at {fmt(X)} not preserved"
+                    )
     return out
 
 

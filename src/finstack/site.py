@@ -90,10 +90,6 @@ def _first_escape(c: FinCat, mors) -> str:
                 return f"not closed: {fmt(f)} ∘ {fmt(g)} escapes the sieve"
 
 
-def maximal_sieve(c: FinCat, x) -> Sieve:
-    return Sieve(x, frozenset(c.into(x)), c)
-
-
 def generate_sieve(c: FinCat, x, gens) -> Sieve:
     """Smallest sieve on x containing the given morphisms into x."""
     gens = list(gens)
@@ -105,23 +101,6 @@ def generate_sieve(c: FinCat, x, gens) -> Sieve:
         for g in c.into(c.dom(f)):
             mors.add(c.compose(f, g))
     return Sieve(x, frozenset(mors), c)
-
-
-def pullback_sieve(s: Sieve, h) -> Sieve:
-    """h*(s) for h : y -> target(s): all g into y with h∘g a member."""
-    c = s.base
-    if c.cod(h) != s.target:
-        raise SiteError(f"{fmt(h)} does not end at {fmt(s.target)}")
-    bits = _Bits(c)
-    y = c.dom(h)
-    p = _pull(bits.arrows(s.target)[h][2], bits.mask(s.target, s.mors))
-    return Sieve(y, bits.members(y, p), c)
-
-
-def intersect_sieves(a: Sieve, b: Sieve) -> Sieve:
-    if a.target != b.target:
-        raise SiteError("sieves on different objects cannot intersect")
-    return Sieve(a.target, a.mors & b.mors, a.base)
 
 
 class _Bits:

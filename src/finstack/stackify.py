@@ -186,8 +186,9 @@ def _factor_once(phi: IndexedFun, pres: PlusResult, caps) -> tuple:
         fx = F.fib[X]
         cmp = [(V, comparison_datum(F, M, V)) for V in fx.objects]
         omap = {}
-        for a in Dp.fib[X].objects:
-            hit = glue(F, M, cmp, push_datum(phi, M, a), caps)
+        objs = Dp.fib[X].objects
+        pushed = (push_datum(phi, M, a) for a in objs)
+        for a, hit in zip(objs, glue(F, M, cmp, pushed, caps)):
             if hit is None:
                 raise InternalError(
                     f"descent datum over {fmt(X)} does not glue in a category "

@@ -23,6 +23,10 @@ share, and `desc_cat_outcome` runs either under given caps.
 `is_indexed_iso` and `discrete_stackify_witness` compare the categorical
 pipeline with the set-level sheafification on discrete embeddings.
 
+`pullback_sieve` and `validate_datum` are the library's as they were
+before it stopped shipping them: the pullback of a sieve by its formula,
+and the findings of a descent datum.
+
 `ref_validate_fincat` is `validate_fincat` as it was before it numbered the
 ids: every check looks ids up by value.
 
@@ -47,6 +51,7 @@ from finstack import (
     IndexedNat,
     InternalError,
     NatTrans,
+    Sieve,
     compose_functors,
     compose_indexed_funs,
     desc_cat,
@@ -60,6 +65,7 @@ from finstack import (
     validate_indexed_nat,
 )
 from finstack.caps import Budget
+from finstack.descent import coh_pairs
 from finstack.util import fmt, stable_sorted
 
 
@@ -371,6 +377,69 @@ def discrete_stackify_witness(P, J, caps=Caps()):
 
 
 # -- validate_fincat before it numbered the ids --------------------------------
+
+
+def pullback_sieve(s, h):
+    """h*(s), by the formula {g into dom(h) : h∘g in s}."""
+    c = s.base
+    y = c.dom(h)
+    return Sieve(y, frozenset(g for g in c.into(y) if c.compose(h, g) in s.mors), c)
+
+
+def validate_datum(D, R, a):
+    """The findings of descent datum a over sieve R of D: members and
+    coherences where they belong, then normalization and the cocycle."""
+    base = D.base
+    errs = []
+    fib_obs = {}
+    for f in R.members():
+        if f not in a.obj:
+            return [f"no object assigned at {fmt(f)}"]
+        y = base.dom(f)
+        if y not in fib_obs:
+            fib_obs[y] = set(D.fib[y].objects)
+        if a.obj[f] not in fib_obs[y]:
+            return [f"object at {fmt(f)} not in its fibre"]
+    pairs = coh_pairs(D, R)
+    for f in stable_sorted(a.obj.keys() - R.mors):
+        errs.append(f"object assigned at non-member {fmt(f)}")
+    for p in stable_sorted(a.coh.keys() - set(pairs)):
+        errs.append(f"coherence at non-pair {fmt(p)}")
+    for (f, g) in pairs:
+        y = base.dom(g)
+        fg = base.compose(f, g)
+        fib = D.fib[y]
+        m = a.coh.get((f, g))
+        want = (D.res[g].ob(a.obj[f]), a.obj[fg])
+        if m is None or m not in fib.mor or fib.mor[m] != want:
+            errs.append(f"coherence at ({fmt(f)},{fmt(g)}) malformed")
+        elif not fib.is_iso(m):
+            errs.append(f"coherence at ({fmt(f)},{fmt(g)}) not invertible")
+    if errs:
+        return errs
+
+    # Normalization: coh at an identity inverts the unitor.
+    for f in R.members():
+        y = base.dom(f)
+        u = D.unit(y, a.obj[f])
+        if a.coh[(f, base.ident[y])] != D.fib[y].inverse(u):
+            errs.append(f"normalization fails at {fmt(f)}")
+
+    # Cocycle: restricting a coherence and composing agrees with coherence
+    # along the composite, mediated by the compositor.
+    for f in R.members():
+        for g in base.into(base.dom(f)):
+            fg = base.compose(f, g)
+            for h in base.into(base.dom(g)):
+                fib = D.fib[base.dom(h)]
+                gh = base.compose(g, h)
+                lhs = fib.compose(a.coh[(f, gh)], D.gamma(g, h, a.obj[f]))
+                rhs = fib.compose(a.coh[(fg, h)], D.res[h].mo(a.coh[(f, g)]))
+                if lhs != rhs:
+                    errs.append(
+                        f"cocycle fails at ({fmt(f)},{fmt(g)},{fmt(h)})"
+                    )
+    return errs
 
 
 def ref_validate_fincat(c, caps=Caps()):

@@ -11,6 +11,7 @@ from finstack import (
     Caps,
     CapExceeded,
     DescentDatum,
+    Sieve,
     comparison,
     comparison_datum,
     desc_cat,
@@ -21,16 +22,15 @@ from finstack import (
     is_equivalence,
     is_prestack,
     is_stack,
-    maximal_sieve,
     minimal_cover,
     push_datum,
     restrict_datum,
     saturate,
-    validate_datum,
     validate_fincat,
 )
 
 import corpus
+from oracles import validate_datum
 
 
 def test_enumerate_data_span_counts_matching_pairs():
@@ -94,7 +94,7 @@ def test_comparison_functor_validates():
 def test_comparison_over_maximal_sieve_is_equivalence():
     # Desc over the maximal sieve recovers the fibre, non-strict case included.
     D = corpus.twisted_z2_indexed()
-    R = maximal_sieve(D.base, "*")
+    R = Sieve("*", frozenset(D.base.into("*")), D.base)
     cat = desc_cat(D, R)
     assert validate_fincat(cat) == []
     F = comparison(D, R, cat)
@@ -190,7 +190,8 @@ def test_descent_cap():
 
 _BROKEN_DATA = """
 from finstack import DescentDatum, const_indexed, embed_discrete, enumerate_data
-from finstack import minimal_cover, validate_datum
+from finstack import minimal_cover
+from oracles import validate_datum
 import corpus
 
 c, J = corpus.patches_site()

@@ -19,7 +19,6 @@ from finstack import (
     embed_discrete,
     enumerate_data,
     identity_indexed_fun,
-    pullback_sieve,
     push_datum,
     restrict_datum,
     stackify,
@@ -29,6 +28,7 @@ from finstack.cli import main
 from finstack.dsl import _dec, _text, load_interchange
 
 import corpus
+from oracles import pullback_sieve
 
 DATA = Path(__file__).parent / "data"
 

@@ -58,9 +58,6 @@ def test_every_traced_name_is_bound_in_its_module():
     assert missing == []
 
 
-KEPT_API = {"validate_datum", "maximal_sieve", "pullback_sieve", "intersect_sieves"}
-
-
 class _Reads(ast.NodeVisitor):
     """Names read as variables or attributes, except a name read inside the
     definition that binds it."""
@@ -105,7 +102,7 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     traced = {name for names in spans.WRAPPED.values() for name in names}
-    assert sorted(exported - read - traced - KEPT_API) == []
+    assert sorted(exported - read - traced) == []
 
 
 def private_definitions(path):

@@ -2,8 +2,8 @@
 built from principal sieves and sieves became bitmasks: the sieve universe
 as the closed subsets among all 2^n subsets of the arrows into an object,
 sorted by `ckey`; saturation and validation as round-robin fixpoints that
-call `pullback_sieve` for every (sieve, morphism) on every round; pullbacks
-as the frozenset {g : h∘g ∈ S}; least covers as intersections of
+pull back every (sieve, morphism) on every round; pullbacks as the
+frozenset {g : h∘g ∈ S}; least covers as intersections of
 frozensets; covers ordered by `stable_sorted`.
 
 Runs on the corpus categories (the non-posets included), seeded random
@@ -19,17 +19,15 @@ from finstack import (
     CapExceeded,
     Caps,
     FinCat,
-    Sieve,
     Topology,
     poset_cat,
-    pullback_sieve,
     saturate,
     sieves_on,
     terminal_cat,
     validate_topology,
 )
 from finstack.cli import main
-from finstack.site import _Bits, least_cover_pullbacks, minimal_cover, slice_cat
+from finstack.site import _Bits, _pull, least_cover_pullbacks, minimal_cover, slice_cat
 from finstack.util import fmt, stable_sorted
 
 import corpus
@@ -59,9 +57,8 @@ def ref_saturate(c, coverage):
         changed = False
         for x in c.objects:
             for mors in list(covers[x]):
-                s = Sieve(x, mors, c)
                 for h in c.into(x):
-                    p = pullback_sieve(s, h).mors
+                    p = ref_pullback(c, mors, h)
                     if p not in covers[c.dom(h)]:
                         covers[c.dom(h)].add(p)
                         changed = True
@@ -69,9 +66,8 @@ def ref_saturate(c, coverage):
             for cand in universe[x]:
                 if cand in covers[x]:
                     continue
-                s = Sieve(x, cand, c)
                 for mors in covers[x]:
-                    if all(pullback_sieve(s, f).mors in covers[c.dom(f)]
+                    if all(ref_pullback(c, cand, f) in covers[c.dom(f)]
                            for f in mors):
                         covers[x].add(cand)
                         changed = True
@@ -89,9 +85,8 @@ def ref_validate_topology(J):
     for x in c.objects:
         unstable = []  # sorted per object, as covers are sets
         for mors in J.covers[x]:
-            s = Sieve(x, mors, c)
             for h in c.into(x):
-                if pullback_sieve(s, h).mors not in J.covers[c.dom(h)]:
+                if ref_pullback(c, mors, h) not in J.covers[c.dom(h)]:
                     unstable.append(
                         f"stability fails: pullback of a cover on {fmt(x)} "
                         f"along {fmt(h)} is not covering"
@@ -102,8 +97,7 @@ def ref_validate_topology(J):
         for cand in ref_sieves_on(c, x):
             if cand in J.covers[x]:
                 continue
-            s = Sieve(x, cand, c)
-            if any(all(pullback_sieve(s, f).mors in J.covers[c.dom(f)]
+            if any(all(ref_pullback(c, cand, f) in J.covers[c.dom(f)]
                        for f in mors) for mors in J.covers[x]):
                 errs.append(
                     f"transitivity fails: a sieve on {fmt(x)} is locally "
@@ -332,14 +326,14 @@ def test_least_covers_match_frozenset_intersections(sites):
             assert all(least <= s for s in J.covers[x])
 
 
-def test_pullback_sieve_matches_frozenset_formula(sites):
+def test_mask_pullback_matches_frozenset_formula(sites):
     for c, _, J in sites:
+        bits = _Bits(c)
         for x in c.objects:
             for s in J.covers_of(x):
-                for h in c.into(x):
-                    p = pullback_sieve(s, h)
-                    assert p.target == c.dom(h)
-                    assert p.mors == ref_pullback(c, s.mors, h)
+                for h, (y, _, table, _) in bits.arrows(x).items():
+                    p = _pull(table, bits.mask(x, s.mors))
+                    assert bits.members(y, p) == ref_pullback(c, s.mors, h)
 
 
 def test_masks_round_trip(sites):

