@@ -564,17 +564,12 @@ def validate_fib_mor(fm: FibMor) -> list:
                 out.append(f"comparison not invertible at {fmt(X)}, {fmt(V)}")
     for X in DD.base.objects:
         cart = cartesian_arrows(fm.src.p.comp[X])
-        p2, FX = fm.dst.p.comp[X], fm.F.comp[X]
-        kept = {}  # each image tested once: is it p2-cartesian?
+        p2 = fm.dst.p.comp[X]
         for m in fm.src.p.D.fib[X].mor:
-            if m in cart:
-                n = FX.mo(m)
-                if n not in kept:
-                    kept[n] = is_cartesian_over(p2, n)
-                if not kept[n]:
-                    out.append(
-                        f"cartesian arrow {fmt(m)} at {fmt(X)} not preserved"
-                    )
+            if m in cart and not is_cartesian_over(p2, fm.F.comp[X].mo(m)):
+                out.append(
+                    f"cartesian arrow {fmt(m)} at {fmt(X)} not preserved"
+                )
     return out
 
 

@@ -10,7 +10,6 @@ import finstack
 from finstack import (
     Caps,
     CapExceeded,
-    DescentDatum,
     Sieve,
     comparison,
     comparison_datum,
@@ -43,24 +42,6 @@ def test_enumerate_data_span_counts_matching_pairs():
     assert len(data) == 2  # |F(p)| * |F(q)| = 2 * 1
     for a in data:
         assert validate_datum(D, R, a) == []
-
-
-def test_validate_datum_rejects_keys_outside_the_sieve():
-    c, J = corpus.patches_site()
-    D, R = corpus.const_walking_iso(c), minimal_cover(J, "X")
-    a = enumerate_data(D, R)[0]
-    assert validate_datum(D, R, a) == []
-    bad = DescentDatum({**a.obj, "bogus": "x"}, {**a.coh, ("bogus", "x"): "idx"})
-    assert validate_datum(D, R, bad) == [
-        "object assigned at non-member bogus",
-        "coherence at non-pair (bogus,x)",
-    ]
-    # A coherence at a non-pair of members is reported too.
-    f = ("le", "p", "X")
-    odd = DescentDatum(a.obj, {**a.coh, (f, f): "idx"})
-    assert validate_datum(D, R, odd) == [
-        "coherence at non-pair ((le,p,X),(le,p,X))"
-    ]
 
 
 def test_enumerate_data_patches_respects_overlap():

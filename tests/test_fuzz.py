@@ -157,15 +157,22 @@ def _mutate_text(rng, text):
     return "\n".join(lines) + "\n"
 
 
-def test_mutated_site_text_keeps_exit_contract(tmp_path, capsys):
+def text_mutants():
+    """The `TEXT_DOCUMENTS` seeded text mutants, in order: each of the seven
+    `.site` files in turn, with one to three `_mutate_text` edits."""
     rng = random.Random(TEXT_SEED)
     sources = [p.read_text(encoding="utf-8") for p in SITES]
     assert len(sources) == 7
-    path = tmp_path / "mutant.site"
     for i in range(TEXT_DOCUMENTS):
         text = sources[i % len(sources)]
         for _ in range(rng.randint(1, 3)):
             text = _mutate_text(rng, text)
+        yield text
+
+
+def test_mutated_site_text_keeps_exit_contract(tmp_path, capsys):
+    path = tmp_path / "mutant.site"
+    for i, text in enumerate(text_mutants()):
         path.write_text(text, encoding="utf-8")
         for cmd in ("validate", "saturate"):
             argv = [cmd, str(path)]

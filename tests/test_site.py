@@ -26,7 +26,6 @@ from finstack import (
 import corpus
 import sitegen
 from corpus import le
-from oracles import pullback_sieve
 
 
 def test_sieves_on_arrow():
@@ -44,13 +43,10 @@ def test_validate_sieve():
     assert validate_sieve(Sieve("b", frozenset({"ida"}), c)) != []
 
 
-def test_generate_and_pullback():
+def test_generate_sieve():
     c = corpus.patches_cat()
     s = generate_sieve(c, "X", [le("p", "X"), le("q", "X")])
     assert s.mors == frozenset({le("p", "X"), le("q", "X"), le("r", "X")})
-    back = pullback_sieve(s, le("p", "X"))
-    assert back.target == "p"
-    assert back.mors == frozenset(c.into("p"))  # contains the identity
     with pytest.raises(SiteError):
         generate_sieve(c, "X", [le("r", "p")])
 

@@ -10,14 +10,13 @@ To record the golden again after a deliberate change of wording, run
 root."""
 
 import json
-import random
 from pathlib import Path
 
 from finstack.caps import CapExceeded
 from finstack.dsl import elaborate, parse
 from finstack.site import SiteError
 
-from test_fuzz import SITES, TEXT_DOCUMENTS, TEXT_SEED, _mutate_text
+from test_fuzz import TEXT_DOCUMENTS, text_mutants
 
 GOLDEN = Path(__file__).parent / "data" / "site_diagnostics.golden.json"
 
@@ -44,17 +43,8 @@ def _record(text):
 
 
 def records():
-    """The mutants in the order `test_fuzz.py` makes them, each with its
-    record."""
-    rng = random.Random(TEXT_SEED)
-    sources = [p.read_text(encoding="utf-8") for p in SITES]
-    out = []
-    for i in range(TEXT_DOCUMENTS):
-        text = sources[i % len(sources)]
-        for _ in range(rng.randint(1, 3)):
-            text = _mutate_text(rng, text)
-        out.append(_record(text))
-    return out
+    """The record of each mutant of `test_fuzz.text_mutants`, in order."""
+    return [_record(text) for text in text_mutants()]
 
 
 def test_site_diagnostics_match_golden():
