@@ -152,18 +152,11 @@ def enumerate_data(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT):
         if not base.is_id(g):
             jf, jfg = pos[f], pos[base.compose(f, g)]
             links.append(((jf, jfg), (g, jf, jfg)))
-    # Whether some iso D(g)(U) -> V exists, by (g, U, V): the same ends
-    # recur under many prefixes.
-    has_iso = {}
 
     def linked(link, a):
         g, jf, jfg = link
-        key = (g, a[jf], a[jfg])
-        if key not in has_iso:
-            fib = D.fib[base.dom(g)]
-            src = D.res[g].ob(a[jf])
-            has_iso[key] = fib.iso_between(src, a[jfg]) is not None
-        return has_iso[key]
+        fib = D.fib[base.dom(g)]
+        return fib.iso_between(D.res[g].ob(a[jf]), a[jfg]) is not None
 
     cocycles = []
     for f in members:

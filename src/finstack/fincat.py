@@ -410,32 +410,17 @@ def is_cartesian_over(F: Functor, m) -> bool:
     return True
 
 
-class NatTrans:
-    """Natural transformation F => G given by a component per source object."""
-
-    __slots__ = ("F", "G", "comp", "name")
-
-    def __init__(self, F, G, comp, name=""):
-        self.F = F
-        self.G = G
-        self.comp = dict(comp)
-        self.name = name
-
-
-def all_nat_trans(F: Functor, G: Functor, iso_only: bool = False,
-                  caps: _caps.Caps = _caps.DEFAULT):
-    """Yield every natural transformation F => G, choosing components in
-    object order by `caps.search`: the naturality square of d -> c reads
-    the components at d and c."""
+def all_nat_isos(F: Functor, G: Functor, caps: _caps.Caps = _caps.DEFAULT):
+    """Yield the components of every natural isomorphism F => G, choosing
+    them in object order by `caps.search`: the naturality square of
+    d -> c reads the components at d and c."""
     if F.src != G.src:
         return
     src, dst = F.src, F.dst
     objects = list(src.objects)
     pools = []
     for x in objects:
-        pool = list(dst.hom(F.omap[x], G.omap[x]))
-        if iso_only:
-            pool = [a for a in pool if dst.is_iso(a)]
+        pool = [a for a in dst.hom(F.omap[x], G.omap[x]) if dst.is_iso(a)]
         if not pool:
             return
         pools.append(pool)
@@ -447,7 +432,7 @@ def all_nat_trans(F: Functor, G: Functor, iso_only: bool = False,
         return dst.compose(a[c], F.mmap[m]) == dst.compose(G.mmap[m], a[d])
 
     for a in search(pools, squares, natural, Budget(caps)):
-        yield NatTrans(F, G, dict(zip(objects, a)))
+        yield dict(zip(objects, a))
 
 
 def is_fully_faithful(F: Functor) -> Check:

@@ -30,7 +30,7 @@ from .fincat import (
     FinCat,
     Functor,
     InternalError,
-    all_nat_trans,
+    all_nat_isos,
     compose_functors,
     discrete_cat,
     identity_functor,
@@ -433,8 +433,7 @@ def find_indexed_natiso(F: IndexedFun, G: IndexedFun, caps: _caps.Caps = _caps.D
     objs = base.objects
     cand = []
     for X in objs:
-        isos = all_nat_trans(F.comp[X], G.comp[X], iso_only=True, caps=caps)
-        cand.append([t.comp for t in isos])
+        cand.append(list(all_nat_isos(F.comp[X], G.comp[X], caps)))
         if not cand[-1]:
             return None
     at = {X: i for i, X in enumerate(objs)}

@@ -14,7 +14,12 @@ order.  For h : y -> x the gather table of h holds, for each g in
 bit of h∘g_j in S, and the image {h∘g : g ∈ T} is the union of the bits
 that T selects.  The numbering and the tables are built per call
 (`_Bits`) and dropped with it; nothing is cached on a `FinCat`.  Public
-functions take and return sieves as frozensets of morphism ids.
+functions take and return sieves as frozensets of morphism ids, and masks
+are made as they are read: `saturate` generates the sieve of a coverage
+family as the union of its generators' principal sieves, and
+`validate_topology` sets the bit of each member of a cover as it types it,
+then checks closure on the mask: a set S of arrows into x is a sieve when
+the principal sieve of each of its members lies inside S.
 
 The sieve universe on X is enumerated as unions of principal sieves: every
 sieve is the union of the principal sieves <f> = {f∘g} of its members, and
@@ -51,56 +56,8 @@ class Sieve:
     mors: frozenset
     base: FinCat = field(compare=False, hash=False, default=None, repr=False)
 
-    def __contains__(self, m):
-        return m in self.mors
-
     def members(self):
         return self.base.ordered(self.mors)
-
-
-def validate_sieve(s: Sieve) -> list:
-    """Violations of sieve-hood: membership typing and precomposition closure.
-
-    Members are scanned in set order, and sorted only when one is bad, so
-    the findings do not depend on the hash seed."""
-    c = s.base
-    errs = []
-    if s.target not in set(c.objects):
-        return [f"target {fmt(s.target)} not an object"]
-    for m in s.mors:
-        if m not in c.mor:
-            errs.append(f"member {fmt(m)} is not a morphism")
-        elif c.cod(m) != s.target:
-            errs.append(f"member {fmt(m)} does not end at {fmt(s.target)}")
-    if errs:
-        return sorted(errs)
-    for f in s.mors:
-        for g in c.into(c.dom(f)):
-            if c.compose(f, g) not in s.mors:
-                return [_first_escape(c, s.mors)]
-    return errs
-
-
-def _first_escape(c: FinCat, mors) -> str:
-    """The finding for the first member f, in stable order, and arrow g with
-    f∘g outside `mors`, a set of morphisms of c that is not a sieve."""
-    for f in c.ordered(mors):
-        for g in c.into(c.dom(f)):
-            if c.compose(f, g) not in mors:
-                return f"not closed: {fmt(f)} ∘ {fmt(g)} escapes the sieve"
-
-
-def generate_sieve(c: FinCat, x, gens) -> Sieve:
-    """Smallest sieve on x containing the given morphisms into x."""
-    gens = list(gens)
-    for f in gens:
-        if f not in c.mor or c.cod(f) != x:
-            raise SiteError(f"generator {fmt(f)} is not a morphism into {fmt(x)}")
-    mors = set()
-    for f in gens:
-        for g in c.into(c.dom(f)):
-            mors.add(c.compose(f, g))
-    return Sieve(x, frozenset(mors), c)
 
 
 class _Bits:
@@ -213,10 +170,27 @@ class Topology:
             for mors in sorted(self.covers.get(x, ()), key=self.base.set_key)
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, Topology):
-            return NotImplemented
-        return self.base == other.base and self.covers == other.covers
+
+def _cover_mask(bits: _Bits, x, mors):
+    """The mask of a cover on x and, when the cover is not a sieve of
+    arrows into x, its finding: the least typing finding by text, else the
+    first member f, in stable order, and arrow g with f∘g outside it."""
+    c, bit = bits.c, bits.bits(x)
+    s, typing = 0, []
+    for m in mors:
+        if m in bit:
+            s |= bit[m]
+        elif m in c.mor:
+            typing.append(f"member {fmt(m)} does not end at {fmt(x)}")
+        else:
+            typing.append(f"member {fmt(m)} is not a morphism")
+    if typing:
+        return s, min(typing)
+    for f, (y, b, t, p) in bits.arrows(x).items():
+        if s & b and p & ~s:
+            g = next(g for g, hb in zip(c.into(y), t) if not s & hb)
+            return s, f"not closed: {fmt(f)} ∘ {fmt(g)} escapes the sieve"
+    return s, None
 
 
 def validate_topology(J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> list:
@@ -236,15 +210,19 @@ def validate_topology(J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> list:
     if errs:
         return errs
 
+    bits = _Bits(c)
+    cov = {x: set() for x in c.objects}
     for x in c.objects:
-        bad = [validate_sieve(Sieve(x, mors, c)) for mors in J.covers[x]]
-        errs += sorted(f"cover on {fmt(x)} is not a sieve: {b[0]}" for b in bad if b)
+        bad = []
+        for mors in J.covers[x]:
+            s, finding = _cover_mask(bits, x, mors)
+            cov[x].add(s)
+            if finding:
+                bad.append(f"cover on {fmt(x)} is not a sieve: {finding}")
+        errs += sorted(bad)
     if errs:
         return errs
 
-    # Every cover is now a sieve of morphisms into its object, so it has a mask.
-    bits = _Bits(c)
-    cov = {x: {bits.mask(x, mors) for mors in J.covers[x]} for x in c.objects}
     for x in c.objects:
         if bits.full(x) not in cov[x]:
             errs.append(f"maximal sieve on {fmt(x)} is not covering")
@@ -301,8 +279,15 @@ def saturate(c: FinCat, coverage, caps: _caps.Caps = _caps.DEFAULT) -> Topology:
     for x, fams in coverage.items():
         if x not in obset:
             raise SiteError(f"coverage names unknown object {fmt(x)}")
+        arrows = bits.arrows(x)
         for fam in fams:
-            least[x] &= bits.mask(x, generate_sieve(c, x, fam).mors)
+            generated = 0
+            for f in fam:
+                if f not in arrows:
+                    raise SiteError(
+                        f"generator {fmt(f)} is not a morphism into {fmt(x)}")
+                generated |= arrows[f][3]
+            least[x] &= generated
 
     changed = True
     while changed:

@@ -9,8 +9,9 @@ on it, so an oracle shares no search code with the library it checks:
 
 - `ref_all_functors`: every functor, each object map of the full product
   searched for morphism maps;
-- `ref_all_nat_trans`: every natural transformation F => G, and
-  `nat_trans_findings`, the law check it is compared with by brute force;
+- `ref_all_nat_isos`: the components of every natural isomorphism
+  F => G, and `nat_trans_findings`, the law check it is compared with by
+  brute force;
 - `ref_all_indexed_funs`: every indexed functor D -> E, for the bounded
   uniqueness checks.
 
@@ -23,9 +24,11 @@ share, and `desc_cat_outcome` runs either under given caps.
 `is_indexed_iso` and `discrete_stackify_witness` compare the categorical
 pipeline with the set-level sheafification on discrete embeddings.
 
-`pullback_sieve` and `validate_datum` are the library's as they were
-before it stopped shipping them: the pullback of a sieve by its formula,
-and the findings of a descent datum.
+`pullback_sieve`, `generate_sieve`, `validate_sieve` and `validate_datum`
+are the library's as they were before it stopped shipping them: the
+pullback of a sieve by its formula, the sieve generated by a family and the
+findings of a set of arrows that should be a sieve, all on frozensets of
+ids, and the findings of a descent datum.
 
 `ref_validate_fincat` is `validate_fincat` as it was before it numbered the
 ids: every check looks ids up by value.
@@ -50,8 +53,8 @@ from finstack import (
     IndexedFun,
     IndexedNat,
     InternalError,
-    NatTrans,
     Sieve,
+    SiteError,
     compose_functors,
     compose_indexed_funs,
     desc_cat,
@@ -125,16 +128,16 @@ def ref_all_functors(src, dst, caps=Caps()):
             yield Functor(src, dst, dict(omap), dict(mmap))
 
 
-def nat_trans_findings(t):
-    """Violations of naturality for `t`, as strings: first the typing of
-    the components, then, if that holds, each naturality square."""
+def nat_trans_findings(F, G, comp):
+    """Violations of naturality for the components `comp` of F => G, as
+    strings: first the typing of the components, then, if that holds, each
+    naturality square."""
     errs = []
-    F, G = t.F, t.G
     dst = F.dst
     if F.src != G.src:
         return ["source functors disagree on domain"]
     for x in F.src.objects:
-        a = t.comp.get(x)
+        a = comp.get(x)
         if a is None:
             errs.append(f"no component at {fmt(x)}")
         elif a not in dst.mor or dst.mor[a] != (F.omap[x], G.omap[x]):
@@ -142,23 +145,21 @@ def nat_trans_findings(t):
     if errs:
         return errs
     for m, (d, c) in F.src.mor.items():
-        lhs = dst.compose(t.comp[c], F.mmap[m])
-        rhs = dst.compose(G.mmap[m], t.comp[d])
+        lhs = dst.compose(comp[c], F.mmap[m])
+        rhs = dst.compose(G.mmap[m], comp[d])
         if lhs != rhs:
             errs.append(f"naturality fails at {fmt(m)}")
     return errs
 
 
-def ref_all_nat_trans(F, G, iso_only=False, caps=Caps()):
+def ref_all_nat_isos(F, G, caps=Caps()):
     if F.src is not G.src and F.src != G.src:
         return
     src, dst = F.src, F.dst
     objects = list(src.objects)
     pools = []
     for x in objects:
-        pool = list(dst.hom(F.omap[x], G.omap[x]))
-        if iso_only:
-            pool = [a for a in pool if dst.is_iso(a)]
+        pool = [a for a in dst.hom(F.omap[x], G.omap[x]) if dst.is_iso(a)]
         if not pool:
             return
         pools.append(pool)
@@ -174,7 +175,7 @@ def ref_all_nat_trans(F, G, iso_only=False, caps=Caps()):
         )
 
     for a in ref_search(len(objects), lambda i, a: pools[i], fits, Budget(caps)):
-        yield NatTrans(F, G, dict(zip(objects, a)))
+        yield dict(zip(objects, a))
 
 
 def ref_all_indexed_funs(D, E, caps=Caps()):
@@ -194,7 +195,7 @@ def ref_all_indexed_funs(D, E, caps=Caps()):
         Y, X = base.mor[y]
         left = compose_functors(comp[Y], D.res[y])
         right = compose_functors(E.res[y], comp[X])
-        return (t.comp for t in ref_all_nat_trans(left, right, iso_only=True, caps=caps))
+        return ref_all_nat_isos(left, right, caps)
 
     def unit_ok(X, c):
         fx = E.fib[X]
@@ -376,7 +377,7 @@ def discrete_stackify_witness(P, J, caps=Caps()):
     return W, intertwine, sres, sheaf, unit
 
 
-# -- validate_fincat before it numbered the ids --------------------------------
+# -- sieves and descent data as the library had them ---------------------------
 
 
 def pullback_sieve(s, h):
@@ -384,6 +385,51 @@ def pullback_sieve(s, h):
     c = s.base
     y = c.dom(h)
     return Sieve(y, frozenset(g for g in c.into(y) if c.compose(h, g) in s.mors), c)
+
+
+def generate_sieve(c, x, gens):
+    """Smallest sieve on x containing the given morphisms into x."""
+    gens = list(gens)
+    for f in gens:
+        if f not in c.mor or c.cod(f) != x:
+            raise SiteError(f"generator {fmt(f)} is not a morphism into {fmt(x)}")
+    mors = set()
+    for f in gens:
+        for g in c.into(c.dom(f)):
+            mors.add(c.compose(f, g))
+    return Sieve(x, frozenset(mors), c)
+
+
+def validate_sieve(s):
+    """Violations of sieve-hood: membership typing and precomposition closure.
+
+    Members are scanned in set order, and sorted only when one is bad, so
+    the findings do not depend on the hash seed."""
+    c = s.base
+    errs = []
+    if s.target not in set(c.objects):
+        return [f"target {fmt(s.target)} not an object"]
+    for m in s.mors:
+        if m not in c.mor:
+            errs.append(f"member {fmt(m)} is not a morphism")
+        elif c.cod(m) != s.target:
+            errs.append(f"member {fmt(m)} does not end at {fmt(s.target)}")
+    if errs:
+        return sorted(errs)
+    for f in s.mors:
+        for g in c.into(c.dom(f)):
+            if c.compose(f, g) not in s.mors:
+                return [_first_escape(c, s.mors)]
+    return errs
+
+
+def _first_escape(c, mors):
+    """The finding for the first member f, in stable order, and arrow g with
+    f∘g outside `mors`, a set of morphisms of c that is not a sieve."""
+    for f in c.ordered(mors):
+        for g in c.into(c.dom(f)):
+            if c.compose(f, g) not in mors:
+                return f"not closed: {fmt(f)} ∘ {fmt(g)} escapes the sieve"
 
 
 def validate_datum(D, R, a):
@@ -440,6 +486,9 @@ def validate_datum(D, R, a):
                         f"cocycle fails at ({fmt(f)},{fmt(g)},{fmt(h)})"
                     )
     return errs
+
+
+# -- validate_fincat before it numbered the ids --------------------------------
 
 
 def ref_validate_fincat(c, caps=Caps()):

@@ -12,7 +12,6 @@ from finstack import (
     CapExceeded,
     FinCat,
     Functor,
-    NatTrans,
     compose_functors,
     discrete_cat,
     identity_functor,
@@ -25,7 +24,7 @@ from finstack import (
     terminal_cat,
     validate_fincat,
 )
-from finstack.fincat import all_nat_trans
+from finstack.fincat import all_nat_isos
 from finstack.indexed import path_composite
 from finstack.util import fmt
 
@@ -239,26 +238,25 @@ def test_compose_functors():
 
 def test_nat_trans_validation():
     w = corpus.walking_iso_cat()
-    t = NatTrans(identity_functor(w), identity_functor(w), {"x": "idx", "y": "idy"})
-    assert nat_trans_findings(t) == []
-    bad = NatTrans(identity_functor(w), identity_functor(w), {"x": "idx", "y": "f"})
-    assert nat_trans_findings(bad) != []
+    one = identity_functor(w)
+    assert nat_trans_findings(one, one, {"x": "idx", "y": "idy"}) == []
+    assert nat_trans_findings(one, one, {"x": "idx", "y": "f"}) != []
 
 
-def test_all_nat_trans_count():
+def test_all_nat_isos_count():
     # Id => Id on Z2 has components commuting with everything: both e and s do.
     z = corpus.z2_cat()
-    ts = list(all_nat_trans(identity_functor(z), identity_functor(z)))
+    ts = list(all_nat_isos(identity_functor(z), identity_functor(z)))
     assert len(ts) == 2
 
 
-def test_iso_only_nat_trans():
+def test_all_nat_isos_to_swap():
     w = corpus.walking_iso_cat()
     swap = Functor(w, w, {"x": "y", "y": "x"}, {"idx": "idy", "idy": "idx", "f": "g", "g": "f"})
     assert swap.validate() == []
-    iso = next(all_nat_trans(identity_functor(w), swap, iso_only=True))
-    assert nat_trans_findings(iso) == []
-    assert all(w.is_iso(a) for a in iso.comp.values())
+    iso = next(all_nat_isos(identity_functor(w), swap))
+    assert nat_trans_findings(identity_functor(w), swap, iso) == []
+    assert all(w.is_iso(a) for a in iso.values())
 
 
 def test_equivalence_predicates():

@@ -15,7 +15,6 @@ from finstack import (
     essential_fibre_cat,
     fiber_transport,
     fibre_inclusion,
-    generate_sieve,
     giraud_topology,
     grothendieck,
     is_equivalence,
@@ -31,6 +30,7 @@ from finstack import (
 
 import corpus
 import sitegen
+from oracles import generate_sieve
 
 
 def test_const_terminal_total_is_base():

@@ -11,10 +11,9 @@ module (`WRAPPED`); a name that a refactor drops would break only a traced
 benchmark run, which this suite does not make, so it is checked here.
 
 A name `finstack` re-exports must be read by the library outside its own
-definition, or by the benchmark, or be traced by it, or be one of the few
-library-level entry points kept with no caller of their own (`KEPT_API`).
-A search or cross-check that only tests call belongs with the tests
-(`tests/oracles.py`)."""
+definition, or by the benchmark, or be traced by it; there are no
+exceptions.  A search or cross-check that only tests call belongs with the
+tests (`tests/oracles.py`)."""
 
 import ast
 import importlib

@@ -39,7 +39,6 @@ from finstack import (
     embed_discrete,
     enumerate_data,
     essential_fibre_cat,
-    generate_sieve,
     grothendieck,
     identity_functor,
     identity_indexed_fun,
@@ -65,7 +64,7 @@ from finstack.util import fmt, stable_sorted
 
 import corpus
 import sitegen
-from oracles import pullback_sieve
+from oracles import generate_sieve, pullback_sieve
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from finstack import (
     as_fibration,
     desc_cat,
     embed_discrete,
-    generate_sieve,
     grothendieck,
     is_indexed_equivalence,
     is_stack,
@@ -51,7 +50,7 @@ from finstack.util import ckey, stable_sorted
 import corpus
 import oracles
 import sitegen
-from oracles import desc_cat_parity
+from oracles import desc_cat_parity, generate_sieve
 from test_reuse import CORPUS as FIBRATIONS, SLOW_4_2_II, _one_op
 
 DATA = Path(__file__).parent / "data"

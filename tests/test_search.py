@@ -4,7 +4,7 @@ run through them.
 `enumerate_data` is checked against the loop it used before its outer
 product was forward-checked: every member-object choice of the full product
 in turn, each searched for coherences.  Same results, same order, never more
-nodes.  `desc_hom`, `all_nat_trans`, `find_indexed_natiso` and
+nodes.  `desc_hom`, `all_nat_isos`, `find_indexed_natiso` and
 `matching_families` are checked against the schedules they filed themselves
 before the kernel kept it: same results, same order, same nodes.  Every
 reference runs on `oracles.ref_search`, a copy of the kernel of that time,
@@ -22,9 +22,8 @@ from finstack import (
     DescentDatum,
     FinCat,
     InternalError,
-    NatTrans,
     Sieve,
-    all_nat_trans,
+    all_nat_isos,
     const_indexed,
     desc_hom,
     discrete_cat,
@@ -51,7 +50,7 @@ from oracles import (
     nat_trans_findings,
     ref_all_functors,
     ref_all_indexed_funs,
-    ref_all_nat_trans,
+    ref_all_nat_isos,
     ref_search,
 )
 
@@ -161,18 +160,16 @@ def test_search_cap_trips_where_it_did(run, least):
         run(Caps(max_descent=least - 1))
 
 
-def _brute_nat_trans(F, G, iso_only):
+def _brute_nat_isos(F, G):
     dst = F.dst
     objects = list(F.src.objects)
-    pools = [
-        [a for a in dst.hom(F.omap[x], G.omap[x]) if not iso_only or dst.is_iso(a)]
-        for x in objects
-    ]
+    pools = [[a for a in dst.hom(F.omap[x], G.omap[x]) if dst.is_iso(a)]
+             for x in objects]
     out = []
     for combo in product(*pools):
-        t = NatTrans(F, G, dict(zip(objects, combo)))
-        if not nat_trans_findings(t):
-            out.append(t.comp)
+        comp = dict(zip(objects, combo))
+        if not nat_trans_findings(F, G, comp):
+            out.append(comp)
     return out
 
 
@@ -183,14 +180,12 @@ def _brute_nat_trans(F, G, iso_only):
     (corpus.parallel_pair_cat, corpus.arrow_cat),
     (corpus.span_cat, corpus.walking_iso_cat),
 ])
-def test_all_nat_trans_matches_brute_force(src, dst):
+def test_all_nat_isos_matches_brute_force(src, dst):
     c, k = src(), dst()
     functors = list(ref_all_functors(c, k))
     assert functors
     for F, G in product(functors, repeat=2):
-        for iso_only in (False, True):
-            got = [t.comp for t in all_nat_trans(F, G, iso_only)]
-            assert got == _brute_nat_trans(F, G, iso_only)
+        assert list(all_nat_isos(F, G)) == _brute_nat_isos(F, G)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +403,7 @@ def ref_find_indexed_natiso(F, G, caps=Caps()):
     objs = stable_sorted(base.objects)
     cand = []
     for X in objs:
-        isos = ref_all_nat_trans(F.comp[X], G.comp[X], iso_only=True, caps=caps)
-        cand.append([t.comp for t in isos])
+        cand.append(list(ref_all_nat_isos(F.comp[X], G.comp[X], caps)))
         if not cand[-1]:
             return None
     at = {X: i for i, X in enumerate(objs)}
@@ -482,19 +476,18 @@ def test_desc_cat_matches_the_pairwise_loop():
     assert tally["both finish"] > 3000 and tally["both trip"] > 1000
 
 
-def test_all_nat_trans_matches_its_schedule(spent):
+def test_all_nat_isos_matches_its_schedule(spent):
     compared = nonempty = 0
     for src, dst in product(FUNCTOR_CATS, repeat=2):
         functors = list(ref_all_functors(src(), dst()))[:6]
         for F, G in product(functors, repeat=2):
-            for iso_only in (False, True):
-                got, nodes = spent(all_nat_trans, F, G, iso_only)
-                want, ref_nodes = spent(ref_all_nat_trans, F, G, iso_only)
-                assert [t.comp for t in got] == [t.comp for t in want]
-                assert nodes == ref_nodes, (F.src.name, F.dst.name)
-                compared += 1
-                nonempty += bool(got)
-    assert compared > 1800 and nonempty > 900
+            got, nodes = spent(all_nat_isos, F, G)
+            want, ref_nodes = spent(ref_all_nat_isos, F, G)
+            assert got == want
+            assert nodes == ref_nodes, (F.src.name, F.dst.name)
+            compared += 1
+            nonempty += bool(got)
+    assert compared > 900 and nonempty > 350
 
 
 def _presheaves_and_sieves():

@@ -19,6 +19,8 @@ from finstack import (
     CapExceeded,
     Caps,
     FinCat,
+    Sieve,
+    SiteError,
     Topology,
     poset_cat,
     saturate,
@@ -32,6 +34,7 @@ from finstack.util import fmt, stable_sorted
 
 import corpus
 import sitegen
+from oracles import generate_sieve, validate_sieve
 from test_fuzz import DATA, _document
 
 
@@ -49,8 +52,7 @@ def ref_saturate(c, coverage):
     covers = {x: {frozenset(c.into(x))} for x in c.objects}
     for x, fams in coverage.items():
         for fam in fams:
-            covers[x].add(frozenset(
-                c.compose(f, g) for f in fam for g in c.into(c.dom(f))))
+            covers[x].add(generate_sieve(c, x, fam).mors)
     universe = {x: ref_sieves_on(c, x) for x in c.objects}
     changed = True
     while changed:
@@ -376,9 +378,10 @@ def test_sixteen_opens_match_the_references(lattice16):
 
 
 def test_validate_topology_reports_hostile_covers():
-    """A cover with an unknown morphism, a member into another object or a
-    missing composite is a finding of the typing phase; no mask is made of
-    it, and nothing is raised."""
+    """A cover with an unknown morphism or a member into another object is
+    a finding of the typing phase, and one that misses a composite is a
+    finding of the closure check on its mask; each is reported as the cover
+    is not a sieve, and nothing is raised."""
     c, J = corpus.patches_site()
     bad = {
         frozenset({("le", "p", "X"), ("le", "q", "X"), ("le", "r", "X"),
@@ -412,3 +415,82 @@ def test_validate_topology_matches_reference_without_maximal_sieves(sites):
             assert errs == ref_validate_topology(M)
             failing += any(e.startswith("transitivity") for e in errs)
     assert failing > 10
+
+
+def ref_sieve_findings(J):
+    """`validate_topology` as it was before it checked closure on masks:
+    each cover by `oracles.validate_sieve`, then the axioms."""
+    c = J.base
+    errs = []
+    for x in c.objects:
+        bad = [validate_sieve(Sieve(x, mors, c)) for mors in J.covers[x]]
+        errs += sorted(f"cover on {fmt(x)} is not a sieve: {b[0]}" for b in bad if b)
+    return errs or ref_validate_topology(J)
+
+
+def _random_covers(rng, c, x, sieves_only):
+    """One to three sets of arrows into x: sieves of x, or, unless
+    `sieves_only`, random subsets, some with one or two members that may
+    not be arrows into x."""
+    arrows = list(c.into(x))
+    out = {frozenset(arrows)} if rng.random() < 0.8 else set()
+    for _ in range(rng.randint(1, 3)):
+        if sieves_only or rng.random() < 0.4:
+            out.add(rng.choice(ref_sieves_on(c, x)))
+            continue
+        cover = {a for a in arrows if rng.random() < 0.5}
+        if rng.random() < 0.3:
+            cover.update(rng.choices([*c.mor, "nowhere", "elsewhere"],
+                                     k=rng.randint(1, 2)))
+        out.add(frozenset(cover))
+    return frozenset(out)
+
+
+def _random_coverage(rng, c):
+    """Families of arrows into random objects, one in eight generators
+    anywhere in c or unknown."""
+    coverage = {}
+    for x in rng.sample(c.objects, rng.randint(1, len(c.objects))):
+        arrows = list(c.into(x))
+        coverage[x] = [
+            [rng.choice(arrows) if rng.random() < 0.875
+             else rng.choice([*c.mor, "nowhere"])
+             for _ in range(rng.randint(0, 3))]
+            for _ in range(rng.randint(1, 2))]
+    return coverage
+
+
+def test_covers_and_coverages_match_the_frozenset_references():
+    """`validate_topology` on random cover sets and `saturate` on random
+    coverages, over the corpus categories, random posets and open lattices
+    of 4 to 8 opens: the same findings, covers and `SiteError` texts as
+    the frozenset references `oracles.validate_sieve` and
+    `oracles.generate_sieve` give."""
+    rng = random.Random(43)
+    cats = corpus_cats() + [sitegen.rand_poset(rng) for _ in range(10)]
+    cats += [sitegen.open_cover_site(rng, n)[0] for n in range(4, 9)]
+    tally = dict.fromkeys(("member", "not closed", "axiom", "valid",
+                           "error", "saturated"), 0)
+    for c in cats:
+        for k in range(30):
+            J = Topology(c, {x: _random_covers(rng, c, x, k % 3 == 0)
+                             for x in c.objects})
+            errs = validate_topology(J)
+            assert errs == ref_sieve_findings(J), c.name
+            first = errs[0] if errs else "valid"
+            tally[next((kind for kind in ("member", "not closed", "valid")
+                        if kind in first), "axiom")] += 1
+            coverage = _random_coverage(rng, c)
+            try:
+                want = ref_saturate(c, coverage)
+            except SiteError as e:
+                with pytest.raises(SiteError) as got:
+                    saturate(c, coverage)
+                assert str(got.value) == str(e), c.name
+                tally["error"] += 1
+            else:
+                assert saturate(c, coverage) == want, c.name
+                tally["saturated"] += 1
+    # 227 typing and 116 closure findings, 241 axiom findings and 106
+    # valid sets; 230 errors and 460 topologies.
+    assert min(tally.values()) > 100

@@ -11,15 +11,12 @@ from finstack import (
     Caps,
     CapExceeded,
     SiteError,
-    Sieve,
     Topology,
-    generate_sieve,
     minimal_cover,
     saturate,
     sieves_on,
     slice_cat,
     slice_site,
-    validate_sieve,
     validate_topology,
 )
 
@@ -35,20 +32,12 @@ def test_sieves_on_arrow():
     assert sieves_on(c, "a") == [frozenset(), frozenset({"ida"})]
 
 
-def test_validate_sieve():
-    c = corpus.arrow_cat()
-    assert validate_sieve(Sieve("b", frozenset({"i"}), c)) == []
-    bad = validate_sieve(Sieve("b", frozenset({"idb"}), c))
-    assert any("not closed" in e for e in bad)
-    assert validate_sieve(Sieve("b", frozenset({"ida"}), c)) != []
-
-
-def test_generate_sieve():
+def test_saturate_rejects_a_generator_not_into_its_object():
     c = corpus.patches_cat()
-    s = generate_sieve(c, "X", [le("p", "X"), le("q", "X")])
-    assert s.mors == frozenset({le("p", "X"), le("q", "X"), le("r", "X")})
-    with pytest.raises(SiteError):
-        generate_sieve(c, "X", [le("r", "p")])
+    for gen, text in ((le("r", "p"), "(le,r,p)"), ("nowhere", "nowhere")):
+        with pytest.raises(SiteError) as e:
+            saturate(c, {"X": [[le("p", "X"), gen]]})
+        assert str(e.value) == f"generator {text} is not a morphism into X"
 
 
 def test_saturate_arrow():
