@@ -23,11 +23,12 @@ objects, so they are found once per pair of member-object tuples, and a
 pair of data with an empty one is not searched.  Every other pair is
 searched on a budget of its own, in data × data order, so skipping a pair
 can only keep a cap from tripping, never make one trip earlier.  The
-category gets its stable order from the ranks of its parts in the fibres,
-and a morphism's id lists its components in the sieve's member order,
-which every caller of `mor_id` holds, so no datum's sorted form or `ckey`
-is computed: not for D⁺, and not for D⁺⁺, whose fibres are themselves
-descent categories ranked the same way.
+data come in fibre order and the morphisms by a, then b, then their
+components in hom order, which is the category's stable order, so it keeps
+the order they are listed in.  A morphism's id lists its components in
+the sieve's member order, which every caller of `mor_id` holds, so no
+datum's sorted form or `ckey` is computed: not for D⁺, and not for D⁺⁺,
+whose fibres are themselves descent categories built the same way.
 `comparison` is the canonical functor D(X) -> Desc(R, D).  A prestack is an
 indexed category whose comparison functors are all fully faithful, a stack
 one whose comparison functors are all equivalences.
@@ -60,7 +61,7 @@ generate.
 import weakref
 
 from . import caps as _caps
-from .fincat import Check, FinCat, Functor, InternalError
+from .fincat import Check, FinCat, Functor, InternalError, listed
 from .indexed import IndexedCat, IndexedFun
 from .site import Sieve, Topology, least_cover_pullbacks
 from .util import ckey, fmt, stable_sorted
@@ -276,8 +277,9 @@ def desc_cat(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT) -> FinCa
     (a, b) depend only on the member objects of a and b, so they are found
     once per pair of member-object tuples, and a pair with an empty one is
     not searched.  Every other pair is searched as `desc_hom` would, on a
-    budget of its own, in data × data order."""
-    base = D.base
+    budget of its own, in data × data order.  The ids come in stable order:
+    the data in fibre order, and `mor` by a, then b, then components in hom
+    order."""
     data = enumerate_data(D, R, caps)
     plan = _Plan(D, R)
     members, fibs = plan.members, plan.fibs
@@ -313,30 +315,9 @@ def desc_cat(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT) -> FinCa
             for fib, (f, g), (_, h) in zip(fibs, m2[2], m1[2])
         ))
 
-    # Stable order from the fibres' ranks.  The data share their members and
-    # coherence pairs, listed in `ckey` order, so `ckey` compares two data by
-    # the ranks of their member objects, then of their coherences; and two
-    # morphism ids (a, b, comps) by a, b, then the ranks of their components.
-    # A sieve is closed under precomposition, so every dom g is some dom f.
-    ys = {base.dom(f) for f in members}
-    ob_rank = {y: D.fib[y].object_ranks() for y in ys}
-    mor_rank = {y: D.fib[y].morphism_ranks() for y in ys}
-    obj_at = [(f, ob_rank[base.dom(f)]) for f in members]
-    coh_at = [(p, mor_rank[base.dom(p[1])]) for p in plan.pairs]
-    rank = {
-        a: i for i, a in enumerate(sorted(data, key=lambda a: (
-            [r[a.obj[f]] for f, r in obj_at], [r[a.coh[p]] for p, r in coh_at]
-        )))
-    }
-    comp_at = [mor_rank[base.dom(f)] for f in members]
-
-    def mor_key(mid):
-        return (rank[mid[0]], rank[mid[1]],
-                [r[m] for r, (_, m) in zip(comp_at, mid[2])])
-
     return FinCat.from_homs(
-        tuple(data), mor, ident, compose, name=f"Desc({fmt(R.target)})",
-        keys=(rank.__getitem__, mor_key),
+        data, mor, ident, compose, name=f"Desc({fmt(R.target)})",
+        keys=listed(data, mor),
     )
 
 

@@ -62,9 +62,9 @@ reuse is exact because the library never mutates a structure once built,
 which `FinCat`'s lazily built indexes assume too; a caller that mutates
 one gets stale results.
 
-Every category built here orders itself from the ranks of its parts: the
-essential fibres and the totals of the flattened slices through their
-builders in `groth`, the iso-comma fibres by `_comma_keys`.
+Every category built here orders itself from its parts: the essential
+fibres and the totals of the flattened slices through their builders in
+`groth`, the iso-comma fibres by listing their ids in stable order.
 
 Each builder validates its result once, as a whole, with `validate_indexed`
 or `validate_indexed_fun`.  A part is validated on its own only when the
@@ -83,6 +83,7 @@ from .fincat import (
     InternalError,
     factorizations,
     is_cartesian_over,
+    listed,
     require,
 )
 from .groth import (
@@ -750,16 +751,6 @@ def check_thm_4_2_i(
     )
 
 
-def _comma_keys(fd: FinCat, fe: FinCat, fdp: FinCat, objs):
-    """Sort keys for an iso-comma fibre that order as `ckey` does: an object
-    (V, B, xi) by the ranks of V, B and xi in fd, fe and fdp, a morphism
-    (o1, o2, v, b) by the keys of o1 and o2, then the ranks of v and b."""
-    vr, br, xr = fd.object_ranks(), fe.object_ranks(), fdp.morphism_ranks()
-    key = {o: (vr[o[0]], br[o[1]], xr[o[2]]) for o in objs}
-    vm, bm = fd.morphism_ranks(), fe.morphism_ranks()
-    return key.__getitem__, lambda m: (key[m[0]], key[m[1]], vm[m[2]], bm[m[3]])
-
-
 def _iso_comma_fibration(
     sp: IndexedFun, unit: IndexedFun, caps: _caps.Caps = _caps.DEFAULT
 ) -> IndexedFun:
@@ -804,7 +795,7 @@ def _iso_comma_fibration(
                 m1[0], m2[1], fd.compose(m2[2], m1[2]), fe.compose(m2[3], m1[3])
             ),
             name=f"comma({fmt(X)})",
-            keys=_comma_keys(fd, fe, fdp, objs),
+            keys=listed(objs, mor),
         )
         fib[X] = cat
 

@@ -11,14 +11,15 @@ Every constructed category is built by `FinCat.from_homs`, which fills the
 table from a composition rule over the composable pairs of its morphisms.
 A category stores its objects and its morphisms in stable (`ckey`) order,
 sorted once when it is built, and ranks them.  Every category the library
-builds from other categories orders itself from its parts: its builder
-knows that order from the ranks of the parts its ids are made of and hands
-in sort keys (`descent.desc_cat`, `groth.grothendieck`,
-`groth.essential_fibre_cat`, the iso-comma of `fibadj`, `site.slice_cat`,
-`product_cat`), and the category never calls `ckey` on its ids.
-`poset_cat` keys a morphism by the ranks of its ends, and `discrete_cat`
-an identity by the `ckey` of its object.  So `ckey` sorts only input
-categories and output (serialization, messages, witnesses).
+builds from other categories orders itself from its parts, and the
+category never calls `ckey` on its ids.  Most builders walk their parts in
+stable order, so they list their ids in stable order already and keep it
+with `listed` (`descent.desc_cat`, `groth.grothendieck`, the iso-comma of
+`fibadj`, `site.slice_cat`, `product_cat`).  `groth.essential_fibre_cat`
+keys a morphism by the ranks of its parts, `poset_cat` by the ranks of its
+ends, and `discrete_cat` an identity by the `ckey` of its object.  So
+`ckey` sorts only input categories and output (serialization, messages,
+witnesses).
 All predicates (`is_fully_faithful`, `is_essentially_surjective`,
 `is_equivalence`) run by exhaustive search and return a `Check` carrying a
 human-readable reason and a witness, never a bare bool.
@@ -50,7 +51,7 @@ class Check:
 class FinCat:
     __slots__ = (
         "name", "objects", "mor", "ident", "table", "_hom", "_into", "_rank",
-        "_inv", "_obrank",
+        "_inv",
     )
 
     def __init__(self, objects, mor, ident, table, name="", keys=None):
@@ -69,7 +70,6 @@ class FinCat:
         self._into = None
         self._rank = None
         self._inv = {}
-        self._obrank = None
 
     @classmethod
     def from_homs(cls, objects, mor, ident, compose, name="", keys=None):
@@ -141,12 +141,6 @@ class FinCat:
         self._into = {x: tuple(v) for x, v in into.items()}
         self._rank = {m: i for i, m in enumerate(self.mor)}
 
-    def object_ranks(self):
-        """Each object's position in stable order."""
-        if self._obrank is None:
-            self._obrank = {x: i for i, x in enumerate(self.objects)}
-        return self._obrank
-
     def morphism_ranks(self):
         """Each morphism's position in stable order."""
         if self._rank is None:
@@ -197,6 +191,13 @@ class FinCat:
             if self.is_iso(m):
                 return m
         return None
+
+
+def listed(objects, mor):
+    """Sort keys that keep `objects` and `mor` in the order they are listed,
+    for a builder whose loops list its ids in stable order."""
+    return ({x: i for i, x in enumerate(objects)}.__getitem__,
+            {m: i for i, m in enumerate(mor)}.__getitem__)
 
 
 def validate_fincat(c: FinCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
@@ -492,11 +493,10 @@ class Product:
 
 
 def product_cat(cats) -> Product:
-    """Finite product of categories; ids are tuples of component ids, which
-    order as `ckey` does by their components' ranks."""
+    """Finite product of categories; ids are tuples of component ids, listed
+    lexicographically in the components' stable orders, which is `ckey`
+    order."""
     cats = list(cats)
-    obranks = [c.object_ranks() for c in cats]
-    mranks = [c.morphism_ranks() for c in cats]
     objects = list(iproduct(*(c.objects for c in cats)))
     mor = {}
     for combo in iproduct(*(list(c.mor) for c in cats)):
@@ -512,8 +512,7 @@ def product_cat(cats) -> Product:
         ident,
         lambda g, f: tuple(c.table[(gi, fi)] for c, gi, fi in zip(cats, g, f)),
         name="×".join(c.name or "?" for c in cats),
-        keys=(lambda x: tuple(r[v] for r, v in zip(obranks, x)),
-              lambda m: tuple(r[v] for r, v in zip(mranks, m))),
+        keys=listed(objects, mor),
     )
     projections = [
         Functor(

@@ -38,6 +38,7 @@ from .fincat import (
     Functor,
     InternalError,
     iso_classes,
+    listed,
     require,
     validate_fincat,
 )
@@ -59,19 +60,19 @@ def grothendieck(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT, name="") -> Gr
 
     Morphism ids are triples (y, a, U') recording the base morphism, the
     fibre component a : U -> D(y)(U'), and the target fibre object (needed
-    because D(y) may identify objects).
+    because D(y) may identify objects).  Both are listed in stable order:
+    objects by X, then U; morphisms by y, then a, then U'.
     """
     base = D.base
     objects = tuple((X, U) for X in base.objects for U in D.fib[X].objects)
     mor = {}
     for y, (Xd, Xc) in base.mor.items():
-        fib = D.fib[Xd]
-        ry = D.res[y]
+        over = {}
         for U2 in D.fib[Xc].objects:
-            tgt = ry.ob(U2)
-            for U1 in fib.objects:
-                for a in fib.hom(U1, tgt):
-                    mor[(y, a, U2)] = ((Xd, U1), (Xc, U2))
+            over.setdefault(D.res[y].ob(U2), []).append(U2)
+        for a, (U1, tgt) in D.fib[Xd].mor.items():
+            for U2 in over.get(tgt, ()):
+                mor[(y, a, U2)] = ((Xd, U1), (Xc, U2))
         _caps.check(len(mor), caps, "max_descent", "total category size")
 
     ident = {
@@ -86,22 +87,9 @@ def grothendieck(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT, name="") -> Gr
         a = fib1.compose(D.gamma(y2, y1, U3), fib1.compose(D.res[y1].mo(a2), a1))
         return (base.compose(y2, y1), a, U3)
 
-    # Stable order from the ranks of the parts: base ranks, then fibre ranks.
-    b_ob, b_mor = base.object_ranks(), base.morphism_ranks()
-    f_ob = {X: D.fib[X].object_ranks() for X in base.objects}
-    f_mor = {X: D.fib[X].morphism_ranks() for X in base.objects}
-
-    def ob_key(o):
-        return (b_ob[o[0]], f_ob[o[0]][o[1]])
-
-    def mor_key(m):
-        y, a, U2 = m
-        Xd, Xc = base.mor[y]
-        return (b_mor[y], f_mor[Xd][a], f_ob[Xc][U2])
-
     total = FinCat.from_homs(
         objects, mor, ident, compose, name=name or f"groth({D.name or '?'})",
-        keys=(ob_key, mor_key),
+        keys=listed(objects, mor),
     )
     require(validate_fincat(total, caps), "total category invalid")
     proj = Functor(

@@ -42,7 +42,7 @@ orders them as `ckey` does.
 from dataclasses import dataclass, field
 
 from . import caps as _caps
-from .fincat import FinCat, Functor
+from .fincat import FinCat, Functor, listed
 from .util import fmt
 
 
@@ -54,7 +54,7 @@ class SiteError(Exception):
 class Sieve:
     target: object
     mors: frozenset
-    base: FinCat = field(compare=False, hash=False, default=None, repr=False)
+    base: FinCat = field(compare=False, hash=False, repr=False)
 
     def members(self):
         return self.base.ordered(self.mors)
@@ -364,6 +364,7 @@ def slice_cat(c: FinCat, x):
 
     Objects are morphisms into x (including the identity); a morphism from g
     to f is (f, h) with f∘h = g.  Projection sends f to dom f and (f, h) to h.
+    Both are listed in stable order: by f, then h, each in `into` order.
     """
     objects = tuple(c.into(x))
     mor = {}
@@ -371,14 +372,13 @@ def slice_cat(c: FinCat, x):
         for h in c.into(c.dom(f)):
             mor[(f, h)] = (c.compose(f, h), f)
     ident = {f: (f, c.ident[c.dom(f)]) for f in objects}
-    rank = c.morphism_ranks()
     sl = FinCat.from_homs(
         objects,
         mor,
         ident,
         lambda g, f: (g[0], c.compose(g[1], f[1])),
         name=f"{c.name or 'C'}/{fmt(x)}",
-        keys=(rank.__getitem__, lambda m: (rank[m[0]], rank[m[1]])),
+        keys=listed(objects, mor),
     )
     proj = Functor(
         sl,

@@ -41,7 +41,7 @@ from .indexed import (
     validate_indexed_nat,
 )
 from .site import Sieve, Topology, minimal_cover
-from .util import fmt
+from .util import ckey, fmt
 
 
 @dataclass
@@ -312,8 +312,13 @@ def matching_families(P: Presheaf, R: Sieve, caps: _caps.Caps = _caps.DEFAULT):
         return P.act[g][fam[jf]] == fam[jfg]
 
     pools = [P.els[base.dom(f)] for f in members]
-    out = _caps.search(pools, restrictions, restricts, _caps.Budget(caps))
-    return [("mf", tuple(zip(members, vals))) for vals in sorted(map(tuple, out))]
+    out = list(map(tuple, _caps.search(pools, restrictions, restricts,
+                                       _caps.Budget(caps))))
+    try:
+        out.sort()
+    except TypeError:  # elements of several types: sort them as `ckey` does
+        out.sort(key=ckey)
+    return [("mf", tuple(zip(members, vals))) for vals in out]
 
 
 def plus_presheaf(P: Presheaf, J: Topology, caps: _caps.Caps = _caps.DEFAULT):

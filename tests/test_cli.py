@@ -431,6 +431,31 @@ def test_presheaf_with_a_repeated_element_is_law_breaking_input(capsys, tmp_path
             assert "duplicate element sX over X" in err
 
 
+def test_sheafify_sorts_elements_of_several_types(capsys, tmp_path):
+    # Over p the sections are "sp" and the integer 1, which do not compare:
+    # the matching families fall back to stable order.
+    doc = json.loads((DATA / "patches.golden.json").read_text())
+
+    def swap(v):
+        if v == "sp'":
+            return {"i": 1}
+        if isinstance(v, list):
+            return [swap(x) for x in v]
+        return v
+
+    S = next(b for b in doc["blocks"] if b["name"] == "S")
+    S["els"], S["act"] = swap(S["els"]), swap(S["act"])
+    f = tmp_path / "mixed.json"
+    _write_interchange(f, doc)
+    assert run(capsys, "validate", str(f))[0] == 0
+    code, rep, _ = run_json(capsys, "sheafify", str(f))
+    assert code == 0
+    assert rep["results"]["sections"] == {"X": 2, "p": 2, "q": 1, "r": 1}
+    out = tmp_path / "sheafed.json"
+    assert run(capsys, "sheafify", str(f), "--emit", str(out))[0] == 0
+    assert run(capsys, "validate", str(out))[0] == 0
+
+
 def _golden_block(name, block):
     doc = json.loads((DATA / f"{name}.golden.json").read_text())
     return doc, next(b for b in doc["blocks"] if b["name"] == block)

@@ -1,10 +1,11 @@
-"""Every module of the package uses each name it imports, binds each name
-the benchmark's tracer wraps, and exports only names that something besides
-the tests uses.
+"""Every module of the package uses each name it imports, reads each name
+its functions assign, binds each name the benchmark's tracer wraps, and
+exports only names that something besides the tests uses.
 
 No linter ships with the toolchain, so this is the check: parse each module
 other than `__init__` (which imports to re-export) and list the imported
-names that no expression of the module reads.
+names that no expression of the module reads, and parse every module for
+single-name assignments in a function that the function never reads.
 
 `perfbench/spans.py` looks up the functions it traces by name, module by
 module (`WRAPPED`); a name that a refactor drops would break only a traced
@@ -42,6 +43,59 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(modules) > 5
     unused = [u for p in modules for u in unused_imports(p)]
     assert unused == []
+
+
+def _own_nodes(fn):
+    """The nodes of a function, not descending into the scopes it nests."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def dead_locals(path):
+    """Single names a function assigns and never reads, nested scopes
+    included; unpacking targets and global or nonlocal names are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    dead = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        kept = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in _own_nodes(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                kept.update(node.names)
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            dead += [(t.lineno, t.id, fn.name) for t in targets
+                     if isinstance(t, ast.Name) and t.id not in kept]
+    return [f"{path.name}:{line} {name} in {fn}"
+            for line, name, fn in sorted(dead)]
+
+
+def test_no_function_assigns_a_name_it_never_reads(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("def f(xs):\n"
+                      "    a, b = xs\n"
+                      "    n = len(xs)\n"
+                      "    total = 0\n"
+                      "    total += n\n"
+                      "    def g():\n"
+                      "        return a\n"
+                      "    return g\n")
+    assert dead_locals(sample) == ["sample.py:4 total in f",
+                                   "sample.py:5 total in f"]
+    modules = sorted(SRC.glob("*.py"))
+    assert [d for p in modules for d in dead_locals(p)] == []
 
 
 def test_every_traced_name_is_bound_in_its_module():

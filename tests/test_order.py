@@ -2,12 +2,15 @@
 it before descent data cached their keys and categories ranked their
 morphisms: sort by `ckey`, with a datum keyed by its sorted item pairs.
 Every category the library builds from other categories takes its order
-from the ranks of its parts (descent categories, essential fibres,
-iso-commas, total categories, slices; a poset keys a morphism by its
-ends), so it is checked against `ckey` sorts of the same ids, and guards
-pin that no datum's key is computed while stackifying or by the
-fibred-corpus benchmark op.  The fibred categories are built from the
-corpus fibrations of `test_reuse` and from `sitegen.rand_fibration`.
+from its parts: descent categories, iso-commas, total categories, slices
+and products list their ids in stable order and keep it (`fincat.listed`),
+essential fibres key their morphisms by the ranks of their parts, and a
+poset keys a morphism by its ends.  So each is checked against `ckey`
+sorts of the same ids, every category the benchmark's stackify and
+fibred-corpus ops build is checked to store `ckey` order, and guards pin
+that no datum's key is computed by those ops.  The fibred categories are
+built from the corpus fibrations of `test_reuse` and from
+`sitegen.rand_fibration`.
 
 Runs on the corpus sites, `sitegen` sites and the indexed blocks of
 `tests/data`, and both plus stages of `stackify` on them.  There the
@@ -42,7 +45,7 @@ from finstack import (
 )
 from finstack.descent import mor_components, mor_id, restrict_datum
 from finstack.dsl import _dec, _text
-from finstack.fibadj import _comma_keys, _iso_comma_fibration, _localize
+from finstack.fibadj import _iso_comma_fibration, _localize
 from finstack.groth import essential_fibre_cat
 from finstack.site import slice_cat
 from finstack.util import ckey, stable_sorted
@@ -363,14 +366,14 @@ def test_built_categories_order_as_ckey_sorts(name):
         _check_supplied_order(c)
 
 
-def _record_keys(monkeypatch):
-    """The (name, keys) of every category built from now on, until
+def _record_built(monkeypatch):
+    """The (category, keys) of every category built from now on, until
     `monkeypatch` is undone."""
     built, init = [], FinCat.__init__
 
     def recorded(self, *args, keys=None, **kwargs):
         init(self, *args, keys=keys, **kwargs)
-        built.append((self.name, keys))
+        built.append((self, keys))
 
     monkeypatch.setattr(FinCat, "__init__", recorded)
     return built
@@ -390,18 +393,52 @@ def test_fibred_op_orders_every_built_category_from_its_parts(name, monkeypatch)
         return key(self)
 
     monkeypatch.setattr(DescentDatum, "_ckey", counted)
-    built = _record_keys(monkeypatch)
+    built = _record_built(monkeypatch)
     _one_op(fib, J)
     assert calls == []
-    assert {n.partition("(")[0] for n, _ in built} >= {"groth", "ess", "L", "comma", "Desc"}
-    assert [n for n, keys in built if keys is None] == []
+    assert {c.name.partition("(")[0] for c, _ in built} >= {
+        "groth", "ess", "L", "comma", "Desc"}
+    assert [c.name for c, keys in built if keys is None] == []
+
+
+def _assert_stored_in_ckey_order(built):
+    for c, _ in built:
+        assert list(c.objects) == stable_sorted(c.objects), c.name
+        assert list(c.mor) == stable_sorted(c.mor), c.name
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_stackify_op_stores_every_category_in_ckey_order(name, monkeypatch):
+    """Every category the benchmark's stackify op builds, the descent
+    categories of D⁺ and D⁺⁺ included, stores `ckey` order, whichever keys
+    its builder handed in."""
+    built = _record_built(monkeypatch)
+    _benchmark_op(name)
+    monkeypatch.undo()
+    assert any(c.name.startswith("Desc(") for c, _ in built)
+    _assert_stored_in_ckey_order(built)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(FIBRATIONS) if n not in SLOW_4_2_II])
+def test_fibred_op_stores_every_category_in_ckey_order(name, monkeypatch):
+    """Every category the benchmark's fibred-corpus op builds stores `ckey`
+    order: totals, slices, iso-commas and descent categories, which keep
+    the order their builders list them in, as well as the rest."""
+    fib, J = FIBRATIONS[name]()
+    built = _record_built(monkeypatch)
+    _one_op(fib, J)
+    monkeypatch.undo()
+    assert {c.name.partition("(")[0] for c, _ in built} >= {
+        "groth", "ess", "L", "comma", "Desc"}
+    _assert_stored_in_ckey_order(built)
 
 
 @pytest.mark.parametrize("name", ["const-z2-terminal", "const-z2-arrow"])
 def test_comma_fibres_have_arrows_differing_in_v_and_b(name):
     """Some iso-comma fibre of these corpus fibrations has two morphisms
     between the same ends that differ in both v and b, so the order tests
-    on built categories see the order of v and b in `_comma_keys`."""
+    on built categories see whether the iso-comma lists v before b."""
     fib, J = FIBRATIONS[name]()
     sd, _, sp = _localize(fib, J)
     q = _iso_comma_fibration(sp, sd.unit)
@@ -413,25 +450,6 @@ def test_comma_fibres_have_arrows_differing_in_v_and_b(name):
         pairs += [(m, n) for ms in by_ends.values() for m in ms for n in ms
                   if m[0] != n[0] and m[1] != n[1]]
     assert pairs
-
-
-def test_comma_keys_order_as_ckey_sorts():
-    """The iso-comma's keys order candidate ids as `ckey` does, on fibres
-    with parallel arrows and nested data, whose morphisms between the same
-    ends differ in v, in b or in both."""
-    c, J = _z2_site()
-    fdp = stackify(corpus.twisted_z2_indexed(), J).twice.output.fib["*"]
-    fd, fe = corpus.walking_iso_cat(), corpus.parallel_pair_cat()
-    rng = random.Random(0)
-    xis = rng.sample(sorted(fdp.mor, key=fdp.morphism_ranks().__getitem__), 3)
-    objs = [(V, B, xi) for V in fd.objects for B in fe.objects for xi in xis]
-    rng.shuffle(objs)
-    ob_key, mor_key = _comma_keys(fd, fe, fdp, objs)
-    assert sorted(objs, key=ob_key) == ref_sorted(objs)
-    mids = [(o1, o2, v, b) for o1 in objs[:4] for o2 in objs[:4]
-            for v in fd.mor for b in fe.mor]
-    rng.shuffle(mids)
-    assert sorted(mids, key=mor_key) == ref_sorted(mids)
 
 
 def test_posets_order_as_ckey_sorts():
@@ -450,12 +468,12 @@ class _Weak(FinCat):
 
 
 def test_products_order_from_their_factors_and_keep_none_alive(monkeypatch):
-    """A product is sorted by keys from its factors' ranks, which order its
-    tuple ids as `ckey` does, and the keys are not kept: a factor dropped
-    with the projections dies while the product lives."""
+    """A product lists its tuple ids in its factors' stable orders, which
+    is `ckey` order, and keeps that order by keys that are not kept: a
+    factor dropped with the projections dies while the product lives."""
     factors = [_Weak(c.objects, c.mor, c.ident, c.table, name=c.name)
                for c in (corpus.span_cat(), corpus.walking_iso_cat())]
-    built = _record_keys(monkeypatch)
+    built = _record_built(monkeypatch)
     prod = product_cat(factors).cat
     monkeypatch.undo()
     assert [keys is not None for _, keys in built] == [True]
