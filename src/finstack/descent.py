@@ -61,7 +61,7 @@ generate.
 import weakref
 
 from . import caps as _caps
-from .fincat import Check, FinCat, Functor, InternalError, listed
+from .fincat import Check, FinCat, Functor, InternalError
 from .indexed import IndexedCat, IndexedFun
 from .site import Sieve, Topology, least_cover_pullbacks
 from .util import ckey, fmt, stable_sorted
@@ -316,9 +316,7 @@ def desc_cat(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT) -> FinCa
         ))
 
     return FinCat.from_homs(
-        data, mor, ident, compose, name=f"Desc({fmt(R.target)})",
-        keys=listed(data, mor),
-    )
+        data, mor, ident, compose, name=f"Desc({fmt(R.target)})")
 
 
 def comparison_datum(D: IndexedCat, R: Sieve, V) -> DescentDatum:

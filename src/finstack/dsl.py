@@ -661,7 +661,8 @@ class _Elab:
             return name[trace(node[m1], words[m2])]
 
         ident = {x: ("id", x) for x in objects}
-        c = FinCat.from_homs(tuple(objects), mor, ident, compose, name=block.name)
+        mor = {m: mor[m] for m in stable_sorted(mor)}
+        c = FinCat.from_homs(stable_sorted(objects), mor, ident, compose, name=block.name)
         require(validate_fincat(c, self.caps), "closure produced a non-category")
         return c, words, alias
 

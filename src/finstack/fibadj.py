@@ -83,7 +83,6 @@ from .fincat import (
     InternalError,
     factorizations,
     is_cartesian_over,
-    listed,
     require,
 )
 from .groth import (
@@ -795,7 +794,6 @@ def _iso_comma_fibration(
                 m1[0], m2[1], fd.compose(m2[2], m1[2]), fe.compose(m2[3], m1[3])
             ),
             name=f"comma({fmt(X)})",
-            keys=listed(objs, mor),
         )
         fib[X] = cat
 

@@ -7,19 +7,16 @@ Object and morphism ids are arbitrary hashable values; builders in this
 package use strings for hand-written input and nested tuples for constructed
 artifacts.
 
-Every constructed category is built by `FinCat.from_homs`, which fills the
-table from a composition rule over the composable pairs of its morphisms.
-A category stores its objects and its morphisms in stable (`ckey`) order,
-sorted once when it is built, and ranks them.  Every category the library
-builds from other categories orders itself from its parts, and the
-category never calls `ckey` on its ids.  Most builders walk their parts in
-stable order, so they list their ids in stable order already and keep it
-with `listed` (`descent.desc_cat`, `groth.grothendieck`, the iso-comma of
-`fibadj`, `site.slice_cat`, `product_cat`).  `groth.essential_fibre_cat`
-keys a morphism by the ranks of its parts, `poset_cat` by the ranks of its
-ends, and `discrete_cat` an identity by the `ckey` of its object.  So
-`ckey` sorts only input categories and output (serialization, messages,
-witnesses).
+A category stores its objects and its morphisms in stable (`ckey`) order
+and ranks them.  Every category the library builds is built by
+`FinCat.from_homs`, which fills the table from a composition rule over the
+composable pairs of its morphisms and stores the ids as its builder lists
+them.  Builders from other categories walk their parts in stable order
+(`descent.desc_cat`, `groth.grothendieck`, the iso-comma of `fibadj`,
+`site.slice_cat`, `product_cat`); the others sort once themselves
+(`discrete_cat`, `poset_cat`, `groth.essential_fibre_cat`, a DSL
+`category` block).  `FinCat(...)`, for categories given whole (input
+readers, outside callers), sorts by `ckey`.
 All predicates (`is_fully_faithful`, `is_essentially_surjective`,
 `is_equivalence`) run by exhaustive search and return a `Check` carrying a
 human-readable reason and a witness, never a bare bool.
@@ -31,7 +28,7 @@ from itertools import product as iproduct
 
 from . import caps as _caps
 from .caps import Budget, search
-from .util import ckey, fmt
+from .util import ckey, fmt, stable_sorted
 
 
 class InternalError(AssertionError):
@@ -54,29 +51,20 @@ class FinCat:
         "_inv",
     )
 
-    def __init__(self, objects, mor, ident, table, name="", keys=None):
-        """`objects` and `mor` are stored in stable order.  `keys`, if given,
-        is a pair of sort keys (objects, morphisms) that order exactly as
-        `ckey` does; they sort the ids in place of `ckey` and are not
-        kept."""
-        obkey, morkey = (ckey, ckey) if keys is None else keys
-        mor = dict(mor)
-        self.name = name
-        self.objects = tuple(sorted(objects, key=obkey))
-        self.mor = {m: mor[m] for m in sorted(mor, key=morkey)}
-        self.ident = dict(ident)
-        self.table = dict(table)
-        self._hom = None
-        self._into = None
-        self._rank = None
-        self._inv = {}
+    def __init__(self, objects, mor, ident, table, name=""):
+        """A category given whole: `objects` and `mor` are stored sorted by
+        `ckey`."""
+        self._store(sorted(objects, key=ckey),
+                    sorted(mor.items(), key=lambda it: ckey(it[0])),
+                    ident, table, name)
 
     @classmethod
-    def from_homs(cls, objects, mor, ident, compose, name="", keys=None):
+    def from_homs(cls, objects, mor, ident, compose, name=""):
         """The category whose table holds `compose(g, f)` for every
         composable pair, walking each f and each g out of cod(f) in `mor`
         order.  A composite that is not in `mor` is a construction bug.
-        `keys` is passed to the constructor."""
+        The builder lists `objects` and `mor` in stable order; they are
+        stored as listed."""
         by_dom = {}
         for m, (d, _) in mor.items():
             by_dom.setdefault(d, []).append(m)
@@ -90,7 +78,21 @@ class FinCat:
                         f"morphism of {name or 'category'}"
                     )
                 table[(g, f)] = h
-        return cls(objects, mor, ident, table, name=name, keys=keys)
+        cat = cls.__new__(cls)
+        cat._store(objects, mor, ident, table, name)
+        return cat
+
+    def _store(self, objects, mor, ident, table, name):
+        """Keep the ids in the order given, which is stable order."""
+        self.name = name
+        self.objects = tuple(objects)
+        self.mor = dict(mor)
+        self.ident = dict(ident)
+        self.table = dict(table)
+        self._hom = None
+        self._into = None
+        self._rank = None
+        self._inv = {}
 
     def __repr__(self):
         label = self.name or "FinCat"
@@ -191,13 +193,6 @@ class FinCat:
             if self.is_iso(m):
                 return m
         return None
-
-
-def listed(objects, mor):
-    """Sort keys that keep `objects` and `mor` in the order they are listed,
-    for a builder whose loops list its ids in stable order."""
-    return ({x: i for i, x in enumerate(objects)}.__getitem__,
-            {m: i for i, m in enumerate(mor)}.__getitem__)
 
 
 def validate_fincat(c: FinCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
@@ -512,7 +507,6 @@ def product_cat(cats) -> Product:
         ident,
         lambda g, f: tuple(c.table[(gi, fi)] for c, gi, fi in zip(cats, g, f)),
         name="×".join(c.name or "?" for c in cats),
-        keys=listed(objects, mor),
     )
     projections = [
         Functor(
@@ -527,16 +521,12 @@ def product_cat(cats) -> Product:
     return Product(prod, projections)
 
 
-# A discrete category's objects are input ids; ("id", x) orders as x does.
-_DISCRETE_KEYS = (ckey, lambda m: ckey(m[1]))
-
-
 def discrete_cat(objects, name="") -> FinCat:
-    objects = tuple(objects)
+    """The discrete category on input ids; ("id", x) orders as x does."""
+    objects = stable_sorted(objects)
     ident = {x: ("id", x) for x in objects}
     mor = {i: (x, x) for x, i in ident.items()}
-    return FinCat.from_homs(objects, mor, ident, lambda g, f: g, name=name,
-                            keys=_DISCRETE_KEYS)
+    return FinCat.from_homs(objects, mor, ident, lambda g, f: g, name=name)
 
 
 def terminal_cat(obj="*", name="1") -> FinCat:
@@ -549,7 +539,7 @@ def poset_cat(objects, leq, name="") -> FinCat:
     `leq` is any iterable of (a, b) pairs; reflexive and transitive closure is
     taken here, so generators may pass a bare covering relation.
     """
-    objects = tuple(objects)
+    objects = stable_sorted(objects)
     rel = {(a, a) for a in objects}
     rel.update((a, b) for a, b in leq)
     changed = True
@@ -560,14 +550,11 @@ def poset_cat(objects, leq, name="") -> FinCat:
                 if b2 == b and (a, c) not in rel:
                     rel.add((a, c))
                     changed = True
+    # Listed by the ranks of (a, b), which is how ("le", a, b) orders.
     mor = {("le", a, b): (a, b) for a in objects for b in objects if (a, b) in rel}
     ident = {x: ("le", x, x) for x in objects}
-    # The objects are input ids; ("le", a, b) orders as (a, b) does.
-    rank = {x: i for i, x in enumerate(sorted(objects, key=ckey))}
     return FinCat.from_homs(
-        objects, mor, ident, lambda g, f: ("le", f[1], g[2]), name=name,
-        keys=(rank.__getitem__, lambda m: (rank[m[1]], rank[m[2]])),
-    )
+        objects, mor, ident, lambda g, f: ("le", f[1], g[2]), name=name)
 
 
 def iso_classes(c: FinCat) -> list:

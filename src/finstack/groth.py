@@ -19,9 +19,9 @@ builds its fibres with it.
 
 `giraud_topology` transfers a topology on the base to the total category:
 a sieve covers (X, U) when it absorbs the cartesian lifts of some covering
-sieve of X.  Concretely the lift families are generated into sieves and
-then saturated; the result is kept on G per topology and caps
-(`util.reused`).  `fiber_transport` sends each object of the slice over X
+sieve of X.  Concretely the lifts of the least cover of X generate a
+sieve, which is then saturated; the result is kept on G per topology and
+caps (`util.reused`).  `fiber_transport` sends each object of the slice over X
 to the domain of its chosen lift, and `check_lemma_3_1` tests the
 fiberwise stack criterion: an indexed category over the total category is
 a stack for the transferred topology exactly when all of its transported
@@ -38,7 +38,6 @@ from .fincat import (
     Functor,
     InternalError,
     iso_classes,
-    listed,
     require,
     validate_fincat,
 )
@@ -88,9 +87,7 @@ def grothendieck(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT, name="") -> Gr
         return (base.compose(y2, y1), a, U3)
 
     total = FinCat.from_homs(
-        objects, mor, ident, compose, name=name or f"groth({D.name or '?'})",
-        keys=listed(objects, mor),
-    )
+        objects, mor, ident, compose, name=name or f"groth({D.name or '?'})")
     require(validate_fincat(total, caps), "total category invalid")
     proj = Functor(
         total,
@@ -128,15 +125,20 @@ def canonical_lift(G: GrothCat, y, U):
 
 @reused()
 def giraud_topology(G: GrothCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> Topology:
-    """Transfer J to the total category: generate from cartesian lifts of
-    covering sieves, then saturate."""
+    """Transfer J to the total category: generate from the cartesian lifts
+    of the intersection of the covers of each X, then saturate.
+
+    That is the topology one family per cover generates.  Lifts are
+    cartesian, so the sieve that the lifts of a base sieve R generate is
+    the preimage of R under the projection; `saturate` starts from the
+    intersection of the generated sieves, and preimages meet as the
+    covers do."""
     if J.base != G.source.base:
         raise SiteError("topology does not live on the base of the total category")
-    coverage = {}
-    for (X, U) in G.total.objects:
-        coverage[(X, U)] = [
-            [canonical_lift(G, f, U) for f in R.members()] for R in J.covers_of(X)
-        ]
+    least = {X: J.base.ordered(frozenset.intersection(*J.covers[X]))
+             for X in J.base.objects if J.covers.get(X)}
+    coverage = {(X, U): [[canonical_lift(G, f, U) for f in least[X]]]
+                for (X, U) in G.total.objects if X in least}
     return saturate(G.total, coverage, caps)
 
 
@@ -162,16 +164,15 @@ def essential_fibre_cat(
     ident = {(A, alpha): (alpha, alpha, E0.ident[A]) for (A, alpha) in objects}
     # The objects are listed in stable order; a morphism (alpha, beta, w)
     # orders by the ranks of its three parts.
-    rank = {o: i for i, o in enumerate(objects)}
     b_mor, e_mor = B0.morphism_ranks(), E0.morphism_ranks()
+    mor = {m: mor[m] for m in sorted(
+        mor, key=lambda m: (b_mor[m[0]], b_mor[m[1]], e_mor[m[2]]))}
     cat = FinCat.from_homs(
-        tuple(objects),
+        objects,
         mor,
         ident,
         lambda m2, m1: (m1[0], m2[1], E0.compose(m2[2], m1[2])),
         name=name or f"ess({fmt(U)})",
-        keys=(rank.__getitem__,
-              lambda m: (b_mor[m[0]], b_mor[m[1]], e_mor[m[2]])),
     )
     require(validate_fincat(cat, caps), "essential fibre malformed")
     return cat

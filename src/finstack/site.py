@@ -42,7 +42,7 @@ orders them as `ckey` does.
 from dataclasses import dataclass, field
 
 from . import caps as _caps
-from .fincat import FinCat, Functor, listed
+from .fincat import FinCat, Functor
 from .util import fmt
 
 
@@ -378,7 +378,6 @@ def slice_cat(c: FinCat, x):
         ident,
         lambda g, f: (g[0], c.compose(g[1], f[1])),
         name=f"{c.name or 'C'}/{fmt(x)}",
-        keys=listed(objects, mor),
     )
     proj = Functor(
         sl,

@@ -6,11 +6,11 @@ it makes enumeration order, serialization, and error messages reproducible
 across runs.
 
 Keys of nested ids are costly, so they are computed as seldom as possible:
-a `FinCat` stores its objects and morphisms sorted once, in this order, and
-ranks them for every later ordering (`FinCat.ordered`), and a built
-descent category sorts by the ranks of its parts in its fibres, which
-order exactly as `ckey` does, so no datum's key is computed for it.  Where
-a key is computed (serialization, messages), a constructed id with a
+a `FinCat` stores its objects and morphisms in this order and ranks them
+for every later ordering (`FinCat.ordered`), and a built category lists
+its ids in this order from its parts (a descent category walks its data
+in fibre order), so no datum's key is computed for it.  Where a key is
+computed (serialization, messages), a constructed id with a
 `_ckey` method (a descent datum) computes it once and keeps it.  Descent
 data are hash-consed (one object per distinct datum, so equality is
 identity); their hash is the object's identity, which varies between

@@ -415,6 +415,26 @@ def test_strict_block_rejects_coherence_cells():
     assert "no compositor or unitor cells" in diags[0].msg
 
 
+def test_strict_block_reports_the_first_non_strict_pair_in_stable_order():
+    """S sends every object to the codomain end c and T to the domain end
+    d, so both chains y <= x, z <= y and w <= x, v <= w are not strict.
+    The poset fills its table in stable order, so the report names the
+    chain through v and w, not the one declared first."""
+    env = elab(
+        "poset P { y <= x; z <= y; w <= x; v <= w; }"
+        " category K { objects: d, c; morphisms: e: d -> c; }"
+        " functor S : K -> K { obj d = c; obj c = c; mor e = id(c); }"
+        " functor T : K -> K { obj d = d; obj c = d; mor e = id(d); }"
+        " indexed D over P { fiber x = K; fiber y = K; fiber z = K;"
+        " fiber w = K; fiber v = K;"
+        " restrict y <= x = S; restrict z <= x = S; restrict w <= x = S;"
+        " restrict v <= x = S; restrict z <= y = T; restrict v <= w = T;"
+        " strict; }"
+    )
+    assert env.findings == [
+        ("indexed", "D", "restriction not strict on ((le,w,x),(le,v,w)) at c")]
+
+
 def test_missing_coherence_cell_diagnostic():
     diags = fail_elab(
         "category Z2 { objects: s0; morphisms: s: s0 -> s0;"

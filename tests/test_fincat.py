@@ -26,7 +26,7 @@ from finstack import (
 )
 from finstack.fincat import all_nat_isos
 from finstack.indexed import path_composite
-from finstack.util import fmt
+from finstack.util import fmt, stable_sorted
 
 import corpus
 import sitegen
@@ -60,6 +60,32 @@ def test_validate_catches_missing_composite():
     c = corpus.span_cat()
     del c.table[("jp", "idp")]
     assert any("missing composite" in e for e in validate_fincat(c))
+
+
+def _listed_against_stable_order(c):
+    """The ids of `c`, stored in stable order, listed in reverse."""
+    return tuple(reversed(c.objects)), dict(reversed(c.mor.items()))
+
+
+def test_from_homs_stores_a_listing_exactly_as_given():
+    c = corpus.patches_cat()
+    objects, mor = _listed_against_stable_order(c)
+    built = FinCat.from_homs(objects, mor, c.ident, c.compose, name=c.name)
+    assert built.objects == objects != tuple(stable_sorted(objects))
+    assert list(built.mor) == list(mor) != stable_sorted(mor)
+    assert built == c
+
+
+def test_constructor_sorts_a_reversed_listing_into_ckey_order():
+    """Ids of mixed types, so `ckey` order is not the order of any one
+    type's comparison."""
+    c = poset_cat(["b", 3, ("t", 0), "a", 10],
+                  [("b", 3), (3, 10), ("a", ("t", 0))])
+    objects, mor = _listed_against_stable_order(c)
+    given = FinCat(objects, mor, c.ident, c.table, name=c.name)
+    assert list(given.objects) == stable_sorted(objects) == list(c.objects)
+    assert list(given.mor) == stable_sorted(mor) == list(c.mor)
+    assert given == c
 
 
 def _missing_composites_by_pairs(c):

@@ -31,6 +31,7 @@ from finstack import (
 import corpus
 import sitegen
 from oracles import generate_sieve
+from test_reuse import CORPUS as FIBRATIONS
 
 
 def test_const_terminal_total_is_base():
@@ -199,6 +200,53 @@ def test_giraud_validates_on_corpus():
         c, J = build()
         G = grothendieck(embed_discrete(P))
         assert validate_topology(giraud_topology(G, J)) == []
+
+
+def _giraud_per_cover(G, J):
+    """The transfer generated from one lift family per cover of X."""
+    return saturate(G.total, {
+        (X, U): [[canonical_lift(G, f, U) for f in R.members()]
+                 for R in J.covers_of(X)]
+        for (X, U) in G.total.objects})
+
+
+def _corpus_case(make):
+    def case():
+        fib, J = make()
+        return fib.p.E, J
+    return case
+
+
+def _multi_cover_case(i):
+    def make():
+        rng = random.Random(3000 + i)
+        c, J, _ = sitegen.multi_cover_site(rng)
+        return sitegen.rand_indexed(rng, c), J
+    return make
+
+
+def _fibration_case(i):
+    def make():
+        p, J = sitegen.rand_fibration(random.Random(2000 + i))
+        return p.E, J
+    return make
+
+
+GIRAUD_CASES = {
+    **{name: _corpus_case(make) for name, make in FIBRATIONS.items()},
+    **{f"multi-cover-{i}": _multi_cover_case(i) for i in range(6)},
+    **{f"sitegen-{i}": _fibration_case(i) for i in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GIRAUD_CASES))
+def test_giraud_from_least_covers_matches_one_family_per_cover(name):
+    """Generating from the lifts of the least cover of X gives the topology
+    that one family per cover of X gives: a sieve generated by lifts is
+    the preimage of a base sieve, and preimages meet as their sieves do."""
+    D, J = GIRAUD_CASES[name]()
+    G = grothendieck(D)
+    assert giraud_topology(G, J).covers == _giraud_per_cover(G, J).covers
 
 
 def test_essential_fibre():

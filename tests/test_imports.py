@@ -178,3 +178,48 @@ def test_every_private_helper_is_read_outside_its_own_body():
     assert len(defined) > 40
     assert [f"{file}:{line} {name}" for file, line, name in defined
             if name not in read] == []
+
+
+class _ConstructorCalls(ast.NodeVisitor):
+    """(line, enclosing function) of each call `FinCat(...)`, the
+    constructor that sorts by `ckey`; "" for a call outside any function."""
+
+    def __init__(self):
+        self.inside = [""]
+        self.calls = []
+
+    def visit_FunctionDef(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        f = node.func
+        if (isinstance(f, ast.Name) and f.id == "FinCat"
+                or isinstance(f, ast.Attribute) and f.attr == "FinCat"):
+            self.calls.append((node.lineno, self.inside[-1]))
+        self.generic_visit(node)
+
+
+def fincat_calls(path):
+    calls = _ConstructorCalls()
+    calls.visit(ast.parse(path.read_text(encoding="utf-8")))
+    return [(path.name, line, fn) for line, fn in calls.calls]
+
+
+def test_only_the_interchange_reader_calls_the_sorting_constructor(tmp_path):
+    """A category the library builds lists its ids in stable order and is
+    stored by `FinCat.from_homs`; only categories read whole from input
+    go through `FinCat(...)`, which sorts them."""
+    sample = tmp_path / "sample.py"
+    sample.write_text("c = fs.FinCat((), {}, {}, {})\n"
+                      "def f():\n"
+                      "    def g():\n"
+                      "        return FinCat((), {}, {}, {})\n"
+                      "    return FinCat.from_homs((), {}, {}, None)\n")
+    assert fincat_calls(sample) == [("sample.py", 1, ""), ("sample.py", 4, "g")]
+    modules = sorted(SRC.glob("*.py"))
+    assert [(name, fn) for p in modules for name, _, fn in fincat_calls(p)] == [
+        ("dsl.py", "_cat_unjson")]

@@ -1,11 +1,11 @@
 """The canonical order of constructed ids against the formulas that computed
 it before descent data cached their keys and categories ranked their
 morphisms: sort by `ckey`, with a datum keyed by its sorted item pairs.
-Every category the library builds from other categories takes its order
-from its parts: descent categories, iso-commas, total categories, slices
-and products list their ids in stable order and keep it (`fincat.listed`),
-essential fibres key their morphisms by the ranks of their parts, and a
-poset keys a morphism by its ends.  So each is checked against `ckey`
+Every category the library builds is stored in the order its builder
+lists: descent categories, iso-commas, total categories, slices and
+products list their ids in stable order from their parts, essential fibres
+sort their morphisms once by the ranks of their parts, and a poset sorts
+its objects once and lists a morphism by its ends.  So each is checked against `ckey`
 sorts of the same ids, every category the benchmark's stackify and
 fibred-corpus ops build is checked to store `ckey` order, and guards pin
 that no datum's key is computed by those ops.  The fibred categories are
@@ -21,6 +21,7 @@ that no datum's sorted form is computed at all."""
 import gc
 import json
 import random
+import sys
 import weakref
 from pathlib import Path
 
@@ -215,7 +216,7 @@ def test_descent_morphism_ids_list_components_in_member_order(stages):
 
 
 def _by_ckey(c):
-    """The same category without the builder's keys: it sorts by `ckey`."""
+    """The same category given whole: the constructor sorts it by `ckey`."""
     return FinCat(c.objects, c.mor, c.ident, c.table, name=c.name)
 
 
@@ -367,15 +368,17 @@ def test_built_categories_order_as_ckey_sorts(name):
 
 
 def _record_built(monkeypatch):
-    """The (category, keys) of every category built from now on, until
-    `monkeypatch` is undone."""
-    built, init = [], FinCat.__init__
+    """The (category, path) of every category stored from now on, until
+    `monkeypatch` is undone: the path is the constructor that stored it,
+    `from_homs`, which keeps the listed order, or `__init__`, which sorts
+    by `ckey`."""
+    built, store = [], FinCat._store
 
-    def recorded(self, *args, keys=None, **kwargs):
-        init(self, *args, keys=keys, **kwargs)
-        built.append((self, keys))
+    def recorded(self, *args):
+        store(self, *args)
+        built.append((self, sys._getframe(1).f_code.co_name))
 
-    monkeypatch.setattr(FinCat, "__init__", recorded)
+    monkeypatch.setattr(FinCat, "_store", recorded)
     return built
 
 
@@ -383,8 +386,8 @@ def _record_built(monkeypatch):
     "name", [n for n in sorted(FIBRATIONS) if n not in SLOW_4_2_II])
 def test_fibred_op_orders_every_built_category_from_its_parts(name, monkeypatch):
     """The benchmark's fibred-corpus op computes no datum's key, though the
-    iso-comma of Thm 4.2(ii) nests D⁺⁺ data in its ids, and every category
-    it builds was handed sort keys by its builder."""
+    iso-comma of Thm 4.2(ii) nests D⁺⁺ data in its ids, and no category it
+    builds went through the sorting constructor."""
     fib, J = FIBRATIONS[name]()
     calls, key = [], DescentDatum._ckey
 
@@ -398,7 +401,7 @@ def test_fibred_op_orders_every_built_category_from_its_parts(name, monkeypatch)
     assert calls == []
     assert {c.name.partition("(")[0] for c, _ in built} >= {
         "groth", "ess", "L", "comma", "Desc"}
-    assert [c.name for c, keys in built if keys is None] == []
+    assert [c.name for c, path in built if path != "from_homs"] == []
 
 
 def _assert_stored_in_ckey_order(built):
@@ -410,8 +413,8 @@ def _assert_stored_in_ckey_order(built):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_stackify_op_stores_every_category_in_ckey_order(name, monkeypatch):
     """Every category the benchmark's stackify op builds, the descent
-    categories of D⁺ and D⁺⁺ included, stores `ckey` order, whichever keys
-    its builder handed in."""
+    categories of D⁺ and D⁺⁺ included, stores `ckey` order, whichever
+    constructor stored it."""
     built = _record_built(monkeypatch)
     _benchmark_op(name)
     monkeypatch.undo()
@@ -467,16 +470,13 @@ class _Weak(FinCat):
     __slots__ = ("__weakref__",)
 
 
-def test_products_order_from_their_factors_and_keep_none_alive(monkeypatch):
+def test_products_order_from_their_factors_and_keep_none_alive():
     """A product lists its tuple ids in its factors' stable orders, which
-    is `ckey` order, and keeps that order by keys that are not kept: a
-    factor dropped with the projections dies while the product lives."""
+    is `ckey` order, and keeps no factor alive: a factor dropped with the
+    projections dies while the product lives."""
     factors = [_Weak(c.objects, c.mor, c.ident, c.table, name=c.name)
                for c in (corpus.span_cat(), corpus.walking_iso_cat())]
-    built = _record_built(monkeypatch)
     prod = product_cat(factors).cat
-    monkeypatch.undo()
-    assert [keys is not None for _, keys in built] == [True]
     _check_supplied_order(prod)
     gone = weakref.ref(factors.pop())
     gc.collect()
