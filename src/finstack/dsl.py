@@ -33,12 +33,11 @@ one loop over it, and the writer calls the `_Writer` method named by the
 kind.
 
 The writer writes that text directly, in fragments joined once at the end.
-Each descent datum's text is built once per datum and kept while the datum
-lives; each tuple's and frozenset's once per document, in a memo keyed by
-identity and never by value, since (True, "x") == (1, "x") have different
-texts.  The bytes and the row order are those of `json.dumps` with sorted
-keys and compact separators on the document's JSON structure (`_Writer`
-says why the row order is the same).
+Each descent datum's, tuple's and frozenset's text is built once per
+document, in a memo keyed by identity and never by value, since
+(True, "x") == (1, "x") have different texts.  The bytes and the row order
+are those of `json.dumps` with sorted keys and compact separators on the
+document's JSON structure (`_Writer` says why the row order is the same).
 
 Category blocks list generating morphisms; the composites are closed over
 the stated relations by coset enumeration, so the composite of two
@@ -60,12 +59,19 @@ generator word (for a poset, a shortest path of stated relations) folded
 in composition order, covariantly for a functor and contravariantly for an
 action or a restriction.  Images that do not compose, or a generator
 without one, are diagnostics.
+
+Coherence cells default to identities: an `indexed` block's compositor and
+unitor and a `fibration` block's cells are the identity wherever the two
+sides they compare agree on the object, and the given entries fill other
+slots.  A slot left open is a diagnostic naming the first one (unitors
+first, then the base's table order; cells in stable morphism order), but
+in a `strict;` block it is the block's finding, "restriction not strict on
+(g,f) at V", and the block is declared.
 """
 
 import hashlib
 import json
 import re
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -86,7 +92,8 @@ from .indexed import (
     IndexedCat,
     IndexedFun,
     Presheaf,
-    strict_indexed,
+    identity_cells,
+    identity_coherence,
     validate_indexed,
     validate_indexed_fun,
     validate_presheaf,
@@ -182,7 +189,8 @@ class Token:
     col: int
 
 
-_TOKEN_RE = re.compile(r"->|<=|[A-Za-z_][A-Za-z0-9_']*|[0-9]+|[{}()\[\],;:=.]|\S")
+_TOKEN_RE = re.compile(r"(?P<punct>->|<=|[{}()\[\],;:=.])"
+                       r"|(?P<name>[A-Za-z_][A-Za-z0-9_']*|[0-9]+)|(?P<bad>\S)")
 
 
 def _tokens(text):
@@ -191,14 +199,11 @@ def _tokens(text):
     for ln, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         body = line.split("//", 1)[0]
         for m in _TOKEN_RE.finditer(body):
-            v = m.group(0)
-            col = m.start() + 1
-            if v == "->" or v == "<=" or v in "{}()[],;:=.":
-                toks.append(Token("punct", v, ln, col))
-            elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*|[0-9]+", v):
-                toks.append(Token("name", v, ln, col))
-            else:
+            v, col = m.group(), m.start() + 1
+            if m.lastgroup == "bad":
                 diags.append(Diagnostic(ln, col, f"unexpected character {v!r}"))
+            else:
+                toks.append(Token(m.lastgroup, v, ln, col))
     last = toks[-1] if toks else None
     toks.append(Token("eof", "", last.line if last else 1, last.col if last else 1))
     return toks, diags
@@ -989,57 +994,22 @@ class _Elab:
                               "restriction")
             if res is None:
                 return
-            try:
-                d = strict_indexed(cat, fib, res, name=block.name)
-            except InternalError as ex:
-                self.env.findings.append(("indexed", block.name, str(ex)))
+        else:
+            res = {}
+            for m in self.env.gens[catname]:
+                if m in given_res:
+                    res[m] = given_res[m][0]
+                elif cat.is_id(m):
+                    res[m] = identity_functor(fib[cat.dom(m)])
+                else:
+                    self.err(block.line, block.col,
+                             f"indexed {block.name!r} has no restriction along "
+                             f"{fmt(m)}",
+                             "non-strict blocks need a restrict entry per morphism")
+                    bad = True
+            if bad:
                 return
-            self.env.add_findings("indexed", block.name, block.refs,
-                                  lambda: validate_indexed(d, self.caps))
-            self.declare(block, "indexed", d)
-            return
-
-        words = self.env.gens[catname]
-        res = {}
-        for m in words:
-            if m in given_res:
-                res[m] = given_res[m][0]
-            elif cat.is_id(m):
-                res[m] = identity_functor(fib[cat.dom(m)])
-            else:
-                self.err(block.line, block.col,
-                         f"indexed {block.name!r} has no restriction along "
-                         f"{fmt(m)}",
-                         "non-strict blocks need a restrict entry per morphism")
-                bad = True
-        if bad:
-            return
-        compositor = {}
-        for g in words:
-            gy, gx = cat.mor[g]
-            for f in words:
-                fy, fx = cat.mor[f]
-                if fx != gy:
-                    continue
-                cell = {}
-                fibd = fib[fy]
-                gf = cat.compose(g, f)
-                for v in fib[gx].objects:
-                    left = res[f].ob(res[g].ob(v))
-                    right = res[gf].ob(v)
-                    if left == right:
-                        cell[v] = fibd.ident[left]
-                    else:
-                        cell[v] = None
-                compositor[(g, f)] = cell
-        unitor = {}
-        for x in cat.objects:
-            ux = {}
-            idm = cat.ident[x]
-            for v in fib[x].objects:
-                tgt = res[idm].ob(v)
-                ux[v] = fib[x].ident[v] if tgt == v else None
-            unitor[x] = ux
+        compositor, unitor = identity_coherence(cat, fib, res)
         given_cells = set()
         for e in comp_entries:
             gref, fref, v, mref = e.data
@@ -1074,19 +1044,27 @@ class _Elab:
             if m is None:
                 return
             unitor[x][v] = m
-        holes = [(g, f, v) for (g, f), cell in compositor.items()
+        # Open slots in the order strict_indexed checks them: unitors first.
+        gaps = [(x, None, v) for x, ux in unitor.items()
+                for v, m in ux.items() if m is None]
+        gaps += [(g, f, v) for (g, f), cell in compositor.items()
                  for v, m in cell.items() if m is None]
-        holes += [(x, None, v) for x, ux in unitor.items()
-                  for v, m in ux.items() if m is None]
-        if holes:
+        d = IndexedCat(cat, fib, res, compositor, unitor, name=block.name)
+        if not gaps:
+            self.env.add_findings("indexed", block.name, block.refs,
+                                  lambda: validate_indexed(d, self.caps))
+        elif not strict:
             self.err(block.line, block.col,
                      f"indexed {block.name!r} needs an explicit coherence cell "
-                     f"at {fmt(holes[0])}",
+                     f"at {fmt(gaps[0])}",
                      "restrictions do not compose on the nose there")
             return
-        d = IndexedCat(cat, fib, res, compositor, unitor, name=block.name)
-        self.env.add_findings("indexed", block.name, block.refs,
-                              lambda: validate_indexed(d, self.caps))
+        else:
+            g, f, v = gaps[0]
+            self.env.findings.append((
+                "indexed", block.name,
+                f"res[id_{fmt(g)}] moves object {fmt(v)}" if f is None else
+                f"restriction not strict on ({fmt(g)},{fmt(f)}) at {fmt(v)}"))
         self.declare(block, "indexed", d)
 
     def do_fibration(self, block, src, dst):
@@ -1140,30 +1118,22 @@ class _Elab:
                 bad = True
         if bad:
             return
-        cell = {}
-        for y in self.env.gens[cat.name]:
-            yy, yx = cat.mor[y]
-            cy = {}
-            fibt = dst.fib[yy]
-            for v in src.fib[yx].objects:
-                left = comp[yy].ob(src.res[y].ob(v))
-                right = dst.res[y].ob(comp[yx].ob(v))
-                if (y, v) in cells_given:
-                    mref, line, col = cells_given[(y, v)]
-                    m = self.resolve_mor(f"fiber {fmt(yy)}", fibt, mref, line, col)
-                    if m is None:
-                        return
-                    cy[v] = m
-                elif left == right:
-                    cy[v] = fibt.ident[left]
-                else:
-                    self.err(block.line, block.col,
-                             f"fibration {block.name!r} needs an explicit cell "
-                             f"along {fmt(y)} at {fmt(v)}",
-                             "components do not commute with restriction on "
-                             "the nose there")
-                    return
-            cell[y] = cy
+        cell = identity_cells(src, dst, comp)
+        for (y, v), (mref, line, col) in cells_given.items():
+            yy = cat.dom(y)
+            m = self.resolve_mor(f"fiber {fmt(yy)}", dst.fib[yy], mref, line, col)
+            if m is None:
+                return
+            cell[y][v] = m
+        gaps = [(y, v) for y, cy in cell.items() for v, m in cy.items() if m is None]
+        if gaps:
+            y, v = gaps[0]
+            self.err(block.line, block.col,
+                     f"fibration {block.name!r} needs an explicit cell "
+                     f"along {fmt(y)} at {fmt(v)}",
+                     "components do not commute with restriction on the "
+                     "nose there")
+            return
         p = IndexedFun(src, dst, comp, cell, name=block.name)
         self.env.add_findings("fibration", block.name, block.refs,
                               lambda: validate_indexed_fun(p))
@@ -1178,14 +1148,15 @@ class _Elab:
         for block in doc.blocks:
             before = len(self.diags)
             header = BLOCK_KINDS[block.kind][0]
-            found = []
+            found = {}  # by name, so an unknown name is reported once
             for phrase, ref in zip([w for w in header if w in self.REFERENTS],
                                    block.refs):
                 kind, what = self.REFERENTS[phrase]
-                found.append(self.lookup(self.env.kinds_of(kind), ref, what,
-                                         block.line, block.col))
-            if all(x is not None for x in found):
-                getattr(self, "do_" + block.kind)(block, *found)
+                if ref not in found:
+                    found[ref] = self.lookup(self.env.kinds_of(kind), ref, what,
+                                             block.line, block.col)
+            if all(x is not None for x in found.values()):
+                getattr(self, "do_" + block.kind)(block, *map(found.get, block.refs))
             if len(self.diags) > before and len(self.diags) > 20:
                 break
         return self.env, self.diags
@@ -1375,41 +1346,28 @@ _INTERCHANGE = {
 # The text of a string, as `_cjson` writes it.
 _str_text = json.encoder.encode_basestring
 
-# The text of each live datum, built at its first occurrence.  Data are
-# immutable and hash-consed, so one text serves every occurrence; weak, so an
-# entry lives only while its datum does.
-_datum_text = weakref.WeakKeyDictionary()
-
-
 def _text(v, memo):
     """The interchange text of one id, as `_cjson` writes its encoding.
 
-    `memo` maps the identity of each tuple and frozenset written so far in
-    one document to (that value, its text).  It is keyed by identity and
-    never by value: (True, "x") == (1, "x"), but their texts differ.  An
-    entry holds its value, so the identity is not reused while the memo
-    lives.  A frozenset's members are in the order of their texts, which is
-    the order `_cjson` gives their encodings."""
+    `memo` maps the identity of each tuple, frozenset and descent datum
+    written so far in one document to (that value, its text).  It is keyed
+    by identity and never by value: (True, "x") == (1, "x"), but their texts
+    differ.  An entry holds its value, so the identity is not reused while
+    the memo lives.  A frozenset's members are in the order of their texts,
+    which is the order `_cjson` gives their encodings."""
     if isinstance(v, str):
         return _str_text(v)
-    if isinstance(v, (tuple, frozenset)):
+    if isinstance(v, (tuple, frozenset, DescentDatum)):
         hit = memo.get(id(v))
         if hit is not None:
             return hit[1]
-        texts = [_text(x, memo) for x in v]
-        if isinstance(v, tuple):
-            t = "[" + ",".join(texts) + "]"
+        if isinstance(v, DescentDatum):
+            t = '{"dd":' + _text(v._key, memo) + "}"
+        elif isinstance(v, tuple):
+            t = "[" + ",".join([_text(x, memo) for x in v]) + "]"
         else:
-            texts.sort()
-            t = '{"fs":[' + ",".join(texts) + "]}"
+            t = '{"fs":[' + ",".join(sorted([_text(x, memo) for x in v])) + "]}"
         memo[id(v)] = (v, t)
-        return t
-    if isinstance(v, DescentDatum):
-        t = _datum_text.get(v)
-        if t is None:
-            obj, coh = v._key
-            t = _datum_text[v] = ('{"dd":[' + _text(obj, memo) + ","
-                                  + _text(coh, memo) + "]}")
         return t
     if isinstance(v, bool):
         return '{"b":true}' if v else '{"b":false}'

@@ -4,8 +4,11 @@ An `IndexedCat` D over a base C assigns a finite category D(X) to each object,
 a restriction functor D(y) : D(X) -> D(Y) to each y : Y -> X, and carries the
 coherence data explicitly: a compositor iso for every composable pair and a
 unitor iso per object.  Nothing is assumed strict; strictness is just the
-special case where all coherence components are identities
-(`strict_indexed`).
+special case where all coherence components are identities.  One rule
+gives them: a cell is the identity wherever the two sides it compares agree
+on the object, and open elsewhere (`identity_coherence` for compositors and
+unitors, `identity_cells` for an indexed functor's cells).  `strict_indexed`,
+`strict_indexed_fun` and the site language build on it.
 
 Conventions, fixed once and used everywhere:
 
@@ -65,6 +68,27 @@ class IndexedCat:
         return self.unitor[X][V]
 
 
+def _identity_if_equal(fibre, W, W2):
+    """The coherence rule: a cell W -> W2 is id_W if W2 is W, else None."""
+    return fibre.ident[W] if W == W2 else None
+
+
+def identity_coherence(base, fib, res):
+    """The compositor and unitor of restrictions `res` by the coherence rule."""
+    compositor = {
+        (g, f): {V: _identity_if_equal(fib[base.dom(f)], res[f].ob(res[g].ob(V)),
+                                       res[h].ob(V))
+                 for V in fib[base.cod(g)].objects}
+        for (g, f), h in base.table.items()
+    }
+    unitor = {
+        X: {V: _identity_if_equal(fib[X], V, res[base.ident[X]].ob(V))
+            for V in fib[X].objects}
+        for X in base.objects
+    }
+    return compositor, unitor
+
+
 def strict_indexed(base, fib, res, name="") -> IndexedCat:
     """Wrap strictly functorial data with identity coherence.
 
@@ -72,17 +96,18 @@ def strict_indexed(base, fib, res, name="") -> IndexedCat:
     agree with restriction along composites on the nose; checked here so a
     bad caller fails at construction, not during some later validation.
     """
+    compositor, unitor = identity_coherence(base, fib, res)
     for X in base.objects:
-        rid = res[base.ident[X]]
-        for V in fib[X].objects:
-            if rid.ob(V) != V:
+        for V, m in unitor[X].items():
+            if m is None:
                 raise InternalError(f"res[id_{fmt(X)}] moves object {fmt(V)}")
+        rid = res[base.ident[X]]
         for m in fib[X].mor:
             if rid.mo(m) != m:
                 raise InternalError(f"res[id_{fmt(X)}] moves morphism {fmt(m)}")
     for (g, f), h in base.table.items():
-        for V in fib[base.cod(g)].objects:
-            if res[f].ob(res[g].ob(V)) != res[h].ob(V):
+        for V, m in compositor[(g, f)].items():
+            if m is None:
                 raise InternalError(
                     f"restriction not strict on ({fmt(g)},{fmt(f)}) at {fmt(V)}"
                 )
@@ -91,13 +116,6 @@ def strict_indexed(base, fib, res, name="") -> IndexedCat:
                 raise InternalError(
                     f"restriction not strict on ({fmt(g)},{fmt(f)}) at morphism"
                 )
-    compositor = {
-        (g, f): {V: fib[base.dom(f)].ident[res[h].ob(V)] for V in fib[base.cod(g)].objects}
-        for (g, f), h in base.table.items()
-    }
-    unitor = {
-        X: {V: fib[X].ident[V] for V in fib[X].objects} for X in base.objects
-    }
     return IndexedCat(base, fib, res, compositor, unitor, name=name)
 
 
@@ -333,21 +351,24 @@ def validate_indexed_fun(F: IndexedFun) -> list:
     return sorted(errs)
 
 
+def identity_cells(D, E, comp):
+    """The cells of components `comp` from D to E by the coherence rule."""
+    return {
+        y: {V: _identity_if_equal(E.fib[Y], comp[Y].ob(D.res[y].ob(V)),
+                                  E.res[y].ob(comp[X].ob(V)))
+            for V in D.fib[X].objects}
+        for y, (Y, X) in D.base.mor.items()
+    }
+
+
 def strict_indexed_fun(D, E, comp, name="") -> IndexedFun:
     """Indexed functor with identity cells; components must commute with
     restriction on the nose."""
-    cell = {}
-    for y, (Y, X) in D.base.mor.items():
-        cy = {}
-        for V in D.fib[X].objects:
-            left = comp[Y].ob(D.res[y].ob(V))
-            right = E.res[y].ob(comp[X].ob(V))
-            if left != right:
-                raise InternalError(
-                    f"components not strict along {fmt(y)} at {fmt(V)}"
-                )
-            cy[V] = E.fib[Y].ident[left]
-        cell[y] = cy
+    cell = identity_cells(D, E, comp)
+    for y, cy in cell.items():
+        for V, m in cy.items():
+            if m is None:
+                raise InternalError(f"components not strict along {fmt(y)} at {fmt(V)}")
     return IndexedFun(D, E, comp, cell, name=name)
 
 

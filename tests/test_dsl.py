@@ -22,7 +22,7 @@ from finstack import (
     validate_presheaf,
     validate_topology,
 )
-from finstack.dsl import _dec, _text, digest_text
+from finstack.dsl import _dec, _text, _tokens, digest_text
 from finstack.util import stable_sorted
 
 import sitegen
@@ -63,6 +63,19 @@ def test_parse_error_carries_position():
     assert doc is None
     assert diags[0].line == 1 and diags[0].col > 1
     assert "expected" in diags[0].msg
+
+
+def test_tokens_are_classified_by_the_group_that_matched():
+    """Arrows and brackets are punctuation, digits start a name of their
+    own, and any other character is a diagnostic at its column."""
+    toks, diags = _tokens("a->b<=12ab x' -<é$ {.}")
+    assert [(t.kind, t.val) for t in toks] == [
+        ("name", "a"), ("punct", "->"), ("name", "b"), ("punct", "<="),
+        ("name", "12"), ("name", "ab"), ("name", "x'"), ("punct", "{"),
+        ("punct", "."), ("punct", "}"), ("eof", "")]
+    assert [str(d) for d in diags] == [
+        f"line 1:{col}: unexpected character {ch!r}"
+        for col, ch in ((15, "-"), (16, "<"), (17, "é"), (18, "$"))]
 
 
 def test_comments_and_crlf_are_accepted():
@@ -433,6 +446,106 @@ def test_strict_block_reports_the_first_non_strict_pair_in_stable_order():
     )
     assert env.findings == [
         ("indexed", "D", "restriction not strict on ((le,w,x),(le,v,w)) at c")]
+
+
+def test_non_strict_strict_block_is_declared_with_its_finding():
+    """A `strict;` block whose restrictions do not compose on the nose is
+    declared with that finding, so a later block naming it is told it
+    breaks its laws, not that it is unknown."""
+    env = elab(
+        "poset P { y <= x; z <= y; }"
+        " category A { objects: a, b; morphisms: u: a -> b; }"
+        " functor S : A -> A { obj a = b; obj b = b; mor u = id(b); }"
+        " functor T : A -> A { obj a = a; obj b = a; mor u = id(a); }"
+        " functor I : A -> A { obj a = a; obj b = b; mor u = u; }"
+        " indexed D over P { fiber x = A; fiber y = A; fiber z = A;"
+        " restrict y <= x = S; restrict z <= y = T; restrict z <= x = S;"
+        " strict; }"
+        " fibration Q : D -> D { component x = I; component y = I;"
+        " component z = I; }"
+    )
+    assert ("indexed", "D") in env.order and ("fibration", "Q") in env.order
+    assert env.findings == [
+        ("indexed", "D", "restriction not strict on ((le,y,x),(le,z,y)) at a"),
+        ("fibration", "Q", "not validated: 'D' breaks its laws")]
+
+
+def test_strict_block_strict_on_objects_only_gets_the_law_findings():
+    """T swaps two parallel arrows, so its composites agree with it on
+    objects but not on morphisms: the identity compositors are not
+    natural."""
+    env = elab(
+        "poset P { y <= x; z <= y; }"
+        " category A { objects: a, b; morphisms: u: a -> b, w: a -> b; }"
+        " functor T : A -> A { obj a = a; obj b = b; mor u = w; mor w = u; }"
+        " indexed D over P { fiber x = A; fiber y = A; fiber z = A;"
+        " restrict y <= x = T; restrict z <= y = T; restrict z <= x = T;"
+        " strict; }"
+    )
+    assert ("indexed", "D") in env.order
+    assert env.findings == [
+        ("indexed", "D", f"compositor ((le,y,x),(le,z,y)) not natural at {m}")
+        for m in ("u", "w")]
+
+
+# S sends both objects of K to c and T to d, so the chains y <= x, z <= y
+# and w <= x, v <= w are not strict, at both objects.  The first two entries
+# fill the gaps at d; the third, when given, fills the chain through w at c.
+GAPS = (
+    "poset P { y <= x; z <= y; w <= x; v <= w; }"
+    " category K { objects: d, c; morphisms: e: d -> c; }"
+    " functor S : K -> K { obj d = c; obj c = c; mor e = id(c); }"
+    " functor T : K -> K { obj d = d; obj c = d; mor e = id(d); }"
+    " indexed D over P { fiber x = K; fiber y = K; fiber z = K;"
+    " fiber w = K; fiber v = K;"
+    " restrict y <= x = S; restrict z <= x = S; restrict w <= x = S;"
+    " restrict v <= x = S; restrict z <= y = T; restrict v <= w = T;"
+    " compositor (y <= x, z <= y) at d = e;"
+    " compositor (w <= x, v <= w) at d = e; }"
+)
+
+
+def test_missing_coherence_cells_are_named_in_table_order():
+    """Of the two gaps left, the one the base's table lists first is named,
+    not the one of the relations declared first."""
+    first = fail_elab(GAPS)
+    second = fail_elab(GAPS[:-1] + "compositor (w <= x, v <= w) at c = e; }")
+    assert [d.msg for d in first + second] == [
+        f"indexed 'D' needs an explicit coherence cell at {gap}" for gap in
+        ("((le,w,x),(le,v,w),c)", "((le,y,x),(le,z,y),c)")]
+
+
+# The components do not commute with restriction at p along every arrow out
+# of a; the cell along g fills one gap and leaves those along h and f.g.
+FIBRATION_GAPS = (
+    "category B { objects: a, b, c; morphisms: f: b -> c, g: a -> b,"
+    " h: a -> c; }"
+    " category K { objects: p, q; morphisms: t: q -> p; }"
+    " functor N : K -> K { obj p = q; obj q = q; mor t = id(q); }"
+    " functor I : K -> K { obj p = p; obj q = q; mor t = t; }"
+    " indexed D over B { fiber a = K; fiber b = K; fiber c = K;"
+    " restrict f = I; restrict g = I; restrict h = I; strict; }"
+    " fibration Q : D -> D { component a = N; component b = I;"
+    " component c = I; cell g at p = t; }"
+)
+
+
+def test_missing_fibration_cells_are_named_in_stable_order():
+    """f.g comes before h in stable order, though after it in generator
+    word order."""
+    first = fail_elab(FIBRATION_GAPS)
+    second = fail_elab(FIBRATION_GAPS[:-1] + "cell f.g at p = t; }")
+    assert [d.msg for d in first + second] == [
+        f"fibration 'Q' needs an explicit cell along {y} at p"
+        for y in ("f.g", "h")]
+
+
+def test_an_unknown_name_is_reported_once_per_header():
+    diags = fail_elab("functor F : C -> C { }"
+                      " category A { objects: a; }"
+                      " functor G : A -> C { obj a = a; }")
+    assert [(d.line, d.col, d.msg) for d in diags] == [
+        (1, 1, "unknown category 'C'"), (1, 51, "unknown category 'C'")]
 
 
 def test_missing_coherence_cell_diagnostic():

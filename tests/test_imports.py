@@ -223,3 +223,52 @@ def test_only_the_interchange_reader_calls_the_sorting_constructor(tmp_path):
     modules = sorted(SRC.glob("*.py"))
     assert [(name, fn) for p in modules for name, _, fn in fincat_calls(p)] == [
         ("dsl.py", "_cat_unjson")]
+
+
+# `InternalError` and the classes above it: an `except` clause naming one of
+# these, or naming none, catches a bug in finstack.
+_CATCHES_BUGS = {"InternalError", "AssertionError", "Exception", "BaseException"}
+
+
+def bug_handlers(path):
+    """(file, line, enclosing function) of each `except` clause that catches
+    `InternalError`; "" for a clause outside any function."""
+    out = []
+
+    def walk(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler):
+                names = {n.id if isinstance(n, ast.Name) else n.attr
+                         for n in ast.walk(child.type or ast.Pass())
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                if child.type is None or names & _CATCHES_BUGS:
+                    out.append((path.name, child.lineno, fn))
+            walk(child, fn)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+def test_only_the_cli_entry_point_catches_internal_errors(tmp_path):
+    """An `InternalError` is a bug in finstack and ends a run with exit 4;
+    only `cli.main` turns it into that exit.  Anywhere else, catching it
+    would let a bug pass for bad input or for a finding."""
+    sample = tmp_path / "sample.py"
+    sample.write_text("def f():\n"
+                      "    try:\n"
+                      "        pass\n"
+                      "    except (KeyError, fincat.InternalError):\n"
+                      "        pass\n"
+                      "    except ValueError:\n"
+                      "        pass\n"
+                      "try:\n"
+                      "    pass\n"
+                      "except:\n"
+                      "    pass\n")
+    assert bug_handlers(sample) == [("sample.py", 4, "f"), ("sample.py", 10, "")]
+    modules = sorted(SRC.glob("*.py"))
+    assert [(name, fn) for p in modules for name, _, fn in bug_handlers(p)] == [
+        ("cli.py", "main")]

@@ -101,13 +101,39 @@ def test_const_indexed_valid():
     assert validate_indexed(D) == []
 
 
+def _z2_restrictions(fibre, e, s):
+    """Restrictions over Z2 along e (the identity) and s, each given as
+    (object map, morphism map) on `fibre`."""
+    return {m: Functor(fibre, fibre, *maps) for m, maps in (("e", e), ("s", s))}
+
+
 def test_strict_indexed_rejects_nonstrict_data():
+    """It names the first failure: the identity's restriction before the
+    composites', and the objects of a fibre before its morphisms."""
     base = corpus.z2_cat()
     two = discrete_cat(("0", "1"))
-    swap = Functor(two, two, {"0": "1", "1": "0"},
-                   {("id", "0"): ("id", "1"), ("id", "1"): ("id", "0")})
-    with pytest.raises(InternalError):
-        strict_indexed(base, {"*": two}, {"e": swap, "s": swap})
+    par = corpus.parallel_pair_cat()
+    ids = ({"0": "0", "1": "1"}, {("id", "0"): ("id", "0"),
+                                  ("id", "1"): ("id", "1")})
+    swap = ({"0": "1", "1": "0"}, {("id", "0"): ("id", "1"),
+                                   ("id", "1"): ("id", "0")})
+    to_0 = ({"0": "0", "1": "0"}, {("id", "0"): ("id", "0"),
+                                   ("id", "1"): ("id", "0")})
+    objs = {"a": "a", "b": "b"}
+    fixed = {"ida": "ida", "idb": "idb"}
+    flip = (objs, {"f": "g", "g": "f", **fixed})
+    onto_f = (objs, {"f": "f", "g": "f", **fixed})
+    cases = [
+        (two, swap, swap, "res[id_*] moves object 0"),
+        (par, flip, flip, "res[id_*] moves morphism f"),
+        (two, ids, to_0, "restriction not strict on (s,s) at 1"),
+        (par, (objs, {m: m for m in par.mor}), onto_f,
+         "restriction not strict on (s,s) at morphism"),
+    ]
+    for fibre, e, s, msg in cases:
+        with pytest.raises(InternalError) as ex:
+            strict_indexed(base, {"*": fibre}, _z2_restrictions(fibre, e, s))
+        assert str(ex.value) == msg
 
 
 def test_nu_and_path_cell_on_twisted():
@@ -200,3 +226,17 @@ def test_strict_indexed_fun_requires_strictness():
     comps = {X: identity_functor(D.fib[X]) for X in D.base.objects}
     F = strict_indexed_fun(D, D, comps)
     assert validate_indexed_fun(F) == []
+
+
+def test_strict_indexed_fun_rejects_components_that_do_not_commute():
+    """The identity components from Z2 acting trivially on two objects to
+    Z2 swapping them do not commute with restriction along s."""
+    base = corpus.z2_cat()
+    two = corpus.discrete_two()
+    swap = Functor(two, two, {"0": "1", "1": "0"},
+                   {("id", "0"): ("id", "1"), ("id", "1"): ("id", "0")})
+    D = const_indexed(base, two)
+    E = strict_indexed(base, {"*": two}, {"e": identity_functor(two), "s": swap})
+    with pytest.raises(InternalError) as ex:
+        strict_indexed_fun(D, E, {"*": identity_functor(two)})
+    assert str(ex.value) == "components not strict along s at 0"
