@@ -73,7 +73,10 @@ def _pick_indexed(env, args):
     """The indexed category to operate on, embedding a presheaf on demand."""
     ind = getattr(args, "indexed", None)
     psh = getattr(args, "presheaf", None)
-    if psh is not None and ind is None:
+    if psh is not None and ind is not None:
+        raise InputProblem("--indexed and --presheaf exclude each other; "
+                           "give one")
+    if psh is not None:
         name, P = _pick(env.presheaves, psh, "presheaf", "--presheaf")
         return name, embed_discrete(P)
     if ind is not None or env.indexed:
@@ -279,8 +282,12 @@ def cmd_lemma31(env, args, caps):
 
 
 def cmd_fiber_adjunction(env, args, caps):
-    want = getattr(args, "fibration", None)
-    if want is not None or env.indexedfuns:
+    want = args.fibration
+    picked = args.indexed is not None or args.presheaf is not None
+    if want is not None and picked:
+        raise InputProblem("--fibration excludes --indexed and --presheaf; "
+                           "give one")
+    if want is not None or (env.indexedfuns and not picked):
         pname, p = _pick(env.indexedfuns, want, "fibration", "--fibration")
     else:
         pname, D = _pick_indexed(env, args)
@@ -421,7 +428,9 @@ def _build_parser():
              "run the unit/counit, transpose, and localization checks",
              ["coverage", "indexed"])
     sp.add_argument("--fibration",
-                    help="fibration block to use (default: identity)")
+                    help="fibration block to use (default: the only one; "
+                         "with --indexed or --presheaf, or with no fibration "
+                         "block, the identity fibration of that block)")
     sp = add("factorize", cmd_factorize,
              "factor an indexed functor into a stack through the unit",
              ["coverage"])

@@ -1503,6 +1503,16 @@ class _Writer:
         w(',"kind":"presheaf","name":' + _cjson(name) + "}")
 
     def indexed(self, dd: IndexedCat, name, base):
+        # A `strict;` block that is not strict is declared with open (None)
+        # cells; written out, they would read back as other findings.
+        gaps = [f"unitor at {fmt(x)}, {fmt(v)}" for x, ux in dd.unitor.items()
+                for v, m in ux.items() if m is None]
+        gaps += [f"compositor ({fmt(g)},{fmt(f)}) at {fmt(v)}"
+                 for (g, f), cell in dd.compositor.items()
+                 for v, m in cell.items() if m is None]
+        if gaps:
+            raise ValueError(f"indexed {name!r} cannot be written: its "
+                             f"coherence cell {gaps[0]} is open")
         w = self.out.append
         w('{"base":' + _cjson(base) + ',"compositor":')
         self.by_pair(dd.compositor, self.kv)
@@ -1571,7 +1581,8 @@ def serialize_blocks(blocks) -> str:
 
     Values that reference other values (topology bases, fibration endpoints)
     must have their referents in the list, earlier, so names resolve
-    (`block_name`)."""
+    (`block_name`).  An indexed category with an open (None) coherence cell
+    raises ValueError naming the block and its first open cell."""
     written = []
     wr = _Writer()
     w = wr.out.append

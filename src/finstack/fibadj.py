@@ -97,6 +97,7 @@ from .indexed import (
     IndexedCat,
     IndexedFun,
     IndexedNat,
+    _components,
     compose_indexed_funs,
     path_cell,
     precompose_indexed,
@@ -555,14 +556,8 @@ def validate_fib_mor(fm: FibMor) -> list:
     errs = validate_indexed_nat(fm.phi)
     if errs:
         return [f"comparison: {errs[0]}"]
-    out = []
-    DD = fm.src.p.E
-    for X in DD.base.objects:
-        fd = DD.fib[X]
-        for V, c in fm.phi.comp[X].items():
-            if not fd.is_iso(c):
-                out.append(f"comparison not invertible at {fmt(X)}, {fmt(V)}")
-    for X in DD.base.objects:
+    out = [f"comparison: {e}" for e in _components(fm.phi, invertible=True)]
+    for X in fm.src.p.E.base.objects:
         cart = cartesian_arrows(fm.src.p.comp[X])
         p2 = fm.dst.p.comp[X]
         for m in fm.src.p.D.fib[X].mor:

@@ -18,6 +18,11 @@ Conventions, fixed once and used everywhere:
   - an indexed functor F : D -> E over the same base has a component functor
     per object and, for y : Y -> X, a cell
     cell[y][V] : F_Y(D(y)(V)) -> E(y)(F_X(V)).
+  - unitors, compositors, cells and a transformation's components are each
+    a family of fibre arrows c_V : P(V) -> Q(V), P and Q composites of
+    fibre functors, and one check (`_fibre_arrows`) decides for every
+    family that each arrow is there with those ends, invertible where the
+    kind asks it, and natural in V.
 
 `nu` folds compositors along a composable path, giving the canonical iso from
 an iterated restriction to the restriction along the composite.  Every
@@ -119,13 +124,57 @@ def strict_indexed(base, fib, res, name="") -> IndexedCat:
     return IndexedCat(base, fib, res, compositor, unitor, name=name)
 
 
+def _fibre_arrows(name, absent, families, invertible=False) -> list:
+    """Findings on families of fibre arrows of one kind: unitors,
+    compositors, an indexed functor's cells or a transformation's components.
+
+    A family is (ids, src, dst, cells, P, Q): `cells[V] : P(V) -> Q(V)` in
+    the fibre `dst` for each object V of the fibre `src`, natural in V, where
+    P and Q are tuples of functors applied in order (`()` is the identity).
+    `name` and `absent` are format strings over the `fmt` of `ids`, formatted
+    only when there is a finding.  A family whose cells are None ends the
+    check with `absent`.  Otherwise the typing findings (an arrow missing or
+    with other ends, or, with `invertible`, not invertible) come sorted, and
+    only when there are none, the sorted naturality findings."""
+    seen, errs = [], []
+    for fam in families:
+        ids, src, dst, cells, P, Q = fam
+        if cells is None:
+            return [absent.format(*map(fmt, ids))]
+        ends = dst.mor
+        for V in src.objects:
+            a = b = V
+            for F in P:
+                a = F.omap[a]
+            for F in Q:
+                b = F.omap[b]
+            m = cells.get(V)
+            if ends.get(m) != (a, b):
+                errs.append(f"{name.format(*map(fmt, ids))} malformed at {fmt(V)}")
+            elif invertible and not dst.is_iso(m):
+                errs.append(f"{name.format(*map(fmt, ids))} not invertible at {fmt(V)}")
+        seen.append(fam)
+    if errs:
+        return sorted(errs)
+    for ids, src, dst, cells, P, Q in seen:
+        compose = dst.compose
+        for m, (V, W) in src.mor.items():
+            a = b = m
+            for F in P:
+                a = F.mmap[a]
+            for F in Q:
+                b = F.mmap[b]
+            if compose(cells[W], a) != compose(b, cells[V]):
+                errs.append(f"{name.format(*map(fmt, ids))} not natural at {fmt(m)}")
+    return sorted(errs)
+
+
 def validate_indexed(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
     """All pseudofunctor-axiom violations, as strings.  The checks run in
     phases, and a phase with findings ends the validation.  Past the
     structural checks, which stop at the first gap, each phase checks every
     element and sorts its findings, so they do not follow the order the
     dicts were filled in."""
-    errs = []
     base = D.base
     for X in base.objects:
         if X not in D.fib:
@@ -145,52 +194,17 @@ def validate_indexed(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
         if bad:
             return [f"restriction along {fmt(y)} not a functor: {bad[0]}"]
 
-    for X in base.objects:
-        fx = D.fib[X]
-        rid = D.res[base.ident[X]]
-        u = D.unitor.get(X)
-        if u is None:
-            return [f"no unitor at {fmt(X)}"]
-        for V in fx.objects:
-            m = u.get(V)
-            if m is None or m not in fx.mor or fx.mor[m] != (V, rid.ob(V)):
-                errs.append(f"unitor at {fmt(X)} malformed at {fmt(V)}")
-            elif not fx.is_iso(m):
-                errs.append(f"unitor at {fmt(X)} not invertible at {fmt(V)}")
+    errs = _fibre_arrows("unitor at {}", "no unitor at {}", (
+        ((X,), D.fib[X], D.fib[X], D.unitor.get(X), (), (D.res[base.ident[X]],))
+        for X in base.objects), invertible=True)
     if errs:
-        return sorted(errs)
-    for X in base.objects:
-        fx, u, rid = D.fib[X], D.unitor[X], D.res[base.ident[X]]
-        for m, (V, W) in fx.mor.items():
-            if fx.compose(u[W], m) != fx.compose(rid.mo(m), u[V]):
-                errs.append(f"unitor at {fmt(X)} not natural at {fmt(m)}")
+        return errs
+    errs = _fibre_arrows("compositor ({},{})", "no compositor for ({},{})", (
+        ((g, f), D.fib[base.cod(g)], D.fib[base.dom(f)], D.compositor.get((g, f)),
+         (D.res[g], D.res[f]), (D.res[h],))
+        for (g, f), h in base.table.items()), invertible=True)
     if errs:
-        return sorted(errs)
-
-    for (g, f), h in base.table.items():
-        comp = D.compositor.get((g, f))
-        if comp is None:
-            return [f"no compositor for ({fmt(g)},{fmt(f)})"]
-        tgt_fib = D.fib[base.dom(f)]
-        for V in D.fib[base.cod(g)].objects:
-            m = comp.get(V)
-            want = (D.res[f].ob(D.res[g].ob(V)), D.res[h].ob(V))
-            if m is None or m not in tgt_fib.mor or tgt_fib.mor[m] != want:
-                errs.append(f"compositor ({fmt(g)},{fmt(f)}) malformed at {fmt(V)}")
-            elif not tgt_fib.is_iso(m):
-                errs.append(f"compositor ({fmt(g)},{fmt(f)}) not invertible at {fmt(V)}")
-    if errs:
-        return sorted(errs)
-    for (g, f), h in base.table.items():
-        comp = D.compositor[(g, f)]
-        tgt_fib = D.fib[base.dom(f)]
-        for m, (V, W) in D.fib[base.cod(g)].mor.items():
-            lhs = tgt_fib.compose(comp[W], D.res[f].mo(D.res[g].mo(m)))
-            rhs = tgt_fib.compose(D.res[h].mo(m), comp[V])
-            if lhs != rhs:
-                errs.append(f"compositor ({fmt(g)},{fmt(f)}) not natural at {fmt(m)}")
-    if errs:
-        return sorted(errs)
+        return errs
 
     # Associativity: for composable y∘z∘w the two ways of collapsing agree;
     # a failing triple is reported at its least fibre object by text.
@@ -279,7 +293,6 @@ def validate_indexed_fun(F: IndexedFun) -> list:
     """Pseudonaturality violations, as strings, in phases as in
     `validate_indexed`: past the structural checks, each phase checks every
     element and sorts its findings."""
-    errs = []
     D, E = F.D, F.E
     base = D.base
     if E.base != base:
@@ -295,32 +308,12 @@ def validate_indexed_fun(F: IndexedFun) -> list:
         if bad:
             return [f"component at {fmt(X)} not a functor: {bad[0]}"]
 
-    for y, (Y, X) in base.mor.items():
-        cy = F.cell.get(y)
-        if cy is None:
-            return [f"no cell along {fmt(y)}"]
-        fy = E.fib[Y]
-        for V in D.fib[X].objects:
-            m = cy.get(V)
-            want = (
-                F.comp[Y].ob(D.res[y].ob(V)),
-                E.res[y].ob(F.comp[X].ob(V)),
-            )
-            if m is None or m not in fy.mor or fy.mor[m] != want:
-                errs.append(f"cell along {fmt(y)} malformed at {fmt(V)}")
-            elif not fy.is_iso(m):
-                errs.append(f"cell along {fmt(y)} not invertible at {fmt(V)}")
+    errs = _fibre_arrows("cell along {}", "no cell along {}", (
+        ((y,), D.fib[X], E.fib[Y], F.cell.get(y),
+         (D.res[y], F.comp[Y]), (F.comp[X], E.res[y]))
+        for y, (Y, X) in base.mor.items()), invertible=True)
     if errs:
-        return sorted(errs)
-    for y, (Y, X) in base.mor.items():
-        cy, fy = F.cell[y], E.fib[Y]
-        for m, (V, W) in D.fib[X].mor.items():
-            lhs = fy.compose(cy[W], F.comp[Y].mo(D.res[y].mo(m)))
-            rhs = fy.compose(E.res[y].mo(F.comp[X].mo(m)), cy[V])
-            if lhs != rhs:
-                errs.append(f"cell along {fmt(y)} not natural at {fmt(m)}")
-    if errs:
-        return sorted(errs)
+        return errs
 
     for X in base.objects:
         fy = E.fib[X]
@@ -409,37 +402,41 @@ class IndexedNat:
         self.comp = {X: dict(c) for X, c in comp.items()}
 
 
-def validate_indexed_nat(t: IndexedNat) -> list:
-    F, G = t.F, t.G
+def _incoherent(F, G, y, tY, tX):
+    """The objects V over cod(y) at which the components tY, tX of a
+    transformation F => G do not commute with the cells along y."""
     D, E = F.D, F.E
-    errs = []
-    for X in D.base.objects:
-        cx = t.comp.get(X)
-        if cx is None:
-            return [f"no component at {fmt(X)}"]
-        fx = E.fib[X]
-        for V in D.fib[X].objects:
-            m = cx.get(V)
-            if m is None or m not in fx.mor or fx.mor[m] != (
-                F.comp[X].ob(V),
-                G.comp[X].ob(V),
-            ):
-                errs.append(f"component at {fmt(X)} malformed at {fmt(V)}")
-        if errs:
-            return errs
-        for m, (V, W) in D.fib[X].mor.items():
-            if fx.compose(cx[W], F.comp[X].mo(m)) != fx.compose(G.comp[X].mo(m), cx[V]):
-                errs.append(f"component at {fmt(X)} not natural at {fmt(m)}")
+    Y, X = D.base.mor[y]
+    fy, ry, Fy, Gy, ty = E.fib[Y], D.res[y], F.cell[y], G.cell[y], E.res[y]
+    for V in D.fib[X].objects:
+        if (fy.compose(Gy[V], tY[ry.omap[V]])
+                != fy.compose(ty.mmap[tX[V]], Fy[V])):
+            yield V
+
+
+def _components(t: IndexedNat, invertible=False) -> list:
+    """`_fibre_arrows` on the components of t."""
+    F, G = t.F, t.G
+    return _fibre_arrows("component at {}", "no component at {}", (
+        ((X,), F.D.fib[X], F.E.fib[X], t.comp.get(X), (F.comp[X],), (G.comp[X],))
+        for X in F.D.base.objects), invertible)
+
+
+def validate_indexed_nat(t: IndexedNat) -> list:
+    """Violations of the transformation laws, as strings, in phases as in
+    `validate_indexed_fun`: the first missing component; else every
+    component's typing findings; else its naturality findings; else the
+    findings where components and cells do not commute.  Each phase checks
+    every element and sorts its findings."""
+    errs = _components(t)
     if errs:
         return errs
-    for y, (Y, X) in D.base.mor.items():
-        fy = E.fib[Y]
-        for V in D.fib[X].objects:
-            lhs = fy.compose(G.cell[y][V], t.comp[Y][D.res[y].ob(V)])
-            rhs = fy.compose(E.res[y].mo(t.comp[X][V]), F.cell[y][V])
-            if lhs != rhs:
-                errs.append(f"cell coherence fails along {fmt(y)} at {fmt(V)}")
-    return errs
+    comp = t.comp
+    return sorted(
+        f"cell coherence fails along {fmt(y)} at {fmt(V)}"
+        for y, (Y, X) in t.F.D.base.mor.items()
+        for V in _incoherent(t.F, t.G, y, comp[Y], comp[X])
+    )
 
 
 def find_indexed_natiso(F: IndexedFun, G: IndexedFun, caps: _caps.Caps = _caps.DEFAULT):
@@ -449,8 +446,7 @@ def find_indexed_natiso(F: IndexedFun, G: IndexedFun, caps: _caps.Caps = _caps.D
     cell-coherence condition along a base morphism reads the components at
     both of its endpoints.
     """
-    D, E = F.D, F.E
-    base = D.base
+    base = F.D.base
     objs = base.objects
     cand = []
     for X in objs:
@@ -462,13 +458,7 @@ def find_indexed_natiso(F: IndexedFun, G: IndexedFun, caps: _caps.Caps = _caps.D
 
     def coherent(y, a):
         Y, X = base.mor[y]
-        tY, tX = a[at[Y]], a[at[X]]
-        fy = E.fib[Y]
-        return all(
-            fy.compose(G.cell[y][V], tY[D.res[y].ob(V)])
-            == fy.compose(E.res[y].mo(tX[V]), F.cell[y][V])
-            for V in D.fib[X].objects
-        )
+        return not any(True for _ in _incoherent(F, G, y, a[at[Y]], a[at[X]]))
 
     found = _caps.search(cand, cells, coherent, _caps.Budget(caps))
     a = next(found, None)

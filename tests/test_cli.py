@@ -138,6 +138,16 @@ def test_fiber_adjunction_default_identity(capsys):
     assert rep["ok"] is True
 
 
+def test_fiber_adjunction_indexed_picks_its_identity_fibration(capsys):
+    """factor.site has a fibration block, phi; naming an indexed block runs
+    that block's identity fibration instead."""
+    code, rep, _ = run_json(capsys, "fiber-adjunction", FACTOR,
+                            "--indexed", "T")
+    assert code == 0
+    assert rep["args"] == {"indexed": "T"}
+    assert rep["results"]["fibration"] == "T"
+
+
 def test_factorize_ok(capsys):
     code, rep, _ = run_json(capsys, "factorize", FACTOR, "--phi", "phi")
     assert code == 0
@@ -257,6 +267,23 @@ def test_ambiguous_block_exits_2(capsys):
     code, _, err = run(capsys, "check", FACTOR, "--stack")
     assert code == 2
     assert "pick one with --indexed" in err
+
+
+@pytest.mark.parametrize("flag", [["--indexed", "T"], ["--presheaf", "S"]])
+def test_fiber_adjunction_fibration_with_a_block_flag_exits_2(capsys, flag):
+    code, out, err = run(capsys, "fiber-adjunction", FACTOR,
+                         "--fibration", "phi", *flag)
+    assert code == 2 and out == ""
+    assert "--fibration excludes --indexed and --presheaf" in err
+
+
+def test_indexed_with_presheaf_exits_2(capsys):
+    """Neither flag is dropped for the other, even when the named presheaf
+    does not exist."""
+    code, out, err = run(capsys, "check", FACTOR, "--indexed", "T",
+                         "--presheaf", "Nope", "--stack")
+    assert code == 2 and out == ""
+    assert "--indexed and --presheaf exclude each other" in err
 
 
 def test_unknown_object_exits_2(capsys):

@@ -448,26 +448,40 @@ def test_strict_block_reports_the_first_non_strict_pair_in_stable_order():
         ("indexed", "D", "restriction not strict on ((le,w,x),(le,v,w)) at c")]
 
 
+# A `strict;` block whose restrictions S, T, S do not compose on the nose,
+# and a fibration block that names it.
+NOT_STRICT = (
+    "poset P { y <= x; z <= y; }"
+    " category A { objects: a, b; morphisms: u: a -> b; }"
+    " functor S : A -> A { obj a = b; obj b = b; mor u = id(b); }"
+    " functor T : A -> A { obj a = a; obj b = a; mor u = id(a); }"
+    " functor I : A -> A { obj a = a; obj b = b; mor u = u; }"
+    " indexed D over P { fiber x = A; fiber y = A; fiber z = A;"
+    " restrict y <= x = S; restrict z <= y = T; restrict z <= x = S;"
+    " strict; }"
+    " fibration Q : D -> D { component x = I; component y = I;"
+    " component z = I; }"
+)
+
+
 def test_non_strict_strict_block_is_declared_with_its_finding():
     """A `strict;` block whose restrictions do not compose on the nose is
     declared with that finding, so a later block naming it is told it
     breaks its laws, not that it is unknown."""
-    env = elab(
-        "poset P { y <= x; z <= y; }"
-        " category A { objects: a, b; morphisms: u: a -> b; }"
-        " functor S : A -> A { obj a = b; obj b = b; mor u = id(b); }"
-        " functor T : A -> A { obj a = a; obj b = a; mor u = id(a); }"
-        " functor I : A -> A { obj a = a; obj b = b; mor u = u; }"
-        " indexed D over P { fiber x = A; fiber y = A; fiber z = A;"
-        " restrict y <= x = S; restrict z <= y = T; restrict z <= x = S;"
-        " strict; }"
-        " fibration Q : D -> D { component x = I; component y = I;"
-        " component z = I; }"
-    )
+    env = elab(NOT_STRICT)
     assert ("indexed", "D") in env.order and ("fibration", "Q") in env.order
     assert env.findings == [
         ("indexed", "D", "restriction not strict on ((le,y,x),(le,z,y)) at a"),
         ("fibration", "Q", "not validated: 'D' breaks its laws")]
+
+
+def test_writer_refuses_an_open_coherence_cell():
+    """The block is declared with no cell where it is not strict; written
+    as it is, it would read back with other findings."""
+    with pytest.raises(ValueError) as ex:
+        serialize_env(elab(NOT_STRICT))
+    assert str(ex.value) == ("indexed 'D' cannot be written: its coherence "
+                             "cell compositor ((le,y,x),(le,z,y)) at a is open")
 
 
 def test_strict_block_strict_on_objects_only_gets_the_law_findings():

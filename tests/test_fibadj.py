@@ -391,6 +391,20 @@ def test_validate_fib_mor_flags_lost_cartesian_arrows():
     ]
 
 
+def test_validate_fib_mor_flags_a_comparison_that_is_not_invertible():
+    """The comparison is natural and coherent, but its component is the
+    absorbing z of the monoid on 1, z, which has no inverse."""
+    mor = {"1": ("*", "*"), "z": ("*", "*")}
+    table = {(a, b): "z" if "z" in (a, b) else "1" for a in mor for b in mor}
+    ee = const_indexed(terminal_cat(), FinCat(("*",), mor, {"*": "1"}, table))
+    fib = as_fibration(identity_indexed_fun(ee))
+    f = identity_indexed_fun(ee)
+    phi = IndexedNat(compose_indexed_funs(fib.p, f), fib.p, {"*": {"*": "z"}})
+    assert validate_fib_mor(FibMor(fib, fib, f, phi)) == [
+        "comparison: component at * not invertible at *"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # localization conformance
 

@@ -272,3 +272,46 @@ def test_only_the_cli_entry_point_catches_internal_errors(tmp_path):
     modules = sorted(SRC.glob("*.py"))
     assert [(name, fn) for p in modules for name, _, fn in bug_handlers(p)] == [
         ("cli.py", "main")]
+
+
+# The words of the findings on families of fibre arrows: unitors,
+# compositors, an indexed functor's cells, a transformation's components.
+_FIBRE_ARROW_WORDS = (" malformed at ", " not invertible at ", " not natural at ")
+
+
+def fibre_arrow_wordings(path):
+    """(file, line, enclosing function) of each string constant, f-string
+    parts included, that holds one of `_FIBRE_ARROW_WORDS`; "" for a
+    constant outside any function."""
+    out = []
+
+    def walk(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, child.name)
+                continue
+            if (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                    and any(w in child.value for w in _FIBRE_ARROW_WORDS)):
+                out.append((path.name, child.lineno, fn))
+            walk(child, fn)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+def test_one_function_words_the_findings_on_fibre_arrows(tmp_path):
+    """Typing, invertibility and naturality of every family of fibre arrows
+    are decided in one place, so the words of those findings are written in
+    one function."""
+    sample = tmp_path / "sample.py"
+    sample.write_text("def f(x):\n"
+                      "    return f'cell {x} malformed at {x}'\n"
+                      "def g():\n"
+                      "    return 'not natural at'\n"
+                      "MSG = 'unit not invertible at '\n")
+    assert fibre_arrow_wordings(sample) == [("sample.py", 2, "f"),
+                                            ("sample.py", 5, "")]
+    modules = sorted(SRC.glob("*.py"))
+    assert {(name, fn) for p in modules
+            for name, _, fn in fibre_arrow_wordings(p)} == {
+        ("indexed.py", "_fibre_arrows")}

@@ -1,7 +1,11 @@
 import pytest
 
 from finstack import (
+    FinCat,
     Functor,
+    IndexedCat,
+    IndexedFun,
+    IndexedNat,
     InternalError,
     compose_indexed_funs,
     const_indexed,
@@ -13,6 +17,7 @@ from finstack import (
     nu,
     path_cell,
     precompose_indexed,
+    product_cat,
     strict_indexed,
     strict_indexed_fun,
     validate_indexed,
@@ -240,3 +245,84 @@ def test_strict_indexed_fun_rejects_components_that_do_not_commute():
     with pytest.raises(InternalError) as ex:
         strict_indexed_fun(D, E, {"*": identity_functor(two)})
     assert str(ex.value) == "components not strict along s at 0"
+
+
+def _iso_times_z2_with_zero():
+    """Over the arrow a -> b: the constant indexed category on the walking
+    iso x ~ y times the monoid on arrows 1, s, z with s∘s = 1 and z
+    absorbing, its identity functor F, and the identity components of F.
+    (idx,s) is an automorphism of (x,*) that does not commute with (f,1),
+    and (idx,z) is not invertible."""
+    mor = {a: ("*", "*") for a in ("1", "s", "z")}
+    table = {(a, b): "z" if "z" in (a, b) else ("1" if a == b else "s")
+             for a in mor for b in mor}
+    M = FinCat(("*",), mor, {"*": "1"}, table, name="M")
+    D = const_indexed(corpus.arrow_cat(),
+                      product_cat([corpus.walking_iso_cat(), M]).cat)
+    ident = {X: {V: D.fib[X].ident[V] for V in D.fib[X].objects}
+             for X in D.base.objects}
+    return D, identity_indexed_fun(D), ident
+
+
+# The arrow put at (x,*) in place of its identity; None takes it away.
+_BREAKS = {"missing": None, "other ends": ("f", "1"),
+           "not invertible": ("idx", "z"), "not natural": ("idx", "s")}
+_NOT_NATURAL = [f"not natural at ({f},{a})" for f in "fg" for a in "1s"]
+_FAMILY_CASES = [
+    (kind, how, [f"{name} {finding}" for finding in findings])
+    for kind, name in (("unitor", "unitor at a"),
+                       ("compositor", "compositor (i,ida)"),
+                       ("cell", "cell along i"),
+                       ("component", "component at a"))
+    for how, findings in (("missing", ["malformed at (x,*)"]),
+                          ("other ends", ["malformed at (x,*)"]),
+                          ("not invertible", ["not invertible at (x,*)"]),
+                          ("not natural", _NOT_NATURAL))
+    if (kind, how) != ("component", "not invertible")
+]
+
+
+@pytest.mark.parametrize("kind,how,expected", _FAMILY_CASES)
+def test_one_check_for_every_family_of_fibre_arrows(kind, how, expected):
+    """Unitors, compositors, an indexed functor's cells and a
+    transformation's components are checked by one rule, with one wording:
+    each arrow is there with the right ends, invertible for all but
+    components, and the family is natural."""
+    D, F, ident = _iso_times_z2_with_zero()
+
+    def broken(family):
+        family = {k: dict(arrows) for k, arrows in family.items()}
+        key = {"compositor": ("i", "ida"), "cell": "i"}.get(kind, "a")
+        if _BREAKS[how] is None:
+            del family[key][("x", "*")]
+        else:
+            family[key][("x", "*")] = _BREAKS[how]
+        return family
+
+    if kind == "unitor":
+        got = validate_indexed(
+            IndexedCat(D.base, D.fib, D.res, D.compositor, broken(D.unitor)))
+    elif kind == "compositor":
+        got = validate_indexed(
+            IndexedCat(D.base, D.fib, D.res, broken(D.compositor), D.unitor))
+    elif kind == "cell":
+        got = validate_indexed_fun(IndexedFun(D, D, F.comp, broken(F.cell)))
+    else:
+        got = validate_indexed_nat(IndexedNat(F, F, broken(ident)))
+    assert got == expected
+
+
+def test_validate_indexed_nat_reports_typing_before_naturality():
+    """Every component's typing comes first: a wrong arrow at the later
+    object b is reported, and the naturality defect at the earlier object a
+    is not; a missing component comes before both."""
+    _, F, comp = _iso_times_z2_with_zero()
+    comp["a"][("x", "*")] = ("idx", "s")
+    assert validate_indexed_nat(IndexedNat(F, F, comp)) == [
+        f"component at a {finding}" for finding in _NOT_NATURAL]
+    comp["b"][("y", "*")] = ("g", "1")
+    assert validate_indexed_nat(IndexedNat(F, F, comp)) == [
+        "component at b malformed at (y,*)"]
+    del comp["b"]
+    assert validate_indexed_nat(IndexedNat(F, F, comp)) == [
+        "no component at b"]
