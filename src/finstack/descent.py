@@ -49,7 +49,9 @@ fixed D, the sieves R such that D satisfies descent on every pullback of R
 form a Grothendieck topology, the largest for which D is a stack (Giraud,
 *Cohomologie non abélienne*, 1971, ch. II; Vistoli, "Grothendieck
 topologies, fibered categories and descent theory", 2005, §4.1; the same
-holds for full faithfulness alone).  Passing on G puts every M_x in that
+holds for full faithfulness alone, and for the sheaf condition of a
+set-valued presheaf, on which `stackify.sheafify_with_unit` checks its
+output).  Passing on G puts every M_x in that
 topology, and every cover of x contains M_x, so it is covered too.  Since J
 is a topology, every sieve of G is a cover of J, so a failure on G is a
 failing cover: the witness is the first failing sieve of G, and a cap

@@ -340,8 +340,9 @@ def least_cover_pullbacks(J: Topology):
     is kept once, and sieves containing id_y are left out.  For a topology
     J, each sieve returned is a cover of J.  When the sieves on whose every
     pullback a property holds form a topology, as they do for descent (see
-    `descent`), a property that holds on all of these holds on every cover
-    of J, because every cover of x contains M_x."""
+    `descent`) and for the sheaf condition of a set-valued presheaf (see
+    `stackify.sheafify_with_unit`), a property that holds on all of these
+    holds on every cover of J, because every cover of x contains M_x."""
     c = J.base
     bits = _Bits(c)
     seen, out = set(), []

@@ -10,8 +10,10 @@ least cover.  Restriction of descent data along y is then literal reindexing
 
 `sheafify_with_unit` re-implements the set-level special case from scratch
 (matching families, twice) so the categorical pipeline can be audited against
-it on discrete embeddings without sharing any machinery; the comparison
-functor between the two lives with the tests that use it.
+it on discrete embeddings; the comparison functor between the two lives with
+the tests that use it.  Its guard on its own output shares one piece with
+`is_stack`, the sieves of `site.least_cover_pullbacks`; the oracle
+`is_sheaf_presheaf` shares no machinery and checks every cover.
 """
 
 from dataclasses import dataclass
@@ -40,7 +42,7 @@ from .indexed import (
     strict_indexed_fun,
     validate_indexed_nat,
 )
-from .site import Sieve, Topology, minimal_cover
+from .site import Sieve, Topology, least_cover_pullbacks, minimal_cover
 from .util import ckey, fmt
 
 
@@ -351,13 +353,17 @@ def plus_presheaf(P: Presheaf, J: Topology, caps: _caps.Caps = _caps.DEFAULT):
 
 
 def sheafify_with_unit(P: Presheaf, J: Topology, caps: _caps.Caps = _caps.DEFAULT):
-    """Plus twice, with the composite unit P -> P⁺⁺."""
+    """Plus twice, with the composite unit P -> P⁺⁺.  J is taken to be a
+    Grothendieck topology, as for `is_stack`.  The output is checked to be a
+    J-sheaf on `least_cover_pullbacks(J)` alone, which is exact: the sieves
+    on whose every pullback a presheaf's sheaf condition holds form a
+    topology (Giraud 1971, ch. II; Vistoli 2005, §4.1; see `descent`)."""
     P1, u1 = plus_presheaf(P, J, caps)
     P2, u2 = plus_presheaf(P1, J, caps)
     unit = {
         X: {e: u2[X][u1[X][e]] for e in P.els[X]} for X in P.base.objects
     }
-    sheaf = is_sheaf_presheaf(P2, J, caps)
+    sheaf = _sheaf_over(P2, least_cover_pullbacks(J), caps)
     if not sheaf:
         raise InternalError(f"double plus did not produce a sheaf: {sheaf.reason}")
     return P2, unit
@@ -365,27 +371,33 @@ def sheafify_with_unit(P: Presheaf, J: Topology, caps: _caps.Caps = _caps.DEFAUL
 
 def is_sheaf_presheaf(P: Presheaf, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> Check:
     """Sections are in bijection with matching families, for every cover."""
-    base = P.base
-    for X in base.objects:
-        for R in J.covers_of(X):
-            fams = matching_families(P, R, caps)
-            seen = {}
-            members = R.members()
-            for e in P.els[X]:
-                key = ("mf", tuple((f, P.act[f][e]) for f in members))
-                if key in seen:
-                    return Check(
-                        False,
-                        f"not separated over {fmt(X)}: two sections restrict "
-                        f"identically",
-                        witness=(X, R, seen[key], e),
-                    )
-                seen[key] = e
-            for fam in fams:
-                if fam not in seen:
-                    return Check(
-                        False,
-                        f"matching family over {fmt(X)} has no section",
-                        witness=(X, R, fam),
-                    )
+    return _sheaf_over(
+        P, (R for X in P.base.objects for R in J.covers_of(X)), caps)
+
+
+def _sheaf_over(P: Presheaf, sieves, caps) -> Check:
+    """Sections are in bijection with matching families over each sieve in
+    turn; if not, the first failure."""
+    for R in sieves:
+        X = R.target
+        fams = matching_families(P, R, caps)
+        seen = {}
+        members = R.members()
+        for e in P.els[X]:
+            key = ("mf", tuple((f, P.act[f][e]) for f in members))
+            if key in seen:
+                return Check(
+                    False,
+                    f"not separated over {fmt(X)}: two sections restrict "
+                    f"identically",
+                    witness=(X, R, seen[key], e),
+                )
+            seen[key] = e
+        for fam in fams:
+            if fam not in seen:
+                return Check(
+                    False,
+                    f"matching family over {fmt(X)} has no section",
+                    witness=(X, R, fam),
+                )
     return Check(True, "sheaf")

@@ -216,6 +216,40 @@ def patches_nonseparated():
     return Presheaf(c, els, act, name="doubled")
 
 
+def overlap_site():
+    """Patches whose overlap r is covered in turn, by two points s, t."""
+    c = poset_cat(
+        ("X", "p", "q", "r", "s", "t"),
+        [("s", "r"), ("t", "r"), ("r", "p"), ("r", "q"), ("p", "X"),
+         ("q", "X")],
+        name="overlap",
+    )
+    return c, saturate(c, {"X": [[le("p", "X"), le("q", "X")]],
+                           "r": [[le("s", "r"), le("t", "r")]]})
+
+
+def overlap_nonseparated():
+    """Two sections over the overlap r that s and t cannot tell apart, c2
+    from the patch p only.  Over X, (a2, b1) matches in P⁺, where c1 and c2
+    become one family, but not in P, so P⁺ is not a sheaf."""
+    c, _ = overlap_site()
+    below = {  # each section -> its restrictions, to its own object first
+        "x1": {"X": "x1", "p": "a1", "q": "b1", "r": "c1", "s": "d", "t": "e"},
+        "a1": {"p": "a1", "r": "c1", "s": "d", "t": "e"},
+        "a2": {"p": "a2", "r": "c2", "s": "d", "t": "e"},
+        "b1": {"q": "b1", "r": "c1", "s": "d", "t": "e"},
+        "c1": {"r": "c1", "s": "d", "t": "e"},
+        "c2": {"r": "c2", "s": "d", "t": "e"},
+        "d": {"s": "d"},
+        "e": {"t": "e"},
+    }
+    owner = {e: next(iter(under)) for e, under in below.items()}
+    els = {x: tuple(e for e in below if owner[e] == x) for x in c.objects}
+    act = {m: {e: below[e][a] for e in els[b]}
+           for m, (a, b) in c.mor.items()}
+    return Presheaf(c, els, act, name="overlap")
+
+
 def arrow_presheaf(nb=2, na=1):
     """Presheaf on the arrow with nb sections over b all restricting to the
     first of na sections over a."""

@@ -1,6 +1,10 @@
+import importlib
+import random
+
 import pytest
 
 from finstack import (
+    DEFAULT,
     InternalError,
     embed_discrete,
     embed_mor,
@@ -10,6 +14,7 @@ from finstack import (
     is_prestack,
     is_sheaf_presheaf,
     is_stack,
+    least_cover_pullbacks,
     matching_families,
     minimal_cover,
     plus,
@@ -28,8 +33,10 @@ from finstack import (
 )
 from finstack.indexed import const_indexed
 from finstack.fincat import Functor
+from finstack.stackify import _sheaf_over
 
 import corpus
+import sitegen
 from oracles import discrete_stackify_witness
 
 
@@ -165,6 +172,74 @@ def test_sheafify_unit_iso_on_sheaf():
         vals = [unit[X][e] for e in P.els[X]]
         assert len(set(vals)) == len(vals)
         assert len(vals) == len(sheaf.els[X])
+
+
+def _sheaf_inputs():
+    """(presheaf, topology): random presheaves on seeded `sitegen` sites,
+    multi-cover sites and open lattices, on saturated random coverages of
+    the non-poset corpus categories, and on the patches whose overlap is
+    covered, where P⁺ need not be a sheaf."""
+    rng = random.Random(32)
+    out = []
+    for _ in range(100):
+        c, J = sitegen.rand_site(rng)
+        out.append((sitegen.rand_presheaf(rng, c), J))
+    for _ in range(50):
+        c, J, _ = sitegen.multi_cover_site(rng)
+        out.append((sitegen.rand_presheaf(rng, c), J))
+    for n in range(4, 13):
+        c, J, opens = sitegen.open_cover_site(rng, n)
+        out.append((sitegen.restriction_presheaf(rng, c, opens, 2), J))
+    for make in (corpus.z2_cat, corpus.parallel_pair_cat,
+                 corpus.walking_iso_cat, corpus.span_cat, corpus.arrow_cat,
+                 corpus.patches_cat):
+        c = make()
+        for _ in range(20):
+            J = sitegen.rand_topology(rng, c, second=0.9)
+            out.append((sitegen.rand_presheaf(rng, c), J))
+    c, J = corpus.overlap_site()
+    out += [(sitegen.rand_presheaf(rng, c), J) for _ in range(50)]
+    out.append((corpus.overlap_nonseparated(), J))
+    return out
+
+
+def test_sheaf_condition_on_least_cover_pullbacks_matches_every_cover():
+    """The check `sheafify_with_unit` makes of its output, on
+    `least_cover_pullbacks(J)` alone, gives the verdict of the all-covers
+    oracle on P, P⁺ and P⁺⁺, and both verdicts occur on P and on P⁺."""
+    verdicts = [set(), set(), set()]
+    for P, J in _sheaf_inputs():
+        P1, _ = plus_presheaf(P, J)
+        P2, _ = plus_presheaf(P1, J)
+        for stage, Q in enumerate((P, P1, P2)):
+            want = is_sheaf_presheaf(Q, J).ok
+            assert _sheaf_over(Q, least_cover_pullbacks(J), DEFAULT).ok == want
+            verdicts[stage].add(want)
+    assert verdicts == [{True, False}, {True, False}, {True}]
+
+
+def test_sheafify_guard_fires_when_the_second_plus_is_skipped(monkeypatch):
+    """With the second plus returning its input, the output is P⁺, which
+    is not a sheaf for the overlap presheaf, and the reduced check says so."""
+    module = importlib.import_module("finstack.stackify")
+    once = module.plus_presheaf
+    calls = []
+
+    def first_only(Q, J, caps=DEFAULT):
+        calls.append(Q)
+        if len(calls) == 1:
+            return once(Q, J, caps)
+        return Q, {X: {e: e for e in Q.els[X]} for X in Q.base.objects}
+
+    _, J = corpus.overlap_site()
+    P = corpus.overlap_nonseparated()
+    assert not is_sheaf_presheaf(plus_presheaf(P, J)[0], J)
+    monkeypatch.setattr(module, "plus_presheaf", first_only)
+    with pytest.raises(InternalError,
+                       match="double plus did not produce a sheaf: matching "
+                             "family over X has no section"):
+        sheafify_with_unit(P, J)
+    assert len(calls) == 2
 
 
 def test_plus_presheaf_unit():
