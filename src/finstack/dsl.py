@@ -996,7 +996,7 @@ class _Elab:
                 return
         else:
             res = {}
-            for m in self.env.gens[catname]:
+            for m in cat.mor:
                 if m in given_res:
                     res[m] = given_res[m][0]
                 elif cat.is_id(m):

@@ -7,15 +7,15 @@ Object and morphism ids are arbitrary hashable values; builders in this
 package use strings for hand-written input and nested tuples for constructed
 artifacts.
 
-A category stores its objects and its morphisms in stable (`ckey`) order
-and ranks them.  Every category the library builds is built by
-`FinCat.from_homs`, which fills the table from a composition rule over the
-composable pairs of its morphisms and stores the ids as its builder lists
-them.  Builders from other categories walk their parts in stable order
-(`descent.desc_cat`, `groth.grothendieck`, the iso-comma of `fibadj`,
-`site.slice_cat`, `product_cat`); the others sort once themselves
-(`discrete_cat`, `poset_cat`, `groth.essential_fibre_cat`, a DSL
-`category` block).  `FinCat(...)`, for categories given whole (input
+A category stores its objects and its morphisms in stable (`ckey`) order,
+and `hom` and `into` list them in that order.  Every category the library
+builds is built by `FinCat.from_homs`, which fills the table from a
+composition rule over the composable pairs of its morphisms and stores the
+ids as its builder lists them.  Builders from other categories walk their
+parts in stable order (`descent.desc_cat`, `groth.grothendieck`, the
+iso-comma of `fibadj`, `site.slice_cat`, `product_cat`); the others sort
+once themselves (`discrete_cat`, `poset_cat`, `groth.essential_fibre_cat`,
+a DSL `category` block).  `FinCat(...)`, for categories given whole (input
 readers, outside callers), sorts by `ckey`.
 All predicates (`is_fully_faithful`, `is_essentially_surjective`,
 `is_equivalence`) run by exhaustive search and return a `Check` carrying a
@@ -47,8 +47,7 @@ class Check:
 
 class FinCat:
     __slots__ = (
-        "name", "objects", "mor", "ident", "table", "_hom", "_into", "_rank",
-        "_inv",
+        "name", "objects", "mor", "ident", "table", "_hom", "_into", "_inv",
     )
 
     def __init__(self, objects, mor, ident, table, name=""):
@@ -91,7 +90,6 @@ class FinCat:
         self.table = dict(table)
         self._hom = None
         self._into = None
-        self._rank = None
         self._inv = {}
 
     def __repr__(self):
@@ -133,7 +131,7 @@ class FinCat:
 
     def _build_hom(self):
         """File the morphisms, in stable order, by (dom, cod) and by
-        codomain, and rank them."""
+        codomain."""
         h = {}
         into = {x: [] for x in self.objects}
         for m, (d, c) in self.mor.items():
@@ -141,24 +139,6 @@ class FinCat:
             into[c].append(m)
         self._hom = {k: tuple(v) for k, v in h.items()}
         self._into = {x: tuple(v) for x, v in into.items()}
-        self._rank = {m: i for i, m in enumerate(self.mor)}
-
-    def morphism_ranks(self):
-        """Each morphism's position in stable order."""
-        if self._rank is None:
-            self._build_hom()
-        return self._rank
-
-    def ordered(self, ms):
-        """The given morphisms of this category, in stable order."""
-        return sorted(ms, key=self.morphism_ranks().__getitem__)
-
-    def set_key(self, ms):
-        """Sort key for a set of this category's morphisms.  `ckey` is
-        injective on them and ranks follow its order, so this key orders
-        sets of morphisms exactly as `ckey` does."""
-        rank = self.morphism_ranks()
-        return tuple(sorted(rank[m] for m in ms))
 
     def hom(self, x, y):
         if self._hom is None:
@@ -550,7 +530,7 @@ def poset_cat(objects, leq, name="") -> FinCat:
                 if b2 == b and (a, c) not in rel:
                     rel.add((a, c))
                     changed = True
-    # Listed by the ranks of (a, b), which is how ("le", a, b) orders.
+    # Listed by a, then b, in stable order, which is how ("le", a, b) orders.
     mor = {("le", a, b): (a, b) for a in objects for b in objects if (a, b) in rel}
     ident = {x: ("le", x, x) for x in objects}
     return FinCat.from_homs(

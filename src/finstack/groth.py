@@ -42,7 +42,7 @@ from .fincat import (
     validate_fincat,
 )
 from .indexed import IndexedCat, precompose_indexed
-from .site import SiteError, Topology, saturate, slice_cat, slice_site
+from .site import Sieve, SiteError, Topology, saturate, slice_cat, slice_site
 from .util import fmt, reused
 
 
@@ -135,7 +135,7 @@ def giraud_topology(G: GrothCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) 
     covers do."""
     if J.base != G.source.base:
         raise SiteError("topology does not live on the base of the total category")
-    least = {X: J.base.ordered(frozenset.intersection(*J.covers[X]))
+    least = {X: Sieve(X, frozenset.intersection(*J.covers[X]), J.base).members()
              for X in J.base.objects if J.covers.get(X)}
     coverage = {(X, U): [[canonical_lift(G, f, U) for f in least[X]]]
                 for (X, U) in G.total.objects if X in least}
@@ -163,10 +163,11 @@ def essential_fibre_cat(
     _caps.check(len(mor), caps, "max_descent", "essential fibre size")
     ident = {(A, alpha): (alpha, alpha, E0.ident[A]) for (A, alpha) in objects}
     # The objects are listed in stable order; a morphism (alpha, beta, w)
-    # orders by the ranks of its three parts.
-    b_mor, e_mor = B0.morphism_ranks(), E0.morphism_ranks()
+    # orders by the positions of its three parts in `B0.mor` and `E0.mor`.
+    b_pos = {m: i for i, m in enumerate(B0.mor)}
+    e_pos = {m: i for i, m in enumerate(E0.mor)}
     mor = {m: mor[m] for m in sorted(
-        mor, key=lambda m: (b_mor[m[0]], b_mor[m[1]], e_mor[m[2]]))}
+        mor, key=lambda m: (b_pos[m[0]], b_pos[m[1]], e_pos[m[2]]))}
     cat = FinCat.from_homs(
         objects,
         mor,

@@ -600,12 +600,12 @@ def validate_presheaf(P: Presheaf) -> list:
         for e in P.els[X]:
             if P.act[base.ident[X]][e] != e:
                 errs.append(f"identity action moves {fmt(e)} over {fmt(X)}")
-    rank = base.morphism_ranks()
-    for g, f in sorted(base.table, key=lambda p: (rank[p[0]], rank[p[1]])):
-        h = base.table[(g, f)]
-        for e in P.els[base.cod(g)]:
-            if P.act[f][P.act[g][e]] != P.act[h][e]:
-                errs.append(f"action not functorial on ({fmt(g)},{fmt(f)})")
+    for g in base.mor:
+        for f in base.into(base.dom(g)):
+            h = base.table[(g, f)]
+            for e in P.els[base.cod(g)]:
+                if P.act[f][P.act[g][e]] != P.act[h][e]:
+                    errs.append(f"action not functorial on ({fmt(g)},{fmt(f)})")
     return errs
 
 

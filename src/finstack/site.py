@@ -8,7 +8,7 @@ topology is fixed by the least cover of each object, so `saturate` runs its
 fixpoint over one sieve per object and then lists the sieves that contain it.
 
 Inside this module a sieve on x is an int, a bitmask: bit j stands for the
-j-th arrow of `c.into(x)`, which is in stable order, so bit order is rank
+j-th arrow of `c.into(x)`, which is in stable order, so bit order is stable
 order.  For h : y -> x the gather table of h holds, for each g in
 `c.into(y)`, the bit of h∘g on x; the pullback h*(S) takes bit j from the
 bit of h∘g_j in S, and the image {h∘g : g ∈ T} is the union of the bits
@@ -35,8 +35,9 @@ enumerates one takes a `Caps`: `--max-sieves-per-object` bounds
 transitivity through the local sieve of each candidate S on x, L(S) = {f :
 f*(S) covers dom f}: S is locally covering exactly when some cover lies
 inside L(S), so each candidate costs one pullback per arrow, not one per
-(cover, member).  Sets of sieves are ordered by `FinCat.set_key`, which
-orders them as `ckey` does.
+(cover, member).  A sieve lists its members in `into` order, and sets of
+sieves are ordered by the bit positions of their masks; both orders are
+the ones `ckey` gives.
 """
 
 from dataclasses import dataclass, field
@@ -57,7 +58,7 @@ class Sieve:
     base: FinCat = field(compare=False, hash=False, repr=False)
 
     def members(self):
-        return self.base.ordered(self.mors)
+        return [m for m in self.base.into(self.target) if m in self.mors]
 
 
 class _Bits:
@@ -150,8 +151,8 @@ def _bit_positions(s: int) -> tuple:
 def sieves_on(c: FinCat, x, caps: _caps.Caps = _caps.DEFAULT):
     """All sieves on x, as raw frozensets, in a stable order.
 
-    Bit order is rank order, so sorting masks by their set bits orders the
-    sieves as `FinCat.set_key` does."""
+    Bit order is stable order, so sorting masks by their set bits orders
+    the sieves as `ckey` orders their sorted members."""
     bits = _Bits(c)
     return [bits.members(x, s)
             for s in sorted(bits.universe(x, caps), key=_bit_positions)]
@@ -163,11 +164,13 @@ class Topology:
     covers: dict  # object -> frozenset of frozensets of morphism ids
 
     def covers_of(self, x):
-        """The covers of x in stable order.  Every member must be a morphism
-        of `base`, which `validate_topology` guarantees."""
+        """The covers of x in stable order, as `sieves_on` lists them.
+        Every member must end at x, which `validate_topology` guarantees."""
+        bits = _Bits(self.base)
         return tuple(
             Sieve(x, mors, self.base)
-            for mors in sorted(self.covers.get(x, ()), key=self.base.set_key)
+            for mors in sorted(self.covers.get(x, ()),
+                               key=lambda mors: _bit_positions(bits.mask(x, mors)))
         )
 
 

@@ -5,17 +5,17 @@ objects and morphisms (strings, ints, nested tuples, frozensets).  Sorting by
 it makes enumeration order, serialization, and error messages reproducible
 across runs.
 
-Keys of nested ids are costly, so they are computed as seldom as possible:
-a `FinCat` stores its objects and morphisms in this order and ranks them
-for every later ordering (`FinCat.ordered`), and a built category lists
-its ids in this order from its parts (a descent category walks its data
-in fibre order), so no datum's key is computed for it.  Where a key is
-computed (serialization, messages), a constructed id with a
-`_ckey` method (a descent datum) computes it once and keeps it.  Descent
-data are hash-consed (one object per distinct datum, so equality is
-identity); their hash is the object's identity, which varies between
-processes: no output may follow the iteration order of a set or dict keyed
-by data; sort in stable order instead.
+Keys of nested ids are costly, so they are computed as seldom as possible.
+A `FinCat` stores its objects and morphisms in this order, and every later
+ordering reads that order (a sieve lists its members in `FinCat.into`
+order).  A built category lists its ids in this order from its parts (a
+descent category walks its data in fibre order), so no datum's key is
+computed for it.  Where a key is computed (serialization, messages), a
+constructed id with a `_ckey` method (a descent datum) computes it once and
+keeps it.  Descent data are hash-consed (one object per distinct datum, so
+equality is identity); their hash is the object's identity, which varies
+between processes: no output may follow the iteration order of a set or
+dict keyed by data; sort in stable order instead.
 
 `reused` lets a builder keep its result on the structure it is built from,
 so a repeat call returns what the first one built.  An entry is keyed by

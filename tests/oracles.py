@@ -101,7 +101,7 @@ def ref_all_functors(src, dst, caps=Caps()):
     """Every object map of the full product, each searched for morphism
     maps."""
     objs = src.objects
-    non_id = [m for m in src.ordered(src.mor) if not src.is_id(m)]
+    non_id = [m for m in src.mor if not src.is_id(m)]
     at = {m: i for i, m in enumerate(non_id)}
     closing = {}
     for (g, f), h in src.table.items():
@@ -426,7 +426,7 @@ def validate_sieve(s):
 def _first_escape(c, mors):
     """The finding for the first member f, in stable order, and arrow g with
     f∘g outside `mors`, a set of morphisms of c that is not a sieve."""
-    for f in c.ordered(mors):
+    for f in [m for m in c.mor if m in mors]:
         for g in c.into(c.dom(f)):
             if c.compose(f, g) not in mors:
                 return f"not closed: {fmt(f)} ∘ {fmt(g)} escapes the sieve"

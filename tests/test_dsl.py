@@ -402,9 +402,10 @@ def test_nonstrict_indexed_requires_all_restrictions():
     assert "no restriction along" in diags[0].msg
 
 
-def test_missing_restrictions_are_listed_in_word_order():
-    """Generators in declaration order, then composites: not the stable
-    order of the morphisms (f, f.g, g, h)."""
+def test_missing_restrictions_are_listed_in_stable_order():
+    """The base's stored (stable) order of its morphisms, which is also the
+    order its coherence gaps are named in: not declaration order, which
+    lists the generators (f, g, h) before the composite f.g."""
     diags = fail_elab(
         "category B { objects: a, b, c;"
         " morphisms: f: b -> c, g: a -> b, h: a -> c; }"
@@ -413,7 +414,7 @@ def test_missing_restrictions_are_listed_in_word_order():
     )
     assert [d.msg for d in diags] == [
         f"indexed 'D' has no restriction along {m}" for m in
-        ("f", "g", "h", "f.g")]
+        ("f", "f.g", "g", "h")]
 
 
 def test_strict_block_rejects_coherence_cells():

@@ -1,16 +1,18 @@
-"""The canonical order of constructed ids against the formulas that computed
-it before descent data cached their keys and categories ranked their
-morphisms: sort by `ckey`, with a datum keyed by its sorted item pairs.
+"""The canonical order of constructed ids against the formula that computed
+it before descent data cached their keys and categories kept their stored
+order: sort by `ckey`, with a datum keyed by its sorted item pairs.
 Every category the library builds is stored in the order its builder
 lists: descent categories, iso-commas, total categories, slices and
 products list their ids in stable order from their parts, essential fibres
-sort their morphisms once by the ranks of their parts, and a poset sorts
-its objects once and lists a morphism by its ends.  So each is checked against `ckey`
-sorts of the same ids, every category the benchmark's stackify and
-fibred-corpus ops build is checked to store `ckey` order, and guards pin
-that no datum's key is computed by those ops.  The fibred categories are
-built from the corpus fibrations of `test_reuse` and from
-`sitegen.rand_fibration`.
+sort their morphisms once by the positions of their parts, and a poset
+sorts its objects once and lists a morphism by its ends.  So each is
+checked against `ckey` sorts of the same ids, every category the
+benchmark's stackify and fibred-corpus ops build is checked to store
+`ckey` order, and guards pin that no datum's key is computed by those ops.
+The fibred categories are built from the corpus fibrations of `test_reuse`
+and from `sitegen.rand_fibration`.  A sieve lists its members in `into`
+order and the sieves on an object come in the order of their masks; both
+are checked against `ckey` sorts on every kind of site the tests generate.
 
 Runs on the corpus sites, `sitegen` sites and the indexed blocks of
 `tests/data`, and both plus stages of `stackify` on them.  There the
@@ -35,6 +37,7 @@ from finstack import (
     as_fibration,
     desc_cat,
     embed_discrete,
+    giraud_topology,
     grothendieck,
     is_indexed_equivalence,
     is_stack,
@@ -48,7 +51,8 @@ from finstack.descent import mor_components, mor_id, restrict_datum
 from finstack.dsl import _dec, _text
 from finstack.fibadj import _iso_comma_fibration, _localize
 from finstack.groth import essential_fibre_cat
-from finstack.site import slice_cat
+from finstack.site import (
+    Sieve, least_cover_pullbacks, minimal_cover, sieves_on, slice_cat)
 from finstack.util import ckey, stable_sorted
 
 import corpus
@@ -160,31 +164,53 @@ def stages(request):
     return c, J, (s.once, s.twice)
 
 
-def _check_ordered(c, rng):
-    ms = list(c.mor)
-    rng.shuffle(ms)
-    assert c.ordered(ms) == ref_sorted(ms)
-    sub = rng.sample(ms, len(ms) // 2)
-    assert c.ordered(sub) == ref_sorted(sub)
+def _giraud_case(name):
+    """The corpus total category of case `name`, with the topology
+    `giraud_topology` transfers to it; its ids are tuples."""
+    def make():
+        c, J, D = CASES[name]()
+        G = grothendieck(D)
+        return G.total, giraud_topology(G, J)
+    return make
 
 
-def test_ordered_matches_ckey_sort(stages):
-    c, J, plus_stages = stages
-    rng = random.Random(0)
-    _check_ordered(c, rng)
-    for p in plus_stages:
-        for X in c.objects:
-            _check_ordered(p.output.fib[X], rng)
+# name -> site (category, topology): every stage case, seeded `sitegen`
+# sites, multi-cover sites and open-cover sites, and the total categories
+# of the corpus cases
+SIEVE_SITES = {
+    **{name: (lambda make=make: make()[:2]) for name, make in CASES.items()},
+    **{f"rand-site-{i}": (lambda i=i: sitegen.rand_site(random.Random(3000 + i)))
+       for i in range(4)},
+    **{f"multi-cover-{i}":
+       (lambda i=i: sitegen.multi_cover_site(random.Random(3100 + i))[:2])
+       for i in range(4)},
+    **{f"open-cover-{n}":
+       (lambda n=n: sitegen.open_cover_site(random.Random(3200 + n), n)[:2])
+       for n in (5, 8, 11)},
+    **{f"giraud-{name}": _giraud_case(name) for name in CORPUS},
+}
 
 
-def test_sieve_members_match_ckey_sort(stages):
-    c, J, plus_stages = stages
+@pytest.mark.parametrize("name", sorted(SIEVE_SITES))
+def test_sieve_members_match_ckey_sort(name):
+    """A sieve lists its members as `ckey` sorts them, and an object's
+    covers and sieve universe come in `ckey` order of the sieves: the
+    covers and least cover of every object, the least-cover pullbacks
+    (which `stackify` and `is_stack` run on) and every sieve on every
+    object."""
+    c, J = SIEVE_SITES[name]()
+    sieves = list(least_cover_pullbacks(J))
     for X in c.objects:
-        for R in J.covers_of(X):
-            assert R.members() == ref_sorted(R.mors)
-    for p in plus_stages:
-        for R in p.minimal.values():
-            assert R.members() == ref_sorted(R.mors)
+        covers = J.covers_of(X)
+        assert [R.mors for R in covers] == ref_sorted(J.covers.get(X, ()))
+        sieves += covers
+        if J.covers.get(X):
+            sieves.append(minimal_cover(J, X))
+        universe = sieves_on(c, X)
+        assert universe == ref_sorted(universe)
+        sieves += [Sieve(X, S, c) for S in universe]
+    for R in sieves:
+        assert R.members() == ref_sorted(R.mors)
 
 
 def test_datum_keys_and_encoding(stages):
@@ -258,8 +284,9 @@ def _benchmark_op(name):
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_stackify_computes_no_datum_key(name, monkeypatch):
-    """Ordering the fibres of D⁺ and D⁺⁺ reads ranks, never a datum's key:
-    the benchmark's stackify op makes no `_ckey` call, nested or not."""
+    """Ordering the fibres of D⁺ and D⁺⁺ reads stored orders, never a
+    datum's key: the benchmark's stackify op makes no `_ckey` call, nested
+    or not."""
     calls = []
     key = DescentDatum._ckey
 
