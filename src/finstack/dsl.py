@@ -38,6 +38,8 @@ document, in a memo keyed by identity and never by value, since
 (True, "x") == (1, "x") have different texts.  The bytes and the row order
 are those of `json.dumps` with sorted keys and compact separators on the
 document's JSON structure (`_Writer` says why the row order is the same).
+The reader parses each distinct descent datum's text once and shares the
+object among its copies (`_parse`), so it decodes each datum once too.
 
 Category blocks list generating morphisms; the composites are closed over
 the stated relations by coset enumeration, so the composite of two
@@ -1186,17 +1188,85 @@ _cjson = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                           ensure_ascii=False).encode
 
 
-# The memo key of a `{"dd": …}` subtree: its compact text, in the key order
-# it was read in; written in C, so much cheaper than decoding the subtree.
-_key_text = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False,
-                             check_circular=False).encode
+# Where a descent datum's text starts, how much of the text from there keys
+# the table of datum texts met so far, and how many texts one key holds: a
+# copy of any further text under one prefix is measured, so many data alike
+# at the start cost a measure per copy, not a search through all of them.
+_DD = '{"dd":'
+_PREFIX = 32
+_PREFIX_TEXTS = 8
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _parse(text):
+    """`json.loads(text)`, with each distinct `{"dd": …}` object text parsed
+    once: every byte-identical copy of it is the same object.
+
+    One scan finds the datum texts.  The first copy of each is measured
+    with `raw_decode`, kept in place and marked with an extra member
+    `"\\u0000": k` before its closing brace; the scan goes on inside it, so
+    nested data are shared too.  Each later copy, found by `startswith`
+    among the texts met at the same prefix, or else measured too, is
+    replaced by the reference `{"\\u0000": k}`.  `json.loads` parses that
+    skeleton, and its `object_hook` drops each mark and swaps each
+    reference for the marked object.  A text already holding `\\u0000` is
+    parsed as it stands.
+
+    Each first copy is parsed where it stands, one frame deeper than
+    `json.loads(text)` would parse it, so a text nested too deeply for
+    `json.loads` fails here too, unless only a later copy, nested deeper
+    than the first, goes too deep.  A JSONDecodeError or RecursionError
+    from here says only that the text must be read by `json.loads`, for
+    the error's own position and message."""
+    i = text.find(_DD)
+    if i < 0 or "\\u0000" in text:
+        return json.loads(text)
+    out, p = [], 0
+    ids, seen, ends = {}, {}, []  # ends: (end, k) of the open first copies
+    while True:
+        while ends and (i < 0 or ends[-1][0] <= i):
+            j, k = ends.pop()
+            out += text[p:j - 1], ',"\\u0000":', str(k), "}"
+            p = j
+        if i < 0:
+            break
+        key = text[i:i + _PREFIX]
+        t = next((t for t in seen.get(key, ()) if text.startswith(t, i)), None)
+        if t is None:
+            t = text[i:_raw_decode(text, i)[1]]
+            texts = seen.setdefault(key, [])
+            if len(texts) < _PREFIX_TEXTS:
+                texts.append(t)
+        k = ids.get(t)
+        if k is None:
+            k = ids[t] = len(ids)
+            ends.append((i + len(t), k))
+            i = text.find(_DD, i + 1)
+        else:
+            out += text[p:i], '{"\\u0000":', str(k), "}"
+            p = i + len(t)
+            i = text.find(_DD, p)
+    out.append(text[p:])
+    shared = [None] * len(ids)
+
+    def hook(d):
+        k = d.pop("\0", None)
+        if k is None:
+            return d
+        if d:
+            shared[k] = d
+            return d
+        return shared[k]
+
+    return json.loads("".join(out), object_hook=hook)
 
 
 def _dec(v, memo=None):
-    """Decode one interchange value.  `memo` maps the compact text of each
-    `{"dd": …}` subtree decoded so far to its datum: one memo per document
-    decodes each distinct datum once, and holds it only while the caller
-    holds the memo."""
+    """Decode one interchange value.  `memo` maps the identity of each
+    `{"dd": …}` object decoded so far to (that object, its datum): one memo
+    per document decodes each datum object once, and holds it only while
+    the caller holds the memo.  Over a tree from `_parse`, one datum object
+    stands for every copy of its text."""
     if isinstance(v, str):
         return v
     if memo is None:
@@ -1213,15 +1283,14 @@ def _dec(v, memo=None):
         if "fs" in v:
             return frozenset([_dec(x, memo) for x in v["fs"]])
         if "dd" in v:
-            dd = v["dd"]
-            key = _key_text(dd)
-            a = memo.get(key)
-            if a is None:
-                a = memo[key] = DescentDatum(
+            hit = memo.get(id(v))
+            if hit is None:
+                dd = v["dd"]
+                hit = memo[id(v)] = (v, DescentDatum(
                     _unique(_dec(dd[0], memo), "descent datum member"),
                     _unique(_dec(dd[1], memo), "descent datum coherence"),
-                )
-            return a
+                ))
+            return hit[1]
     raise ValueError(f"malformed interchange value: {v!r}")
 
 
@@ -1616,7 +1685,11 @@ def serialize_env(env: Elaborated) -> str:
 
 
 def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
-    """Decode canonical interchange text; returns (Elaborated or None, diags)."""
+    """Decode canonical interchange text; returns (Elaborated or None, diags).
+
+    `_parse` reads the text, so each distinct datum text is parsed once and
+    decoded once (`_dec`); where it fails, `json.loads` reads the text again
+    and its error is the diagnostic."""
 
     def bad(msg, hint=""):
         return None, [Diagnostic(1, 1, msg, hint)]
@@ -1625,7 +1698,10 @@ def load_interchange(text, caps: _caps.Caps = _caps.DEFAULT):
     # document, so a deep enough one exhausts the stack: that is bad input.
     too_deep = "the document is nested too deeply"
     try:
-        doc = json.loads(text)
+        try:
+            doc = _parse(text)
+        except (json.JSONDecodeError, RecursionError):
+            doc = json.loads(text)
     except json.JSONDecodeError as e:
         return None, [Diagnostic(e.lineno, e.colno, f"not valid JSON: {e.msg}")]
     except RecursionError:

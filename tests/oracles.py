@@ -37,12 +37,19 @@ ids: every check looks ids up by value.
 text: `ref_enc` builds a JSON structure of every id (memoizing each datum's
 structure by the datum), and the C JSON encoder writes the whole document
 with sorted keys, table and compositor rows sorted by the encoded text of
-their keys."""
+their keys.
 
+`in_emitted_form` splices a digest into a body's text as the writer does.
+`load_outcome` is what loading an interchange text gives, and with
+`full_parse` what it gives when `json.loads` parses every copy of every
+descent datum's text, as the reader did before `dsl._parse` shared them."""
+
+import contextlib
 import hashlib
 import json
 import weakref
 from itertools import product
+from unittest import mock
 
 from finstack import (
     CapExceeded,
@@ -67,6 +74,7 @@ from finstack import (
     strict_indexed_fun,
     validate_indexed_nat,
 )
+from finstack import dsl
 from finstack.caps import Budget
 from finstack.descent import coh_pairs
 from finstack.util import fmt, stable_sorted
@@ -710,6 +718,27 @@ def ref_serialize_blocks(blocks):
                         "name": name})
         else:
             raise InternalError(f"unknown block kind {kind!r}")
-    text = _cjson({"format": "finstack/1", "blocks": out})
-    digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return f'{text[:-len(_TAIL)]},"digest":"{digest}"{_TAIL}\n'
+    return in_emitted_form(_cjson({"format": "finstack/1", "blocks": out}))
+
+
+def in_emitted_form(body):
+    """A document as `serialize_blocks` writes it, from `body`, the compact
+    sorted text of its blocks and format: the digest member goes in before
+    the tail."""
+    digest = "sha256:" + hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return f'{body[:-len(_TAIL)]},"digest":"{digest}"{_TAIL}\n'
+
+
+def load_outcome(text, full_parse=False):
+    """The diagnostics, findings and written-back bytes of loading `text`,
+    or the writer's error in place of the bytes.  Both ways call
+    `load_interchange` from this frame, so they meet the same stack depth."""
+    with (mock.patch.object(dsl, "_parse", json.loads) if full_parse
+          else contextlib.nullcontext()):
+        env, diags = dsl.load_interchange(text)
+    if env is None:
+        return diags, None, None
+    try:
+        return diags, env.findings, dsl.serialize_env(env)
+    except (RecursionError, ValueError) as e:
+        return diags, env.findings, repr(e)

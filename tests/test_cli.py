@@ -14,6 +14,8 @@ from finstack import InternalError, elaborate, load_interchange, parse, serializ
 from finstack import cli
 from finstack.cli import main
 
+from oracles import in_emitted_form, load_outcome
+
 DATA = Path(__file__).parent / "data"
 
 PATCHES = str(DATA / "patches.site")
@@ -231,9 +233,20 @@ def _deep_category_document(depth):
     return text[:-1] + f',"digest":"{digest}"}}'
 
 
+def _deep_datum_document(depth):
+    """A document in emitted form whose one category object is a descent
+    datum nested `depth` deep through its members, `{"dd":[[[…,"x"]],[]]}`:
+    every level a distinct datum text."""
+    datum = '{"dd":[[[' * depth + '"x"' + ',"x"]],[]]}' * depth
+    return in_emitted_form(
+        '{"blocks":[{"identities":[],"kind":"category","morphisms":[],'
+        '"name":"C","objects":[' + datum + '],"table":[]}],"format":"finstack/1"}')
+
+
 DEEP_DOCUMENTS = {
     "json": '{"format":"finstack/1","blocks":' + "[" * 200_000,
     "block": _deep_category_document(900),
+    "datum": _deep_datum_document(300),
 }
 
 
@@ -258,9 +271,40 @@ def test_deeply_nested_interchange_exits_2(tmp_path, kind):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     want = {"json": "not valid JSON: the document is nested too deeply",
+            "datum": "not valid JSON: the document is nested too deeply",
             "block": "malformed interchange block: the document is nested "
                      "too deeply"}[kind]
     assert want in proc.stderr
+
+
+def _deeper(frames, f, *args):
+    """`f(*args)`, called `frames` frames deeper."""
+    return _deeper(frames - 1, f, *args) if frames else f(*args)
+
+
+def test_deep_datum_outcome_matches_full_parse():
+    """At every depth of a band that crosses where decoding and then reading
+    the JSON run out of stack, a document nested through distinct data loads
+    as it does when `json.loads` parses every datum copy, from the same call
+    depth.  Around the second edge this holds from four call depths in a
+    row, one datum's four levels of nesting: `dsl._parse` reads one frame
+    deeper, so at one of them it runs out of stack where `json.loads` does
+    not, and the reader must read the text again."""
+    first = {}
+    for depth in range(140, 260):
+        text = _deep_datum_document(depth)
+        got = load_outcome(text)
+        assert got == load_outcome(text, full_parse=True), depth
+        first.setdefault(got[0][0].msg if got[0] else "loaded", depth)
+    too_deep = "the document is nested too deeply"
+    assert set(first) == {"loaded", f"malformed interchange block: {too_deep}",
+                          f"not valid JSON: {too_deep}"}
+    edge = first[f"not valid JSON: {too_deep}"]
+    for depth in range(edge - 2, edge + 2):
+        text = _deep_datum_document(depth)
+        for frames in range(1, 5):
+            assert (_deeper(frames, load_outcome, text)
+                    == _deeper(frames, load_outcome, text, True)), (depth, frames)
 
 
 def test_ambiguous_block_exits_2(capsys):

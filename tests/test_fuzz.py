@@ -2,8 +2,11 @@
 documents, each with its digest recomputed so that the mutation reaches the
 decoder and the validators, must get exit code 0, 1, 2 or 3 from `validate`
 and `check --stack`: a verdict, bad input or a cap, never an internal error
-or a traceback.  Text-mutated `.site` documents must do the same under
-`validate` and `saturate`, which enumerates sieve universes."""
+or a traceback.  Each is written twice, with default separators and in the
+form `serialize_blocks` writes, and must load in both as it does when
+`json.loads` parses every datum copy.  Text-mutated `.site` documents must
+do the same under `validate` and `saturate`, which enumerates sieve
+universes."""
 
 import copy
 import hashlib
@@ -13,6 +16,8 @@ import re
 from pathlib import Path
 
 from finstack.cli import main
+
+from oracles import in_emitted_form, load_outcome
 
 DATA = Path(__file__).parent / "data"
 GOLDENS = ("patches", "span", "twisted", "factor")
@@ -74,9 +79,14 @@ def _mutate(rng, blocks):
                               [], {}, "", None, 0])
 
 
-def _document(doc, blocks):
+def _document(doc, blocks, emitted=False):
+    """The mutant with its digest, last and with default separators, or in
+    emitted form: compact sorted text with the digest member before the
+    tail."""
     body = {"format": doc["format"], "blocks": blocks}
     text = json.dumps(body, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    if emitted:
+        return in_emitted_form(text)
     digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
     return json.dumps({**body, "digest": digest}, ensure_ascii=False)
 
@@ -92,15 +102,18 @@ def test_mutated_interchange_keeps_exit_contract(tmp_path, capsys):
         blocks = copy.deepcopy(doc["blocks"])
         for _ in range(rng.randint(1, 3)):
             _mutate(rng, blocks)
-        text = _document(doc, blocks)
-        path.write_text(text, encoding="utf-8")
-        runs = [["validate", str(path)]] + [
-            ["check", str(path), "--stack", *pick] for pick in PICKS.get(name, ([],))
-        ]
-        for argv in runs:
-            code = main(argv)
-            err = capsys.readouterr().err
-            assert code in (0, 1, 2, 3) and "Traceback" not in err, (i, argv, text)
+        for emitted in (False, True):
+            text = _document(doc, blocks, emitted)
+            path.write_text(text, encoding="utf-8")
+            runs = [["validate", str(path)]] + [
+                ["check", str(path), "--stack", *pick]
+                for pick in PICKS.get(name, ([],))
+            ]
+            for argv in runs:
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2, 3) and "Traceback" not in err, (i, argv, text)
+            assert load_outcome(text) == load_outcome(text, full_parse=True), (i, text)
 
 
 def _blocks(toks):

@@ -19,6 +19,7 @@ from finstack.cli import main
 from finstack.dsl import load_input, load_interchange, serialize_env
 
 import sitegen
+from oracles import in_emitted_form, load_outcome
 
 DATA = Path(__file__).parent / "data"
 GOLDENS = ("patches", "span", "twisted", "factor")
@@ -228,6 +229,120 @@ def test_unpaired_surrogate_is_a_diagnostic():
     env, diags = load_interchange(text.replace('"jp"', '"j\\ud800"'))
     assert env is None
     assert "unpaired surrogate" in diags[0].msg
+
+
+# -- shared datum texts ------------------------------------------------------
+
+def _data(v, found):
+    """Every `{"dd": …}` object under v, as id -> object, entering each
+    one once."""
+    if isinstance(v, dict):
+        if "dd" in v:
+            if id(v) in found:
+                return found
+            found[id(v)] = v
+        v = v.values()
+    elif not isinstance(v, list):
+        return found
+    for x in v:
+        _data(x, found)
+    return found
+
+
+def _datum_name(doc):
+    """One datum object as the `name` of twisted's fibre category, which
+    `_cat_unjson` reads raw, and again as an object of its base."""
+    datum = {"dd": [[["s0", "v"]], []]}
+    _block(doc, "TW")["fib"][0][1]["name"] = datum
+    _block(doc, "Z2")["objects"].append(datum)
+
+
+def _datum_family(doc):
+    """One datum object with a second member as two of patches' cover
+    families, which `_top_unjson` iterates."""
+    covers = _block(doc, "J")["covers"]
+    for row in covers[:2]:
+        row[1].append({"dd": [[], []], "m": [["le", "p", "X"]]})
+
+
+def _data_alike(doc):
+    """Twenty data whose texts share their first 60 characters, each twice,
+    as objects of patches' base: more than one prefix of the scan holds."""
+    data = [{"dd": [[[["le", "X", "X"], "v" * 40 + f"{k:02}"]], []]}
+            for k in range(20)]
+    _block(doc, "P")["objects"].extend(data + data)
+
+
+HAND_MADE = {"datum name": ("twisted", _datum_name),
+             "datum family": ("patches", _datum_family),
+             "data alike": ("patches", _data_alike)}
+
+
+def _hand_made(name):
+    golden, edit = HAND_MADE[name]
+    doc = json.loads((DATA / f"{golden}.golden.json").read_text(encoding="utf-8"))
+    edit(doc)
+    return in_emitted_form(_canon({"blocks": doc["blocks"], "format": doc["format"]}))
+
+
+def _parity_documents(emitted):
+    docs = {f"golden:{g}": (DATA / f"{g}.golden.json").read_text(encoding="utf-8")
+            for g in GOLDENS}
+    docs.update(emitted)
+    docs.update((f"sitegen:{seed}", _sitegen_document(seed)) for seed in SEEDS)
+    docs.update((name, _hand_made(name)) for name in HAND_MADE)
+    return docs
+
+
+def test_parse_matches_json_loads(emitted):
+    """`_parse` reads what `json.loads` reads, with one object for each
+    distinct datum text: every datum object in the tree has its own text."""
+    shared = set()
+    for name, text in _parity_documents(emitted).items():
+        doc = dsl._parse(text)
+        assert doc == json.loads(text), name
+        data = _data(doc, {}).values()
+        texts = {json.dumps(d, separators=(",", ":"), ensure_ascii=False)
+                 for d in data}
+        assert len(texts) == len(data), name
+        assert all(t in text for t in texts), name
+        if text.count('{"dd":') > len(data):
+            shared.add(name)
+    assert shared == {n for n in emitted if n.startswith("stackify:")} | set(HAND_MADE)
+
+
+def test_parse_leaves_a_text_holding_nul_as_it_stands():
+    """A `\\u0000` key is read as written: here one inside a datum object
+    and one alone, as the marks and references of the scan look."""
+    text = _hand_made("datum name").replace(
+        '"name":{"dd":', '"name":{"\\u0000":0,"dd":', 1).replace(
+        '"v"', '{"\\u0000":0}', 1)
+    assert text.count('{"\\u0000":0') == 2
+    assert dsl._parse(text) == json.loads(text)
+
+
+def test_text_that_is_not_json_is_diagnosed_as_fully_parsed(emitted):
+    """A broken text with data in it gets the diagnostic `json.loads` gives
+    it, at its own line and column, whether it breaks inside the first datum
+    copy, among the copies or after them."""
+    text = emitted["stackify:sitegen1"]
+    first = text.index('{"dd":')
+    for at in (first + 9, len(text) // 2, len(text) - 30):
+        for bad in (text[:at], text[:at] + "\x01" + text[at:]):
+            got = load_outcome(bad)
+            assert got[0][0].msg.startswith("not valid JSON"), at
+            assert got == load_outcome(bad, full_parse=True), at
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MADE))
+def test_hand_made_documents_load_as_fully_parsed(name):
+    """The readers see the datum objects themselves, never a reference to
+    them: loading gives what it gives when `json.loads` reads every copy."""
+    text = _hand_made(name)
+    assert dsl._digest_of_emitted_text(text)
+    assert text.count('{"dd":') == 2 * len(_data(dsl._parse(text), {}))
+    got = load_outcome(text)
+    assert got[1] and got == load_outcome(text, full_parse=True)
 
 
 # -- findings parity ---------------------------------------------------------
