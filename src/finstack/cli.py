@@ -18,7 +18,7 @@ from dataclasses import fields
 
 from . import caps as _caps
 from .caps import CapExceeded, Caps
-from .descent import desc_cat, is_prestack, is_stack
+from .descent import Plan, desc_cat, is_prestack, is_stack
 from .dsl import block_name, digest_text, load_input, serialize_blocks
 from .fibadj import (
     L_D,
@@ -155,7 +155,7 @@ def cmd_desc(env, args, caps):
         R = fams[args.family]
     else:
         R = minimal_cover(J, x)
-    dc = desc_cat(D, R, caps)
+    dc = desc_cat(Plan(D, R), caps)
     return {
         "indexed": str(dname),
         "coverage": str(jname),

@@ -14,24 +14,26 @@ Only the surviving choices are searched for coherences, so the cost
 follows the choices that pass every pairwise check, not the whole product
 of the member fibres.
 
-The search for descent morphisms over one (D, R) is planned once (`_Plan`):
-the members in stable order with their fibres, the coherence pairs, and one
-square check per pair (f, g) carrying its fibre and D(g).  `desc_hom` asks
-a plan once.  `desc_cat` builds one and joins its data on member objects:
-the member hom-sets hom(a.obj[f], b.obj[f]) depend only on the member
-objects, so they are found once per pair of member-object tuples, and a
-pair of data with an empty one is not searched.  Every other pair is
-searched on a budget of its own, in data × data order, so skipping a pair
-can only keep a cap from tripping, never make one trip earlier.  The
-data come in fibre order and the morphisms by a, then b, then their
-components in hom order, which is the category's stable order, so it keeps
-the order they are listed in.  A morphism's id lists its components in
-the sieve's member order, which every caller of `mor_id` holds, so no
-datum's sorted form or `ckey` is computed: not for D⁺, and not for D⁺⁺,
-whose fibres are themselves descent categories built the same way.
-`comparison` is the canonical functor D(X) -> Desc(R, D).  A prestack is an
-indexed category whose comparison functors are all fully faithful, a stack
-one whose comparison functors are all equivalences.
+The shape of descent over one (D, R) is worked out once, in its `Plan`:
+the members in stable order with their fibres, the coherence pairs and
+their positions, one square check per pair (f, g) carrying its fibre and
+D(g), and the id of a descent morphism, whose components are a tuple in
+member order from the search that finds them to the id.  Every descent
+construction takes the plan in place of (D, R); `restrict_datum` and
+`push_datum` take the plan they land on.  `desc_cat` joins its data on
+member objects: the member hom-sets hom(a.obj[f], b.obj[f]) depend only
+on the member objects, so they are found once per pair of member-object
+tuples, and a pair of data with an empty one is not searched.  Every other
+pair is searched on a budget of its own, in data × data order, so
+skipping a pair can only keep a cap from tripping, never make one trip
+earlier.  The data come in fibre order and the morphisms by a, then b,
+then their components in hom order, which is the category's stable order,
+so it keeps the order they are listed in.  Since member order comes from
+the sieve, no datum's sorted form or `ckey` is computed: not for D⁺, and
+not for D⁺⁺, whose fibres are themselves descent categories built the same
+way.  `comparison` is the canonical functor D(X) -> Desc(R, D).  A
+prestack is an indexed category whose comparison functors are all fully
+faithful, a stack one whose comparison functors are all equivalences.
 
 `glue` is the one search for an object whose comparison datum is
 isomorphic to a given datum.  `is_stack` asks it of every datum, in fibre
@@ -123,102 +125,44 @@ class DescentDatum:
         return f"<DescentDatum {parts}{more}>"
 
 
-def coh_pairs(D: IndexedCat, R: Sieve):
-    """All (f, g) with f a member and g into dom f, in stable order."""
-    base = D.base
-    out = []
-    for f in R.members():
-        for g in base.into(base.dom(f)):
-            out.append((f, g))
-    return out
+class Plan:
+    """The shape of descent over one (D, R), worked out once: the members
+    of R in stable order with their domains and fibres, the coherence pairs
+    (f, g), f a member and g into dom f, in stable order with their
+    positions, and one square check per pair, which carries its fibre
+    D(dom g) and restriction D(g) and reads the member positions of f and
+    f∘g.  Every descent construction over (D, R) takes the plan.
 
+    The components of a descent morphism are a tuple in member order, from
+    the search that finds them to the id that names them, `(a, b, ((f,
+    component at f), …))`.  Only `mor_id` and `compose` build an id and only
+    `components` reads one."""
 
-def enumerate_data(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT):
-    """All descent data over R, in fibre order.  Member objects are chosen
-    by forward checking (`caps.pruned_product`): pair (f, g) reads obj[f]
-    and obj[f∘g], and a choice is dropped when no iso D(g)(obj[f]) ->
-    obj[f∘g] exists.  Coherence isos are then found for each surviving
-    choice by `caps.search`: normalization fixes the pool at each identity
-    pair, and each cocycle triple reads its three coherences.  One caps
-    budget covers both phases: a node per dropped choice and per coherence
-    position entered, never more than searching every choice in the full
-    product would spend."""
-    base = D.base
-    members = R.members()
-    pairs = coh_pairs(D, R)
-    at = {p: i for i, p in enumerate(pairs)}
-    pos = {f: i for i, f in enumerate(members)}
-
-    # At an identity the unitor is an iso, so those pairs link nothing.
-    links = []
-    for f, g in pairs:
-        if not base.is_id(g):
-            jf, jfg = pos[f], pos[base.compose(f, g)]
-            links.append(((jf, jfg), (g, jf, jfg)))
-
-    def linked(link, a):
-        g, jf, jfg = link
-        fib = D.fib[base.dom(g)]
-        return fib.iso_between(D.res[g].ob(a[jf]), a[jfg]) is not None
-
-    cocycles = []
-    for f in members:
-        for g in base.into(base.dom(f)):
-            fg = base.compose(f, g)
-            for h in base.into(base.dom(g)):
-                gh = base.compose(g, h)
-                keys = (at[(f, gh)], at[(fg, h)], at[(f, g)])
-                cocycles.append((keys, (f, g, h, *keys)))
-
-    def isos(f, g):
-        y = base.dom(g)
-        fib = D.fib[y]
-        src = D.res[g].ob(obj[f])
-        dst = obj[base.compose(f, g)]
-        if base.is_id(g):
-            m = fib.inverse(D.unit(y, obj[f]))
-            return [m] if m is not None and fib.mor[m] == (src, dst) else []
-        return [m for m in fib.hom(src, dst) if fib.is_iso(m)]
-
-    def cocycle(c, coh):
-        f, g, h, fgh, fg_h, f_g = c
-        fib = D.fib[base.dom(h)]
-        lhs = fib.compose(coh[fgh], D.gamma(g, h, obj[f]))
-        return lhs == fib.compose(coh[fg_h], D.res[h].mo(coh[f_g]))
-
-    out = []
-    budget = _caps.Budget(caps)
-    objects = [D.fib[base.dom(f)].objects for f in members]
-    for choice in _caps.pruned_product(objects, links, linked, budget):
-        obj = dict(zip(members, choice))
-        pools = [isos(f, g) for f, g in pairs]
-        for coh in _caps.search(pools, cocycles, cocycle, budget):
-            out.append(DescentDatum(obj, zip(pairs, coh)))
-    _caps.check(len(out), caps, "max_descent", "descent data count")
-    return out
-
-
-class _Plan:
-    """What the descent-morphism search over one (D, R) shares across pairs
-    of data: the members in stable order with their fibres, the coherence
-    pairs, and one square check per pair (f, g), which carries its fibre
-    D(dom g) and restriction D(g) and reads the components at f and f∘g.
-    A morphism found is the tuple of its components in member order."""
-
-    __slots__ = ("members", "fibs", "pairs", "squares")
+    __slots__ = ("D", "R", "members", "doms", "fibs", "at", "pairs",
+                 "pair_at", "squares")
 
     def __init__(self, D: IndexedCat, R: Sieve):
         base = D.base
+        self.D, self.R = D, R
         self.members = R.members()
-        self.fibs = [D.fib[base.dom(f)] for f in self.members]
-        self.pairs = coh_pairs(D, R)
-        at = {f: i for i, f in enumerate(self.members)}
-        self.squares = []
-        for p in self.pairs:
-            f, g = p
-            jf, jfg = at[f], at[base.compose(f, g)]
-            check = (D.fib[base.dom(g)], D.res[g], p, jf, jfg)
-            self.squares.append(((jf, jfg), check))
+        self.doms = [base.dom(f) for f in self.members]
+        self.fibs = [D.fib[y] for y in self.doms]
+        self.at = {f: i for i, f in enumerate(self.members)}
+        self.pairs, self.squares = [], []
+        for jf, (f, y) in enumerate(zip(self.members, self.doms)):
+            for g in base.into(y):
+                p, jfg = (f, g), self.at[base.compose(f, g)]
+                self.pairs.append(p)
+                check = (D.fib[base.dom(g)], D.res[g], p, jf, jfg)
+                self.squares.append(((jf, jfg), check))
+        self.pair_at = {p: i for i, p in enumerate(self.pairs)}
+
+    def along(self, y, src):
+        """The position in `src`'s members of y∘g for each member g of this
+        plan, or None when some y∘g is not a member of `src`'s sieve."""
+        base = self.D.base
+        out = [src.at.get(base.compose(y, g)) for g in self.members]
+        return None if None in out else out
 
     def objects(self, a):
         """The member objects of datum `a`, in member order."""
@@ -247,33 +191,105 @@ class _Plan:
         pools = self.pools(self.objects(a), self.objects(b))
         return self.search(a, b, pools, caps) if all(pools) else []
 
+    def mor_id(self, a, b, comp):
+        """Id of the descent morphism a -> b with components `comp`."""
+        return (a, b, tuple(zip(self.members, comp)))
 
-def desc_hom(D: IndexedCat, R: Sieve, a: DescentDatum, b: DescentDatum,
+    @staticmethod
+    def components(mid):
+        """The components of the descent morphism with id `mid`."""
+        return [m for _, m in mid[2]]
+
+    def compose(self, m2, m1):
+        """Id of the composite m2 ∘ m1: member-wise in the fibres."""
+        return (m1[0], m2[1], tuple(
+            (f, fib.compose(g, h))
+            for fib, (f, g), (_, h) in zip(self.fibs, m2[2], m1[2])
+        ))
+
+    def comparison_mor(self, m):
+        """The components of the comparison image of m, a morphism of D(X),
+        X the target: m restricted along every member."""
+        res = self.D.res
+        return tuple(res[f].mo(m) for f in self.members)
+
+    def pushed(self, F: IndexedFun, comp):
+        """The components of the image under F, an indexed functor out of
+        D, of a descent morphism with components `comp`."""
+        return [F.comp[y].mo(m) for y, m in zip(self.doms, comp)]
+
+
+def enumerate_data(plan: Plan, caps: _caps.Caps = _caps.DEFAULT):
+    """All descent data over the plan's (D, R), in fibre order.  Member
+    objects are chosen by forward checking (`caps.pruned_product`): the
+    square of pair (f, g) reads obj[f] and obj[f∘g], and a choice is
+    dropped when no iso D(g)(obj[f]) -> obj[f∘g] exists.  Coherence isos
+    are then found for each surviving choice by `caps.search`:
+    normalization fixes the pool at each identity pair, and each cocycle
+    reads its three coherences.  One caps budget covers both phases: a
+    node per dropped choice and per coherence position entered, never more
+    than searching every choice in the full product would spend."""
+    D = plan.D
+    base = D.base
+    members, pairs = plan.members, plan.pairs
+
+    # At an identity the unitor is an iso, so those pairs link nothing.
+    links = [sq for sq, (_, g) in zip(plan.squares, pairs)
+             if not base.is_id(g)]
+
+    def linked(check, a):
+        fib, res, _, jf, jfg = check
+        return fib.iso_between(res.ob(a[jf]), a[jfg]) is not None
+
+    def isos(check):
+        fib, res, (f, g), _, _ = check
+        src = res.ob(obj[f])
+        dst = obj[base.compose(f, g)]
+        if base.is_id(g):
+            m = fib.inverse(D.unit(base.dom(g), obj[f]))
+            return [m] if m is not None and fib.mor[m] == (src, dst) else []
+        return [m for m in fib.hom(src, dst) if fib.is_iso(m)]
+
+    def cocycle(c, coh):
+        f, g, h, fgh, fg_h, f_g = c
+        fib = D.fib[base.dom(h)]
+        lhs = fib.compose(coh[fgh], D.gamma(g, h, obj[f]))
+        return lhs == fib.compose(coh[fg_h], D.res[h].mo(coh[f_g]))
+
+    at = plan.pair_at
+    cocycles = []
+    for f, g in pairs:
+        fg = base.compose(f, g)
+        for h in base.into(base.dom(g)):
+            keys = (at[(f, base.compose(g, h))], at[(fg, h)], at[(f, g)])
+            cocycles.append((keys, (f, g, h, *keys)))
+
+    out = []
+    budget = _caps.Budget(caps)
+    objects = [fib.objects for fib in plan.fibs]
+    for choice in _caps.pruned_product(objects, links, linked, budget):
+        obj = dict(zip(members, choice))
+        pools = [isos(check) for _, check in plan.squares]
+        for coh in _caps.search(pools, cocycles, cocycle, budget):
+            out.append(DescentDatum(obj, zip(pairs, coh)))
+    _caps.check(len(out), caps, "max_descent", "descent data count")
+    return out
+
+
+def desc_hom(plan: Plan, a: DescentDatum, b: DescentDatum,
              caps: _caps.Caps = _caps.DEFAULT):
-    """All descent morphisms a -> b, as dicts member -> fibre morphism, by
-    `caps.search` over the fibre homs: the square of pair (f, g) reads the
-    components at f and f∘g.  An empty member hom-set is searched like any
-    other, so the nodes spent are the schedule's."""
-    plan = _Plan(D, R)
+    """All descent morphisms a -> b, each the tuple of its components in
+    member order, by `caps.search` over the fibre homs: the square of pair
+    (f, g) reads the components at f and f∘g.  An empty member hom-set is
+    searched like any other, so the nodes spent are the schedule's."""
     pools = plan.pools(plan.objects(a), plan.objects(b))
-    return [dict(zip(plan.members, comp))
-            for comp in plan.search(a, b, pools, caps)]
+    return plan.search(a, b, pools, caps)
 
 
-def mor_id(a: DescentDatum, b: DescentDatum, comp, members):
-    """Id of the descent morphism a -> b with components `comp` (a dict
-    member -> fibre morphism), listed in `members`, the sieve's members in
-    stable order (`Sieve.members()`)."""
-    return (a, b, tuple((f, comp[f]) for f in members))
-
-
-def mor_components(mid):
-    return dict(mid[2])
-
-
-def desc_cat(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT) -> FinCat:
-    """The descent category Desc(R, D), enumerated in full and validated by
-    construction: composition is member-wise in the fibres.
+def desc_cat(plan: Plan, caps: _caps.Caps = _caps.DEFAULT) -> FinCat:
+    """The descent category Desc(R, D) of the plan's (D, R), enumerated in
+    full and validated by construction: composition is member-wise in the
+    fibres.
 
     The pairs of data are joined on member objects: the member hom-sets of
     (a, b) depend only on the member objects of a and b, so they are found
@@ -282,9 +298,7 @@ def desc_cat(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT) -> FinCa
     budget of its own, in data × data order.  The ids come in stable order:
     the data in fibre order, and `mor` by a, then b, then components in hom
     order."""
-    data = enumerate_data(D, R, caps)
-    plan = _Plan(D, R)
-    members, fibs = plan.members, plan.fibs
+    data = enumerate_data(plan, caps)
 
     # `enumerate_data` lists the data of one member-object choice together,
     # so walking the groups in order walks the data in order.
@@ -302,125 +316,100 @@ def desc_cat(D: IndexedCat, R: Sieve, caps: _caps.Caps = _caps.DEFAULT) -> FinCa
             for gb, pools in row:
                 for b in gb:
                     for comp in plan.search(a, b, pools, caps):
-                        mor[(a, b, tuple(zip(members, comp)))] = (a, b)
+                        mor[plan.mor_id(a, b, comp)] = (a, b)
     ident = {}
     for a in data:
-        comp = {f: fib.ident[a.obj[f]] for f, fib in zip(members, fibs)}
-        mid = mor_id(a, a, comp, members)
+        mid = plan.mor_id(a, a, [fib.ident[x] for fib, x
+                                 in zip(plan.fibs, plan.objects(a))])
         if mid not in mor:
             raise InternalError("identity descent morphism not enumerated")
         ident[a] = mid
-
-    def compose(m2, m1):
-        return (m1[0], m2[1], tuple(
-            (f, fib.compose(g, h))
-            for fib, (f, g), (_, h) in zip(fibs, m2[2], m1[2])
-        ))
-
-    return FinCat.from_homs(
-        data, mor, ident, compose, name=f"Desc({fmt(R.target)})")
+    return FinCat.from_homs(data, mor, ident, plan.compose,
+                            name=f"Desc({fmt(plan.R.target)})")
 
 
-def comparison_datum(D: IndexedCat, R: Sieve, V) -> DescentDatum:
+def comparison_datum(plan: Plan, V) -> DescentDatum:
     """Image of V ∈ D(X) under the comparison: restrict along every member,
     with coherence given by the compositors."""
-    obj = {f: D.res[f].ob(V) for f in R.mors}
-    coh = {}
-    for (f, g) in coh_pairs(D, R):
-        coh[(f, g)] = D.gamma(f, g, V)
+    D = plan.D
+    obj = {f: D.res[f].ob(V) for f in plan.members}
+    coh = {(f, g): D.gamma(f, g, V) for f, g in plan.pairs}
     return DescentDatum(obj, coh)
 
 
-def comparison(D: IndexedCat, R: Sieve, desc: FinCat) -> Functor:
+def comparison(plan: Plan, desc: FinCat) -> Functor:
     """Canonical functor D(X) -> Desc(R, D) into an already-built descent
-    category."""
-    X = R.target
-    fx = D.fib[X]
-    omap = {V: comparison_datum(D, R, V) for V in fx.objects}
-    members = R.members()
+    category, (D, R) the plan's."""
+    X = plan.R.target
+    fx = plan.D.fib[X]
+    omap = {V: comparison_datum(plan, V) for V in fx.objects}
     mmap = {}
     for m, (V, W) in fx.mor.items():
-        comp = {f: D.res[f].mo(m) for f in members}
-        mid = mor_id(omap[V], omap[W], comp, members)
+        mid = plan.mor_id(omap[V], omap[W], plan.comparison_mor(m))
         if mid not in desc.mor:
             raise InternalError("comparison image is not a descent morphism")
         mmap[m] = mid
     return Functor(fx, desc, omap, mmap, name=f"cmp({fmt(X)})")
 
 
-def restrict_datum(D: IndexedCat, a: DescentDatum, y, S: Sieve) -> DescentDatum:
-    """Pull a datum over R on X back to one over S ⊆ y*(R) on Y = dom y."""
-    base = D.base
+def restrict_datum(plan: Plan, a: DescentDatum, y) -> DescentDatum:
+    """Pull a datum over R on X back along y : Y -> X to one over the plan's
+    sieve S ⊆ y*(R) on Y."""
+    base = plan.D.base
     obj = {}
-    coh = {}
-    for g in S.mors:
+    for g in plan.members:
         yg = base.compose(y, g)
         if yg not in a.obj:
             raise InternalError(
                 f"restriction escapes the datum: {fmt(y)}∘{fmt(g)} not a member"
             )
         obj[g] = a.obj[yg]
-    for (g, h) in coh_pairs(D, S):
-        coh[(g, h)] = a.coh[(base.compose(y, g), h)]
+    coh = {(g, h): a.coh[(base.compose(y, g), h)] for g, h in plan.pairs}
     return DescentDatum(obj, coh)
 
 
-def push_datum(F: IndexedFun, R: Sieve, a: DescentDatum) -> DescentDatum:
-    """Image of a datum under an indexed functor; coherences are corrected by
-    the (inverted) pseudonaturality cells."""
-    D, E = F.D, F.E
-    base = D.base
-    obj = {f: F.comp[base.dom(f)].ob(a.obj[f]) for f in a.obj}
+def push_datum(F: IndexedFun, plan: Plan, a: DescentDatum) -> DescentDatum:
+    """Image of a datum over the plan's (F.D, R) under the indexed functor F;
+    coherences are corrected by the (inverted) pseudonaturality cells."""
+    base = plan.D.base
+    obj = {f: F.comp[y].ob(a.obj[f]) for f, y in zip(plan.members, plan.doms)}
     coh = {}
-    for (f, g) in coh_pairs(D, R):
+    for p in plan.pairs:
+        f, g = p
         y = base.dom(g)
-        fib = E.fib[y]
-        cell = F.cell[g][a.obj[f]]
-        coh[(f, g)] = fib.compose(
-            F.comp[y].mo(a.coh[(f, g)]), fib.inverse(cell)
+        fib = F.E.fib[y]
+        coh[p] = fib.compose(
+            F.comp[y].mo(a.coh[p]), fib.inverse(F.cell[g][a.obj[f]])
         )
     return DescentDatum(obj, coh)
 
 
-def push_mor(F: IndexedFun, comp):
-    """Member-wise image of a descent morphism's components."""
-    base = F.D.base
-    return {f: F.comp[base.dom(f)].mo(m) for f, m in comp.items()}
-
-
-def glue(D: IndexedCat, R: Sieve, cmp, data, caps: _caps.Caps = _caps.DEFAULT):
+def glue(plan: Plan, cmp, data, caps: _caps.Caps = _caps.DEFAULT):
     """For each descent datum `a` of `data` in turn, the first (V, dm) among
     the (V, comparison datum of V) pairs `cmp`, in the caller's order, with
-    dm an invertible descent morphism from V's comparison datum to `a`;
-    None when `a` glues to none of them.  One plan of (D, R) serves every
-    datum."""
-    plan = _Plan(D, R)
+    dm an invertible descent morphism from V's comparison datum to `a`, as
+    its components; None when `a` glues to none of them."""
+    fibs = plan.fibs
     for a in data:
-        yield _glue(plan, cmp, a, caps)
+        yield next(((V, comp) for V, cv in cmp
+                    for comp in plan.homs(cv, a, caps)
+                    if all(fib.is_iso(m) for fib, m in zip(fibs, comp))),
+                   None)
 
 
-def _glue(plan, cmp, a, caps):
-    """`glue` on the plan of its (D, R)."""
-    for V, cv in cmp:
-        for comp in plan.homs(cv, a, caps):
-            if all(fib.is_iso(m) for fib, m in zip(plan.fibs, comp)):
-                return V, dict(zip(plan.members, comp))
-    return None
-
-
-def _ff_at(D, R, plan, caps):
-    """(Full faithfulness of the comparison over R, as a Check; the
-    comparison datum of every V in D(X), as a dict V -> datum), X the
-    target of R and `plan` that of (D, R)."""
+def _ff_at(plan, caps):
+    """(Full faithfulness of the comparison over the plan's sieve R, as a
+    Check; the comparison datum of every V in D(X), as a dict V -> datum),
+    X the target of R."""
+    R = plan.R
     X = R.target
-    fx = D.fib[X]
-    cmp = {V: comparison_datum(D, R, V) for V in fx.objects}
-    members = plan.members
+    fx = plan.D.fib[X]
+    cmp = {V: comparison_datum(plan, V) for V in fx.objects}
     for V in fx.objects:
         for W in fx.objects:
             image = {}
             for m in fx.hom(V, W):
-                comp = tuple((f, D.res[f].mo(m)) for f in members)
+                comp = plan.comparison_mor(m)
                 if comp in image:
                     return Check(
                         False,
@@ -430,27 +419,28 @@ def _ff_at(D, R, plan, caps):
                     ), cmp
                 image[comp] = m
             for comp in plan.homs(cmp[V], cmp[W], caps):
-                key = tuple(zip(members, comp))
-                if key not in image:
+                if comp not in image:
                     return Check(
                         False,
                         f"comparison not full on hom({fmt(V)},{fmt(W)}) over "
                         f"{fmt(X)}: a descent morphism has no preimage",
-                        witness=(X, R, dict(key)),
+                        witness=(X, R, dict(zip(plan.members, comp))),
                     ), cmp
     return Check(True, "comparison fully faithful"), cmp
 
 
-def _glues_at(D, R, plan, cmp, caps) -> Check:
-    """Whether every descent datum over R glues to an object of D(X), given
-    the plan of (D, R) and the comparison datum `cmp[V]` of every V in
-    D(X), X the target of R."""
-    for a in enumerate_data(D, R, caps):
-        if _glue(plan, cmp.items(), a, caps) is None:
+def _glues_at(plan, cmp, caps) -> Check:
+    """Whether every descent datum over the plan's sieve R glues to an
+    object of D(X), given the comparison datum `cmp[V]` of every V in D(X),
+    X the target of R."""
+    data = enumerate_data(plan, caps)
+    for a, hit in zip(data, glue(plan, cmp.items(), data, caps)):
+        if hit is None:
+            X = plan.R.target
             return Check(
                 False,
-                f"a descent datum over {fmt(R.target)} does not glue",
-                witness=(R.target, R, a),
+                f"a descent datum over {fmt(X)} does not glue",
+                witness=(X, plan.R, a),
             )
     return Check(True, "glues")
 
@@ -465,14 +455,14 @@ def _descent(D: IndexedCat, J: Topology, caps, gluing: bool) -> Check:
     comparison data.  A cap on any of them propagates."""
     done = []
     for R in least_cover_pullbacks(J):
-        plan = _Plan(D, R)
-        c, cmp = _ff_at(D, R, plan, caps)
+        plan = Plan(D, R)
+        c, cmp = _ff_at(plan, caps)
         if not c:
             return c
-        done.append((R, plan, cmp))
+        done.append((plan, cmp))
     if gluing:
-        for R, plan, cmp in done:
-            c = _glues_at(D, R, plan, cmp, caps)
+        for plan, cmp in done:
+            c = _glues_at(plan, cmp, caps)
             if not c:
                 return c
     return Check(True, "stack" if gluing else "prestack")

@@ -1432,10 +1432,16 @@ def _text(v, memo):
             return hit[1]
         if isinstance(v, DescentDatum):
             t = '{"dd":' + _text(v._key, memo) + "}"
-        elif isinstance(v, tuple):
-            t = "[" + ",".join([_text(x, memo) for x in v]) + "]"
         else:
-            t = '{"fs":[' + ",".join(sorted([_text(x, memo) for x in v])) + "]}"
+            # A plain loop, not a comprehension, which would cost a frame
+            # per level: the writer must reach every depth the reader does.
+            parts = []
+            for x in v:
+                parts.append(_text(x, memo))
+            if isinstance(v, tuple):
+                t = "[" + ",".join(parts) + "]"
+            else:
+                t = '{"fs":[' + ",".join(sorted(parts)) + "]}"
         memo[id(v)] = (v, t)
         return t
     if isinstance(v, bool):

@@ -8,6 +8,12 @@ terminal stage and the pseudocolimit over refinements collapses to that stage;
 least cover.  Restriction of descent data along y is then literal reindexing
 (g ↦ y∘g), which is strictly functorial, so D⁺ carries identity compositors.
 
+`plus` builds one `descent.Plan` per object and least cover and hands it to
+every descent construction it runs there; `plus_fun` and the factorization
+through the unit build theirs per indexed category and least cover.  The
+plans say how a morphism's components line up along y (`Plan.along`), so
+no code here reads a sieve's members or a morphism id's layout.
+
 `sheafify_with_unit` re-implements the set-level special case from scratch
 (matching families, twice) so the categorical pipeline can be audited against
 it on discrete embeddings; the comparison functor between the two lives with
@@ -20,15 +26,13 @@ from dataclasses import dataclass
 
 from . import caps as _caps
 from .descent import (
+    Plan,
     comparison,
     comparison_datum,
     desc_cat,
     glue,
     is_stack,
-    mor_components,
-    mor_id,
     push_datum,
-    push_mor,
     restrict_datum,
 )
 from .fincat import Check, Functor, InternalError, require
@@ -66,7 +70,8 @@ class StackifyResult:
 def plus(D: IndexedCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> PlusResult:
     base = D.base
     minimal = {X: minimal_cover(J, X) for X in base.objects}
-    fib = {X: desc_cat(D, minimal[X], caps) for X in base.objects}
+    plans = {X: Plan(D, M) for X, M in minimal.items()}
+    fib = {X: desc_cat(plans[X], caps) for X in base.objects}
 
     res = {}
     for y, (Y, X) in base.mor.items():
@@ -76,20 +81,18 @@ def plus(D: IndexedCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> PlusRe
             res[y] = Functor(fib[X], fib[X], {a: a for a in fib[X].objects},
                              {m: m for m in fib[X].mor}, name=f"⁺({fmt(y)})")
             continue
-        MX, MY = minimal[X], minimal[Y]
-        for g in MY.mors:
-            if base.compose(y, g) not in MX.mors:
-                raise InternalError(
-                    f"least cover of {fmt(Y)} does not refine the pullback "
-                    f"of the least cover of {fmt(X)} along {fmt(y)}"
-                )
-        omap = {a: restrict_datum(D, a, y, MY) for a in fib[X].objects}
-        members = MY.members()
+        PX, PY = plans[X], plans[Y]
+        along = PY.along(y, PX)
+        if along is None:
+            raise InternalError(
+                f"least cover of {fmt(Y)} does not refine the pullback "
+                f"of the least cover of {fmt(X)} along {fmt(y)}"
+            )
+        omap = {a: restrict_datum(PY, a, y) for a in fib[X].objects}
         mmap = {}
         for mid, (a, b) in fib[X].mor.items():
-            comps = mor_components(mid)
-            rcomps = {g: comps[base.compose(y, g)] for g in members}
-            rid = mor_id(omap[a], omap[b], rcomps, members)
+            comp = PX.components(mid)
+            rid = PY.mor_id(omap[a], omap[b], [comp[i] for i in along])
             if rid not in fib[Y].mor:
                 raise InternalError(
                     f"restricted descent morphism missing along {fmt(y)}"
@@ -99,16 +102,15 @@ def plus(D: IndexedCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> PlusRe
 
     out = strict_indexed(base, fib, res, name=f"{D.name or 'D'}⁺")
 
-    ucomp = {X: comparison(D, minimal[X], fib[X]) for X in base.objects}
+    ucomp = {X: comparison(plans[X], fib[X]) for X in base.objects}
     ucell = {}
     for y, (Y, X) in base.mor.items():
-        members = minimal[Y].members()
+        PY = plans[Y]
         cy = {}
         for V in D.fib[X].objects:
             src = ucomp[Y].ob(D.res[y].ob(V))
             dst = res[y].ob(ucomp[X].ob(V))
-            comps = {g: D.gamma(y, g, V) for g in members}
-            mid = mor_id(src, dst, comps, members)
+            mid = PY.mor_id(src, dst, [D.gamma(y, g, V) for g in PY.members])
             if mid not in fib[Y].mor:
                 raise InternalError(
                     f"unit cell along {fmt(y)} is not a descent morphism"
@@ -133,18 +135,17 @@ def plus_fun(F: IndexedFun, plus_src: PlusResult, plus_dst: PlusResult) -> Index
     so the induced functor is strict."""
     D = plus_src.output
     E = plus_dst.output
-    base = D.base
     comp = {}
-    for X in base.objects:
+    for X in D.base.objects:
         M = plus_src.minimal[X]
         if plus_dst.minimal[X].mors != M.mors:
             raise InternalError("plus structures disagree on least covers")
-        omap = {a: push_datum(F, M, a) for a in D.fib[X].objects}
-        members = M.members()
+        plan = Plan(F.D, M)
+        omap = {a: push_datum(F, plan, a) for a in D.fib[X].objects}
         mmap = {}
         for mid, (a, b) in D.fib[X].mor.items():
-            pc = push_mor(F, mor_components(mid))
-            pid = mor_id(omap[a], omap[b], pc, members)
+            pc = plan.pushed(F, plan.components(mid))
+            pid = plan.mor_id(omap[a], omap[b], pc)
             if pid not in E.fib[X].mor:
                 raise InternalError("pushed descent morphism missing")
             mmap[mid] = pid
@@ -152,14 +153,14 @@ def plus_fun(F: IndexedFun, plus_src: PlusResult, plus_dst: PlusResult) -> Index
     return strict_indexed_fun(D, E, comp, name=f"{F.name}⁺")
 
 
-def _unique_preimage(F: IndexedCat, M: Sieve, V, W, delta):
-    """The unique m : V -> W in F(X) whose comparison components equal delta;
-    exists and is unique because the comparison is fully faithful."""
-    X = M.target
-    fx = F.fib[X]
+def _unique_preimage(plan: Plan, V, W, delta):
+    """The unique m : V -> W in F(X) whose comparison components equal
+    delta, (F, R) the plan's and X the target of R; exists and is unique
+    because the comparison is fully faithful."""
+    fx = plan.D.fib[plan.R.target]
     found = None
     for m in fx.hom(V, W):
-        if all(F.res[f].mo(m) == delta[f] for f in M.mors):
+        if plan.comparison_mor(m) == delta:
             if found is not None:
                 raise InternalError("comparison not faithful during factorization")
             found = m
@@ -174,23 +175,27 @@ def _factor_once(phi: IndexedFun, pres: PlusResult, caps) -> tuple:
     Every step is canonical: glue the pushed datum, transport morphisms
     through the fully faithful comparison, and assemble cells from the
     compositors of F.  The witness modification comes out of the same
-    gluing isos."""
+    gluing isos.  Data of D⁺ are pushed on the plan of (D, least cover)
+    and glued on that of (F, least cover); glue isos are components in
+    member order."""
     D = phi.D
     F = phi.E
     Dp = pres.output
     base = D.base
+    plans = {X: Plan(F, M) for X, M in pres.minimal.items()}
 
     glue_obj = {}
-    glue_iso = {}  # (X, a) -> descent morphism components comparison(V) -> push(a)
+    glue_iso = {}  # (X, a) -> components of comparison(V) -> push(a)
     comp = {}
     for X in base.objects:
-        M = pres.minimal[X]
+        plan = plans[X]
+        push = Plan(D, plan.R)
         fx = F.fib[X]
-        cmp = [(V, comparison_datum(F, M, V)) for V in fx.objects]
+        cmp = [(V, comparison_datum(plan, V)) for V in fx.objects]
         omap = {}
         objs = Dp.fib[X].objects
-        pushed = (push_datum(phi, M, a) for a in objs)
-        for a, hit in zip(objs, glue(F, M, cmp, pushed, caps)):
+        pushed = (push_datum(phi, push, a) for a in objs)
+        for a, hit in zip(objs, glue(plan, cmp, pushed, caps)):
             if hit is None:
                 raise InternalError(
                     f"descent datum over {fmt(X)} does not glue in a category "
@@ -202,36 +207,32 @@ def _factor_once(phi: IndexedFun, pres: PlusResult, caps) -> tuple:
             glue_iso[(X, a)] = dm
         mmap = {}
         for mid, (a, a2) in Dp.fib[X].mor.items():
-            pc = push_mor(phi, mor_components(mid))
-            ia, ia2 = glue_iso[(X, a)], glue_iso[(X, a2)]
-            delta = {}
-            for f in M.mors:
-                fib = F.fib[base.dom(f)]
-                delta[f] = fib.compose(
-                    fib.inverse(ia2[f]), fib.compose(pc[f], ia[f])
-                )
-            mmap[mid] = _unique_preimage(F, M, omap[a], omap[a2], delta)
+            pc = push.pushed(phi, push.components(mid))
+            delta = tuple(
+                fib.compose(fib.inverse(i2), fib.compose(p, i1))
+                for fib, p, i1, i2 in zip(plan.fibs, pc, glue_iso[(X, a)],
+                                          glue_iso[(X, a2)])
+            )
+            mmap[mid] = _unique_preimage(plan, omap[a], omap[a2], delta)
         comp[X] = Functor(Dp.fib[X], fx, omap, mmap, name=f"ψ({fmt(X)})")
 
     cell = {}
     for y, (Y, X) in base.mor.items():
-        MY = pres.minimal[Y]
+        PY = plans[Y]
+        along = PY.along(y, plans[X])
         cy = {}
         for a in Dp.fib[X].objects:
-            ar = Dp.res[y].ob(a)  # = restrict_datum(a, y, MY)
-            Vp = glue_obj[(Y, ar)]
+            ar = Dp.res[y].ob(a)  # = restrict_datum(a, y) on the plan of Y
             W = glue_obj[(X, a)]
             ia = glue_iso[(X, a)]
-            iar = glue_iso[(Y, ar)]
-            delta = {}
-            for g in MY.mors:
-                fib = F.fib[base.dom(g)]
-                yg = base.compose(y, g)
-                delta[g] = fib.compose(
-                    fib.inverse(F.gamma(y, g, W)),
-                    fib.compose(fib.inverse(ia[yg]), iar[g]),
-                )
-            cy[a] = _unique_preimage(F, MY, Vp, F.res[y].ob(W), delta)
+            delta = tuple(
+                fib.compose(fib.inverse(F.gamma(y, g, W)),
+                            fib.compose(fib.inverse(ia[i]), i_g))
+                for fib, g, i, i_g in zip(PY.fibs, PY.members, along,
+                                          glue_iso[(Y, ar)])
+            )
+            cy[a] = _unique_preimage(PY, glue_obj[(Y, ar)], F.res[y].ob(W),
+                                     delta)
         cell[y] = cy
     psi = IndexedFun(Dp, F, comp, cell, name=f"{phi.name}~" if phi.name else "ψ")
 
@@ -239,17 +240,17 @@ def _factor_once(phi: IndexedFun, pres: PlusResult, caps) -> tuple:
     # phi(V) by transporting the cell-corrected comparison through glue_iso.
     wit = {}
     for X in base.objects:
-        M = pres.minimal[X]
+        plan = plans[X]
         wx = {}
         for V in D.fib[X].objects:
             a = pres.unit.comp[X].ob(V)
-            ia = glue_iso[(X, a)]
-            delta = {}
-            for f in M.mors:
-                fib = F.fib[base.dom(f)]
-                delta[f] = fib.compose(fib.inverse(phi.cell[f][V]), ia[f])
+            delta = tuple(
+                fib.compose(fib.inverse(phi.cell[f][V]), i)
+                for fib, f, i in zip(plan.fibs, plan.members,
+                                     glue_iso[(X, a)])
+            )
             wx[V] = _unique_preimage(
-                F, M, glue_obj[(X, a)], phi.comp[X].ob(V), delta
+                plan, glue_obj[(X, a)], phi.comp[X].ob(V), delta
             )
         wit[X] = wx
     witness = IndexedNat(compose_indexed_funs(psi, pres.unit), phi, wit)

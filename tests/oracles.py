@@ -21,6 +21,13 @@ morphism named by its source's sorted members (`DescentDatum._key`), and
 the category ordered by `ckey`.  `desc_cat_parts` lists what the two must
 share, and `desc_cat_outcome` runs either under given caps.
 
+`ref_coh_pairs`, `ref_comparison_datum`, `ref_restrict_datum`,
+`ref_push_datum`, `ref_push_mor`, `ref_mor_id` and `ref_mor_components`
+are the shape of descent over a sieve as each construction worked it out
+for itself before `descent.Plan` held it: coherence pairs listed from the
+sieve's members, and data and morphism ids built from (D, R), with nothing
+from the library but `DescentDatum`.
+
 `is_indexed_iso` and `discrete_stackify_witness` compare the categorical
 pipeline with the set-level sheafification on discrete embeddings.
 
@@ -60,6 +67,7 @@ from finstack import (
     IndexedFun,
     IndexedNat,
     InternalError,
+    Plan,
     Sieve,
     SiteError,
     compose_functors,
@@ -76,7 +84,6 @@ from finstack import (
 )
 from finstack import dsl
 from finstack.caps import Budget
-from finstack.descent import coh_pairs
 from finstack.util import fmt, stable_sorted
 
 
@@ -247,7 +254,8 @@ def ref_desc_cat(D, R, caps=Caps(), skip_empty=False):
     """Desc(R, D) by `desc_hom` on every ordered pair of data; with
     `skip_empty`, a pair with an empty member hom-set is not searched."""
     base = D.base
-    data = enumerate_data(D, R, caps)
+    plan = Plan(D, R)
+    data = enumerate_data(plan, caps)
     members = R.members()
 
     def mor_id(a, b, comp):
@@ -262,8 +270,8 @@ def ref_desc_cat(D, R, caps=Caps(), skip_empty=False):
         for b in data:
             if skip_empty and empty(a, b):
                 continue
-            for comp in desc_hom(D, R, a, b, caps):
-                mor[mor_id(a, b, comp)] = (a, b)
+            for comp in desc_hom(plan, a, b, caps):
+                mor[mor_id(a, b, dict(zip(members, comp)))] = (a, b)
     ident = {
         a: mor_id(a, a, {f: D.fib[base.dom(f)].ident[a.obj[f]] for f in members})
         for a in data
@@ -304,9 +312,12 @@ def desc_cat_parity(D, R, tally):
     reference finishes, the two agree; where `desc_cat` trips a cap, the
     reference trips the same one.  `desc_cat` may finish where the reference
     trips only by not searching pairs with an empty member hom-set."""
+    def library(D, R, caps):
+        return desc_cat(Plan(D, R), caps)
+
     for n in DESC_CAT_BUDGETS:
         caps = Caps(max_descent=n)
-        got = desc_cat_outcome(desc_cat, D, R, caps)
+        got = desc_cat_outcome(library, D, R, caps)
         want = desc_cat_outcome(ref_desc_cat, D, R, caps)
         if want[1] is None:
             assert got == want, (D.name, R, n)
@@ -454,7 +465,7 @@ def validate_datum(D, R, a):
             fib_obs[y] = set(D.fib[y].objects)
         if a.obj[f] not in fib_obs[y]:
             return [f"object at {fmt(f)} not in its fibre"]
-    pairs = coh_pairs(D, R)
+    pairs = ref_coh_pairs(D, R)
     for f in stable_sorted(a.obj.keys() - R.mors):
         errs.append(f"object assigned at non-member {fmt(f)}")
     for p in stable_sorted(a.coh.keys() - set(pairs)):
@@ -494,6 +505,73 @@ def validate_datum(D, R, a):
                         f"cocycle fails at ({fmt(f)},{fmt(g)},{fmt(h)})"
                     )
     return errs
+
+
+# -- the shape of descent as each construction worked it out before the plan
+
+
+def ref_coh_pairs(D, R):
+    """All (f, g) with f a member and g into dom f, in stable order."""
+    base = D.base
+    out = []
+    for f in R.members():
+        for g in base.into(base.dom(f)):
+            out.append((f, g))
+    return out
+
+
+def ref_comparison_datum(D, R, V):
+    obj = {f: D.res[f].ob(V) for f in R.mors}
+    coh = {}
+    for (f, g) in ref_coh_pairs(D, R):
+        coh[(f, g)] = D.gamma(f, g, V)
+    return DescentDatum(obj, coh)
+
+
+def ref_restrict_datum(D, a, y, S):
+    base = D.base
+    obj = {}
+    coh = {}
+    for g in S.mors:
+        yg = base.compose(y, g)
+        if yg not in a.obj:
+            raise InternalError(
+                f"restriction escapes the datum: {fmt(y)}∘{fmt(g)} not a member"
+            )
+        obj[g] = a.obj[yg]
+    for (g, h) in ref_coh_pairs(D, S):
+        coh[(g, h)] = a.coh[(base.compose(y, g), h)]
+    return DescentDatum(obj, coh)
+
+
+def ref_push_datum(F, R, a):
+    D, E = F.D, F.E
+    base = D.base
+    obj = {f: F.comp[base.dom(f)].ob(a.obj[f]) for f in a.obj}
+    coh = {}
+    for (f, g) in ref_coh_pairs(D, R):
+        y = base.dom(g)
+        fib = E.fib[y]
+        cell = F.cell[g][a.obj[f]]
+        coh[(f, g)] = fib.compose(
+            F.comp[y].mo(a.coh[(f, g)]), fib.inverse(cell)
+        )
+    return DescentDatum(obj, coh)
+
+
+def ref_push_mor(F, comp):
+    base = F.D.base
+    return {f: F.comp[base.dom(f)].mo(m) for f, m in comp.items()}
+
+
+def ref_mor_id(a, b, comp, members):
+    """Id of the descent morphism a -> b with components `comp`, a dict
+    member -> fibre morphism, listed in `members`."""
+    return (a, b, tuple((f, comp[f]) for f in members))
+
+
+def ref_mor_components(mid):
+    return dict(mid[2])
 
 
 # -- validate_fincat before it numbered the ids --------------------------------
@@ -731,7 +809,8 @@ def in_emitted_form(body):
 
 def load_outcome(text, full_parse=False):
     """The diagnostics, findings and written-back bytes of loading `text`,
-    or the writer's error in place of the bytes.  Both ways call
+    or the writer's `ValueError` in place of the bytes; any other error of
+    the writer, `RecursionError` included, propagates.  Both ways call
     `load_interchange` from this frame, so they meet the same stack depth."""
     with (mock.patch.object(dsl, "_parse", json.loads) if full_parse
           else contextlib.nullcontext()):
@@ -740,5 +819,5 @@ def load_outcome(text, full_parse=False):
         return diags, None, None
     try:
         return diags, env.findings, dsl.serialize_env(env)
-    except (RecursionError, ValueError) as e:
+    except ValueError as e:
         return diags, env.findings, repr(e)

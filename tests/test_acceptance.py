@@ -54,7 +54,7 @@ from finstack import (
     Functor,
 )
 from finstack.cli import main
-from finstack.descent import desc_cat, mor_components, mor_id, restrict_datum
+from finstack.descent import Plan, desc_cat, restrict_datum
 from finstack.util import stable_sorted
 
 CAPS = Caps()
@@ -239,15 +239,16 @@ def test_criterion_05_discrete_oracle_equivalence():
           f"on {n} presheaves")
 
 
-def _restriction_functor(D, descS, descR, R):
+def _restriction_functor(D, descS, descR, S, R):
     """Desc(S) -> Desc(R) for a subsieve R of S on the same object."""
     idx = D.base.ident[R.target]
-    omap = {a: restrict_datum(D, a, idx, R) for a in descS.objects}
+    plan = Plan(D, R)
+    along = plan.along(idx, Plan(D, S))
+    omap = {a: restrict_datum(plan, a, idx) for a in descS.objects}
     mmap = {}
     for mid, (a, b) in descS.mor.items():
-        comp = mor_components(mid)
-        mmap[mid] = mor_id(
-            omap[a], omap[b], {f: comp[f] for f in R.mors}, R.members())
+        comp = plan.components(mid)
+        mmap[mid] = plan.mor_id(omap[a], omap[b], [comp[i] for i in along])
     return Functor(descS, descR, omap, mmap, name="restr")
 
 
@@ -272,12 +273,12 @@ def test_criterion_06_pseudocolimit_collapse():
                    for s in covers) >= 2, i
         assert any(S.mors == mc.mors for S in covers), i
         assert all(mc.mors <= S.mors for S in covers), i
-        desc = {S.mors: desc_cat(D, S, CAPS) for S in covers}
+        desc = {S.mors: desc_cat(Plan(D, S), CAPS) for S in covers}
         for S in covers:
             for R in covers:
                 if not R.mors <= S.mors:
                     continue
-                F = _restriction_functor(D, desc[S.mors], desc[R.mors], R)
+                F = _restriction_functor(D, desc[S.mors], desc[R.mors], S, R)
                 assert F.validate() == [], (i, F.validate()[:2])
                 if R.mors == S.mors:
                     assert F == identity_functor(desc[S.mors]), i
@@ -285,9 +286,9 @@ def test_criterion_06_pseudocolimit_collapse():
                     if not Q.mors <= R.mors:
                         continue
                     G = _restriction_functor(
-                        D, desc[R.mors], desc[Q.mors], Q)
+                        D, desc[R.mors], desc[Q.mors], R, Q)
                     H = _restriction_functor(
-                        D, desc[S.mors], desc[Q.mors], Q)
+                        D, desc[S.mors], desc[Q.mors], S, Q)
                     assert compose_functors(G, F) == H, i
         pr = plus(D, J, CAPS)
         assert pr.minimal[x].mors == mc.mors, i

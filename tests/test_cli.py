@@ -289,13 +289,19 @@ def test_deep_datum_outcome_matches_full_parse():
     depth.  Around the second edge this holds from four call depths in a
     row, one datum's four levels of nesting: `dsl._parse` reads one frame
     deeper, so at one of them it runs out of stack where `json.loads` does
-    not, and the reader must read the text again."""
+    not, and the reader must read the text again.
+
+    Every depth that loads is written back, byte for byte: the writer
+    reaches every depth the reader does, at the last depths that load from
+    each of four call depths too (a `RecursionError` from the writer fails
+    `load_outcome`)."""
     first = {}
     for depth in range(140, 260):
         text = _deep_datum_document(depth)
         got = load_outcome(text)
         assert got == load_outcome(text, full_parse=True), depth
         first.setdefault(got[0][0].msg if got[0] else "loaded", depth)
+        assert got[0] or got[2] == text, depth
     too_deep = "the document is nested too deeply"
     assert set(first) == {"loaded", f"malformed interchange block: {too_deep}",
                           f"not valid JSON: {too_deep}"}
@@ -305,6 +311,15 @@ def test_deep_datum_outcome_matches_full_parse():
         for frames in range(1, 5):
             assert (_deeper(frames, load_outcome, text)
                     == _deeper(frames, load_outcome, text, True)), (depth, frames)
+    edge = first[f"malformed interchange block: {too_deep}"]
+    for frames in range(1, 5):
+        loaded = 0
+        for depth in range(edge - 3, edge + 1):
+            text = _deep_datum_document(depth)
+            got = _deeper(frames, load_outcome, text)
+            assert got[0] or got[2] == text, (depth, frames)
+            loaded += not got[0]
+        assert loaded, frames
 
 
 def test_ambiguous_block_exits_2(capsys):

@@ -15,6 +15,7 @@ import pytest
 
 import finstack
 from finstack import (
+    Plan,
     comparison_datum,
     embed_discrete,
     enumerate_data,
@@ -56,20 +57,21 @@ def test_every_construction_path_returns_the_one_datum(case):
     idD = identity_indexed_fun(D)
     for X in c.objects:
         for R in J.covers_of(X):
-            data = enumerate_data(D, R)
+            plan = Plan(D, R)
+            data = enumerate_data(plan)
             assert len({id(a) for a in data}) == len(data)
-            assert all(a is b for a, b in zip(data, enumerate_data(D, R)))
+            assert all(a is b for a, b in zip(data, enumerate_data(plan)))
             for V in D.fib[X].objects:
-                v = comparison_datum(D, R, V)
+                v = comparison_datum(plan, V)
                 assert any(v is a for a in data)
             for a in data:
                 assert _round_trip(a) is a
-                assert push_datum(idD, R, a) is a
-                assert restrict_datum(D, a, c.ident[X], R) is a
+                assert push_datum(idD, plan, a) is a
+                assert restrict_datum(plan, a, c.ident[X]) is a
                 for y in c.into(X):
-                    S = pullback_sieve(R, y)
-                    pulled = enumerate_data(D, S)
-                    assert any(restrict_datum(D, a, y, S) is b for b in pulled)
+                    pulled = Plan(D, pullback_sieve(R, y))
+                    assert any(restrict_datum(pulled, a, y) is b
+                               for b in enumerate_data(pulled))
 
 
 def test_nested_data_are_shared_across_stages():

@@ -315,3 +315,46 @@ def test_one_function_words_the_findings_on_fibre_arrows(tmp_path):
     assert {(name, fn) for p in modules
             for name, _, fn in fibre_arrow_wordings(p)} == {
         ("indexed.py", "_fibre_arrows")}
+
+
+def members_reads(path):
+    """(file, line, scope) of each call `….members()`; the scope names the
+    enclosing functions and classes, dotted, and "" stands for none."""
+    out = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "members"):
+                out.append((path.name, child.lineno, scope))
+            walk(child, scope)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+def test_one_derivation_of_member_order(tmp_path):
+    """The members of a sieve in stable order, and everything descent
+    derives from them, are worked out by `descent.Plan`; only the set-level
+    oracle, which shares no machinery with descent, reads them for itself."""
+    sample = tmp_path / "sample.py"
+    sample.write_text("class P:\n"
+                      "    def __init__(self, R):\n"
+                      "        self.members = R.members()\n"
+                      "def f(plan, R):\n"
+                      "    return plan.members, [g(m) for m in R.members()]\n"
+                      "ms = S.members()\n")
+    assert members_reads(sample) == [("sample.py", 3, "P.__init__"),
+                                     ("sample.py", 5, "f"), ("sample.py", 6, "")]
+    assert {(name, scope) for p in (SRC / "descent.py", SRC / "stackify.py")
+            for name, _, scope in members_reads(p)} == {
+        ("descent.py", "Plan.__init__"),
+        ("stackify.py", "matching_families"),
+        ("stackify.py", "plus_presheaf"),
+        ("stackify.py", "_sheaf_over"),
+    }

@@ -30,6 +30,7 @@ from finstack import (
     Functor,
     InternalError,
     L_D,
+    Plan,
     Sieve,
     Topology,
     canonical_lift,
@@ -74,10 +75,11 @@ from oracles import generate_sieve, pullback_sieve
 def ref_comparison_ff_at(D, X, R, caps):
     fx = D.fib[X]
     members = R.members()
+    plan = Plan(D, R)
     for V in fx.objects:
-        a = comparison_datum(D, R, V)
+        a = comparison_datum(plan, V)
         for W in fx.objects:
-            b = comparison_datum(D, R, W)
+            b = comparison_datum(plan, W)
             image = {}
             for m in fx.hom(V, W):
                 comp = tuple((f, D.res[f].mo(m)) for f in members)
@@ -89,21 +91,22 @@ def ref_comparison_ff_at(D, X, R, caps):
                         witness=(X, R, image[comp], m),
                     )
                 image[comp] = m
-            for dm in desc_hom(D, R, a, b, caps):
-                key = tuple((f, dm[f]) for f in members)
+            for dm in desc_hom(plan, a, b, caps):
+                key = tuple(zip(members, dm))
                 if key not in image:
                     return Check(
                         False,
                         f"comparison not full on hom({fmt(V)},{fmt(W)}) over "
                         f"{fmt(X)}: a descent morphism has no preimage",
-                        witness=(X, R, dm),
+                        witness=(X, R, dict(key)),
                     )
     return Check(True, "comparison fully faithful")
 
 
 def ref_iso_matching(D, R, a, b, caps):
-    for dm in desc_hom(D, R, a, b, caps):
-        if all(D.fib[D.base.dom(f)].is_iso(m) for f, m in dm.items()):
+    for dm in desc_hom(Plan(D, R), a, b, caps):
+        if all(D.fib[D.base.dom(f)].is_iso(m)
+               for f, m in zip(R.members(), dm)):
             return True
     return False
 
@@ -118,9 +121,10 @@ def ref_is_prestack(D, J, caps):
 
 
 def ref_glues_at(D, X, R, caps):
-    for a in enumerate_data(D, R, caps):
+    plan = Plan(D, R)
+    for a in enumerate_data(plan, caps):
         if not any(
-            ref_iso_matching(D, R, comparison_datum(D, R, V), a, caps)
+            ref_iso_matching(D, R, comparison_datum(plan, V), a, caps)
             for V in D.fib[X].objects
         ):
             return Check(
@@ -163,10 +167,12 @@ def ref_least_failure(D, J, gluing, caps):
 
 def ref_glue(F, M, b, caps):
     X = M.target
+    plan = Plan(F, M)
     for V in stable_sorted(F.fib[X].objects):
-        cv = comparison_datum(F, M, V)
-        for dm in desc_hom(F, M, cv, b, caps):
-            if all(F.fib[F.base.dom(f)].is_iso(m) for f, m in dm.items()):
+        cv = comparison_datum(plan, V)
+        for dm in desc_hom(plan, cv, b, caps):
+            if all(F.fib[F.base.dom(f)].is_iso(m)
+                   for f, m in zip(M.members(), dm)):
                 return V, dm
     raise InternalError(f"descent datum over {fmt(X)} does not glue")
 
@@ -413,14 +419,15 @@ def test_glue_matches_the_stable_order_search(stages):
     for F in cats:
         for X in c.objects:
             M = minimal_cover(J, X)
-            cmp = [(V, comparison_datum(F, M, V))
+            plan = Plan(F, M)
+            cmp = [(V, comparison_datum(plan, V))
                    for V in stable_sorted(F.fib[X].objects)]
-            for b in enumerate_data(F, M):
+            for b in enumerate_data(plan):
                 try:
                     want = ref_glue(F, M, b, DEFAULT)
                 except InternalError:
                     want = None
-                assert list(glue(F, M, cmp, [b])) == [want]
+                assert list(glue(plan, cmp, [b])) == [want]
 
 
 def test_plus_unit_cells_are_the_recomputed_data(stages):
@@ -428,11 +435,11 @@ def test_plus_unit_cells_are_the_recomputed_data(stages):
     for p in (s.once, s.twice):
         D = p.input
         for y, (Y, X) in c.mor.items():
-            MX, MY = p.minimal[X], p.minimal[Y]
+            PX, PY = Plan(D, p.minimal[X]), Plan(D, p.minimal[Y])
             for V in D.fib[X].objects:
                 src, dst, _ = p.unit.cell[y][V]
-                assert src is comparison_datum(D, MY, D.res[y].ob(V))
-                assert dst is restrict_datum(D, comparison_datum(D, MX, V), y, MY)
+                assert src is comparison_datum(PY, D.res[y].ob(V))
+                assert dst is restrict_datum(PY, comparison_datum(PX, V), y)
 
 
 def _groths():

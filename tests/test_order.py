@@ -33,6 +33,7 @@ from finstack import (
     DescentDatum,
     FinCat,
     L_D,
+    Plan,
     R_D,
     as_fibration,
     desc_cat,
@@ -47,7 +48,7 @@ from finstack import (
     saturate,
     stackify,
 )
-from finstack.descent import mor_components, mor_id, restrict_datum
+from finstack.descent import restrict_datum
 from finstack.dsl import _dec, _text
 from finstack.fibadj import _iso_comma_fibration, _localize
 from finstack.groth import essential_fibre_cat
@@ -264,7 +265,7 @@ def test_descent_categories_order_as_ckey_sorts(stages):
     D = plus_stages[0].input
     for X in c.objects:
         for R in J.covers_of(X):
-            _check_supplied_order(desc_cat(D, R))
+            _check_supplied_order(desc_cat(Plan(D, R)))
     for p in plus_stages:
         for X in c.objects:
             _check_supplied_order(p.output.fib[X])
@@ -329,23 +330,22 @@ def test_plus_stages_match_the_pairwise_loop(stages):
 
 def test_plus_restricts_along_identities_as_restrict_datum_does(stages):
     """D⁺ restricts along id_X by the identity functor on its fibre, which
-    is what `restrict_datum` and `mor_id` build there: M_X is the least
+    is what `restrict_datum` and the plan's ids build there: M_X is the least
     cover on both ends and id∘g = g, so every datum and id comes back."""
     c, _, plus_stages = stages
     for p in plus_stages:
         D = p.input
         for X in c.objects:
             y = c.ident[X]
-            M = p.minimal[X]
+            plan = Plan(D, p.minimal[X])
             fib = p.output.fib[X]
-            omap = {a: restrict_datum(D, a, y, M) for a in fib.objects}
-            members = M.members()
+            omap = {a: restrict_datum(plan, a, y) for a in fib.objects}
+            along = plan.along(y, plan)
             mmap = {}
             for mid, (a, b) in fib.mor.items():
-                comps = mor_components(mid)
-                mmap[mid] = mor_id(omap[a], omap[b],
-                                   {g: comps[c.compose(y, g)] for g in members},
-                                   members)
+                comps = plan.components(mid)
+                mmap[mid] = plan.mor_id(omap[a], omap[b],
+                                        [comps[i] for i in along])
             res = p.output.res[y]
             assert res.src is fib and res.dst is fib
             assert res.omap == omap and res.mmap == mmap

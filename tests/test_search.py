@@ -22,6 +22,7 @@ from finstack import (
     DescentDatum,
     FinCat,
     InternalError,
+    Plan,
     Sieve,
     all_nat_isos,
     const_indexed,
@@ -40,7 +41,6 @@ from finstack import (
     validate_fincat,
 )
 from finstack.caps import Budget, pruned_product, search
-from finstack.descent import coh_pairs
 from finstack.util import stable_sorted
 
 import corpus
@@ -51,6 +51,7 @@ from oracles import (
     ref_all_functors,
     ref_all_indexed_funs,
     ref_all_nat_isos,
+    ref_coh_pairs,
     ref_search,
 )
 
@@ -134,14 +135,15 @@ def test_from_homs_rejects_escaping_composite():
 
 def _enumerate_data(caps):
     c, J = corpus.patches_site()
-    enumerate_data(corpus.const_walking_iso(c), minimal_cover(J, "X"), caps)
+    enumerate_data(Plan(corpus.const_walking_iso(c), minimal_cover(J, "X")),
+                   caps)
 
 
 def _desc_hom(caps):
     c, J = corpus.patches_site()
-    D, R = corpus.const_walking_iso(c), minimal_cover(J, "X")
-    data = enumerate_data(D, R)
-    desc_hom(D, R, data[0], data[-1], caps)
+    plan = Plan(corpus.const_walking_iso(c), minimal_cover(J, "X"))
+    data = enumerate_data(plan)
+    desc_hom(plan, data[0], data[-1], caps)
 
 
 def _matching_families(caps):
@@ -200,7 +202,7 @@ def ref_enumerate_data(D, R, caps=Caps()):
     coherence isos."""
     base = D.base
     members = R.members()
-    pairs = coh_pairs(D, R)
+    pairs = ref_coh_pairs(D, R)
     at = {p: i for i, p in enumerate(pairs)}
     closing = {}
     for f in members:
@@ -298,7 +300,7 @@ def test_enumerate_data_matches_full_product(spent):
     inputs = descent_inputs()
     assert len(inputs) > 400
     for D, R in inputs:
-        got, nodes = spent(enumerate_data, D, R)
+        got, nodes = spent(enumerate_data, Plan(D, R))
         want, ref_nodes = spent(ref_enumerate_data, D, R)
         assert got == want, (D.name, R)
         assert nodes <= ref_nodes, (D.name, R)
@@ -324,12 +326,12 @@ def test_empty_fibres_and_empty_sieve(spent):
     c = D.base
     for s in sieves_on(c, "b"):
         if "idb" in s:
-            assert spent(enumerate_data, D, Sieve("b", s, c)) == ([], 0)
+            assert spent(enumerate_data, Plan(D, Sieve("b", s, c))) == ([], 0)
     c, J = corpus.patches_site()
     empty = const_indexed(c, discrete_cat((), name="empty"))
-    assert spent(enumerate_data, empty, minimal_cover(J, "X")) == ([], 0)
+    assert spent(enumerate_data, Plan(empty, minimal_cover(J, "X"))) == ([], 0)
     # The empty sieve has one datum, the empty one, for one node.
-    assert spent(enumerate_data, empty, Sieve("X", frozenset(), c)) == (
+    assert spent(enumerate_data, Plan(empty, Sieve("X", frozenset(), c))) == (
         [DescentDatum({}, {})], 1)
     # No object of the target: no functor, no node; from the empty
     # category: one functor, for one node.
@@ -360,7 +362,7 @@ def test_budget_bound_open_lattices_decide(seed, n_opens):
     D = embed_discrete(P)
     assert is_stack(D, J).ok == is_sheaf_presheaf(P, J).ok
     R = next(R for x in c.objects for R in J.covers_of(x) if _exhausts(D, R))
-    assert isinstance(enumerate_data(D, R), list)
+    assert isinstance(enumerate_data(Plan(D, R)), list)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +375,7 @@ def ref_desc_hom(D, R, a, b, caps=Caps()):
     members = R.members()
     at = {f: i for i, f in enumerate(members)}
     closing = {}
-    for (f, g) in coh_pairs(D, R):
+    for (f, g) in ref_coh_pairs(D, R):
         fg = base.compose(f, g)
         closing.setdefault(max(at[f], at[fg]), []).append((f, g, at[f], at[fg]))
 
@@ -390,10 +392,8 @@ def ref_desc_hom(D, R, a, b, caps=Caps()):
                 return False
         return True
 
-    return [
-        dict(zip(members, comp))
-        for comp in ref_search(len(members), cands, fits, Budget(caps))
-    ]
+    return [tuple(comp)
+            for comp in ref_search(len(members), cands, fits, Budget(caps))]
 
 
 def ref_find_indexed_natiso(F, G, caps=Caps()):
@@ -453,9 +453,10 @@ def ref_matching_families(P, R, caps=Caps()):
 def test_desc_hom_matches_its_schedule(spent):
     compared = nonempty = 0
     for D, R in descent_inputs():
-        data = enumerate_data(D, R)
+        plan = Plan(D, R)
+        data = enumerate_data(plan)
         for a, b in product(data, repeat=2):
-            got, nodes = spent(desc_hom, D, R, a, b)
+            got, nodes = spent(desc_hom, plan, a, b)
             want, ref_nodes = spent(ref_desc_hom, D, R, a, b)
             assert (got, nodes) == (want, ref_nodes), (D.name, R)
             compared += 1
