@@ -44,22 +44,40 @@ and cover.  Callers compute the comparison data once per object and cover
 and hand them in.
 
 `is_prestack` and `is_stack` take J to be a Grothendieck topology and
-decide on G = `least_cover_pullbacks(J)`: the pullbacks h*(M_x) of the
-intersection M_x of the covers of x along every h : y -> x, sieves
-containing id_y left out (they hold trivially).  This is exact.  For a
-fixed D, the sieves R such that D satisfies descent on every pullback of R
-form a Grothendieck topology, the largest for which D is a stack (Giraud,
-*Cohomologie non abélienne*, 1971, ch. II; Vistoli, "Grothendieck
-topologies, fibered categories and descent theory", 2005, §4.1; the same
-holds for full faithfulness alone, and for the sheaf condition of a
-set-valued presheaf, on which `stackify.sheafify_with_unit` checks its
-output).  Passing on G puts every M_x in that
-topology, and every cover of x contains M_x, so it is covered too.  Since J
-is a topology, every sieve of G is a cover of J, so a failure on G is a
-failing cover: the witness is the first failing sieve of G, and a cap
-message is that of the search on G that tripped.  For a J that is not a
-topology, the same decision is D's over the topology its least covers
-generate.
+decide on its least covers alone: the least cover M_x of each object x,
+the intersection of the covers of x (`site.least_covers`), with the
+maximal ones left out (they hold trivially).  This is exact.  Every cover
+S of x contains M_x, and for g : y -> x in S, g*(M_x) ⊇ M_y by stability,
+since g*(M_x) is a cover of y.  Suppose D satisfies descent over every
+M_y; then it does over S, in three steps.
+
+- *Faithful.* Two arrows of D(x) with equal comparisons over S have
+  equal restrictions along the members of M_x ⊆ S, so faithfulness over
+  M_x makes them equal.
+- *Full.* A descent morphism φ over S restricts to one over M_x, which
+  fullness over M_x makes the comparison of some u.  For g : y -> x in S
+  and h in M_y, g∘h is in M_x, so g*u and φ_g have the same restriction
+  along h: both are φ_(g∘h) up to the coherences.  So g*u and φ_g have
+  the same comparison over M_y, and faithfulness over M_y gives g*u = φ_g.
+- *Gluing.* A datum over S restricts to one over M_x, which glues to some
+  V.  For g : y -> x in S, the isos over the g∘h, h in M_y, form a
+  descent morphism over M_y from the comparison of g*V to that of the
+  member object at g; fullness and faithfulness over M_y give one iso
+  g*V ≅ U_g, and faithfulness makes these isos coherent, so they are an
+  iso from the comparison datum of V to the datum over S.
+
+So D is a prestack (a stack) for J exactly when the comparison is fully
+faithful (an equivalence) over every M_x.  This is the 2-dimensional form
+of "a sheaf for a coverage is a sheaf for the topology it generates"
+(Johnstone, *Sketches of an Elephant*, C2.1; Vistoli, "Grothendieck
+topologies, fibered categories and descent theory", 2005, ch. 4); the
+sheaf condition of a set-valued presheaf is its discrete case, on which
+`stackify.sheafify_with_unit` checks its output.  Each M_x is a cover of
+J, so a failure is a failing cover: the witness is the first failing
+least cover, and a cap message is that of the search on the least covers
+that tripped.  A listed J that is not a topology is decided over the
+topology its least covers generate, whose least covers `site.least_covers`
+reads off the same fixpoint as `site.saturate`.
 """
 
 import weakref
@@ -67,7 +85,7 @@ import weakref
 from . import caps as _caps
 from .fincat import Check, FinCat, Functor, InternalError
 from .indexed import IndexedCat, IndexedFun
-from .site import Sieve, Topology, least_cover_pullbacks
+from .site import Sieve, Topology, least_covers
 from .util import ckey, fmt, stable_sorted
 
 
@@ -447,14 +465,14 @@ def _glues_at(plan, cmp, caps) -> Check:
 
 def _descent(D: IndexedCat, J: Topology, caps, gluing: bool) -> Check:
     """Whether the comparison is fully faithful (and, with `gluing`,
-    essentially surjective) over every sieve of `least_cover_pullbacks(J)`;
-    if not, the first failure.
+    essentially surjective) over every sieve of `least_covers(J)`; if not,
+    the first failure.
 
     Full faithfulness runs on every sieve first, in that order; gluing then
     runs on the same sieves in the same order, on each sieve's plan and
     comparison data.  A cap on any of them propagates."""
     done = []
-    for R in least_cover_pullbacks(J):
+    for R in least_covers(J):
         plan = Plan(D, R)
         c, cmp = _ff_at(plan, caps)
         if not c:
@@ -470,19 +488,19 @@ def _descent(D: IndexedCat, J: Topology, caps, gluing: bool) -> Check:
 
 def is_prestack(D: IndexedCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> Check:
     """Comparison fully faithful for every covering sieve of J, a
-    Grothendieck topology.  For any other listed J, this decides D over the
-    topology generated by the least covers, `saturate(c, {x: [∩
-    J.covers[x]]})`.  A failure names the first sieve of
-    `least_cover_pullbacks(J)` on which it fails."""
+    Grothendieck topology, decided on its least covers.  For any other
+    listed J, this decides D over the topology generated by the least
+    covers, `saturate(c, {x: [∩ J.covers[x]]})`.  A failure names the first
+    sieve of `least_covers(J)` on which it fails."""
     return _descent(D, J, caps, False)
 
 
 def is_stack(D: IndexedCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> Check:
     """Comparison an equivalence for every covering sieve of J, a
     Grothendieck topology: fully faithful and every descent datum isomorphic
-    to a restriction.  For any other listed J, this decides D over the
-    topology generated by the least covers, `saturate(c, {x: [∩
-    J.covers[x]]})`.  A failure names the first sieve of
-    `least_cover_pullbacks(J)` on which full faithfulness fails or, if it
-    holds on all of them, the first on which gluing fails."""
+    to a restriction, decided on its least covers.  For any other listed J,
+    this decides D over the topology generated by the least covers,
+    `saturate(c, {x: [∩ J.covers[x]]})`.  A failure names the first sieve of
+    `least_covers(J)` on which full faithfulness fails or, if it holds on
+    all of them, the first on which gluing fails."""
     return _descent(D, J, caps, True)

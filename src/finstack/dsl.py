@@ -1196,21 +1196,44 @@ _DD = '{"dd":'
 _PREFIX = 32
 _PREFIX_TEXTS = 8
 _raw_decode = json.JSONDecoder().raw_decode
+# Up to and including the next brace outside a string.
+_BRACE = re.compile(r'[^{}"]*(?:"[^"\\]*(?:\\.[^"\\]*)*"[^{}"]*)*([{}])')
+
+
+def _datum_ends(text, start, end):
+    """Where each `{"dd": …}` object inside the JSON object text[start:end]
+    ends, by where it starts, from one scan of the braces outside strings.
+    The text must be valid JSON, in which `{"dd":` only ever starts an
+    object, since a quote inside a string is escaped."""
+    out, opened = {}, []
+    for m in _BRACE.finditer(text, start, end):
+        j = m.end()
+        if m.group(1) == "{":
+            opened.append(j - 1)
+        else:
+            i = opened.pop()
+            if text.startswith(_DD, i):
+                out[i] = j
+    return out
 
 
 def _parse(text):
     """`json.loads(text)`, with each distinct `{"dd": …}` object text parsed
     once: every byte-identical copy of it is the same object.
 
-    One scan finds the datum texts.  The first copy of each is measured
-    with `raw_decode`, kept in place and marked with an extra member
-    `"\\u0000": k` before its closing brace; the scan goes on inside it, so
-    nested data are shared too.  Each later copy, found by `startswith`
-    among the texts met at the same prefix, or else measured too, is
-    replaced by the reference `{"\\u0000": k}`.  `json.loads` parses that
-    skeleton, and its `object_hook` drops each mark and swaps each
-    reference for the marked object.  A text already holding `\\u0000` is
-    parsed as it stands.
+    One scan finds the datum texts.  The first copy of each is measured,
+    kept in place and marked with an extra member `"\\u0000": k` before its
+    closing brace; the scan goes on inside it, so nested data are shared
+    too.  Each later copy, found by `startswith` among the texts met at the
+    same prefix, or else measured too, is replaced by the reference
+    `{"\\u0000": k}`.  `json.loads` parses that skeleton, and its
+    `object_hook` drops each mark and swaps each reference for the marked
+    object.  A text already holding `\\u0000` is parsed as it stands.
+
+    A datum outside every first copy is measured with `raw_decode`; the
+    first time a datum inside one needs measuring, one scan of the
+    outermost open first copy's braces (`_datum_ends`) measures every datum
+    in it, so a chain of nested data is read once, not once per level.
 
     Each first copy is parsed where it stands, one frame deeper than
     `json.loads(text)` would parse it, so a text nested too deeply for
@@ -1223,6 +1246,7 @@ def _parse(text):
         return json.loads(text)
     out, p = [], 0
     ids, seen, ends = {}, {}, []  # ends: (end, k) of the open first copies
+    outer, inner = 0, None  # where ends[0] starts; `_datum_ends` inside it
     while True:
         while ends and (i < 0 or ends[-1][0] <= i):
             j, k = ends.pop()
@@ -1233,13 +1257,21 @@ def _parse(text):
         key = text[i:i + _PREFIX]
         t = next((t for t in seen.get(key, ()) if text.startswith(t, i)), None)
         if t is None:
-            t = text[i:_raw_decode(text, i)[1]]
+            if not ends:
+                j = _raw_decode(text, i)[1]
+            else:
+                if inner is None:
+                    inner = _datum_ends(text, outer, ends[0][0])
+                j = inner[i]
+            t = text[i:j]
             texts = seen.setdefault(key, [])
             if len(texts) < _PREFIX_TEXTS:
                 texts.append(t)
         k = ids.get(t)
         if k is None:
             k = ids[t] = len(ids)
+            if not ends:
+                outer, inner = i, None
             ends.append((i + len(t), k))
             i = text.find(_DD, i + 1)
         else:

@@ -42,7 +42,7 @@ from .fincat import (
     validate_fincat,
 )
 from .indexed import IndexedCat, precompose_indexed
-from .site import Sieve, SiteError, Topology, saturate, slice_cat, slice_site
+from .site import SiteError, Topology, least_covers, saturate, slice_cat, slice_site
 from .util import fmt, reused
 
 
@@ -126,17 +126,17 @@ def canonical_lift(G: GrothCat, y, U):
 @reused()
 def giraud_topology(G: GrothCat, J: Topology, caps: _caps.Caps = _caps.DEFAULT) -> Topology:
     """Transfer J to the total category: generate from the cartesian lifts
-    of the intersection of the covers of each X, then saturate.
+    of the least cover of each X (`site.least_covers`), then saturate.
 
     That is the topology one family per cover generates.  Lifts are
     cartesian, so the sieve that the lifts of a base sieve R generate is
     the preimage of R under the projection; `saturate` starts from the
     intersection of the generated sieves, and preimages meet as the
-    covers do."""
+    covers do.  Where the least cover of X is maximal, so is every sieve
+    its lifts generate, so X is left out of the coverage."""
     if J.base != G.source.base:
         raise SiteError("topology does not live on the base of the total category")
-    least = {X: Sieve(X, frozenset.intersection(*J.covers[X]), J.base).members()
-             for X in J.base.objects if J.covers.get(X)}
+    least = {R.target: R.members() for R in least_covers(J)}
     coverage = {(X, U): [[canonical_lift(G, f, U) for f in least[X]]]
                 for (X, U) in G.total.objects if X in least}
     return saturate(G.total, coverage, caps)

@@ -6,6 +6,8 @@ stability under pullback, and transitivity; `saturate` produces the smallest
 such assignment containing a user-supplied coverage.  On a finite site a
 topology is fixed by the least cover of each object, so `saturate` runs its
 fixpoint over one sieve per object and then lists the sieves that contain it.
+The same fixpoint gives `least_covers`, the sieves on which descent and the
+sheaf condition are decided; a topology keeps its least covers as masks.
 
 Inside this module a sieve on x is an int, a bitmask: bit j stands for the
 j-th arrow of `c.into(x)`, which is in stable order, so bit order is stable
@@ -162,6 +164,11 @@ def sieves_on(c: FinCat, x, caps: _caps.Caps = _caps.DEFAULT):
 class Topology:
     base: FinCat
     covers: dict  # object -> frozenset of frozensets of morphism ids
+    # The least cover of each object of `base.objects`, in that order, as a
+    # mask on `base.into(x)`: set by `saturate`, else by the first
+    # `least_covers(J)`.  A tuple, since every input of a run may hold its
+    # topology.  Never compared.
+    _least: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def covers_of(self, x):
         """The covers of x in stable order, as `sieves_on` lists them.
@@ -267,17 +274,33 @@ def saturate(c: FinCat, coverage, caps: _caps.Caps = _caps.DEFAULT) -> Topology:
     `coverage` maps objects to iterables of morphism families; each family is
     closed into a sieve first.  On a finite site covers are closed under
     intersection and enlargement, so a topology is fixed by its least covers
-    M_x, and the covers of x are the sieves that contain M_x.  M_x starts as
-    the intersection of the generated sieves on x and shrinks to a fixpoint
-    under the two steps the axioms force: stability, M_y ⊆ h*(M_x) for every
-    h : y -> x, and local character, M_x = {f∘g : f ∈ M_x, g ∈ M_(dom f)}.
-    At the fixpoint the sieves containing M_x meet all three axioms, and
-    every topology containing the coverage has least covers inside M, so the
-    result is exact.  Each change removes an arrow, so the loop ends after
-    at most Σ|into(x)| changes.
+    M_x (`_least_masks`), and the covers of x are the sieves that contain
+    M_x.  The topology keeps its least covers for `least_covers`.
     """
-    obset = set(c.objects)
     bits = _Bits(c)
+    least = _least_masks(bits, coverage)
+    J = Topology(c, {
+        x: frozenset(bits.members(x, s)
+                     for s in bits.universe(x, caps, least[x]))
+        for x in c.objects
+    })
+    J._least = tuple(least.values())
+    return J
+
+
+def _least_masks(bits: _Bits, coverage) -> dict:
+    """The least cover M_x of every object x of the smallest topology whose
+    covers include the sieves generated by `coverage`, as masks.
+
+    M_x starts as the intersection of the generated sieves on x and shrinks
+    to a fixpoint under the two steps the axioms force: stability, M_y ⊆
+    h*(M_x) for every h : y -> x, and local character, M_x = {f∘g : f ∈
+    M_x, g ∈ M_(dom f)}.  At the fixpoint the sieves containing M_x meet all
+    three axioms, and every topology containing the coverage has least
+    covers inside M, so the result is exact.  Each change removes an arrow,
+    so the loop ends after at most Σ|into(x)| changes."""
+    c = bits.c
+    obset = set(c.objects)
     least = {x: bits.full(x) for x in c.objects}
     for x, fams in coverage.items():
         if x not in obset:
@@ -309,11 +332,32 @@ def saturate(c: FinCat, coverage, caps: _caps.Caps = _caps.DEFAULT) -> Topology:
             if local != least[x]:
                 least[x] = local
                 changed = True
-    return Topology(c, {
-        x: frozenset(bits.members(x, s)
-                     for s in bits.universe(x, caps, least[x]))
-        for x in c.objects
-    })
+    return least
+
+
+def least_covers(J: Topology) -> list:
+    """The least cover M_x of every object x on which it is not the maximal
+    sieve, in stable order.
+
+    For a topology J, M_x is the intersection of the covers of x.  A listed
+    J that is not a topology stands for the topology its least covers
+    generate, `saturate(c, {x: [∩ J.covers[x]]})`, and its M_x are that
+    topology's; an object with no covers listed gets the maximal sieve.
+    The masks are worked out once per J, by `saturate` or on the first call
+    here, and kept on J; the sieves are built on each call."""
+    c = J.base
+    least = J._least
+    if least is None:
+        least = J._least = tuple(_least_masks(_Bits(c), {
+            x: [frozenset.intersection(*J.covers[x])]
+            for x in c.objects if J.covers.get(x)}).values())
+    out = []
+    for x, s in zip(c.objects, least):
+        into = c.into(x)
+        if s != (1 << len(into)) - 1:
+            out.append(Sieve(x, frozenset(
+                m for j, m in enumerate(into) if s >> j & 1), c))
+    return out
 
 
 def minimal_cover(J: Topology, x) -> Sieve:
@@ -333,34 +377,6 @@ def minimal_cover(J: Topology, x) -> Sieve:
     if acc not in J.covers[x]:
         raise SiteError(f"topology is not saturated at {fmt(x)}")
     return Sieve(x, acc, J.base)
-
-
-def least_cover_pullbacks(J: Topology):
-    """The pullbacks h*(M_x) along every h : y -> x, where M_x is the
-    intersection of the covers of x, for every x that has covers.
-
-    Objects and arrows come in stable order; a sieve repeated on the same y
-    is kept once, and sieves containing id_y are left out.  For a topology
-    J, each sieve returned is a cover of J.  When the sieves on whose every
-    pullback a property holds form a topology, as they do for descent (see
-    `descent`) and for the sheaf condition of a set-valued presheaf (see
-    `stackify.sheafify_with_unit`), a property that holds on all of these
-    holds on every cover of J, because every cover of x contains M_x."""
-    c = J.base
-    bits = _Bits(c)
-    seen, out = set(), []
-    for x in c.objects:
-        sieves = J.covers.get(x)
-        if not sieves:
-            continue
-        least = bits.mask(x, frozenset.intersection(*sieves))
-        for y, b, t, _ in bits.arrows(x).values():
-            p = _pull(t, least)
-            # id_y is in h*(M_x) exactly when h is in M_x.
-            if not least & b and (y, p) not in seen:
-                seen.add((y, p))
-                out.append(Sieve(y, bits.members(y, p), c))
-    return out
 
 
 def slice_cat(c: FinCat, x):

@@ -18,7 +18,7 @@ no code here reads a sieve's members or a morphism id's layout.
 (matching families, twice) so the categorical pipeline can be audited against
 it on discrete embeddings; the comparison functor between the two lives with
 the tests that use it.  Its guard on its own output shares one piece with
-`is_stack`, the sieves of `site.least_cover_pullbacks`; the oracle
+`is_stack`, the least covers of `site.least_covers`; the oracle
 `is_sheaf_presheaf` shares no machinery and checks every cover.
 """
 
@@ -46,7 +46,7 @@ from .indexed import (
     strict_indexed_fun,
     validate_indexed_nat,
 )
-from .site import Sieve, Topology, least_cover_pullbacks, minimal_cover
+from .site import Sieve, Topology, least_covers, minimal_cover
 from .util import ckey, fmt
 
 
@@ -356,15 +356,15 @@ def plus_presheaf(P: Presheaf, J: Topology, caps: _caps.Caps = _caps.DEFAULT):
 def sheafify_with_unit(P: Presheaf, J: Topology, caps: _caps.Caps = _caps.DEFAULT):
     """Plus twice, with the composite unit P -> P⁺⁺.  J is taken to be a
     Grothendieck topology, as for `is_stack`.  The output is checked to be a
-    J-sheaf on `least_cover_pullbacks(J)` alone, which is exact: the sieves
-    on whose every pullback a presheaf's sheaf condition holds form a
-    topology (Giraud 1971, ch. II; Vistoli 2005, §4.1; see `descent`)."""
+    J-sheaf on `least_covers(J)` alone, which is exact: a presheaf that is a
+    sheaf for the least cover of every object is one for every cover, the
+    discrete case of the argument in `descent`."""
     P1, u1 = plus_presheaf(P, J, caps)
     P2, u2 = plus_presheaf(P1, J, caps)
     unit = {
         X: {e: u2[X][u1[X][e]] for e in P.els[X]} for X in P.base.objects
     }
-    sheaf = _sheaf_over(P2, least_cover_pullbacks(J), caps)
+    sheaf = _sheaf_over(P2, least_covers(J), caps)
     if not sheaf:
         raise InternalError(f"double plus did not produce a sheaf: {sheaf.reason}")
     return P2, unit

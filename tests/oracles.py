@@ -31,11 +31,13 @@ from the library but `DescentDatum`.
 `is_indexed_iso` and `discrete_stackify_witness` compare the categorical
 pipeline with the set-level sheafification on discrete embeddings.
 
-`pullback_sieve`, `generate_sieve`, `validate_sieve` and `validate_datum`
-are the library's as they were before it stopped shipping them: the
-pullback of a sieve by its formula, the sieve generated by a family and the
-findings of a set of arrows that should be a sieve, all on frozensets of
-ids, and the findings of a descent datum.
+`pullback_sieve`, `generate_sieve`, `validate_sieve`, `validate_datum`
+and `least_cover_pullbacks` are the library's as they were before it
+stopped shipping them: the pullback of a sieve by its formula, the sieve
+generated by a family and the findings of a set of arrows that should be a
+sieve, all on frozensets of ids, the findings of a descent datum, and the
+non-maximal pullbacks of the least covers, on which descent and the
+sheafification's guard were decided before the least covers alone were.
 
 `ref_validate_fincat` is `validate_fincat` as it was before it numbered the
 ids: every check looks ids up by value.
@@ -404,6 +406,28 @@ def pullback_sieve(s, h):
     c = s.base
     y = c.dom(h)
     return Sieve(y, frozenset(g for g in c.into(y) if c.compose(h, g) in s.mors), c)
+
+
+def least_cover_pullbacks(J):
+    """The sieves `is_stack`, `is_prestack` and the sheafification's guard
+    ran on before they ran on the least covers alone: the pullbacks
+    h*(M_x) along every h : y -> x, M_x the intersection of the covers of
+    x, for every x that has covers.  Objects come in stable order and
+    arrows in `into` order; a sieve repeated on the same y is kept once,
+    and sieves containing id_y are left out."""
+    c = J.base
+    seen, out = set(), []
+    for x in c.objects:
+        sieves = J.covers.get(x)
+        if not sieves:
+            continue
+        least = Sieve(x, frozenset.intersection(*sieves), c)
+        for h in c.into(x):
+            p = pullback_sieve(least, h)
+            if c.ident[p.target] not in p.mors and (p.target, p.mors) not in seen:
+                seen.add((p.target, p.mors))
+                out.append(p)
+    return out
 
 
 def generate_sieve(c, x, gens):

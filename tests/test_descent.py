@@ -23,7 +23,7 @@ from finstack import (
     is_equivalence,
     is_prestack,
     is_stack,
-    least_cover_pullbacks,
+    least_covers,
     minimal_cover,
     plus,
     push_datum,
@@ -37,6 +37,7 @@ from finstack import (
 import corpus
 import sitegen
 from oracles import (
+    least_cover_pullbacks,
     pullback_sieve,
     ref_coh_pairs,
     ref_comparison_datum,
@@ -379,7 +380,7 @@ def test_traced_descent_layers_stay_on_the_call_path(monkeypatch):
     phi = embed_mor(P, Q, {"X": {"x1": "x1"}, "p": {"a1": "a1", "a2": "a2"},
                            "q": {"b1": "b1"}, "r": {"c1": "c1"}})
     n = len(c.objects)
-    sieves = least_cover_pullbacks(J)
+    sieves = least_covers(J)
     fullness = sum(_sizes(S)[R.target] for R in sieves)
 
     s, calls = _count_calls(monkeypatch, lambda: stackify(D, J))

@@ -358,3 +358,47 @@ def test_one_derivation_of_member_order(tmp_path):
         ("stackify.py", "plus_presheaf"),
         ("stackify.py", "_sheaf_over"),
     }
+
+
+def _is_intersection(node):
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.BitAnd)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "intersection")
+
+
+def covers_intersections(path):
+    """(file, line, function) of each intersection, an `intersection` call
+    or an `&`, in a function whose own body reads some `.covers`."""
+    out = []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(_own_nodes(fn))
+        if any(isinstance(n, ast.Attribute) and n.attr == "covers"
+               for n in nodes):
+            out += [(path.name, n.lineno, fn.name)
+                    for n in nodes if _is_intersection(n)]
+    return sorted(out)
+
+
+def test_one_source_of_least_covers(tmp_path):
+    """A topology's least covers come from `site`: `least_covers`, from the
+    fixpoint that `saturate` runs, and `minimal_cover`, which checks that
+    the intersection of the covers is one of them.  No other module
+    intersects a topology's covers; in `site` the lint also finds the
+    mask tests of `validate_topology`."""
+    sample = tmp_path / "sample.py"
+    sample.write_text("def f(J, x):\n"
+                      "    return frozenset.intersection(*J.covers[x])\n"
+                      "def g(J, x, acc):\n"
+                      "    for s in J.covers[x]:\n"
+                      "        acc &= s\n"
+                      "def h(a, b):\n"
+                      "    return a & b\n")
+    assert covers_intersections(sample) == [("sample.py", 2, "f"),
+                                            ("sample.py", 5, "g")]
+    assert [hit for p in sorted(SRC.glob("*.py")) if p.name != "site.py"
+            for hit in covers_intersections(p)] == []
+    assert {fn for _, _, fn in covers_intersections(SRC / "site.py")} == {
+        "least_covers", "minimal_cover", "validate_topology"}

@@ -5,15 +5,17 @@ stackification unit, the pairwise partition of an essential fibre into
 isomorphism classes, and the cleavages of indexed fibrations, which are
 read off one set of cartesian arrows per component.
 
-`is_stack` and `is_prestack` decide on the pullbacks of least covers
-alone.  That is exact because, for a fixed D, the sieves on whose every
-pullback D satisfies descent form a topology;
-`test_descent_sieves_form_a_topology` checks this on every sieve of every
-input.  So their verdicts and reasons are the canonical loop's over every
-cover, while a failure names the first failing pullback of a least cover
-(`ref_least_failure`), which is itself a cover when J is a topology.  A J
-that is not a topology is decided as the topology its least covers
-generate.
+`is_stack` and `is_prestack` decide on the least covers alone.  That is
+exact because descent over the least cover of every object gives descent
+over every cover (the proof is in the `descent` docstring); and for a
+fixed D the sieves on whose every pullback D satisfies descent form a
+topology, which `test_descent_sieves_form_a_topology` checks on every sieve
+of every input.  So their verdicts and reasons are the canonical loop's
+over every cover, and the decision on the pullbacks of the least covers
+(`oracles.least_cover_pullbacks`), which they made before, agrees with
+them; a failure names the first failing least cover (`ref_least_failure`),
+which is itself a cover.  A J that is not a topology is decided as the
+topology its least covers generate.
 
 Runs on the corpus sites, seeded `sitegen` sites, presheaves and
 fibrations, and both plus stages of `stackify` on them."""
@@ -46,9 +48,10 @@ from finstack import (
     is_cartesian_over,
     is_indexed_fibration,
     is_prestack,
+    is_sheaf_presheaf,
     is_stack,
     iso_classes,
-    least_cover_pullbacks,
+    least_covers,
     minimal_cover,
     restrict_datum,
     saturate,
@@ -61,11 +64,12 @@ from finstack import (
 )
 from finstack.descent import glue
 from finstack.fibadj import _localize
+from finstack.stackify import _sheaf_over, plus_presheaf
 from finstack.util import fmt, stable_sorted
 
 import corpus
 import sitegen
-from oracles import generate_sieve, pullback_sieve
+from oracles import generate_sieve, least_cover_pullbacks, pullback_sieve
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +151,21 @@ def ref_is_stack(D, J, caps):
     return Check(True, "stack")
 
 
-def ref_least_failure(D, J, gluing, caps):
-    """The first sieve of `least_cover_pullbacks(J)` that fails the
-    canonical full-faithfulness check or, with `gluing`, when none does,
-    the first that fails the canonical gluing check: that check's Check, or
-    None when every sieve passes."""
-    sieves = least_cover_pullbacks(J)
+def ref_least_covers(T):
+    """The least covers of the topology T, as `minimal_cover` finds them,
+    in stable order of their objects, the maximal ones left out."""
+    c = T.base
+    return [M for M in (minimal_cover(T, x) for x in stable_sorted(c.objects))
+            if M.mors != frozenset(c.into(M.target))]
+
+
+def ref_least_failure(D, T, gluing, caps, sieves=None):
+    """The first sieve of `ref_least_covers(T)`, or of `sieves` when given,
+    that fails the canonical full-faithfulness check or, with `gluing`,
+    when none does, the first that fails the canonical gluing check: that
+    check's Check, or None when every sieve passes."""
+    if sieves is None:
+        sieves = ref_least_covers(T)
     for R in sieves:
         c = ref_comparison_ff_at(D, R.target, R, caps)
         if not c:
@@ -294,12 +307,13 @@ def stages(request):
 
 
 def _assert_least_witness(new, D, J, gluing, topology=None):
-    """A failure names the first failing least-cover pullback of J, a cover
-    of the topology J generates (J itself when J is one)."""
-    want = ref_least_failure(D, J, gluing, DEFAULT)
+    """A failure names the first failing least cover of the topology J
+    generates (J itself when J is one), a cover of it."""
+    T = topology or J
+    want = ref_least_failure(D, T, gluing, DEFAULT)
     assert (new.reason, new.witness) == (want.reason, want.witness)
     R = new.witness[1]
-    assert R.mors in (topology or J).covers[R.target]
+    assert R.mors in T.covers[R.target]
 
 
 def test_is_stack_matches_the_per_datum_comparison_loop(stages):
@@ -320,25 +334,39 @@ def test_is_prestack_matches_the_canonical_loop(stages):
             _assert_least_witness(new, D, J, False)
 
 
+def _listed_principal_sieves(c):
+    """A listed J that is not a topology, in which every principal sieve
+    covers, and the topology its least covers generate."""
+    J = Topology(c, {x: frozenset(generate_sieve(c, x, [f]).mors
+                                  for f in c.into(x))
+                     for x in c.objects})
+    return J, saturate(c, {x: [frozenset.intersection(*J.covers[x])]
+                           for x in c.objects})
+
+
 def test_decisions_match_the_canonical_loop_on_listed_principal_sieves(stages):
     """A listed J that is not a topology (every principal sieve covers) is
     decided as the topology its least covers generate."""
     c, _, cats, _ = stages
-    J = Topology(c, {x: frozenset(generate_sieve(c, x, [f]).mors
-                                  for f in c.into(x))
-                     for x in c.objects})
-    generated = saturate(c, {x: [frozenset.intersection(*J.covers[x])]
-                             for x in c.objects})
+    J, generated = _listed_principal_sieves(c)
     for D in cats:
         for gluing, decide, ref in ((False, is_prestack, ref_is_prestack),
                                     (True, is_stack, ref_is_stack)):
             new, old = decide(D, J), ref(D, generated, DEFAULT)
-            assert new.ok == old.ok
+            assert (new.ok, new.reason) == (old.ok, old.reason)
             if not new:
                 _assert_least_witness(new, D, J, gluing, generated)
 
 
+def test_least_covers_are_the_nonmaximal_minimal_covers(stages):
+    c, J, _, _ = stages
+    want = [(M.target, M.mors) for M in ref_least_covers(J)]
+    assert [(R.target, R.mors) for R in least_covers(J)] == want
+    assert all(R.mors in J.covers[R.target] for R in least_covers(J))
+
+
 def test_least_cover_pullbacks_are_the_nonmaximal_pullbacks_of_least_covers(stages):
+    """The reference sieves the differential tests decide on."""
     c, J, _, _ = stages
     want = set()
     for x in c.objects:
@@ -351,6 +379,45 @@ def test_least_cover_pullbacks_are_the_nonmaximal_pullbacks_of_least_covers(stag
     assert len(got) == len(set(got))
     assert set(got) == want
     assert all(R.mors in J.covers[R.target] for R in least_cover_pullbacks(J))
+
+
+def test_least_covers_decide_as_their_pullbacks_did(stages):
+    """`is_prestack` and `is_stack` on the least covers give the verdict
+    and reason of the same decision on the pullbacks of the least covers,
+    which the library made before."""
+    c, J, cats, _ = stages
+    pullbacks = least_cover_pullbacks(J)
+    for D in cats:
+        for gluing, decide in ((False, is_prestack), (True, is_stack)):
+            new = decide(D, J)
+            old = ref_least_failure(D, J, gluing, DEFAULT, pullbacks)
+            if old is None:
+                assert new.ok
+            else:
+                assert (new.ok, new.reason) == (False, old.reason)
+
+
+def test_sheaf_check_on_least_covers_matches_every_cover():
+    """On seeded presheaves P, P⁺ and P⁺⁺ over seeded `sitegen` sites, the
+    sheaf check on the least covers, which `sheafify_with_unit` makes of
+    its output, gives the verdict of the all-covers oracle; on the listed
+    principal sieves it gives the oracle's verdict over the topology their
+    least covers generate."""
+    rng = random.Random(4000)
+    verdicts = set()
+    for _ in range(12):
+        c, J = sitegen.rand_site(rng)
+        P = sitegen.rand_presheaf(rng, c)
+        P1, _ = plus_presheaf(P, J)
+        P2, _ = plus_presheaf(P1, J)
+        listed, generated = _listed_principal_sieves(c)
+        for Q in (P, P1, P2):
+            want = is_sheaf_presheaf(Q, J).ok
+            assert _sheaf_over(Q, least_covers(J), DEFAULT).ok == want
+            assert (_sheaf_over(Q, least_covers(listed), DEFAULT).ok
+                    == is_sheaf_presheaf(Q, generated).ok)
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def _descends_on(D, R, gluing):
@@ -397,9 +464,9 @@ DESCENT_CAPS = (1, 2, 3, 4, 8, 16, 48, 64, DEFAULT.max_descent)
 def test_caps_trip_as_in_the_canonical_loop(stages):
     """The same Check or the same cap message as the canonical loop at every
     `max_descent`, except that (a) an input may be decided, either way,
-    where the canonical loop runs out of budget on a sieve the least-cover
-    pullbacks skip, and (b) a failure names the first failing least-cover
-    pullback.  Never does a cap trip where the canonical loop decides."""
+    where the canonical loop runs out of budget on a sieve the least covers
+    skip, and (b) a failure names the first failing least cover.  Never does
+    a cap trip where the canonical loop decides."""
     c, J, cats, _ = stages
     for D in cats:
         for gluing, decide, ref in ((False, is_prestack, ref_is_prestack),

@@ -53,13 +53,13 @@ from finstack.dsl import _dec, _text
 from finstack.fibadj import _iso_comma_fibration, _localize
 from finstack.groth import essential_fibre_cat
 from finstack.site import (
-    Sieve, least_cover_pullbacks, minimal_cover, sieves_on, slice_cat)
+    Sieve, least_covers, minimal_cover, sieves_on, slice_cat)
 from finstack.util import ckey, stable_sorted
 
 import corpus
 import oracles
 import sitegen
-from oracles import desc_cat_parity, generate_sieve
+from oracles import desc_cat_parity, generate_sieve, least_cover_pullbacks
 from test_reuse import CORPUS as FIBRATIONS, SLOW_4_2_II, _one_op
 
 DATA = Path(__file__).parent / "data"
@@ -196,11 +196,11 @@ SIEVE_SITES = {
 def test_sieve_members_match_ckey_sort(name):
     """A sieve lists its members as `ckey` sorts them, and an object's
     covers and sieve universe come in `ckey` order of the sieves: the
-    covers and least cover of every object, the least-cover pullbacks
-    (which `stackify` and `is_stack` run on) and every sieve on every
+    covers and least cover of every object, the least covers that
+    `is_stack` runs on and their pullbacks, and every sieve on every
     object."""
     c, J = SIEVE_SITES[name]()
-    sieves = list(least_cover_pullbacks(J))
+    sieves = least_covers(J) + least_cover_pullbacks(J)
     for X in c.objects:
         covers = J.covers_of(X)
         assert [R.mors for R in covers] == ref_sorted(J.covers.get(X, ()))

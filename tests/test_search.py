@@ -33,7 +33,6 @@ from finstack import (
     find_indexed_natiso,
     is_sheaf_presheaf,
     is_stack,
-    least_cover_pullbacks,
     matching_families,
     minimal_cover,
     sieves_on,
@@ -47,6 +46,7 @@ import corpus
 import sitegen
 from oracles import (
     desc_cat_parity,
+    least_cover_pullbacks,
     nat_trans_findings,
     ref_all_functors,
     ref_all_indexed_funs,

@@ -4,7 +4,10 @@ as the closed subsets among all 2^n subsets of the arrows into an object,
 sorted by `ckey`; saturation and validation as round-robin fixpoints that
 pull back every (sieve, morphism) on every round; pullbacks as the
 frozenset {g : h∘g ∈ S}; least covers as intersections of
-frozensets; covers ordered by `stable_sorted`.
+frozensets; covers ordered by `stable_sorted`.  The least covers a
+topology keeps are checked against the fixpoint worked out again from its
+listed covers, as they stand and as the interchange format reads them
+back.
 
 Runs on the corpus categories (the non-posets included), seeded random
 posets and their slices, the `sitegen` site corpora, small open lattices and
@@ -25,16 +28,19 @@ from finstack import (
     poset_cat,
     saturate,
     sieves_on,
+    least_covers,
+    serialize_blocks,
     terminal_cat,
     validate_topology,
 )
 from finstack.cli import main
-from finstack.site import _Bits, _pull, least_cover_pullbacks, minimal_cover, slice_cat
+from finstack.dsl import load_interchange
+from finstack.site import _Bits, _pull, minimal_cover, slice_cat
 from finstack.util import fmt, stable_sorted
 
 import corpus
 import sitegen
-from oracles import generate_sieve, validate_sieve
+from oracles import generate_sieve, least_cover_pullbacks, validate_sieve
 from test_fuzz import DATA, _document
 
 
@@ -111,6 +117,18 @@ def ref_validate_topology(J):
 
 def ref_pullback(c, mors, h):
     return frozenset(g for g in c.into(c.dom(h)) if c.compose(h, g) in mors)
+
+
+def ref_least_covers(J):
+    """(x, the intersection of the covers of x) for every x on which it
+    is not the maximal sieve, objects in stable order."""
+    c = J.base
+    out = []
+    for x in stable_sorted(c.objects):
+        least = frozenset.intersection(*J.covers[x])
+        if least != frozenset(c.into(x)):
+            out.append((x, least))
+    return out
 
 
 def ref_least_cover_pullbacks(J):
@@ -318,14 +336,52 @@ def test_unvalidated_topology_never_reaches_ordering(tmp_path, capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
+def _least(J):
+    return [(s.target, s.mors) for s in least_covers(J)]
+
+
 def test_least_covers_match_frozenset_intersections(sites):
     for c, _, J in sites:
+        assert _least(J) == ref_least_covers(J), c.name
         got = [(s.target, s.mors) for s in least_cover_pullbacks(J)]
         assert got == ref_least_cover_pullbacks(J), c.name
         for x in c.objects:
             least = frozenset.intersection(*J.covers[x])
             assert minimal_cover(J, x).mors == least
             assert all(least <= s for s in J.covers[x])
+
+
+def test_kept_least_covers_are_the_recomputed_fixpoint(sites):
+    """The least covers `saturate` keeps on its topology are those the
+    fixpoint gives again from the listed covers, whether the topology is
+    rebuilt from them or read back through the interchange format."""
+    for c, _, J in sites:
+        want = _least(J)
+        listed = Topology(c, J.covers)
+        text = serialize_blocks([("category", "C", c), ("topology", "J", J)])
+        env, diags = load_interchange(text)
+        assert not diags, c.name
+        read = env.topologies["J"]
+        for K in (listed, read):
+            assert K._least is None
+            assert [(s.target, s.mors) for s in least_covers(K)] == want, c.name
+            assert K._least == J._least
+
+
+def test_listed_non_topology_has_the_generated_least_covers(sites):
+    """When every principal sieve is listed as a cover, the least covers
+    are those of the topology the intersections generate, which can be
+    smaller than the intersections themselves."""
+    shrunk = 0
+    for c, _, _ in sites:
+        listed = Topology(c, {x: frozenset(generate_sieve(c, x, [f]).mors
+                                           for f in c.into(x))
+                              for x in c.objects})
+        generated = saturate(c, {x: [frozenset.intersection(*listed.covers[x])]
+                                 for x in c.objects})
+        assert _least(listed) == _least(generated), c.name
+        shrunk += _least(listed) != ref_least_covers(listed)
+    assert shrunk
 
 
 def test_mask_pullback_matches_frozenset_formula(sites):
@@ -373,8 +429,7 @@ def test_sixteen_opens_match_the_references(lattice16):
         assert errs == ref_validate_topology(M)
         failing += bool(errs)
     assert failing
-    got = [(s.target, s.mors) for s in least_cover_pullbacks(J)]
-    assert got == ref_least_cover_pullbacks(J)
+    assert _least(J) == ref_least_covers(J)
 
 
 def test_validate_topology_reports_hostile_covers():

@@ -14,7 +14,7 @@ from finstack import (
     is_prestack,
     is_sheaf_presheaf,
     is_stack,
-    least_cover_pullbacks,
+    least_covers,
     matching_families,
     minimal_cover,
     plus,
@@ -37,7 +37,7 @@ from finstack.stackify import _sheaf_over
 
 import corpus
 import sitegen
-from oracles import discrete_stackify_witness
+from oracles import discrete_stackify_witness, least_cover_pullbacks
 
 
 def test_plus_arrow_counts():
@@ -203,16 +203,18 @@ def _sheaf_inputs():
     return out
 
 
-def test_sheaf_condition_on_least_cover_pullbacks_matches_every_cover():
+def test_sheaf_condition_on_least_covers_matches_every_cover():
     """The check `sheafify_with_unit` makes of its output, on
-    `least_cover_pullbacks(J)` alone, gives the verdict of the all-covers
-    oracle on P, P⁺ and P⁺⁺, and both verdicts occur on P and on P⁺."""
+    `least_covers(J)` alone, gives the verdict of the all-covers oracle on
+    P, P⁺ and P⁺⁺, as the check on the pullbacks of the least covers did
+    before it, and both verdicts occur on P and on P⁺."""
     verdicts = [set(), set(), set()]
     for P, J in _sheaf_inputs():
         P1, _ = plus_presheaf(P, J)
         P2, _ = plus_presheaf(P1, J)
         for stage, Q in enumerate((P, P1, P2)):
             want = is_sheaf_presheaf(Q, J).ok
+            assert _sheaf_over(Q, least_covers(J), DEFAULT).ok == want
             assert _sheaf_over(Q, least_cover_pullbacks(J), DEFAULT).ok == want
             verdicts[stage].add(want)
     assert verdicts == [{True, False}, {True, False}, {True}]
