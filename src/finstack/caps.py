@@ -9,13 +9,15 @@ match the CLI flags `--max-homset`, `--max-sieves-per-object`,
 `--max-descent`, `--max-closure`, and a cap message names the flag that
 raises it.
 
-Both searches keep the one constraint schedule.  A check is a pair
-`(scope, c)`: `scope` is the tuple of positions it reads and `c` its
-payload.  The check is filed under `max(scope)`, the position where its
-scope closes, in the order the checks are given; each candidate set there
-is kept only if `holds(c, a)` is true for every check filed there, tested
-in that order until one fails, with `a` the assignment to positions
-0..max(scope).  A check is tested nowhere else.
+Both searches keep the one constraint schedule, filed by `schedule`.  A
+check is a pair `(scope, c)`: `scope` is the tuple of positions it reads
+and `c` its payload.  The check is filed under `max(scope)`, the position
+where its scope closes, in the order the checks are given; each candidate
+set there is kept only if `holds(c, a)` is true for every check filed
+there, tested in that order until one fails, with `a` the assignment to
+positions 0..max(scope).  A check is tested nowhere else.  A caller that
+runs the same checks on many pool lists files them once and hands the
+filed schedule to every search.
 """
 
 from dataclasses import dataclass
@@ -68,13 +70,21 @@ class Budget:
             )
 
 
-def _walk(pools, checks, holds, enter, reject):
-    """The backtracking of `search` and `pruned_product`.  `enter()` is
-    called per position entered, the root included, and `reject()` per
-    candidate a check rejects; either may be None."""
-    closing = [[] for _ in pools]
+def schedule(checks, n):
+    """The payloads of `checks`, `(scope, c)` pairs over positions 0..n-1,
+    filed under the position where each scope closes, in the order given:
+    the schedule `search` and `pruned_product` take."""
+    closing = [[] for _ in range(n)]
     for scope, c in checks:
         closing[max(scope)].append(c)
+    return closing
+
+
+def _walk(pools, closing, holds, enter, reject):
+    """The backtracking of `search` and `pruned_product` on the schedule
+    `closing`.  `enter()` is called per position entered, the root
+    included, and `reject()` per candidate a check rejects; either may be
+    None."""
     a = []
     if enter is not None:
         enter()
@@ -108,28 +118,29 @@ def _walk(pools, checks, holds, enter, reject):
                 a.pop()
 
 
-def search(pools, checks, holds, budget: Budget):
+def search(pools, closing, holds, budget: Budget):
     """Depth-first search over assignments a with a[i] drawn from
     `pools[i]`, in pool order.
 
-    `checks` are `(scope, c)` pairs, each tested by `holds(c, a)` where its
-    scope closes (see the module docstring).  Yields each full assignment
-    as a list that is reused, so callers copy what they keep.  One node of
-    `budget` is spent per position entered, the full assignment included.
+    `closing` is a `schedule` over as many positions as there are pools;
+    each payload c filed at position i is tested by `holds(c, a)` there
+    (see the module docstring).  Yields each full assignment as a list that
+    is reused, so callers copy what they keep.  One node of `budget` is
+    spent per position entered, the full assignment included.
     """
-    return _walk(pools, checks, holds, budget.spend, None)
+    return _walk(pools, closing, holds, budget.spend, None)
 
 
-def pruned_product(pools, checks, holds, budget: Budget):
+def pruned_product(pools, closing, holds, budget: Budget):
     """The tuples of the product of `pools` that pass every check, in
     product order: forward checking (Haralick & Elliott, 1980).
 
-    Checks are scheduled as in `search`, and a check must fail only where
-    no completion of the prefix can pass.  Yields each surviving tuple as a
-    list that is reused, so callers copy what they keep.  Callers run one
-    `search` on every survivor, whose root node stands for it.  Positions
-    entered here are not metered; one node of `budget` is spent per
-    rejected candidate instead.  A rejection stands for at least one full
+    `closing` is a `schedule` as in `search`, and a check must fail only
+    where no completion of the prefix can pass.  Yields each surviving
+    tuple as a list that is reused, so callers copy what they keep.
+    Callers run one `search` on every survivor, whose root node stands for
+    it.  Positions entered here are not metered; one node of `budget` is
+    spent per rejected candidate instead.  A rejection stands for at least one full
     combination, each of which would have cost its `search` a root node, so
     on a shared budget this never spends more than searching every
     combination of the full product.  With an empty pool there is no
@@ -137,4 +148,4 @@ def pruned_product(pools, checks, holds, budget: Budget):
     """
     if not all(pools):
         return iter(())
-    return _walk(pools, checks, holds, None, budget.spend)
+    return _walk(pools, closing, holds, None, budget.spend)

@@ -149,7 +149,9 @@ class Plan:
     (f, g), f a member and g into dom f, in stable order with their
     positions, and one square check per pair, which carries its fibre
     D(dom g) and restriction D(g) and reads the member positions of f and
-    f∘g.  Every descent construction over (D, R) takes the plan.
+    f∘g, filed once as the schedule `closing` of every search for
+    descent morphisms.  Every descent construction over (D, R) takes the
+    plan.
 
     The components of a descent morphism are a tuple in member order, from
     the search that finds them to the id that names them, `(a, b, ((f,
@@ -157,7 +159,7 @@ class Plan:
     `components` reads one."""
 
     __slots__ = ("D", "R", "members", "doms", "fibs", "at", "pairs",
-                 "pair_at", "squares")
+                 "pair_at", "squares", "closing")
 
     def __init__(self, D: IndexedCat, R: Sieve):
         base = D.base
@@ -174,6 +176,7 @@ class Plan:
                 check = (D.fib[base.dom(g)], D.res[g], p, jf, jfg)
                 self.squares.append(((jf, jfg), check))
         self.pair_at = {p: i for i, p in enumerate(self.pairs)}
+        self.closing = _caps.schedule(self.squares, len(self.members))
 
     def along(self, y, src):
         """The position in `src`'s members of y∘g for each member g of this
@@ -200,7 +203,7 @@ class Plan:
             return (fib.compose(b.coh[p], res.mo(comp[jf]))
                     == fib.compose(comp[jfg], a.coh[p]))
 
-        found = _caps.search(pools, self.squares, commutes, _caps.Budget(caps))
+        found = _caps.search(pools, self.closing, commutes, _caps.Budget(caps))
         return [tuple(comp) for comp in found]
 
     def homs(self, a, b, caps):
@@ -285,6 +288,8 @@ def enumerate_data(plan: Plan, caps: _caps.Caps = _caps.DEFAULT):
     out = []
     budget = _caps.Budget(caps)
     objects = [fib.objects for fib in plan.fibs]
+    links = _caps.schedule(links, len(members))
+    cocycles = _caps.schedule(cocycles, len(pairs))
     for choice in _caps.pruned_product(objects, links, linked, budget):
         obj = dict(zip(members, choice))
         pools = [isos(check) for _, check in plan.squares]

@@ -67,9 +67,9 @@ fibres and the totals of the flattened slices through their builders in
 `groth`, the iso-comma fibres by listing their ids in stable order.
 
 Each builder validates its result once, as a whole, with `validate_indexed`
-or `validate_indexed_fun`.  A part is validated on its own only when the
-builder reads it before that: the essential-fibre reindexing functors and
-the iso-comma restrictions.
+or `validate_indexed_fun`, and none validates a part of it on its own: the
+essential-fibre reindexing functors and the iso-comma restrictions are
+checked as restrictions of the indexed category they belong to.
 """
 
 from dataclasses import dataclass, field
@@ -250,9 +250,7 @@ def _ess_restriction(fib: IndexedFibration, G: GrothCat, m, src: FinCat, dst: Fi
         la, lb = lifts[(A, alpha)], lifts[(B, beta)]
         t = _cart_factor(pY, lb, fe.compose(re.mo(w), la), fd.ident[V])
         mmap[(alpha, beta, w)] = (fd.ident[V], fd.ident[V], t)
-    F = Functor(src, dst, omap, mmap, name=f"ess({fmt(m)})")
-    require(F.validate(), "essential reindexing along {}", m)
-    return F, lifts
+    return Functor(src, dst, omap, mmap, name=f"ess({fmt(m)})"), lifts
 
 
 @reused()
@@ -806,9 +804,7 @@ def _iso_comma_fibration(
         mmap = {}
         for (o1, o2, v, b) in fib[X].mor:
             mmap[(o1, o2, v, b)] = (omap[o1], omap[o2], rd.mo(v), re.mo(b))
-        F = Functor(fib[X], fib[Y], omap, mmap)
-        require(F.validate(), "iso-comma reindexing along {}", y)
-        res[y] = F
+        res[y] = Functor(fib[X], fib[Y], omap, mmap)
     compositor = {}
     for (y2, y1), y21 in C.table.items():
         X3 = C.cod(y2)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import caps as _caps
-from .caps import Budget, search
+from .caps import Budget, schedule, search
 from .util import ckey, fmt, stable_sorted
 
 
@@ -262,8 +262,17 @@ def validate_fincat(c: FinCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
         if table[(idpos[cp], mp)] != mp:
             errs.append(f"id ∘ {fmt(ms[mp])} ≠ {fmt(ms[mp])}")
 
-    # Associativity over all composable triples.
-    for fp, (_, cp) in enumerate(ends):
+    # Associativity over all composable triples.  Once the unit laws hold,
+    # every triple with an identity in it associates (h∘(id∘f) = h∘f =
+    # (h∘id)∘f, and likewise with the identity first or last), so only the
+    # triples of non-identity arrows are walked.
+    fs = range(len(ends))
+    if not errs:
+        ids = set(idpos)
+        fs = [mp for mp in fs if mp not in ids]
+        by_dom = [[mp for mp in dom if mp not in ids] for dom in by_dom]
+    for fp in fs:
+        cp = ends[fp][1]
         for gp in by_dom[cp]:
             gf = table[(gp, fp)]
             for hp in by_dom[ends[gp][1]]:
@@ -407,7 +416,8 @@ def all_nat_isos(F: Functor, G: Functor, caps: _caps.Caps = _caps.DEFAULT):
         m, d, c = sq
         return dst.compose(a[c], F.mmap[m]) == dst.compose(G.mmap[m], a[d])
 
-    for a in search(pools, squares, natural, Budget(caps)):
+    closing = schedule(squares, len(objects))
+    for a in search(pools, closing, natural, Budget(caps)):
         yield dict(zip(objects, a))
 
 

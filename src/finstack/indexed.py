@@ -174,7 +174,32 @@ def validate_indexed(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
     phases, and a phase with findings ends the validation.  Past the
     structural checks, which stop at the first gap, each phase checks every
     element and sorts its findings, so they do not follow the order the
-    dicts were filled in."""
+    dicts were filled in.
+
+    The base is taken to be a category, as every phase takes it.  Once the
+    fibres are valid, `_laws_hold` decides without the phases whether they
+    find anything, leaving out every check that involves an identity; only
+    when it fails do the phases run.  What it leaves out follows from what
+    it checks:
+
+    (a) A functor between valid fibres that preserves identities preserves
+        every composite with an identity: F(g∘id) = F(g) = F(g)∘id.  A
+        typed family of fibre arrows c : P => Q, P and Q composites of such
+        functors, is natural at an identity: c_V∘P(id_V) = c_V =
+        Q(id_V)∘c_V.
+    (b) At a base pair with an identity, the compositor follows from the
+        unit laws.  The right unit law γ(y,id)_V ∘ u_{D(y)V} = id, with u
+        invertible, gives γ(y,id)_V = u_{D(y)V}⁻¹, which is typed,
+        invertible and natural since u is.  The left unit law
+        γ(id,y)_V ∘ D(y)(u_V) = id gives γ(id,y)_V = D(y)(u_V)⁻¹ in the
+        same way.
+    (c) With (b), associativity on a triple (y, z, w) that contains an
+        identity is one of three facts.  At y = id it reads
+        D(zw)(u_V) ∘ γ(z,w)_V = γ(z,w)_{D(id)V} ∘ D(w)D(z)(u_V), the
+        compositor's naturality at u_V; at z = id it reads D(w)(u⁻¹) =
+        D(w)(u)⁻¹, the functoriality of D(w); at w = id it reads
+        D(id)(γ(y,z)_V) ∘ u = u ∘ γ(y,z)_V, the unitor's naturality at
+        γ(y,z)_V."""
     base = D.base
     for X in base.objects:
         if X not in D.fib:
@@ -182,6 +207,8 @@ def validate_indexed(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
         bad = validate_fincat(D.fib[X], caps)
         if bad:
             return [f"fibre over {fmt(X)} invalid: {bad[0]}"]
+    if _laws_hold(D):
+        return []
     for y, (Y, X) in base.mor.items():
         F = D.res.get(y)
         if F is None:
@@ -234,6 +261,143 @@ def validate_indexed(D: IndexedCat, caps: _caps.Caps = _caps.DEFAULT) -> list:
             if left != fy.ident[ry_V]:
                 errs.append(f"left unit fails for {fmt(y)} at {fmt(V)}")
     return sorted(errs)
+
+
+def _holds_on(src, dst, cells, P, Q, arrows, invertible=True) -> bool:
+    """Whether one family of fibre arrows, as `_fibre_arrows` takes it, is
+    typed at every object of `src`, invertible there when asked, and
+    natural at `arrows`, (m, V, W) triples of `src`."""
+    ends = dst.mor
+    for V in src.objects:
+        a = b = V
+        for F in P:
+            a = F.omap[a]
+        for F in Q:
+            b = F.omap[b]
+        m = cells.get(V)
+        if ends.get(m) != (a, b) or invertible and not dst.is_iso(m):
+            return False
+    table = dst.table
+    for m, V, W in arrows:
+        a = b = m
+        for F in P:
+            a = F.mmap[a]
+        for F in Q:
+            b = F.mmap[b]
+        if table[cells[W], a] != table[b, cells[V]]:
+            return False
+    return True
+
+
+def _laws_hold(D: IndexedCat) -> bool:
+    """Whether the phases of `validate_indexed` past its fibres find
+    nothing, given valid fibres: the same checks, less those that involve
+    an identity arrow of the base or of a fibre.  Typing is checked before
+    anything is composed, so every composite read is in its fibre's table
+    and malformed input is a False, never an error."""
+    base, fib, res = D.base, D.fib, D.res
+    base_ids = set(base.ident.values())
+    obs, arrows = {}, {}
+    for X in base.objects:
+        c = fib[X]
+        ids = set(c.ident.values())
+        obs[X] = set(c.objects)
+        arrows[X] = [(m, V, W) for m, (V, W) in c.mor.items() if m not in ids]
+
+    # Ids are nested tuples, whose hash is recomputed at every lookup, so
+    # restrictions compare composites on the positions of arrows in `mor`.
+    numbered, pairs = {}, {}
+
+    def numbering(X):
+        """Fibre X's positions of arrows and table on positions."""
+        if X not in numbered:
+            at = {m: i for i, m in enumerate(fib[X].mor)}
+            numbered[X] = at, {(at[g], at[f]): at[h]
+                               for (g, f), h in fib[X].table.items()}
+        return numbered[X]
+
+    def composable(X):
+        """Fibre X's table entries, on positions, at pairs of non-identity
+        arrows."""
+        if X not in pairs:
+            c = fib[X]
+            pairs[X] = []
+            # 2|mor| - |objects| pairs have an identity in them.
+            if len(c.table) > 2 * len(c.mor) - len(c.objects):
+                at, t = numbering(X)
+                ids = {at[i] for i in c.ident.values()}
+                pairs[X] = [(gf, h) for gf, h in t.items()
+                            if gf[0] not in ids and gf[1] not in ids]
+        return pairs[X]
+
+    for y, (Y, X) in base.mor.items():
+        F = res.get(y)
+        if F is None or F.src != fib[X] or F.dst != fib[Y]:
+            return False
+        src, dst = fib[X], fib[Y]
+        omap, mmap = F.omap, F.mmap
+        for V in src.objects:
+            if V not in omap or omap[V] not in obs[Y]:
+                return False
+        for m, (V, W) in src.mor.items():
+            if m not in mmap or dst.mor.get(mmap[m]) != (omap[V], omap[W]):
+                return False
+        for V in src.objects:
+            if mmap[src.ident[V]] != dst.ident[omap[V]]:
+                return False
+        todo = composable(X)
+        if todo:
+            at, tY = numbering(Y)
+            image = [at[mmap[m]] for m in src.mor]
+            for (g, f), h in todo:
+                if tY[image[g], image[f]] != image[h]:
+                    return False
+
+    for X in base.objects:
+        cells = D.unitor.get(X)
+        if cells is None or not _holds_on(
+                fib[X], fib[X], cells, (), (res[base.ident[X]],), arrows[X]):
+            return False
+    for (g, f), h in base.table.items():
+        cells = D.compositor.get((g, f))
+        X = base.cod(g)
+        # At a pair with an identity, typing only, by (b) of
+        # `validate_indexed`.
+        plain = g not in base_ids and f not in base_ids
+        if cells is None or not _holds_on(
+                fib[X], fib[base.dom(f)], cells, (res[g], res[f]), (res[h],),
+                arrows[X] if plain else (), invertible=plain):
+            return False
+
+    for y, (Y, X) in base.mor.items():
+        fy, ry = fib[Y], res[y]
+        right = D.compositor[(y, base.ident[Y])]
+        left = D.compositor[(base.ident[X], y)]
+        uY, uX = D.unitor[Y], D.unitor[X]
+        for V in fib[X].objects:
+            W = ry.omap[V]
+            one = fy.ident[W]
+            if (fy.table[right[V], uY[W]] != one
+                    or fy.table[left[V], ry.mmap[uX[V]]] != one):
+                return False
+
+    gamma = D.compositor
+    for (y, z), yz in base.table.items():
+        if y in base_ids or z in base_ids:
+            continue
+        ry = res[y]
+        for w in base.into(base.dom(z)):
+            if w in base_ids:
+                continue
+            zw = base.table[(z, w)]
+            fw, rw = fib[base.dom(w)], res[w]
+            a, b = gamma[(yz, w)], gamma[(y, z)]
+            c, d = gamma[(y, zw)], gamma[(z, w)]
+            for V in fib[base.cod(y)].objects:
+                if (fw.table[a[V], rw.mmap[b[V]]]
+                        != fw.table[c[V], d[ry.omap[V]]]):
+                    return False
+    return True
 
 
 def path_composite(base: FinCat, X, path):
@@ -460,7 +624,8 @@ def find_indexed_natiso(F: IndexedFun, G: IndexedFun, caps: _caps.Caps = _caps.D
         Y, X = base.mor[y]
         return not any(True for _ in _incoherent(F, G, y, a[at[Y]], a[at[X]]))
 
-    found = _caps.search(cand, cells, coherent, _caps.Budget(caps))
+    found = _caps.search(cand, _caps.schedule(cells, len(objs)), coherent,
+                         _caps.Budget(caps))
     a = next(found, None)
     return None if a is None else IndexedNat(F, G, dict(zip(objs, a)))
 

@@ -315,7 +315,8 @@ def matching_families(P: Presheaf, R: Sieve, caps: _caps.Caps = _caps.DEFAULT):
         return P.act[g][fam[jf]] == fam[jfg]
 
     pools = [P.els[base.dom(f)] for f in members]
-    out = list(map(tuple, _caps.search(pools, restrictions, restricts,
+    closing = _caps.schedule(restrictions, len(members))
+    out = list(map(tuple, _caps.search(pools, closing, restricts,
                                        _caps.Budget(caps))))
     try:
         out.sort()

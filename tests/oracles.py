@@ -40,7 +40,12 @@ non-maximal pullbacks of the least covers, on which descent and the
 sheafification's guard were decided before the least covers alone were.
 
 `ref_validate_fincat` is `validate_fincat` as it was before it numbered the
-ids: every check looks ids up by value.
+ids: every check looks ids up by value, and associativity is checked on
+every composable triple.  `ref_validate_indexed` is `validate_indexed` as
+it was before it left out the checks that involve an identity: its phases
+check every restriction with `Functor.validate`, every unitor and
+compositor family at every object and arrow, every unit law and every
+composable triple of the base.
 
 `ref_serialize_blocks` is the interchange writer as it was before it wrote
 text: `ref_enc` builds a JSON structure of every id (memoizing each datum's
@@ -86,6 +91,7 @@ from finstack import (
 )
 from finstack import dsl
 from finstack.caps import Budget
+from finstack.indexed import _fibre_arrows
 from finstack.util import fmt, stable_sorted
 
 
@@ -598,7 +604,7 @@ def ref_mor_components(mid):
     return dict(mid[2])
 
 
-# -- validate_fincat before it numbered the ids --------------------------------
+# -- the category and pseudofunctor validators, every case checked ---------
 
 
 def ref_validate_fincat(c, caps=Caps()):
@@ -670,6 +676,65 @@ def ref_validate_fincat(c, caps=Caps()):
                         f"associativity fails on ({fmt(h)},{fmt(g)},{fmt(f)})"
                     )
     return errs
+
+
+def ref_validate_indexed(D, caps=Caps()):
+    base = D.base
+    for X in base.objects:
+        if X not in D.fib:
+            return [f"no fibre over {fmt(X)}"]
+        bad = ref_validate_fincat(D.fib[X], caps)
+        if bad:
+            return [f"fibre over {fmt(X)} invalid: {bad[0]}"]
+    for y, (Y, X) in base.mor.items():
+        F = D.res.get(y)
+        if F is None:
+            return [f"no restriction along {fmt(y)}"]
+        if F.src != D.fib[X]:
+            return [f"restriction along {fmt(y)} has wrong source"]
+        if F.dst != D.fib[Y]:
+            return [f"restriction along {fmt(y)} has wrong target"]
+        bad = F.validate()
+        if bad:
+            return [f"restriction along {fmt(y)} not a functor: {bad[0]}"]
+
+    errs = _fibre_arrows("unitor at {}", "no unitor at {}", (
+        ((X,), D.fib[X], D.fib[X], D.unitor.get(X), (), (D.res[base.ident[X]],))
+        for X in base.objects), invertible=True)
+    if errs:
+        return errs
+    errs = _fibre_arrows("compositor ({},{})", "no compositor for ({},{})", (
+        ((g, f), D.fib[base.cod(g)], D.fib[base.dom(f)], D.compositor.get((g, f)),
+         (D.res[g], D.res[f]), (D.res[h],))
+        for (g, f), h in base.table.items()), invertible=True)
+    if errs:
+        return errs
+
+    for (y, z) in base.table:
+        for w in base.into(base.dom(z)):
+            yz = base.table[(y, z)]
+            zw = base.table[(z, w)]
+            fw = D.fib[base.dom(w)]
+            bad = [
+                fmt(V) for V in D.fib[base.cod(y)].objects
+                if fw.compose(D.gamma(yz, w, V), D.res[w].mo(D.gamma(y, z, V)))
+                != fw.compose(D.gamma(y, zw, V), D.gamma(z, w, D.res[y].ob(V)))
+            ]
+            if bad:
+                errs.append(
+                    f"associativity fails for ({fmt(y)},{fmt(z)},{fmt(w)}) at {min(bad)}"
+                )
+    for y, (Y, X) in base.mor.items():
+        fy = D.fib[Y]
+        for V in D.fib[X].objects:
+            ry_V = D.res[y].ob(V)
+            right = fy.compose(D.gamma(y, base.ident[Y], V), D.unit(Y, ry_V))
+            if right != fy.ident[ry_V]:
+                errs.append(f"right unit fails for {fmt(y)} at {fmt(V)}")
+            left = fy.compose(D.gamma(base.ident[X], y, V), D.res[y].mo(D.unit(X, V)))
+            if left != fy.ident[ry_V]:
+                errs.append(f"left unit fails for {fmt(y)} at {fmt(V)}")
+    return sorted(errs)
 
 
 # -- the interchange writer before it wrote text -----------------------------

@@ -176,6 +176,16 @@ def test_validate_reports_findings(capsys):
     assert f["name"] == "F" and f["kind"] == "functor"
 
 
+def test_validate_prints_the_findings_of_bad_laws_exactly(capsys):
+    path = str(DATA / "bad_laws.site")
+    assert run(capsys, "validate", path) == (1, (
+        f"finstack validate: {path}\n"
+        '  blocks: [["category", "S"], ["category", "T"], ["functor", "F"]]\n'
+        '  findings: [{"kind": "functor", "name": "F", '
+        '"witness": "image of g.f has wrong dom/cod"}]\n'
+        "check failed\n"), "")
+
+
 # ---------------------------------------------------------------------------
 # exit 2: bad input
 

@@ -93,8 +93,9 @@ CORPUS = {
     "const-z2-terminal": lambda: _const_z2(terminal_site),
     "const-z2-arrow": lambda: _const_z2(arrow_site),
 }
-# Thm 4.2(ii) takes 20 s to 2 minutes on these, and 4.2(i) 3 s on the
-# projection, so those checks are left out there; the localization that
+# Thm 4.2(ii) takes about 2 s (twisted), 4 s (groupoid-patches) and 8 s
+# (projection) of CPU time on these, and 4.2(i) 1.5 s on the projection, on
+# a 2-vCPU VM, so those checks are left out there; the localization that
 # both read is still compared.
 SLOW_4_2_II = {"groupoid-patches", "twisted", "projection"}
 SLOW_4_2_I = {"projection"}

@@ -39,7 +39,8 @@ from finstack import (
     terminal_cat,
     validate_fincat,
 )
-from finstack.caps import Budget, pruned_product, search
+from finstack import caps as caps_module
+from finstack.caps import Budget, pruned_product, schedule, search
 from finstack.util import stable_sorted
 
 import corpus
@@ -59,7 +60,7 @@ from oracles import (
 def test_search_order_and_pruning():
     got = [
         tuple(a)
-        for a in search(["ab"] * 3, [((0, 1), None)],
+        for a in search(["ab"] * 3, schedule([((0, 1), None)], 3),
                         lambda c, a: a[:2] != ["a", "b"], Budget())
     ]
     want = [t for t in product("ab", repeat=3) if t[:2] != ("a", "b")]
@@ -74,15 +75,17 @@ def test_checks_run_where_their_scope_closes_in_the_order_given():
         return True
 
     checks = [((2, 0), "x"), ((1,), "y"), ((0, 2), "z"), ((0,), "w")]
-    list(search(["a", "b", "c"], checks, holds, Budget()))
+    list(search(["a", "b", "c"], schedule(checks, 3), holds, Budget()))
     assert calls == [("w", 1), ("y", 2), ("x", 3), ("z", 3)]
 
 
 def test_search_spends_one_node_per_position_entered():
     # root + 2 + 4 + 8 positions entered for three free binary choices
-    list(search([(0, 1)] * 3, [], None, Budget(Caps(max_descent=15))))
+    list(search([(0, 1)] * 3, schedule([], 3), None,
+                Budget(Caps(max_descent=15))))
     with pytest.raises(CapExceeded, match="raise --max-descent"):
-        list(search([(0, 1)] * 3, [], None, Budget(Caps(max_descent=14))))
+        list(search([(0, 1)] * 3, schedule([], 3), None,
+                    Budget(Caps(max_descent=14))))
 
 
 def test_search_with_no_positions_yields_once():
@@ -94,20 +97,21 @@ def test_pruned_product_order_and_nodes():
     # none for the survivors.
     budget = Budget(Caps(max_descent=2))
     got = [tuple(a) for a in pruned_product(
-        ["ab", "ab", "ab"], [((0, 1), None)],
+        ["ab", "ab", "ab"], schedule([((0, 1), None)], 3),
         lambda c, a: a[:2] != ["a", "b"], budget)]
     assert got == [t for t in product("ab", repeat=3) if t[:2] != ("a", "b")]
     assert budget.left == 1
     # Rejections at the last position count too.
     with pytest.raises(CapExceeded, match="raise --max-descent"):
-        list(pruned_product(["ab", "ab"], [((1,), None)], lambda c, a: False,
+        list(pruned_product(["ab", "ab"], schedule([((1,), None)], 2),
+                            lambda c, a: False,
                             Budget(Caps(max_descent=3))))
 
 
 def test_pruned_product_of_nothing():
     budget = Budget(Caps(max_descent=0))
     assert [list(a) for a in pruned_product([], [], None, budget)] == [[]]
-    assert list(pruned_product(["ab", "", "ab"], [((0,), None)],
+    assert list(pruned_product(["ab", "", "ab"], schedule([((0,), None)], 3),
                                lambda c, a: False, budget)) == []
 
 
@@ -160,6 +164,22 @@ def test_search_cap_trips_where_it_did(run, least):
     run(Caps(max_descent=least))
     with pytest.raises(CapExceeded):
         run(Caps(max_descent=least - 1))
+
+
+def test_checks_are_filed_once_per_plan_and_per_enumeration(monkeypatch):
+    """A plan files its squares when it is made, and `enumerate_data` its
+    links and cocycles once per call, however many searches run on them."""
+    c, J = corpus.patches_site()
+    plan = Plan(corpus.const_walking_iso(c), minimal_cover(J, "X"))
+    filed = []
+    real = caps_module.schedule
+    monkeypatch.setattr(caps_module, "schedule",
+                        lambda checks, n: filed.append(n) or real(checks, n))
+    data = enumerate_data(plan)
+    assert filed == [len(plan.members), len(plan.pairs)]
+    homs = [desc_hom(plan, a, b) for a in data for b in data]
+    assert len(homs) > 1 and any(homs)
+    assert len(filed) == 2
 
 
 def _brute_nat_isos(F, G):
